@@ -2,9 +2,14 @@
 
 tau_0 reads the expectation at 0 and lives on l^2(Z); tau_Haar averages
 it and lives on L^2(Z x Z/NZ).  Implementation operators D are built
-from exact data on finite windows; compact-parametrix detection
-compresses I + D*D to the shells M <= |m| < 2M, where divergence is
-visible as growth of the smallest eigenvalue.
+from exact data on finite windows.  A covariant D of degree n maps the
+m-block of the window (one vector for tau_0, level vectors for Haar)
+only to the block m + n, so it is a single band: the direct sum of
+level x level blocks B_m, and D*D is block-diagonal.  Compact-parametrix
+detection works on the blocks I + B_m^H B_m of the shells M <= |m| < 2M,
+where divergence is visible as growth of the smallest eigenvalue, and
+the covariance check reads the residual off the band and the largest
+block norm.
 """
 
 import cmath
@@ -30,6 +35,7 @@ from .profinite import (
 )
 from .algebra import expectation
 from .derivations import bounded_regime
+from .numerics import _sparse_mul
 
 
 def tau0(b):
@@ -178,7 +184,7 @@ class ImplementationData:
     """
 
     __slots__ = ("n", "N", "case", "h", "C", "gtilde", "htilde", "psi",
-                 "c", "level")
+                 "c", "level", "gtilde_prefix")
 
     def __init__(self, n, N, case, h=None, C=None, gtilde=None,
                  htilde=None, psi=None, c=None, level=None):
@@ -231,6 +237,15 @@ class ImplementationData:
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "level", level)
+        # prefix[k] = gtilde(0) + ... + gtilde(k - 1) over one period;
+        # gtilde has Haar mean zero, so the prefix sums are periodic too
+        prefix = None
+        if gtilde is not None:
+            prefix, total = [], ZERO
+            for v in gtilde.values:
+                prefix.append(total)
+                total = total + v
+        object.__setattr__(self, "gtilde_prefix", prefix)
 
     def __setattr__(self, name, value):
         raise AttributeError("ImplementationData is immutable")
@@ -247,16 +262,12 @@ class ImplementationData:
         """gtilde(x + m - 1) + ... + gtilde(x), telescoped to m <= 0.
 
         gtilde is the forward increment of the periodic part of eta, so
-        this sum equals eta~(x + m) - eta~(x) exactly.
+        this sum equals eta~(x + m) - eta~(x) exactly; it is read off the
+        periodic prefix sums as P(x + m) - P(x).
         """
-        total = ZERO
-        if m >= 0:
-            for i in range(m):
-                total = total + self.gtilde.value_at(x + i)
-        else:
-            for i in range(m, 0):
-                total = total - self.gtilde.value_at(x + i)
-        return total
+        prefix = self.gtilde_prefix
+        p = len(prefix)
+        return prefix[(x + m) % p] - prefix[x % p]
 
     def parametrix_predicate(self, space):
         """The exact compactness criterion, as (truth, description)."""
@@ -348,9 +359,17 @@ def build_D_haar_exact(data, M):
     out = {}
 
     def put(mi, xi, mj, xj, val):
+        # in the bounded case with level | n both entries of a column
+        # share one key and add up
         if -M <= mi <= M and val:
-            out[(_haar_index(mi, xi, M, level),
-                 _haar_index(mj, xj, M, level))] = val
+            key = (_haar_index(mi, xi, M, level),
+                   _haar_index(mj, xj, M, level))
+            w = out.get(key)
+            w = val if w is None else w + val
+            if w:
+                out[key] = w
+            else:
+                del out[key]
 
     for m in range(-M, M + 1):
         for x in range(level):
@@ -396,16 +415,38 @@ def haar_mvec(M, level):
 
 def check_covariance(D, n, M, thetas):
     """max over the grid of ||Phi D Phi^{-1} - e^{in theta} D|| with
-    Phi = diag(e^{i theta m}); the x-fiber size is read off the shape."""
+    Phi = diag(e^{i theta m}); the x-fiber size is read off the shape.
+
+    Conjugation by Phi multiplies the band of m-difference d by
+    e^{i theta d}.  A D on a single band is the direct sum of its blocks
+    B_m, so there the residual is |e^{i theta d} - e^{in theta}| times
+    max_m ||B_m||; a D on several bands takes one dense norm per theta.
+    """
     size = D.shape[0]
     if size % (2 * M + 1) != 0:
         raise ValueError(f"matrix size {size} is not a window at M={M}")
     level = size // (2 * M + 1)
     mvec = haar_mvec(M, level) if level > 1 else tau0_mvec(M)
+    rows, cols = np.nonzero(D)
+    bands = np.unique(mvec[rows] - mvec[cols])
+    if bands.size == 0:
+        return 0.0
+    # the phase of an entry is evaluated at its index difference, which
+    # keeps the residual free of large-angle rounding; a covariant D
+    # gives exactly 0
+    if bands.size == 1:
+        d = int(bands[0])
+        blocks = D.reshape(2 * M + 1, level, 2 * M + 1, level)
+        B = np.moveaxis(np.diagonal(blocks, -d, 0, 2), -1, 0)
+        top = float(np.linalg.norm(B, 2, axis=(1, 2)).max())
+        band = np.array([d], dtype=float)
+        return max(
+            (float(abs(np.exp(1j * theta * band)[0]
+                       - cmath.exp(1j * n * theta))) * top
+             for theta in thetas),
+            default=0.0,
+        )
     marr = np.asarray(mvec, dtype=float)
-    # conjugation by the diagonal unitary acts entrywise through the
-    # phase of the index difference; evaluating it there keeps the
-    # residual free of large-angle rounding
     diff = marr[:, None] - marr[None, :]
     worst = 0.0
     for theta in thetas:
@@ -446,23 +487,6 @@ def _pi_haar_exact(b, M, level):
                 if v:
                     out[(_haar_index(m + n, x, M, level),
                          _haar_index(m, x, M, level))] = v
-    return out
-
-
-def _sparse_mul(A, B):
-    rows = {}
-    for (k, j), v in B.items():
-        rows.setdefault(k, []).append((j, v))
-    out = {}
-    for (i, k), u in A.items():
-        for j, v in rows.get(k, ()):
-            key = (i, j)
-            w = out.get(key)
-            w = u * v if w is None else w + u * v
-            if w:
-                out[key] = w
-            elif key in out:
-                del out[key]
     return out
 
 
@@ -515,19 +539,25 @@ def check_implementation(D, components, b, M, space="tau0", level=1):
 
 def _min_eig_inverse_power(G, tol=1e-12, cap=20000, seed=20240117):
     """Smallest eigenvalue of Hermitian G >= I via power iteration on
-    the inverse."""
+    the inverse; G is block-diagonal, given as the (k, L, L) stack of its
+    blocks, and vectors run over the blocks in order."""
     Ginv = np.linalg.inv(G)
+    k, L, _ = G.shape
+
+    def apply(u):
+        return (Ginv @ u.reshape(k, L, 1)).reshape(-1)
+
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(G.shape[0]) + 1j * rng.standard_normal(G.shape[0])
+    v = rng.standard_normal(k * L) + 1j * rng.standard_normal(k * L)
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(cap):
-        w = Ginv @ v
+        w = apply(v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return math.inf
         v = w / nw
-        new = float(np.real(np.vdot(v, Ginv @ v)))
+        new = float(np.real(np.vdot(v, apply(v))))
         if abs(new - lam) <= tol * max(1.0, abs(new)):
             break
         lam = new
@@ -537,20 +567,27 @@ def _min_eig_inverse_power(G, tol=1e-12, cap=20000, seed=20240117):
 
 def _shell_min_sv(data, space, M):
     """Smallest eigenvalue of (I + D*D)^{1/2} compressed to the shell
-    M <= |m| < 2M."""
-    pad = abs(data.n) + 1
-    big = 2 * M + pad
+    M <= |m| < 2M.
+
+    D maps the column block m to the row block m + n alone, so on the
+    shell I + D*D is the direct sum of the blocks I + B_m^H B_m.  The
+    window is padded by |n| + 1 so that every shell column keeps its
+    row block.
+    """
+    big = 2 * M + abs(data.n) + 1
     if space == "tau0":
-        D = build_D_tau0(data, big)
-        mvec = tau0_mvec(big)
+        level, Dx = 1, build_D_tau0_exact(data, big)
     else:
-        D = build_D_haar(data, big)
-        mvec = haar_mvec(big, data.level)
-    G = np.eye(D.shape[0]) + D.conj().T @ D
-    mask = (np.abs(mvec) >= M) & (np.abs(mvec) < 2 * M)
-    idx = np.nonzero(mask)[0]
-    block = G[np.ix_(idx, idx)]
-    lam = _min_eig_inverse_power(block)
+        level, Dx = data.level, build_D_haar_exact(data, big)
+    shell = list(range(-2 * M + 1, -M + 1)) + list(range(M, 2 * M))
+    slot = {m: k for k, m in enumerate(shell)}
+    B = np.zeros((len(shell), level, level), dtype=complex)
+    for (i, j), v in Dx.items():
+        k = slot.get(j // level - big)
+        if k is not None:
+            B[k, i % level, j % level] = complex(v)
+    G = np.eye(level) + B.conj().transpose(0, 2, 1) @ B
+    lam = _min_eig_inverse_power(G)
     return math.sqrt(max(lam, 0.0))
 
 

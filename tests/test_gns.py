@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -40,7 +41,7 @@ from bdshift.gns import (
     tau0,
     tau_haar,
 )
-from bdshift.gns import _pi0_exact
+from bdshift.gns import _pi0_exact, _shell_min_sv, haar_mvec, tau0_mvec
 
 N2 = SupernaturalNumber.from_int(2)
 N4 = SupernaturalNumber.from_int(4)
@@ -210,6 +211,8 @@ def test_haar_implementation_exact_all_cases():
         [(n, N2, 2, False) for n in (1, -1, 3)]
         + [(n, N2, 2, True) for n in (0, 2, -2)]
         + [(0, NINF, 4, True)]
+        # level | n in the bounded case: two entries share a key
+        + [(n, NINF, 2, False) for n in (2, 4, -2)]
     )
     for n, N, per, lin_ok in cases:
         for psi in (None, rand_lcf(rng, N, per)):
@@ -377,3 +380,131 @@ def test_naturality_of_implementation():
             D[k] = D.get(k, ZERO) + v
         assert check_implementation(D, comps, b, 10, space="tau0") == 0.0
         assert not img.is_zero() or b.is_zero() or comp_a.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# band-structured routes against the dense ones they replace
+
+
+def regime_components():
+    """The five regime representatives of acceptance criterion 09."""
+    def eta_of(linear, table, N):
+        return BilateralAffineSequence(
+            linear, BilateralEPSequence({}, table, N)
+        )
+
+    return {
+        "bounded": bilateral_covariant(
+            1, eta_of(ZERO, [ONE, Scalar(2)], N2), N2),
+        "incrementN_flat": bilateral_covariant(
+            2, eta_of(ZERO, [ONE, Scalar(3)], N2), N2),
+        "incrementN_linear": bilateral_covariant(
+            2, eta_of(ONE, [ONE, ZERO], N2), N2),
+        "increment0_flat": bilateral_covariant(
+            0, eta_of(ZERO, [ONE, ZERO, ZERO, ONE], NINF), NINF),
+        "increment0_linear": bilateral_covariant(
+            0, eta_of(Scalar(Fraction(1, 2)), [ONE, ZERO, ZERO, ONE], NINF),
+            NINF),
+    }
+
+
+def gtilde_sum_loop(gtilde, m, x):
+    total = ZERO
+    if m >= 0:
+        for i in range(m):
+            total = total + gtilde.value_at(x + i)
+    else:
+        for i in range(m, 0):
+            total = total - gtilde.value_at(x + i)
+    return total
+
+
+def dense_covariance(D, n, M, thetas):
+    size = D.shape[0]
+    level = size // (2 * M + 1)
+    mvec = haar_mvec(M, level) if level > 1 else tau0_mvec(M)
+    marr = np.asarray(mvec, dtype=float)
+    diff = marr[:, None] - marr[None, :]
+    worst = 0.0
+    for theta in thetas:
+        conj = np.exp(1j * theta * diff) * D
+        resid = conj - cmath.exp(1j * n * theta) * D
+        worst = max(worst, float(np.linalg.norm(resid, 2)))
+    return worst
+
+
+def dense_shell_min_sv(data, space, M, tol=1e-12, cap=20000, seed=20240117):
+    big = 2 * M + abs(data.n) + 1
+    if space == "tau0":
+        D = build_D_tau0(data, big)
+        mvec = tau0_mvec(big)
+    else:
+        D = build_D_haar(data, big)
+        mvec = haar_mvec(big, data.level)
+    G = np.eye(D.shape[0]) + D.conj().T @ D
+    idx = np.nonzero((np.abs(mvec) >= M) & (np.abs(mvec) < 2 * M))[0]
+    Ginv = np.linalg.inv(G[np.ix_(idx, idx)])
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(cap):
+        w = Ginv @ v
+        v = w / np.linalg.norm(w)
+        new = float(np.real(np.vdot(v, Ginv @ v)))
+        if abs(new - lam) <= tol * max(1.0, abs(new)):
+            break
+        lam = new
+    return math.sqrt(1.0 / new)
+
+
+def test_gtilde_sum_matches_loop():
+    rng = random.Random(20240217)
+    for per in (1, 2, 4, 8):
+        for _ in range(3):
+            comp = bilateral_covariant(0, rand_eta(rng, NINF, per, True), NINF)
+            data = implementation_from_bilateral(comp)
+            p = data.gtilde.period
+            for m in range(-3 * p, 3 * p + 1):
+                for x in range(p):
+                    assert data._gtilde_sum(m, x) == gtilde_sum_loop(
+                        data.gtilde, m, x
+                    )
+
+
+def test_check_covariance_matches_dense():
+    rng = random.Random(20240218)
+    M = 8
+    cases = []
+    for comp in regime_components().values():
+        data = implementation_from_bilateral(comp)
+        cases.append((build_D_tau0(data, M), comp.n))
+        psi = rand_lcf(rng, comp.N, 2)
+        data = implementation_from_bilateral(comp, psi=psi)
+        cases.append((build_D_haar(data, M), comp.n))
+    eta1 = BilateralAffineSequence(ZERO, BilateralEPSequence({}, [ONE], N2))
+    D1 = build_D_tau0(implementation_from_bilateral(
+        bilateral_covariant(1, eta1, N2)), M)
+    etaL = BilateralAffineSequence(ONE, BilateralEPSequence({}, [ZERO], N2))
+    DL = build_D_tau0(implementation_from_bilateral(
+        bilateral_covariant(0, etaL, N2)), M)
+    cases += [
+        (D1, 2),  # wrong degree
+        (np.zeros((2 * M + 1, 2 * M + 1), dtype=complex), 1),
+        (np.zeros((2 * (2 * M + 1), 2 * (2 * M + 1)), dtype=complex), 0),
+        (D1 + DL, 1),  # two bands
+    ]
+    for D, n in cases:
+        got = check_covariance(D, n, M, GRID16)
+        assert abs(got - dense_covariance(D, n, M, GRID16)) <= 1e-12
+    assert check_covariance(D1 + DL, 1, M, GRID16) > 0.5
+
+
+def test_shell_min_sv_matches_dense():
+    for comp in regime_components().values():
+        data = implementation_from_bilateral(comp)
+        for space in ("tau0", "haar"):
+            for M in (4, 8, 16):
+                got = _shell_min_sv(data, space, M)
+                want = dense_shell_min_sv(data, space, M)
+                assert abs(got - want) <= 1e-12 * want
