@@ -22,14 +22,10 @@ from .profinite import (
     lcf_conjugate,
     lcf_shift,
 )
-from .scalars import Scalar, as_scalar
+from .scalars import Scalar, as_scalar, coerce_scalar
 from .sequences import (
     EPSequence,
     QuasiAffine,
-    BilateralQuasiAffine,
-    BilateralEPSequence,
-    bep_from_lcf,
-    bep_to_lcf,
     ep_conjugate,
     ep_constant,
     ep_from_lcf,
@@ -40,13 +36,6 @@ from .sequences import (
 )
 
 _ZERO = Scalar(0)
-
-
-def _coerce(v):
-    s = as_scalar(v)
-    if s is NotImplemented:
-        raise TypeError(f"cannot use {type(v).__name__} as a scalar")
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +231,7 @@ def matrix_unit_compact(r, s, N):
 
 
 def scale(x, c):
-    c = _coerce(c)
+    c = coerce_scalar(c)
     if not c:
         return zero_element(x.N)
     return UnilateralElement(
@@ -423,7 +412,7 @@ def bilateral_diag(f):
 
 
 def bilateral_scale(x, c):
-    c = _coerce(c)
+    c = coerce_scalar(c)
     if not c:
         return bilateral_zero(x.N)
     from .profinite import lcf_scale
@@ -534,7 +523,7 @@ class MatrixTrigPoly:
             for poly in row:
                 p = {}
                 for k, v in poly.items():
-                    v = _coerce(v)
+                    v = coerce_scalar(v)
                     if v:
                         p[int(k)] = v
                 clean_row.append(p)
@@ -556,7 +545,7 @@ class MatrixTrigPoly:
         return cls(
             size,
             [
-                [({0: v} if _coerce(v) else {}) for v in row]
+                [({0: v} if coerce_scalar(v) else {}) for v in row]
                 for row in matrix
             ],
         )
@@ -587,7 +576,7 @@ class MatrixTrigPoly:
         return self + other.scale(Scalar(-1))
 
     def scale(self, c):
-        c = _coerce(c)
+        c = coerce_scalar(c)
         return MatrixTrigPoly(
             self.size,
             [

@@ -99,14 +99,7 @@ def _matrix_out(A, args, extra):
         payload["out"] = args.out
         payload["nnz"] = nnz
     else:
-        entries = []
-        rows, cols = A.shape
-        for i in range(rows):
-            for j in range(cols):
-                v = A[i, j]
-                if v != 0:
-                    entries.append([i, j, float(v.real), float(v.imag)])
-        payload["entries"] = entries
+        payload["entries"] = numerics.nonzero_entries(A)
     return payload
 
 

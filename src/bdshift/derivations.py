@@ -10,7 +10,7 @@ and collapsed only after the commutator cancels the unbounded weight.
 
 from fractions import Fraction
 
-from .scalars import Scalar, as_scalar, ZERO, ONE
+from .scalars import Scalar, ZERO, ONE, coerce_scalar
 from .errors import (
     NonzeroMean,
     NotDerivation,
@@ -23,11 +23,9 @@ from .sequences import (
     AffineSequence,
     BilateralAffineSequence,
     BilateralEPSequence,
-    BilateralQuasiAffine,
     EPSequence,
     QuasiAffine,
     bep_from_lcf,
-    bep_shift,
     bep_to_lcf,
     ep_constant,
     ep_scale,
@@ -54,13 +52,6 @@ from .algebra import (
     ustar_element,
     zero_element,
 )
-
-
-def _coerce(v):
-    s = as_scalar(v)
-    if s is NotImplemented:
-        raise TypeError(f"cannot use {type(v).__name__} as a scalar")
-    return s
 
 
 def bounded_regime(n, N):
@@ -207,7 +198,7 @@ class DerivationSum:
 
 
 def derivation_scale(d, c):
-    c = _coerce(c)
+    c = coerce_scalar(c)
     out = {
         n: covariant(
             n,
@@ -349,7 +340,7 @@ class LaurentFunction:
     def __init__(self, coeffs):
         kept = {}
         for j, c in coeffs.items():
-            c = _coerce(c)
+            c = coerce_scalar(c)
             if c:
                 kept[int(j)] = c
         object.__setattr__(self, "coeffs", dict(sorted(kept.items())))
@@ -590,23 +581,18 @@ def bilateral_apply(components, b):
     """
     terms = {}
     for n, comp in components.items():
-        gen = BilateralQuasiAffine.from_affine(comp.eta)
+        gen = QuasiAffine.from_affine(comp.eta)
         for m, g in b.terms.items():
             gb = bep_from_lcf(g)
-            coeff = gen.shift(m).mul_bep(gb) - gen.mul_bep(bep_shift(gb, n))
+            coeff = gen.shift(m).mul_ep(gb) - gen.mul_ep(ep_shift(gb, n))
             deg = n + m
-            terms[deg] = terms.get(deg, _bqa_zero(b.N)) + coeff
+            terms[deg] = terms[deg] + coeff if deg in terms else coeff
     out = {}
     for deg, coeff in terms.items():
         ep = coeff.collapse()
         if not ep.is_zero():
             out[deg] = bep_to_lcf(ep)
     return BilateralElement(out, b.N)
-
-
-def _bqa_zero(N):
-    z = BilateralEPSequence({}, [ZERO], N)
-    return BilateralQuasiAffine(z, z)
 
 
 def approx_c00(comp, M):

@@ -299,7 +299,7 @@ def implementation_from_bilateral(comp, psi=None, c=None, level=None):
     in the data; the lost anchor eta~(0) moves into the free constant c
     so the tau_0 operator is unchanged.
     """
-    from .sequences import bep_to_lcf, bep_shift
+    from .sequences import bep_to_lcf, ep_shift
 
     n, eta, N = comp.n, comp.eta, comp.N
     table = bep_to_lcf(eta.ep)
@@ -311,7 +311,7 @@ def implementation_from_bilateral(comp, psi=None, c=None, level=None):
         return ImplementationData(
             n, N, "incrementN", C=eta.linear, htilde=table, psi=psi, c=c
         )
-    gtilde = bep_to_lcf(bep_shift(eta.ep, 1) - eta.ep)
+    gtilde = bep_to_lcf(ep_shift(eta.ep, 1) - eta.ep)
     anchor = eta.ep.value_at(0)
     shift = anchor if c is None else as_scalar(c) + anchor
     return ImplementationData(

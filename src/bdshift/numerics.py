@@ -197,16 +197,24 @@ def quotient_norm_report(b, N, G, rounds=3):
     return {"grid": grids, "value": values, "final": values[-1]}
 
 
-def write_matrix_csv(A, fh):
-    """Dump the nonzero entries as `row,col,re,im` lines; returns the
-    number of entries written."""
-    fh.write("row,col,re,im\n")
+def nonzero_entries(A):
+    """The nonzero entries of a dense matrix as [row, col, re, im] lists,
+    in row-major order."""
+    entries = []
     rows, cols = A.shape
-    count = 0
     for i in range(rows):
         for j in range(cols):
             v = A[i, j]
             if v != 0:
-                fh.write(f"{i},{j},{float(v.real)!r},{float(v.imag)!r}\n")
-                count += 1
-    return count
+                entries.append([i, j, float(v.real), float(v.imag)])
+    return entries
+
+
+def write_matrix_csv(A, fh):
+    """Dump the nonzero entries as `row,col,re,im` lines; returns the
+    number of entries written."""
+    fh.write("row,col,re,im\n")
+    entries = nonzero_entries(A)
+    for i, j, re, im in entries:
+        fh.write(f"{i},{j},{re!r},{im!r}\n")
+    return len(entries)

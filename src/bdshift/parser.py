@@ -12,13 +12,19 @@ Grammar (precedence ^ > * > + -, left associative sums and products):
             | "adj" "(" expr ")"
             | "(" expr ")" | "-" atom
 
-Negative powers are spelled Us / Vi, never "^-1".
+Negative powers are spelled Us / Vi, never "^-1"; exponents above
+MAX_EXPONENT are a math-domain error.
 """
 
 from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE
-from .errors import ExprSyntaxError, SideMismatch, UnknownName
+from .errors import (
+    ExprSyntaxError,
+    MathDomainError,
+    SideMismatch,
+    UnknownName,
+)
 from .profinite import LocallyConstantFunction
 from .sequences import EPSequence
 from . import algebra
@@ -27,6 +33,7 @@ _KEYWORDS = {"U", "Us", "V", "Vi", "id", "i", "diag", "comm", "adj"}
 _PUNCT = "+-*^(),/"
 
 MAX_INPUT = 1 << 20
+MAX_EXPONENT = 1024
 
 
 class _Token:
@@ -235,6 +242,21 @@ def _diag_bilateral(value, N):
     raise UnknownName(f"cannot use {type(value).__name__} as a diagonal")
 
 
+def _power(base, k, one):
+    """base^k by repeated squaring.  The arithmetic is exact, so grouping
+    the factors differently cannot change the result."""
+    if k > MAX_EXPONENT:
+        raise MathDomainError(f"exponent {k} exceeds {MAX_EXPONENT}")
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return out
+
+
 def eval_ast(node, env, side):
     """Evaluate to a canonical element of the requested side."""
     if side not in ("unilateral", "bilateral"):
@@ -282,11 +304,7 @@ def eval_ast(node, env, side):
     if kind == "neg":
         return -eval_ast(node[1], env, side)
     if kind == "pow":
-        base = eval_ast(node[1], env, side)
-        out = identity()
-        for _ in range(node[2]):
-            out = out * base
-        return out
+        return _power(eval_ast(node[1], env, side), node[2], identity())
     if kind == "comm":
         a = eval_ast(node[1], env, side)
         b = eval_ast(node[2], env, side)
@@ -315,10 +333,7 @@ def parse_gaussian(text):
         if kind == "neg":
             return -fold(nd[1])
         if kind == "pow":
-            out = ONE
-            for _ in range(nd[2]):
-                out = out * fold(nd[1])
-            return out
+            return _power(fold(nd[1]), nd[2], ONE)
         raise ExprSyntaxError("expected a scalar expression", 0)
 
     return fold(node)

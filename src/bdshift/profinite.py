@@ -11,7 +11,7 @@ caller-chosen divisor chain.
 import math
 
 from .errors import PeriodNotDivisor, NotFinite, LevelMismatch
-from .scalars import Scalar, as_scalar
+from .scalars import Scalar, coerce_scalar
 
 INF = math.inf
 
@@ -255,7 +255,9 @@ class LocallyConstantFunction:
     __slots__ = ("period", "values", "N")
 
     def __init__(self, values, N):
-        values = [v if isinstance(v, Scalar) else _coerce(v) for v in values]
+        values = [
+            v if isinstance(v, Scalar) else coerce_scalar(v) for v in values
+        ]
         if not values:
             raise ValueError("value table must be nonempty")
         if not divides(len(values), N):
@@ -302,23 +304,6 @@ class LocallyConstantFunction:
         return cls([Scalar.from_json(v) for v in data["values"]], N)
 
 
-def _coerce(v):
-    s = as_scalar(v)
-    if s is NotImplemented:
-        raise TypeError(f"cannot use {type(v).__name__} as a scalar value")
-    return s
-
-
-def lcf_from_periodic(values, N):
-    """The unique locally constant function whose pullback is the table."""
-    return LocallyConstantFunction(values, N)
-
-
-def pullback_sequence(f):
-    """One period of the j-periodic sequence a_f(k) = f(q(k))."""
-    return list(f.values)
-
-
 def haar_integral(f):
     """Average of the value table over one period."""
     total = Scalar(0)
@@ -348,17 +333,22 @@ def lcf_mul(f, g):
     return _pointwise(f, g, lambda a, b: a * b)
 
 
-def _pointwise(f, g, op):
-    j = math.lcm(f.period, g.period)
-    N = f.N
+def _common_period(p, q, N):
+    """lcm of two periods, checked to divide N."""
+    j = math.lcm(p, q)
     if not divides(j, N):
         raise PeriodNotDivisor(f"lcm period {j} does not divide N")
+    return j
+
+
+def _pointwise(f, g, op):
+    j = _common_period(f.period, g.period, f.N)
     fa, ga = _lift(f, j), _lift(g, j)
-    return LocallyConstantFunction([op(a, b) for a, b in zip(fa, ga)], N)
+    return LocallyConstantFunction([op(a, b) for a, b in zip(fa, ga)], f.N)
 
 
 def lcf_scale(f, c):
-    c = _coerce(c)
+    c = coerce_scalar(c)
     return LocallyConstantFunction([c * v for v in f.values], f.N)
 
 
@@ -367,4 +357,4 @@ def lcf_conjugate(f):
 
 
 def lcf_constant(c, N):
-    return LocallyConstantFunction([_coerce(c)], N)
+    return LocallyConstantFunction([coerce_scalar(c)], N)

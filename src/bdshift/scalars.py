@@ -157,5 +157,13 @@ def as_scalar(x):
     return NotImplemented
 
 
+def coerce_scalar(x):
+    """as_scalar for values that must be scalars: TypeError otherwise."""
+    s = as_scalar(x)
+    if s is NotImplemented:
+        raise TypeError(f"cannot use {type(x).__name__} as a scalar value")
+    return s
+
+
 def scalar(re=0, im=0):
     return Scalar(re, im)

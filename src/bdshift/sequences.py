@@ -1,14 +1,23 @@
-"""Eventually-periodic sequences and their affine extensions.
+"""Eventually periodic sequences on two domains, and their affine extensions.
 
-Unilateral sequences live on k >= 0 with semantics
+One periodic core serves the coefficients of both algebras.  A sequence is
     a(k) = correction.get(k, 0) + table[k mod j],
-the canonical form having minimal period and no zero correction entries.
-An affine sequence is beta(k) = C*(k+1) + ep(k); the bilateral analog is
-eta(l) = C*l + ep(l) on all of Z.
+a finitely supported correction plus a table whose period j divides N;
+the canonical form has the minimal period and no zero correction entries.
+The two public classes differ only in their domain:
 
-The quasi-affine pairs at the bottom are internal plumbing for commutator
-arithmetic: they track the affine weight of a coefficient through shifts
-and diagonal products so that cancellation can be verified exactly.
+    EPSequence            k >= 0   shifts fill with zeros   weight k+1
+    BilateralEPSequence   all of Z shifts translate         weight l
+
+Coefficients of A(N) are EPSequences; those of the quotient B(N) are
+BilateralEPSequences, which carry no correction there.  The ep_*
+operations serve both domains and return the class of their first
+argument.  An affine sequence adds a linear coefficient times the weight:
+beta(k) = C*(k+1) + ep(k) on k >= 0, eta(l) = C*l + ep(l) on Z.
+
+QuasiAffine at the bottom is internal plumbing for commutator arithmetic:
+it tracks the affine weight of a coefficient through shifts and diagonal
+products so that cancellation can be verified exactly.
 """
 
 from fractions import Fraction
@@ -16,33 +25,28 @@ from fractions import Fraction
 from .errors import PeriodNotDivisor, NotFinite
 from .profinite import (
     LocallyConstantFunction,
+    _common_period,
     _minimal_period,
     divides,
 )
-from .scalars import Scalar, as_scalar
+from .scalars import Scalar, coerce_scalar
 
 _ZERO = Scalar(0)
 
 
-def _coerce(v):
-    s = as_scalar(v)
-    if s is NotImplemented:
-        raise TypeError(f"cannot use {type(v).__name__} as a scalar value")
-    return s
-
-
 # ---------------------------------------------------------------------------
-# unilateral sequences
+# the periodic core
 
 
-class EPSequence:
-    """Eventually periodic sequence on k >= 0: c00 correction plus a
-    periodic table whose period divides N."""
+class _PeriodicSequence:
+    """Correction plus periodic table.  Subclasses fix the domain with two
+    class attributes: `unilateral` (k >= 0 with zero-fill shifts, else all
+    of Z) and `offset` (the affine weight is k + offset)."""
 
     __slots__ = ("correction", "period", "table", "N")
 
     def __init__(self, correction, table, N):
-        table = [_coerce(v) for v in table]
+        table = [coerce_scalar(v) for v in table]
         if not table:
             raise ValueError("table must be nonempty")
         if not divides(len(table), N):
@@ -51,9 +55,9 @@ class EPSequence:
         clean = {}
         for k, v in (correction or {}).items():
             k = int(k)
-            if k < 0:
+            if k < 0 and self.unilateral:
                 raise ValueError(f"correction key must be >= 0, got {k}")
-            v = _coerce(v)
+            v = coerce_scalar(v)
             if v:
                 clean[k] = v
         object.__setattr__(self, "correction", clean)
@@ -62,10 +66,10 @@ class EPSequence:
         object.__setattr__(self, "N", N)
 
     def __setattr__(self, name, value):
-        raise AttributeError("EPSequence is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def value_at(self, k):
-        if k < 0:
+        if k < 0 and self.unilateral:
             raise ValueError("unilateral sequences are defined for k >= 0")
         return self.correction.get(k, _ZERO) + self.table[k % self.period]
 
@@ -77,7 +81,7 @@ class EPSequence:
         return not self.correction and all(not v for v in self.table)
 
     def __eq__(self, other):
-        if not isinstance(other, EPSequence):
+        if type(other) is not type(self):
             return NotImplemented
         return (
             self.correction == other.correction
@@ -101,7 +105,9 @@ class EPSequence:
 
     def __repr__(self):
         corr = {k: str(v) for k, v in sorted(self.correction.items())}
-        return f"EPSequence({corr}, {[str(v) for v in self.table]})"
+        return (
+            f"{type(self).__name__}({corr}, {[str(v) for v in self.table]})"
+        )
 
     def to_json(self):
         return {
@@ -119,6 +125,25 @@ class EPSequence:
             for k, v in data.get("correction", {}).items()
         }
         return cls(corr, [Scalar.from_json(v) for v in data["table"]], N)
+
+
+class EPSequence(_PeriodicSequence):
+    """Eventually periodic sequence on k >= 0: c00 correction plus a
+    periodic table whose period divides N."""
+
+    __slots__ = ()
+    unilateral = True
+    offset = 1
+
+
+class BilateralEPSequence(_PeriodicSequence):
+    """Eventually periodic sequence on all of Z; correction keys may be
+    negative.  Diagonal coefficients of the quotient algebra are
+    correction-free."""
+
+    __slots__ = ()
+    unilateral = False
+    offset = 0
 
 
 def ep_constant(c, N):
@@ -139,31 +164,42 @@ def ep_from_lcf(f):
     return EPSequence({}, list(f.values), f.N)
 
 
+def bep_from_lcf(f):
+    """Periodic bilateral extension of a locally constant function."""
+    return BilateralEPSequence({}, list(f.values), f.N)
+
+
+def bep_to_lcf(b):
+    if b.correction:
+        raise ValueError("bilateral sequence with corrections is not periodic")
+    return LocallyConstantFunction(list(b.table), b.N)
+
+
 def ep_add(a, b):
-    j = _common_period(a, b)
+    j = _common_period(a.period, b.period, a.N)
     table = [
         a.table[r % a.period] + b.table[r % b.period] for r in range(j)
     ]
     corr = dict(a.correction)
     for k, v in b.correction.items():
         corr[k] = corr.get(k, _ZERO) + v
-    return EPSequence(corr, table, a.N)
+    return type(a)(corr, table, a.N)
 
 
 def ep_mul(a, b):
-    j = _common_period(a, b)
+    j = _common_period(a.period, b.period, a.N)
     table = [
         a.table[r % a.period] * b.table[r % b.period] for r in range(j)
     ]
     corr = {}
     for k in set(a.correction) | set(b.correction):
         corr[k] = a.value_at(k) * b.value_at(k) - table[k % j]
-    return EPSequence(corr, table, a.N)
+    return type(a)(corr, table, a.N)
 
 
 def ep_scale(a, c):
-    c = _coerce(c)
-    return EPSequence(
+    c = coerce_scalar(c)
+    return type(a)(
         {k: c * v for k, v in a.correction.items()},
         [c * v for v in a.table],
         a.N,
@@ -171,46 +207,32 @@ def ep_scale(a, c):
 
 
 def ep_conjugate(a):
-    return EPSequence(
+    return type(a)(
         {k: v.conjugate() for k, v in a.correction.items()},
         [v.conjugate() for v in a.table],
         a.N,
     )
 
 
-def _common_period(a, b):
-    from math import lcm
-
-    j = lcm(a.period, b.period)
-    if not divides(j, a.N):
-        raise PeriodNotDivisor(f"lcm period {j} does not divide N")
-    return j
-
-
 def ep_shift(a, n):
-    """k |-> a(k+n), with the convention a(m) = 0 for m < 0.
+    """k |-> a(k+n).
 
-    For n >= 0 the table rotates and correction keys move down (dropped
-    below zero); for n < 0 keys move up and compensating entries at
-    k = 0..(-n-1) force the value 0 there.
+    On Z this is a pure translation.  On k >= 0 the convention a(m) = 0
+    for m < 0 holds: for n >= 0 the table rotates and correction keys move
+    down (dropped below zero); for n < 0 keys move up and compensating
+    entries at k = 0..(-n-1) force the value 0 there.
     """
     j = a.period
     table = [a.table[(r + n) % j] for r in range(j)]
-    corr = {}
-    for k, v in a.correction.items():
-        if k - n >= 0:
-            corr[k - n] = v
-    if n < 0:
+    if not a.unilateral:
+        corr = {k - n: v for k, v in a.correction.items()}
+    else:
+        corr = {k - n: v for k, v in a.correction.items() if k >= n}
         for k in range(-n):
             pad = -table[k % j]
             if pad:
                 corr[k] = pad
-    return EPSequence(corr, table, a.N)
-
-
-def ep_decompose(a):
-    """Exact split into (c00 correction dict, periodic part as an LCF)."""
-    return dict(a.correction), LocallyConstantFunction(list(a.table), a.N)
+    return type(a)(corr, table, a.N)
 
 
 def ep_supnorm_sq(a):
@@ -223,26 +245,32 @@ def ep_supnorm_sq(a):
     return best
 
 
-class AffineSequence:
-    """beta(k) = linear*(k+1) + ep(k)."""
+# ---------------------------------------------------------------------------
+# affine sequences
+
+
+class _AffineSequence:
+    """linear*(k + offset) + ep(k), the offset of the domain class _seq."""
 
     __slots__ = ("linear", "ep")
 
     def __init__(self, linear, ep):
-        object.__setattr__(self, "linear", _coerce(linear))
+        object.__setattr__(self, "linear", coerce_scalar(linear))
         object.__setattr__(self, "ep", ep)
 
     def __setattr__(self, name, value):
-        raise AttributeError("AffineSequence is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def value_at(self, k):
-        return self.linear * Scalar(k + 1) + self.ep.value_at(k)
+        return (
+            self.linear * Scalar(k + self._seq.offset) + self.ep.value_at(k)
+        )
 
     def is_bounded(self):
         return not self.linear
 
     def __eq__(self, other):
-        if not isinstance(other, AffineSequence):
+        if type(other) is not type(self):
             return NotImplemented
         return self.linear == other.linear and self.ep == other.ep
 
@@ -250,7 +278,9 @@ class AffineSequence:
         return hash((self.linear, self.ep))
 
     def __repr__(self):
-        return f"AffineSequence(linear={self.linear}, ep={self.ep!r})"
+        return (
+            f"{type(self).__name__}(linear={self.linear}, ep={self.ep!r})"
+        )
 
     def to_json(self):
         out = self.ep.to_json()
@@ -260,7 +290,36 @@ class AffineSequence:
     @classmethod
     def from_json(cls, data, N):
         linear = Scalar.from_json(data.get("linear", [0, 1, 0, 1]))
-        return cls(linear, EPSequence.from_json(data, N))
+        return cls(linear, cls._seq.from_json(data, N))
+
+
+class AffineSequence(_AffineSequence):
+    """beta(k) = linear*(k+1) + ep(k) on k >= 0."""
+
+    __slots__ = ()
+    _seq = EPSequence
+
+
+class BilateralAffineSequence(_AffineSequence):
+    """eta(l) = linear*l + ep(l) on all of Z."""
+
+    __slots__ = ()
+    _seq = BilateralEPSequence
+
+
+def _mean_and_sums(a):
+    """Mean of a's table and the running sums of its mean-zero part, which
+    are j-periodic because the mean is removed."""
+    mean = _ZERO
+    for v in a.table:
+        mean = mean + v
+    mean = mean / Scalar(a.period)
+    run = _ZERO
+    sums = []
+    for v in a.table:
+        run = run + v - mean
+        sums.append(run)
+    return mean, sums
 
 
 def partial_sums(alpha):
@@ -270,224 +329,20 @@ def partial_sums(alpha):
     sums to a periodic table; c00 corrections sum to an eventually
     constant staircase folded into the correction and the table offset.
     """
-    j = alpha.period
-    mean = Scalar(0)
-    for v in alpha.table:
-        mean = mean + v
-    mean = mean / Scalar(j)
-
-    # periodic partial sums of the mean-zero part, j-periodic by mean zero
-    run = Scalar(0)
-    periodic_sums = []
-    for r in range(j):
-        run = run + alpha.table[r] - mean
-        periodic_sums.append(run)
-
-    total = Scalar(0)
+    mean, periodic_sums = _mean_and_sums(alpha)
+    total = _ZERO
     for v in alpha.correction.values():
         total = total + v
 
     table = [s + total for s in periodic_sums]
     corr = {}
-    run = Scalar(0)
+    run = _ZERO
     for k in range(alpha.support_bound()):
         run = run + alpha.correction.get(k, _ZERO)
         dev = run - total
         if dev:
             corr[k] = dev
     return AffineSequence(mean, EPSequence(corr, table, alpha.N))
-
-
-def increment(beta):
-    """alpha(k) = beta(k) - beta(k-1) with beta(-1) = 0."""
-    ep = beta.ep
-    diff = ep - ep_shift(ep, -1)
-    return ep_add(ep_constant(beta.linear, ep.N), diff)
-
-
-def mean_decompose(alpha, N):
-    """Split alpha = c00 + C + (mean-zero part of period N.as_int()).
-
-    Returns (correction dict, C, table list of length N).  For infinite N
-    use mean_decompose_mod with an explicit modulus (needed only at n=0,
-    where the modulus is the period of alpha's periodic part).
-    """
-    if not N.is_finite():
-        raise NotFinite("mean decomposition needs a finite N")
-    return mean_decompose_mod(alpha, N.as_int())
-
-
-def mean_decompose_mod(alpha, modulus):
-    if modulus < 1 or modulus % alpha.period != 0:
-        raise PeriodNotDivisor(
-            f"period {alpha.period} does not divide modulus {modulus}"
-        )
-    mean = Scalar(0)
-    for v in alpha.table:
-        mean = mean + v
-    mean = mean / Scalar(alpha.period)
-    per = [alpha.table[r % alpha.period] - mean for r in range(modulus)]
-    return dict(alpha.correction), mean, per
-
-
-# ---------------------------------------------------------------------------
-# bilateral sequences
-
-
-class BilateralEPSequence:
-    """Eventually periodic sequence on all of Z; correction keys may be
-    negative.  Diagonal coefficients of the quotient algebra are
-    correction-free."""
-
-    __slots__ = ("correction", "period", "table", "N")
-
-    def __init__(self, correction, table, N):
-        table = [_coerce(v) for v in table]
-        if not table:
-            raise ValueError("table must be nonempty")
-        if not divides(len(table), N):
-            raise PeriodNotDivisor(f"period {len(table)} does not divide N")
-        table = _minimal_period(table)
-        clean = {}
-        for k, v in (correction or {}).items():
-            v = _coerce(v)
-            if v:
-                clean[int(k)] = v
-        object.__setattr__(self, "correction", clean)
-        object.__setattr__(self, "period", len(table))
-        object.__setattr__(self, "table", tuple(table))
-        object.__setattr__(self, "N", N)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BilateralEPSequence is immutable")
-
-    def value_at(self, l):
-        return self.correction.get(l, _ZERO) + self.table[l % self.period]
-
-    def is_zero(self):
-        return not self.correction and all(not v for v in self.table)
-
-    def is_periodic(self):
-        return not self.correction
-
-    def __eq__(self, other):
-        if not isinstance(other, BilateralEPSequence):
-            return NotImplemented
-        return (
-            self.correction == other.correction and self.table == other.table
-        )
-
-    def __hash__(self):
-        return hash((frozenset(self.correction.items()), self.table))
-
-    def __add__(self, other):
-        return bep_add(self, other)
-
-    def __mul__(self, other):
-        return bep_mul(self, other)
-
-    def __sub__(self, other):
-        return bep_add(self, bep_scale(other, Scalar(-1)))
-
-    def __repr__(self):
-        corr = {k: str(v) for k, v in sorted(self.correction.items())}
-        return f"BilateralEPSequence({corr}, {[str(v) for v in self.table]})"
-
-
-def bep_constant(c, N):
-    return BilateralEPSequence({}, [c], N)
-
-
-def bep_from_lcf(f):
-    """Periodic bilateral extension of a locally constant function."""
-    return BilateralEPSequence({}, list(f.values), f.N)
-
-
-def bep_to_lcf(b):
-    if b.correction:
-        raise ValueError("bilateral sequence with corrections is not periodic")
-    return LocallyConstantFunction(list(b.table), b.N)
-
-
-def bep_add(a, b):
-    j = _common_period(a, b)
-    table = [a.table[r % a.period] + b.table[r % b.period] for r in range(j)]
-    corr = dict(a.correction)
-    for k, v in b.correction.items():
-        corr[k] = corr.get(k, _ZERO) + v
-    return BilateralEPSequence(corr, table, a.N)
-
-
-def bep_mul(a, b):
-    j = _common_period(a, b)
-    table = [a.table[r % a.period] * b.table[r % b.period] for r in range(j)]
-    corr = {}
-    for k in set(a.correction) | set(b.correction):
-        corr[k] = a.value_at(k) * b.value_at(k) - table[k % j]
-    return BilateralEPSequence(corr, table, a.N)
-
-
-def bep_scale(a, c):
-    c = _coerce(c)
-    return BilateralEPSequence(
-        {k: c * v for k, v in a.correction.items()},
-        [c * v for v in a.table],
-        a.N,
-    )
-
-
-def bep_conjugate(a):
-    return BilateralEPSequence(
-        {k: v.conjugate() for k, v in a.correction.items()},
-        [v.conjugate() for v in a.table],
-        a.N,
-    )
-
-
-def bep_shift(a, n):
-    """l |-> a(l+n); a pure translation, no zero-fill on Z."""
-    j = a.period
-    table = [a.table[(r + n) % j] for r in range(j)]
-    corr = {k - n: v for k, v in a.correction.items()}
-    return BilateralEPSequence(corr, table, a.N)
-
-
-class BilateralAffineSequence:
-    """eta(l) = linear*l + ep(l) on all of Z."""
-
-    __slots__ = ("linear", "ep")
-
-    def __init__(self, linear, ep):
-        object.__setattr__(self, "linear", _coerce(linear))
-        object.__setattr__(self, "ep", ep)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BilateralAffineSequence is immutable")
-
-    def value_at(self, l):
-        return self.linear * Scalar(l) + self.ep.value_at(l)
-
-    def is_bounded(self):
-        return not self.linear
-
-    def __eq__(self, other):
-        if not isinstance(other, BilateralAffineSequence):
-            return NotImplemented
-        return self.linear == other.linear and self.ep == other.ep
-
-    def __hash__(self):
-        return hash((self.linear, self.ep))
-
-    def __repr__(self):
-        return (
-            f"BilateralAffineSequence(linear={self.linear}, ep={self.ep!r})"
-        )
-
-
-def bep_increment(eta):
-    """gamma(l) = eta(l) - eta(l-1)."""
-    diff = eta.ep - bep_shift(eta.ep, -1)
-    return bep_add(bep_constant(eta.linear, eta.ep.N), diff)
 
 
 def bep_partial_sums(gamma):
@@ -497,20 +352,8 @@ def bep_partial_sums(gamma):
     of gamma sums to zero over Z; otherwise the two tails of the staircase
     disagree and the input is rejected.
     """
-    j = gamma.period
-    mean = Scalar(0)
-    for v in gamma.table:
-        mean = mean + v
-    mean = mean / Scalar(j)
-
-    # j-periodic antiderivative of the mean-zero part
-    run = Scalar(0)
-    periodic_sums = []
-    for r in range(j):
-        run = run + gamma.table[r] - mean
-        periodic_sums.append(run)
-
-    total = Scalar(0)
+    mean, periodic_sums = _mean_and_sums(gamma)
+    total = _ZERO
     for v in gamma.correction.values():
         total = total + v
     if total:
@@ -556,18 +399,33 @@ def bep_partial_sums(gamma):
     )
 
 
-def bep_mean_decompose_mod(gamma, modulus):
-    """gamma = c00 + C + mean-zero table of length modulus."""
-    if modulus < 1 or modulus % gamma.period != 0:
+def increment(beta):
+    """alpha(k) = beta(k) - beta(k-1), with beta(-1) = 0 on k >= 0."""
+    ep = beta.ep
+    diff = ep - ep_shift(ep, -1)
+    return ep_add(type(ep)({}, [beta.linear], ep.N), diff)
+
+
+def mean_decompose(alpha, N):
+    """Split alpha = c00 + C + (mean-zero part of period N.as_int()).
+
+    Returns (correction dict, C, table list of length N).  For infinite N
+    use mean_decompose_mod with an explicit modulus (needed only at n=0,
+    where the modulus is the period of alpha's periodic part).
+    """
+    if not N.is_finite():
+        raise NotFinite("mean decomposition needs a finite N")
+    return mean_decompose_mod(alpha, N.as_int())
+
+
+def mean_decompose_mod(alpha, modulus):
+    if modulus < 1 or modulus % alpha.period != 0:
         raise PeriodNotDivisor(
-            f"period {gamma.period} does not divide modulus {modulus}"
+            f"period {alpha.period} does not divide modulus {modulus}"
         )
-    mean = Scalar(0)
-    for v in gamma.table:
-        mean = mean + v
-    mean = mean / Scalar(gamma.period)
-    per = [gamma.table[r % gamma.period] - mean for r in range(modulus)]
-    return dict(gamma.correction), mean, per
+    mean, _ = _mean_and_sums(alpha)
+    per = [alpha.table[r % alpha.period] - mean for r in range(modulus)]
+    return dict(alpha.correction), mean, per
 
 
 # ---------------------------------------------------------------------------
@@ -575,10 +433,11 @@ def bep_mean_decompose_mod(gamma, modulus):
 
 
 class QuasiAffine:
-    """Pair (u, v) denoting k |-> (k+1)*u(k) + v(k) on k >= 0.
+    """Pair (u, v) denoting k |-> (k+o)*u(k) + v(k), o the weight offset
+    of the domain of u: (k+1)*u(k) + v(k) on k >= 0, l*u(l) + v(l) on Z.
 
-    Closed under the same shift and diagonal-product rules as EPSequence;
-    collapses to a plain EPSequence exactly when u = 0."""
+    Closed under the same shift and diagonal-product rules as the
+    sequences; collapses to a plain sequence exactly when u = 0."""
 
     __slots__ = ("u", "v")
 
@@ -591,17 +450,21 @@ class QuasiAffine:
 
     @classmethod
     def from_ep(cls, a):
-        return cls(ep_zero(a.N), a)
+        return cls(type(a)({}, [_ZERO], a.N), a)
 
     @classmethod
     def from_affine(cls, beta):
-        return cls(ep_constant(beta.linear, beta.ep.N), beta.ep)
+        ep = beta.ep
+        return cls(type(ep)({}, [beta.linear], ep.N), ep)
 
     def value_at(self, k):
-        return Scalar(k + 1) * self.u.value_at(k) + self.v.value_at(k)
+        return (
+            Scalar(k + self.u.offset) * self.u.value_at(k)
+            + self.v.value_at(k)
+        )
 
     def shift(self, t):
-        # q(k+t) = (k+1)*u(k+t) + t*u(k+t) + v(k+t)
+        # q(k+t) = (k+o)*u(k+t) + t*u(k+t) + v(k+t)
         su = ep_shift(self.u, t)
         sv = ep_add(ep_scale(su, Scalar(t)), ep_shift(self.v, t))
         return QuasiAffine(su, sv)
@@ -624,80 +487,17 @@ class QuasiAffine:
         return self.u.is_zero() and self.v.is_zero()
 
     def collapse(self):
-        """The underlying EPSequence.
+        """The underlying sequence.
 
         The periodic part of the weight must have cancelled (anything
         else signals a validity bug upstream); a finitely supported
         residue is bounded and folds into the corrections."""
-        if any(v for v in self.u.table):
+        u = self.u
+        if any(v for v in u.table):
             raise AssertionError(
                 "affine weight failed to cancel in a commutator"
             )
-        if not self.u.correction:
+        if not u.correction:
             return self.v
-        fold = {
-            k: Scalar(k + 1) * c for k, c in self.u.correction.items()
-        }
-        return ep_add(self.v, EPSequence(fold, [Scalar(0)], self.u.N))
-
-
-class BilateralQuasiAffine:
-    """Pair (u, v) denoting l |-> l*u(l) + v(l) on Z."""
-
-    __slots__ = ("u", "v")
-
-    def __init__(self, u, v):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BilateralQuasiAffine is immutable")
-
-    @classmethod
-    def from_bep(cls, a):
-        return cls(BilateralEPSequence({}, [0], a.N), a)
-
-    @classmethod
-    def from_affine(cls, eta):
-        return cls(bep_constant(eta.linear, eta.ep.N), eta.ep)
-
-    def value_at(self, l):
-        return Scalar(l) * self.u.value_at(l) + self.v.value_at(l)
-
-    def shift(self, t):
-        su = bep_shift(self.u, t)
-        sv = bep_add(bep_scale(su, Scalar(t)), bep_shift(self.v, t))
-        return BilateralQuasiAffine(su, sv)
-
-    def mul_bep(self, b):
-        return BilateralQuasiAffine(bep_mul(self.u, b), bep_mul(self.v, b))
-
-    def __add__(self, other):
-        return BilateralQuasiAffine(
-            bep_add(self.u, other.u), bep_add(self.v, other.v)
-        )
-
-    def __sub__(self, other):
-        return BilateralQuasiAffine(self.u - other.u, self.v - other.v)
-
-    def __neg__(self):
-        return BilateralQuasiAffine(
-            bep_scale(self.u, Scalar(-1)), bep_scale(self.v, Scalar(-1))
-        )
-
-    def is_zero(self):
-        return self.u.is_zero() and self.v.is_zero()
-
-    def collapse(self):
-        if any(v for v in self.u.table):
-            raise AssertionError(
-                "affine weight failed to cancel in a commutator"
-            )
-        if not self.u.correction:
-            return self.v
-        fold = {
-            l: Scalar(l) * c for l, c in self.u.correction.items()
-        }
-        return bep_add(
-            self.v, BilateralEPSequence(fold, [Scalar(0)], self.u.N)
-        )
+        fold = {k: Scalar(k + u.offset) * c for k, c in u.correction.items()}
+        return ep_add(self.v, type(u)(fold, [_ZERO], u.N))

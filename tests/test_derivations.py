@@ -304,7 +304,6 @@ def test_laurent_substitute():
 
 def test_delta_f_leibniz():
     rng = random.Random(20240126)
-    from bdshift.profinite import lcf_from_periodic
     from bdshift.algebra import BilateralElement
 
     def rand_trig(N):

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from bdshift.scalars import Scalar, ZERO, ONE
 from bdshift.errors import (
     ExprSyntaxError,
+    MathDomainError,
     PeriodNotDivisor,
     SideMismatch,
     UnknownName,
@@ -169,6 +171,23 @@ def test_parse_gaussian():
     assert parse_gaussian("-5") == Scalar(-5)
     with pytest.raises(ExprSyntaxError):
         parse_gaussian("U + 1")
+
+
+def test_powers_match_repeated_products():
+    ws = make_workspace()
+    for side, text in (("unilateral", "U + Us + diag(beta)"),
+                       ("bilateral", "V + 2*Vi + diag(g)")):
+        base = eval_ast(parse(text), ws, side)
+        out = eval_ast(parse("id"), ws, side)
+        for k in range(8):
+            assert eval_ast(parse(f"({text})^{k}"), ws, side) == out
+            out = out * base
+    z, out = Scalar(1, 2), ONE
+    for k in range(20):
+        assert parse_gaussian(f"(1+2i)^{k}") == out
+        out = out * z
+    with pytest.raises(MathDomainError):
+        parse_gaussian("2^2000000")
 
 
 def test_format_round_trip():
@@ -404,6 +423,14 @@ def test_cli_exit_codes(capsys, ws_path, tmp_path):
     code = cli.main(["--help"])
     capsys.readouterr()
     assert code == 0
+
+
+def test_cli_oversized_exponent_fails_fast(capsys):
+    for expr in ("2^2000000", "(U + Us)^100000"):
+        start = time.perf_counter()
+        code, _ = run_cli(capsys, "normalize", expr)
+        assert code == 3
+        assert time.perf_counter() - start < 2.0
 
 
 def test_cli_requires_command(capsys):

@@ -15,11 +15,9 @@ from bdshift.profinite import (
     haar_integral,
     lcf_add,
     lcf_constant,
-    lcf_from_periodic,
     lcf_mul,
     lcf_scale,
     lcf_shift,
-    pullback_sequence,
     q_map,
 )
 
@@ -105,17 +103,17 @@ def test_lcf_minimal_period():
 
 
 def test_lcf_values_and_shift():
-    g = lcf_from_periodic([Scalar(3), Scalar(-1)], N12)
+    g = LocallyConstantFunction([Scalar(3), Scalar(-1)], N12)
     assert g.value_at(0) == Scalar(3)
     assert g.value_at(7) == Scalar(-1)
     assert g.value_at(-1) == Scalar(-1)
     assert lcf_shift(g, 1).value_at(0) == g.value_at(1)
-    assert pullback_sequence(g) == [Scalar(3), Scalar(-1)]
+    assert list(g.values) == [Scalar(3), Scalar(-1)]
 
 
 def test_lcf_pointwise_ops():
-    f = lcf_from_periodic([Scalar(1), Scalar(2)], N12)
-    g = lcf_from_periodic([Scalar(1), Scalar(0), Scalar(2)], N12)
+    f = LocallyConstantFunction([Scalar(1), Scalar(2)], N12)
+    g = LocallyConstantFunction([Scalar(1), Scalar(0), Scalar(2)], N12)
     s = lcf_add(f, g)
     p = lcf_mul(f, g)
     assert s.period == 6 and p.period == 6
@@ -126,7 +124,9 @@ def test_lcf_pointwise_ops():
 
 
 def test_haar_integral():
-    f = lcf_from_periodic([Scalar(1), Scalar(0), Scalar(0), Scalar(0)], N12)
+    f = LocallyConstantFunction(
+        [Scalar(1), Scalar(0), Scalar(0), Scalar(0)], N12
+    )
     assert haar_integral(f) == Scalar(Fraction(1, 4))
     assert haar_integral(lcf_constant(Scalar(7), N12)) == Scalar(7)
 
@@ -135,11 +135,11 @@ def test_haar_shift_invariance():
     rng = random.Random(20240103)
     for _ in range(50):
         vals = [Scalar(rng.randint(-5, 5)) for _ in range(6)]
-        f = lcf_from_periodic(vals, N12)
+        f = LocallyConstantFunction(vals, N12)
         t = rng.randint(-10, 10)
         assert haar_integral(lcf_shift(f, t)) == haar_integral(f)
 
 
 def test_lcf_json_round_trip():
-    f = lcf_from_periodic([Scalar(1, 2), Scalar(0)], N12)
+    f = LocallyConstantFunction([Scalar(1, 2), Scalar(0)], N12)
     assert LocallyConstantFunction.from_json(f.to_json(), N12) == f
