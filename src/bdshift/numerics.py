@@ -21,10 +21,17 @@ def truncate_unilateral(a, M):
         raise ValueError("window must contain at least one basis vector")
     out = np.zeros((M, M), dtype=complex)
     for n, coeff in a.terms.items():
-        for k in range(M):
-            i, j = (k + n, k) if n >= 0 else (k, k - n)
-            if i < M and j < M:
-                out[i, j] = complex(coeff.value_at(k))
+        # the degree-n band holds coeff(k) at (k + n, k), resp. (k, k - n)
+        length = M - abs(n)
+        if length <= 0:
+            continue
+        table = np.array([complex(v) for v in coeff.table], dtype=complex)
+        band = np.resize(table, length)
+        for k in coeff.correction:
+            if k < length:
+                band[k] = complex(coeff.value_at(k))
+        idx = np.arange(length)
+        out[idx + max(n, 0), idx + max(-n, 0)] = band
     return out
 
 

@@ -13,7 +13,8 @@ Grammar (precedence ^ > * > + -, left associative sums and products):
             | "(" expr ")" | "-" atom
 
 Negative powers are spelled Us / Vi, never "^-1"; exponents above
-MAX_EXPONENT are a math-domain error.
+MAX_EXPONENT are a math-domain error, and a digit run longer than
+MAX_DIGITS is a syntax error.
 """
 
 from fractions import Fraction
@@ -34,6 +35,7 @@ _PUNCT = "+-*^(),/"
 
 MAX_INPUT = 1 << 20
 MAX_EXPONENT = 1024
+MAX_DIGITS = 4000
 
 
 class _Token:
@@ -62,10 +64,14 @@ def _lex(text):
             tokens.append(_Token(ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise ExprSyntaxError(
+                    f"number exceeds {MAX_DIGITS} digits", i
+                )
             tokens.append(_Token("int", text[i:j], i))
             i = j
             continue

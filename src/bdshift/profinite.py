@@ -8,6 +8,7 @@ of Z/NZ are represented by compatible residue lists along an explicit,
 caller-chosen divisor chain.
 """
 
+import functools
 import math
 
 from .errors import PeriodNotDivisor, NotFinite, LevelMismatch
@@ -32,16 +33,47 @@ def _factorize(n):
     return factors
 
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin primality test; ValueError from
+    _MR_LIMIT on, where the bases no longer certify a prime."""
+    if n < 2:
+        return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is too large to certify as prime")
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class SupernaturalNumber:
     """Formal product of primes with exponents in {1, 2, ...} or infinity."""
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "_hash")
 
     def __init__(self, factors=None):
         clean = {}
         for p, e in (factors or {}).items():
             p = int(p)
-            if p < 2 or _factorize(p) != {p: 1}:
+            if not _is_prime(p):
                 raise ValueError(f"{p} is not prime")
             if e == INF or e == "inf":
                 clean[p] = INF
@@ -50,7 +82,10 @@ class SupernaturalNumber:
                 if e < 1:
                     raise ValueError(f"exponent must be positive, got {e}")
                 clean[p] = e
-        object.__setattr__(self, "factors", dict(sorted(clean.items())))
+        factors = dict(sorted(clean.items()))
+        object.__setattr__(self, "factors", factors)
+        # divides() memoises on N, so the hash is taken once
+        object.__setattr__(self, "_hash", hash(tuple(factors.items())))
 
     def __setattr__(self, name, value):
         raise AttributeError("SupernaturalNumber is immutable")
@@ -79,7 +114,7 @@ class SupernaturalNumber:
         return self.factors == other.factors
 
     def __hash__(self):
-        return hash(tuple(self.factors.items()))
+        return self._hash
 
     def __repr__(self):
         if not self.factors:
@@ -106,10 +141,19 @@ def divides(j, N):
     """True iff every prime power in j is bounded by N's exponent."""
     if j < 1:
         raise ValueError(f"expected a positive integer, got {j}")
-    for p, e in _factorize(j).items():
-        if e > N.exponent(p):
-            return False
-    return True
+    return _divides(j, N)
+
+
+@functools.lru_cache(maxsize=4096)
+def _divides(j, N):
+    # strip each prime of N from j as often as N allows; j divides N iff
+    # nothing is left, so j is never factorized
+    for p, e in N.factors.items():
+        k = 0
+        while k < e and j % p == 0:
+            j //= p
+            k += 1
+    return j == 1
 
 
 def finite_divisors(N, bound):
@@ -235,14 +279,19 @@ def q_map(x, chain):
 
 
 def _minimal_period(values):
-    """Shortest cyclic period of a value table."""
-    j = len(values)
-    for d in range(1, j + 1):
-        if j % d != 0:
-            continue
-        if all(values[r] == values[r % d] for r in range(j)):
-            return values[:d]
-    return values
+    """Shortest cyclic period of a value table (a list).
+
+    The periods of a cyclic table are closed under gcd, so the minimal one
+    is reached by dividing the length by its primes for as long as the
+    table stays invariant under the shorter shift."""
+    j = period = len(values)
+    for p in _factorize(j):
+        while period % p == 0:
+            e = period // p
+            if values[e:] != values[:j - e]:
+                break
+            period = e
+    return values[:period]
 
 
 class LocallyConstantFunction:

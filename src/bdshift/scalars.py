@@ -1,11 +1,14 @@
 """Exact Gaussian-rational scalars.
 
-A scalar is an ordered pair of rationals (real, imaginary) with exact
-arithmetic.  Magnitude comparisons go through the exact squared modulus,
-never through floating-point square roots.
+A scalar (a + b*i)/d is held as one canonical integer triple (a, b, d)
+with d > 0 and gcd(a, b, d) == 1, so equal values have equal triples.
+Sums and products work on the integers and reduce by one gcd, which is
+skipped when the denominator is 1.  Magnitude comparisons go through the
+exact squared modulus, never through floating-point square roots.
 """
 
 from fractions import Fraction
+from math import gcd
 
 
 def _to_fraction(x):
@@ -18,37 +21,72 @@ def _to_fraction(x):
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
 
 
-class Scalar:
-    """A Gaussian rational re + im*i with Fraction components."""
+def _fraction_str(n, d):
+    """str(Fraction(n, d)) for d > 0."""
+    g = gcd(n, d)
+    if g == d:
+        return str(n // d)
+    return f"{n // g}/{d // g}"
 
-    __slots__ = ("re", "im")
+
+class Scalar:
+    """A Gaussian rational (a + b*i)/d held as a canonical integer triple."""
+
+    __slots__ = ("_t",)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _to_fraction(re))
-        object.__setattr__(self, "im", _to_fraction(im))
+        if type(re) is int and type(im) is int:
+            _set(self, (re, im, 1))
+            return
+        re, im = _to_fraction(re), _to_fraction(im)
+        rd, id_ = re.denominator, im.denominator
+        # over the lcm of two reduced denominators the triple is canonical
+        d = rd // gcd(rd, id_) * id_
+        _set(self, (re.numerator * (d // rd), im.numerator * (d // id_), d))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
+
+    @property
+    def re(self):
+        a, _, d = self._t
+        return Fraction(a, d)
+
+    @property
+    def im(self):
+        _, b, d = self._t
+        return Fraction(b, d)
 
     # ------------------------------------------------------------------
     # ring structure
 
     def __add__(self, other):
-        other = as_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.re + other.re, self.im + other.im)
+        if type(other) is not Scalar:
+            other = as_scalar(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, d = self._t
+        c, e, f = other._t
+        if d == f:
+            return _canonical(a + c, b + e, d)
+        return _canonical(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        a, b, d = self._t
+        return _canonical(-a, -b, d)
 
     def __sub__(self, other):
-        other = as_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.re - other.re, self.im - other.im)
+        if type(other) is not Scalar:
+            other = as_scalar(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, d = self._t
+        c, e, f = other._t
+        if d == f:
+            return _canonical(a - c, b - e, d)
+        return _canonical(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
         other = as_scalar(other)
@@ -57,13 +95,13 @@ class Scalar:
         return other - self
 
     def __mul__(self, other):
-        other = as_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not Scalar:
+            other = as_scalar(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, d = self._t
+        c, e, f = other._t
+        return _canonical(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
@@ -71,11 +109,13 @@ class Scalar:
         other = as_scalar(other)
         if other is NotImplemented:
             return NotImplemented
-        d = other.abs_sq()
-        if d == 0:
+        a, b, d = self._t
+        c, e, f = other._t
+        m = c * c + e * e
+        if m == 0:
             raise ZeroDivisionError("division by zero scalar")
-        num = self * other.conjugate()
-        return Scalar(num.re / d, num.im / d)
+        # (a + bi)/d * f(c - ei)/(c^2 + e^2)
+        return _canonical(f * (a * c + b * e), f * (b * c - a * e), d * m)
 
     def __rtruediv__(self, other):
         other = as_scalar(other)
@@ -84,63 +124,82 @@ class Scalar:
         return other / self
 
     def conjugate(self):
-        return Scalar(self.re, -self.im)
+        a, b, d = self._t
+        return _canonical(a, -b, d)
 
     def abs_sq(self):
         """Exact |z|^2 as a Fraction."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._t
+        return Fraction(a * a + b * b, d * d)
 
     # ------------------------------------------------------------------
     # comparisons and hashing
 
     def __eq__(self, other):
-        other = as_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not Scalar:
+            other = as_scalar(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._t == other._t
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash(self._t)
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        a, b, _ = self._t
+        return a != 0 or b != 0
 
     # ------------------------------------------------------------------
     # conversions
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, as float(Fraction) is
+        a, b, d = self._t
+        return complex(a / d, b / d)
 
     def is_real(self):
-        return self.im == 0
+        return self._t[1] == 0
 
     def __repr__(self):
         return f"Scalar({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        a, b, d = self._t
+        if b == 0:
+            return _fraction_str(a, d)
+        if a == 0:
+            return f"{_fraction_str(b, d)}i"
+        sign = "+" if b > 0 else "-"
+        return f"{_fraction_str(a, d)}{sign}{_fraction_str(abs(b), d)}i"
 
     # ------------------------------------------------------------------
     # JSON wire format: [re_num, re_den, im_num, im_den]
 
     def to_json(self):
-        return [
-            self.re.numerator,
-            self.re.denominator,
-            self.im.numerator,
-            self.im.denominator,
-        ]
+        a, b, d = self._t
+        g, h = gcd(a, d), gcd(b, d)
+        return [a // g, d // g, b // h, d // h]
 
     @classmethod
     def from_json(cls, data):
         if not (isinstance(data, (list, tuple)) and len(data) == 4):
             raise ValueError(f"scalar JSON must be a 4-tuple, got {data!r}")
         return cls(Fraction(data[0], data[1]), Fraction(data[2], data[3]))
+
+
+_new = object.__new__
+_set = Scalar._t.__set__
+
+
+def _canonical(a, b, d):
+    """The Scalar (a + b*i)/d for d > 0, reduced to its canonical triple."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    s = _new(Scalar)
+    _set(s, (a, b, d))
+    return s
 
 
 ZERO = Scalar(0)
@@ -159,6 +218,8 @@ def as_scalar(x):
 
 def coerce_scalar(x):
     """as_scalar for values that must be scalars: TypeError otherwise."""
+    if type(x) is Scalar:
+        return x
     s = as_scalar(x)
     if s is NotImplemented:
         raise TypeError(f"cannot use {type(x).__name__} as a scalar value")

@@ -71,7 +71,9 @@ class _PeriodicSequence:
     def value_at(self, k):
         if k < 0 and self.unilateral:
             raise ValueError("unilateral sequences are defined for k >= 0")
-        return self.correction.get(k, _ZERO) + self.table[k % self.period]
+        v = self.table[k % self.period]
+        c = self.correction.get(k)
+        return v if c is None else c + v
 
     def support_bound(self):
         """Smallest k0 with a(k) = table[k mod j] for all k >= k0."""

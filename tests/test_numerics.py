@@ -1,6 +1,7 @@
 import io
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -71,6 +72,46 @@ def test_truncation_matrices():
     assert D[1, 1] == 2 + 1j and D[0, 0] == 0 and D[3, 3] == 1j
     with pytest.raises(ValueError):
         truncate_unilateral(U, 0)
+
+
+def _truncate_per_entry(a, M):
+    out = np.zeros((M, M), dtype=complex)
+    for n, coeff in a.terms.items():
+        for k in range(M):
+            i, j = (k + n, k) if n >= 0 else (k, k - n)
+            if i < M and j < M:
+                out[i, j] = complex(coeff.value_at(k))
+    return out
+
+
+def test_truncate_unilateral_matches_per_entry_reference():
+    rng = random.Random(20241018)
+    third = Scalar(Fraction(1, 3), Fraction(-2, 7))
+    cases = [
+        # both signs of n, corrections beyond M, |n| >= M
+        UnilateralElement({
+            2: EPSequence({0: third, 9: Scalar(5), 40: ONE},
+                          [ONE, third], N2),
+            -3: EPSequence({1: Scalar(-1, 1), 12: third}, [third], N2),
+            7: ep_constant(Scalar(2), N2),
+            -9: ep_constant(Scalar(0, 4), N2),
+        }, N2),
+        # N = 2^infinity with a long period
+        UnilateralElement({
+            n: EPSequence({k: third for k in range(0, 20, 3)},
+                          [Scalar(Fraction(r, 8), r % 3) for r in range(16)],
+                          N2INF)
+            for n in (-5, -1, 0, 4)
+        }, N2INF),
+    ]
+    cases += [rand_unilateral(rng, N6, [1, 2, 3, 6], max_deg=8)
+              for _ in range(20)]
+    for x in cases:
+        for M in (1, 3, 7, 8, 16, 33):
+            got = truncate_unilateral(x, M)
+            want = _truncate_per_entry(x, M)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_truncate_exact_matches_float():

@@ -433,6 +433,42 @@ def test_cli_oversized_exponent_fails_fast(capsys):
         assert time.perf_counter() - start < 2.0
 
 
+def test_cli_overlong_digit_run_is_a_parse_error(capsys):
+    # int() refuses more than 4300 digits; the lexer must reject first
+    for expr in ("1" * 5000, "U^" + "9" * 5000, "1/" + "7" * 5000):
+        start = time.perf_counter()
+        code, _ = run_cli(capsys, "normalize", expr)
+        assert code == 2
+        assert time.perf_counter() - start < 2.0
+    with pytest.raises(ExprSyntaxError):
+        parse("2 * " + "3" * 5000)
+
+
+def test_non_decimal_digits_are_rejected():
+    # superscripts count as digits for str.isdigit but not for int()
+    with pytest.raises(ExprSyntaxError):
+        parse("\u00b2")
+    assert parse("\u0663") == parse("3")
+
+
+def test_cli_large_prime_workspace_fails_fast(capsys, tmp_path):
+    # a 19-digit prime is accepted at once; a 19-digit composite is not
+    path = tmp_path / "prime.json"
+    for p, code in (("1000000000000000003", 0), ("1000000000000000005", 1)):
+        path.write_text(json.dumps({"N": {"factors": {p: 1}}}))
+        start = time.perf_counter()
+        got, _ = run_cli(capsys, "normalize", "--workspace", str(path), "U")
+        assert got == code
+        assert time.perf_counter() - start < 2.0
+    path.write_text(
+        json.dumps({"N": {"factors": {"1000000000000000003": "inf"}}})
+    )
+    start = time.perf_counter()
+    ws = load_workspace(str(path))
+    assert ws.N.exponent(1000000000000000003) == float("inf")
+    assert time.perf_counter() - start < 2.0
+
+
 def test_cli_requires_command(capsys):
     code, _ = run_cli(capsys)
     assert code == 1

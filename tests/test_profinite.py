@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,10 @@ from bdshift.errors import LevelMismatch, NotFinite, PeriodNotDivisor
 from bdshift.profinite import (
     DivisorChain,
     LocallyConstantFunction,
+    _divides,
+    _factorize,
+    _is_prime,
+    _minimal_period,
     ProfiniteInteger,
     SupernaturalNumber,
     divides,
@@ -48,6 +53,75 @@ def test_divides():
     assert divides(16, N2INF) and not divides(3, N2INF)
     assert finite_divisors(N12, 12) == [1, 2, 3, 4, 6, 12]
     assert finite_divisors(N2INF, 10) == [1, 2, 4, 8]
+
+
+def test_primality_is_miller_rabin_fast():
+    sieve = [True] * 3000
+    sieve[0] = sieve[1] = False
+    for p in range(2, 3000):
+        if sieve[p]:
+            for q in range(p * p, 3000, p):
+                sieve[q] = False
+    assert [n for n in range(3000) if _is_prime(n)] == [
+        n for n in range(3000) if sieve[n]
+    ]
+    # strong pseudoprimes to the first few bases, and a 19-digit semiprime
+    for n in (3215031751, 3825123056546413051, 1000000007 * 998244353,
+              1000000000000000005):
+        assert not _is_prime(n)
+        with pytest.raises(ValueError):
+            SupernaturalNumber({n: 1})
+    big = 1000000000000000003
+    start = time.perf_counter()
+    N = SupernaturalNumber({big: 2, 2: "inf"})
+    assert N.exponent(big) == 2
+    assert divides(big * 8, N) and not divides(big ** 3, N)
+    assert time.perf_counter() - start < 2.0
+    with pytest.raises(ValueError):
+        SupernaturalNumber({2 ** 89 - 1: 1})  # prime beyond the exact bound
+
+
+def _divides_by_factoring(j, N):
+    return all(e <= N.exponent(p) for p, e in _factorize(j).items())
+
+
+def test_divides_memo_agrees_with_factoring():
+    Ns = [N12, N2INF, SupernaturalNumber({}), SupernaturalNumber({3: 2, 5: "inf"})]
+    _divides.cache_clear()
+    for _ in range(2):  # the second pass is answered from the memo
+        for N in Ns:
+            for j in range(1, 400):
+                assert divides(j, N) == _divides_by_factoring(j, N)
+        assert divides(12, SupernaturalNumber.from_int(12))
+    assert _divides.cache_info().hits > 0
+    for j in (0, -3):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="positive integer"):
+                divides(j, N12)
+
+
+def _minimal_period_by_divisors(values):
+    j = len(values)
+    for d in range(1, j + 1):
+        if j % d == 0 and all(values[r] == values[r % d] for r in range(j)):
+            return values[:d]
+
+
+def test_minimal_period_agrees_with_divisor_scan():
+    rng = random.Random(20241018)
+    lengths = [1, 2, 3, 5, 7, 11, 13, 12, 24, 48, 96, 6, 36]
+    for length in lengths:
+        divisors = [d for d in range(1, length + 1) if length % d == 0]
+        for _ in range(30):
+            planted = rng.choice(divisors)
+            base = [Scalar(rng.randint(-1, 1), rng.randint(0, 1))
+                    for _ in range(planted)]
+            values = [base[r % planted] for r in range(length)]
+            if rng.random() < 0.3:  # break the planted period once
+                values[rng.randrange(length)] = Scalar(7)
+            want = _minimal_period_by_divisors(values)
+            got = _minimal_period(values)
+            assert got == want and len(got) == len(want)
 
 
 def test_supernatural_json():
