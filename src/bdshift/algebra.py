@@ -16,23 +16,18 @@ the sequences module.
 """
 
 from .errors import NotFinite
-from .profinite import (
-    LocallyConstantFunction,
-    SupernaturalNumber,
-    lcf_conjugate,
-    lcf_shift,
-)
+from .profinite import LocallyConstantFunction
 from .scalars import Scalar, as_scalar, coerce_scalar
 from .sequences import (
     EPSequence,
     QuasiAffine,
+    ep_add,
     ep_conjugate,
     ep_constant,
     ep_from_lcf,
     ep_mul,
     ep_scale,
     ep_shift,
-    ep_zero,
 )
 
 _ZERO = Scalar(0)
@@ -96,26 +91,29 @@ def _terms_mul(xt, yt):
 
 
 # ---------------------------------------------------------------------------
-# unilateral elements
+# elements of both algebras
 
 
-class UnilateralElement:
-    """Finite normal form over the unilateral shift algebra."""
+class _Element:
+    """Finite normal form: degree -> nonzero coefficient.  Subclasses set
+    the coefficient class _coeff, the product _times and entry."""
 
     __slots__ = ("terms", "N")
 
     def __init__(self, terms, N):
         clean = {}
         for n, a in terms.items():
-            if not isinstance(a, EPSequence):
-                raise TypeError("coefficients must be EPSequence")
+            if not isinstance(a, self._coeff):
+                raise TypeError(
+                    f"coefficients must be {self._coeff.__name__}"
+                )
             if not a.is_zero():
                 clean[int(n)] = a
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "N", N)
 
     def __setattr__(self, name, value):
-        raise AttributeError("UnilateralElement is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def coefficient(self, n):
         return self.terms.get(n)
@@ -130,7 +128,7 @@ class UnilateralElement:
         return not self.terms
 
     def __eq__(self, other):
-        if not isinstance(other, UnilateralElement):
+        if type(other) is not type(self):
             return NotImplemented
         return self.terms == other.terms
 
@@ -141,7 +139,7 @@ class UnilateralElement:
         terms = dict(self.terms)
         for n, b in other.terms.items():
             terms[n] = terms[n] + b if n in terms else b
-        return UnilateralElement(terms, self.N)
+        return type(self)(terms, self.N)
 
     def __sub__(self, other):
         return self + scale(other, Scalar(-1))
@@ -150,8 +148,8 @@ class UnilateralElement:
         return scale(self, Scalar(-1))
 
     def __mul__(self, other):
-        if isinstance(other, UnilateralElement):
-            return multiply(self, other)
+        if type(other) is type(self):
+            return self._times(other)
         c = as_scalar(other)
         if c is NotImplemented:
             return NotImplemented
@@ -163,22 +161,12 @@ class UnilateralElement:
             return NotImplemented
         return scale(self, c)
 
-    def entry(self, i, j):
-        """Exact matrix entry (i, j) of the represented operator."""
-        val = _ZERO
-        n = i - j
-        a = self.terms.get(n)
-        if a is not None:
-            val = val + a.value_at(j if n >= 0 else i)
-        return val
-
     def __repr__(self):
+        name = type(self).__name__
         if not self.terms:
-            return "UnilateralElement(0)"
-        parts = []
-        for n in self.degrees():
-            parts.append(f"{n}: {self.terms[n]!r}")
-        return "UnilateralElement({" + ", ".join(parts) + "})"
+            return f"{name}(0)"
+        parts = [f"{n}: {self.terms[n]!r}" for n in self.degrees()]
+        return name + "({" + ", ".join(parts) + "})"
 
     def to_json(self):
         return {"terms": {str(n): a.to_json() for n, a in self.terms.items()}}
@@ -187,11 +175,53 @@ class UnilateralElement:
     def from_json(cls, data, N):
         return cls(
             {
-                int(n): EPSequence.from_json(a, N)
+                int(n): cls._coeff.from_json(a, N)
                 for n, a in data.get("terms", {}).items()
             },
             N,
         )
+
+
+def scale(x, c):
+    c = coerce_scalar(c)
+    if not c:
+        return type(x)({}, x.N)
+    return type(x)({n: ep_scale(a, c) for n, a in x.terms.items()}, x.N)
+
+
+bilateral_scale = scale
+
+
+def commutator(x, y):
+    return x * y - y * x
+
+
+def spectral_component(x, n):
+    """The single term of degree n (zero element if absent)."""
+    a = x.terms.get(n)
+    return type(x)({} if a is None else {n: a}, x.N)
+
+
+# ---------------------------------------------------------------------------
+# unilateral elements
+
+
+class UnilateralElement(_Element):
+    """Finite normal form over the unilateral shift algebra."""
+
+    __slots__ = ()
+    _coeff = EPSequence
+
+    def _times(self, other):
+        return multiply(self, other)
+
+    def entry(self, i, j):
+        """Exact matrix entry (i, j) of the represented operator."""
+        n = i - j
+        a = self.terms.get(n)
+        if a is None:
+            return _ZERO
+        return a.value_at(j if n >= 0 else i)
 
 
 def zero_element(N):
@@ -230,15 +260,6 @@ def matrix_unit_compact(r, s, N):
     )
 
 
-def scale(x, c):
-    c = coerce_scalar(c)
-    if not c:
-        return zero_element(x.N)
-    return UnilateralElement(
-        {n: ep_scale(a, c) for n, a in x.terms.items()}, x.N
-    )
-
-
 def multiply(x, y):
     """Normal form of the operator product."""
     return UnilateralElement(_terms_mul(x.terms, y.terms), x.N)
@@ -250,18 +271,6 @@ def adjoint(x):
     return UnilateralElement(
         {-n: ep_conjugate(a) for n, a in x.terms.items()}, x.N
     )
-
-
-def commutator(x, y):
-    return multiply(x, y) - multiply(y, x)
-
-
-def spectral_component(x, n):
-    """The single term of degree n (zero element if absent)."""
-    a = x.terms.get(n)
-    if a is None:
-        return zero_element(x.N)
-    return UnilateralElement({n: a}, x.N)
 
 
 def is_compact(x):
@@ -280,12 +289,8 @@ def quotient(x):
     """
     terms = {}
     for n, a in x.terms.items():
-        f = LocallyConstantFunction(list(a.table), x.N)
-        if f.is_zero():
-            continue
-        if n < 0:
-            f = lcf_shift(f, n)
-        terms[n] = f
+        f = LocallyConstantFunction(a.table, x.N)
+        terms[n] = ep_shift(f, n) if n < 0 else f
     return BilateralElement(terms, x.N)
 
 
@@ -293,74 +298,14 @@ def quotient(x):
 # bilateral elements
 
 
-class BilateralElement:
+class BilateralElement(_Element):
     """Finite normal form sum V^n b_n(L) with locally constant b_n."""
 
-    __slots__ = ("terms", "N")
+    __slots__ = ()
+    _coeff = LocallyConstantFunction
 
-    def __init__(self, terms, N):
-        clean = {}
-        for n, f in terms.items():
-            if not isinstance(f, LocallyConstantFunction):
-                raise TypeError("coefficients must be LocallyConstantFunction")
-            if not f.is_zero():
-                clean[int(n)] = f
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "N", N)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BilateralElement is immutable")
-
-    def coefficient(self, n):
-        return self.terms.get(n)
-
-    def degrees(self):
-        return sorted(self.terms.keys())
-
-    def max_abs_degree(self):
-        return max((abs(n) for n in self.terms), default=0)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, BilateralElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for n, g in other.terms.items():
-            if n in terms:
-                from .profinite import lcf_add
-
-                terms[n] = lcf_add(terms[n], g)
-            else:
-                terms[n] = g
-        return BilateralElement(terms, self.N)
-
-    def __sub__(self, other):
-        return self + bilateral_scale(other, Scalar(-1))
-
-    def __neg__(self):
-        return bilateral_scale(self, Scalar(-1))
-
-    def __mul__(self, other):
-        if isinstance(other, BilateralElement):
-            return bilateral_multiply(self, other)
-        c = as_scalar(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return bilateral_scale(self, c)
-
-    def __rmul__(self, other):
-        c = as_scalar(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return bilateral_scale(self, c)
+    def _times(self, other):
+        return bilateral_multiply(self, other)
 
     def entry(self, i, j):
         """Exact matrix entry over Z: (i, j) with i = j + degree."""
@@ -368,25 +313,6 @@ class BilateralElement:
         if f is None:
             return _ZERO
         return f.value_at(j)
-
-    def __repr__(self):
-        if not self.terms:
-            return "BilateralElement(0)"
-        parts = [f"{n}: {self.terms[n]!r}" for n in self.degrees()]
-        return "BilateralElement({" + ", ".join(parts) + "})"
-
-    def to_json(self):
-        return {"terms": {str(n): f.to_json() for n, f in self.terms.items()}}
-
-    @classmethod
-    def from_json(cls, data, N):
-        return cls(
-            {
-                int(n): LocallyConstantFunction.from_json(f, N)
-                for n, f in data.get("terms", {}).items()
-            },
-            N,
-        )
 
 
 def bilateral_zero(N):
@@ -411,47 +337,23 @@ def bilateral_diag(f):
     return BilateralElement({0: f}, f.N)
 
 
-def bilateral_scale(x, c):
-    c = coerce_scalar(c)
-    if not c:
-        return bilateral_zero(x.N)
-    from .profinite import lcf_scale
-
-    return BilateralElement(
-        {n: lcf_scale(f, c) for n, f in x.terms.items()}, x.N
-    )
-
-
 def bilateral_multiply(x, y):
     """V^m f(L) V^n g(L) = V^{m+n} f(L+n) g(L); V is invertible so no
     projection corrections arise."""
-    from .profinite import lcf_add, lcf_mul
-
     out = {}
     for m, f in x.terms.items():
         for n, g in y.terms.items():
-            coeff = lcf_mul(lcf_shift(f, n), g)
+            coeff = ep_mul(ep_shift(f, n), g)
             deg = m + n
-            out[deg] = lcf_add(out[deg], coeff) if deg in out else coeff
+            out[deg] = ep_add(out[deg], coeff) if deg in out else coeff
     return BilateralElement(out, x.N)
 
 
 def bilateral_adjoint(x):
     return BilateralElement(
-        {-n: lcf_shift(lcf_conjugate(f), -n) for n, f in x.terms.items()},
+        {-n: ep_shift(ep_conjugate(f), -n) for n, f in x.terms.items()},
         x.N,
     )
-
-
-def bilateral_commutator(x, y):
-    return bilateral_multiply(x, y) - bilateral_multiply(y, x)
-
-
-def bilateral_spectral_component(x, n):
-    f = x.terms.get(n)
-    if f is None:
-        return bilateral_zero(x.N)
-    return BilateralElement({n: f}, x.N)
 
 
 def expectation(b):
@@ -470,10 +372,7 @@ def toeplitz(b):
     """
     terms = {}
     for n, f in b.terms.items():
-        if n >= 0:
-            terms[n] = ep_from_lcf(f)
-        else:
-            terms[n] = ep_from_lcf(lcf_shift(f, -n))
+        terms[n] = ep_from_lcf(f if n >= 0 else ep_shift(f, -n))
     return UnilateralElement(terms, b.N)
 
 
@@ -692,16 +591,14 @@ def from_matrix_form(F, N):
     N_int = N.as_int()
     if F.size != N_int:
         raise ValueError(f"matrix size {F.size} does not match N = {N_int}")
-    from .profinite import lcf_add, lcf_scale
-
     terms = {}
     for jp in range(N_int):
         for j in range(N_int):
             for w, val in F.entries[jp][j].items():
                 n = jp - j + w * N_int
-                contrib = lcf_scale(residue_indicator(j, N_int, N), val)
+                contrib = ep_scale(residue_indicator(j, N_int, N), val)
                 if n in terms:
-                    terms[n] = lcf_add(terms[n], contrib)
+                    terms[n] = ep_add(terms[n], contrib)
                 else:
                     terms[n] = contrib
     return BilateralElement(terms, N)

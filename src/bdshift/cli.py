@@ -29,6 +29,10 @@ EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_NONCONVERGENCE = 4
 
+# a dense window is a complex128 square: 4096^2 * 16 bytes = 256 MiB
+MAX_WINDOW = 4096
+MAX_GRID = 4096
+
 
 def _emit(payload):
     json.dump(payload, sys.stdout, indent=2, sort_keys=False)
@@ -59,6 +63,15 @@ def _laurent(args, env):
     return f
 
 
+def _check_window(dim, grid=0):
+    """Refuse a window or a theta grid too large to build, before any
+    build allocates it."""
+    if dim > MAX_WINDOW:
+        raise MathDomainError(f"window dimension {dim} exceeds {MAX_WINDOW}")
+    if grid > MAX_GRID:
+        raise MathDomainError(f"grid of {grid} points exceeds {MAX_GRID}")
+
+
 def _component_json(comp):
     return {
         "n": comp.n,
@@ -67,7 +80,8 @@ def _component_json(comp):
     }
 
 
-def _implementation(args, env):
+def _implementation(args, env, M):
+    """Implementation data, checked against the window [-M, M]."""
     d = _derivation(args, env)
     quotient = derivations.quotient_derivation(d)
     comp = quotient.get(args.n)
@@ -80,7 +94,10 @@ def _implementation(args, env):
             raise UnknownName(f"no locally constant function {args.psi!r}")
     c = parse_gaussian(args.c) if getattr(args, "c", None) else None
     level = getattr(args, "level", None)
-    return gns.implementation_from_bilateral(comp, psi=psi, c=c, level=level)
+    data = gns.implementation_from_bilateral(comp, psi=psi, c=c, level=level)
+    fiber = data.level if args.space == "haar" else 1
+    _check_window((2 * M + 1) * fiber, getattr(args, "grid", 0))
+    return data
 
 
 def _build_D(data, space, M, exact=False):
@@ -222,6 +239,7 @@ def cmd_gns_rep(args):
             if not env.N.is_finite():
                 raise LevelMismatch("infinite N needs an explicit --level")
             level = env.N.as_int()
+        _check_window(level)
         vec = gns.pi_haar_apply(b, gns.chi0(level))
         _emit({
             "tau": gns.tau_haar(b).to_json(),
@@ -235,7 +253,7 @@ def cmd_gns_rep(args):
 
 def cmd_gns_d(args):
     env = _env(args)
-    data = _implementation(args, env)
+    data = _implementation(args, env, args.m)
     D = _build_D(data, args.space, args.m)
     _emit(_matrix_out(D, args, {
         "space": args.space,
@@ -248,7 +266,7 @@ def cmd_gns_d(args):
 
 def cmd_covcheck(args):
     env = _env(args)
-    data = _implementation(args, env)
+    data = _implementation(args, env, args.m)
     D = _build_D(data, args.space, args.m)
     thetas = [2 * math.pi * k / args.grid for k in range(args.grid)]
     residual = gns.check_covariance(D, data.n, args.m, thetas)
@@ -263,12 +281,13 @@ def cmd_covcheck(args):
 
 def cmd_parametrix(args):
     env = _env(args)
-    data = _implementation(args, env)
     Ms = [int(s) for s in args.mlist.split(",") if s]
+    data = _implementation(args, env, max(Ms, default=0))
     _emit(gns.parametrix_report(data, Ms, space=args.space))
 
 
 def cmd_truncate(args):
+    _check_window(args.m)
     env = _env(args)
     a = _eval(args, env, args.expr)
     A = numerics.truncate_unilateral(a, args.m)
@@ -276,6 +295,7 @@ def cmd_truncate(args):
 
 
 def cmd_normest(args):
+    _check_window(args.m)
     env = _env(args)
     a = _eval(args, env, args.expr)
     value = numerics.norm_lower(a, args.m, cap=args.cap)
@@ -284,6 +304,7 @@ def cmd_normest(args):
 
 def cmd_qnorm(args):
     env = _env(args)
+    _check_window(env.N.as_int() if env.N.is_finite() else 0, args.grid)
     b = _eval(args, env, args.expr)
     _emit(numerics.quotient_norm_report(b, env.N, args.grid,
                                         rounds=args.rounds))

@@ -9,6 +9,7 @@ and collapsed only after the commutator cancels the unbounded weight.
 """
 
 from fractions import Fraction
+from operator import attrgetter
 
 from .scalars import Scalar, ZERO, ONE, coerce_scalar
 from .errors import (
@@ -18,22 +19,19 @@ from .errors import (
     RegimeMismatch,
     UnboundedCoefficient,
 )
-from .profinite import LocallyConstantFunction, haar_integral, lcf_constant
+from .profinite import LocallyConstantFunction, haar_integral
 from .sequences import (
     AffineSequence,
     BilateralAffineSequence,
     BilateralEPSequence,
     EPSequence,
     QuasiAffine,
-    bep_from_lcf,
-    bep_to_lcf,
     ep_constant,
     ep_scale,
     ep_shift,
     ep_supnorm_sq,
     ep_zero,
     increment,
-    mean_decompose,
     mean_decompose_mod,
     partial_sums,
 )
@@ -61,40 +59,51 @@ def bounded_regime(n, N):
     return n != 0
 
 
-class CovariantDerivationData:
-    """A single covariant component: degree n, coefficient beta."""
+class _CovariantData:
+    """A single covariant component: degree n and an affine coefficient,
+    which each subclass exposes under its own name _field."""
 
-    __slots__ = ("n", "beta", "N")
+    __slots__ = ("n", "_coef", "N")
 
-    def __init__(self, n, beta, N):
-        if bounded_regime(n, N) and beta.linear:
+    def __init__(self, n, coef, N):
+        if bounded_regime(n, N) and coef.linear:
             raise UnboundedCoefficient(
                 f"degree {n} admits only bounded coefficients here"
             )
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "_coef", coef)
         object.__setattr__(self, "N", N)
 
     def __setattr__(self, name, value):
-        raise AttributeError("CovariantDerivationData is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def is_zero(self):
-        return not self.beta.linear and self.beta.ep.is_zero()
+        return not self._coef.linear and self._coef.ep.is_zero()
 
     def __eq__(self, other):
-        if not isinstance(other, CovariantDerivationData):
+        if type(other) is not type(self):
             return NotImplemented
         return (
             self.n == other.n
-            and self.beta == other.beta
+            and self._coef == other._coef
             and self.N == other.N
         )
 
     def __hash__(self):
-        return hash((self.n, self.beta, self.N))
+        return hash((self.n, self._coef, self.N))
 
     def __repr__(self):
-        return f"CovariantDerivationData(n={self.n}, beta={self.beta!r})"
+        return (
+            f"{type(self).__name__}(n={self.n}, {self._field}={self._coef!r})"
+        )
+
+
+class CovariantDerivationData(_CovariantData):
+    """A single covariant component: degree n, coefficient beta."""
+
+    __slots__ = ()
+    _field = "beta"
+    beta = property(attrgetter("_coef"))
 
 
 def covariant(n, beta, N):
@@ -294,10 +303,9 @@ def classify(comp):
             f"degree {n} is inner outright; nothing to classify"
         )
     alpha = increment(beta)
-    if N.is_finite():
-        corr, mean, per = mean_decompose(alpha, N)
-    else:
-        corr, mean, per = mean_decompose_mod(alpha, alpha.period)
+    # the mean-zero running sums repeat with alpha's own period, so one
+    # period suffices whatever N is
+    corr, mean, per = mean_decompose_mod(alpha, alpha.period)
     per_sums = []
     run = ZERO
     for v in per:
@@ -402,7 +410,8 @@ def laurent_substitute(f, N):
     """f(V^N) as a bilateral element, for finite N."""
     N_int = N.as_int()
     terms = {
-        j * N_int: lcf_constant(c, N) for j, c in f.coeffs.items()
+        j * N_int: LocallyConstantFunction([c], N)
+        for j, c in f.coeffs.items()
     }
     return BilateralElement(terms, N)
 
@@ -505,40 +514,18 @@ def inner_part_H(images, N_int):
     return H
 
 
-class BilateralCovariantData:
+class BilateralCovariantData(_CovariantData):
     """A covariant component on the quotient: degree n, coefficient eta
     with eta(l) = C l + periodic."""
 
-    __slots__ = ("n", "eta", "N")
+    __slots__ = ()
+    _field = "eta"
+    eta = property(attrgetter("_coef"))
 
     def __init__(self, n, eta, N):
         if eta.ep.correction:
             raise ValueError("quotient coefficients have no corrections")
-        if bounded_regime(n, N) and eta.linear:
-            raise UnboundedCoefficient(
-                f"degree {n} admits only bounded coefficients here"
-            )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "N", N)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BilateralCovariantData is immutable")
-
-    def is_zero(self):
-        return not self.eta.linear and self.eta.ep.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, BilateralCovariantData):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.eta == other.eta
-            and self.N == other.N
-        )
-
-    def __repr__(self):
-        return f"BilateralCovariantData(n={self.n}, eta={self.eta!r})"
+        super().__init__(n, eta, N)
 
 
 def bilateral_covariant(n, eta, N):
@@ -560,12 +547,9 @@ def quotient_derivation(d):
     """
     out = {}
     for n, comp in d.components.items():
-        table = list(comp.beta.ep.table)
-        if n < 0:
-            per = len(table)
-            table = [table[(r + n) % per] for r in range(per)]
+        ep = BilateralEPSequence({}, comp.beta.ep.table, d.N)
         eta = BilateralAffineSequence(
-            comp.beta.linear, BilateralEPSequence({}, table, d.N)
+            comp.beta.linear, ep_shift(ep, n) if n < 0 else ep
         )
         data = bilateral_covariant(n, eta, d.N)
         if not data.is_zero():
@@ -583,15 +567,14 @@ def bilateral_apply(components, b):
     for n, comp in components.items():
         gen = QuasiAffine.from_affine(comp.eta)
         for m, g in b.terms.items():
-            gb = bep_from_lcf(g)
-            coeff = gen.shift(m).mul_ep(gb) - gen.mul_ep(ep_shift(gb, n))
+            coeff = gen.shift(m).mul_ep(g) - gen.mul_ep(ep_shift(g, n))
             deg = n + m
             terms[deg] = terms[deg] + coeff if deg in terms else coeff
     out = {}
     for deg, coeff in terms.items():
         ep = coeff.collapse()
         if not ep.is_zero():
-            out[deg] = bep_to_lcf(ep)
+            out[deg] = LocallyConstantFunction(ep.table, b.N)
     return BilateralElement(out, b.N)
 
 

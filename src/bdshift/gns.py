@@ -28,10 +28,8 @@ from .errors import (
 from .profinite import (
     LocallyConstantFunction,
     divides,
+    ep_shift,
     haar_integral,
-    lcf_conjugate,
-    lcf_scale,
-    lcf_shift,
 )
 from .algebra import expectation
 from .derivations import bounded_regime
@@ -242,7 +240,7 @@ class ImplementationData:
         prefix = None
         if gtilde is not None:
             prefix, total = [], ZERO
-            for v in gtilde.values:
+            for v in gtilde.table:
                 prefix.append(total)
                 total = total + v
         object.__setattr__(self, "gtilde_prefix", prefix)
@@ -299,19 +297,16 @@ def implementation_from_bilateral(comp, psi=None, c=None, level=None):
     in the data; the lost anchor eta~(0) moves into the free constant c
     so the tau_0 operator is unchanged.
     """
-    from .sequences import bep_to_lcf, ep_shift
-
     n, eta, N = comp.n, comp.eta, comp.N
-    table = bep_to_lcf(eta.ep)
     if bounded_regime(n, N):
         return ImplementationData(
-            n, N, "bounded", h=table, psi=psi, level=level
+            n, N, "bounded", h=eta.ep, psi=psi, level=level
         )
     if N.is_finite():
         return ImplementationData(
-            n, N, "incrementN", C=eta.linear, htilde=table, psi=psi, c=c
+            n, N, "incrementN", C=eta.linear, htilde=eta.ep, psi=psi, c=c
         )
-    gtilde = bep_to_lcf(ep_shift(eta.ep, 1) - eta.ep)
+    gtilde = ep_shift(eta.ep, 1) - eta.ep
     anchor = eta.ep.value_at(0)
     shift = anchor if c is None else as_scalar(c) + anchor
     return ImplementationData(

@@ -1,5 +1,6 @@
 """Supernatural numbers, divisor chains, truncated profinite integers,
-and locally constant functions on Z/NZ with Haar integration.
+and the periodic core: eventually periodic tables whose period divides N,
+with locally constant functions on Z/NZ as the correction-free member.
 
 A supernatural number is a formal product of primes with exponents in
 {1, 2, ..., infinity}; only finitely many primes carry a nonzero exponent
@@ -15,6 +16,7 @@ from .errors import PeriodNotDivisor, NotFinite, LevelMismatch
 from .scalars import Scalar, coerce_scalar
 
 INF = math.inf
+_ZERO = Scalar(0)
 
 
 def _factorize(n):
@@ -294,58 +296,142 @@ def _minimal_period(values):
     return values[:period]
 
 
-class LocallyConstantFunction:
-    """Function on Z/NZ factoring through Z/jZ for a finite divisor j of N.
+MAX_CORRECTION_KEY = 1 << 16
 
-    Canonical form uses the minimal period.  Value at the residue class
-    of k is values[k mod j].
+
+class _PeriodicSequence:
+    """Correction plus periodic table: a(k) = correction.get(k, 0) +
+    table[k mod j], with j dividing N.  The canonical form has the minimal
+    period and no zero correction entries.
+
+    Subclasses fix the domain with two class attributes: `unilateral`
+    (k >= 0 with zero-fill shifts, else all of Z) and `offset` (the affine
+    weight is k + offset).  Operations build their result through the
+    classmethod _make, so they return the class of their first argument.
     """
 
-    __slots__ = ("period", "values", "N")
+    __slots__ = ("correction", "period", "table", "N")
 
-    def __init__(self, values, N):
-        values = [
-            v if isinstance(v, Scalar) else coerce_scalar(v) for v in values
-        ]
-        if not values:
-            raise ValueError("value table must be nonempty")
-        if not divides(len(values), N):
-            raise PeriodNotDivisor(
-                f"period {len(values)} does not divide N"
-            )
-        values = _minimal_period(values)
-        object.__setattr__(self, "period", len(values))
-        object.__setattr__(self, "values", tuple(values))
+    def __init__(self, correction, table, N):
+        table = [coerce_scalar(v) for v in table]
+        if not table:
+            raise ValueError("table must be nonempty")
+        if not divides(len(table), N):
+            raise PeriodNotDivisor(f"period {len(table)} does not divide N")
+        table = _minimal_period(table)
+        clean = {}
+        for k, v in (correction or {}).items():
+            k = int(k)
+            if k < 0 and self.unilateral:
+                raise ValueError(f"correction key must be >= 0, got {k}")
+            v = coerce_scalar(v)
+            if v:
+                clean[k] = v
+        object.__setattr__(self, "correction", clean)
+        object.__setattr__(self, "period", len(table))
+        object.__setattr__(self, "table", tuple(table))
         object.__setattr__(self, "N", N)
 
+    @classmethod
+    def _make(cls, correction, table, N):
+        return cls(correction, table, N)
+
     def __setattr__(self, name, value):
-        raise AttributeError("LocallyConstantFunction is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def value_at(self, k):
-        """Value on the residue class of the integer k."""
-        return self.values[k % self.period]
+        if k < 0 and self.unilateral:
+            raise ValueError("unilateral sequences are defined for k >= 0")
+        v = self.table[k % self.period]
+        c = self.correction.get(k)
+        return v if c is None else c + v
 
-    def value_at_profinite(self, x):
-        return self.values[x.residue_at_level(self.period)]
+    def support_bound(self):
+        """Smallest k0 with a(k) = table[k mod j] for all k >= k0."""
+        return max(self.correction.keys(), default=-1) + 1
 
     def is_zero(self):
-        return all(not v for v in self.values)
+        return not self.correction and all(not v for v in self.table)
 
     def __eq__(self, other):
-        if not isinstance(other, LocallyConstantFunction):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.period == other.period and self.values == other.values
+        return (
+            self.correction == other.correction
+            and self.table == other.table
+        )
 
     def __hash__(self):
-        return hash((self.period, self.values))
+        return hash((frozenset(self.correction.items()), self.table))
+
+    def __add__(self, other):
+        return ep_add(self, other)
+
+    def __mul__(self, other):
+        return ep_mul(self, other)
+
+    def __neg__(self):
+        return ep_scale(self, Scalar(-1))
+
+    def __sub__(self, other):
+        return ep_add(self, ep_scale(other, Scalar(-1)))
 
     def __repr__(self):
-        return f"LCF(period={self.period}, values={[str(v) for v in self.values]})"
+        corr = {k: str(v) for k, v in sorted(self.correction.items())}
+        return (
+            f"{type(self).__name__}({corr}, {[str(v) for v in self.table]})"
+        )
+
+    def to_json(self):
+        return {
+            "correction": {
+                str(k): v.to_json() for k, v in sorted(self.correction.items())
+            },
+            "period": self.period,
+            "table": [v.to_json() for v in self.table],
+        }
+
+    @classmethod
+    def from_json(cls, data, N):
+        corr = {}
+        for k, v in data.get("correction", {}).items():
+            k = int(k)
+            # partial sums walk every position below the largest key
+            if abs(k) > MAX_CORRECTION_KEY:
+                raise ValueError(
+                    f"correction key {k} exceeds {MAX_CORRECTION_KEY}"
+                )
+            corr[k] = Scalar.from_json(v)
+        return cls(corr, [Scalar.from_json(v) for v in data["table"]], N)
+
+
+class LocallyConstantFunction(_PeriodicSequence):
+    """Function on Z/NZ factoring through Z/jZ for a finite divisor j of N:
+    the correction-free member of the periodic core on Z.  Value at the
+    residue class of k is values[k mod j].
+    """
+
+    __slots__ = ()
+    unilateral = False
+    offset = 0
+
+    def __init__(self, values, N):
+        super().__init__({}, values, N)
+
+    @classmethod
+    def _make(cls, correction, table, N):
+        if correction:
+            raise ValueError("a locally constant function has no corrections")
+        return cls(table, N)
+
+    @property
+    def values(self):
+        return self.table
 
     def to_json(self):
         return {
             "period": self.period,
-            "values": [v.to_json() for v in self.values],
+            "values": [v.to_json() for v in self.table],
         }
 
     @classmethod
@@ -356,30 +442,9 @@ class LocallyConstantFunction:
 def haar_integral(f):
     """Average of the value table over one period."""
     total = Scalar(0)
-    for v in f.values:
+    for v in f.table:
         total = total + v
     return total / Scalar(f.period)
-
-
-def lcf_shift(f, t):
-    """g with g(x) = f(x + t); cyclic rotation of the value table."""
-    j = f.period
-    return LocallyConstantFunction(
-        [f.values[(r + t) % j] for r in range(j)], f.N
-    )
-
-
-def _lift(f, j):
-    """Value table of f lifted to period j (f.period must divide j)."""
-    return [f.values[r % f.period] for r in range(j)]
-
-
-def lcf_add(f, g):
-    return _pointwise(f, g, lambda a, b: a + b)
-
-
-def lcf_mul(f, g):
-    return _pointwise(f, g, lambda a, b: a * b)
 
 
 def _common_period(p, q, N):
@@ -390,20 +455,61 @@ def _common_period(p, q, N):
     return j
 
 
-def _pointwise(f, g, op):
-    j = _common_period(f.period, g.period, f.N)
-    fa, ga = _lift(f, j), _lift(g, j)
-    return LocallyConstantFunction([op(a, b) for a, b in zip(fa, ga)], f.N)
+def ep_add(a, b):
+    j = _common_period(a.period, b.period, a.N)
+    table = [
+        a.table[r % a.period] + b.table[r % b.period] for r in range(j)
+    ]
+    corr = dict(a.correction)
+    for k, v in b.correction.items():
+        corr[k] = corr.get(k, _ZERO) + v
+    return type(a)._make(corr, table, a.N)
 
 
-def lcf_scale(f, c):
+def ep_mul(a, b):
+    j = _common_period(a.period, b.period, a.N)
+    table = [
+        a.table[r % a.period] * b.table[r % b.period] for r in range(j)
+    ]
+    corr = {}
+    for k in set(a.correction) | set(b.correction):
+        corr[k] = a.value_at(k) * b.value_at(k) - table[k % j]
+    return type(a)._make(corr, table, a.N)
+
+
+def ep_scale(a, c):
     c = coerce_scalar(c)
-    return LocallyConstantFunction([c * v for v in f.values], f.N)
+    return type(a)._make(
+        {k: c * v for k, v in a.correction.items()},
+        [c * v for v in a.table],
+        a.N,
+    )
 
 
-def lcf_conjugate(f):
-    return LocallyConstantFunction([v.conjugate() for v in f.values], f.N)
+def ep_conjugate(a):
+    return type(a)._make(
+        {k: v.conjugate() for k, v in a.correction.items()},
+        [v.conjugate() for v in a.table],
+        a.N,
+    )
 
 
-def lcf_constant(c, N):
-    return LocallyConstantFunction([coerce_scalar(c)], N)
+def ep_shift(a, n):
+    """k |-> a(k+n).
+
+    On Z this is a pure translation.  On k >= 0 the convention a(m) = 0
+    for m < 0 holds: for n >= 0 the table rotates and correction keys move
+    down (dropped below zero); for n < 0 keys move up and compensating
+    entries at k = 0..(-n-1) force the value 0 there.
+    """
+    j = a.period
+    table = [a.table[(r + n) % j] for r in range(j)]
+    if not a.unilateral:
+        corr = {k - n: v for k, v in a.correction.items()}
+    else:
+        corr = {k - n: v for k, v in a.correction.items() if k >= n}
+        for k in range(-n):
+            pad = -table[k % j]
+            if pad:
+                corr[k] = pad
+    return type(a)._make(corr, table, a.N)

@@ -1,19 +1,22 @@
 """Eventually periodic sequences on two domains, and their affine extensions.
 
-One periodic core serves the coefficients of both algebras.  A sequence is
+One periodic core, profinite._PeriodicSequence with the ep_* operations
+(re-exported here), serves the coefficients of both algebras.  A
+sequence is
     a(k) = correction.get(k, 0) + table[k mod j],
 a finitely supported correction plus a table whose period j divides N;
 the canonical form has the minimal period and no zero correction entries.
-The two public classes differ only in their domain:
+The classes differ only in their domain:
 
-    EPSequence            k >= 0   shifts fill with zeros   weight k+1
-    BilateralEPSequence   all of Z shifts translate         weight l
+    EPSequence               k >= 0   shifts fill with zeros   weight k+1
+    BilateralEPSequence      all of Z shifts translate         weight l
+    LocallyConstantFunction  all of Z, no correction (profinite)
 
 Coefficients of A(N) are EPSequences; those of the quotient B(N) are
-BilateralEPSequences, which carry no correction there.  The ep_*
-operations serve both domains and return the class of their first
-argument.  An affine sequence adds a linear coefficient times the weight:
-beta(k) = C*(k+1) + ep(k) on k >= 0, eta(l) = C*l + ep(l) on Z.
+LocallyConstantFunctions.  The ep_* operations serve every domain and
+return the class of their first argument.  An affine sequence adds a
+linear coefficient times the weight: beta(k) = C*(k+1) + ep(k) on k >= 0,
+eta(l) = C*l + ep(l) on Z.
 
 QuasiAffine at the bottom is internal plumbing for commutator arithmetic:
 it tracks the affine weight of a coefficient through shifts and diagonal
@@ -22,111 +25,18 @@ products so that cancellation can be verified exactly.
 
 from fractions import Fraction
 
-from .errors import PeriodNotDivisor, NotFinite
+from .errors import PeriodNotDivisor
 from .profinite import (
-    LocallyConstantFunction,
-    _common_period,
-    _minimal_period,
-    divides,
+    _PeriodicSequence,
+    ep_add,
+    ep_conjugate,
+    ep_mul,
+    ep_scale,
+    ep_shift,
 )
 from .scalars import Scalar, coerce_scalar
 
 _ZERO = Scalar(0)
-
-
-# ---------------------------------------------------------------------------
-# the periodic core
-
-
-class _PeriodicSequence:
-    """Correction plus periodic table.  Subclasses fix the domain with two
-    class attributes: `unilateral` (k >= 0 with zero-fill shifts, else all
-    of Z) and `offset` (the affine weight is k + offset)."""
-
-    __slots__ = ("correction", "period", "table", "N")
-
-    def __init__(self, correction, table, N):
-        table = [coerce_scalar(v) for v in table]
-        if not table:
-            raise ValueError("table must be nonempty")
-        if not divides(len(table), N):
-            raise PeriodNotDivisor(f"period {len(table)} does not divide N")
-        table = _minimal_period(table)
-        clean = {}
-        for k, v in (correction or {}).items():
-            k = int(k)
-            if k < 0 and self.unilateral:
-                raise ValueError(f"correction key must be >= 0, got {k}")
-            v = coerce_scalar(v)
-            if v:
-                clean[k] = v
-        object.__setattr__(self, "correction", clean)
-        object.__setattr__(self, "period", len(table))
-        object.__setattr__(self, "table", tuple(table))
-        object.__setattr__(self, "N", N)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def value_at(self, k):
-        if k < 0 and self.unilateral:
-            raise ValueError("unilateral sequences are defined for k >= 0")
-        v = self.table[k % self.period]
-        c = self.correction.get(k)
-        return v if c is None else c + v
-
-    def support_bound(self):
-        """Smallest k0 with a(k) = table[k mod j] for all k >= k0."""
-        return max(self.correction.keys(), default=-1) + 1
-
-    def is_zero(self):
-        return not self.correction and all(not v for v in self.table)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (
-            self.correction == other.correction
-            and self.table == other.table
-        )
-
-    def __hash__(self):
-        return hash((frozenset(self.correction.items()), self.table))
-
-    def __add__(self, other):
-        return ep_add(self, other)
-
-    def __mul__(self, other):
-        return ep_mul(self, other)
-
-    def __neg__(self):
-        return ep_scale(self, Scalar(-1))
-
-    def __sub__(self, other):
-        return ep_add(self, ep_scale(other, Scalar(-1)))
-
-    def __repr__(self):
-        corr = {k: str(v) for k, v in sorted(self.correction.items())}
-        return (
-            f"{type(self).__name__}({corr}, {[str(v) for v in self.table]})"
-        )
-
-    def to_json(self):
-        return {
-            "correction": {
-                str(k): v.to_json() for k, v in sorted(self.correction.items())
-            },
-            "period": self.period,
-            "table": [v.to_json() for v in self.table],
-        }
-
-    @classmethod
-    def from_json(cls, data, N):
-        corr = {
-            int(k): Scalar.from_json(v)
-            for k, v in data.get("correction", {}).items()
-        }
-        return cls(corr, [Scalar.from_json(v) for v in data["table"]], N)
 
 
 class EPSequence(_PeriodicSequence):
@@ -163,78 +73,7 @@ def ep_spike(k, v, N):
 
 def ep_from_lcf(f):
     """Restriction of a locally constant function to k >= 0."""
-    return EPSequence({}, list(f.values), f.N)
-
-
-def bep_from_lcf(f):
-    """Periodic bilateral extension of a locally constant function."""
-    return BilateralEPSequence({}, list(f.values), f.N)
-
-
-def bep_to_lcf(b):
-    if b.correction:
-        raise ValueError("bilateral sequence with corrections is not periodic")
-    return LocallyConstantFunction(list(b.table), b.N)
-
-
-def ep_add(a, b):
-    j = _common_period(a.period, b.period, a.N)
-    table = [
-        a.table[r % a.period] + b.table[r % b.period] for r in range(j)
-    ]
-    corr = dict(a.correction)
-    for k, v in b.correction.items():
-        corr[k] = corr.get(k, _ZERO) + v
-    return type(a)(corr, table, a.N)
-
-
-def ep_mul(a, b):
-    j = _common_period(a.period, b.period, a.N)
-    table = [
-        a.table[r % a.period] * b.table[r % b.period] for r in range(j)
-    ]
-    corr = {}
-    for k in set(a.correction) | set(b.correction):
-        corr[k] = a.value_at(k) * b.value_at(k) - table[k % j]
-    return type(a)(corr, table, a.N)
-
-
-def ep_scale(a, c):
-    c = coerce_scalar(c)
-    return type(a)(
-        {k: c * v for k, v in a.correction.items()},
-        [c * v for v in a.table],
-        a.N,
-    )
-
-
-def ep_conjugate(a):
-    return type(a)(
-        {k: v.conjugate() for k, v in a.correction.items()},
-        [v.conjugate() for v in a.table],
-        a.N,
-    )
-
-
-def ep_shift(a, n):
-    """k |-> a(k+n).
-
-    On Z this is a pure translation.  On k >= 0 the convention a(m) = 0
-    for m < 0 holds: for n >= 0 the table rotates and correction keys move
-    down (dropped below zero); for n < 0 keys move up and compensating
-    entries at k = 0..(-n-1) force the value 0 there.
-    """
-    j = a.period
-    table = [a.table[(r + n) % j] for r in range(j)]
-    if not a.unilateral:
-        corr = {k - n: v for k, v in a.correction.items()}
-    else:
-        corr = {k - n: v for k, v in a.correction.items() if k >= n}
-        for k in range(-n):
-            pad = -table[k % j]
-            if pad:
-                corr[k] = pad
-    return type(a)(corr, table, a.N)
+    return EPSequence({}, f.table, f.N)
 
 
 def ep_supnorm_sq(a):
@@ -408,19 +247,11 @@ def increment(beta):
     return ep_add(type(ep)({}, [beta.linear], ep.N), diff)
 
 
-def mean_decompose(alpha, N):
-    """Split alpha = c00 + C + (mean-zero part of period N.as_int()).
-
-    Returns (correction dict, C, table list of length N).  For infinite N
-    use mean_decompose_mod with an explicit modulus (needed only at n=0,
-    where the modulus is the period of alpha's periodic part).
-    """
-    if not N.is_finite():
-        raise NotFinite("mean decomposition needs a finite N")
-    return mean_decompose_mod(alpha, N.as_int())
-
-
 def mean_decompose_mod(alpha, modulus):
+    """Split alpha = c00 + C + (mean-zero periodic part), the periodic
+    part listed over one modulus, a multiple of alpha's period.
+
+    Returns (correction dict, C, table list of length modulus)."""
     if modulus < 1 or modulus % alpha.period != 0:
         raise PeriodNotDivisor(
             f"period {alpha.period} does not divide modulus {modulus}"

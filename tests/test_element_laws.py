@@ -1,0 +1,140 @@
+"""Algebraic laws of the elements of both algebras.
+
+A(N) holds UnilateralElements with EPSequence coefficients, the quotient
+B(N) holds BilateralElements with locally constant coefficients; both
+share one container class, so every law runs on both domains.  The
+quotient map and the multiplicative defect connect the two.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from bdshift.algebra import (
+    BilateralElement,
+    UnilateralElement,
+    adjoint,
+    bilateral_adjoint,
+    is_compact,
+    mult_defect,
+    quotient,
+)
+from bdshift.derivations import bilateral_covariant, covariant
+from bdshift.profinite import LocallyConstantFunction, SupernaturalNumber
+from bdshift.scalars import Scalar, ZERO
+from bdshift.sequences import (
+    AffineSequence,
+    BilateralAffineSequence,
+    BilateralEPSequence,
+    EPSequence,
+)
+
+N = SupernaturalNumber.from_int(12)
+
+# element class, adjoint
+DOMAINS = {
+    "unilateral": (UnilateralElement, adjoint),
+    "bilateral": (BilateralElement, bilateral_adjoint),
+}
+
+LAWS = settings(
+    max_examples=60, deadline=None, database=None, derandomize=True
+)
+
+scalars = st.builds(Scalar, st.integers(-3, 3), st.integers(-2, 2))
+periods = st.sampled_from([1, 2, 3, 4, 6, 12])
+
+
+@st.composite
+def tables(draw):
+    period = draw(periods)
+    return draw(st.lists(scalars, min_size=period, max_size=period))
+
+
+@st.composite
+def coefficients(draw, domain, compact=False):
+    if domain == "bilateral":
+        return LocallyConstantFunction(draw(tables()), N)
+    table = [ZERO] if compact else draw(tables())
+    corr = draw(st.dictionaries(st.integers(0, 6), scalars, max_size=3))
+    return EPSequence(corr, table, N)
+
+
+@st.composite
+def elements(draw, domain, compact=False):
+    degrees = draw(st.lists(st.integers(-3, 3), max_size=3, unique=True))
+    cls = DOMAINS[domain][0]
+    return cls({n: draw(coefficients(domain, compact)) for n in degrees}, N)
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+@LAWS
+@given(data=st.data())
+def test_products_associate_and_distribute(domain, data):
+    x, y, z = (data.draw(elements(domain)) for _ in range(3))
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert (x + y) * z == x * z + y * z
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+@LAWS
+@given(data=st.data())
+def test_adjoint_is_an_involution_reversing_products(domain, data):
+    star = DOMAINS[domain][1]
+    x, y = (data.draw(elements(domain)) for _ in range(2))
+    assert star(star(x)) == x
+    assert star(x * y) == star(y) * star(x)
+    assert star(x + y) == star(x) + star(y)
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+@LAWS
+@given(data=st.data())
+def test_json_round_trip(domain, data):
+    x = data.draw(elements(domain))
+    assert DOMAINS[domain][0].from_json(x.to_json(), N) == x
+
+
+@LAWS
+@given(data=st.data())
+def test_quotient_is_a_star_homomorphism_killing_compacts(data):
+    x, y = (data.draw(elements("unilateral")) for _ in range(2))
+    assert quotient(x * y) == quotient(x) * quotient(y)
+    assert quotient(x + y) == quotient(x) + quotient(y)
+    assert quotient(adjoint(x)) == bilateral_adjoint(quotient(x))
+    k = data.draw(elements("unilateral", compact=True))
+    assert is_compact(k)
+    assert quotient(k).is_zero()
+    assert quotient(x + k) == quotient(x)
+
+
+@LAWS
+@given(data=st.data())
+def test_mult_defect_is_compact(data):
+    b1, b2 = (data.draw(elements("bilateral")) for _ in range(2))
+    defect = mult_defect(b1, b2)
+    assert is_compact(defect)
+    assert quotient(defect).is_zero()
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+@LAWS
+@given(data=st.data())
+def test_equal_covariant_data_hash_equal(domain, data):
+    n = data.draw(st.integers(-3, 3))
+    # covariance allows a linear part only in the increment regime n = 0
+    linear = data.draw(scalars) if n == 0 else ZERO
+    table = data.draw(tables())
+    if domain == "unilateral":
+        make = lambda: covariant(
+            n, AffineSequence(linear, EPSequence({}, table, N)), N)
+    else:
+        make = lambda: bilateral_covariant(
+            n, BilateralAffineSequence(
+                linear, BilateralEPSequence({}, table, N)), N)
+    a, b = make(), make()
+    assert a is not b and a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1

@@ -13,7 +13,11 @@ from bdshift.errors import (
     SideMismatch,
     UnknownName,
 )
-from bdshift.profinite import LocallyConstantFunction, SupernaturalNumber
+from bdshift.profinite import (
+    MAX_CORRECTION_KEY,
+    LocallyConstantFunction,
+    SupernaturalNumber,
+)
 from bdshift.sequences import AffineSequence, EPSequence, ep_zero
 from bdshift.algebra import (
     BilateralElement,
@@ -23,7 +27,13 @@ from bdshift.algebra import (
     u_element,
     v_element,
 )
-from bdshift.derivations import DerivationSum, LaurentFunction, covariant
+from bdshift.derivations import (
+    DerivationSum,
+    LaurentFunction,
+    classify,
+    covariant,
+    reassemble,
+)
 from bdshift.parser import eval_ast, format_element, parse, parse_gaussian
 from bdshift.serialize import Workspace, load_workspace, save_workspace
 from bdshift import cli
@@ -467,6 +477,74 @@ def test_cli_large_prime_workspace_fails_fast(capsys, tmp_path):
     ws = load_workspace(str(path))
     assert ws.N.exponent(1000000000000000003) == float("inf")
     assert time.perf_counter() - start < 2.0
+
+
+def test_cli_classify_on_a_huge_finite_n_is_fast(capsys, tmp_path):
+    # the mean-zero running sums repeat with the increment's own period,
+    # so nothing is listed over a period of length N
+    N = SupernaturalNumber({2: 40})
+    comp = covariant(
+        0, AffineSequence(ONE, EPSequence({3: Scalar(5)}, [ZERO, ONE], N)), N
+    )
+    d = DerivationSum({0: comp}, N)
+    path = tmp_path / "big.json"
+    save_workspace(Workspace(N, derivations={"d": d}), str(path))
+    start = time.perf_counter()
+    code, payload = run_cli(
+        capsys, "classify", "--workspace", str(path), "--derivation", "d",
+        "--n", "0",
+    )
+    assert code == 0
+    assert time.perf_counter() - start < 2.0
+    assert Scalar.from_json(payload["C_n"]) == ONE
+    assert reassemble(classify(comp), 0, N) == d
+
+
+def test_cli_huge_correction_key_is_rejected(capsys, tmp_path):
+    # partial sums walk every position below the largest correction key
+    path = tmp_path / "ws.json"
+    for key, want in ((10**12, 1), (-(10**12), 1), (MAX_CORRECTION_KEY, 0)):
+        data = make_workspace().to_json()
+        ep = data["derivations"]["d"]["components"]["0"]["ep"]
+        ep["correction"] = {str(key): ONE.to_json()}
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        code, _ = run_cli(
+            capsys, "classify", "--workspace", str(path), "--derivation",
+            "d", "--n", "0",
+        )
+        assert code == want
+        assert time.perf_counter() - start < 2.0
+    beta = load_workspace(str(path)).derivations["d"].component(0).beta
+    assert beta.ep.correction == {MAX_CORRECTION_KEY: ONE}
+
+
+def test_cli_oversized_windows_fail_fast(capsys, ws_path):
+    big = "1000000000"
+    ws = ["--workspace", ws_path]
+    gns = [*ws, "--derivation", "d", "--n", "1"]
+    requests = [
+        ["truncate", *ws, "U", "--m", big],
+        ["normest", *ws, "U", "--m", big],
+        ["gns-d", *gns, "--m", big],
+        # the Haar window carries level = 2 vectors per block
+        ["gns-d", *gns, "--m", "1500", "--space", "haar"],
+        ["covcheck", *gns, "--m", big],
+        ["covcheck", *gns, "--grid", big],
+        ["parametrix", *gns, "--mlist", f"8,{big}"],
+        ["gns-rep", *ws, "--state", "haar", "--level", big, "V"],
+        ["qnorm", *ws, "V + Vi", "--grid", big],
+    ]
+    for argv in requests:
+        start = time.perf_counter()
+        code, _ = run_cli(capsys, *argv)
+        assert code == 3, argv
+        assert time.perf_counter() - start < 2.0
+    cli._check_window(cli.MAX_WINDOW, cli.MAX_GRID)
+    with pytest.raises(MathDomainError):
+        cli._check_window(cli.MAX_WINDOW + 1)
+    with pytest.raises(MathDomainError):
+        cli._check_window(1, cli.MAX_GRID + 1)
 
 
 def test_cli_requires_command(capsys):

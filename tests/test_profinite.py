@@ -17,14 +17,14 @@ from bdshift.profinite import (
     SupernaturalNumber,
     divides,
     finite_divisors,
+    ep_add,
+    ep_mul,
+    ep_scale,
+    ep_shift,
     haar_integral,
-    lcf_add,
-    lcf_constant,
-    lcf_mul,
-    lcf_scale,
-    lcf_shift,
     q_map,
 )
+from bdshift.sequences import BilateralEPSequence
 
 N12 = SupernaturalNumber.from_int(12)
 N2INF = SupernaturalNumber({2: "inf"})
@@ -181,20 +181,32 @@ def test_lcf_values_and_shift():
     assert g.value_at(0) == Scalar(3)
     assert g.value_at(7) == Scalar(-1)
     assert g.value_at(-1) == Scalar(-1)
-    assert lcf_shift(g, 1).value_at(0) == g.value_at(1)
+    assert ep_shift(g, 1).value_at(0) == g.value_at(1)
     assert list(g.values) == [Scalar(3), Scalar(-1)]
 
 
 def test_lcf_pointwise_ops():
     f = LocallyConstantFunction([Scalar(1), Scalar(2)], N12)
     g = LocallyConstantFunction([Scalar(1), Scalar(0), Scalar(2)], N12)
-    s = lcf_add(f, g)
-    p = lcf_mul(f, g)
+    s = ep_add(f, g)
+    p = ep_mul(f, g)
     assert s.period == 6 and p.period == 6
     for k in range(12):
         assert s.value_at(k) == f.value_at(k) + g.value_at(k)
         assert p.value_at(k) == f.value_at(k) * g.value_at(k)
-    assert lcf_scale(f, Scalar(2)).value_at(1) == Scalar(4)
+    assert ep_scale(f, Scalar(2)).value_at(1) == Scalar(4)
+
+
+def test_lcf_is_the_correction_free_core_member():
+    f = LocallyConstantFunction([Scalar(1), Scalar(2)], N12)
+    for g in (ep_add(f, f), ep_mul(f, f), ep_scale(f, Scalar(3)),
+              ep_shift(f, 1), -f, f - f):
+        assert type(g) is LocallyConstantFunction
+    b = BilateralEPSequence({}, [Scalar(1), Scalar(2)], N12)
+    assert f.table == b.table and f != b
+    assert f.to_json() == {"period": 2, "values": [[1, 1, 0, 1], [2, 1, 0, 1]]}
+    with pytest.raises(ValueError):
+        ep_add(f, BilateralEPSequence({0: Scalar(1)}, [Scalar(0)], N12))
 
 
 def test_haar_integral():
@@ -202,7 +214,7 @@ def test_haar_integral():
         [Scalar(1), Scalar(0), Scalar(0), Scalar(0)], N12
     )
     assert haar_integral(f) == Scalar(Fraction(1, 4))
-    assert haar_integral(lcf_constant(Scalar(7), N12)) == Scalar(7)
+    assert haar_integral(LocallyConstantFunction([Scalar(7)], N12)) == Scalar(7)
 
 
 def test_haar_shift_invariance():
@@ -211,7 +223,7 @@ def test_haar_shift_invariance():
         vals = [Scalar(rng.randint(-5, 5)) for _ in range(6)]
         f = LocallyConstantFunction(vals, N12)
         t = rng.randint(-10, 10)
-        assert haar_integral(lcf_shift(f, t)) == haar_integral(f)
+        assert haar_integral(ep_shift(f, t)) == haar_integral(f)
 
 
 def test_lcf_json_round_trip():

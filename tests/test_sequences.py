@@ -11,9 +11,7 @@ from bdshift.sequences import (
     BilateralAffineSequence,
     BilateralEPSequence,
     EPSequence,
-    bep_from_lcf,
     bep_partial_sums,
-    bep_to_lcf,
     ep_add,
     ep_constant,
     ep_from_lcf,
@@ -24,7 +22,6 @@ from bdshift.sequences import (
     ep_supnorm_sq,
     ep_zero,
     increment,
-    mean_decompose,
     mean_decompose_mod,
     partial_sums,
 )
@@ -118,7 +115,7 @@ def test_increment_partial_sums_inverse():
 
 def test_mean_decompose():
     alpha = EPSequence({1: Scalar(4)}, [Scalar(1), Scalar(3)], N4)
-    corr, mean, per = mean_decompose(alpha, N4)
+    corr, mean, per = mean_decompose_mod(alpha, 4)
     assert mean == Scalar(2)
     assert corr == {1: Scalar(4)}
     assert per == [Scalar(-1), Scalar(1), Scalar(-1), Scalar(1)]
@@ -183,13 +180,6 @@ def test_bilateral_partial_sums_rejects_unbalanced_c00():
     gamma = BilateralEPSequence({0: Scalar(1)}, [Scalar(0)], N6)
     with pytest.raises(ValueError):
         bep_partial_sums(gamma)
-
-
-def test_bep_lcf_round_trip():
-    f = LocallyConstantFunction([Scalar(1), Scalar(2)], N6)
-    assert bep_to_lcf(bep_from_lcf(f)) == f
-    with pytest.raises(ValueError):
-        bep_to_lcf(BilateralEPSequence({0: ONE}, [ZERO], N6))
 
 
 def test_minimal_period_bilateral():
