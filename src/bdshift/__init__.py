@@ -1,150 +1,10 @@
 """Exact computations in the shift algebras A(N) and B(N): normal-form
 arithmetic, covariant-derivation classification, Toeplitz/quotient maps,
 numerical truncation diagnostics, and GNS simulators for the two
-canonical invariant states."""
+canonical invariant states.
 
-from .scalars import Scalar, scalar, as_scalar, ZERO, ONE, I
-from .errors import (
-    BDShiftError,
-    ExprSyntaxError,
-    LevelMismatch,
-    MathDomainError,
-    NoConvergence,
-    NonzeroMean,
-    NotDerivation,
-    NotFinite,
-    PeriodNotDivisor,
-    RegimeMismatch,
-    SideMismatch,
-    UnboundedCoefficient,
-    UnknownName,
-    WindowTooSmall,
-)
-from .profinite import (
-    DivisorChain,
-    LocallyConstantFunction,
-    ProfiniteInteger,
-    SupernaturalNumber,
-    divides,
-    finite_divisors,
-    haar_integral,
-    q_map,
-)
-from .sequences import (
-    AffineSequence,
-    BilateralAffineSequence,
-    BilateralEPSequence,
-    EPSequence,
-    bep_partial_sums,
-    ep_add,
-    ep_constant,
-    ep_from_lcf,
-    ep_mul,
-    ep_scale,
-    ep_shift,
-    ep_spike,
-    ep_supnorm_sq,
-    ep_zero,
-    increment,
-    mean_decompose_mod,
-    partial_sums,
-)
-from .algebra import (
-    BilateralElement,
-    MatrixTrigPoly,
-    UnilateralElement,
-    adjoint,
-    bilateral_adjoint,
-    bilateral_diag,
-    bilateral_identity,
-    bilateral_multiply,
-    bilateral_scale,
-    bilateral_zero,
-    commutator,
-    diag_element,
-    expectation,
-    from_matrix_form,
-    identity_element,
-    is_compact,
-    matrix_unit_compact,
-    matrix_units,
-    mult_defect,
-    multiply,
-    p0_element,
-    quotient,
-    residue_indicator,
-    scale,
-    spectral_component,
-    to_matrix_form,
-    toeplitz,
-    u_element,
-    ustar_element,
-    v_element,
-    zero_element,
-)
-from .derivations import (
-    BilateralCovariantData,
-    CovariantDerivationData,
-    DerivationSum,
-    LaurentFunction,
-    apply,
-    approx_c00,
-    approx_per,
-    bilateral_apply,
-    bilateral_covariant,
-    bilateral_zero_component,
-    bounded_regime,
-    classify,
-    covariant,
-    d_f_build,
-    d_f_images,
-    d_nk,
-    delta_f_apply,
-    derivation_scale,
-    extract_f,
-    fejer_mean,
-    fourier_component,
-    fourier_of_image,
-    from_inner,
-    inner_part_H,
-    laurent_substitute,
-    obstruction_gap,
-    quotient_derivation,
-    reassemble,
-)
-from .numerics import (
-    TruncationReport,
-    norm_lower,
-    oracle_product_check,
-    quotient_norm_estimate,
-    quotient_norm_report,
-    rho_theta,
-    truncate_exact,
-    truncate_unilateral,
-    write_matrix_csv,
-)
-from .gns import (
-    GNSVector0,
-    GNSVectorHaar,
-    ImplementationData,
-    build_D_haar,
-    build_D_haar_exact,
-    build_D_tau0,
-    build_D_tau0_exact,
-    check_covariance,
-    check_implementation,
-    chi0,
-    implementation_from_bilateral,
-    inner0,
-    inner_haar,
-    parametrix_report,
-    pi0_apply,
-    pi_haar_apply,
-    slope_corroborates,
-    tau0,
-    tau_haar,
-)
-from .parser import eval_ast, format_element, parse, parse_gaussian
-from .serialize import Workspace, load_workspace, save_workspace
+Import names from the submodules (bdshift.algebra, bdshift.derivations,
+...).  The package itself imports none of them, so the exact modules load
+without numpy; only bdshift.numerics and bdshift.gns need it."""
 
 __version__ = "1.0.0"

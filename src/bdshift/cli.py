@@ -72,6 +72,14 @@ def _check_window(dim, grid=0):
         raise MathDomainError(f"grid of {grid} points exceeds {MAX_GRID}")
 
 
+def _check_table(N):
+    """Refuse the N x N table of units or matrix-form beyond MAX_WINDOW
+    entries; an infinite N is left to the builders, which raise NotFinite."""
+    if N.is_finite():
+        n = N.as_int()
+        _check_window(n * n)
+
+
 def _component_json(comp):
     return {
         "n": comp.n,
@@ -100,12 +108,10 @@ def _implementation(args, env, M):
     return data
 
 
-def _build_D(data, space, M, exact=False):
+def _build_D(data, space, M):
     if space == "tau0":
-        return (gns.build_D_tau0_exact if exact else gns.build_D_tau0)(
-            data, M
-        )
-    return (gns.build_D_haar_exact if exact else gns.build_D_haar)(data, M)
+        return gns.build_D_tau0(data, M)
+    return gns.build_D_haar(data, M)
 
 
 def _matrix_out(A, args, extra):
@@ -206,12 +212,14 @@ def cmd_defect(args):
 
 def cmd_matrix_form(args):
     env = _env(args)
+    _check_table(env.N)
     F = algebra.to_matrix_form(_eval(args, env, args.expr), env.N)
     _emit(F.to_json())
 
 
 def cmd_units(args):
     env = _env(args)
+    _check_table(env.N)
     units = algebra.matrix_units(env.N)
     _emit({
         "size": env.N.as_int(),
@@ -280,6 +288,8 @@ def cmd_covcheck(args):
 
 
 def cmd_parametrix(args):
+    # the exact build pads the window by |n|
+    _check_window(abs(args.n))
     env = _env(args)
     Ms = [int(s) for s in args.mlist.split(",") if s]
     data = _implementation(args, env, max(Ms, default=0))
@@ -304,7 +314,11 @@ def cmd_normest(args):
 
 def cmd_qnorm(args):
     env = _env(args)
-    _check_window(env.N.as_int() if env.N.is_finite() else 0, args.grid)
+    # the grid doubles each round; a shift past MAX_GRID's bit length
+    # already exceeds it, so no huge power is formed
+    shift = min(max(1, args.rounds) - 1, MAX_GRID.bit_length())
+    _check_window(env.N.as_int() if env.N.is_finite() else 0,
+                  args.grid << shift)
     b = _eval(args, env, args.expr)
     _emit(numerics.quotient_norm_report(b, env.N, args.grid,
                                         rounds=args.rounds))
@@ -402,7 +416,8 @@ def main(argv=None):
         print(f"unknown name: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except NoConvergence as exc:
-        print(f"no convergence: {exc}", file=sys.stderr)
+        print(f"no convergence: {exc} (iterations: {exc.iterations}, "
+              f"last value: {exc.last_value})", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     except (MathDomainError, WindowTooSmall) as exc:
         print(f"domain error: {exc}", file=sys.stderr)

@@ -38,7 +38,8 @@ class NotDerivation(MathDomainError):
 
 
 class LevelMismatch(MathDomainError):
-    """Vectors or operators live at incompatible chain levels."""
+    """A Haar-space level is missing or not positive, does not divide N, is
+    not a multiple of a period it must carry, or differs between vectors."""
 
 
 class SideMismatch(MathDomainError):

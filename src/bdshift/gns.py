@@ -21,7 +21,6 @@ import numpy as np
 from .scalars import Scalar, as_scalar, ZERO, ONE
 from .errors import (
     LevelMismatch,
-    NotFinite,
     RegimeMismatch,
     WindowTooSmall,
 )

@@ -130,7 +130,12 @@ def oracle_product_check(a, b, M):
     return TruncationReport(M, margin, max_dev, verdict)
 
 
-def norm_lower(a, M, tol=1e-10, cap=10000, seed=20240117, strict=True):
+# power-iteration tolerance and start-vector seed of norm_lower
+NORM_TOL = 1e-10
+NORM_SEED = 20240117
+
+
+def norm_lower(a, M, cap=10000, strict=True):
     """Largest singular value of the M x M truncation, by power
     iteration on the Gram matrix.  A lower bound for the operator norm,
     monotone nondecreasing in M.
@@ -138,24 +143,19 @@ def norm_lower(a, M, tol=1e-10, cap=10000, seed=20240117, strict=True):
     With strict=False a stalled iteration returns its last Rayleigh
     iterate (still a lower bound) instead of raising."""
     A = truncate_unilateral(a, M)
-    return _top_singular_value(A, tol, cap, seed, strict)
-
-
-def _top_singular_value(A, tol=1e-10, cap=10000, seed=20240117, strict=True):
-    M = A.shape[0]
     gram = A.conj().T @ A
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(NORM_SEED)
     v = rng.standard_normal(M) + 1j * rng.standard_normal(M)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for it in range(cap):
+    for _ in range(cap):
         w = gram @ v
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         v = w / nw
         new = float(np.real(np.vdot(v, gram @ v)))
-        if abs(new - lam) <= tol * max(1.0, abs(new)):
+        if abs(new - lam) <= NORM_TOL * max(1.0, abs(new)):
             return math.sqrt(max(new, 0.0))
         lam = new
     if strict:
@@ -165,15 +165,6 @@ def _top_singular_value(A, tol=1e-10, cap=10000, seed=20240117, strict=True):
             iterations=cap,
         )
     return math.sqrt(max(lam, 0.0))
-
-
-def rho_theta(a, theta, M):
-    """The gauge action on the truncation: conjugation by
-    diag(e^{ik theta}), which phase-weights the degree-n block by
-    e^{in theta}."""
-    A = truncate_unilateral(a, M)
-    phases = np.exp(1j * theta * np.arange(M))
-    return (phases[:, None] * A) * np.conj(phases)[None, :]
 
 
 def quotient_norm_estimate(b, N, G):

@@ -19,7 +19,7 @@ MAX_DIGITS is a syntax error.
 
 from fractions import Fraction
 
-from .scalars import Scalar, ZERO, ONE
+from .scalars import Scalar, ONE
 from .errors import (
     ExprSyntaxError,
     MathDomainError,
@@ -343,41 +343,3 @@ def parse_gaussian(text):
         raise ExprSyntaxError("expected a scalar expression", 0)
 
     return fold(node)
-
-
-# ---------------------------------------------------------------------------
-# canonical formatting
-
-
-def format_element(x, prefix="c"):
-    """Parseable canonical text plus the diagonal bindings it references.
-
-    Returns (text, names) where names maps synthetic diag names to the
-    coefficient sequences.  Reparsing the text in an environment holding
-    those names reproduces x.
-    """
-    names = {}
-    parts = []
-    if isinstance(x, algebra.UnilateralElement):
-        for n in x.degrees():
-            name = f"{prefix}{'m' if n < 0 else ''}{abs(n)}"
-            names[name] = x.terms[n]
-            if n > 0:
-                parts.append(f"U^{n}*diag({name})")
-            elif n == 0:
-                parts.append(f"diag({name})")
-            else:
-                parts.append(f"diag({name})*Us^{-n}")
-    elif isinstance(x, algebra.BilateralElement):
-        for n in x.degrees():
-            name = f"{prefix}{'m' if n < 0 else ''}{abs(n)}"
-            names[name] = x.terms[n]
-            if n > 0:
-                parts.append(f"V^{n}*diag({name})")
-            elif n == 0:
-                parts.append(f"diag({name})")
-            else:
-                parts.append(f"Vi^{-n}*diag({name})")
-    else:
-        raise TypeError(f"cannot format {type(x).__name__}")
-    return (" + ".join(parts) if parts else "0"), names

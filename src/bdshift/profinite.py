@@ -1,18 +1,17 @@
-"""Supernatural numbers, divisor chains, truncated profinite integers,
-and the periodic core: eventually periodic tables whose period divides N,
-with locally constant functions on Z/NZ as the correction-free member.
+"""Supernatural numbers and the periodic core: eventually periodic tables
+whose period divides N, with locally constant functions on Z/NZ as the
+correction-free member.
 
 A supernatural number is a formal product of primes with exponents in
 {1, 2, ..., infinity}; only finitely many primes carry a nonzero exponent
-here (every computation touches a finite divisor chain anyway).  Elements
-of Z/NZ are represented by compatible residue lists along an explicit,
-caller-chosen divisor chain.
+here.  A level j of N is a positive integer dividing it (divides,
+finite_divisors); every table period is such a level.
 """
 
 import functools
 import math
 
-from .errors import PeriodNotDivisor, NotFinite, LevelMismatch
+from .errors import PeriodNotDivisor, NotFinite
 from .scalars import Scalar, coerce_scalar
 
 INF = math.inf
@@ -163,121 +162,6 @@ def finite_divisors(N, bound):
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
     return [j for j in range(1, bound + 1) if divides(j, N)]
-
-
-class DivisorChain:
-    """Ascending levels j_1 | j_2 | ... | j_m, each dividing N."""
-
-    __slots__ = ("levels", "N")
-
-    def __init__(self, levels, N):
-        levels = [int(j) for j in levels]
-        if not levels:
-            raise ValueError("divisor chain needs at least one level")
-        for j in levels:
-            if j < 1:
-                raise ValueError(f"levels must be positive, got {j}")
-            if not divides(j, N):
-                raise PeriodNotDivisor(f"level {j} does not divide N")
-        for a, b in zip(levels, levels[1:]):
-            if b % a != 0:
-                raise ValueError(f"chain level {a} does not divide {b}")
-        object.__setattr__(self, "levels", tuple(levels))
-        object.__setattr__(self, "N", N)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DivisorChain is immutable")
-
-    def top(self):
-        return self.levels[-1]
-
-    def __eq__(self, other):
-        if not isinstance(other, DivisorChain):
-            return NotImplemented
-        return self.levels == other.levels and self.N == other.N
-
-    def __hash__(self):
-        return hash((self.levels, self.N))
-
-    def __repr__(self):
-        return f"DivisorChain({list(self.levels)})"
-
-    def to_json(self):
-        return {"levels": list(self.levels)}
-
-    @classmethod
-    def from_json(cls, data, N):
-        return cls(data["levels"], N)
-
-
-class ProfiniteInteger:
-    """Compatible residues x_i mod j_i along a divisor chain."""
-
-    __slots__ = ("chain", "residues")
-
-    def __init__(self, chain, residues):
-        residues = [int(x) for x in residues]
-        if len(residues) != len(chain.levels):
-            raise ValueError("one residue per chain level required")
-        for x, j in zip(residues, chain.levels):
-            if not 0 <= x < j:
-                raise ValueError(f"residue {x} out of range for level {j}")
-        for (x1, j1), x2 in zip(zip(residues, chain.levels), residues[1:]):
-            if x2 % j1 != x1:
-                raise ValueError(
-                    f"incompatible residues: {x2} mod {j1} != {x1}"
-                )
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "residues", tuple(residues))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProfiniteInteger is immutable")
-
-    def residue_at_level(self, j):
-        for level, x in zip(self.chain.levels, self.residues):
-            if level % j == 0:
-                return x % j
-        raise LevelMismatch(f"no chain level divisible by {j}")
-
-    def _binop(self, other, op):
-        if not isinstance(other, ProfiniteInteger):
-            return NotImplemented
-        if self.chain != other.chain:
-            raise LevelMismatch("profinite integers live on different chains")
-        return ProfiniteInteger(
-            self.chain,
-            [op(a, b) % j
-             for a, b, j in zip(self.residues, other.residues,
-                                self.chain.levels)],
-        )
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
-
-    def __neg__(self):
-        return ProfiniteInteger(
-            self.chain,
-            [(-x) % j for x, j in zip(self.residues, self.chain.levels)],
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, ProfiniteInteger):
-            return NotImplemented
-        return self.chain == other.chain and self.residues == other.residues
-
-    def __hash__(self):
-        return hash((self.chain, self.residues))
-
-    def __repr__(self):
-        return f"ProfiniteInteger({list(self.residues)} on {list(self.chain.levels)})"
-
-
-def q_map(x, chain):
-    """The truncation q(x) = {x mod j_i} of an ordinary integer."""
-    return ProfiniteInteger(chain, [x % j for j in chain.levels])
 
 
 def _minimal_period(values):

@@ -66,11 +66,6 @@ def ep_zero(N):
     return EPSequence({}, [0], N)
 
 
-def ep_spike(k, v, N):
-    """Pure c00 spike of value v at position k."""
-    return EPSequence({k: v}, [0], N)
-
-
 def ep_from_lcf(f):
     """Restriction of a locally constant function to k >= 0."""
     return EPSequence({}, f.table, f.N)
@@ -184,60 +179,6 @@ def partial_sums(alpha):
         if dev:
             corr[k] = dev
     return AffineSequence(mean, EPSequence(corr, table, alpha.N))
-
-
-def bep_partial_sums(gamma):
-    """eta with eta(l) - eta(l-1) = gamma(l), anchored at eta(0) = gamma(0).
-
-    Representable as linear + eventually periodic only when the c00 part
-    of gamma sums to zero over Z; otherwise the two tails of the staircase
-    disagree and the input is rejected.
-    """
-    mean, periodic_sums = _mean_and_sums(gamma)
-    total = _ZERO
-    for v in gamma.correction.values():
-        total = total + v
-    if total:
-        raise ValueError(
-            "bilateral partial sums need a zero-sum c00 part; "
-            f"got total {total}"
-        )
-
-    # staircase of the c00 part: F(l) = sum of corrections at 0 < i <= l
-    # for l >= 0 and -(sum at l < i <= 0) for l < 0; with zero total both
-    # tails equal T = sum over positive keys, absorbed into the table
-    def staircase(l):
-        F = Scalar(0)
-        if l >= 0:
-            for i, v in gamma.correction.items():
-                if 0 < i <= l:
-                    F = F + v
-        else:
-            for i, v in gamma.correction.items():
-                if l < i <= 0:
-                    F = F - v
-        return F
-
-    tail = Scalar(0)
-    for i, v in gamma.correction.items():
-        if i > 0:
-            tail = tail + v
-
-    corr = {}
-    if gamma.correction:
-        keys = gamma.correction.keys()
-        lo = min(min(keys), 0) - 1
-        hi = max(max(keys), 0)
-        for l in range(lo, hi + 1):
-            dev = staircase(l) - tail
-            if dev:
-                corr[l] = dev
-
-    anchor = gamma.value_at(0) - periodic_sums[0]
-    table = [s + anchor + tail for s in periodic_sums]
-    return BilateralAffineSequence(
-        mean, BilateralEPSequence(corr, table, gamma.N)
-    )
 
 
 def increment(beta):

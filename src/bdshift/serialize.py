@@ -1,5 +1,6 @@
-"""Workspace files: one JSON document holding the ambient N, an optional
-divisor chain, and named sequences, derivations and Laurent functions.
+"""Workspace files: one JSON document holding the ambient N and named
+sequences, derivations and Laurent functions.  Any other top-level key
+(such as the "chain" of older files) is ignored.
 
 Sequence values are polymorphic: objects with a "values" key decode to
 locally constant functions, objects with a "table" key to eventually
@@ -9,12 +10,7 @@ periodic sequences.
 import json
 
 from .errors import PeriodNotDivisor
-from .profinite import (
-    DivisorChain,
-    LocallyConstantFunction,
-    SupernaturalNumber,
-    divides,
-)
+from .profinite import LocallyConstantFunction, SupernaturalNumber, divides
 from .sequences import EPSequence
 from .derivations import DerivationSum, LaurentFunction
 
@@ -22,12 +18,10 @@ from .derivations import DerivationSum, LaurentFunction
 class Workspace:
     """Named environment shared by all commands."""
 
-    __slots__ = ("N", "chain", "sequences", "derivations", "laurent")
+    __slots__ = ("N", "sequences", "derivations", "laurent")
 
-    def __init__(self, N, chain=None, sequences=None, derivations=None,
-                 laurent=None):
+    def __init__(self, N, sequences=None, derivations=None, laurent=None):
         self.N = N
-        self.chain = chain
         self.sequences = dict(sequences or {})
         self.derivations = dict(derivations or {})
         self.laurent = dict(laurent or {})
@@ -40,8 +34,6 @@ class Workspace:
 
     def to_json(self):
         out = {"N": self.N.to_json()}
-        if self.chain is not None:
-            out["chain"] = self.chain.to_json()
         if self.sequences:
             out["sequences"] = {
                 k: v.to_json() for k, v in sorted(self.sequences.items())
@@ -59,9 +51,6 @@ class Workspace:
     @classmethod
     def from_json(cls, data):
         N = SupernaturalNumber.from_json(data["N"])
-        chain = None
-        if "chain" in data:
-            chain = DivisorChain.from_json(data["chain"], N)
         sequences = {
             k: _sequence_from_json(v, N)
             for k, v in data.get("sequences", {}).items()
@@ -74,7 +63,7 @@ class Workspace:
             k: LaurentFunction.from_json(v)
             for k, v in data.get("laurent", {}).items()
         }
-        return cls(N, chain, sequences, derivations, laurent)
+        return cls(N, sequences, derivations, laurent)
 
 
 def _sequence_from_json(data, N):

@@ -1,5 +1,4 @@
 import io
-import math
 import random
 from fractions import Fraction
 
@@ -26,7 +25,6 @@ from bdshift.numerics import (
     oracle_product_check,
     quotient_norm_estimate,
     quotient_norm_report,
-    rho_theta,
     truncate_exact,
     truncate_unilateral,
     write_matrix_csv,
@@ -177,22 +175,6 @@ def test_norm_lower_no_convergence():
     assert 0.0 < err.last_value <= 2.0 + 1e-9
     relaxed = norm_lower(x, 64, cap=5, strict=False)
     assert 0.0 < relaxed <= 2.0 + 1e-9
-
-
-def test_rho_theta():
-    rng = random.Random(20240202)
-    for _ in range(20):
-        x = rand_unilateral(rng, N4, [1, 2, 4], max_deg=2)
-        theta = rng.uniform(0, 2 * math.pi)
-        R = rho_theta(x, theta, 12)
-        want = np.zeros((12, 12), dtype=complex)
-        for n, coeff in x.terms.items():
-            phase = np.exp(1j * theta * n)
-            for k in range(12):
-                i, j = (k + n, k) if n >= 0 else (k, k - n)
-                if i < 12 and j < 12:
-                    want[i, j] += phase * complex(coeff.value_at(k))
-        assert np.max(np.abs(R - want)) < 1e-12
 
 
 def test_quotient_norm_frozen_values():

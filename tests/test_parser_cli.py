@@ -1,7 +1,10 @@
 import json
-import random
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +28,6 @@ from bdshift.algebra import (
     identity_element,
     p0_element,
     u_element,
-    v_element,
 )
 from bdshift.derivations import (
     DerivationSum,
@@ -34,7 +36,7 @@ from bdshift.derivations import (
     covariant,
     reassemble,
 )
-from bdshift.parser import eval_ast, format_element, parse, parse_gaussian
+from bdshift.parser import eval_ast, parse, parse_gaussian
 from bdshift.serialize import Workspace, load_workspace, save_workspace
 from bdshift import cli
 
@@ -200,31 +202,6 @@ def test_powers_match_repeated_products():
         parse_gaussian("2^2000000")
 
 
-def test_format_round_trip():
-    rng = random.Random(20240217)
-    ws = make_workspace()
-    for _ in range(30):
-        terms = {}
-        for _ in range(rng.randint(1, 3)):
-            per = rng.choice([1, 2])
-            corr = {
-                rng.randint(0, 4): Scalar(rng.randint(-3, 3))
-                for _ in range(rng.randint(0, 2))
-            }
-            terms[rng.randint(-3, 3)] = EPSequence(
-                corr, [Scalar(rng.randint(-3, 3)) for _ in range(per)], N2
-            )
-        x = UnilateralElement(terms, N2)
-        text, names = format_element(x)
-        env = Workspace(N2, sequences=names)
-        assert eval_ast(parse(text), env, "unilateral") == x
-    b = v_element(N2, 2) + v_element(N2, -1)
-    text, names = format_element(b)
-    env = Workspace(N2, sequences=names)
-    assert eval_ast(parse(text), env, "bilateral") == b
-    assert format_element(UnilateralElement({}, N2))[0] == "0"
-
-
 # ---------------------------------------------------------------------------
 # workspace files
 
@@ -238,6 +215,10 @@ def test_workspace_round_trip(tmp_path):
     assert back.sequences == ws.sequences
     assert back.derivations == ws.derivations
     assert back.laurent == ws.laurent
+    # an older file's divisor chain is ignored like any unknown key
+    data = ws.to_json()
+    data["chain"] = {"levels": [3]}
+    assert Workspace.from_json(data).to_json() == ws.to_json()
 
 
 def test_workspace_rejects_bad_period():
@@ -422,13 +403,18 @@ def test_cli_exit_codes(capsys, ws_path, tmp_path):
         "classify", "--workspace", ws_path, "--derivation", "d", "--n", "1",
     )
     assert code == 3
-    # non-convergence: dense spectrum with a tiny iteration cap
-    code, _ = run_cli(
-        capsys,
+    # non-convergence: dense spectrum with a tiny iteration cap; stderr
+    # reports the iteration count and the last iterate, stdout stays empty
+    code = cli.main([
         "normest", "--workspace", ws_path, "U + Us", "--m", "64",
         "--cap", "5",
-    )
+    ])
+    out, err = capsys.readouterr()
     assert code == 4
+    assert out == ""
+    assert "iterations: 5," in err
+    last = float(err.rsplit("last value: ", 1)[1].rstrip().rstrip(")"))
+    assert 0.0 < last <= 2.0 + 1e-9
     # help exits cleanly (non-JSON output)
     code = cli.main(["--help"])
     capsys.readouterr()
@@ -519,10 +505,14 @@ def test_cli_huge_correction_key_is_rejected(capsys, tmp_path):
     assert beta.ep.correction == {MAX_CORRECTION_KEY: ONE}
 
 
-def test_cli_oversized_windows_fail_fast(capsys, ws_path):
+def test_cli_oversized_windows_fail_fast(capsys, ws_path, tmp_path):
     big = "1000000000"
     ws = ["--workspace", ws_path]
     gns = [*ws, "--derivation", "d", "--n", "1"]
+    # N = 2^12: units would list N^2 units, matrix-form an N x N table
+    n4096 = tmp_path / "n4096.json"
+    n4096.write_text(json.dumps({"N": {"factors": {"2": 12}}}))
+    wide = ["--workspace", str(n4096)]
     requests = [
         ["truncate", *ws, "U", "--m", big],
         ["normest", *ws, "U", "--m", big],
@@ -534,6 +524,14 @@ def test_cli_oversized_windows_fail_fast(capsys, ws_path):
         ["parametrix", *gns, "--mlist", f"8,{big}"],
         ["gns-rep", *ws, "--state", "haar", "--level", big, "V"],
         ["qnorm", *ws, "V + Vi", "--grid", big],
+        # the grid doubles each round: 8 * 2^29 points in the last one
+        ["qnorm", *ws, "V + Vi", "--grid", "8", "--rounds", "30"],
+        ["qnorm", *ws, "V + Vi", "--grid", "8", "--rounds", str(10**18)],
+        # the exact parametrix build pads the window by |n|
+        ["parametrix", *ws, "--derivation", "d", "--n", "1000000000000",
+         "--mlist", "4"],
+        ["units", *wide],
+        ["matrix-form", *wide, "V"],
     ]
     for argv in requests:
         start = time.perf_counter()
@@ -550,3 +548,20 @@ def test_cli_oversized_windows_fail_fast(capsys, ws_path):
 def test_cli_requires_command(capsys):
     code, _ = run_cli(capsys)
     assert code == 1
+
+
+def test_exact_modules_import_without_numpy():
+    # only numerics and gns need numpy; the package does not import them
+    code = (
+        "import sys\n"
+        "import bdshift.algebra, bdshift.derivations, bdshift.parser\n"
+        "import bdshift.serialize\n"
+        "assert 'numpy' not in sys.modules, sorted(sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

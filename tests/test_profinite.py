@@ -5,15 +5,13 @@ from fractions import Fraction
 import pytest
 
 from bdshift.scalars import Scalar
-from bdshift.errors import LevelMismatch, NotFinite, PeriodNotDivisor
+from bdshift.errors import NotFinite, PeriodNotDivisor
 from bdshift.profinite import (
-    DivisorChain,
     LocallyConstantFunction,
     _divides,
     _factorize,
     _is_prime,
     _minimal_period,
-    ProfiniteInteger,
     SupernaturalNumber,
     divides,
     finite_divisors,
@@ -22,7 +20,6 @@ from bdshift.profinite import (
     ep_scale,
     ep_shift,
     haar_integral,
-    q_map,
 )
 from bdshift.sequences import BilateralEPSequence
 
@@ -127,42 +124,6 @@ def test_minimal_period_agrees_with_divisor_scan():
 def test_supernatural_json():
     for N in (N12, N2INF, SupernaturalNumber({})):
         assert SupernaturalNumber.from_json(N.to_json()) == N
-
-
-def test_divisor_chain():
-    chain = DivisorChain([1, 2, 4], N2INF)
-    assert chain.top() == 4
-    with pytest.raises(ValueError):
-        DivisorChain([2, 3], SupernaturalNumber.from_int(6))
-    with pytest.raises(PeriodNotDivisor):
-        DivisorChain([3], N2INF)
-    assert DivisorChain.from_json(chain.to_json(), N2INF) == chain
-
-
-def test_profinite_arithmetic():
-    chain = DivisorChain([2, 4, 8], N2INF)
-    x = q_map(5, chain)
-    y = q_map(7, chain)
-    assert x.residues == (1, 1, 5)
-    assert (x + y) == q_map(12, chain)
-    assert (x * y) == q_map(35, chain)
-    assert -x == q_map(-5, chain)
-    assert x.residue_at_level(4) == 1
-    with pytest.raises(ValueError):
-        ProfiniteInteger(chain, [1, 3, 5])
-    other = DivisorChain([2, 4], N2INF)
-    with pytest.raises(LevelMismatch):
-        x + q_map(1, other)
-
-
-def test_profinite_random_ring_laws():
-    rng = random.Random(20240102)
-    chain = DivisorChain([1, 3, 6, 12], N12)
-    for _ in range(100):
-        a, b, c = (q_map(rng.randint(-50, 50), chain) for _ in range(3))
-        assert (a + b) * c == a * c + b * c
-        assert a * b == b * a
-        assert a + -a == q_map(0, chain)
 
 
 def test_lcf_minimal_period():

@@ -11,14 +11,12 @@ from bdshift.sequences import (
     BilateralAffineSequence,
     BilateralEPSequence,
     EPSequence,
-    bep_partial_sums,
     ep_add,
     ep_constant,
     ep_from_lcf,
     ep_mul,
     ep_scale,
     ep_shift,
-    ep_spike,
     ep_supnorm_sq,
     ep_zero,
     increment,
@@ -169,17 +167,6 @@ def test_bilateral_increment_sums_inverse():
         gamma = increment(eta)
         for l in range(-6, 7):
             assert gamma.value_at(l) == eta.value_at(l) - eta.value_at(l - 1)
-        back = bep_partial_sums(gamma)
-        offset = back.value_at(0) - eta.value_at(0)
-        assert back.linear == eta.linear
-        for l in range(-6, 7):
-            assert back.value_at(l) - eta.value_at(l) == offset
-
-
-def test_bilateral_partial_sums_rejects_unbalanced_c00():
-    gamma = BilateralEPSequence({0: Scalar(1)}, [Scalar(0)], N6)
-    with pytest.raises(ValueError):
-        bep_partial_sums(gamma)
 
 
 def test_minimal_period_bilateral():
