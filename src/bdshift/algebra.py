@@ -20,12 +20,10 @@ from .profinite import LocallyConstantFunction
 from .scalars import Scalar, as_scalar, coerce_scalar
 from .sequences import (
     EPSequence,
-    QuasiAffine,
     ep_add,
     ep_conjugate,
     ep_constant,
     ep_from_lcf,
-    ep_mul,
     ep_scale,
     ep_shift,
 )
@@ -34,59 +32,32 @@ _ZERO = Scalar(0)
 
 
 # ---------------------------------------------------------------------------
-# generic monomial product kernel, shared by the plain and quasi-affine paths
+# the monomial product kernel of both algebras
 
 
-def _shift_coeff(x, t):
-    if isinstance(x, QuasiAffine):
-        return x.shift(t)
-    return ep_shift(x, t)
-
-
-def _mul_coeff(x, y):
-    if isinstance(x, QuasiAffine):
-        return x.mul_ep(y)
-    if isinstance(y, QuasiAffine):
-        return y.mul_ep(x)
-    return ep_mul(x, y)
-
-
-def _add_coeff(x, y):
-    if isinstance(x, QuasiAffine) or isinstance(y, QuasiAffine):
-        if not isinstance(x, QuasiAffine):
-            x = QuasiAffine.from_ep(x)
-        if not isinstance(y, QuasiAffine):
-            y = QuasiAffine.from_ep(y)
-    return x + y
-
-
-def _mono_mul(m, a, n, b):
-    """Normal form of (degree m, coeff a)*(degree n, coeff b)."""
-    if m >= 0 and n >= 0:
-        return m + n, _mul_coeff(_shift_coeff(a, n), b)
-    if m >= 0 and n < 0:
-        q = -n
-        return m + n, _shift_coeff(_mul_coeff(a, b), -min(m, q))
-    if m < 0 and n >= 0:
+def _mono_mul(m, a, n, b, unilateral):
+    """Coefficient of (degree m, coeff a)*(degree n, coeff b), which has
+    degree m + n.  Coefficients are sequences or QuasiAffine pairs."""
+    if not unilateral or (m >= 0 and n >= 0):
+        # V^m a V^n b = V^{m+n} a(.+n) b
+        return a.shift(n) * b
+    if m >= 0:
+        return (a * b).shift(-min(m, -n))
+    if n >= 0:
         d = n + m
-        if d >= 0:
-            return d, _mul_coeff(_shift_coeff(a, d), b)
-        return d, _mul_coeff(a, _shift_coeff(b, -d))
-    # m < 0 and n < 0
-    return m + n, _mul_coeff(a, _shift_coeff(b, -m))
+        return a.shift(d) * b if d >= 0 else a * b.shift(-d)
+    return a * b.shift(-m)
 
 
-def _terms_mul(xt, yt):
-    """Product of two term dicts (degree -> coefficient), unnormalized
-    accumulation by degree."""
+def _terms_mul(xt, yt, unilateral):
+    """Product of two term dicts (degree -> coefficient), accumulated by
+    degree; unilateral selects the domain k >= 0 of A(N) over Z."""
     out = {}
     for m, a in xt.items():
         for n, b in yt.items():
-            deg, coeff = _mono_mul(m, a, n, b)
-            if deg in out:
-                out[deg] = _add_coeff(out[deg], coeff)
-            else:
-                out[deg] = coeff
+            coeff = _mono_mul(m, a, n, b, unilateral)
+            deg = m + n
+            out[deg] = out[deg] + coeff if deg in out else coeff
     return out
 
 
@@ -96,7 +67,7 @@ def _terms_mul(xt, yt):
 
 class _Element:
     """Finite normal form: degree -> nonzero coefficient.  Subclasses set
-    the coefficient class _coeff, the product _times and entry."""
+    the coefficient class _coeff and entry."""
 
     __slots__ = ("terms", "N")
 
@@ -149,7 +120,7 @@ class _Element:
 
     def __mul__(self, other):
         if type(other) is type(self):
-            return self._times(other)
+            return multiply(self, other)
         c = as_scalar(other)
         if c is NotImplemented:
             return NotImplemented
@@ -212,9 +183,6 @@ class UnilateralElement(_Element):
     __slots__ = ()
     _coeff = EPSequence
 
-    def _times(self, other):
-        return multiply(self, other)
-
     def entry(self, i, j):
         """Exact matrix entry (i, j) of the represented operator."""
         n = i - j
@@ -261,16 +229,25 @@ def matrix_unit_compact(r, s, N):
 
 
 def multiply(x, y):
-    """Normal form of the operator product."""
-    return UnilateralElement(_terms_mul(x.terms, y.terms), x.N)
+    """Normal form of the operator product, on either algebra."""
+    return type(x)(_terms_mul(x.terms, y.terms, x._coeff.unilateral), x.N)
+
+
+bilateral_multiply = multiply
 
 
 def adjoint(x):
-    """The *-operation; coefficients conjugate with no index shift under
-    the coefficient-left convention for negative degrees."""
-    return UnilateralElement(
-        {-n: ep_conjugate(a) for n, a in x.terms.items()}, x.N
-    )
+    """The *-operation on either algebra.  Coefficients conjugate with no
+    index shift under the coefficient-left convention of negative
+    unilateral degrees."""
+    terms = {-n: ep_conjugate(a) for n, a in x.terms.items()}
+    if not x._coeff.unilateral:
+        # (V^n f)* = f* V^{-n} = V^{-n} f*(. - n)
+        terms = {m: ep_shift(a, m) for m, a in terms.items()}
+    return type(x)(terms, x.N)
+
+
+bilateral_adjoint = adjoint
 
 
 def is_compact(x):
@@ -304,9 +281,6 @@ class BilateralElement(_Element):
     __slots__ = ()
     _coeff = LocallyConstantFunction
 
-    def _times(self, other):
-        return bilateral_multiply(self, other)
-
     def entry(self, i, j):
         """Exact matrix entry over Z: (i, j) with i = j + degree."""
         f = self.terms.get(i - j)
@@ -337,25 +311,6 @@ def bilateral_diag(f):
     return BilateralElement({0: f}, f.N)
 
 
-def bilateral_multiply(x, y):
-    """V^m f(L) V^n g(L) = V^{m+n} f(L+n) g(L); V is invertible so no
-    projection corrections arise."""
-    out = {}
-    for m, f in x.terms.items():
-        for n, g in y.terms.items():
-            coeff = ep_mul(ep_shift(f, n), g)
-            deg = m + n
-            out[deg] = ep_add(out[deg], coeff) if deg in out else coeff
-    return BilateralElement(out, x.N)
-
-
-def bilateral_adjoint(x):
-    return BilateralElement(
-        {-n: ep_shift(ep_conjugate(f), -n) for n, f in x.terms.items()},
-        x.N,
-    )
-
-
 def expectation(b):
     """The degree-0 coefficient, as a locally constant function."""
     f = b.terms.get(0)
@@ -378,7 +333,7 @@ def toeplitz(b):
 
 def mult_defect(b1, b2):
     """T(b1 b2) - T(b1)T(b2); always compact."""
-    return toeplitz(bilateral_multiply(b1, b2)) - multiply(
+    return toeplitz(multiply(b1, b2)) - multiply(
         toeplitz(b1), toeplitz(b2)
     )
 

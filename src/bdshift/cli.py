@@ -146,7 +146,7 @@ def cmd_comm(args):
     env = _env(args)
     a = _eval(args, env, args.left)
     b = _eval(args, env, args.right)
-    _emit((a * b - b * a).to_json())
+    _emit(algebra.commutator(a, b).to_json())
 
 
 def cmd_derive(args):

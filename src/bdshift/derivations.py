@@ -39,9 +39,7 @@ from .algebra import (
     BilateralElement,
     MatrixTrigPoly,
     UnilateralElement,
-    _add_coeff,
     _terms_mul,
-    bilateral_zero,
     multiply,
     scale,
     spectral_component,
@@ -232,31 +230,30 @@ def from_inner(x):
     return DerivationSum(comps, x.N)
 
 
-def apply(d, a):
-    """d(a), computed exactly.
+def _commutator(components, x):
+    """[g, x] on either algebra, g the sum of the components' generators.
 
-    The generator coefficients are lifted to quasi-affine pairs; the
-    commutator must cancel every affine weight, which the validity
-    conditions guarantee.
+    Their affine coefficients are lifted to quasi-affine pairs in the
+    coefficient class of x and collapsed once the commutator has
+    cancelled every affine weight, as the validity conditions guarantee.
     """
-    gen = {}
-    for n, comp in d.components.items():
-        gen[n] = QuasiAffine.from_affine(comp.beta)
-    if not gen or a.is_zero():
-        return zero_element(a.N)
-    left = _terms_mul(gen, a.terms)
-    right = _terms_mul(a.terms, gen)
-    terms = {}
-    for deg in set(left) | set(right):
-        coeff = left.get(deg)
-        if deg in right:
-            neg = -right[deg]
-            coeff = neg if coeff is None else _add_coeff(coeff, neg)
-        if isinstance(coeff, QuasiAffine):
-            coeff = coeff.collapse()
-        if not coeff.is_zero():
-            terms[deg] = coeff
-    return UnilateralElement(terms, a.N)
+    seq = x._coeff
+    gen = {
+        n: QuasiAffine.from_affine(comp._coef, seq)
+        for n, comp in components.items()
+    }
+    left = _terms_mul(gen, x.terms, seq.unilateral)
+    right = _terms_mul(x.terms, gen, seq.unilateral)
+    # both products have the degrees n + m; A(N) has always listed them
+    # in set order and B(N) in product order, and the JSON keeps both
+    order = set(left) | set(right) if seq.unilateral else left
+    terms = {deg: (left[deg] - right[deg]).collapse() for deg in order}
+    return type(x)(terms, x.N)
+
+
+def apply(d, a):
+    """d(a) on A(N), computed exactly."""
+    return _commutator(d.components, a)
 
 
 def fourier_component(d, n):
@@ -558,24 +555,9 @@ def quotient_derivation(d):
 
 
 def bilateral_apply(components, b):
-    """Apply quotient components to a bilateral element.
-
-    [V^n eta(L), V^m g(L)] has degree n + m with coefficient
-    (S_m eta) g - (S_n g) eta; validity makes the linear weight cancel.
-    """
-    terms = {}
-    for n, comp in components.items():
-        gen = QuasiAffine.from_affine(comp.eta)
-        for m, g in b.terms.items():
-            coeff = gen.shift(m).mul_ep(g) - gen.mul_ep(ep_shift(g, n))
-            deg = n + m
-            terms[deg] = terms[deg] + coeff if deg in terms else coeff
-    out = {}
-    for deg, coeff in terms.items():
-        ep = coeff.collapse()
-        if not ep.is_zero():
-            out[deg] = LocallyConstantFunction(ep.table, b.N)
-    return BilateralElement(out, b.N)
+    """Apply quotient components {n: BilateralCovariantData} to an element
+    of B(N): [V^n eta(L), V^m g(L)] = V^{n+m} ((S_m eta) g - (S_n g) eta)."""
+    return _commutator(components, b)
 
 
 def approx_c00(comp, M):

@@ -21,6 +21,7 @@ import numpy as np
 from .scalars import Scalar, as_scalar, ZERO, ONE
 from .errors import (
     LevelMismatch,
+    NoConvergence,
     RegimeMismatch,
     WindowTooSmall,
 )
@@ -31,7 +32,7 @@ from .profinite import (
     haar_integral,
 )
 from .algebra import expectation
-from .derivations import bounded_regime
+from .derivations import bilateral_apply, bounded_regime
 from .numerics import _sparse_mul
 
 
@@ -491,8 +492,6 @@ def check_implementation(D, components, b, M, space="tau0", level=1):
     D is a sparse exact matrix {(row, col): Scalar} on the window basis,
     e.g. a build_D_*_exact output or an exact pi-image.
     """
-    from .derivations import bilateral_apply
-
     db = bilateral_apply(components, b)
     if space == "tau0":
         level = 1
@@ -534,7 +533,8 @@ def check_implementation(D, components, b, M, space="tau0", level=1):
 def _min_eig_inverse_power(G, tol=1e-12, cap=20000, seed=20240117):
     """Smallest eigenvalue of Hermitian G >= I via power iteration on
     the inverse; G is block-diagonal, given as the (k, L, L) stack of its
-    blocks, and vectors run over the blocks in order."""
+    blocks, and vectors run over the blocks in order.  NoConvergence when
+    cap iterations do not settle."""
     Ginv = np.linalg.inv(G)
     k, L, _ = G.shape
 
@@ -553,10 +553,13 @@ def _min_eig_inverse_power(G, tol=1e-12, cap=20000, seed=20240117):
         v = w / nw
         new = float(np.real(np.vdot(v, apply(v))))
         if abs(new - lam) <= tol * max(1.0, abs(new)):
-            break
+            return 1.0 / max(new, 1e-300)
         lam = new
-    top = max(new, 1e-300)
-    return 1.0 / top
+    raise NoConvergence(
+        "inverse power iteration did not settle",
+        last_value=1.0 / max(lam, 1e-300),
+        iterations=cap,
+    )
 
 
 def _shell_min_sv(data, space, M):

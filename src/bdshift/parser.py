@@ -312,13 +312,11 @@ def eval_ast(node, env, side):
     if kind == "pow":
         return _power(eval_ast(node[1], env, side), node[2], identity())
     if kind == "comm":
-        a = eval_ast(node[1], env, side)
-        b = eval_ast(node[2], env, side)
-        return a * b - b * a
+        return algebra.commutator(
+            eval_ast(node[1], env, side), eval_ast(node[2], env, side)
+        )
     if kind == "adj":
-        inner = eval_ast(node[1], env, side)
-        return algebra.adjoint(inner) if uni \
-            else algebra.bilateral_adjoint(inner)
+        return algebra.adjoint(eval_ast(node[1], env, side))
     raise ValueError(f"unknown node {kind!r}")
 
 

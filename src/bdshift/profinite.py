@@ -17,6 +17,11 @@ from .scalars import Scalar, coerce_scalar
 INF = math.inf
 _ZERO = Scalar(0)
 
+# caps on workspace input: a correction key (see from_json) and the bit
+# length sum(e * log2 p) of N's finite part, which as_int() forms
+MAX_CORRECTION_KEY = 1 << 16
+MAX_N_BITS = 4096
+
 
 def _factorize(n):
     """Prime factorization of a positive integer by trial division."""
@@ -72,6 +77,7 @@ class SupernaturalNumber:
 
     def __init__(self, factors=None):
         clean = {}
+        bits = 0.0
         for p, e in (factors or {}).items():
             p = int(p)
             if not _is_prime(p):
@@ -82,6 +88,10 @@ class SupernaturalNumber:
                 e = int(e)
                 if e < 1:
                     raise ValueError(f"exponent must be positive, got {e}")
+                # min keeps a huge exponent from overflowing the float
+                bits += min(e, MAX_N_BITS + 1) * math.log2(p)
+                if bits > MAX_N_BITS:
+                    raise ValueError(f"N exceeds {MAX_N_BITS} bits")
                 clean[p] = e
         factors = dict(sorted(clean.items()))
         object.__setattr__(self, "factors", factors)
@@ -180,9 +190,6 @@ def _minimal_period(values):
     return values[:period]
 
 
-MAX_CORRECTION_KEY = 1 << 16
-
-
 class _PeriodicSequence:
     """Correction plus periodic table: a(k) = correction.get(k, 0) +
     table[k mod j], with j dividing N.  The canonical form has the minimal
@@ -252,7 +259,12 @@ class _PeriodicSequence:
         return ep_add(self, other)
 
     def __mul__(self, other):
+        if not isinstance(other, _PeriodicSequence):
+            return NotImplemented
         return ep_mul(self, other)
+
+    def shift(self, n):
+        return ep_shift(self, n)
 
     def __neg__(self):
         return ep_scale(self, Scalar(-1))

@@ -18,9 +18,12 @@ return the class of their first argument.  An affine sequence adds a
 linear coefficient times the weight: beta(k) = C*(k+1) + ep(k) on k >= 0,
 eta(l) = C*l + ep(l) on Z.
 
-QuasiAffine at the bottom is internal plumbing for commutator arithmetic:
-it tracks the affine weight of a coefficient through shifts and diagonal
-products so that cancellation can be verified exactly.
+QuasiAffine at the bottom carries the affine generator of a derivation
+through the product kernel of both algebras.  It speaks the sequences'
+operator protocol (.shift, *, +), so algebra._terms_mul multiplies a
+generator term with an element term like any two coefficients; the
+commutator then collapses it back to a sequence once the affine weight
+has cancelled exactly.
 """
 
 from fractions import Fraction
@@ -223,13 +226,13 @@ class QuasiAffine:
         raise AttributeError("QuasiAffine is immutable")
 
     @classmethod
-    def from_ep(cls, a):
-        return cls(type(a)({}, [_ZERO], a.N), a)
-
-    @classmethod
-    def from_affine(cls, beta):
+    def from_affine(cls, beta, seq):
+        """beta = (linear, ep) lifted into the sequence class seq."""
         ep = beta.ep
-        return cls(type(ep)({}, [beta.linear], ep.N), ep)
+        return cls(
+            seq._make({}, [beta.linear], ep.N),
+            seq._make(ep.correction, ep.table, ep.N),
+        )
 
     def value_at(self, k):
         return (
@@ -245,6 +248,8 @@ class QuasiAffine:
 
     def mul_ep(self, b):
         return QuasiAffine(ep_mul(self.u, b), ep_mul(self.v, b))
+
+    __mul__ = __rmul__ = mul_ep
 
     def __add__(self, other):
         return QuasiAffine(

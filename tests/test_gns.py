@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from bdshift.scalars import Scalar, ZERO, ONE
-from bdshift.errors import LevelMismatch, RegimeMismatch, WindowTooSmall
+from bdshift.errors import (
+    LevelMismatch,
+    NoConvergence,
+    RegimeMismatch,
+    WindowTooSmall,
+)
 from bdshift.profinite import LocallyConstantFunction, SupernaturalNumber
 from bdshift.sequences import BilateralAffineSequence, BilateralEPSequence
 from bdshift.algebra import (
@@ -41,7 +46,13 @@ from bdshift.gns import (
     tau0,
     tau_haar,
 )
-from bdshift.gns import _pi0_exact, _shell_min_sv, haar_mvec, tau0_mvec
+from bdshift.gns import (
+    _min_eig_inverse_power,
+    _pi0_exact,
+    _shell_min_sv,
+    haar_mvec,
+    tau0_mvec,
+)
 
 N2 = SupernaturalNumber.from_int(2)
 N4 = SupernaturalNumber.from_int(4)
@@ -508,3 +519,14 @@ def test_shell_min_sv_matches_dense():
                 got = _shell_min_sv(data, space, M)
                 want = dense_shell_min_sv(data, space, M)
                 assert abs(got - want) <= 1e-12 * want
+
+
+def test_min_eig_inverse_power_raises_at_cap():
+    # smallest eigenvalues 1 and 1.01 lie close, so the inverse iteration
+    # settles only after hundreds of steps
+    G = np.array([np.diag([1.0, 1.01]), np.diag([1.005, 2.0])], dtype=complex)
+    assert abs(_min_eig_inverse_power(G) - 1.0) <= 1e-6
+    with pytest.raises(NoConvergence) as info:
+        _min_eig_inverse_power(G, cap=2)
+    assert info.value.iterations == 2
+    assert 1.0 <= info.value.last_value <= 2.0

@@ -18,6 +18,7 @@ from bdshift.errors import (
 )
 from bdshift.profinite import (
     MAX_CORRECTION_KEY,
+    MAX_N_BITS,
     LocallyConstantFunction,
     SupernaturalNumber,
 )
@@ -503,6 +504,22 @@ def test_cli_huge_correction_key_is_rejected(capsys, tmp_path):
         assert time.perf_counter() - start < 2.0
     beta = load_workspace(str(path)).derivations["d"].component(0).beta
     assert beta.ep.correction == {MAX_CORRECTION_KEY: ONE}
+
+
+def test_cli_huge_finite_exponent_is_rejected(capsys, tmp_path):
+    # as_int() would form an integer of sum(e * log2 p) bits
+    path = tmp_path / "ws.json"
+    for e, want in ((10**8, 1), (10**10, 1), (MAX_N_BITS, 0)):
+        path.write_text(json.dumps({"N": {"factors": {"2": e}}}))
+        start = time.perf_counter()
+        code, _ = run_cli(capsys, "normalize", "--workspace", str(path), "U")
+        assert code == want
+        assert time.perf_counter() - start < 2.0
+    assert load_workspace(str(path)).N.as_int() == 2 ** MAX_N_BITS
+    # at the bound qnorm reaches its window cap instead of failing to
+    # format N
+    code, _ = run_cli(capsys, "qnorm", "--workspace", str(path), "V")
+    assert code == 3
 
 
 def test_cli_oversized_windows_fail_fast(capsys, ws_path, tmp_path):
