@@ -11,13 +11,22 @@ A bilateral element is a finite sum V^n b_n(L) with locally constant
 coefficients; entries (l+n, l) = b(l) over l in Z.  The products follow
 the commutation rule a(K)U = U a(K+I) and its bilateral twin; on the
 unilateral side the collapse (U*)U = I is exact while U^p c(K)(U*)^p
-produces the chi_{>=p} cutoff, realized by the zero-filling shift of
-the sequences module.
+produces the chi_{>=p} cutoff.
+
+One kernel, _terms_mul, multiplies on both algebras.  The terms of
+degrees m and n give degree m+n and c(k) = [k >= z] a(k+sa) b(k+sb), the
+rule (sa, sb, z) set by m, n and the domain (_rule).  Coefficients are
+lifted once to Gaussian-integer rows (re, im) over the lcm J of all
+periods and one shared denominator; each pair adds its periodic row and
+its corrections (exact minus periodic value) to one raw row per output
+degree, canonicalised once.  No Scalar is formed per pair.
 """
 
+import math
+
 from .errors import NotFinite
-from .profinite import LocallyConstantFunction
-from .scalars import Scalar, as_scalar, coerce_scalar
+from .profinite import LocallyConstantFunction, _common_period
+from .scalars import Scalar, _canonical, as_scalar, coerce_scalar
 from .sequences import (
     EPSequence,
     ep_add,
@@ -32,33 +41,126 @@ _ZERO = Scalar(0)
 
 
 # ---------------------------------------------------------------------------
-# the monomial product kernel of both algebras
+# the product kernel of both algebras
 
 
-def _mono_mul(m, a, n, b, unilateral):
-    """Coefficient of (degree m, coeff a)*(degree n, coeff b), which has
-    degree m + n.  Coefficients are sequences or QuasiAffine pairs."""
+def _rule(m, n, unilateral):
+    """(sa, sb, z) with V^m a . V^n b = V^{m+n} c and
+    c(k) = [k >= z] a(k+sa) b(k+sb); on k >= 0 both arguments are >= 0."""
     if not unilateral or (m >= 0 and n >= 0):
-        # V^m a V^n b = V^{m+n} a(.+n) b
-        return a.shift(n) * b
+        return n, 0, 0
     if m >= 0:
-        return (a * b).shift(-min(m, -n))
-    if n >= 0:
-        d = n + m
-        return a.shift(d) * b if d >= 0 else a * b.shift(-d)
-    return a * b.shift(-m)
+        # U^m (ab)(K) (U*)^-n keeps U^s (ab)(K) (U*)^s, s = min(m, -n),
+        # which is (ab)(K - s) cut off below s
+        s = min(m, -n)
+        return -s, -s, s
+    d = m + max(n, 0)
+    return (d, 0, 0) if d >= 0 else (0, -d, 0)
+
+
+def _at_shift(rows, s):
+    """The rows of q(. + s) before rotation: the weight obeys
+    W(k+s) = W(k) + s, so the weight-0 row v of a pair gains s*u."""
+    if len(rows) == 1 or not s:
+        return rows
+    (_, ur, ui, uc), (_, vr, vi, vc) = rows
+    corr = dict(vc)
+    for k, (a, b) in uc.items():
+        c = corr.get(k, (0, 0))
+        corr[k] = (c[0] + s * a, c[1] + s * b)
+    return [rows[0], (0, [s * x + y for x, y in zip(ur, vr)],
+                      [s * x + y for x, y in zip(ui, vi)], corr)]
 
 
 def _terms_mul(xt, yt, unilateral):
     """Product of two term dicts (degree -> coefficient), accumulated by
-    degree; unilateral selects the domain k >= 0 of A(N) over Z."""
+    degree in the order the pairs first reach it; unilateral selects the
+    domain k >= 0 of A(N) over Z.  A coefficient is a sequence or, in one
+    factor at most, a pair (u, v) of sequences standing for W*u + v, W
+    the affine weight (k+1 on k >= 0, l on Z); a pair enters as a weight-1
+    row u and a weight-0 row v, and comes out as a pair.
+
+    Each pair adds its periodic row a(r+sa) b(r+sb) to the rows of its
+    output degree and weight, grouped by z, and its corrections (exact
+    value minus periodic value at the moved correction keys) to theirs;
+    _make_row then cancels each group below its z.
+    """
+    if not xt or not yt:
+        return {}
+    parts = [[
+        (n, w, s) for n, c in t.items()
+        for w, s in (((1, c[0]), (0, c[1])) if isinstance(c, tuple)
+                     else ((0, c),))
+    ] for t in (xt, yt)]
+    seqs = [s for ps in parts for _, _, s in ps]
+    cls, N = type(seqs[0]), seqs[0].N
+    J = _common_period(N, *{s.period for s in seqs})
+    D = math.lcm(*{v._t[2] for s in seqs
+                   for v in (*s.table, *s.correction.values())})
+    # degree -> rows (weight, re, im, correction) of each factor, over
+    # the denominator D and lifted to J; a correction value is (re, im)
+    xrows, yrows = {}, {}
+    for rows, ps in zip((xrows, yrows), parts):
+        for n, w, s in ps:
+            re = [v._t[0] * (D // v._t[2]) for v in s.table] * (J // s.period)
+            im = [v._t[1] * (D // v._t[2]) for v in s.table] * (J // s.period)
+            corr = {k: (v._t[0] * (D // v._t[2]), v._t[1] * (D // v._t[2]))
+                    for k, v in s.correction.items()}
+            rows.setdefault(n, []).append((w, re, im, corr))
+    acc = {}
+    for m, arows in xrows.items():
+        for n, brows in yrows.items():
+            sa, sb, z = _rule(m, n, unilateral)
+            slots = acc.get(m + n) or acc.setdefault(m + n, {})
+            ra, rb = sa % J, sb % J
+            for wa, are, aim, ac in _at_shift(arows, sa):
+                ar, ai = are[ra:] + are[:ra], aim[ra:] + aim[:ra]
+                for wb, bre, bim, bc in _at_shift(brows, sb):
+                    br, bi = bre[rb:] + bre[:rb], bim[rb:] + bim[:rb]
+                    pr = [x * y - u * v for x, u, y, v in zip(ar, ai, br, bi)]
+                    pi = [x * v + u * y for x, u, y, v in zip(ar, ai, br, bi)]
+                    by_z, corr = slots.get(wa + wb) \
+                        or slots.setdefault(wa + wb, ({}, {}))
+                    (by_z.get(z) or by_z.setdefault(z, [])).append((pr, pi))
+                    if not (ac or bc):
+                        continue
+                    for k in {i - sa for i in ac} | {i - sb for i in bc}:
+                        if k < 0 and unilateral:
+                            continue
+                        i, j = k + sa, k + sb
+                        ca, cb = ac.get(i, (0, 0)), bc.get(j, (0, 0))
+                        x, u = are[i % J] + ca[0], aim[i % J] + ca[1]
+                        y, v = bre[j % J] + cb[0], bim[j % J] + cb[1]
+                        c = corr.get(k, (0, 0))
+                        corr[k] = (c[0] + x * y - u * v - pr[k % J],
+                                   c[1] + x * v + u * y - pi[k % J])
     out = {}
-    for m, a in xt.items():
-        for n, b in yt.items():
-            coeff = _mono_mul(m, a, n, b, unilateral)
-            deg = m + n
-            out[deg] = out[deg] + coeff if deg in out else coeff
+    for deg, slots in acc.items():
+        row0 = _make_row(cls, *slots[0], D * D, N)
+        out[deg] = (_make_row(cls, *slots[1], D * D, N), row0) \
+            if 1 in slots else row0
     return out
+
+
+def _make_row(cls, by_z, corr, D, N):
+    """The canonical sequence of one output row over the denominator D;
+    its corrections cancel each row group below the group's z."""
+    def total(rows):
+        if len(rows) == 1:
+            return rows[0]
+        return [list(map(sum, zip(*part))) for part in zip(*rows)]
+
+    sums = {z: total(rows) for z, rows in by_z.items()}
+    re, im = total(list(sums.values()))
+    for z, (zr, zi) in sums.items():
+        for k in range(z):
+            c = corr.get(k, (0, 0))
+            corr[k] = (c[0] - zr[k % len(zr)], c[1] - zi[k % len(zi)])
+    return cls._make(
+        {k: _canonical(a, b, D) for k, (a, b) in corr.items() if a or b},
+        [_canonical(a, b, D) for a, b in zip(re, im)],
+        N,
+    )
 
 
 # ---------------------------------------------------------------------------

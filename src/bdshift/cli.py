@@ -2,10 +2,11 @@
 
 Every command prints machine-readable JSON on stdout; diagnostics go to
 stderr.  Exit codes: 0 success, 1 usage, 2 parse error, 3 math-domain
-error, 4 numeric non-convergence.
+error, 4 numeric non-convergence.  Only the float commands import numpy.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -20,8 +21,8 @@ from .errors import (
     WindowTooSmall,
 )
 from .profinite import SupernaturalNumber, LocallyConstantFunction
-from . import algebra, derivations, gns, numerics
-from .parser import parse, eval_ast, parse_gaussian
+from . import algebra, derivations
+from .parser import check_span, eval_ast, parse, parse_gaussian
 from .serialize import Workspace, load_workspace
 
 EXIT_USAGE = 1
@@ -90,6 +91,7 @@ def _component_json(comp):
 
 def _implementation(args, env, M):
     """Implementation data, checked against the window [-M, M]."""
+    from . import gns
     d = _derivation(args, env)
     quotient = derivations.quotient_derivation(d)
     comp = quotient.get(args.n)
@@ -109,12 +111,14 @@ def _implementation(args, env, M):
 
 
 def _build_D(data, space, M):
+    from . import gns
     if space == "tau0":
         return gns.build_D_tau0(data, M)
     return gns.build_D_haar(data, M)
 
 
 def _matrix_out(A, args, extra):
+    from . import numerics
     payload = dict(extra)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -139,6 +143,7 @@ def cmd_mul(args):
     env = _env(args)
     a = _eval(args, env, args.left)
     b = _eval(args, env, args.right)
+    check_span(((a, 1), (b, 1)))
     _emit((a * b).to_json())
 
 
@@ -146,6 +151,7 @@ def cmd_comm(args):
     env = _env(args)
     a = _eval(args, env, args.left)
     b = _eval(args, env, args.right)
+    check_span(((a, 1), (b, 1)))
     _emit(algebra.commutator(a, b).to_json())
 
 
@@ -203,6 +209,7 @@ def cmd_defect(args):
     env = _env(args)
     b1 = _eval(args, env, args.left)
     b2 = _eval(args, env, args.right)
+    check_span(((b1, 1), (b2, 1)))
     defect = algebra.mult_defect(b1, b2)
     _emit({
         "defect": defect.to_json(),
@@ -230,6 +237,7 @@ def cmd_units(args):
 
 
 def cmd_gns_rep(args):
+    from . import gns
     env = _env(args)
     b = _eval(args, env, args.expr)
     if args.state == "tau0":
@@ -273,6 +281,7 @@ def cmd_gns_d(args):
 
 
 def cmd_covcheck(args):
+    from . import gns
     env = _env(args)
     data = _implementation(args, env, args.m)
     D = _build_D(data, args.space, args.m)
@@ -288,6 +297,7 @@ def cmd_covcheck(args):
 
 
 def cmd_parametrix(args):
+    from . import gns
     # the exact build pads the window by |n|
     _check_window(abs(args.n))
     env = _env(args)
@@ -297,6 +307,7 @@ def cmd_parametrix(args):
 
 
 def cmd_truncate(args):
+    from . import numerics
     _check_window(args.m)
     env = _env(args)
     a = _eval(args, env, args.expr)
@@ -305,6 +316,7 @@ def cmd_truncate(args):
 
 
 def cmd_normest(args):
+    from . import numerics
     _check_window(args.m)
     env = _env(args)
     a = _eval(args, env, args.expr)
@@ -313,6 +325,7 @@ def cmd_normest(args):
 
 
 def cmd_qnorm(args):
+    from . import numerics
     env = _env(args)
     # the grid doubles each round; a shift past MAX_GRID's bit length
     # already exceeds it, so no huge power is formed
@@ -328,7 +341,10 @@ def cmd_qnorm(args):
 # argument wiring
 
 
+@functools.cache
 def _build_parser():
+    """The parser of every command, built once per process; parse_args
+    leaves it unchanged and every default is immutable."""
     top = argparse.ArgumentParser(
         prog="bdshift",
         description="exact shift-algebra computations and reports",

@@ -4,8 +4,9 @@ A derivation with finitely many Fourier components is a sum of covariant
 pieces d_n(a) = [g_n, a], where the generator g_n carries an affine
 coefficient beta_n: g_n = U^n beta_n(K) for n >= 0 and
 g_n = beta_n(K) (U*)^{-n} for n < 0.  The affine part never lies in the
-algebra itself, so products are tracked through quasi-affine coefficients
-and collapsed only after the commutator cancels the unbounded weight.
+algebra itself, so products are tracked through pairs (u, v) standing for
+W*u + v, W the affine weight, and collapsed only after the commutator
+cancels the unbounded weight.
 """
 
 from fractions import Fraction
@@ -25,7 +26,6 @@ from .sequences import (
     BilateralAffineSequence,
     BilateralEPSequence,
     EPSequence,
-    QuasiAffine,
     ep_constant,
     ep_scale,
     ep_shift,
@@ -230,24 +230,38 @@ def from_inner(x):
     return DerivationSum(comps, x.N)
 
 
+def _collapse(p, q):
+    """The sequence W*u + v for (u, v) = p - q, W the affine weight: the
+    periodic part of u must have cancelled (else a validity bug upstream),
+    and a finitely supported u folds into the corrections."""
+    u, v = p[0] - q[0], p[1] - q[1]
+    if any(u.table):
+        raise AssertionError("affine weight failed to cancel in a commutator")
+    if not u.correction:
+        return v
+    fold = {k: Scalar(k + u.offset) * c for k, c in u.correction.items()}
+    return v + type(u)(fold, [ZERO], u.N)
+
+
 def _commutator(components, x):
     """[g, x] on either algebra, g the sum of the components' generators.
 
-    Their affine coefficients are lifted to quasi-affine pairs in the
-    coefficient class of x and collapsed once the commutator has
-    cancelled every affine weight, as the validity conditions guarantee.
+    Each affine coefficient linear*W + ep enters the product kernel as
+    the pair (linear, ep) in the coefficient class of x; the commutator
+    cancels the weight, as the validity conditions guarantee.
     """
     seq = x._coeff
-    gen = {
-        n: QuasiAffine.from_affine(comp._coef, seq)
-        for n, comp in components.items()
-    }
+    gen = {}
+    for n, comp in components.items():
+        ep = comp._coef.ep
+        gen[n] = (seq._make({}, [comp._coef.linear], ep.N),
+                  seq._make(ep.correction, ep.table, ep.N))
     left = _terms_mul(gen, x.terms, seq.unilateral)
     right = _terms_mul(x.terms, gen, seq.unilateral)
     # both products have the degrees n + m; A(N) has always listed them
     # in set order and B(N) in product order, and the JSON keeps both
     order = set(left) | set(right) if seq.unilateral else left
-    terms = {deg: (left[deg] - right[deg]).collapse() for deg in order}
+    terms = {deg: _collapse(left[deg], right[deg]) for deg in order}
     return type(x)(terms, x.N)
 
 

@@ -14,7 +14,9 @@ Grammar (precedence ^ > * > + -, left associative sums and products):
 
 Negative powers are spelled Us / Vi, never "^-1"; exponents above
 MAX_EXPONENT are a math-domain error, and a digit run longer than
-MAX_DIGITS is a syntax error.
+MAX_DIGITS is a syntax error.  A product whose degree span
+(max - min + 1) would exceed MAX_SPAN is a math-domain error, raised
+before it is formed.
 """
 
 from fractions import Fraction
@@ -36,6 +38,7 @@ _PUNCT = "+-*^(),/"
 MAX_INPUT = 1 << 20
 MAX_EXPONENT = 1024
 MAX_DIGITS = 4000
+MAX_SPAN = 257  # (U+Us)^128; 0.2-0.9 s at this span on a 2-core host
 
 
 class _Token:
@@ -248,11 +251,25 @@ def _diag_bilateral(value, N):
     raise UnknownName(f"cannot use {type(value).__name__} as a diagonal")
 
 
+def _check_exponent(k):
+    if k > MAX_EXPONENT:
+        raise MathDomainError(f"exponent {k} exceeds {MAX_EXPONENT}")
+
+
+def check_span(factors):
+    """Refuse a product of (element, power) factors whose degree span
+    would exceed MAX_SPAN."""
+    if any(x.is_zero() for x, _ in factors):
+        return
+    span = 1 + sum(k * (max(x.terms) - min(x.terms)) for x, k in factors)
+    if span > MAX_SPAN:
+        raise MathDomainError(f"degree span {span} exceeds {MAX_SPAN}")
+
+
 def _power(base, k, one):
     """base^k by repeated squaring.  The arithmetic is exact, so grouping
     the factors differently cannot change the result."""
-    if k > MAX_EXPONENT:
-        raise MathDomainError(f"exponent {k} exceeds {MAX_EXPONENT}")
+    _check_exponent(k)
     out = one
     while k:
         if k & 1:
@@ -305,16 +322,17 @@ def eval_ast(node, env, side):
         return eval_ast(node[1], env, side) + eval_ast(node[2], env, side)
     if kind == "sub":
         return eval_ast(node[1], env, side) - eval_ast(node[2], env, side)
-    if kind == "mul":
-        return eval_ast(node[1], env, side) * eval_ast(node[2], env, side)
+    if kind in ("mul", "comm"):
+        x, y = eval_ast(node[1], env, side), eval_ast(node[2], env, side)
+        check_span(((x, 1), (y, 1)))
+        return x * y if kind == "mul" else algebra.commutator(x, y)
     if kind == "neg":
         return -eval_ast(node[1], env, side)
     if kind == "pow":
-        return _power(eval_ast(node[1], env, side), node[2], identity())
-    if kind == "comm":
-        return algebra.commutator(
-            eval_ast(node[1], env, side), eval_ast(node[2], env, side)
-        )
+        base, k = eval_ast(node[1], env, side), node[2]
+        _check_exponent(k)
+        check_span(((base, k),))
+        return _power(base, k, identity())
     if kind == "adj":
         return algebra.adjoint(eval_ast(node[1], env, side))
     raise ValueError(f"unknown node {kind!r}")

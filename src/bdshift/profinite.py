@@ -190,6 +190,14 @@ def _minimal_period(values):
     return values[:period]
 
 
+def _fill(seq, correction, table, N):
+    object.__setattr__(seq, "correction", correction)
+    object.__setattr__(seq, "period", len(table))
+    object.__setattr__(seq, "table", tuple(table))
+    object.__setattr__(seq, "N", N)
+    return seq
+
+
 class _PeriodicSequence:
     """Correction plus periodic table: a(k) = correction.get(k, 0) +
     table[k mod j], with j dividing N.  The canonical form has the minimal
@@ -218,14 +226,17 @@ class _PeriodicSequence:
             v = coerce_scalar(v)
             if v:
                 clean[k] = v
-        object.__setattr__(self, "correction", clean)
-        object.__setattr__(self, "period", len(table))
-        object.__setattr__(self, "table", tuple(table))
-        object.__setattr__(self, "N", N)
+        _fill(self, clean, table, N)
 
     @classmethod
     def _make(cls, correction, table, N):
         return cls(correction, table, N)
+
+    @classmethod
+    def _from_canonical(cls, correction, table, N):
+        """The constructor without checks or period search, for parts as
+        canonical as rotations, nonzero scalings and conjugates keep."""
+        return _fill(object.__new__(cls), correction, table, N)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -262,9 +273,6 @@ class _PeriodicSequence:
         if not isinstance(other, _PeriodicSequence):
             return NotImplemented
         return ep_mul(self, other)
-
-    def shift(self, n):
-        return ep_shift(self, n)
 
     def __neg__(self):
         return ep_scale(self, Scalar(-1))
@@ -343,16 +351,16 @@ def haar_integral(f):
     return total / Scalar(f.period)
 
 
-def _common_period(p, q, N):
-    """lcm of two periods, checked to divide N."""
-    j = math.lcm(p, q)
+def _common_period(N, *periods):
+    """lcm of the periods, checked to divide N."""
+    j = math.lcm(*periods)
     if not divides(j, N):
         raise PeriodNotDivisor(f"lcm period {j} does not divide N")
     return j
 
 
 def ep_add(a, b):
-    j = _common_period(a.period, b.period, a.N)
+    j = _common_period(a.N, a.period, b.period)
     table = [
         a.table[r % a.period] + b.table[r % b.period] for r in range(j)
     ]
@@ -363,7 +371,7 @@ def ep_add(a, b):
 
 
 def ep_mul(a, b):
-    j = _common_period(a.period, b.period, a.N)
+    j = _common_period(a.N, a.period, b.period)
     table = [
         a.table[r % a.period] * b.table[r % b.period] for r in range(j)
     ]
@@ -375,7 +383,9 @@ def ep_mul(a, b):
 
 def ep_scale(a, c):
     c = coerce_scalar(c)
-    return type(a)._make(
+    # a nonzero factor keeps the parts canonical
+    make = type(a)._from_canonical if c else type(a)._make
+    return make(
         {k: c * v for k, v in a.correction.items()},
         [c * v for v in a.table],
         a.N,
@@ -383,7 +393,7 @@ def ep_scale(a, c):
 
 
 def ep_conjugate(a):
-    return type(a)._make(
+    return type(a)._from_canonical(
         {k: v.conjugate() for k, v in a.correction.items()},
         [v.conjugate() for v in a.table],
         a.N,
@@ -408,4 +418,5 @@ def ep_shift(a, n):
             pad = -table[k % j]
             if pad:
                 corr[k] = pad
-    return type(a)._make(corr, table, a.N)
+    # a rotation keeps the minimal period; moved keys and pads are nonzero
+    return type(a)._from_canonical(corr, table, a.N)

@@ -17,13 +17,6 @@ LocallyConstantFunctions.  The ep_* operations serve every domain and
 return the class of their first argument.  An affine sequence adds a
 linear coefficient times the weight: beta(k) = C*(k+1) + ep(k) on k >= 0,
 eta(l) = C*l + ep(l) on Z.
-
-QuasiAffine at the bottom carries the affine generator of a derivation
-through the product kernel of both algebras.  It speaks the sequences'
-operator protocol (.shift, *, +), so algebra._terms_mul multiplies a
-generator term with an element term like any two coefficients; the
-commutator then collapses it back to a sequence once the affine weight
-has cancelled exactly.
 """
 
 from fractions import Fraction
@@ -203,80 +196,3 @@ def mean_decompose_mod(alpha, modulus):
     mean, _ = _mean_and_sums(alpha)
     per = [alpha.table[r % alpha.period] - mean for r in range(modulus)]
     return dict(alpha.correction), mean, per
-
-
-# ---------------------------------------------------------------------------
-# quasi-affine pairs (internal commutator plumbing)
-
-
-class QuasiAffine:
-    """Pair (u, v) denoting k |-> (k+o)*u(k) + v(k), o the weight offset
-    of the domain of u: (k+1)*u(k) + v(k) on k >= 0, l*u(l) + v(l) on Z.
-
-    Closed under the same shift and diagonal-product rules as the
-    sequences; collapses to a plain sequence exactly when u = 0."""
-
-    __slots__ = ("u", "v")
-
-    def __init__(self, u, v):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuasiAffine is immutable")
-
-    @classmethod
-    def from_affine(cls, beta, seq):
-        """beta = (linear, ep) lifted into the sequence class seq."""
-        ep = beta.ep
-        return cls(
-            seq._make({}, [beta.linear], ep.N),
-            seq._make(ep.correction, ep.table, ep.N),
-        )
-
-    def value_at(self, k):
-        return (
-            Scalar(k + self.u.offset) * self.u.value_at(k)
-            + self.v.value_at(k)
-        )
-
-    def shift(self, t):
-        # q(k+t) = (k+o)*u(k+t) + t*u(k+t) + v(k+t)
-        su = ep_shift(self.u, t)
-        sv = ep_add(ep_scale(su, Scalar(t)), ep_shift(self.v, t))
-        return QuasiAffine(su, sv)
-
-    def mul_ep(self, b):
-        return QuasiAffine(ep_mul(self.u, b), ep_mul(self.v, b))
-
-    __mul__ = __rmul__ = mul_ep
-
-    def __add__(self, other):
-        return QuasiAffine(
-            ep_add(self.u, other.u), ep_add(self.v, other.v)
-        )
-
-    def __sub__(self, other):
-        return QuasiAffine(self.u - other.u, self.v - other.v)
-
-    def __neg__(self):
-        return QuasiAffine(-self.u, -self.v)
-
-    def is_zero(self):
-        return self.u.is_zero() and self.v.is_zero()
-
-    def collapse(self):
-        """The underlying sequence.
-
-        The periodic part of the weight must have cancelled (anything
-        else signals a validity bug upstream); a finitely supported
-        residue is bounded and folds into the corrections."""
-        u = self.u
-        if any(v for v in u.table):
-            raise AssertionError(
-                "affine weight failed to cancel in a commutator"
-            )
-        if not u.correction:
-            return self.v
-        fold = {k: Scalar(k + u.offset) * c for k, c in u.correction.items()}
-        return ep_add(self.v, type(u)(fold, [_ZERO], u.N))

@@ -5,8 +5,12 @@ B(N) holds BilateralElements with locally constant coefficients; both
 share one container class and one product and commutator kernel, so
 every law runs on both domains.  The quotient map and the multiplicative
 defect connect the two.  naive_product_entry is the entry-wise reference
-for the product kernel.
+for the product kernel.  Scalars are Gaussian rationals whose real and
+imaginary parts carry different denominators, so the kernel's shared
+denominator of a product is rarely 1.
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -27,8 +31,12 @@ from bdshift.derivations import (
     apply,
     bilateral_apply,
     bilateral_covariant,
+    bounded_regime,
+    classify,
     covariant,
+    reassemble,
 )
+from bdshift.errors import RegimeMismatch
 from bdshift.profinite import LocallyConstantFunction, SupernaturalNumber
 from bdshift.scalars import Scalar, ZERO
 from bdshift.sequences import (
@@ -39,6 +47,7 @@ from bdshift.sequences import (
 )
 
 N = SupernaturalNumber.from_int(12)
+N_INF = SupernaturalNumber({2: "inf"})
 
 # element class, the matrix indices of a window
 DOMAINS = {
@@ -50,12 +59,16 @@ LAWS = settings(
     max_examples=60, deadline=None, database=None, derandomize=True
 )
 
-scalars = st.builds(Scalar, st.integers(-3, 3), st.integers(-2, 2))
+denominators = st.sampled_from([1, 2, 3, 4, 6])
+scalars = st.builds(
+    lambda a, b, d, e: Scalar(Fraction(a, d), Fraction(b, e)),
+    st.integers(-3, 3), st.integers(-2, 2), denominators, denominators,
+)
 periods = st.sampled_from([1, 2, 3, 4, 6, 12])
 
 
 @st.composite
-def tables(draw):
+def tables(draw, periods=periods):
     period = draw(periods)
     return draw(st.lists(scalars, min_size=period, max_size=period))
 
@@ -197,3 +210,30 @@ def test_equal_covariant_data_hash_equal(domain, data):
     assert a is not b and a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+# N, the degrees drawn (bounded regime and increment regime n in NZ),
+# the table periods
+REGIMES = {
+    "finite": (N, [-12, -5, -1, 0, 1, 7, 12], periods),
+    "infinite": (N_INF, [-3, -1, 0, 1, 2], st.sampled_from([1, 2, 4, 8])),
+}
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@LAWS
+@given(data=st.data())
+def test_reassemble_inverts_classify(regime, data):
+    NN, degrees, pers = REGIMES[regime]
+    n = data.draw(st.sampled_from(degrees))
+    bounded = bounded_regime(n, NN)
+    linear = ZERO if bounded else data.draw(scalars)
+    corr = data.draw(st.dictionaries(st.integers(0, 6), scalars, max_size=3))
+    ep = EPSequence(corr, data.draw(tables(pers)), NN)
+    comp = covariant(n, AffineSequence(linear, ep), NN)
+    if bounded:
+        with pytest.raises(RegimeMismatch):
+            classify(comp)
+    else:
+        assert reassemble(classify(comp), n, NN) == \
+            DerivationSum({n: comp}, NN)

@@ -430,6 +430,26 @@ def test_cli_oversized_exponent_fails_fast(capsys):
         assert time.perf_counter() - start < 2.0
 
 
+def test_cli_wide_products_fail_fast(capsys):
+    # the work of a product grows with the degree spans of its factors
+    for argv in (["normalize", "(U + Us)^1024"],
+                 ["normalize", "((U + Us)^32)^32"],
+                 ["normalize", "(U + Us)^128 * (U + Us)"],
+                 ["mul", "(U + Us)^128", "U + Us"],
+                 ["comm", "(U + Us)^128", "U + Us"],
+                 ["normalize", "comm((U + Us)^128, U + Us)"],
+                 ["defect", "(V + Vi)^128", "V + Vi"],
+                 ["normalize", "--side", "bilateral", "(V + Vi)^129"]):
+        start = time.perf_counter()
+        code, _ = run_cli(capsys, *argv)
+        assert code == 3, argv
+        assert time.perf_counter() - start < 2.0
+    code, payload = run_cli(capsys, "normalize", "(U + Us)^128 * U")
+    assert code == 0
+    assert min(map(int, payload["terms"])) == -127
+    assert max(map(int, payload["terms"])) == 129
+
+
 def test_cli_overlong_digit_run_is_a_parse_error(capsys):
     # int() refuses more than 4300 digits; the lexer must reject first
     for expr in ("1" * 5000, "U^" + "9" * 5000, "1/" + "7" * 5000):
@@ -567,12 +587,18 @@ def test_cli_requires_command(capsys):
     assert code == 1
 
 
-def test_exact_modules_import_without_numpy():
-    # only numerics and gns need numpy; the package does not import them
+def test_exact_modules_import_without_numpy(ws_path):
+    # only numerics and gns need numpy; neither the package nor the exact
+    # commands of the CLI import them
     code = (
         "import sys\n"
         "import bdshift.algebra, bdshift.derivations, bdshift.parser\n"
         "import bdshift.serialize\n"
+        "from bdshift import cli\n"
+        f"ws = {ws_path!r}\n"
+        "assert cli.main(['normalize', '--workspace', ws, 'U*Us']) == 0\n"
+        "assert cli.main(['classify', '--workspace', ws, '--derivation',\n"
+        "                 'd', '--n', '0']) == 0\n"
         "assert 'numpy' not in sys.modules, sorted(sys.modules)\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -582,3 +608,4 @@ def test_exact_modules_import_without_numpy():
         text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+

@@ -10,13 +10,13 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from bdshift.algebra import UnilateralElement
+from bdshift.algebra import UnilateralElement, _terms_mul
+from bdshift.derivations import _collapse
 from bdshift.profinite import SupernaturalNumber
 from bdshift.scalars import Scalar, ZERO
 from bdshift.sequences import (
     BilateralEPSequence,
     EPSequence,
-    QuasiAffine,
     ep_add,
     ep_conjugate,
     ep_mul,
@@ -97,29 +97,50 @@ def test_increment_inverts_partial_sums(data):
             assert sums.value_at(k) - sums.value_at(k - 1) == a.value_at(k)
 
 
+def _entry(domain, deg, f, i, j):
+    """Entry (i, j) of the monomial of degree deg whose coefficient has
+    the values f; on k >= 0 a negative degree keeps its coefficient left
+    of (U*)^p."""
+    if i - j != deg:
+        return ZERO
+    if domain == "bilateral":
+        return f(j)
+    if min(i, j) < 0:
+        return ZERO
+    return f(j if deg >= 0 else i)
+
+
 @pytest.mark.parametrize("domain", DOMAINS)
 @LAWS
 @given(data=st.data())
 def test_quasi_affine_weight(domain, data):
+    """The product kernel moves the weight of a pair (u, v), standing for
+    W*u + v, on either side of a product as the entry-wise product does;
+    a pair whose u is finitely supported collapses to its values."""
     u, v, b = (data.draw(sequences(domain)) for _ in range(3))
-    t = data.draw(shifts)
-    q = QuasiAffine(u, v)
+    m, n = data.draw(shifts), data.draw(shifts)
+    window = DOMAINS[domain][2]
 
-    def expected(k):
-        if domain == "unilateral" and k < 0:
-            return ZERO
-        return _weight(domain, k) * u.value_at(k) + v.value_at(k)
+    def values(c):
+        if isinstance(c, tuple):
+            return lambda k: _weight(domain, k) * c[0].value_at(k) \
+                + c[1].value_at(k)
+        return c.value_at
 
-    shifted, product = q.shift(t), q.mul_ep(b)
-    for k in DOMAINS[domain][2]:
-        assert q.value_at(k) == expected(k)
-        assert shifted.value_at(k) == expected(k + t)
-        assert product.value_at(k) == expected(k) * b.value_at(k)
+    for x, y in (((u, v), b), (b, (u, v))):
+        product = _terms_mul({m: x}, {n: y}, domain == "unilateral")[m + n]
+        assert isinstance(product, tuple)
+        for j in window:
+            i = j + m + n
+            want = _entry(domain, m, values(x), i, i - m) \
+                * _entry(domain, n, values(y), i - m, j)
+            assert _entry(domain, m + n, values(product), i, j) == want
 
-    finite = QuasiAffine(data.draw(sequences(domain, zero_table=True)), v)
-    collapsed = finite.collapse()
-    for k in DOMAINS[domain][2]:
-        assert collapsed.value_at(k) == finite.value_at(k)
+    finite = (data.draw(sequences(domain, zero_table=True)), v)
+    zero = type(v)({}, [ZERO], N)
+    collapsed = _collapse(finite, (zero, zero))
+    for k in window:
+        assert collapsed.value_at(k) == values(finite)(k)
 
 
 @LAWS
