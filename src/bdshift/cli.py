@@ -110,13 +110,6 @@ def _implementation(args, env, M):
     return data
 
 
-def _build_D(data, space, M):
-    from . import gns
-    if space == "tau0":
-        return gns.build_D_tau0(data, M)
-    return gns.build_D_haar(data, M)
-
-
 def _matrix_out(A, args, extra):
     from . import numerics
     payload = dict(extra)
@@ -143,7 +136,7 @@ def cmd_mul(args):
     env = _env(args)
     a = _eval(args, env, args.left)
     b = _eval(args, env, args.right)
-    check_span(((a, 1), (b, 1)))
+    check_span(((a.terms, 1), (b.terms, 1)))
     _emit((a * b).to_json())
 
 
@@ -151,7 +144,7 @@ def cmd_comm(args):
     env = _env(args)
     a = _eval(args, env, args.left)
     b = _eval(args, env, args.right)
-    check_span(((a, 1), (b, 1)))
+    check_span(((a.terms, 1), (b.terms, 1)))
     _emit(algebra.commutator(a, b).to_json())
 
 
@@ -160,9 +153,11 @@ def cmd_derive(args):
     d = _derivation(args, env)
     x = _eval(args, env, args.expr)
     if args.side == "unilateral":
+        check_span(((d.components, 1), (x.terms, 1)))
         _emit(derivations.apply(d, x).to_json())
     else:
         comps = derivations.quotient_derivation(d)
+        check_span(((comps, 1), (x.terms, 1)))
         _emit(derivations.bilateral_apply(comps, x).to_json())
 
 
@@ -209,7 +204,7 @@ def cmd_defect(args):
     env = _env(args)
     b1 = _eval(args, env, args.left)
     b2 = _eval(args, env, args.right)
-    check_span(((b1, 1), (b2, 1)))
+    check_span(((b1.terms, 1), (b2.terms, 1)))
     defect = algebra.mult_defect(b1, b2)
     _emit({
         "defect": defect.to_json(),
@@ -268,9 +263,10 @@ def cmd_gns_rep(args):
 
 
 def cmd_gns_d(args):
+    from . import gns
     env = _env(args)
     data = _implementation(args, env, args.m)
-    D = _build_D(data, args.space, args.m)
+    D = gns.build_D(data, args.space, args.m)
     _emit(_matrix_out(D, args, {
         "space": args.space,
         "n": data.n,
@@ -284,7 +280,7 @@ def cmd_covcheck(args):
     from . import gns
     env = _env(args)
     data = _implementation(args, env, args.m)
-    D = _build_D(data, args.space, args.m)
+    D = gns.build_D(data, args.space, args.m)
     thetas = [2 * math.pi * k / args.grid for k in range(args.grid)]
     residual = gns.check_covariance(D, data.n, args.m, thetas)
     _emit({
@@ -298,7 +294,8 @@ def cmd_covcheck(args):
 
 def cmd_parametrix(args):
     from . import gns
-    # the exact build pads the window by |n|
+    # |n| is untrusted input, bounded like a window size; the shell build
+    # itself does not grow with it
     _check_window(abs(args.n))
     env = _env(args)
     Ms = [int(s) for s in args.mlist.split(",") if s]

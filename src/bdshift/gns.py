@@ -3,13 +3,15 @@
 tau_0 reads the expectation at 0 and lives on l^2(Z); tau_Haar averages
 it and lives on L^2(Z x Z/NZ).  Implementation operators D are built
 from exact data on finite windows.  A covariant D of degree n maps the
-m-block of the window (one vector for tau_0, level vectors for Haar)
-only to the block m + n, so it is a single band: the direct sum of
-level x level blocks B_m, and D*D is block-diagonal.  Compact-parametrix
-detection works on the blocks I + B_m^H B_m of the shells M <= |m| < 2M,
-where divergence is visible as growth of the smallest eigenvalue, and
-the covariance check reads the residual off the band and the largest
-block norm.
+m-block of the window (level vectors for Haar) only to the block m + n,
+so it is a single band: the direct sum of level x level blocks B_m, and
+D*D is block-diagonal.  Each B_m is built exactly per column block, and
+tau_0 is the level-1 fiber x = 0 of the same blocks; one band assembler
+places blocks on a window, for D and for the pi-images pi(V^n g), whose
+blocks are diag_x g(x + m).  Compact-parametrix detection builds only
+the blocks I + B_m^H B_m of the shells M <= |m| < 2M, where divergence
+is visible as growth of the smallest eigenvalue, and the covariance
+check reads the residual off the band and the largest block norm.
 """
 
 import cmath
@@ -154,12 +156,9 @@ def inner_haar(u, w):
 def pi_haar_apply(b, v):
     """pi_Haar(V^n g) e_(m,x) = g(x + m) e_(m+n, x)."""
     level = v.level
+    _check_level(b, level)
     out = {}
     for n, g in b.terms.items():
-        if level % g.period != 0:
-            raise LevelMismatch(
-                f"coefficient period {g.period} does not divide level {level}"
-            )
         for (m, x), c in v.coeffs.items():
             val = g.value_at(x + m)
             if val:
@@ -248,14 +247,6 @@ class ImplementationData:
     def __setattr__(self, name, value):
         raise AttributeError("ImplementationData is immutable")
 
-    def eta_at(self, l):
-        """eta(l) for the tau_0 picture."""
-        if self.case == "bounded":
-            return self.h.value_at(l)
-        if self.case == "incrementN":
-            return self.C * Scalar(l) + self.htilde.value_at(l)
-        return self.C * Scalar(l) + self._gtilde_sum(l, 0)
-
     def _gtilde_sum(self, m, x):
         """gtilde(x + m - 1) + ... + gtilde(x), telescoped to m <= 0.
 
@@ -319,89 +310,97 @@ def implementation_from_bilateral(comp, psi=None, c=None, level=None):
 # window builds
 
 
-def _tau0_index(l, M):
-    return l + M
+def _D_block(data, space):
+    """The exact level x level block B_m of D at the column block m, which
+    D maps to the row block m + n, as (level, diag, off): B_m has the
+    diagonal entries diag(m, x) and the cells off, (row x, col x, Scalar),
+    which do not move with m.
+
+    The diagonal is the part of eta that moves with m plus a constant per
+    fiber point.  tau_0 is the level-1 fiber x = 0, where B_m = eta(m) + c
+    (increment0 data has moved the anchor eta~(0) into c); the Haar fiber
+    is x in Z/level, where psi enters the constants, and in the bounded
+    case the commutant cells (psi - h)(x - n) in the rows x - n.
+    """
+    n, case, C = data.n, data.case, data.C
+    if space == "tau0":
+        level, const, off = 1, [data.c], []
+    elif space != "haar":
+        raise ValueError(f"unknown space {space!r}")
+    else:
+        level, psi = data.level, data.psi.value_at
+        fiber = range(level)
+        off = []
+        if case == "bounded":
+            # the rows x - n are the diagonal when level | n
+            cells = [((x - n) % level, x, psi(x - n) - data.h.value_at(x - n))
+                     for x in fiber]
+            const = [v if row == x else ZERO for row, x, v in cells]
+            off = [(row, x, v) for row, x, v in cells if row != x and v]
+        elif case == "increment0":
+            const = [psi(x) for x in fiber]
+        else:
+            const = [psi(x) - data.htilde.value_at(x) for x in fiber]
+
+    def diag(m, x):
+        if case == "bounded":
+            v = data.h.value_at(x + m)
+        elif case == "increment0":
+            v = C * Scalar(m) + data._gtilde_sum(m, x)
+        else:
+            # htilde has period dividing N | n, so x+m and x+m+n agree
+            v = C * Scalar(m) + data.htilde.value_at(x + m)
+        return v + const[x] if const[x] else v
+
+    return level, diag, off
+
+
+def _band(n, M, level, diag, off=()):
+    """{(row, col): Scalar} over the basis e_(m,x), m in [-M, M], of the
+    band that maps the column block m to the row block m + n by the block
+    with the diagonal diag(m, x) and the off-diagonal cells off."""
+    out = {}
+    fiber = range(level)
+    for m in range(max(-M, -M - n), min(M, M - n) + 1):
+        row, col = (m + n + M) * level, (m + M) * level
+        for x in fiber:
+            v = diag(m, x)
+            if v:
+                out[row + x, col + x] = v
+        for xi, xj, v in off:
+            out[row + xi, col + xj] = v
+    return out
+
+
+def _build_D_exact(data, space, M):
+    return _band(data.n, M, *_D_block(data, space))
+
+
+def build_D(data, space, M):
+    """D on the window [-M, M] as a dense complex matrix."""
+    level, diag, off = _D_block(data, space)
+    D = np.zeros(((2 * M + 1) * level,) * 2, dtype=complex)
+    for (i, j), v in _band(data.n, M, level, diag, off).items():
+        D[i, j] = complex(v)
+    return D
 
 
 def build_D_tau0_exact(data, M):
     """{(row, col): Scalar} over the basis E_{-M..M}."""
-    n = data.n
-    out = {}
-    for l in range(-M, M + 1):
-        val = data.eta_at(l)
-        if n == 0:
-            val = val + data.c
-        i = l + n
-        if -M <= i <= M and val:
-            out[(_tau0_index(i, M), _tau0_index(l, M))] = val
-    return out
-
-
-def build_D_tau0(data, M):
-    D = np.zeros((2 * M + 1, 2 * M + 1), dtype=complex)
-    for (i, j), v in build_D_tau0_exact(data, M).items():
-        D[i, j] = complex(v)
-    return D
-
-
-def _haar_index(m, x, M, level):
-    return (m + M) * level + (x % level)
+    return _build_D_exact(data, "tau0", M)
 
 
 def build_D_haar_exact(data, M):
     """{(row, col): Scalar} over the basis e_(m,x), m in [-M, M]."""
-    n, level, psi = data.n, data.level, data.psi
-    out = {}
+    return _build_D_exact(data, "haar", M)
 
-    def put(mi, xi, mj, xj, val):
-        # in the bounded case with level | n both entries of a column
-        # share one key and add up
-        if -M <= mi <= M and val:
-            key = (_haar_index(mi, xi, M, level),
-                   _haar_index(mj, xj, M, level))
-            w = out.get(key)
-            w = val if w is None else w + val
-            if w:
-                out[key] = w
-            else:
-                del out[key]
 
-    for m in range(-M, M + 1):
-        for x in range(level):
-            if data.case == "bounded":
-                h = data.h
-                put(m + n, x, m, x, h.value_at(x + m))
-                put(m + n, x - n, m, x,
-                    psi.value_at(x - n) - h.value_at(x - n))
-            elif data.case == "increment0":
-                val = (
-                    data.C * Scalar(m)
-                    + data._gtilde_sum(m, x)
-                    + psi.value_at(x)
-                )
-                put(m, x, m, x, val)
-            else:
-                # htilde has period dividing N | n, so x+m and x+m+n agree
-                val = (
-                    data.C * Scalar(m)
-                    + data.htilde.value_at(x + m)
-                    - data.htilde.value_at(x)
-                    + psi.value_at(x)
-                )
-                put(m + n, x, m, x, val)
-    return out
+def build_D_tau0(data, M):
+    return build_D(data, "tau0", M)
 
 
 def build_D_haar(data, M):
-    size = (2 * M + 1) * data.level
-    D = np.zeros((size, size), dtype=complex)
-    for (i, j), v in build_D_haar_exact(data, M).items():
-        D[i, j] = complex(v)
-    return D
-
-
-def tau0_mvec(M):
-    return np.arange(-M, M + 1)
+    return build_D(data, "haar", M)
 
 
 def haar_mvec(M, level):
@@ -417,11 +416,13 @@ def check_covariance(D, n, M, thetas):
     B_m, so there the residual is |e^{i theta d} - e^{in theta}| times
     max_m ||B_m||; a D on several bands takes one dense norm per theta.
     """
+    if len(thetas) == 0:
+        raise ValueError("theta grid needs at least one angle")
     size = D.shape[0]
     if size % (2 * M + 1) != 0:
         raise ValueError(f"matrix size {size} is not a window at M={M}")
     level = size // (2 * M + 1)
-    mvec = haar_mvec(M, level) if level > 1 else tau0_mvec(M)
+    mvec = haar_mvec(M, level)
     rows, cols = np.nonzero(D)
     bands = np.unique(mvec[rows] - mvec[cols])
     if bands.size == 0:
@@ -438,8 +439,7 @@ def check_covariance(D, n, M, thetas):
         return max(
             (float(abs(np.exp(1j * theta * band)[0]
                        - cmath.exp(1j * n * theta))) * top
-             for theta in thetas),
-            default=0.0,
+             for theta in thetas)
         )
     marr = np.asarray(mvec, dtype=float)
     diff = marr[:, None] - marr[None, :]
@@ -455,33 +455,20 @@ def check_covariance(D, n, M, thetas):
 # implementation checks
 
 
-def _pi0_exact(b, M):
-    out = {}
-    for n, g in b.terms.items():
-        for l in range(-M, M + 1):
-            i = l + n
-            if -M <= i <= M:
-                v = g.value_at(l)
-                if v:
-                    out[(l + n + M, l + M)] = v
-    return out
-
-
-def _pi_haar_exact(b, M, level):
-    out = {}
-    for n, g in b.terms.items():
+def _check_level(b, level):
+    for g in b.terms.values():
         if level % g.period != 0:
             raise LevelMismatch(
                 f"coefficient period {g.period} does not divide level {level}"
             )
-        for m in range(-M, M + 1):
-            if not (-M <= m + n <= M):
-                continue
-            for x in range(level):
-                v = g.value_at(x + m)
-                if v:
-                    out[(_haar_index(m + n, x, M, level),
-                         _haar_index(m, x, M, level))] = v
+
+
+def _pi_exact(b, M, level):
+    """pi(b) on the window: pi(V^n g) is the band that maps the block m
+    to the block m + n by diag_x g(x + m); tau_0 is the level-1 fiber."""
+    out = {}
+    for n, g in b.terms.items():
+        out.update(_band(n, M, level, lambda m, x: g.value_at(x + m)))
     return out
 
 
@@ -495,13 +482,13 @@ def check_implementation(D, components, b, M, space="tau0", level=1):
     db = bilateral_apply(components, b)
     if space == "tau0":
         level = 1
-        pb = _pi0_exact(b, M)
-        pdb = _pi0_exact(db, M)
     elif space == "haar":
-        pb = _pi_haar_exact(b, M, level)
-        pdb = _pi_haar_exact(db, M, level)
+        _check_level(b, level)
+        _check_level(db, level)
     else:
         raise ValueError(f"unknown space {space!r}")
+    pb = _pi_exact(b, M, level)
+    pdb = _pi_exact(db, M, level)
     mrow = lambda i: i // level - M
 
     band_D = max((abs(mrow(i) - mrow(j)) for i, j in D), default=0)
@@ -547,10 +534,7 @@ def _min_eig_inverse_power(G, tol=1e-12, cap=20000, seed=20240117):
     lam = 0.0
     for _ in range(cap):
         w = apply(v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return math.inf
-        v = w / nw
+        v = w / np.linalg.norm(w)
         new = float(np.real(np.vdot(v, apply(v))))
         if abs(new - lam) <= tol * max(1.0, abs(new)):
             return 1.0 / max(new, 1e-300)
@@ -567,22 +551,19 @@ def _shell_min_sv(data, space, M):
     M <= |m| < 2M.
 
     D maps the column block m to the row block m + n alone, so on the
-    shell I + D*D is the direct sum of the blocks I + B_m^H B_m.  The
-    window is padded by |n| + 1 so that every shell column keeps its
-    row block.
+    shell I + D*D is the direct sum of the blocks I + B_m^H B_m, built
+    from the shell blocks B_m alone.
     """
-    big = 2 * M + abs(data.n) + 1
-    if space == "tau0":
-        level, Dx = 1, build_D_tau0_exact(data, big)
-    else:
-        level, Dx = data.level, build_D_haar_exact(data, big)
-    shell = list(range(-2 * M + 1, -M + 1)) + list(range(M, 2 * M))
-    slot = {m: k for k, m in enumerate(shell)}
+    if M < 1:
+        raise ValueError(f"the shell M <= |m| < 2M is empty at M={M}")
+    level, diag, off = _D_block(data, space)
+    shell = [*range(-2 * M + 1, -M + 1), *range(M, 2 * M)]
     B = np.zeros((len(shell), level, level), dtype=complex)
-    for (i, j), v in Dx.items():
-        k = slot.get(j // level - big)
-        if k is not None:
-            B[k, i % level, j % level] = complex(v)
+    for k, m in enumerate(shell):
+        for x in range(level):
+            B[k, x, x] = complex(diag(m, x))
+    for xi, xj, v in off:
+        B[:, xi, xj] = complex(v)
     G = np.eye(level) + B.conj().transpose(0, 2, 1) @ B
     lam = _min_eig_inverse_power(G)
     return math.sqrt(max(lam, 0.0))

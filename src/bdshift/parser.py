@@ -257,11 +257,13 @@ def _check_exponent(k):
 
 
 def check_span(factors):
-    """Refuse a product of (element, power) factors whose degree span
-    would exceed MAX_SPAN."""
-    if any(x.is_zero() for x, _ in factors):
+    """Refuse a product of (degrees, power) factors, each the degree set
+    of an element or of a derivation, whose degree span would exceed
+    MAX_SPAN."""
+    if not all(degrees for degrees, _ in factors):
         return
-    span = 1 + sum(k * (max(x.terms) - min(x.terms)) for x, k in factors)
+    span = 1 + sum(k * (max(degrees) - min(degrees))
+                   for degrees, k in factors)
     if span > MAX_SPAN:
         raise MathDomainError(f"degree span {span} exceeds {MAX_SPAN}")
 
@@ -324,14 +326,14 @@ def eval_ast(node, env, side):
         return eval_ast(node[1], env, side) - eval_ast(node[2], env, side)
     if kind in ("mul", "comm"):
         x, y = eval_ast(node[1], env, side), eval_ast(node[2], env, side)
-        check_span(((x, 1), (y, 1)))
+        check_span(((x.terms, 1), (y.terms, 1)))
         return x * y if kind == "mul" else algebra.commutator(x, y)
     if kind == "neg":
         return -eval_ast(node[1], env, side)
     if kind == "pow":
         base, k = eval_ast(node[1], env, side), node[2]
         _check_exponent(k)
-        check_span(((base, k),))
+        check_span(((base.terms, k),))
         return _power(base, k, identity())
     if kind == "adj":
         return algebra.adjoint(eval_ast(node[1], env, side))

@@ -5,7 +5,8 @@ B(N) holds BilateralElements with locally constant coefficients; both
 share one container class and one product and commutator kernel, so
 every law runs on both domains.  The quotient map and the multiplicative
 defect connect the two.  naive_product_entry is the entry-wise reference
-for the product kernel.  Scalars are Gaussian rationals whose real and
+for the product kernel and, with a derivation's Generator as one factor,
+for the commutator kernel.  Scalars are Gaussian rationals whose real and
 imaginary parts carry different denominators, so the kernel's shared
 denominator of a product is rarely 1.
 """
@@ -90,9 +91,9 @@ def elements(draw, domain, compact=False):
 
 
 @st.composite
-def derivations(draw, domain):
-    """a |-> d(a) for covariant components at degrees -3..3; covariance
-    allows a linear part only at n = 0."""
+def components(draw, domain):
+    """{n: covariant component} at degrees -3..3; covariance allows a
+    linear part only at n = 0."""
     comps = {}
     for n in draw(st.lists(st.integers(-3, 3), max_size=3, unique=True)):
         linear = draw(scalars) if n == 0 else ZERO
@@ -103,17 +104,48 @@ def derivations(draw, domain):
             ep = BilateralEPSequence({}, draw(tables()), N)
             eta = BilateralAffineSequence(linear, ep)
             comps[n] = bilateral_covariant(n, eta, N)
+    return comps
+
+
+@st.composite
+def derivations(draw, domain):
+    """a |-> d(a) for the components drawn by components(domain)."""
+    comps = draw(components(domain))
     if domain == "unilateral":
         d = DerivationSum(comps, N)
         return lambda a: apply(d, a)
     return lambda b: bilateral_apply(comps, b)
 
 
+class Generator:
+    """The generator g = sum_n V^n beta_n(W) of a derivation, entry by
+    entry: g(i, k) is the affine coefficient of degree i - k at the index
+    p where an element of the domain reads its coefficient, with the
+    weight W(p) = p + 1 on A(N) and W(p) = p on B(N)."""
+
+    def __init__(self, comps, domain):
+        self.unilateral = domain == "unilateral"
+        self.coefs = {n: c.beta if self.unilateral else c.eta
+                      for n, c in comps.items()}
+
+    def max_abs_degree(self):
+        return max((abs(n) for n in self.coefs), default=0)
+
+    def entry(self, i, k):
+        coef = self.coefs.get(i - k)
+        if coef is None:
+            return ZERO
+        p = i if self.unilateral and i < k else k
+        weight = p + 1 if self.unilateral else p
+        return coef.linear * Scalar(weight) + coef.ep.value_at(p)
+
+
 def naive_product_entry(x, y, i, j):
     """sum_k x(i, k) y(k, j) over the band |i - k| <= s of x, with k >= 0
-    on A(N)."""
+    on A(N); one factor may be a Generator."""
     s = x.max_abs_degree()
-    lo = max(i - s, 0) if isinstance(x, UnilateralElement) else i - s
+    unilateral = UnilateralElement in (type(x), type(y))
+    lo = max(i - s, 0) if unilateral else i - s
     total = ZERO
     for k in range(lo, i + s + 1):
         total = total + x.entry(i, k) * y.entry(k, j)
@@ -139,6 +171,24 @@ def test_derivations_obey_leibniz(domain, data):
     d = data.draw(derivations(domain))
     x, y = (data.draw(elements(domain)) for _ in range(2))
     assert d(x * y) == d(x) * y + x * d(y)
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+@LAWS
+@given(data=st.data())
+def test_derivations_are_commutators_with_the_affine_generator(domain, data):
+    comps = data.draw(components(domain))
+    a = data.draw(elements(domain))
+    if domain == "unilateral":
+        image = apply(DerivationSum(comps, N), a)
+    else:
+        image = bilateral_apply(comps, a)
+    g = Generator(comps, domain)
+    window = DOMAINS[domain][1]
+    for i in window:
+        for j in window:
+            assert image.entry(i, j) == (naive_product_entry(g, a, i, j)
+                                         - naive_product_entry(a, g, i, j))
 
 
 @pytest.mark.parametrize("domain", DOMAINS)

@@ -48,10 +48,9 @@ from bdshift.gns import (
 )
 from bdshift.gns import (
     _min_eig_inverse_power,
-    _pi0_exact,
+    _pi_exact,
     _shell_min_sv,
     haar_mvec,
-    tau0_mvec,
 )
 
 N2 = SupernaturalNumber.from_int(2)
@@ -209,7 +208,7 @@ def test_tau0_inner_implementation():
         ZERO, BilateralEPSequence({}, list(g.values), N2)
     )
     comp_g = bilateral_covariant(0, eta_g, N2)
-    Dg = _pi0_exact(bilateral_diag(g), 8)
+    Dg = _pi_exact(bilateral_diag(g), 8, 1)
     res = check_implementation(
         Dg, {0: comp_g}, rand_bilateral(rng, N2, 2), 8, space="tau0"
     )
@@ -433,7 +432,7 @@ def gtilde_sum_loop(gtilde, m, x):
 def dense_covariance(D, n, M, thetas):
     size = D.shape[0]
     level = size // (2 * M + 1)
-    mvec = haar_mvec(M, level) if level > 1 else tau0_mvec(M)
+    mvec = haar_mvec(M, level)
     marr = np.asarray(mvec, dtype=float)
     diff = marr[:, None] - marr[None, :]
     worst = 0.0
@@ -448,7 +447,7 @@ def dense_shell_min_sv(data, space, M, tol=1e-12, cap=20000, seed=20240117):
     big = 2 * M + abs(data.n) + 1
     if space == "tau0":
         D = build_D_tau0(data, big)
-        mvec = tau0_mvec(big)
+        mvec = haar_mvec(big, 1)
     else:
         D = build_D_haar(data, big)
         mvec = haar_mvec(big, data.level)
@@ -511,14 +510,118 @@ def test_check_covariance_matches_dense():
     assert check_covariance(D1 + DL, 1, M, GRID16) > 0.5
 
 
+def wide_bounded_components():
+    """Bounded components at level 2 with |n| >= 2 level, and with level | n
+    so that the two entries of a Haar column share one row."""
+    eta = BilateralAffineSequence(
+        ZERO, BilateralEPSequence({}, [ONE, Scalar(-2, 1)], NINF)
+    )
+    return [bilateral_covariant(n, eta, NINF) for n in (5, -5, 4, -2)]
+
+
 def test_shell_min_sv_matches_dense():
-    for comp in regime_components().values():
+    comps = [*regime_components().values(), *wide_bounded_components()]
+    for comp in comps:
         data = implementation_from_bilateral(comp)
         for space in ("tau0", "haar"):
             for M in (4, 8, 16):
                 got = _shell_min_sv(data, space, M)
                 want = dense_shell_min_sv(data, space, M)
                 assert abs(got - want) <= 1e-12 * want
+
+
+# ---------------------------------------------------------------------------
+# entry-by-entry window builds, the reference for the block builds
+
+
+def reference_D_tau0_exact(data, M):
+    """{(row, col): Scalar} over E_{-M..M}: D E_l = (eta(l) + c) E_{l+n}."""
+    n = data.n
+    out = {}
+    for l in range(-M, M + 1):
+        if data.case == "bounded":
+            val = data.h.value_at(l)
+        elif data.case == "incrementN":
+            val = data.C * Scalar(l) + data.htilde.value_at(l)
+        else:
+            val = data.C * Scalar(l) + gtilde_sum_loop(data.gtilde, l, 0)
+        if n == 0:
+            val = val + data.c
+        i = l + n
+        if -M <= i <= M and val:
+            out[(i + M, l + M)] = val
+    return out
+
+
+def reference_D_haar_exact(data, M):
+    """{(row, col): Scalar} over e_(m,x), m in [-M, M]."""
+    n, level, psi = data.n, data.level, data.psi
+    out = {}
+
+    def index(m, x):
+        return (m + M) * level + (x % level)
+
+    def put(mi, xi, mj, xj, val):
+        # in the bounded case with level | n both entries of a column
+        # share one key and add up
+        if -M <= mi <= M and val:
+            key = (index(mi, xi), index(mj, xj))
+            w = out.get(key)
+            w = val if w is None else w + val
+            if w:
+                out[key] = w
+            else:
+                del out[key]
+
+    for m in range(-M, M + 1):
+        for x in range(level):
+            if data.case == "bounded":
+                h = data.h
+                put(m + n, x, m, x, h.value_at(x + m))
+                put(m + n, x - n, m, x,
+                    psi.value_at(x - n) - h.value_at(x - n))
+            elif data.case == "increment0":
+                val = (data.C * Scalar(m)
+                       + gtilde_sum_loop(data.gtilde, m, x)
+                       + psi.value_at(x))
+                put(m, x, m, x, val)
+            else:
+                val = (data.C * Scalar(m)
+                       + data.htilde.value_at(x + m)
+                       - data.htilde.value_at(x)
+                       + psi.value_at(x))
+                put(m + n, x, m, x, val)
+    return out
+
+
+def test_block_builds_match_the_entrywise_reference():
+    rng = random.Random(20240219)
+    eta = rand_eta(rng, N2, 2, True)
+    comps = [
+        *regime_components().values(),
+        *wide_bounded_components(),
+        bilateral_covariant(-1, rand_eta(rng, N2, 2, False), N2),
+        bilateral_covariant(-2, eta, N2),
+        bilateral_covariant(-4, eta, N2),
+    ]
+    signs = set()
+    for comp in comps:
+        signs.add((comp.n > 0) - (comp.n < 0))
+        psi = rand_lcf(rng, comp.N, 2)
+        variants = [{}, {"psi": psi}]
+        if comp.n == 0:
+            c = rand_scalar(rng)
+            variants += [{"c": c}, {"psi": psi, "c": c}]
+        if not comp.N.is_finite():
+            variants += [{"level": 8}, {"psi": psi, "level": 8}]
+        for kw in variants:
+            data = implementation_from_bilateral(comp, **kw)
+            for M in (1, 4, 8):
+                assert build_D_tau0_exact(data, M) == \
+                    reference_D_tau0_exact(data, M)
+                assert build_D_haar_exact(data, M) == \
+                    reference_D_haar_exact(data, M)
+    assert signs == {-1, 0, 1}
 
 
 def test_min_eig_inverse_power_raises_at_cap():

@@ -450,6 +450,41 @@ def test_cli_wide_products_fail_fast(capsys):
     assert max(map(int, payload["terms"])) == 129
 
 
+def test_cli_derive_checks_the_span(capsys, tmp_path):
+    # a derivation with components at every degree -128..128
+    beta = AffineSequence(ZERO, EPSequence({}, [ONE], N2))
+    d = DerivationSum(
+        {n: covariant(n, beta, N2) for n in range(-128, 129)}, N2
+    )
+    path = tmp_path / "wide.json"
+    save_workspace(Workspace(N2, derivations={"d": d}), str(path))
+    derive = ["derive", "--workspace", str(path), "--derivation", "d"]
+    bilateral = [*derive, "--side", "bilateral"]
+    for argv in ([*derive, "(U + Us)^128"], [*derive, "U + Us"],
+                 [*bilateral, "(V + Vi)^128"], [*bilateral, "V + Vi"]):
+        start = time.perf_counter()
+        code, _ = run_cli(capsys, *argv)
+        assert code == 3, argv
+        assert time.perf_counter() - start < 2.0
+    # span 1 + 256 + 0 = MAX_SPAN
+    for argv in ([*derive, "U"], [*bilateral, "V"]):
+        code, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+
+
+def test_cli_empty_shells_and_grids_are_usage_errors(capsys, ws_path):
+    gns = ["--workspace", ws_path, "--derivation", "d", "--n", "0"]
+    for argv in (["parametrix", *gns, "--mlist", "0"],
+                 ["parametrix", *gns, "--mlist", "4,-2"],
+                 ["parametrix", *gns, "--mlist", "-4", "--space", "haar"],
+                 ["covcheck", *gns, "--grid", "0"],
+                 ["covcheck", *gns, "--grid", "-3", "--space", "haar"]):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1, argv
+        assert out == "" and err
+
+
 def test_cli_overlong_digit_run_is_a_parse_error(capsys):
     # int() refuses more than 4300 digits; the lexer must reject first
     for expr in ("1" * 5000, "U^" + "9" * 5000, "1/" + "7" * 5000):
