@@ -1,38 +1,32 @@
 """GNS simulators for the two invariant states.
 
 tau_0 reads the expectation at 0 and lives on l^2(Z); tau_Haar averages
-it and lives on L^2(Z x Z/NZ).  Implementation operators D are built
-from exact data on finite windows.  A covariant D of degree n maps the
-m-block of the window (level vectors for Haar) only to the block m + n,
-so it is a single band: the direct sum of level x level blocks B_m, and
-D*D is block-diagonal.  Each B_m is built exactly per column block, and
-tau_0 is the level-1 fiber x = 0 of the same blocks; one band assembler
-places blocks on a window, for D and for the pi-images pi(V^n g), whose
-blocks are diag_x g(x + m).  Compact-parametrix detection builds only
-the blocks I + B_m^H B_m of the shells M <= |m| < 2M, where divergence
-is visible as growth of the smallest eigenvalue, and the covariance
-check reads the residual off the band and the largest block norm.
+it and lives on L^2(Z x Z/NZ).  The operator D implementing the covariant
+derivation V^n eta(L) is built from eta itself on finite windows.  A
+covariant D of degree n maps the m-block of the window (level vectors for
+Haar) only to the block m + n, so it is a single band: the direct sum of
+level x level blocks B_m, and D*D is block-diagonal.  In every regime B_m
+has the diagonal eta(x + m) + const[x]: const = [c] on tau_0, the level-1
+fiber x = 0, and const = psi - eta on the Haar fiber; in the bounded
+regime (psi - eta)(x - n) sits in the rows x - n instead, which are the
+diagonal when level | n.  One band assembler places blocks on a window,
+for D and for the pi-images pi(V^n g), whose blocks are diag_x g(x + m).
+Compact-parametrix detection builds only the blocks I + B_m^H B_m of the
+shells M <= |m| < 2M, where divergence is visible as growth of the
+smallest eigenvalue, and the covariance check reads the residual off the
+band and the largest block norm.
 """
 
 import cmath
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
 
 from .scalars import Scalar, as_scalar, ZERO, ONE
-from .errors import (
-    LevelMismatch,
-    NoConvergence,
-    RegimeMismatch,
-    WindowTooSmall,
-)
-from .profinite import (
-    LocallyConstantFunction,
-    divides,
-    ep_shift,
-    haar_integral,
-)
+from .errors import LevelMismatch, NoConvergence, WindowTooSmall
+from .profinite import LocallyConstantFunction, divides, haar_integral
 from .algebra import expectation
 from .derivations import bilateral_apply, bounded_regime
 from .numerics import _sparse_mul
@@ -171,139 +165,64 @@ def pi_haar_apply(b, v):
 # implementation data
 
 
-class ImplementationData:
-    """Exact data describing a covariant implementation operator.
+class ImplementationData(
+        namedtuple("ImplementationData", "n N eta psi c level")):
+    """Exact data of the operator implementing the covariant derivation
+    V^n eta(L): the datum eta itself, the free L^2 function psi of the
+    Haar picture, the free constant c of the tau_0 picture (n = 0 only)
+    and the Haar level.  Built by implementation_from_bilateral, which
+    validates them.
 
-    cases: "bounded" carries h; "increment0" (N infinite, n = 0)
-    carries C and the mean-zero gtilde; "incrementN" (N finite, N | n)
-    carries C and htilde.  psi is the free L^2 function of the Haar
-    picture; c is the free constant of the tau_0 picture at n = 0.
+    case names the regime: "bounded" (eta periodic), "incrementN" (N
+    finite, N | n) or "increment0" (N infinite, n = 0).
     """
 
-    __slots__ = ("n", "N", "case", "h", "C", "gtilde", "htilde", "psi",
-                 "c", "level", "gtilde_prefix")
+    __slots__ = ()
 
-    def __init__(self, n, N, case, h=None, C=None, gtilde=None,
-                 htilde=None, psi=None, c=None, level=None):
-        if case == "bounded":
-            if not bounded_regime(n, N):
-                raise RegimeMismatch("bounded data in an increment regime")
-            if h is None:
-                raise ValueError("bounded case needs h")
-            if level is None:
-                level = N.as_int() if N.is_finite() else h.period
-        elif case == "increment0":
-            if N.is_finite() or n != 0:
-                raise RegimeMismatch("increment0 needs infinite N, n = 0")
-            if C is None or gtilde is None:
-                raise ValueError("increment0 case needs C and gtilde")
-            if haar_integral(gtilde):
-                raise ValueError("gtilde must have Haar mean zero")
-            if level is None:
-                level = gtilde.period
-        elif case == "incrementN":
-            if not N.is_finite() or n % N.as_int() != 0:
-                raise RegimeMismatch("incrementN needs finite N dividing n")
-            if C is None or htilde is None:
-                raise ValueError("incrementN case needs C and htilde")
-            level = N.as_int()
-        else:
-            raise ValueError(f"unknown case {case!r}")
-        if not divides(level, N):
-            raise LevelMismatch(f"level {level} does not divide N")
-        for f in (h, gtilde, htilde):
-            if f is not None and level % f.period != 0:
-                raise LevelMismatch("data period does not divide the level")
-        if psi is None:
-            psi = LocallyConstantFunction([ZERO], N)
-        if level % psi.period != 0:
-            raise LevelMismatch("psi period does not divide the level")
-        if c is None:
-            c = ZERO
-        else:
-            c = as_scalar(c)
-            if c and n != 0:
-                raise ValueError("the free constant exists only at n = 0")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "C", as_scalar(C) if C is not None else None)
-        object.__setattr__(self, "gtilde", gtilde)
-        object.__setattr__(self, "htilde", htilde)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "level", level)
-        # prefix[k] = gtilde(0) + ... + gtilde(k - 1) over one period;
-        # gtilde has Haar mean zero, so the prefix sums are periodic too
-        prefix = None
-        if gtilde is not None:
-            prefix, total = [], ZERO
-            for v in gtilde.table:
-                prefix.append(total)
-                total = total + v
-        object.__setattr__(self, "gtilde_prefix", prefix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ImplementationData is immutable")
-
-    def _gtilde_sum(self, m, x):
-        """gtilde(x + m - 1) + ... + gtilde(x), telescoped to m <= 0.
-
-        gtilde is the forward increment of the periodic part of eta, so
-        this sum equals eta~(x + m) - eta~(x) exactly; it is read off the
-        periodic prefix sums as P(x + m) - P(x).
-        """
-        prefix = self.gtilde_prefix
-        p = len(prefix)
-        return prefix[(x + m) % p] - prefix[x % p]
+    @property
+    def case(self):
+        if bounded_regime(self.n, self.N):
+            return "bounded"
+        return "incrementN" if self.N.is_finite() else "increment0"
 
     def parametrix_predicate(self, space):
         """The exact compactness criterion, as (truth, description)."""
+        case, hit = self.case, bool(self.eta.linear)
         if space == "tau0":
-            if self.case == "bounded":
+            if case == "bounded":
                 return False, "eta unbounded: false (periodic eta)"
-            hit = bool(self.C)
             return hit, f"eta unbounded (linear != 0): {str(hit).lower()}"
         if space == "haar":
-            if self.case == "incrementN":
-                hit = bool(self.C)
+            if case == "incrementN":
                 return hit, f"N finite, N | n, C_n != 0: {str(hit).lower()}"
-            if self.case == "increment0":
+            if case == "increment0":
                 return False, "N finite and N | n: false (N infinite)"
             return False, "N finite, N | n, C_n != 0: false (N does not divide n)"
         raise ValueError(f"unknown space {space!r}")
 
-    def __repr__(self):
-        return (
-            f"ImplementationData(n={self.n}, case={self.case!r}, "
-            f"level={self.level})"
-        )
-
 
 def implementation_from_bilateral(comp, psi=None, c=None, level=None):
-    """Implementation data for the covariant derivation with datum eta.
+    """Implementation data for the covariant quotient component comp.
 
-    In the increment0 case only the forward increment of eta~ survives
-    in the data; the lost anchor eta~(0) moves into the free constant c
-    so the tau_0 operator is unchanged.
+    The level defaults to N, or to the period of eta when N is infinite;
+    it must be positive, divide N and carry the periods of eta and psi.
     """
     n, eta, N = comp.n, comp.eta, comp.N
-    if bounded_regime(n, N):
-        return ImplementationData(
-            n, N, "bounded", h=eta.ep, psi=psi, level=level
-        )
-    if N.is_finite():
-        return ImplementationData(
-            n, N, "incrementN", C=eta.linear, htilde=eta.ep, psi=psi, c=c
-        )
-    gtilde = ep_shift(eta.ep, 1) - eta.ep
-    anchor = eta.ep.value_at(0)
-    shift = anchor if c is None else as_scalar(c) + anchor
-    return ImplementationData(
-        0, N, "increment0", C=eta.linear, gtilde=gtilde, psi=psi,
-        c=shift, level=level,
-    )
+    if level is None:
+        level = N.as_int() if N.is_finite() else eta.ep.period
+    if level < 1:
+        raise LevelMismatch(f"level {level} is not positive")
+    if not divides(level, N):
+        raise LevelMismatch(f"level {level} does not divide N")
+    if psi is None:
+        psi = LocallyConstantFunction([ZERO], N)
+    for name, f in (("eta", eta.ep), ("psi", psi)):
+        if level % f.period != 0:
+            raise LevelMismatch(f"{name} period does not divide the level")
+    c = ZERO if c is None else as_scalar(c)
+    if c and n != 0:
+        raise ValueError("the free constant exists only at n = 0")
+    return ImplementationData(n, N, eta, psi, c, level)
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +232,15 @@ def implementation_from_bilateral(comp, psi=None, c=None, level=None):
 def _D_block(data, space):
     """The exact level x level block B_m of D at the column block m, which
     D maps to the row block m + n, as (level, diag, off): B_m has the
-    diagonal entries diag(m, x) and the cells off, (row x, col x, Scalar),
-    which do not move with m.
+    diagonal entries diag(m, x) = eta(x + m) + const[x] and the cells off,
+    (row x, col x, Scalar), which do not move with m.
 
-    The diagonal is the part of eta that moves with m plus a constant per
-    fiber point.  tau_0 is the level-1 fiber x = 0, where B_m = eta(m) + c
-    (increment0 data has moved the anchor eta~(0) into c); the Haar fiber
-    is x in Z/level, where psi enters the constants, and in the bounded
-    case the commutant cells (psi - h)(x - n) in the rows x - n.
+    tau_0 is the level-1 fiber x = 0, where const = [c].  On the Haar
+    fiber x in Z/level, const[x] = (psi - eta)(x) in the increment
+    regimes; in the bounded case the commutant cells (psi - eta)(x - n)
+    sit in the rows x - n, which are the diagonal when level | n.
     """
-    n, case, C = data.n, data.case, data.C
+    n, eta = data.n, data.eta.value_at
     if space == "tau0":
         level, const, off = 1, [data.c], []
     elif space != "haar":
@@ -330,26 +248,16 @@ def _D_block(data, space):
     else:
         level, psi = data.level, data.psi.value_at
         fiber = range(level)
-        off = []
-        if case == "bounded":
-            # the rows x - n are the diagonal when level | n
-            cells = [((x - n) % level, x, psi(x - n) - data.h.value_at(x - n))
+        if data.case == "bounded":
+            cells = [((x - n) % level, x, psi(x - n) - eta(x - n))
                      for x in fiber]
             const = [v if row == x else ZERO for row, x, v in cells]
             off = [(row, x, v) for row, x, v in cells if row != x and v]
-        elif case == "increment0":
-            const = [psi(x) for x in fiber]
         else:
-            const = [psi(x) - data.htilde.value_at(x) for x in fiber]
+            const, off = [psi(x) - eta(x) for x in fiber], []
 
     def diag(m, x):
-        if case == "bounded":
-            v = data.h.value_at(x + m)
-        elif case == "increment0":
-            v = C * Scalar(m) + data._gtilde_sum(m, x)
-        else:
-            # htilde has period dividing N | n, so x+m and x+m+n agree
-            v = C * Scalar(m) + data.htilde.value_at(x + m)
+        v = eta(x + m)
         return v + const[x] if const[x] else v
 
     return level, diag, off

@@ -94,9 +94,10 @@ class _AffineSequence:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def value_at(self, k):
-        return (
-            self.linear * Scalar(k + self._seq.offset) + self.ep.value_at(k)
-        )
+        v = self.ep.value_at(k)
+        if not self.linear:
+            return v
+        return self.linear * Scalar(k + self._seq.offset) + v
 
     def is_bounded(self):
         return not self.linear

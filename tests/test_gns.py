@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from bdshift.scalars import Scalar, ZERO, ONE
-from bdshift.errors import (
-    LevelMismatch,
-    NoConvergence,
-    RegimeMismatch,
-    WindowTooSmall,
+from bdshift.errors import LevelMismatch, NoConvergence, WindowTooSmall
+from bdshift.profinite import (
+    LocallyConstantFunction,
+    SupernaturalNumber,
+    ep_shift,
 )
-from bdshift.profinite import LocallyConstantFunction, SupernaturalNumber
 from bdshift.sequences import BilateralAffineSequence, BilateralEPSequence
 from bdshift.algebra import (
     BilateralElement,
@@ -28,7 +27,6 @@ from bdshift.derivations import bilateral_apply, bilateral_covariant
 from bdshift.gns import (
     GNSVector0,
     GNSVectorHaar,
-    ImplementationData,
     build_D_haar,
     build_D_haar_exact,
     build_D_tau0,
@@ -88,6 +86,13 @@ def rand_eta(rng, N, per, linear_ok):
     return BilateralAffineSequence(
         lin,
         BilateralEPSequence({}, [rand_scalar(rng) for _ in range(per)], N),
+    )
+
+
+def periodic_eta(f):
+    """The bounded datum eta = f of a locally constant function f."""
+    return BilateralAffineSequence(
+        ZERO, BilateralEPSequence({}, list(f.table), f.N)
     )
 
 
@@ -251,7 +256,9 @@ def test_haar_covariance():
 def test_haar_generator_formulas():
     rng = random.Random(20240212)
     h = rand_lcf(rng, N2, 2)
-    data_b = ImplementationData(1, N2, "bounded", h=h, psi=h)
+    data_b = implementation_from_bilateral(
+        bilateral_covariant(1, periodic_eta(h), N2), psi=h
+    )
     Db = build_D_haar_exact(data_b, 4)
     # psi = h kills the commutant term: pure shifted multiplication
     for (i, j), val in Db.items():
@@ -259,9 +266,8 @@ def test_haar_generator_formulas():
         mj, xj = j // 2 - 4, j % 2
         assert mi == mj + 1 and xi == xj
         assert val == h.value_at(xj + mj)
-    data_d = ImplementationData(
-        2, N2, "incrementN", C=ONE, htilde=LocallyConstantFunction([ZERO], N2)
-    )
+    etaL = BilateralAffineSequence(ONE, BilateralEPSequence({}, [ZERO], N2))
+    data_d = implementation_from_bilateral(bilateral_covariant(2, etaL, N2))
     Dd = build_D_haar_exact(data_d, 4)
     for (i, j), val in Dd.items():
         mi, xi = i // 2 - 4, i % 2
@@ -330,7 +336,9 @@ def test_parametrix_haar():
 
     rng = random.Random(20240214)
     h = rand_lcf(rng, N2, 2)
-    data_b = ImplementationData(1, N2, "bounded", h=h, psi=h)
+    data_b = implementation_from_bilateral(
+        bilateral_covariant(1, periodic_eta(h), N2), psi=h
+    )
     rep = parametrix_report(data_b, Ms, space="haar")
     assert rep["verdict"] == NEGATIVE and not slope_corroborates(rep)
 
@@ -359,12 +367,45 @@ def test_parametrix_haar():
 
 
 def test_implementation_data_guards():
-    rng = random.Random(20240215)
-    h = rand_lcf(rng, N2, 2)
-    with pytest.raises(RegimeMismatch):
-        ImplementationData(0, N2, "bounded", h=h)
-    with pytest.raises(RegimeMismatch):
-        ImplementationData(1, N2, "incrementN", C=ONE, htilde=h)
+    comps = regime_components()
+    bounded, flatN = comps["bounded"], comps["incrementN_flat"]
+    linearN, linear0 = comps["incrementN_linear"], comps["increment0_linear"]
+    # the level is positive, divides N and carries the periods of eta
+    # (2 at N = 2, 4 at N = 2^inf) and psi
+    for comp, level in ((bounded, 0), (linearN, -2), (linear0, 0),
+                        (flatN, 4), (linearN, 1), (linear0, 2)):
+        with pytest.raises(LevelMismatch):
+            implementation_from_bilateral(comp, level=level)
+    psi8 = LocallyConstantFunction([ONE] + [ZERO] * 7, NINF)
+    with pytest.raises(LevelMismatch):
+        implementation_from_bilateral(linear0, psi=psi8)
+    assert implementation_from_bilateral(linear0, psi=psi8, level=8).level == 8
+    # the free constant exists only at n = 0, in every regime
+    for comp in (bounded, flatN, linearN):
+        with pytest.raises(ValueError, match="only at n = 0"):
+            implementation_from_bilateral(comp, c=ONE)
+        assert implementation_from_bilateral(comp, c=ZERO).c == ZERO
+    assert implementation_from_bilateral(linear0, c=ONE).c == ONE
+
+
+def test_haar_implementation_exact_at_proper_divisor_levels():
+    # N = 6 and N | n: every level that divides N and carries the periods
+    # of eta, psi and b gives an exact implementation
+    rng = random.Random(20240220)
+    N6 = SupernaturalNumber.from_int(6)
+    for level in (1, 2, 3):
+        for n in (0, 6, -6):
+            comp = bilateral_covariant(n, rand_eta(rng, N6, level, True), N6)
+            data = implementation_from_bilateral(
+                comp, psi=rand_lcf(rng, N6, level), level=level
+            )
+            assert data.case == "incrementN" and data.level == level
+            Dx = build_D_haar_exact(data, 12)
+            b = rand_bilateral(rng, N6, level, 2)
+            res = check_implementation(
+                Dx, {n: comp}, b, 12, space="haar", level=level
+            )
+            assert res == 0.0
 
 
 def test_naturality_of_implementation():
@@ -468,20 +509,6 @@ def dense_shell_min_sv(data, space, M, tol=1e-12, cap=20000, seed=20240117):
     return math.sqrt(1.0 / new)
 
 
-def test_gtilde_sum_matches_loop():
-    rng = random.Random(20240217)
-    for per in (1, 2, 4, 8):
-        for _ in range(3):
-            comp = bilateral_covariant(0, rand_eta(rng, NINF, per, True), NINF)
-            data = implementation_from_bilateral(comp)
-            p = data.gtilde.period
-            for m in range(-3 * p, 3 * p + 1):
-                for x in range(p):
-                    assert data._gtilde_sum(m, x) == gtilde_sum_loop(
-                        data.gtilde, m, x
-                    )
-
-
 def test_check_covariance_matches_dense():
     rng = random.Random(20240218)
     M = 8
@@ -534,17 +561,26 @@ def test_shell_min_sv_matches_dense():
 # entry-by-entry window builds, the reference for the block builds
 
 
+def reference_parts(data):
+    """The per-regime data of eta = C l + eta~: C, eta~ as h or htilde,
+    and at n = 0 with N infinite the forward increment gtilde of eta~ and
+    the anchor eta~(0) that its sums lose."""
+    C, ep = data.eta.linear, data.eta.ep
+    return C, ep, ep_shift(ep, 1) - ep, ep.value_at(0)
+
+
 def reference_D_tau0_exact(data, M):
     """{(row, col): Scalar} over E_{-M..M}: D E_l = (eta(l) + c) E_{l+n}."""
     n = data.n
+    C, ep, gtilde, anchor = reference_parts(data)
     out = {}
     for l in range(-M, M + 1):
         if data.case == "bounded":
-            val = data.h.value_at(l)
+            val = ep.value_at(l)
         elif data.case == "incrementN":
-            val = data.C * Scalar(l) + data.htilde.value_at(l)
+            val = C * Scalar(l) + ep.value_at(l)
         else:
-            val = data.C * Scalar(l) + gtilde_sum_loop(data.gtilde, l, 0)
+            val = C * Scalar(l) + gtilde_sum_loop(gtilde, l, 0) + anchor
         if n == 0:
             val = val + data.c
         i = l + n
@@ -556,6 +592,7 @@ def reference_D_tau0_exact(data, M):
 def reference_D_haar_exact(data, M):
     """{(row, col): Scalar} over e_(m,x), m in [-M, M]."""
     n, level, psi = data.n, data.level, data.psi
+    C, ep, gtilde, _ = reference_parts(data)
     out = {}
 
     def index(m, x):
@@ -576,19 +613,18 @@ def reference_D_haar_exact(data, M):
     for m in range(-M, M + 1):
         for x in range(level):
             if data.case == "bounded":
-                h = data.h
-                put(m + n, x, m, x, h.value_at(x + m))
+                put(m + n, x, m, x, ep.value_at(x + m))
                 put(m + n, x - n, m, x,
-                    psi.value_at(x - n) - h.value_at(x - n))
+                    psi.value_at(x - n) - ep.value_at(x - n))
             elif data.case == "increment0":
-                val = (data.C * Scalar(m)
-                       + gtilde_sum_loop(data.gtilde, m, x)
+                val = (C * Scalar(m)
+                       + gtilde_sum_loop(gtilde, m, x)
                        + psi.value_at(x))
                 put(m, x, m, x, val)
             else:
-                val = (data.C * Scalar(m)
-                       + data.htilde.value_at(x + m)
-                       - data.htilde.value_at(x)
+                val = (C * Scalar(m)
+                       + ep.value_at(x + m)
+                       - ep.value_at(x)
                        + psi.value_at(x))
                 put(m + n, x, m, x, val)
     return out

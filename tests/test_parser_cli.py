@@ -485,6 +485,61 @@ def test_cli_empty_shells_and_grids_are_usage_errors(capsys, ws_path):
         assert out == "" and err
 
 
+def test_cli_free_constant_only_at_degree_zero(capsys, ws_path):
+    # --n 1 is the bounded regime, --n 2 the incrementN one
+    gns = ["--workspace", ws_path, "--derivation", "d"]
+    for argv in (["gns-d", *gns, "--n", "1", "--m", "1", "--c", "1"],
+                 ["gns-d", *gns, "--n", "1", "--space", "haar", "--c", "1"],
+                 ["parametrix", *gns, "--n", "1", "--c", "7"],
+                 ["covcheck", *gns, "--n", "2", "--c", "1"]):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1, argv
+        assert out == "" and "only at n = 0" in err
+    code, payload = run_cli(
+        capsys, "gns-d", *gns, "--n", "0", "--m", "0", "--c", "2"
+    )
+    assert code == 0
+    # D E_0 = (eta(0) + c) E_0 with eta(0) = 0 + 0
+    assert payload["entries"] == [[0, 0, 2.0, 0.0]]
+
+
+def test_cli_incrementN_level_is_honoured(capsys, tmp_path):
+    # N = 6 and a derivation at n = 6 with eta(l) = l + a period-3 table
+    N6 = SupernaturalNumber.from_int(6)
+    beta = AffineSequence(ONE, EPSequence({}, [ONE, ZERO, Scalar(2)], N6))
+    d = DerivationSum({6: covariant(6, beta, N6)}, N6)
+    path = tmp_path / "six.json"
+    save_workspace(Workspace(N6, derivations={"d": d}), str(path))
+    gns = ["gns-d", "--workspace", str(path), "--derivation", "d",
+           "--n", "6", "--m", "2", "--space", "haar"]
+    for level, size in ((None, 30), ("3", 15)):
+        extra = [] if level is None else ["--level", level]
+        code, payload = run_cli(capsys, *gns, *extra)
+        assert code == 0
+        assert payload["case"] == "incrementN"
+        assert payload["level"] == int(level or 6)
+        assert payload["size"] == size
+    # 5 and 4 do not divide N = 6, 2 does not carry the period 3 of eta
+    for level in ("5", "4", "2"):
+        code, _ = run_cli(capsys, *gns, "--level", level)
+        assert code == 3, level
+
+
+def test_cli_non_positive_level_is_a_domain_error(capsys, ws_path):
+    gns = ["--workspace", ws_path, "--derivation", "d"]
+    for cmd in (["gns-d"], ["covcheck"], ["parametrix", "--mlist", "4"]):
+        for n in ("0", "1"):
+            for level in ("0", "-2"):
+                for space in ("tau0", "haar"):
+                    argv = [*cmd, *gns, "--n", n, "--level", level,
+                            "--space", space]
+                    code = cli.main(argv)
+                    out, err = capsys.readouterr()
+                    assert code == 3, argv
+                    assert out == "" and "not positive" in err
+
+
 def test_cli_overlong_digit_run_is_a_parse_error(capsys):
     # int() refuses more than 4300 digits; the lexer must reject first
     for expr in ("1" * 5000, "U^" + "9" * 5000, "1/" + "7" * 5000):
@@ -599,7 +654,6 @@ def test_cli_oversized_windows_fail_fast(capsys, ws_path, tmp_path):
         # the grid doubles each round: 8 * 2^29 points in the last one
         ["qnorm", *ws, "V + Vi", "--grid", "8", "--rounds", "30"],
         ["qnorm", *ws, "V + Vi", "--grid", "8", "--rounds", str(10**18)],
-        # the exact parametrix build pads the window by |n|
         ["parametrix", *ws, "--derivation", "d", "--n", "1000000000000",
          "--mlist", "4"],
         ["units", *wide],
