@@ -105,6 +105,10 @@ def _implementation(args, env, M):
     c = parse_gaussian(args.c) if getattr(args, "c", None) else None
     level = getattr(args, "level", None)
     data = gns.implementation_from_bilateral(comp, psi=psi, c=c, level=level)
+    # --c shapes only the tau_0 operator and --psi only the Haar one
+    unused = {"haar": "c", "tau0": "psi"}[args.space]
+    if getattr(args, unused, None) is not None:
+        raise ValueError(f"--{unused} is not used with --space {args.space}")
     fiber = data.level if args.space == "haar" else 1
     _check_window((2 * M + 1) * fiber, getattr(args, "grid", 0))
     return data

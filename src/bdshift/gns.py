@@ -9,8 +9,12 @@ level x level blocks B_m, and D*D is block-diagonal.  In every regime B_m
 has the diagonal eta(x + m) + const[x]: const = [c] on tau_0, the level-1
 fiber x = 0, and const = psi - eta on the Haar fiber; in the bounded
 regime (psi - eta)(x - n) sits in the rows x - n instead, which are the
-diagonal when level | n.  One band assembler places blocks on a window,
-for D and for the pi-images pi(V^n g), whose blocks are diag_x g(x + m).
+diagonal when level | n.  The diagonals are read off eta and const lifted
+once onto Gaussian-integer rows over one denominator.  One band assembler
+places exact blocks on a window, for D and for the pi-images pi(V^n g),
+whose blocks are diag_x g(x + m); the dense builds fill the band by index
+arrays.  The implementation check scatters each entry of D into the two
+products of [D, pi(b)] on the interior of the window.
 Compact-parametrix detection builds only the blocks I + B_m^H B_m of the
 shells M <= |m| < 2M, where divergence is visible as growth of the
 smallest eigenvalue, and the covariance check reads the residual off the
@@ -20,16 +24,15 @@ band and the largest block norm.
 import cmath
 import math
 from collections import namedtuple
-from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
-from .scalars import Scalar, as_scalar, ZERO, ONE
+from .scalars import Scalar, _canonical, as_scalar, ZERO, ONE
 from .errors import LevelMismatch, NoConvergence, WindowTooSmall
 from .profinite import LocallyConstantFunction, divides, haar_integral
 from .algebra import expectation
 from .derivations import bilateral_apply, bounded_regime
-from .numerics import _sparse_mul
 
 
 def tau0(b):
@@ -231,14 +234,21 @@ def implementation_from_bilateral(comp, psi=None, c=None, level=None):
 
 def _D_block(data, space):
     """The exact level x level block B_m of D at the column block m, which
-    D maps to the row block m + n, as (level, diag, off): B_m has the
-    diagonal entries diag(m, x) = eta(x + m) + const[x] and the cells off,
-    (row x, col x, Scalar), which do not move with m.
+    D maps to the row block m + n, as (level, den, diag, off): B_m has the
+    diagonal entries eta(x + m) + const[x] and the cells off, (row x,
+    col x, Scalar), which do not move with m.
 
     tau_0 is the level-1 fiber x = 0, where const = [c].  On the Haar
     fiber x in Z/level, const[x] = (psi - eta)(x) in the increment
     regimes; in the bounded case the commutant cells (psi - eta)(x - n)
     sit in the rows x - n, which are the diagonal when level | n.
+
+    eta = linear l + ep(l) and const are lifted once onto Gaussian-integer
+    rows over the one denominator den, so diag(ms) gives the diagonals of
+    the blocks m in ms, in order, as numerator lists (re, im) at a few int
+    operations an entry: _canonical(a, b, den) is the exact entry and
+    complex(a / den, b / den) its float, which is complex of the Scalar
+    because int / int is correctly rounded.
     """
     n, eta = data.n, data.eta.value_at
     if space == "tau0":
@@ -256,40 +266,79 @@ def _D_block(data, space):
         else:
             const, off = [psi(x) - eta(x) for x in fiber], []
 
-    def diag(m, x):
-        v = eta(x + m)
-        return v + const[x] if const[x] else v
+    linear, ep = data.eta.linear, data.eta.ep
+    den = math.lcm(*(v._t[2] for v in (
+        linear, *ep.table, *ep.correction.values(), *const)))
 
-    return level, diag, off
+    def lift(values):
+        return ([v._t[0] * (den // v._t[2]) for v in values],
+                [v._t[1] * (den // v._t[2]) for v in values])
+
+    (la,), (lb,) = lift([linear])
+    ta, tb = lift(ep.table)
+    ca, cb = lift(const)
+    corr = dict(zip(ep.correction, zip(*lift(ep.correction.values()))))
+    p, fiber = ep.period, range(level)
+
+    def diag(ms):
+        re = [la * (x + m) + ta[(x + m) % p] + ca[x]
+              for m in ms for x in fiber]
+        im = [lb * (x + m) + tb[(x + m) % p] + cb[x]
+              for m in ms for x in fiber]
+        if corr:
+            for i, k in enumerate(x + m for m in ms for x in fiber):
+                if k in corr:
+                    re[i] += corr[k][0]
+                    im[i] += corr[k][1]
+        return re, im
+
+    return level, den, diag, off
+
+
+def _band_blocks(n, M):
+    """The column blocks m in [-M, M] that a band of degree n maps into
+    the window [-M, M]."""
+    return range(max(-M, -M - n), min(M, M - n) + 1)
 
 
 def _band(n, M, level, diag, off=()):
     """{(row, col): Scalar} over the basis e_(m,x), m in [-M, M], of the
     band that maps the column block m to the row block m + n by the block
-    with the diagonal diag(m, x) and the off-diagonal cells off."""
-    out = {}
-    fiber = range(level)
-    for m in range(max(-M, -M - n), min(M, M - n) + 1):
+    with the diagonal diag(ms), the Scalars of the blocks m in ms in
+    order, and the off-diagonal cells off."""
+    ms = _band_blocks(n, M)
+    # the column blocks are consecutive, so the entries run over the
+    # columns (ms.start + M) * level, ... in order
+    first = (ms.start + M) * level
+    out = {(j + n * level, j): v
+           for j, v in enumerate(diag(ms), first) if v}
+    for m in ms:
         row, col = (m + n + M) * level, (m + M) * level
-        for x in fiber:
-            v = diag(m, x)
-            if v:
-                out[row + x, col + x] = v
         for xi, xj, v in off:
             out[row + xi, col + xj] = v
     return out
 
 
 def _build_D_exact(data, space, M):
-    return _band(data.n, M, *_D_block(data, space))
+    level, den, diag, off = _D_block(data, space)
+    return _band(data.n, M, level,
+                 lambda ms: map(_canonical, *diag(ms), repeat(den)), off)
 
 
 def build_D(data, space, M):
     """D on the window [-M, M] as a dense complex matrix."""
-    level, diag, off = _D_block(data, space)
+    level, den, diag, off = _D_block(data, space)
+    n = data.n
     D = np.zeros(((2 * M + 1) * level,) * 2, dtype=complex)
-    for (i, j), v in _band(data.n, M, level, diag, off).items():
-        D[i, j] = complex(v)
+    ms = _band_blocks(n, M)
+    if ms:
+        re, im = diag(ms)
+        cols = np.arange((ms.start + M) * level, (ms.stop + M) * level)
+        D.real[cols + n * level, cols] = [a / den for a in re]
+        D.imag[cols + n * level, cols] = [b / den for b in im]
+        col = (np.asarray(ms) + M) * level
+        for xi, xj, v in off:
+            D[col + n * level + xi, col + xj] = complex(v)
     return D
 
 
@@ -374,9 +423,11 @@ def _check_level(b, level):
 def _pi_exact(b, M, level):
     """pi(b) on the window: pi(V^n g) is the band that maps the block m
     to the block m + n by diag_x g(x + m); tau_0 is the level-1 fiber."""
+    fiber = range(level)
     out = {}
     for n, g in b.terms.items():
-        out.update(_band(n, M, level, lambda m, x: g.value_at(x + m)))
+        out.update(_band(n, M, level, lambda ms: [
+            g.value_at(x + m) for m in ms for x in fiber]))
     return out
 
 
@@ -385,7 +436,14 @@ def check_implementation(D, components, b, M, space="tau0", level=1):
     when D implements delta.
 
     D is a sparse exact matrix {(row, col): Scalar} on the window basis,
-    e.g. a build_D_*_exact output or an exact pi-image.
+    e.g. a build_D_*_exact output or an exact pi-image.  The interior is
+    |m| <= M - margin, with the margin the band width of D plus the
+    largest degree of b.  pi(V^k g) maps e_(m,x) to g(x + m) e_(m+k,x),
+    so each entry D_ij is scattered into the two products: D_ij
+    g(x_j + m_j - k) at (i, j - k level) of D pi(b), and -g(x_i + m_i)
+    D_ij at (i + k level, j) of pi(b) D.  Only the terms with row and
+    column in the interior are kept; they are the interior of the window
+    products, and pi(delta(b)) is evaluated on the interior alone.
     """
     db = bilateral_apply(components, b)
     if space == "tau0":
@@ -395,8 +453,6 @@ def check_implementation(D, components, b, M, space="tau0", level=1):
         _check_level(db, level)
     else:
         raise ValueError(f"unknown space {space!r}")
-    pb = _pi_exact(b, M, level)
-    pdb = _pi_exact(db, M, level)
     mrow = lambda i: i // level - M
 
     band_D = max((abs(mrow(i) - mrow(j)) for i, j in D), default=0)
@@ -404,20 +460,28 @@ def check_implementation(D, components, b, M, space="tau0", level=1):
     if M <= margin:
         raise WindowTooSmall(f"window {M} is all boundary at margin {margin}")
 
-    comm = _sparse_mul(D, pb)
-    for key, v in _sparse_mul(pb, D).items():
-        w = comm.get(key, ZERO) - v
-        if w:
-            comm[key] = w
-        elif key in comm:
-            del comm[key]
-    worst = Fraction(0)
     cut = M - margin
-    for key in set(comm) | set(pdb):
-        i, j = key
-        if abs(mrow(i)) <= cut and abs(mrow(j)) <= cut:
-            dev = comm.get(key, ZERO) - pdb.get(key, ZERO)
-            worst = max(worst, dev.abs_sq())
+    lo, hi = margin * level, (2 * M + 1 - margin) * level
+    terms = [(k * level, k + M, g.value_at) for k, g in b.terms.items()]
+    acc = {}
+    get = acc.get
+    for (i, j), v in D.items():
+        for s, kM, g in terms:
+            if lo <= i < hi and lo <= j - s < hi:
+                key = (i, j - s)
+                t = v * g(j // level + j % level - kM)
+                w = get(key)
+                acc[key] = t if w is None else w + t
+            if lo <= i + s < hi and lo <= j < hi:
+                key = (i + s, j)
+                t = g(i // level + i % level - M) * v
+                w = get(key)
+                acc[key] = -t if w is None else w - t
+    shift = margin * level
+    for (i, j), v in _pi_exact(db, cut, level).items():
+        key = (i + shift, j + shift)
+        acc[key] = get(key, ZERO) - v
+    worst = max((w.abs_sq() for w in acc.values() if w), default=0)
     return math.sqrt(worst)
 
 
@@ -428,8 +492,10 @@ def check_implementation(D, components, b, M, space="tau0", level=1):
 def _min_eig_inverse_power(G, tol=1e-12, cap=20000, seed=20240117):
     """Smallest eigenvalue of Hermitian G >= I via power iteration on
     the inverse; G is block-diagonal, given as the (k, L, L) stack of its
-    blocks, and vectors run over the blocks in order.  NoConvergence when
-    cap iterations do not settle."""
+    blocks, and vectors run over the blocks in order.  Each step applies
+    G^{-1} once: the product w = G^{-1} v that gives the Rayleigh quotient
+    of v is carried into the next step, which normalizes it.
+    NoConvergence when cap iterations do not settle."""
     Ginv = np.linalg.inv(G)
     k, L, _ = G.shape
 
@@ -439,11 +505,12 @@ def _min_eig_inverse_power(G, tol=1e-12, cap=20000, seed=20240117):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(k * L) + 1j * rng.standard_normal(k * L)
     v /= np.linalg.norm(v)
+    w = apply(v)
     lam = 0.0
     for _ in range(cap):
-        w = apply(v)
         v = w / np.linalg.norm(w)
-        new = float(np.real(np.vdot(v, apply(v))))
+        w = apply(v)
+        new = float(np.real(np.vdot(v, w)))
         if abs(new - lam) <= tol * max(1.0, abs(new)):
             return 1.0 / max(new, 1e-300)
         lam = new
@@ -464,12 +531,13 @@ def _shell_min_sv(data, space, M):
     """
     if M < 1:
         raise ValueError(f"the shell M <= |m| < 2M is empty at M={M}")
-    level, diag, off = _D_block(data, space)
+    level, den, diag, off = _D_block(data, space)
     shell = [*range(-2 * M + 1, -M + 1), *range(M, 2 * M)]
+    re, im = diag(shell)
     B = np.zeros((len(shell), level, level), dtype=complex)
-    for k, m in enumerate(shell):
-        for x in range(level):
-            B[k, x, x] = complex(diag(m, x))
+    fiber = np.arange(level)
+    B.real[:, fiber, fiber] = np.reshape([a / den for a in re], (-1, level))
+    B.imag[:, fiber, fiber] = np.reshape([b / den for b in im], (-1, level))
     for xi, xj, v in off:
         B[:, xi, xj] = complex(v)
     G = np.eye(level) + B.conj().transpose(0, 2, 1) @ B

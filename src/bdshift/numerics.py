@@ -198,14 +198,10 @@ def quotient_norm_report(b, N, G, rounds=3):
 def nonzero_entries(A):
     """The nonzero entries of a dense matrix as [row, col, re, im] lists,
     in row-major order."""
-    entries = []
-    rows, cols = A.shape
-    for i in range(rows):
-        for j in range(cols):
-            v = A[i, j]
-            if v != 0:
-                entries.append([i, j, float(v.real), float(v.imag)])
-    return entries
+    rows, cols = np.nonzero(A)
+    vals = A[rows, cols]
+    return [list(e) for e in zip(rows.tolist(), cols.tolist(),
+                                 vals.real.tolist(), vals.imag.tolist())]
 
 
 def write_matrix_csv(A, fh):

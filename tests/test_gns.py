@@ -1,6 +1,8 @@
+import ast
 import cmath
 import math
 import random
+from pathlib import Path
 from fractions import Fraction
 
 import numpy as np
@@ -24,9 +26,12 @@ from bdshift.algebra import (
     v_element,
 )
 from bdshift.derivations import bilateral_apply, bilateral_covariant
+from bdshift import gns
 from bdshift.gns import (
     GNSVector0,
     GNSVectorHaar,
+    ImplementationData,
+    build_D,
     build_D_haar,
     build_D_haar_exact,
     build_D_tau0,
@@ -45,6 +50,7 @@ from bdshift.gns import (
     tau_haar,
 )
 from bdshift.gns import (
+    _build_D_exact,
     _min_eig_inverse_power,
     _pi_exact,
     _shell_min_sv,
@@ -669,3 +675,208 @@ def test_min_eig_inverse_power_raises_at_cap():
         _min_eig_inverse_power(G, cap=2)
     assert info.value.iterations == 2
     assert 1.0 <= info.value.last_value <= 2.0
+
+
+# ---------------------------------------------------------------------------
+# integer-row builds and the scattered implementation check
+
+
+def correction_data():
+    """Implementation data whose eta carries a correction, negative keys
+    included, in each regime; the quotient never builds such an eta, so
+    ImplementationData is formed directly."""
+    rng = random.Random(20240221)
+
+    def eta(linear, N, per):
+        corr = {-3: rand_scalar(rng), 0: Scalar(Fraction(5, 7)),
+                4: rand_scalar(rng) or ONE}
+        return BilateralAffineSequence(linear, BilateralEPSequence(
+            corr, [rand_scalar(rng) for _ in range(per)], N))
+
+    return [
+        ImplementationData(1, N2, eta(ZERO, N2, 2), rand_lcf(rng, N2, 2),
+                           ZERO, 2),
+        ImplementationData(-2, NINF, eta(ZERO, NINF, 2),
+                           rand_lcf(rng, NINF, 2), ZERO, 4),
+        ImplementationData(2, N2, eta(Scalar(Fraction(2, 3), 1), N2, 2),
+                           rand_lcf(rng, N2, 2), ZERO, 2),
+        ImplementationData(0, NINF, eta(Scalar(Fraction(1, 2)), NINF, 4),
+                           rand_lcf(rng, NINF, 4), Scalar(Fraction(-1, 3), 2),
+                           4),
+    ]
+
+
+def build_cases():
+    """Implementation data over every regime and variant: psi, c, a level
+    finer than the period, bounded Haar blocks with off cells (level
+    does not divide n) and etas with corrections."""
+    rng = random.Random(20240222)
+    out = []
+    for comp in (*regime_components().values(), *wide_bounded_components()):
+        variants = [{}, {"psi": rand_lcf(rng, comp.N, 2)}]
+        if comp.n == 0:
+            variants.append({"c": rand_scalar(rng), **variants[1]})
+        if not comp.N.is_finite():
+            variants.append({"level": 8, **variants[1]})
+        out += [implementation_from_bilateral(comp, **kw) for kw in variants]
+    return out + correction_data()
+
+
+def test_dense_build_is_the_float_of_the_exact_build():
+    off_cells = 0
+    for data in build_cases():
+        for space in ("tau0", "haar"):
+            for M in (0, 1, 4, 9):
+                Dx = _build_D_exact(data, space, M)
+                want = np.zeros(((2 * M + 1) * (
+                    data.level if space == "haar" else 1),) * 2,
+                    dtype=complex)
+                for (i, j), v in Dx.items():
+                    want[i, j] = complex(v)
+                assert build_D(data, space, M).tobytes() == want.tobytes()
+                if space == "haar":
+                    level = data.level
+                    off_cells += sum((i - j) % level != 0 for i, j in Dx)
+    assert off_cells > 0
+
+
+def test_exact_builds_with_corrections_match_the_entrywise_reference():
+    for data in correction_data():
+        assert data.eta.ep.correction and min(data.eta.ep.correction) < 0
+        for M in (1, 4, 8):
+            assert build_D_tau0_exact(data, M) == \
+                reference_D_tau0_exact(data, M)
+            assert build_D_haar_exact(data, M) == \
+                reference_D_haar_exact(data, M)
+
+
+def test_shell_min_sv_frozen_values():
+    comps = regime_components()
+    wide = wide_bounded_components()[0]
+    frozen = [
+        (comps["incrementN_linear"], "tau0",
+         ["0x1.94c583ada5f96p+1", "0x1.e110c3922d11dp+3"]),
+        (comps["incrementN_linear"], "haar",
+         ["0x1.07e0f66affe6ep+2", "0x1.007fe010d9c98p+4"]),
+        (comps["increment0_linear"], "haar",
+         ["0x1.cd82b44617a1dp+0", "0x1.e43f74703ef71p+2"]),
+        (comps["increment0_flat"], "tau0",
+         ["0x1.00000000002b0p+0", "0x1.00000000000c9p+0"]),
+        (comps["bounded"], "haar",
+         ["0x1.000000000000cp+0", "0x1.0000000000005p+0"]),
+        (wide, "haar", ["0x1.0000000000000p+0", "0x1.0000000000000p+0"]),
+    ]
+    for comp, space, want in frozen:
+        data = implementation_from_bilateral(comp)
+        got = [_shell_min_sv(data, space, M).hex() for M in (4, 16)]
+        assert got == want, (comp.n, space)
+
+
+def dense_exact(entries, size):
+    A = [[ZERO] * size for _ in range(size)]
+    for (i, j), v in entries.items():
+        A[i][j] = A[i][j] + v
+    return A
+
+
+def dense_exact_mul(A, B):
+    size = len(A)
+    out = [[ZERO] * size for _ in range(size)]
+    for i in range(size):
+        for k in range(size):
+            if A[i][k]:
+                for j in range(size):
+                    if B[k][j]:
+                        out[i][j] = out[i][j] + A[i][k] * B[k][j]
+    return out
+
+
+def reference_pi_dense(b, M, level):
+    """pi(b) on the window, entry by entry: e_(m,x) -> g(x + m) e_(m+k,x)."""
+    size = (2 * M + 1) * level
+    P = [[ZERO] * size for _ in range(size)]
+    for k, g in b.terms.items():
+        for m in range(-M, M + 1):
+            if abs(m + k) <= M:
+                for x in range(level):
+                    i, j = (m + k + M) * level + x, (m + M) * level + x
+                    P[i][j] = P[i][j] + g.value_at(x + m)
+    return P
+
+
+def reference_implementation_deviation(D, components, b, M, level):
+    """max |[D, pi(b)] - pi(delta b)| over the interior, by dense exact
+    products over the whole window."""
+    size = (2 * M + 1) * level
+    Dd, P = dense_exact(D, size), reference_pi_dense(b, M, level)
+    Q = reference_pi_dense(bilateral_apply(components, b), M, level)
+    DP, PD = dense_exact_mul(Dd, P), dense_exact_mul(P, Dd)
+    band = max(abs(i // level - j // level) for i, j in D)
+    cut = M - band - b.max_abs_degree()
+    inner = [i for i in range(size) if abs(i // level - M) <= cut]
+    worst = max((DP[i][j] - PD[i][j] - Q[i][j]).abs_sq()
+                for i in inner for j in inner)
+    return math.sqrt(worst)
+
+
+def test_check_implementation_matches_dense_products_off_zero():
+    rng = random.Random(20240223)
+    M = 7
+    cases = []
+    # a perturbed D: one interior entry moved
+    comp = bilateral_covariant(0, rand_eta(rng, N2, 2, True), N2)
+    Dx = dict(build_D_tau0_exact(implementation_from_bilateral(comp), M))
+    Dx[M, M] = Dx.get((M, M), ZERO) + Scalar(Fraction(1, 3), -1)
+    cases.append((Dx, {0: comp}, 1))
+    # a D of the wrong degree
+    eta = rand_eta(rng, N2, 2, False)
+    D1 = build_D_tau0_exact(
+        implementation_from_bilateral(bilateral_covariant(1, eta, N2)), M)
+    cases.append((D1, {2: bilateral_covariant(2, eta, N2)}, 1))
+    # the two-band sum of test_naturality_of_implementation, checked
+    # against one of its components
+    comp_a = bilateral_covariant(1, rand_eta(rng, N2, 2, False), N2)
+    comp_b = bilateral_covariant(2, rand_eta(rng, N2, 2, True), N2)
+    D2 = dict(build_D_tau0_exact(implementation_from_bilateral(comp_a), M))
+    for k, v in build_D_tau0_exact(
+            implementation_from_bilateral(comp_b), M).items():
+        D2[k] = D2.get(k, ZERO) + v
+    cases.append((D2, {1: comp_a}, 1))
+    cases.append((D2, {1: comp_a, 2: comp_b}, 1))
+    # Haar, bounded with level 2 not dividing n = 1: D carries off cells;
+    # checked against a component with another eta
+    comp_h = bilateral_covariant(1, rand_eta(rng, N2, 2, False), N2)
+    data_h = implementation_from_bilateral(comp_h, psi=rand_lcf(rng, N2, 2))
+    Dh = build_D_haar_exact(data_h, M)
+    other = bilateral_covariant(1, rand_eta(rng, N2, 2, False), N2)
+    cases.append((Dh, {1: other}, 2))
+    cases.append((Dh, {1: comp_h}, 2))
+    nonzero = 0
+    for D, comps, level in cases:
+        b = rand_bilateral(rng, N2, 2, 2)
+        space = "haar" if level > 1 else "tau0"
+        got = check_implementation(D, comps, b, M, space=space, level=level)
+        want = reference_implementation_deviation(D, comps, b, M, level)
+        assert got == want
+        nonzero += got > 0
+    assert nonzero == 4
+
+
+def test_exact_sparse_product_serves_only_the_truncation_oracle():
+    # the exact window product stays with the truncation oracle; the GNS
+    # checks scatter their entries instead
+    assert not hasattr(gns, "_sparse_mul")
+    users = set()
+    for path in sorted(Path(gns.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for stmt in tree.body:
+            where = getattr(stmt, "name", "<module>")
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.ImportFrom):
+                    if any(a.name == "_sparse_mul" for a in node.names):
+                        users.add((path.stem, "<import>"))
+                elif (isinstance(node, ast.Name) and node.id == "_sparse_mul"
+                      or isinstance(node, ast.Attribute)
+                      and node.attr == "_sparse_mul"):
+                    users.add((path.stem, where))
+    assert users == {("numerics", "oracle_product_check")}

@@ -21,6 +21,7 @@ from bdshift.algebra import (
     v_element,
 )
 from bdshift.numerics import (
+    nonzero_entries,
     norm_lower,
     oracle_product_check,
     quotient_norm_estimate,
@@ -229,3 +230,24 @@ def test_write_matrix_csv():
     assert lines[0] == "row,col,re,im"
     assert lines[1] == "0,1,1.5,0.0"
     assert lines[2] == "1,0,-2.0,0.5"
+
+
+def test_nonzero_entries_match_the_entrywise_loop():
+    rng = np.random.default_rng(20240224)
+    A = rng.standard_normal((23, 17)) + 1j * rng.standard_normal((23, 17))
+    A[rng.random(A.shape) < 0.8] = 0
+    # signed zeros are zero; a zero real or imaginary part alone is not
+    A[0, 0], A[1, 1] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    A[2, 3], A[4, 5] = complex(-0.0, 2.5), complex(-1.25, 0.0)
+    want = []
+    for i in range(A.shape[0]):
+        for j in range(A.shape[1]):
+            v = A[i, j]
+            if v != 0:
+                want.append([i, j, float(v.real), float(v.imag)])
+    got = nonzero_entries(A)
+    assert got == want and len(want) > 20
+    assert all(type(x) is int for e in got for x in e[:2])
+    assert all(type(x) is float for e in got for x in e[2:])
+    assert [[repr(x) for x in e] for e in got] == \
+        [[repr(x) for x in e] for e in want]

@@ -504,6 +504,26 @@ def test_cli_free_constant_only_at_degree_zero(capsys, ws_path):
     assert payload["entries"] == [[0, 0, 2.0, 0.0]]
 
 
+def test_cli_flags_of_the_other_space_are_usage_errors(capsys, ws_path):
+    # --c shapes only the tau_0 operator and --psi only the Haar one; a
+    # flag the chosen space would ignore is refused
+    gns = ["--workspace", ws_path, "--derivation", "d", "--n", "0"]
+    for cmd in (["gns-d", "--m", "1"], ["covcheck", "--m", "2"],
+                ["parametrix", "--mlist", "2,4"]):
+        for flags, name in ((["--space", "haar", "--c", "5"], "--c"),
+                            (["--space", "tau0", "--psi", "g"], "--psi"),
+                            (["--psi", "g"], "--psi")):
+            code = cli.main([*cmd, *gns, *flags])
+            out, err = capsys.readouterr()
+            assert code == 1, (cmd, flags)
+            assert out == "" and name in err
+        for flags in (["--space", "tau0", "--c", "5"],
+                      ["--space", "haar", "--psi", "g"]):
+            code = cli.main([*cmd, *gns, *flags])
+            capsys.readouterr()
+            assert code == 0, (cmd, flags)
+
+
 def test_cli_incrementN_level_is_honoured(capsys, tmp_path):
     # N = 6 and a derivation at n = 6 with eta(l) = l + a period-3 table
     N6 = SupernaturalNumber.from_int(6)
