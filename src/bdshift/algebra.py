@@ -19,13 +19,15 @@ rule (sa, sb, z) set by m, n and the domain (_rule).  Coefficients are
 lifted once to Gaussian-integer rows (re, im) over the lcm J of all
 periods and one shared denominator; each pair adds its periodic row and
 its corrections (exact minus periodic value) to one raw row per output
-degree, canonicalised once.  No Scalar is formed per pair.
+degree.  A derivation's [g, x] is one signed call, g*x + x*(-g) in the
+same integer slots, where the affine weight cancels.  Each output row
+finds its minimal period on the integers, then becomes Scalars once.
 """
 
 import math
 
 from .errors import NotFinite
-from .profinite import LocallyConstantFunction, _common_period
+from .profinite import LocallyConstantFunction, _common_period, _minimal_period
 from .scalars import Scalar, _canonical, as_scalar, coerce_scalar
 from .sequences import (
     EPSequence,
@@ -72,18 +74,21 @@ def _at_shift(rows, s):
                       [s * x + y for x, y in zip(ui, vi)], corr)]
 
 
-def _terms_mul(xt, yt, unilateral):
+def _terms_mul(xt, yt, unilateral, commute=False):
     """Product of two term dicts (degree -> coefficient), accumulated by
     degree in the order the pairs first reach it; unilateral selects the
-    domain k >= 0 of A(N) over Z.  A coefficient is a sequence or, in one
-    factor at most, a pair (u, v) of sequences standing for W*u + v, W
-    the affine weight (k+1 on k >= 0, l on Z); a pair enters as a weight-1
-    row u and a weight-0 row v, and comes out as a pair.
+    domain k >= 0 of A(N) over Z; commute gives [x, y] = x*y + y*(-x),
+    a second pass over x's rows negated once.  A coefficient is a
+    sequence or, in one factor at most, a pair (u, v) of sequences
+    standing for W*u + v, W the affine weight (k+1 on k >= 0, l on Z),
+    which enters as a weight-1 row u and a weight-0 row v.  A product
+    comes out as a pair; a commutator cancels the periodic weight-1 row
+    and folds its corrections c into weight 0 as (k + offset)*c.
 
     Each pair adds its periodic row a(r+sa) b(r+sb) to the rows of its
     output degree and weight, grouped by z, and its corrections (exact
     value minus periodic value at the moved correction keys) to theirs;
-    _make_row then cancels each group below its z.
+    _sum_row then cancels each group below its z.
     """
     if not xt or not yt:
         return {}
@@ -107,44 +112,59 @@ def _terms_mul(xt, yt, unilateral):
             corr = {k: (v._t[0] * (D // v._t[2]), v._t[1] * (D // v._t[2]))
                     for k, v in s.correction.items()}
             rows.setdefault(n, []).append((w, re, im, corr))
+    passes = [(xrows, yrows)]
+    if commute:
+        passes.append((yrows, {n: [
+            (w, [-a for a in re], [-a for a in im],
+             {k: (-a, -b) for k, (a, b) in corr.items()})
+            for w, re, im, corr in rows] for n, rows in xrows.items()}))
     acc = {}
-    for m, arows in xrows.items():
-        for n, brows in yrows.items():
-            sa, sb, z = _rule(m, n, unilateral)
-            slots = acc.get(m + n) or acc.setdefault(m + n, {})
-            ra, rb = sa % J, sb % J
-            for wa, are, aim, ac in _at_shift(arows, sa):
-                ar, ai = are[ra:] + are[:ra], aim[ra:] + aim[:ra]
-                for wb, bre, bim, bc in _at_shift(brows, sb):
-                    br, bi = bre[rb:] + bre[:rb], bim[rb:] + bim[:rb]
-                    pr = [x * y - u * v for x, u, y, v in zip(ar, ai, br, bi)]
-                    pi = [x * v + u * y for x, u, y, v in zip(ar, ai, br, bi)]
-                    by_z, corr = slots.get(wa + wb) \
-                        or slots.setdefault(wa + wb, ({}, {}))
-                    (by_z.get(z) or by_z.setdefault(z, [])).append((pr, pi))
-                    if not (ac or bc):
+    for m, arows, n, brows in [(m, a, n, b) for xs, ys in passes
+                               for m, a in xs.items() for n, b in ys.items()]:
+        sa, sb, z = _rule(m, n, unilateral)
+        slots = acc.get(m + n) or acc.setdefault(m + n, {})
+        ra, rb = sa % J, sb % J
+        for wa, are, aim, ac in _at_shift(arows, sa):
+            ar, ai = are[ra:] + are[:ra], aim[ra:] + aim[:ra]
+            for wb, bre, bim, bc in _at_shift(brows, sb):
+                br, bi = bre[rb:] + bre[:rb], bim[rb:] + bim[:rb]
+                pr = [x * y - u * v for x, u, y, v in zip(ar, ai, br, bi)]
+                pi = [x * v + u * y for x, u, y, v in zip(ar, ai, br, bi)]
+                by_z, corr = slots.get(wa + wb) \
+                    or slots.setdefault(wa + wb, ({}, {}))
+                (by_z.get(z) or by_z.setdefault(z, [])).append((pr, pi))
+                if not (ac or bc):
+                    continue
+                for k in {i - sa for i in ac} | {i - sb for i in bc}:
+                    if k < 0 and unilateral:
                         continue
-                    for k in {i - sa for i in ac} | {i - sb for i in bc}:
-                        if k < 0 and unilateral:
-                            continue
-                        i, j = k + sa, k + sb
-                        ca, cb = ac.get(i, (0, 0)), bc.get(j, (0, 0))
-                        x, u = are[i % J] + ca[0], aim[i % J] + ca[1]
-                        y, v = bre[j % J] + cb[0], bim[j % J] + cb[1]
-                        c = corr.get(k, (0, 0))
-                        corr[k] = (c[0] + x * y - u * v - pr[k % J],
-                                   c[1] + x * v + u * y - pi[k % J])
+                    i, j = k + sa, k + sb
+                    ca, cb = ac.get(i, (0, 0)), bc.get(j, (0, 0))
+                    x, u = are[i % J] + ca[0], aim[i % J] + ca[1]
+                    y, v = bre[j % J] + cb[0], bim[j % J] + cb[1]
+                    c = corr.get(k, (0, 0))
+                    corr[k] = (c[0] + x * y - u * v - pr[k % J],
+                               c[1] + x * v + u * y - pi[k % J])
     out = {}
     for deg, slots in acc.items():
-        row0 = _make_row(cls, *slots[0], D * D, N)
-        out[deg] = (_make_row(cls, *slots[1], D * D, N), row0) \
-            if 1 in slots else row0
+        re, im, corr = _sum_row(*slots[0])
+        weight = slots.get(1) and _sum_row(*slots[1])
+        if weight and commute:
+            if any(weight[0]) or any(weight[1]):
+                raise AssertionError(
+                    "affine weight failed to cancel in a commutator")
+            for k, (a, b) in weight[2].items():
+                c, w = corr.get(k, (0, 0)), k + cls.offset
+                corr[k] = (c[0] + w * a, c[1] + w * b)
+        row = _make_row(cls, re, im, corr, D * D, N)
+        out[deg] = (_make_row(cls, *weight, D * D, N), row) \
+            if weight and not commute else row
     return out
 
 
-def _make_row(cls, by_z, corr, D, N):
-    """The canonical sequence of one output row over the denominator D;
-    its corrections cancel each row group below the group's z."""
+def _sum_row(by_z, corr):
+    """The raw row (re, im, correction) of one output degree and weight:
+    its groups summed, each cancelled below its z by the corrections."""
     def total(rows):
         if len(rows) == 1:
             return rows[0]
@@ -156,11 +176,17 @@ def _make_row(cls, by_z, corr, D, N):
         for k in range(z):
             c = corr.get(k, (0, 0))
             corr[k] = (c[0] - zr[k % len(zr)], c[1] - zi[k % len(zi)])
-    return cls._make(
+    return re, im, corr
+
+
+def _make_row(cls, re, im, corr, D, N):
+    """The canonical sequence of a raw row over the denominator D.  Over
+    one denominator equal pairs (re, im) are equal scalars, so the minimal
+    period is found on the integers and only it is canonicalised."""
+    j = math.lcm(len(_minimal_period(re)), len(_minimal_period(im)))
+    return cls._from_canonical(
         {k: _canonical(a, b, D) for k, (a, b) in corr.items() if a or b},
-        [_canonical(a, b, D) for a, b in zip(re, im)],
-        N,
-    )
+        [_canonical(a, b, D) for a, b in zip(re[:j], im[:j])], N)
 
 
 # ---------------------------------------------------------------------------

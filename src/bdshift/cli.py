@@ -98,11 +98,11 @@ def _implementation(args, env, M):
     if comp is None:
         comp = derivations.bilateral_zero_component(args.n, env.N)
     psi = None
-    if getattr(args, "psi", None):
+    if getattr(args, "psi", None) is not None:
         psi = env.sequences.get(args.psi)
         if not isinstance(psi, LocallyConstantFunction):
             raise UnknownName(f"no locally constant function {args.psi!r}")
-    c = parse_gaussian(args.c) if getattr(args, "c", None) else None
+    c = None if getattr(args, "c", None) is None else parse_gaussian(args.c)
     level = getattr(args, "level", None)
     data = gns.implementation_from_bilateral(comp, psi=psi, c=c, level=level)
     # --c shapes only the tau_0 operator and --psi only the Haar one

@@ -4,9 +4,10 @@ A derivation with finitely many Fourier components is a sum of covariant
 pieces d_n(a) = [g_n, a], where the generator g_n carries an affine
 coefficient beta_n: g_n = U^n beta_n(K) for n >= 0 and
 g_n = beta_n(K) (U*)^{-n} for n < 0.  The affine part never lies in the
-algebra itself, so products are tracked through pairs (u, v) standing for
-W*u + v, W the affine weight, and collapsed only after the commutator
-cancels the unbounded weight.
+algebra itself, so a generator enters the product kernel as a pair
+(u, v) standing for W*u + v, W the affine weight.  Each commutator
+[g, x] is one signed kernel pass g*x + x*(-g) on integer rows, in which
+the weight-1 row cancels before any Scalar is formed.
 """
 
 from fractions import Fraction
@@ -230,38 +231,24 @@ def from_inner(x):
     return DerivationSum(comps, x.N)
 
 
-def _collapse(p, q):
-    """The sequence W*u + v for (u, v) = p - q, W the affine weight: the
-    periodic part of u must have cancelled (else a validity bug upstream),
-    and a finitely supported u folds into the corrections."""
-    u, v = p[0] - q[0], p[1] - q[1]
-    if any(u.table):
-        raise AssertionError("affine weight failed to cancel in a commutator")
-    if not u.correction:
-        return v
-    fold = {k: Scalar(k + u.offset) * c for k, c in u.correction.items()}
-    return v + type(u)(fold, [ZERO], u.N)
-
-
 def _commutator(components, x):
-    """[g, x] on either algebra, g the sum of the components' generators.
-
-    Each affine coefficient linear*W + ep enters the product kernel as
-    the pair (linear, ep) in the coefficient class of x; the commutator
-    cancels the weight, as the validity conditions guarantee.
-    """
-    seq = x._coeff
-    gen = {}
+    """[g, x] on either algebra, g the sum of the components' generators,
+    in one signed kernel pass that cancels the weight, as the validity
+    conditions guarantee.  An affine coefficient linear*W + ep enters as
+    the pair (linear, ep) in the coefficient class of x, a bounded one as
+    ep alone."""
+    seq, gen = x._coeff, {}
     for n, comp in components.items():
-        ep = comp._coef.ep
-        gen[n] = (seq._make({}, [comp._coef.linear], ep.N),
-                  seq._make(ep.correction, ep.table, ep.N))
-    left = _terms_mul(gen, x.terms, seq.unilateral)
-    right = _terms_mul(x.terms, gen, seq.unilateral)
-    # both products have the degrees n + m; A(N) has always listed them
-    # in set order and B(N) in product order, and the JSON keeps both
-    order = set(left) | set(right) if seq.unilateral else left
-    terms = {deg: _collapse(left[deg], right[deg]) for deg in order}
+        linear, ep = comp._coef.linear, comp._coef.ep
+        ep = seq._from_canonical(ep.correction, ep.table, ep.N)
+        gen[n] = (seq._from_canonical({}, [linear], ep.N), ep) \
+            if linear else ep
+    terms = _terms_mul(gen, x.terms, seq.unilateral, commute=True)
+    if seq.unilateral:
+        # A(N) has always listed the degrees in the set order of the key
+        # dicts of g*x and x*g, and the JSON keeps it
+        right = dict.fromkeys(m + n for m in x.terms for n in gen)
+        terms = {deg: terms[deg] for deg in set(terms) | set(right)}
     return type(x)(terms, x.N)
 
 

@@ -328,6 +328,12 @@ class LocallyConstantFunction(_PeriodicSequence):
             raise ValueError("a locally constant function has no corrections")
         return cls(table, N)
 
+    @classmethod
+    def _from_canonical(cls, correction, table, N):
+        if correction:
+            raise ValueError("a locally constant function has no corrections")
+        return super()._from_canonical(correction, table, N)
+
     @property
     def values(self):
         return self.table

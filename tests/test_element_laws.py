@@ -191,6 +191,55 @@ def test_derivations_are_commutators_with_the_affine_generator(domain, data):
                                          - naive_product_entry(a, g, i, j))
 
 
+def _rebuilt(c):
+    """c through the checked constructor, which searches the minimal
+    period and drops zero corrections."""
+    if isinstance(c, LocallyConstantFunction):
+        assert not c.correction
+        return LocallyConstantFunction(list(c.table), c.N)
+    return type(c)(c.correction, list(c.table), c.N)
+
+
+@st.composite
+def collapsing(draw, domain):
+    """a and b of period 4 with a*b constant: the product row over J = 4
+    collapses to period 1."""
+    table = draw(st.lists(scalars.filter(bool), min_size=4, max_size=4))
+    c = draw(scalars.filter(bool))
+    inverse = [c / v for v in table]
+    if domain == "bilateral":
+        return (LocallyConstantFunction(table, N),
+                LocallyConstantFunction(inverse, N))
+    corr = draw(st.dictionaries(st.integers(0, 6), scalars, max_size=2))
+    return EPSequence(corr, table, N), EPSequence({}, inverse, N)
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+@LAWS
+@given(data=st.data())
+def test_kernel_outputs_are_canonical(domain, data):
+    """Every coefficient of a product or a derivation's image is already
+    in the form the checked constructor gives: minimal period, a tuple
+    table, no zero corrections."""
+    cls = DOMAINS[domain][0]
+    d = data.draw(derivations(domain))
+    x, y = (data.draw(elements(domain)) for _ in range(2))
+    a, b = data.draw(collapsing(domain))
+    m = data.draw(st.integers(0, 3))
+    flat = multiply(cls({m: a}, N), cls({0: b}, N))
+    assert flat.terms[m].period == 1
+    # on A(N), U^m a(K) b(K) (U*)^m carries the cutoff chi_{>=m}
+    cut = multiply(cls({m: a}, N), cls({-m: b}, N))
+    for out in (multiply(x, y), flat, cut, d(x), d(cls({m: a}, N))):
+        for c in out.terms.values():
+            rebuilt = _rebuilt(c)
+            assert type(c.table) is tuple
+            assert c.period == len(c.table) == rebuilt.period
+            assert c.table == rebuilt.table
+            assert c.correction == rebuilt.correction
+            assert all(c.correction.values())
+
+
 @pytest.mark.parametrize("domain", DOMAINS)
 @LAWS
 @given(data=st.data())

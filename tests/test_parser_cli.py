@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -43,6 +44,7 @@ from bdshift import cli
 
 N2 = SupernaturalNumber.from_int(2)
 N4 = SupernaturalNumber.from_int(4)
+WORKSPACES = Path(__file__).resolve().parents[1] / "bench" / "workspaces"
 
 
 def make_workspace():
@@ -238,6 +240,61 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
     return code, (json.loads(out) if out.strip() else None)
+
+
+# md5 of the stdout bytes of derive over the benchmark workspaces, one per
+# expression of DERIVE_PINNED; the A(N) images list their degrees in the
+# set order of the two products' degree dicts, which is not the order the
+# product reaches them (in ws_n2, 'Us^3 + U^2*diag(x)*Us' gives the terms
+# 1, 2, 3, -2, -3, -1), and the JSON keeps that order
+DERIVE_PINNED = (
+    ("unilateral", "Us^3 + U^2*diag(x)*Us"),
+    ("unilateral", "U^3*diag(y) + Us^2*diag(x)*U + id"),
+    ("unilateral", "(U + Us)^3*diag(x)"),
+    ("bilateral", "V^3*diag(y) + Vi^2"),
+    ("bilateral", "(V + Vi)^3*diag(y)"),
+)
+DERIVE_MD5 = {
+    "ws_n2": (
+        "ef745b848ec317023001f599636aeadb",
+        "79b747bb4cd79813ac18da6a40c3ea15",
+        "09f6ae7c9dd5b653ffc4dc22ad8e6455",
+        "98846762b498836a14d6b9cb5cba10a4",
+        "22886d7f9b38540b7992751b7a71c72c",
+    ),
+    "ws_n2inf": (
+        "897225bcbf81b1e1ae5dbbab7e758c61",
+        "ce959ce99862282bda7bc48443760eed",
+        "b7241b500535fe17eb5d8e92cfad037c",
+        "9830dcb3a00e7cc8817d7a298960f009",
+        "7e4faeb16a95a3a3e0766b01a12f44c4",
+    ),
+    "ws_n3": (
+        "6525ad1a37f4280f74c29549afd8145d",
+        "00d3fd41b006cbcf9540fcd24fca9ed5",
+        "0584e00b4ca453b2c41388a5c5a562af",
+        "b04c51578c2a18a7620c223e9e88c43c",
+        "844c3d6ff00494856883efe22112254e",
+    ),
+    "ws_n6": (
+        "91e536c40217df9dcb30945346f8c6f1",
+        "f79ca9aa670f753d003217e60628050a",
+        "0e0afaae14146f40b82a6a3bf146e7fa",
+        "99f8d25ba321a2eb7508cb4fadef685b",
+        "1d9473338584149c0732298ddd97cd23",
+    ),
+}
+
+
+@pytest.mark.parametrize("workspace", DERIVE_MD5)
+def test_cli_derive_output_bytes_are_pinned(capsys, workspace):
+    path = WORKSPACES / f"{workspace}.json"
+    for (side, expr), md5 in zip(DERIVE_PINNED, DERIVE_MD5[workspace]):
+        code = cli.main(["derive", "--workspace", str(path),
+                         "--derivation", "d", "--side", side, expr])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.md5(out.encode()).hexdigest() == md5, (side, expr)
 
 
 def test_cli_normalize(capsys, ws_path):
@@ -523,6 +580,19 @@ def test_cli_flags_of_the_other_space_are_usage_errors(capsys, ws_path):
             capsys.readouterr()
             assert code == 0, (cmd, flags)
 
+
+def test_cli_empty_c_and_psi_are_given_values(capsys, ws_path):
+    # an empty --c is no scalar and an empty --psi names no function;
+    # neither is taken for an absent flag
+    gns = ["--workspace", ws_path, "--derivation", "d", "--n", "0"]
+    for cmd in (["gns-d", "--m", "1"], ["covcheck", "--m", "2"],
+                ["parametrix", "--mlist", "2,4"]):
+        for flags, msg in ((["--c="], "parse error"),
+                           (["--space", "haar", "--psi="], "unknown name")):
+            code = cli.main([*cmd, *gns, *flags])
+            out, err = capsys.readouterr()
+            assert code == 2, (cmd, flags)
+            assert out == "" and err.startswith(msg)
 
 def test_cli_incrementN_level_is_honoured(capsys, tmp_path):
     # N = 6 and a derivation at n = 6 with eta(l) = l + a period-3 table

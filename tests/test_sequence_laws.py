@@ -11,7 +11,6 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from bdshift.algebra import UnilateralElement, _terms_mul
-from bdshift.derivations import _collapse
 from bdshift.profinite import SupernaturalNumber
 from bdshift.scalars import Scalar, ZERO
 from bdshift.sequences import (
@@ -116,7 +115,8 @@ def _entry(domain, deg, f, i, j):
 def test_quasi_affine_weight(domain, data):
     """The product kernel moves the weight of a pair (u, v), standing for
     W*u + v, on either side of a product as the entry-wise product does;
-    a pair whose u is finitely supported collapses to its values."""
+    in a commutator a finitely supported weight-1 row folds into the
+    values as (k + offset)*c, and a periodic leftover is refused."""
     u, v, b = (data.draw(sequences(domain)) for _ in range(3))
     m, n = data.draw(shifts), data.draw(shifts)
     window = DOMAINS[domain][2]
@@ -137,10 +137,22 @@ def test_quasi_affine_weight(domain, data):
             assert _entry(domain, m + n, values(product), i, j) == want
 
     finite = (data.draw(sequences(domain, zero_table=True)), v)
-    zero = type(v)({}, [ZERO], N)
-    collapsed = _collapse(finite, (zero, zero))
-    for k in window:
-        assert collapsed.value_at(k) == values(finite)(k)
+    unilateral = domain == "unilateral"
+    bracket = _terms_mul({m: finite}, {n: b}, unilateral, commute=True)
+    assert not isinstance(bracket[m + n], tuple)
+    for j in window:
+        i = j + m + n
+        want = _entry(domain, m, values(finite), i, i - m) \
+            * _entry(domain, n, values(b), i - m, j) \
+            - _entry(domain, n, values(b), i, i - n) \
+            * _entry(domain, m, values(finite), i - n, j)
+        assert _entry(domain, m + n, bracket[m + n].value_at, i, j) == want
+
+    # [W*u, V]: the weight-1 row u(k+1) - u(k) keeps a periodic part
+    periodic = (type(v)({}, [1, 0], N), v)
+    one = type(v)({}, [1], N)
+    with pytest.raises(AssertionError):
+        _terms_mul({0: periodic}, {1: one}, unilateral, commute=True)
 
 
 @LAWS
