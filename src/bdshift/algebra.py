@@ -28,7 +28,7 @@ import math
 
 from .errors import NotFinite
 from .profinite import LocallyConstantFunction, _common_period, _minimal_period
-from .scalars import Scalar, _canonical, as_scalar, coerce_scalar
+from .scalars import Scalar, _canonical, _lift, as_scalar, coerce_scalar
 from .sequences import (
     EPSequence,
     ep_add,
@@ -107,11 +107,11 @@ def _terms_mul(xt, yt, unilateral, commute=False):
     xrows, yrows = {}, {}
     for rows, ps in zip((xrows, yrows), parts):
         for n, w, s in ps:
-            re = [v._t[0] * (D // v._t[2]) for v in s.table] * (J // s.period)
-            im = [v._t[1] * (D // v._t[2]) for v in s.table] * (J // s.period)
-            corr = {k: (v._t[0] * (D // v._t[2]), v._t[1] * (D // v._t[2]))
-                    for k, v in s.correction.items()}
-            rows.setdefault(n, []).append((w, re, im, corr))
+            re, im = _lift(s.table, D)
+            corr = dict(zip(s.correction,
+                            zip(*_lift(s.correction.values(), D))))
+            rows.setdefault(n, []).append(
+                (w, re * (J // s.period), im * (J // s.period), corr))
     passes = [(xrows, yrows)]
     if commute:
         passes.append((yrows, {n: [

@@ -14,7 +14,8 @@ once onto Gaussian-integer rows over one denominator.  One band assembler
 places exact blocks on a window, for D and for the pi-images pi(V^n g),
 whose blocks are diag_x g(x + m); the dense builds fill the band by index
 arrays.  The implementation check scatters each entry of D into the two
-products of [D, pi(b)] on the interior of the window.
+products of [D, pi(b)] on the interior of the window, in integer pairs:
+D, b and delta(b) are lifted once over their common denominator.
 Compact-parametrix detection builds only the blocks I + B_m^H B_m of the
 shells M <= |m| < 2M, where divergence is visible as growth of the
 smallest eigenvalue, and the covariance check reads the residual off the
@@ -28,7 +29,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .scalars import Scalar, _canonical, as_scalar, ZERO, ONE
+from .scalars import Scalar, _canonical, _lift, as_scalar, ZERO, ONE
 from .errors import LevelMismatch, NoConvergence, WindowTooSmall
 from .profinite import LocallyConstantFunction, divides, haar_integral
 from .algebra import expectation
@@ -270,14 +271,10 @@ def _D_block(data, space):
     den = math.lcm(*(v._t[2] for v in (
         linear, *ep.table, *ep.correction.values(), *const)))
 
-    def lift(values):
-        return ([v._t[0] * (den // v._t[2]) for v in values],
-                [v._t[1] * (den // v._t[2]) for v in values])
-
-    (la,), (lb,) = lift([linear])
-    ta, tb = lift(ep.table)
-    ca, cb = lift(const)
-    corr = dict(zip(ep.correction, zip(*lift(ep.correction.values()))))
+    (la,), (lb,) = _lift([linear], den)
+    ta, tb = _lift(ep.table, den)
+    ca, cb = _lift(const, den)
+    corr = dict(zip(ep.correction, zip(*_lift(ep.correction.values(), den))))
     p, fiber = ep.period, range(level)
 
     def diag(ms):
@@ -443,7 +440,11 @@ def check_implementation(D, components, b, M, space="tau0", level=1):
     g(x_j + m_j - k) at (i, j - k level) of D pi(b), and -g(x_i + m_i)
     D_ij at (i + k level, j) of pi(b) D.  Only the terms with row and
     column in the interior are kept; they are the interior of the window
-    products, and pi(delta(b)) is evaluated on the interior alone.
+    products, and pi(delta(b)) is evaluated on the interior alone.  The
+    entries of D and the tables of b and delta(b) are lifted once onto
+    Gaussian-integer rows over their common denominator L, so the scatter
+    adds integer pairs over L^2, and the largest a^2 + b^2 over L^4 is
+    rounded once, as the Scalar |entry|^2 would be.
     """
     db = bilateral_apply(components, b)
     if space == "tau0":
@@ -460,29 +461,37 @@ def check_implementation(D, components, b, M, space="tau0", level=1):
     if M <= margin:
         raise WindowTooSmall(f"window {M} is all boundary at margin {margin}")
 
-    cut = M - margin
     lo, hi = margin * level, (2 * M + 1 - margin) * level
-    terms = [(k * level, k + M, g.value_at) for k, g in b.terms.items()]
-    acc = {}
-    get = acc.get
-    for (i, j), v in D.items():
-        for s, kM, g in terms:
+    L = math.lcm(*(v._t[2] for v in D.values()), *(
+        v._t[2] for x in (b, db) for g in x.terms.values() for v in g.table))
+    xm = [t // level + t % level - M for t in range((2 * M + 1) * level)]
+
+    def rows(g):
+        # g(x + m) at every window index, lifted over L
+        gr, gi = _lift(g.table, L)
+        return [gr[y % g.period] for y in xm], [gi[y % g.period] for y in xm]
+
+    terms = [(k * level, *rows(g)) for k, g in b.terms.items()]
+    re, im = {}, {}
+    for (i, j), dr, di in zip(D, *_lift(D.values(), L)):
+        for s, gr, gi in terms:
             if lo <= i < hi and lo <= j - s < hi:
-                key = (i, j - s)
-                t = v * g(j // level + j % level - kM)
-                w = get(key)
-                acc[key] = t if w is None else w + t
+                key, x, u = (i, j - s), gr[j - s], gi[j - s]
+                re[key] = re.get(key, 0) + dr * x - di * u
+                im[key] = im.get(key, 0) + dr * u + di * x
             if lo <= i + s < hi and lo <= j < hi:
-                key = (i + s, j)
-                t = g(i // level + i % level - M) * v
-                w = get(key)
-                acc[key] = -t if w is None else w - t
-    shift = margin * level
-    for (i, j), v in _pi_exact(db, cut, level).items():
-        key = (i + shift, j + shift)
-        acc[key] = get(key, ZERO) - v
-    worst = max((w.abs_sq() for w in acc.values() if w), default=0)
-    return math.sqrt(worst)
+                key, x, u = (i + s, j), gr[i], gi[i]
+                re[key] = re.get(key, 0) - x * dr + u * di
+                im[key] = im.get(key, 0) - x * di - u * dr
+    # pi(delta(b)) on the interior, lifted to L^2
+    for k, g in db.terms.items():
+        s, (gr, gi) = k * level, rows(g)
+        for t in range(max(lo, lo - s), min(hi, hi - s)):
+            re[t + s, t] = re.get((t + s, t), 0) - gr[t] * L
+            im[t + s, t] = im.get((t + s, t), 0) - gi[t] * L
+    worst = max((a * a + c * c for a, c in zip(re.values(), im.values())),
+                default=0)
+    return math.sqrt(worst / L ** 4)
 
 
 # ---------------------------------------------------------------------------

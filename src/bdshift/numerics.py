@@ -2,99 +2,102 @@
 
 Two arithmetic paths: exact rationals certify symbolic identities on an
 interior window, floats handle norms and spectra.  The exact path is
-authoritative; every float appears only in bounds and reports.
+authoritative; every float appears only in bounds and reports.  One band
+reader lifts the coefficients of a window once onto Gaussian-integer rows
+over one denominator; the exact and the float truncations and the product
+oracle, which multiplies the rows of the factors as integers, read them.
 """
 
 import cmath
 import math
+from collections import namedtuple
 
 import numpy as np
 
-from .scalars import Scalar
+from .scalars import _canonical, _lift
 from .errors import NoConvergence, NotFinite, WindowTooSmall
 from .algebra import multiply, to_matrix_form
 
 
-def truncate_unilateral(a, M):
-    """The M x M compression to span{E_0, ..., E_{M-1}} as floats."""
+def _bands(M, *elements):
+    """The M x M compressions of elements to span{E_0, ..., E_{M-1}} as
+    bands on Gaussian-integer rows over one denominator den, as (den,
+    [{n: (re, im)}]): the entry j of the degree-n band is den coeff(k)
+    at (j + n, j), k = j - max(-n, 0), and 0 where the band leaves the
+    window."""
     if M < 1:
         raise ValueError("window must contain at least one basis vector")
+    den = math.lcm(*(v._t[2] for x in elements for s in x.terms.values()
+                     for v in (*s.table, *s.correction.values())))
+    out = [{} for _ in elements]
+    for bands, x in zip(out, elements):
+        for n, coeff in x.terms.items():
+            length, lo = M - abs(n), max(-n, 0)
+            if length <= 0:
+                continue
+            reps = length // coeff.period + 1
+            re, im = ([0] * lo + (r * reps)[:length] + [0] * max(n, 0)
+                      for r in _lift(coeff.table, den))
+            for k, a, b in zip(coeff.correction,
+                               *_lift(coeff.correction.values(), den)):
+                if k < length:
+                    re[k + lo] += a
+                    im[k + lo] += b
+            bands[n] = re, im
+    return den, out
+
+
+def _dense(bands, M, den):
+    """The bands as an M x M complex matrix.  int / int is correctly
+    rounded, so each entry is complex of its Scalar."""
     out = np.zeros((M, M), dtype=complex)
-    for n, coeff in a.terms.items():
-        # the degree-n band holds coeff(k) at (k + n, k), resp. (k, k - n)
-        length = M - abs(n)
-        if length <= 0:
-            continue
-        table = np.array([complex(v) for v in coeff.table], dtype=complex)
-        band = np.resize(table, length)
-        for k in coeff.correction:
-            if k < length:
-                band[k] = complex(coeff.value_at(k))
-        idx = np.arange(length)
-        out[idx + max(n, 0), idx + max(-n, 0)] = band
+    for n, (re, im) in bands.items():
+        lo, hi = max(-n, 0), M - max(n, 0)
+        cols = np.arange(lo, hi)
+        out.real[cols + n, cols] = [x / den for x in re[lo:hi]]
+        out.imag[cols + n, cols] = [y / den for y in im[lo:hi]]
     return out
+
+
+def truncate_unilateral(a, M):
+    """The M x M compression to span{E_0, ..., E_{M-1}} as floats."""
+    den, (bands,) = _bands(M, a)
+    return _dense(bands, M, den)
 
 
 def truncate_exact(a, M):
     """The same compression with exact entries, as {(i, j): Scalar}."""
-    if M < 1:
-        raise ValueError("window must contain at least one basis vector")
+    den, (bands,) = _bands(M, a)
+    return {(j + n, j): _canonical(re[j], im[j], den)
+            for n, (re, im) in bands.items()
+            for j in range(max(-n, 0), M - max(n, 0)) if re[j] or im[j]}
+
+
+def _sparse_mul(A, B, M):
+    """The bands of the product of two M x M band matrices of _bands
+    over den, as rows over den^2."""
     out = {}
-    for n, coeff in a.terms.items():
-        for k in range(M):
-            i, j = (k + n, k) if n >= 0 else (k, k - n)
-            if i < M and j < M:
-                v = coeff.value_at(k)
-                if (i, j) in out:
-                    v = out[(i, j)] + v
-                if v:
-                    out[(i, j)] = v
-                elif (i, j) in out:
-                    del out[(i, j)]
+    for n, (ar, ai) in A.items():
+        for m, (br, bi) in B.items():
+            # B maps the column j to the row j + m, which A maps to j + m + n
+            lo, hi = max(0, -m), min(M, M - m)
+            pr, pi = out.setdefault(n + m, ([0] * M, [0] * M))
+            args = ar[lo + m:hi + m], ai[lo + m:hi + m], br[lo:hi], bi[lo:hi]
+            pr[lo:hi] = [t + x * y - u * v
+                         for t, x, u, y, v in zip(pr[lo:hi], *args)]
+            pi[lo:hi] = [t + x * v + u * y
+                         for t, x, u, y, v in zip(pi[lo:hi], *args)]
     return out
 
 
-def _sparse_mul(A, B):
-    rows = {}
-    for (k, j), v in B.items():
-        rows.setdefault(k, []).append((j, v))
-    out = {}
-    for (i, k), u in A.items():
-        for j, v in rows.get(k, ()):
-            key = (i, j)
-            w = out.get(key)
-            w = u * v if w is None else w + u * v
-            if w:
-                out[key] = w
-            elif key in out:
-                del out[key]
-    return out
-
-
-class TruncationReport:
+class TruncationReport(
+        namedtuple("TruncationReport", "M margin max_dev verdict")):
     """Outcome of an interior-window product comparison."""
 
-    __slots__ = ("M", "margin", "max_dev", "verdict")
-
-    def __init__(self, M, margin, max_dev, verdict):
-        self.M = M
-        self.margin = margin
-        self.max_dev = max_dev
-        self.verdict = verdict
+    __slots__ = ()
 
     def to_json(self):
-        return {
-            "M": self.M,
-            "margin": self.margin,
-            "max_dev": self.max_dev,
-            "verdict": self.verdict,
-        }
-
-    def __repr__(self):
-        return (
-            f"TruncationReport(M={self.M}, margin={self.margin}, "
-            f"max_dev={self.max_dev}, verdict={self.verdict!r})"
-        )
+        return self._asdict()
 
 
 def oracle_product_check(a, b, M):
@@ -108,20 +111,18 @@ def oracle_product_check(a, b, M):
         )
     cut = M - margin
 
-    exact_prod = truncate_exact(multiply(a, b), M)
-    exact_split = _sparse_mul(truncate_exact(a, M), truncate_exact(b, M))
-    keys = set(exact_prod) | set(exact_split)
+    ab = multiply(a, b)
+    den, (A, B, P) = _bands(M, a, b, ab)
+    split = _sparse_mul(A, B, M)
+    zero = ([0] * M,) * 2
     exact_ok = True
-    for i, j in keys:
-        if i < cut and j < cut:
-            if exact_prod.get((i, j), Scalar(0)) != exact_split.get(
-                (i, j), Scalar(0)
-            ):
-                exact_ok = False
+    for d in P.keys() | split.keys():
+        # the interior rows j + d and columns j below cut
+        lo, hi = max(0, -d), max(0, cut - max(d, 0))
+        for p, q in zip(P.get(d, zero), split.get(d, zero)):
+            exact_ok &= all(x * den == y for x, y in zip(p[lo:hi], q[lo:hi]))
 
-    fa = truncate_unilateral(a, M)
-    fb = truncate_unilateral(b, M)
-    fprod = truncate_unilateral(multiply(a, b), M)
+    fa, fb, fprod = (_dense(X, M, den) for X in (A, B, P))
     dev = np.abs((fa @ fb)[:cut, :cut] - fprod[:cut, :cut])
     scalefac = max(1.0, float(np.abs(fprod).max()))
     max_dev = float(dev.max()) / scalefac if dev.size else 0.0
@@ -142,6 +143,9 @@ def norm_lower(a, M, cap=10000, strict=True):
 
     With strict=False a stalled iteration returns its last Rayleigh
     iterate (still a lower bound) instead of raising."""
+    if cap < 1:
+        raise ValueError(f"power iteration needs a cap of at least 1, "
+                         f"got {cap}")
     A = truncate_unilateral(a, M)
     gram = A.conj().T @ A
     rng = np.random.default_rng(NORM_SEED)

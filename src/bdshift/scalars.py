@@ -202,6 +202,18 @@ def _canonical(a, b, d):
     return s
 
 
+def _lift(values, den):
+    """The Gaussian-integer numerator rows (re, im) of the Scalars values
+    over den, a common multiple of their denominators."""
+    re, im = [], []
+    for v in values:
+        a, b, d = v._t
+        f = den // d
+        re.append(a * f)
+        im.append(b * f)
+    return re, im
+
+
 ZERO = Scalar(0)
 ONE = Scalar(1)
 I = Scalar(0, 1)

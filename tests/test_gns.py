@@ -862,6 +862,39 @@ def test_check_implementation_matches_dense_products_off_zero():
     assert nonzero == 4
 
 
+def test_check_implementation_over_coprime_denominators():
+    # eta over 3, b over 5, D moved by 1/7 and by 10^-30: the integer
+    # scatter over one common denominator gives the exact deviation, down
+    # to one far below a float's resolution of the other entries
+    M, third, fifth = 7, Fraction(1, 3), Fraction(1, 5)
+    eta = BilateralAffineSequence(Scalar(third), BilateralEPSequence(
+        {}, [Scalar(2 * third, -third), Scalar(third)], N2))
+    comp = bilateral_covariant(0, eta, N2)
+    b = BilateralElement({
+        1: LocallyConstantFunction([Scalar(fifth), Scalar(0, -2 * fifth)], N2),
+        -1: LocallyConstantFunction([Scalar(3 * fifth, fifth)], N2),
+    }, N2)
+    psi = LocallyConstantFunction([Scalar(fifth), ZERO], N2)
+    tiny = []
+    for space, level in (("tau0", 1), ("haar", 2)):
+        data = implementation_from_bilateral(
+            comp, psi=psi if space == "haar" else None)
+        D = _build_D_exact(data, space, M)
+        i = M * level
+        for moved in (ZERO, Scalar(Fraction(1, 7)),
+                      Scalar(0, Fraction(1, 10**30))):
+            Dx = dict(D)
+            Dx[i, i + level] = Dx.get((i, i + level), ZERO) + moved
+            got = check_implementation(Dx, {0: comp}, b, M, space=space,
+                                       level=level)
+            assert got == reference_implementation_deviation(
+                Dx, {0: comp}, b, M, level)
+            assert (got > 0) == bool(moved)
+            if moved.im:
+                tiny.append(got)
+    assert len(tiny) == 2 and all(1e-31 < t < 1e-29 for t in tiny)
+
+
 def test_exact_sparse_product_serves_only_the_truncation_oracle():
     # the exact window product stays with the truncation oracle; the GNS
     # checks scatter their entries instead

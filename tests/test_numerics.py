@@ -15,11 +15,13 @@ from bdshift.algebra import (
     bilateral_diag,
     diag_element,
     identity_element,
+    multiply,
     p0_element,
     u_element,
     ustar_element,
     v_element,
 )
+from bdshift import numerics
 from bdshift.numerics import (
     nonzero_entries,
     norm_lower,
@@ -141,6 +143,26 @@ def test_oracle_product_check():
     rep = oracle_product_check(U, U, 5)
     assert rep.verdict == "exact"
     assert rep.to_json()["verdict"] == "exact"
+
+
+def test_oracle_exact_path_alone_catches_a_sub_float_error(monkeypatch):
+    # a product wrong by 10^-30 U^k: invisible to the float comparison,
+    # caught by the exact one exactly when the band meets the interior
+    rng = random.Random(20261018)
+    a = rand_unilateral(rng, N6, [1, 2, 3, 6], max_deg=1)
+    b = rand_unilateral(rng, N6, [1, 2, 3, 6], max_deg=1)
+    M = 24
+    cut = M - a.max_abs_degree() - b.max_abs_degree()
+    tiny = EPSequence({}, [Scalar(Fraction(1, 10**30))], N6)
+    # k = 5 and -7 are degrees no pair of terms reaches
+    for k, want in ((1, "mismatch"), (5, "mismatch"), (-7, "mismatch"),
+                    (cut, "exact"), (-cut, "exact"), (M - 1, "exact")):
+        err = UnilateralElement({k: tiny}, N6)
+        monkeypatch.setattr(numerics, "multiply",
+                            lambda x, y: multiply(x, y) + err)
+        rep = oracle_product_check(a, b, M)
+        assert rep.verdict == want, k
+        assert rep.max_dev <= 1e-12
 
 
 def test_norm_lower_frozen_values():

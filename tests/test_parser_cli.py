@@ -542,6 +542,20 @@ def test_cli_empty_shells_and_grids_are_usage_errors(capsys, ws_path):
         assert out == "" and err
 
 
+def test_cli_normest_cap_below_one_is_a_usage_error(capsys, ws_path):
+    # a cap below one runs no iteration; it is refused, not reported as
+    # an iteration that did not settle
+    for cap in ("0", "-5"):
+        code = cli.main(["normest", "--workspace", ws_path, "U", "--m", "8",
+                         "--cap", cap])
+        out, err = capsys.readouterr()
+        assert code == 1, cap
+        assert out == "" and "cap of at least 1" in err
+    code, payload = run_cli(capsys, "normest", "--workspace", ws_path, "U",
+                            "--m", "8", "--cap", "1")
+    assert code == 4 and payload is None
+
+
 def test_cli_free_constant_only_at_degree_zero(capsys, ws_path):
     # --n 1 is the bounded regime, --n 2 the incrementN one
     gns = ["--workspace", ws_path, "--derivation", "d"]
