@@ -10,16 +10,17 @@ has the diagonal eta(x + m) + const[x]: const = [c] on tau_0, the level-1
 fiber x = 0, and const = psi - eta on the Haar fiber; in the bounded
 regime (psi - eta)(x - n) sits in the rows x - n instead, which are the
 diagonal when level | n.  The diagonals are read off eta and const lifted
-once onto Gaussian-integer rows over one denominator.  One band assembler
-places exact blocks on a window, for D and for the pi-images pi(V^n g),
-whose blocks are diag_x g(x + m); the dense builds fill the band by index
-arrays.  The implementation check scatters each entry of D into the two
-products of [D, pi(b)] on the interior of the window, in integer pairs:
-D, b and delta(b) are lifted once over their common denominator.
-Compact-parametrix detection builds only the blocks I + B_m^H B_m of the
-shells M <= |m| < 2M, where divergence is visible as growth of the
-smallest eigenvalue, and the covariance check reads the residual off the
-band and the largest block norm.
+once onto Gaussian-integer rows over one denominator.  The exact build
+places the blocks of D on a window as Scalars, the dense builds fill the
+band by index arrays.  The pi-images pi(V^k g) are bands too, with the
+blocks diag_x g(x + m), so the implementation check forms [D, pi(b)]
+band by band on the interior of the window, in integer pairs: D, b and
+delta(b) are lifted once over their common denominator.  Compact-parametrix
+detection builds only the blocks I + B_m^H B_m of the shells
+M <= |m| < 2M, where divergence is visible as growth of the smallest
+eigenvalue, and steps its iteration as a vector when they are diagonal;
+the covariance check reads the residual off the band and the largest
+block norm.
 """
 
 import cmath
@@ -298,28 +299,21 @@ def _band_blocks(n, M):
     return range(max(-M, -M - n), min(M, M - n) + 1)
 
 
-def _band(n, M, level, diag, off=()):
+def _build_D_exact(data, space, M):
     """{(row, col): Scalar} over the basis e_(m,x), m in [-M, M], of the
-    band that maps the column block m to the row block m + n by the block
-    with the diagonal diag(ms), the Scalars of the blocks m in ms in
-    order, and the off-diagonal cells off."""
-    ms = _band_blocks(n, M)
+    band that maps the column block m to the row block m + n by B_m."""
+    level, den, diag, off = _D_block(data, space)
+    n, ms = data.n, _band_blocks(data.n, M)
     # the column blocks are consecutive, so the entries run over the
     # columns (ms.start + M) * level, ... in order
-    first = (ms.start + M) * level
-    out = {(j + n * level, j): v
-           for j, v in enumerate(diag(ms), first) if v}
+    out = {(j + n * level, j): v for j, v in enumerate(
+        map(_canonical, *diag(ms), repeat(den)), (ms.start + M) * level)
+        if v}
     for m in ms:
         row, col = (m + n + M) * level, (m + M) * level
         for xi, xj, v in off:
             out[row + xi, col + xj] = v
     return out
-
-
-def _build_D_exact(data, space, M):
-    level, den, diag, off = _D_block(data, space)
-    return _band(data.n, M, level,
-                 lambda ms: map(_canonical, *diag(ms), repeat(den)), off)
 
 
 def build_D(data, space, M):
@@ -366,9 +360,11 @@ def check_covariance(D, n, M, thetas):
     Phi = diag(e^{i theta m}); the x-fiber size is read off the shape.
 
     Conjugation by Phi multiplies the band of m-difference d by
-    e^{i theta d}.  A D on a single band is the direct sum of its blocks
-    B_m, so there the residual is |e^{i theta d} - e^{in theta}| times
-    max_m ||B_m||; a D on several bands takes one dense norm per theta.
+    e^{i theta d}.  The bands are read in one pass over the float halves
+    of D, the imaginary ones included.  A D on a single band is the
+    direct sum of its blocks B_m, so there the residual is
+    |e^{i theta d} - e^{in theta}| times max_m ||B_m||; a D on several
+    bands takes one dense norm per theta.
     """
     if len(thetas) == 0:
         raise ValueError("theta grid needs at least one angle")
@@ -377,7 +373,10 @@ def check_covariance(D, n, M, thetas):
         raise ValueError(f"matrix size {size} is not a window at M={M}")
     level = size // (2 * M + 1)
     mvec = haar_mvec(M, level)
-    rows, cols = np.nonzero(D)
+    # one pass over the real and imaginary halves: float t of the view is
+    # half of the complex entry t >> 1
+    flat = np.ascontiguousarray(D, dtype=complex).view(np.float64)
+    rows, cols = np.divmod(np.flatnonzero(flat != 0) >> 1, size)
     bands = np.unique(mvec[rows] - mvec[cols])
     if bands.size == 0:
         return 0.0
@@ -417,17 +416,6 @@ def _check_level(b, level):
             )
 
 
-def _pi_exact(b, M, level):
-    """pi(b) on the window: pi(V^n g) is the band that maps the block m
-    to the block m + n by diag_x g(x + m); tau_0 is the level-1 fiber."""
-    fiber = range(level)
-    out = {}
-    for n, g in b.terms.items():
-        out.update(_band(n, M, level, lambda ms: [
-            g.value_at(x + m) for m in ms for x in fiber]))
-    return out
-
-
 def check_implementation(D, components, b, M, space="tau0", level=1):
     """Interior max deviation of [D, pi(b)] - pi(delta(b)); exactly zero
     when D implements delta.
@@ -436,15 +424,17 @@ def check_implementation(D, components, b, M, space="tau0", level=1):
     e.g. a build_D_*_exact output or an exact pi-image.  The interior is
     |m| <= M - margin, with the margin the band width of D plus the
     largest degree of b.  pi(V^k g) maps e_(m,x) to g(x + m) e_(m+k,x),
-    so each entry D_ij is scattered into the two products: D_ij
-    g(x_j + m_j - k) at (i, j - k level) of D pi(b), and -g(x_i + m_i)
-    D_ij at (i + k level, j) of pi(b) D.  Only the terms with row and
-    column in the interior are kept; they are the interior of the window
-    products, and pi(delta(b)) is evaluated on the interior alone.  The
-    entries of D and the tables of b and delta(b) are lifted once onto
-    Gaussian-integer rows over their common denominator L, so the scatter
-    adds integer pairs over L^2, and the largest a^2 + b^2 over L^4 is
-    rounded once, as the Scalar |entry|^2 would be.
+    the band of index offset s = k level with the entries g(j) at the
+    columns j, writing g(j) for g(x_j + m_j).  So a band of D of offset e,
+    entries D_e(j) = D[j + e, j], meets it in the band o = e + s of both
+    products: D pi(b) has D_e(j + s) g(j) at the column j, pi(b) D has
+    g(j + e) D_e(j).  Each output band is formed over its interior
+    columns alone, from aligned slices of these rows, and pi(delta(b))
+    is subtracted there; the window products have no other entries in
+    the interior.  The entries of D and the tables of b and delta(b) are
+    lifted once onto Gaussian-integer rows over their common denominator
+    L, so the bands hold integer pairs over L^2, and the largest
+    a^2 + b^2 over L^4 is rounded once, as the Scalar |entry|^2 would be.
     """
     db = bilateral_apply(components, b)
     if space == "tau0":
@@ -454,43 +444,71 @@ def check_implementation(D, components, b, M, space="tau0", level=1):
         _check_level(db, level)
     else:
         raise ValueError(f"unknown space {space!r}")
-    mrow = lambda i: i // level - M
 
-    band_D = max((abs(mrow(i) - mrow(j)) for i, j in D), default=0)
+    band_D = max((abs(i // level - j // level) for i, j in D), default=0)
     margin = band_D + b.max_abs_degree()
     if M <= margin:
         raise WindowTooSmall(f"window {M} is all boundary at margin {margin}")
 
-    lo, hi = margin * level, (2 * M + 1 - margin) * level
+    size = (2 * M + 1) * level
+    lo, hi = margin * level, size - margin * level
     L = math.lcm(*(v._t[2] for v in D.values()), *(
         v._t[2] for x in (b, db) for g in x.terms.values() for v in g.table))
-    xm = [t // level + t % level - M for t in range((2 * M + 1) * level)]
+    # the rows D_e over L, indexed by column
+    bands = {}
+    for (i, j), a, c in zip(D, *_lift(D.values(), L)):
+        row = bands.get(i - j)
+        if row is None:
+            row = bands[i - j] = [0] * size, [0] * size
+        row[0][j], row[1][j] = a, c
+    # g(j) over L at the window indices j - pad, ..., size + pad - 1: the
+    # pi(b) D slices reach j + e outside the window where D_e(j) is 0
+    pad = max(map(abs, bands), default=0)
+    xm = [t // level + t % level - M for t in range(-pad, size + pad)]
 
     def rows(g):
-        # g(x + m) at every window index, lifted over L
         gr, gi = _lift(g.table, L)
-        return [gr[y % g.period] for y in xm], [gi[y % g.period] for y in xm]
+        per = g.period
+        return [gr[y % per] for y in xm], [gi[y % per] for y in xm]
 
-    terms = [(k * level, *rows(g)) for k, g in b.terms.items()]
-    re, im = {}, {}
-    for (i, j), dr, di in zip(D, *_lift(D.values(), L)):
-        for s, gr, gi in terms:
-            if lo <= i < hi and lo <= j - s < hi:
-                key, x, u = (i, j - s), gr[j - s], gi[j - s]
-                re[key] = re.get(key, 0) + dr * x - di * u
-                im[key] = im.get(key, 0) + dr * u + di * x
-            if lo <= i + s < hi and lo <= j < hi:
-                key, x, u = (i + s, j), gr[i], gi[i]
-                re[key] = re.get(key, 0) - x * dr + u * di
-                im[key] = im.get(key, 0) - x * di - u * dr
+    out = {}
+
+    def add(o, re, im):
+        have = out.get(o)
+        if have is not None:
+            re = [a + c for a, c in zip(have[0], re)]
+            im = [a + c for a, c in zip(have[1], im)]
+        out[o] = re, im
+
+    def cols(o):
+        # the interior columns j of the band o: j and j + o in [lo, hi)
+        return max(lo, lo - o), min(hi, hi - o)
+
+    for k, g in b.terms.items():
+        s, (gr, gi) = k * level, rows(g)
+        for e, (dr, di) in bands.items():
+            j0, j1 = cols(e + s)
+            if j0 >= j1:
+                continue
+            # D_e(j + s), g(j), g(j + e), D_e(j) at the columns j0 <= j < j1
+            rows8 = (dr[j0 + s:j1 + s], di[j0 + s:j1 + s],
+                     gr[j0 + pad:j1 + pad], gi[j0 + pad:j1 + pad],
+                     gr[j0 + e + pad:j1 + e + pad],
+                     gi[j0 + e + pad:j1 + e + pad], dr[j0:j1], di[j0:j1])
+            add(e + s,
+                [a * x - c * u - y * p + v * q
+                 for a, c, x, u, y, v, p, q in zip(*rows8)],
+                [a * u + c * x - y * q - v * p
+                 for a, c, x, u, y, v, p, q in zip(*rows8)])
     # pi(delta(b)) on the interior, lifted to L^2
     for k, g in db.terms.items():
         s, (gr, gi) = k * level, rows(g)
-        for t in range(max(lo, lo - s), min(hi, hi - s)):
-            re[t + s, t] = re.get((t + s, t), 0) - gr[t] * L
-            im[t + s, t] = im.get((t + s, t), 0) - gi[t] * L
-    worst = max((a * a + c * c for a, c in zip(re.values(), im.values())),
-                default=0)
+        j0, j1 = cols(s)
+        if j0 < j1:
+            add(s, [-L * x for x in gr[j0 + pad:j1 + pad]],
+                [-L * u for u in gi[j0 + pad:j1 + pad]])
+    worst = max((a * a + c * c for re, im in out.values()
+                 for a, c in zip(re, im)), default=0)
     return math.sqrt(worst / L ** 4)
 
 
@@ -504,12 +522,25 @@ def _min_eig_inverse_power(G, tol=1e-12, cap=20000, seed=20240117):
     blocks, and vectors run over the blocks in order.  Each step applies
     G^{-1} once: the product w = G^{-1} v that gives the Rayleigh quotient
     of v is carried into the next step, which normalizes it.
-    NoConvergence when cap iterations do not settle."""
+    NoConvergence when cap iterations do not settle.
+
+    When the blocks are diagonal, which is every shell but the bounded
+    Haar one with off cells, G^{-1} is applied as the flat diagonal of
+    the same inverse times v: the block product adds only exact zeros to
+    those entry-wise products, so both steps give the same bits.  G >= I
+    keeps its diagonal nonzero, so the blocks are diagonal exactly when
+    G has k L nonzero entries."""
     Ginv = np.linalg.inv(G)
     k, L, _ = G.shape
 
-    def apply(u):
-        return (Ginv @ u.reshape(k, L, 1)).reshape(-1)
+    if np.count_nonzero(G) == k * L:
+        scale = np.diagonal(Ginv, axis1=1, axis2=2).reshape(-1)
+
+        def apply(u):
+            return scale * u
+    else:
+        def apply(u):
+            return (Ginv @ u.reshape(k, L, 1)).reshape(-1)
 
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(k * L) + 1j * rng.standard_normal(k * L)

@@ -50,23 +50,49 @@ class Workspace:
 
     @classmethod
     def from_json(cls, data):
-        N = SupernaturalNumber.from_json(data["N"])
+        if not isinstance(data, dict):
+            raise ValueError("a workspace must be a JSON object")
+        N = _decode("N", SupernaturalNumber.from_json, data["N"])
         sequences = {
-            k: _sequence_from_json(v, N)
-            for k, v in data.get("sequences", {}).items()
+            k: _decode(f"sequence {k!r}", _sequence_from_json, v, N)
+            for k, v in _section(data, "sequences")
         }
         derivations = {
-            k: DerivationSum.from_json(v, N)
-            for k, v in data.get("derivations", {}).items()
+            k: _decode(f"derivation {k!r}", DerivationSum.from_json, v, N)
+            for k, v in _section(data, "derivations")
         }
         laurent = {
-            k: LaurentFunction.from_json(v)
-            for k, v in data.get("laurent", {}).items()
+            k: _decode(f"laurent {k!r}", LaurentFunction.from_json, v)
+            for k, v in _section(data, "laurent")
         }
         return cls(N, sequences, derivations, laurent)
 
 
+def _section(data, key):
+    section = data.get(key, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"workspace {key!r} must be a JSON object")
+    return section.items()
+
+
+def _decode(entry, decode, *args):
+    """decode(*args) for one workspace entry, with malformed JSON reported
+    as one ValueError that names the entry.  A JSON value of the wrong
+    type surfaces inside the decoders as TypeError or AttributeError (a
+    float or string scalar, a list where an object belongs, a table that
+    is not a list), a zero denominator as ZeroDivisionError."""
+    try:
+        return decode(*args)
+    except ZeroDivisionError:
+        raise ValueError(f"workspace {entry} has a zero denominator") \
+            from None
+    except (TypeError, AttributeError, KeyError, ValueError) as exc:
+        raise ValueError(f"workspace {entry} is malformed: {exc}") from None
+
+
 def _sequence_from_json(data, N):
+    if not isinstance(data, dict):
+        raise ValueError("a sequence must be a JSON object")
     if "values" in data:
         return LocallyConstantFunction.from_json(data, N)
     if "table" in data:

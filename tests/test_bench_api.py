@@ -38,3 +38,18 @@ def test_every_name_the_workloads_reach_exists():
         if not hasattr(importlib.import_module(mod), name)
     )
     assert not missing, f"bench/workloads.py reaches removed names: {missing}"
+
+
+def test_gns_windows_parametrix_cases_match_golden_bit_for_bit(monkeypatch):
+    # the benchmark compares min_sv to golden.json within 1e-9; the shell
+    # iteration is meant to reproduce those values exactly
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    golden = importlib.import_module("golden").load()["min_sv"]
+    data = workloads.prepare("gns_windows")["data"]
+    assert len(workloads.PARAMETRIX) == 10
+    for (case, space), (Ms, verdict, _) in workloads.PARAMETRIX.items():
+        report = workloads.G.parametrix_report(data[case], Ms, space=space)
+        key = workloads.parametrix_key(case, space)
+        assert report["min_sv"] == golden[key], key
+        assert report["verdict"] == verdict, key

@@ -51,8 +51,8 @@ from bdshift.gns import (
 )
 from bdshift.gns import (
     _build_D_exact,
+    _D_block,
     _min_eig_inverse_power,
-    _pi_exact,
     _shell_min_sv,
     haar_mvec,
 )
@@ -219,7 +219,10 @@ def test_tau0_inner_implementation():
         ZERO, BilateralEPSequence({}, list(g.values), N2)
     )
     comp_g = bilateral_covariant(0, eta_g, N2)
-    Dg = _pi_exact(bilateral_diag(g), 8, 1)
+    # pi_0(g) on the window E_{-8..8}, column by column, is the D of eta = g
+    Dg = {(k + 8, l + 8): v for l in range(-8, 9) for k, v in pi0_apply(
+        bilateral_diag(g), GNSVector0({l: ONE})).coeffs.items()}
+    assert Dg == build_D_tau0_exact(implementation_from_bilateral(comp_g), 8)
     res = check_implementation(
         Dg, {0: comp_g}, rand_bilateral(rng, N2, 2), 8, space="tau0"
     )
@@ -536,6 +539,8 @@ def test_check_covariance_matches_dense():
         (np.zeros((2 * M + 1, 2 * M + 1), dtype=complex), 1),
         (np.zeros((2 * (2 * M + 1), 2 * (2 * M + 1)), dtype=complex), 0),
         (D1 + DL, 1),  # two bands
+        # two bands, one of them purely imaginary and not covariant
+        (1j * D1 + DL, 0),
     ]
     for D, n in cases:
         got = check_covariance(D, n, M, GRID16)
@@ -561,6 +566,51 @@ def test_shell_min_sv_matches_dense():
                 got = _shell_min_sv(data, space, M)
                 want = dense_shell_min_sv(data, space, M)
                 assert abs(got - want) <= 1e-12 * want
+
+
+def batched_shell_min_sv(data, space, M, tol=1e-12, seed=20240117):
+    """The shell minimum with every step a batched (k, L, L) @ (k, L, 1)
+    product, whatever the block structure."""
+    level, den, diag, off = _D_block(data, space)
+    shell = [*range(-2 * M + 1, -M + 1), *range(M, 2 * M)]
+    re, im = diag(shell)
+    B = np.zeros((len(shell), level, level), dtype=complex)
+    fiber = np.arange(level)
+    B.real[:, fiber, fiber] = np.reshape([a / den for a in re], (-1, level))
+    B.imag[:, fiber, fiber] = np.reshape([b / den for b in im], (-1, level))
+    for xi, xj, v in off:
+        B[:, xi, xj] = complex(v)
+    G = np.eye(level) + B.conj().transpose(0, 2, 1) @ B
+    Ginv = np.linalg.inv(G)
+    k = len(shell)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(k * level) + 1j * rng.standard_normal(k * level)
+    v /= np.linalg.norm(v)
+    w = (Ginv @ v.reshape(k, level, 1)).reshape(-1)
+    lam = 0.0
+    for _ in range(20000):
+        v = w / np.linalg.norm(w)
+        w = (Ginv @ v.reshape(k, level, 1)).reshape(-1)
+        new = float(np.real(np.vdot(v, w)))
+        if abs(new - lam) <= tol * max(1.0, abs(new)):
+            return math.sqrt(max(1.0 / max(new, 1e-300), 0.0))
+        lam = new
+    raise AssertionError("the reference iteration did not settle")
+
+
+def test_shell_min_sv_is_the_batched_iteration_bit_for_bit():
+    comps = [*regime_components().values(), *wide_bounded_components()]
+    diagonal = 0
+    for comp in comps:
+        data = implementation_from_bilateral(comp)
+        for space in ("tau0", "haar"):
+            diagonal += not _D_block(data, space)[3]
+            for M in (4, 8, 16):
+                got = _shell_min_sv(data, space, M)
+                assert got == batched_shell_min_sv(data, space, M), \
+                    (comp.n, space, M)
+    # both step paths are taken
+    assert 0 < diagonal < 2 * len(comps)
 
 
 # ---------------------------------------------------------------------------

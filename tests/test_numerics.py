@@ -226,6 +226,31 @@ def test_quotient_norm_report_refines():
         assert hi >= lo - 1e-12
 
 
+def test_quotient_norm_report_reuses_the_coarser_grid(monkeypatch):
+    from bdshift.algebra import MatrixTrigPoly
+
+    N3 = SupernaturalNumber.from_int(3)
+    g = LocallyConstantFunction([Scalar(1, 2), Scalar(-3), ONE], N3)
+    x = (v_element(N3) * bilateral_diag(g) + v_element(N3, -2)
+         + bilateral_diag(g))
+    evals = []
+    eval_at = MatrixTrigPoly.eval_at
+
+    def counted(self, z):
+        evals.append(z)
+        return eval_at(self, z)
+
+    monkeypatch.setattr(MatrixTrigPoly, "eval_at", counted)
+    for G, rounds in ((4, 3), (5, 2), (3, 1)):
+        evals.clear()
+        rep = quotient_norm_report(x, N3, G, rounds=rounds)
+        # each doubling evaluates only the nodes the coarser grid lacks
+        assert len(evals) == G << (rounds - 1)
+        assert rep["grid"] == [G << r for r in range(rounds)]
+        assert rep["value"] == [
+            quotient_norm_estimate(x, N3, grid) for grid in rep["grid"]]
+
+
 def test_quotient_norm_below_truncation_norm():
     # the quotient norm is dominated by the operator norm upstairs
     rng = random.Random(20240203)

@@ -232,6 +232,51 @@ def test_workspace_rejects_bad_period():
         Workspace(N2, sequences={"g3": g3})
 
 
+def _set(path, value):
+    """An edit of the workspace JSON: the value at path, a key list."""
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return edit
+
+
+MALFORMED_WORKSPACES = {
+    "zero_denominator": ("sequence 'g'",
+                         _set(["sequences", "g", "values", 0], [1, 0, 0, 1])),
+    "float_scalar": ("sequence 'g'",
+                     _set(["sequences", "g", "values", 0], [1.5, 1, 0, 1])),
+    "string_scalar": ("laurent 'f'",
+                      _set(["laurent", "f", "coeffs", "1"], ["1", 1, 0, 1])),
+    "table_not_a_list": ("sequence 'beta'",
+                         _set(["sequences", "beta", "table"], 5)),
+    "null_sequence": ("sequence 'g'", _set(["sequences", "g"], None)),
+    "N_not_an_object": ("N", _set(["N"], 5)),
+    "components_as_list": ("derivation 'd'",
+                           _set(["derivations", "d", "components"], [1])),
+    "coeffs_as_list": ("laurent 'f'", _set(["laurent", "f", "coeffs"], [])),
+    "sequences_as_list": ("'sequences'", _set(["sequences"], [])),
+    "top_level_list": ("workspace", None),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_WORKSPACES)
+def test_cli_rejects_malformed_workspace_files(capsys, tmp_path, case):
+    entry, edit = MALFORMED_WORKSPACES[case]
+    data = make_workspace().to_json()
+    if edit is None:
+        data = [data]
+    else:
+        edit(data)
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code = cli.main(["normalize", "--workspace", str(path), "U"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert entry in err
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
