@@ -31,7 +31,6 @@ from .profinite import LocallyConstantFunction, _common_period, _minimal_period
 from .scalars import Scalar, _canonical, _lift, as_scalar, coerce_scalar
 from .sequences import (
     EPSequence,
-    ep_add,
     ep_conjugate,
     ep_constant,
     ep_from_lcf,
@@ -487,53 +486,139 @@ def matrix_units(N):
 
 
 # ---------------------------------------------------------------------------
-# matrix trigonometric polynomials (finite N picture)
+# the finite-N matrix picture: N x N matrices over Laurent polynomials
+
+
+class LaurentFunction:
+    """Finite Fourier support on the circle: f(t) = sum f_j e^{ijt}, a
+    Laurent polynomial in z = e^{it}.  The powers keep the order in which
+    they are first met, and the JSON lists them in that order."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        kept = {}
+        for j, c in coeffs.items():
+            c = coerce_scalar(c)
+            if c:
+                kept[int(j)] = c
+        object.__setattr__(self, "coeffs", kept)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LaurentFunction is immutable")
+
+    def coefficient(self, j):
+        return self.coeffs.get(j, _ZERO)
+
+    def support(self):
+        return sorted(self.coeffs)
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __eq__(self, other):
+        if not isinstance(other, LaurentFunction):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(frozenset(self.coeffs.items()))
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for j, c in other.coeffs.items():
+            out[j] = out.get(j, _ZERO) + c
+        return LaurentFunction(out)
+
+    def __mul__(self, other):
+        out = {}
+        for j, c in self.coeffs.items():
+            for k, e in other.coeffs.items():
+                key = j + k
+                out[key] = out.get(key, _ZERO) + c * e
+        return LaurentFunction(out)
+
+    def __neg__(self):
+        return self.scale(Scalar(-1))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = coerce_scalar(c)
+        return LaurentFunction({j: c * v for j, v in self.coeffs.items()})
+
+    def conjugate(self):
+        """The pointwise conjugate on the circle: z^j goes to z^-j."""
+        return LaurentFunction(
+            {-j: c.conjugate() for j, c in self.coeffs.items()})
+
+    def derivative(self):
+        """(1/i) d/dt: z^j goes to j z^j."""
+        return LaurentFunction({j: j * c for j, c in self.coeffs.items()})
+
+    def value(self, z):
+        """Float value at complex z, summing powers in ascending order."""
+        val = 0j
+        for j, c in sorted(self.coeffs.items()):
+            val += complex(c) * z**j
+        return val
+
+    def __repr__(self):
+        return f"LaurentFunction({self.coeffs!r})"
+
+    def to_json(self):
+        return {"coeffs": {str(j): c.to_json() for j, c in self.coeffs.items()}}
+
+    @classmethod
+    def from_json(cls, data):
+        return cls(
+            {int(j): Scalar.from_json(c) for j, c in data["coeffs"].items()}
+        )
+
+
+_ZERO_POLY = LaurentFunction({})
 
 
 class MatrixTrigPoly:
     """N x N matrix of Laurent polynomials in one unimodular variable z,
-    with z standing for V^N."""
+    with z standing for V^N.  Every entry is a LaurentFunction; a dict of
+    power -> scalar is accepted in its place."""
 
     __slots__ = ("size", "entries")
 
     def __init__(self, size, entries):
         if len(entries) != size or any(len(row) != size for row in entries):
             raise ValueError(f"entries must form a {size}x{size} array")
-        clean = []
-        for row in entries:
-            clean_row = []
-            for poly in row:
-                p = {}
-                for k, v in poly.items():
-                    v = coerce_scalar(v)
-                    if v:
-                        p[int(k)] = v
-                clean_row.append(p)
-            clean.append(tuple(clean_row))
         object.__setattr__(self, "size", size)
-        object.__setattr__(self, "entries", tuple(clean))
+        object.__setattr__(self, "entries", tuple(
+            tuple(p if isinstance(p, LaurentFunction) else LaurentFunction(p)
+                  for p in row)
+            for row in entries
+        ))
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixTrigPoly is immutable")
 
     @classmethod
     def zero(cls, size):
-        return cls(size, [[{} for _ in range(size)] for _ in range(size)])
+        return cls(size, [[_ZERO_POLY] * size for _ in range(size)])
 
-    @classmethod
-    def constant(cls, matrix):
-        """From a square array of scalars."""
-        size = len(matrix)
-        return cls(
-            size,
-            [
-                [({0: v} if coerce_scalar(v) else {}) for v in row]
-                for row in matrix
-            ],
-        )
+    def entrywise(self, op):
+        """The matrix of op(entry), entry by entry."""
+        return MatrixTrigPoly(
+            self.size, [[op(p) for p in row] for row in self.entries])
+
+    def _zip(self, other, op):
+        if self.size != other.size:
+            raise ValueError("size mismatch")
+        return MatrixTrigPoly(self.size, [
+            [op(p, q) for p, q in zip(r1, r2)]
+            for r1, r2 in zip(self.entries, other.entries)
+        ])
 
     def is_zero(self):
-        return all(not p for row in self.entries for p in row)
+        return all(p.is_zero() for row in self.entries for p in row)
 
     def __eq__(self, other):
         if not isinstance(other, MatrixTrigPoly):
@@ -541,83 +626,38 @@ class MatrixTrigPoly:
         return self.size == other.size and self.entries == other.entries
 
     def __add__(self, other):
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        out = []
-        for r1, r2 in zip(self.entries, other.entries):
-            row = []
-            for p1, p2 in zip(r1, r2):
-                p = dict(p1)
-                for k, v in p2.items():
-                    p[k] = p.get(k, _ZERO) + v
-                row.append(p)
-            out.append(row)
-        return MatrixTrigPoly(self.size, out)
+        return self._zip(other, LaurentFunction.__add__)
 
     def __sub__(self, other):
-        return self + other.scale(Scalar(-1))
+        return self._zip(other, LaurentFunction.__sub__)
 
     def scale(self, c):
-        c = coerce_scalar(c)
-        return MatrixTrigPoly(
-            self.size,
-            [
-                [{k: c * v for k, v in p.items()} for p in row]
-                for row in self.entries
-            ],
-        )
+        return self.entrywise(lambda p: p.scale(c))
 
     def __mul__(self, other):
         if not isinstance(other, MatrixTrigPoly):
             c = as_scalar(other)
-            if c is NotImplemented:
-                return NotImplemented
-            return self.scale(c)
+            return c if c is NotImplemented else self.scale(c)
         if self.size != other.size:
             raise ValueError("size mismatch")
-        n = self.size
-        out = [[{} for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc = out[i][j]
-                for t in range(n):
-                    p, q = self.entries[i][t], other.entries[t][j]
-                    for k1, v1 in p.items():
-                        for k2, v2 in q.items():
-                            k = k1 + k2
-                            acc[k] = acc.get(k, _ZERO) + v1 * v2
-        return MatrixTrigPoly(n, out)
+        cols = list(zip(*other.entries))
+        return MatrixTrigPoly(self.size, [
+            [sum(map(LaurentFunction.__mul__, row, col), _ZERO_POLY)
+             for col in cols]
+            for row in self.entries
+        ])
 
-    def __rmul__(self, other):
-        c = as_scalar(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return self.scale(c)
+    # a scalar factor on either side scales
+    __rmul__ = __mul__
 
     def conjugate_transpose(self):
-        n = self.size
-        out = [[{} for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                out[j][i] = {
-                    -k: v.conjugate() for k, v in self.entries[i][j].items()
-                }
-        return MatrixTrigPoly(n, out)
+        return MatrixTrigPoly(self.size, [
+            [p.conjugate() for p in col] for col in zip(*self.entries)])
 
     def eval_at(self, z):
         """Float evaluation at a complex number z (|z| = 1 intended);
         returns a nested list of complex values."""
-        n = self.size
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                val = 0j
-                for k, v in sorted(self.entries[i][j].items()):
-                    val += complex(v) * z**k
-                row.append(val)
-            out.append(row)
-        return out
+        return [[p.value(z) for p in row] for row in self.entries]
 
     def __repr__(self):
         return f"MatrixTrigPoly(size={self.size})"
@@ -625,32 +665,22 @@ class MatrixTrigPoly:
     def to_json(self):
         return {
             "size": self.size,
-            "entries": [
-                [
-                    {str(k): v.to_json() for k, v in p.items()}
-                    for p in row
-                ]
-                for row in self.entries
-            ],
+            "entries": [[p.to_json()["coeffs"] for p in row]
+                        for row in self.entries],
         }
 
     @classmethod
     def from_json(cls, data):
-        return cls(
-            data["size"],
-            [
-                [
-                    {int(k): Scalar.from_json(v) for k, v in p.items()}
-                    for p in row
-                ]
-                for row in data["entries"]
-            ],
-        )
+        return cls(data["size"], [
+            [LaurentFunction.from_json({"coeffs": p}) for p in row]
+            for row in data["entries"]
+        ])
 
 
 def to_matrix_form(b, N):
     """Relabel E_{kN+j} as (z^k, basis j): the monomial V^n c(L) puts
-    c(j) * z^((j+n-j')/N) at entry (j', j) with j' = (j+n) mod N."""
+    c(j) z^w at entry (j', j), with j + n = wN + j'.  Each (n, j) reaches
+    its own slot, so nothing is summed."""
     if not N.is_finite():
         raise NotFinite("matrix form needs a finite N")
     N_int = N.as_int()
@@ -658,30 +688,28 @@ def to_matrix_form(b, N):
     for n, f in b.terms.items():
         for j in range(N_int):
             val = f.value_at(j)
-            if not val:
-                continue
-            jp = (j + n) % N_int
-            w = (j + n - jp) // N_int
-            acc = out[jp][j]
-            acc[w] = acc.get(w, _ZERO) + val
+            if val:
+                w, jp = divmod(j + n, N_int)
+                out[jp][j][w] = val
     return MatrixTrigPoly(N_int, out)
 
 
 def from_matrix_form(F, N):
-    """Inverse of to_matrix_form."""
+    """Inverse of to_matrix_form: the power w of entry (j', j) is slot j
+    of the table of V^(j' - j + wN), the degrees in the order first
+    reached."""
     if not N.is_finite():
         raise NotFinite("matrix form needs a finite N")
     N_int = N.as_int()
     if F.size != N_int:
         raise ValueError(f"matrix size {F.size} does not match N = {N_int}")
-    terms = {}
-    for jp in range(N_int):
-        for j in range(N_int):
-            for w, val in F.entries[jp][j].items():
+    tables = {}
+    for jp, row in enumerate(F.entries):
+        for j, p in enumerate(row):
+            for w, val in p.coeffs.items():
                 n = jp - j + w * N_int
-                contrib = ep_scale(residue_indicator(j, N_int, N), val)
-                if n in terms:
-                    terms[n] = ep_add(terms[n], contrib)
-                else:
-                    terms[n] = contrib
-    return BilateralElement(terms, N)
+                if n not in tables:
+                    tables[n] = [_ZERO] * N_int
+                tables[n][j] = val
+    return BilateralElement(
+        {n: LocallyConstantFunction(t, N) for n, t in tables.items()}, N)

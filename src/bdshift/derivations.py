@@ -38,6 +38,7 @@ from .sequences import (
 )
 from .algebra import (
     BilateralElement,
+    LaurentFunction,
     MatrixTrigPoly,
     UnilateralElement,
     _terms_mul,
@@ -338,72 +339,6 @@ def obstruction_gap(n, N, beta_bounded):
     return ep_supnorm_sq(g)
 
 
-class LaurentFunction:
-    """Finite Fourier support on the circle: f(t) = sum f_j e^{ijt}."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        kept = {}
-        for j, c in coeffs.items():
-            c = coerce_scalar(c)
-            if c:
-                kept[int(j)] = c
-        object.__setattr__(self, "coeffs", dict(sorted(kept.items())))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentFunction is immutable")
-
-    def coefficient(self, j):
-        return self.coeffs.get(j, ZERO)
-
-    def support(self):
-        return sorted(self.coeffs)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentFunction):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(self.coeffs.items()))
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for j, c in other.coeffs.items():
-            out[j] = out.get(j, ZERO) + c
-        return LaurentFunction(out)
-
-    def __mul__(self, other):
-        out = {}
-        for j, c in self.coeffs.items():
-            for k, e in other.coeffs.items():
-                key = j + k
-                out[key] = out.get(key, ZERO) + c * e
-        return LaurentFunction(out)
-
-    def __neg__(self):
-        return LaurentFunction({j: -c for j, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __repr__(self):
-        return f"LaurentFunction({self.coeffs!r})"
-
-    def to_json(self):
-        return {"coeffs": {str(j): c.to_json() for j, c in self.coeffs.items()}}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(
-            {int(j): Scalar.from_json(c) for j, c in data["coeffs"].items()}
-        )
-
-
 def laurent_substitute(f, N):
     """f(V^N) as a bilateral element, for finite N."""
     N_int = N.as_int()
@@ -465,33 +400,13 @@ def extract_f(d, N):
 
 
 def delta_f_apply(f, F):
-    """delta_f(F) = f . (1/i) dF/dt: each monomial z^k scales by k and
-    convolves with f."""
-    size = F.size
-    entries = []
-    for r in range(size):
-        row = []
-        for s in range(size):
-            out = {}
-            for k, c in F.entries[r][s].items():
-                if k == 0:
-                    continue
-                base = Scalar(k) * c
-                for j, fj in f.coeffs.items():
-                    key = k + j
-                    acc = out.get(key, ZERO) + fj * base
-                    out[key] = acc
-            row.append({k: v for k, v in out.items() if v})
-        entries.append(row)
-    return MatrixTrigPoly(size, entries)
+    """delta_f(F) = f . (1/i) dF/dt, entry by entry."""
+    return F.entrywise(lambda p: p.derivative() * f)
 
 
 def _unit_poly(size, r, s):
-    entries = [
-        [({0: ONE} if (i, j) == (r, s) else {}) for j in range(size)]
-        for i in range(size)
-    ]
-    return MatrixTrigPoly(size, entries)
+    return MatrixTrigPoly(size, [[{0: ONE} if (i, j) == (r, s) else {}
+                                  for j in range(size)] for i in range(size)])
 
 
 def inner_part_H(images, N_int):

@@ -85,9 +85,10 @@ class SupernaturalNumber:
             if e == INF or e == "inf":
                 clean[p] = INF
             else:
-                e = int(e)
-                if e < 1:
-                    raise ValueError(f"exponent must be positive, got {e}")
+                # a bool, a float or a numeric string is no exponent
+                if type(e) is not int or e < 1:
+                    raise ValueError(f"the exponent of {p} must be a "
+                                     "positive integer or 'inf'")
                 # min keeps a huge exponent from overflowing the float
                 bits += min(e, MAX_N_BITS + 1) * math.log2(p)
                 if bits > MAX_N_BITS:
@@ -145,7 +146,10 @@ class SupernaturalNumber:
 
     @classmethod
     def from_json(cls, data):
-        return cls(data.get("factors", {}))
+        factors = data.get("factors", {})
+        if not isinstance(factors, dict):
+            raise ValueError("'factors' must be a JSON object")
+        return cls(factors)
 
 
 def divides(j, N):

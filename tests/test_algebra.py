@@ -9,9 +9,17 @@ from bdshift.profinite import (
     SupernaturalNumber,
     haar_integral,
 )
-from bdshift.sequences import EPSequence, ep_constant, ep_mul, ep_shift
+from bdshift.sequences import (
+    EPSequence,
+    ep_add,
+    ep_constant,
+    ep_mul,
+    ep_scale,
+    ep_shift,
+)
 from bdshift.algebra import (
     BilateralElement,
+    LaurentFunction,
     MatrixTrigPoly,
     UnilateralElement,
     adjoint,
@@ -277,6 +285,61 @@ def test_matrix_form_round_trip():
                 == F.conjugate_transpose()
             )
             assert MatrixTrigPoly.from_json(F.to_json()) == F
+
+
+def indicator_sum_from_matrix_form(F, N):
+    """The earlier from_matrix_form, kept as a reference: each power w of
+    entry (j', j) adds val * [l = j mod N] to the term of degree
+    j' - j + wN."""
+    N_int = N.as_int()
+    terms = {}
+    for jp in range(N_int):
+        for j in range(N_int):
+            for w, val in F.entries[jp][j].coeffs.items():
+                n = jp - j + w * N_int
+                contrib = ep_scale(residue_indicator(j, N_int, N), val)
+                if n in terms:
+                    terms[n] = ep_add(terms[n], contrib)
+                else:
+                    terms[n] = contrib
+    return BilateralElement(terms, N)
+
+
+def rand_trig_poly(rng, size, powers=3):
+    """Entries with up to `powers` random powers in random order."""
+    return MatrixTrigPoly(size, [
+        [{rng.randint(-3, 3): rand_scalar(rng)
+          for _ in range(rng.randint(0, powers))} for _ in range(size)]
+        for _ in range(size)
+    ])
+
+
+def test_from_matrix_form_matches_the_indicator_sum():
+    rng = random.Random(20261018)
+    for n in (2, 3, 4, 6, 12):
+        N = SupernaturalNumber.from_int(n)
+        periods = [d for d in range(1, n + 1) if n % d == 0]
+        for _ in range(12):
+            b = rand_bilateral(rng, N, periods, max_deg=3 * n)
+            for F in (to_matrix_form(b, N), rand_trig_poly(rng, n)):
+                got = from_matrix_form(F, N)
+                want = indicator_sum_from_matrix_form(F, N)
+                assert got == want
+                assert list(got.terms) == list(want.terms)
+            assert from_matrix_form(to_matrix_form(b, N), N) == b
+
+
+def test_laurent_functions_ignore_insertion_order():
+    rng = random.Random(20261019)
+    for _ in range(50):
+        coeffs = [(j, rand_scalar(rng)) for j in rng.sample(range(-6, 7), 5)]
+        f = LaurentFunction(dict(coeffs))
+        g = LaurentFunction(dict(reversed(coeffs)))
+        assert f == g and hash(f) == hash(g)
+        assert f.support() == g.support() == sorted(f.coeffs)
+    # the order the powers are first met is kept, zeros dropped
+    f = LaurentFunction({2: ONE, -1: Scalar(3), 0: ZERO, 1: ONE})
+    assert list(f.coeffs) == [2, -1, 1]
 
 
 def test_matrix_form_eval():

@@ -340,6 +340,46 @@ def MatrixTrigPoly_constant_identity(size):
     )
 
 
+def loop_delta_f_apply(f, F):
+    """The earlier delta_f_apply, kept as a reference: each power z^k of
+    an entry scales by k and convolves with f."""
+    from bdshift.algebra import MatrixTrigPoly
+
+    size = F.size
+    entries = []
+    for r in range(size):
+        row = []
+        for s in range(size):
+            out = {}
+            for k, c in F.entries[r][s].coeffs.items():
+                if k == 0:
+                    continue
+                base = Scalar(k) * c
+                for j, fj in f.coeffs.items():
+                    key = k + j
+                    acc = out.get(key, ZERO) + fj * base
+                    out[key] = acc
+            row.append({k: v for k, v in out.items() if v})
+        entries.append(row)
+    return MatrixTrigPoly(size, entries)
+
+
+def test_delta_f_apply_matches_the_loop():
+    from bdshift.algebra import BilateralElement
+
+    rng = random.Random(20261020)
+    for n in (2, 3, 4, 6, 12):
+        N = SupernaturalNumber.from_int(n)
+        for _ in range(8):
+            f = LaurentFunction({rng.randint(-3, 3): rand_scalar(rng)
+                                 for _ in range(rng.randint(0, 3))})
+            terms = {rng.randint(-3 * n, 3 * n): LocallyConstantFunction(
+                [rand_scalar(rng) for _ in range(rng.choice([1, n]))], N)
+                for _ in range(rng.randint(1, 4))}
+            F = to_matrix_form(BilateralElement(terms, N), N)
+            assert delta_f_apply(f, F) == loop_delta_f_apply(f, F)
+
+
 def test_inner_part_H():
     rng = random.Random(20240127)
     from bdshift.algebra import MatrixTrigPoly

@@ -277,6 +277,42 @@ def test_cli_rejects_malformed_workspace_files(capsys, tmp_path, case):
     assert entry in err
 
 
+# an exponent of N is a positive int, "inf" or math.inf, and the factors
+# an object; none of these may load as some other N
+MALFORMED_N = {
+    "float_exponent": {"factors": {"2": 1.5}},
+    "bool_exponent": {"factors": {"3": True}},
+    "string_exponent": {"factors": {"2": "3"}},
+    "zero_exponent": {"factors": {"2": 0}},
+    "list_exponent": {"factors": {"2": [1]}},
+    "null_exponent": {"factors": {"2": None}},
+    "null_factors": {"factors": None},
+    "list_factors": {"factors": []},
+    "string_factors": {"factors": "2"},
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_N)
+def test_cli_rejects_malformed_n_exponents(capsys, tmp_path, case):
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps({"N": MALFORMED_N[case]}), encoding="utf-8")
+    code = cli.main(["normalize", "--workspace", str(path), "U"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert "workspace N" in err
+
+
+def test_n_exponents_that_load():
+    inf = float("inf")
+    for factors, N in (({"2": 3}, 8), ({"3": 1, "2": 2}, 12), ({}, 1)):
+        assert SupernaturalNumber.from_json({"factors": factors}).as_int() == N
+    for e in ("inf", inf):
+        N = SupernaturalNumber.from_json({"factors": {"2": e}})
+        assert N == SupernaturalNumber({2: "inf"}) and N.exponent(2) == inf
+    assert SupernaturalNumber.from_json({}) == SupernaturalNumber.from_int(1)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -340,6 +376,54 @@ def test_cli_derive_output_bytes_are_pinned(capsys, workspace):
         out = capsys.readouterr().out
         assert code == 0
         assert hashlib.md5(out.encode()).hexdigest() == md5, (side, expr)
+
+
+# md5 of the stdout bytes of the matrix picture over the finite benchmark
+# workspaces: matrix-form and qnorm on each expression of MATRIX_PINNED,
+# then extract-f and df-build; matrix-form lists the powers of each entry
+# in the order the terms reach them, not ascending (in ws_n2,
+# 'V^3 + V + diag(y)' gives entry (0, 1) the powers 2, 1), and the JSON
+# keeps that order
+MATRIX_PINNED = (
+    "V^3 + V + diag(y)",
+    "Vi^2 + V^4*diag(y) + V",
+    "(V + Vi)^3",
+)
+MATRIX_MD5 = {
+    "ws_n2": (
+        "7448abd14846808f23948708c6356100", "552eb391b53c8cb653ca9e66ca577500",
+        "ac5c6fcbb37ec913f2294276668fa237", "0453007298492b9c7e2e095c487fcffa",
+        "49812541bd1af9f23dfab7e4349e7dfa", "50b0c64ad4bcf5e5032226c308bd96d0",
+        "cafd422353f31cb29d831ee8d8faae72", "f017b8ed36f793778bb423a6e02d05d8",
+    ),
+    "ws_n3": (
+        "b75f4dff2bd5d53e3e94b21777f3e076", "854e2d827fde4711eecd3f7c98535fef",
+        "92807946ba0ae47d8775453925c1de77", "d3d2ebf5a945ae2da1117c63da178559",
+        "720a3af0203ee9c1b3b71fc592bca0f5", "50b0c64ad4bcf5e5032226c308bd96d0",
+        "542021923eb514edd4bc82e14313609c", "d283d73c03829d2177e725fc567daf63",
+    ),
+    "ws_n6": (
+        "977bb00cb5d3dfb406156803698dbf13", "9dde7dcfc49366ea8c02ec2ad0d06643",
+        "6ff0582416135c8cef5434752ce05c45", "ca0b563cbc65ce5ecd391ad646a7b747",
+        "596f5bfe116af9101bbf6cc22648952f", "d7e1d05681bc90e73bdd9f6391a85bf8",
+        "1b6e5b59268e0c29181054de3fe89872", "8ff3a55b46047cdf7674941f3401bf1f",
+    ),
+}
+
+
+@pytest.mark.parametrize("workspace", MATRIX_MD5)
+def test_cli_matrix_picture_output_bytes_are_pinned(capsys, workspace):
+    ws = ["--workspace", str(WORKSPACES / f"{workspace}.json")]
+    requests = [argv for expr in MATRIX_PINNED for argv in (
+        ["matrix-form", *ws, expr],
+        ["qnorm", *ws, expr, "--grid", "8", "--rounds", "2"],
+    )] + [["extract-f", *ws, "--derivation", "d"],
+          ["df-build", *ws, "--laurent", "f"]]
+    for argv, md5 in zip(requests, MATRIX_MD5[workspace], strict=True):
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.md5(out.encode()).hexdigest() == md5, argv
 
 
 def test_cli_normalize(capsys, ws_path):
