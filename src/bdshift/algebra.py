@@ -15,20 +15,21 @@ produces the chi_{>=p} cutoff.
 
 One kernel, _terms_mul, multiplies on both algebras.  The terms of
 degrees m and n give degree m+n and c(k) = [k >= z] a(k+sa) b(k+sb), the
-rule (sa, sb, z) set by m, n and the domain (_rule).  Coefficients are
-lifted once to Gaussian-integer rows (re, im) over the lcm J of all
-periods and one shared denominator; each pair adds its periodic row and
-its corrections (exact minus periodic value) to one raw row per output
+rule (sa, sb, z) set by m, n and the domain (_rule).  The coefficients'
+integer rows are rescaled to one shared denominator and repeated to the
+lcm J of all periods; each pair adds its periodic row and its
+corrections (exact minus periodic value) to one raw row per output
 degree.  A derivation's [g, x] is one signed call, g*x + x*(-g) in the
 same integer slots, where the affine weight cancels.  Each output row
-finds its minimal period on the integers, then becomes Scalars once.
+finds its minimal period on the integers and is reduced by one gcd; no
+Scalar is formed.
 """
 
 import math
 
 from .errors import NotFinite
-from .profinite import LocallyConstantFunction, _common_period, _minimal_period
-from .scalars import Scalar, _canonical, _lift, as_scalar, coerce_scalar
+from .profinite import LocallyConstantFunction, _common_period
+from .scalars import Scalar, as_scalar, coerce_scalar
 from .sequences import (
     EPSequence,
     ep_conjugate,
@@ -99,18 +100,14 @@ def _terms_mul(xt, yt, unilateral, commute=False):
     seqs = [s for ps in parts for _, _, s in ps]
     cls, N = type(seqs[0]), seqs[0].N
     J = _common_period(N, *{s.period for s in seqs})
-    D = math.lcm(*{v._t[2] for s in seqs
-                   for v in (*s.table, *s.correction.values())})
+    D = math.lcm(*{s.den for s in seqs})
     # degree -> rows (weight, re, im, correction) of each factor, over
-    # the denominator D and lifted to J; a correction value is (re, im)
+    # the denominator D and repeated to length J; a correction value is
+    # (re, im)
     xrows, yrows = {}, {}
     for rows, ps in zip((xrows, yrows), parts):
         for n, w, s in ps:
-            re, im = _lift(s.table, D)
-            corr = dict(zip(s.correction,
-                            zip(*_lift(s.correction.values(), D))))
-            rows.setdefault(n, []).append(
-                (w, re * (J // s.period), im * (J // s.period), corr))
+            rows.setdefault(n, []).append((w, *s._rows(D, J)))
     passes = [(xrows, yrows)]
     if commute:
         passes.append((yrows, {n: [
@@ -155,8 +152,8 @@ def _terms_mul(xt, yt, unilateral, commute=False):
             for k, (a, b) in weight[2].items():
                 c, w = corr.get(k, (0, 0)), k + cls.offset
                 corr[k] = (c[0] + w * a, c[1] + w * b)
-        row = _make_row(cls, re, im, corr, D * D, N)
-        out[deg] = (_make_row(cls, *weight, D * D, N), row) \
+        row = cls._make(D * D, re, im, corr, N)
+        out[deg] = (cls._make(D * D, *weight, N), row) \
             if weight and not commute else row
     return out
 
@@ -176,16 +173,6 @@ def _sum_row(by_z, corr):
             c = corr.get(k, (0, 0))
             corr[k] = (c[0] - zr[k % len(zr)], c[1] - zi[k % len(zi)])
     return re, im, corr
-
-
-def _make_row(cls, re, im, corr, D, N):
-    """The canonical sequence of a raw row over the denominator D.  Over
-    one denominator equal pairs (re, im) are equal scalars, so the minimal
-    period is found on the integers and only it is canonicalised."""
-    j = math.lcm(len(_minimal_period(re)), len(_minimal_period(im)))
-    return cls._from_canonical(
-        {k: _canonical(a, b, D) for k, (a, b) in corr.items() if a or b},
-        [_canonical(a, b, D) for a, b in zip(re[:j], im[:j])], N)
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +235,7 @@ class _Element:
     def __mul__(self, other):
         if type(other) is type(self):
             return multiply(self, other)
-        c = as_scalar(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return scale(self, c)
+        return self.__rmul__(other)
 
     def __rmul__(self, other):
         c = as_scalar(other)
@@ -379,9 +363,7 @@ bilateral_adjoint = adjoint
 
 def is_compact(x):
     """True iff every coefficient is purely c00 (zero periodic part)."""
-    return all(
-        all(not v for v in a.table) for a in x.terms.values()
-    )
+    return all(not (any(a.re) or any(a.im)) for a in x.terms.values())
 
 
 def quotient(x):
@@ -393,7 +375,7 @@ def quotient(x):
     """
     terms = {}
     for n, a in x.terms.items():
-        f = LocallyConstantFunction(a.table, x.N)
+        f = LocallyConstantFunction._make(a.den, a.re, a.im, {}, x.N)
         terms[n] = ep_shift(f, n) if n < 0 else f
     return BilateralElement(terms, x.N)
 
@@ -467,8 +449,8 @@ def mult_defect(b1, b2):
 
 def residue_indicator(r, N_int, N):
     """The locally constant indicator of the class l = r mod N_int."""
-    values = [Scalar(1 if k == r % N_int else 0) for k in range(N_int)]
-    return LocallyConstantFunction(values, N)
+    return LocallyConstantFunction(
+        [int(k == r % N_int) for k in range(N_int)], N)
 
 
 def matrix_units(N):

@@ -11,9 +11,10 @@ the weight-1 row cancels before any Scalar is formed.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from operator import attrgetter
 
-from .scalars import Scalar, ZERO, ONE, coerce_scalar
+from .scalars import Scalar, ZERO, ONE, _canonical, coerce_scalar
 from .errors import (
     NonzeroMean,
     NotDerivation,
@@ -27,13 +28,13 @@ from .sequences import (
     BilateralAffineSequence,
     BilateralEPSequence,
     EPSequence,
+    _mean_and_sums,
     ep_constant,
     ep_scale,
     ep_shift,
     ep_supnorm_sq,
     ep_zero,
     increment,
-    mean_decompose_mod,
     partial_sums,
 )
 from .algebra import (
@@ -168,15 +169,7 @@ class DerivationSum:
         return self + (-other)
 
     def __neg__(self):
-        out = {
-            n: covariant(
-                n,
-                AffineSequence(-c.beta.linear, -c.beta.ep),
-                self.N,
-            )
-            for n, c in self.components.items()
-        }
-        return DerivationSum(out, self.N)
+        return derivation_scale(self, -1)
 
     def __repr__(self):
         return f"DerivationSum(degrees={self.degrees()})"
@@ -206,17 +199,15 @@ class DerivationSum:
         return cls(comps, N)
 
 
+def _reweighted(d, weights):
+    """The components n of d in weights, each scaled by weights[n]."""
+    return DerivationSum({n: covariant(n, AffineSequence(
+        comp.beta.linear * weights[n], ep_scale(comp.beta.ep, weights[n])),
+        d.N) for n, comp in d.components.items() if n in weights}, d.N)
+
+
 def derivation_scale(d, c):
-    c = coerce_scalar(c)
-    out = {
-        n: covariant(
-            n,
-            AffineSequence(comp.beta.linear * c, ep_scale(comp.beta.ep, c)),
-            d.N,
-        )
-        for n, comp in d.components.items()
-    }
-    return DerivationSum(out, d.N)
+    return _reweighted(d, dict.fromkeys(d.components, coerce_scalar(c)))
 
 
 def from_inner(x):
@@ -241,8 +232,8 @@ def _commutator(components, x):
     seq, gen = x._coeff, {}
     for n, comp in components.items():
         linear, ep = comp._coef.linear, comp._coef.ep
-        ep = seq._from_canonical(ep.correction, ep.table, ep.N)
-        gen[n] = (seq._from_canonical({}, [linear], ep.N), ep) \
+        ep, (a, b, d) = seq._cast(ep), linear._t
+        gen[n] = (seq._from_canonical(d, (a,), (b,), {}, ep.N), ep) \
             if linear else ep
     terms = _terms_mul(gen, x.terms, seq.unilateral, commute=True)
     if seq.unilateral:
@@ -277,16 +268,8 @@ def fejer_mean(d, M):
     """Components reweighted by the Fejér coefficients 1 - |n|/(M+1)."""
     if M < 0:
         raise ValueError("Fejér order must be nonnegative")
-    out = {}
-    for n, comp in d.components.items():
-        if abs(n) > M:
-            continue
-        w = Scalar(Fraction(M + 1 - abs(n), M + 1))
-        beta = AffineSequence(
-            comp.beta.linear * w, ep_scale(comp.beta.ep, w)
-        )
-        out[n] = covariant(n, beta, d.N)
-    return DerivationSum(out, d.N)
+    return _reweighted(d, {n: Scalar(Fraction(M + 1 - abs(n), M + 1))
+                           for n in d.components if abs(n) <= M})
 
 
 def classify(comp):
@@ -304,17 +287,13 @@ def classify(comp):
     alpha = increment(beta)
     # the mean-zero running sums repeat with alpha's own period, so one
     # period suffices whatever N is
-    corr, mean, per = mean_decompose_mod(alpha, alpha.period)
-    per_sums = []
-    run = ZERO
-    for v in per:
-        run = run + v
-        per_sums.append(run)
-    inner_beta = AffineSequence(ZERO, EPSequence({}, per_sums, N))
-    c00_beta = partial_sums(EPSequence(corr, [ZERO], N))
+    mean, sums_re, sums_im = _mean_and_sums(alpha)
+    den = alpha.den * alpha.period
+    inner = EPSequence._make(den, sums_re, sums_im, {}, N)
+    c00_beta = partial_sums(EPSequence(alpha.correction, [ZERO], N))
     return {
-        "C_n": mean,
-        "inner_per": covariant(n, inner_beta, N),
+        "C_n": _canonical(*mean, den),
+        "inner_per": covariant(n, AffineSequence(ZERO, inner), N),
         "approx_c00": covariant(n, c00_beta, N),
     }
 
@@ -436,7 +415,7 @@ class BilateralCovariantData(_CovariantData):
     eta = property(attrgetter("_coef"))
 
     def __init__(self, n, eta, N):
-        if eta.ep.correction:
+        if eta.ep.corr:
             raise ValueError("quotient coefficients have no corrections")
         super().__init__(n, eta, N)
 
@@ -460,7 +439,8 @@ def quotient_derivation(d):
     """
     out = {}
     for n, comp in d.components.items():
-        ep = BilateralEPSequence({}, comp.beta.ep.table, d.N)
+        ep = comp.beta.ep
+        ep = BilateralEPSequence._make(ep.den, ep.re, ep.im, {}, d.N)
         eta = BilateralAffineSequence(
             comp.beta.linear, ep_shift(ep, n) if n < 0 else ep
         )
@@ -480,7 +460,7 @@ def approx_c00(comp, M):
     """Inner approximant when the increment is purely c00: truncate the
     increment at M and re-sum."""
     alpha = increment(comp.beta)
-    if any(v for v in alpha.table):
+    if any(alpha.re) or any(alpha.im):
         raise RegimeMismatch("increment has a periodic part")
     corr = {k: v for k, v in alpha.correction.items() if k <= M}
     beta = partial_sums(EPSequence(corr, [ZERO], comp.N))
@@ -492,10 +472,7 @@ def approx_per(f):
     periodic partial sums of f."""
     if haar_integral(f):
         raise NonzeroMean("partial sums stay periodic only at mean zero")
-    run = ZERO
-    table = []
-    for v in f.values:
-        run = run + v
-        table.append(run)
-    beta = AffineSequence(ZERO, EPSequence({}, table, f.N))
+    table = EPSequence._make(f.den, list(accumulate(f.re)),
+                             list(accumulate(f.im)), {}, f.N)
+    beta = AffineSequence(ZERO, table)
     return covariant(0, beta, f.N)

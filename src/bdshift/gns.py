@@ -9,18 +9,18 @@ level x level blocks B_m, and D*D is block-diagonal.  In every regime B_m
 has the diagonal eta(x + m) + const[x]: const = [c] on tau_0, the level-1
 fiber x = 0, and const = psi - eta on the Haar fiber; in the bounded
 regime (psi - eta)(x - n) sits in the rows x - n instead, which are the
-diagonal when level | n.  The diagonals are read off eta and const lifted
-once onto Gaussian-integer rows over one denominator.  The exact build
+diagonal when level | n.  The diagonals are formed on the integer rows
+of eta and psi over one denominator.  The exact build
 places the blocks of D on a window as Scalars, the dense builds fill the
 band by index arrays.  The pi-images pi(V^k g) are bands too, with the
 blocks diag_x g(x + m), so the implementation check forms [D, pi(b)]
-band by band on the interior of the window, in integer pairs: D, b and
-delta(b) are lifted once over their common denominator.  Compact-parametrix
+band by band on the interior of the window, in integer pairs over the
+common denominator of D, b and delta(b).  Compact-parametrix
 detection builds only the blocks I + B_m^H B_m of the shells
 M <= |m| < 2M, where divergence is visible as growth of the smallest
 eigenvalue, and steps its iteration as a vector when they are diagonal;
 the covariance check reads the residual off the band and the largest
-block norm.
+block norm, an |entry| when the blocks are diagonal.
 """
 
 import cmath
@@ -30,7 +30,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .scalars import Scalar, _canonical, _lift, as_scalar, ZERO, ONE
+from .scalars import Scalar, _canonical, as_scalar, ZERO, ONE
 from .errors import LevelMismatch, NoConvergence, WindowTooSmall
 from .profinite import LocallyConstantFunction, divides, haar_integral
 from .algebra import expectation
@@ -245,38 +245,40 @@ def _D_block(data, space):
     regimes; in the bounded case the commutant cells (psi - eta)(x - n)
     sit in the rows x - n, which are the diagonal when level | n.
 
-    eta = linear l + ep(l) and const are lifted once onto Gaussian-integer
-    rows over the one denominator den, so diag(ms) gives the diagonals of
-    the blocks m in ms, in order, as numerator lists (re, im) at a few int
-    operations an entry: _canonical(a, b, den) is the exact entry and
+    eta = linear l + ep(l), psi and c are read as Gaussian-integer rows
+    over one denominator den, and const is formed on them, so diag(ms)
+    gives the diagonals of the blocks m in ms, in order, as numerator
+    lists (re, im) at a few int operations an entry: _canonical(a, b, den) is the exact entry and
     complex(a / den, b / den) its float, which is complex of the Scalar
     because int / int is correctly rounded.
     """
-    n, eta = data.n, data.eta.value_at
+    n, linear, ep, psi = data.n, data.eta.linear, data.eta.ep, data.psi
+    c = data.c if space == "tau0" else ZERO
+    den = math.lcm(linear._t[2], c._t[2], ep.den, psi.den)
+    (la, lb), (c0, c1) = ((a * (den // d), b * (den // d))
+                          for a, b, d in (linear._t, c._t))
+    p, q = ep.period, psi.period
+    ta, tb, corr = ep._rows(den, p)
+    pa, pb, _ = psi._rows(den, q)
     if space == "tau0":
-        level, const, off = 1, [data.c], []
+        level, ca, cb, off = 1, [c0], [c1], []
     elif space != "haar":
         raise ValueError(f"unknown space {space!r}")
     else:
-        level, psi = data.level, data.psi.value_at
-        fiber = range(level)
-        if data.case == "bounded":
-            cells = [((x - n) % level, x, psi(x - n) - eta(x - n))
-                     for x in fiber]
-            const = [v if row == x else ZERO for row, x, v in cells]
-            off = [(row, x, v) for row, x, v in cells if row != x and v]
-        else:
-            const, off = [psi(x) - eta(x) for x in fiber], []
-
-    linear, ep = data.eta.linear, data.eta.ep
-    den = math.lcm(*(v._t[2] for v in (
-        linear, *ep.table, *ep.correction.values(), *const)))
-
-    (la,), (lb,) = _lift([linear], den)
-    ta, tb = _lift(ep.table, den)
-    ca, cb = _lift(const, den)
-    corr = dict(zip(ep.correction, zip(*_lift(ep.correction.values(), den))))
-    p, fiber = ep.period, range(level)
+        # (psi - eta)(x - t) sits in the row (x - t) mod level of the
+        # column x, t = n in the bounded case and 0 otherwise
+        level, t = data.level, n if data.case == "bounded" else 0
+        ca, cb, off = [0] * level, [0] * level, []
+        for x in range(level):
+            k = x - t
+            e = corr.get(k, (0, 0))
+            a = pa[k % q] - la * k - ta[k % p] - e[0]
+            b = pb[k % q] - lb * k - tb[k % p] - e[1]
+            if k % level == x:
+                ca[x], cb[x] = a, b
+            elif a or b:
+                off.append((k % level, x, _canonical(a, b, den)))
+    fiber = range(level)
 
     def diag(ms):
         re = [la * (x + m) + ta[(x + m) % p] + ca[x]
@@ -363,8 +365,9 @@ def check_covariance(D, n, M, thetas):
     e^{i theta d}.  The bands are read in one pass over the float halves
     of D, the imaginary ones included.  A D on a single band is the
     direct sum of its blocks B_m, so there the residual is
-    |e^{i theta d} - e^{in theta}| times max_m ||B_m||; a D on several
-    bands takes one dense norm per theta.
+    |e^{i theta d} - e^{in theta}| times max_m ||B_m||, read off the
+    largest |entry| when the blocks are diagonal; a D on several bands
+    takes one dense norm per theta.
     """
     if len(thetas) == 0:
         raise ValueError("theta grid needs at least one angle")
@@ -387,7 +390,11 @@ def check_covariance(D, n, M, thetas):
         d = int(bands[0])
         blocks = D.reshape(2 * M + 1, level, 2 * M + 1, level)
         B = np.moveaxis(np.diagonal(blocks, -d, 0, 2), -1, 0)
-        top = float(np.linalg.norm(B, 2, axis=(1, 2)).max())
+        diag = np.diagonal(B, 0, 1, 2)
+        # the norm of a diagonal block is its largest |entry|
+        top = float(np.abs(diag).max()
+                    if np.count_nonzero(B) == np.count_nonzero(diag)
+                    else np.linalg.norm(B, 2, axis=(1, 2)).max())
         band = np.array([d], dtype=float)
         return max(
             (float(abs(np.exp(1j * theta * band)[0]
@@ -431,9 +438,9 @@ def check_implementation(D, components, b, M, space="tau0", level=1):
     g(j + e) D_e(j).  Each output band is formed over its interior
     columns alone, from aligned slices of these rows, and pi(delta(b))
     is subtracted there; the window products have no other entries in
-    the interior.  The entries of D and the tables of b and delta(b) are
-    lifted once onto Gaussian-integer rows over their common denominator
-    L, so the bands hold integer pairs over L^2, and the largest
+    the interior.  The Scalar entries of D and the rows of b and delta(b)
+    are rescaled to their common denominator L, so the bands hold
+    integer pairs over L^2, and the largest
     a^2 + b^2 over L^4 is rounded once, as the Scalar |entry|^2 would be.
     """
     db = bilateral_apply(components, b)
@@ -453,21 +460,22 @@ def check_implementation(D, components, b, M, space="tau0", level=1):
     size = (2 * M + 1) * level
     lo, hi = margin * level, size - margin * level
     L = math.lcm(*(v._t[2] for v in D.values()), *(
-        v._t[2] for x in (b, db) for g in x.terms.values() for v in g.table))
+        g.den for x in (b, db) for g in x.terms.values()))
     # the rows D_e over L, indexed by column
     bands = {}
-    for (i, j), a, c in zip(D, *_lift(D.values(), L)):
+    for (i, j), v in D.items():
+        a, c, d = v._t
         row = bands.get(i - j)
         if row is None:
             row = bands[i - j] = [0] * size, [0] * size
-        row[0][j], row[1][j] = a, c
+        row[0][j], row[1][j] = a * (L // d), c * (L // d)
     # g(j) over L at the window indices j - pad, ..., size + pad - 1: the
     # pi(b) D slices reach j + e outside the window where D_e(j) is 0
     pad = max(map(abs, bands), default=0)
     xm = [t // level + t % level - M for t in range(-pad, size + pad)]
 
     def rows(g):
-        gr, gi = _lift(g.table, L)
+        gr, gi, _ = g._rows(L, g.period)
         per = g.period
         return [gr[y % per] for y in xm], [gi[y % per] for y in xm]
 

@@ -3,9 +3,10 @@
 Two arithmetic paths: exact rationals certify symbolic identities on an
 interior window, floats handle norms and spectra.  The exact path is
 authoritative; every float appears only in bounds and reports.  One band
-reader lifts the coefficients of a window once onto Gaussian-integer rows
-over one denominator; the exact and the float truncations and the product
-oracle, which multiplies the rows of the factors as integers, read them.
+reader rescales the coefficients' integer rows to one denominator; the
+exact truncation and the product oracle, which multiplies the rows of the
+factors as integers, read it.  The float truncation divides each value
+once.
 """
 
 import cmath
@@ -14,7 +15,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .scalars import _canonical, _lift
+from .scalars import _canonical
 from .errors import NoConvergence, NotFinite, WindowTooSmall
 from .algebra import multiply, to_matrix_form
 
@@ -27,8 +28,7 @@ def _bands(M, *elements):
     window."""
     if M < 1:
         raise ValueError("window must contain at least one basis vector")
-    den = math.lcm(*(v._t[2] for x in elements for s in x.terms.values()
-                     for v in (*s.table, *s.correction.values())))
+    den = math.lcm(*(s.den for x in elements for s in x.terms.values()))
     out = [{} for _ in elements]
     for bands, x in zip(out, elements):
         for n, coeff in x.terms.items():
@@ -36,10 +36,10 @@ def _bands(M, *elements):
             if length <= 0:
                 continue
             reps = length // coeff.period + 1
-            re, im = ([0] * lo + (r * reps)[:length] + [0] * max(n, 0)
-                      for r in _lift(coeff.table, den))
-            for k, a, b in zip(coeff.correction,
-                               *_lift(coeff.correction.values(), den)):
+            re, im, corr = coeff._rows(den, coeff.period * reps)
+            re, im = ([0] * lo + list(r[:length]) + [0] * max(n, 0)
+                      for r in (re, im))
+            for k, (a, b) in corr.items():
                 if k < length:
                     re[k + lo] += a
                     im[k + lo] += b
@@ -47,22 +47,27 @@ def _bands(M, *elements):
     return den, out
 
 
-def _dense(bands, M, den):
-    """The bands as an M x M complex matrix.  int / int is correctly
-    rounded, so each entry is complex of its Scalar."""
-    out = np.zeros((M, M), dtype=complex)
-    for n, (re, im) in bands.items():
-        lo, hi = max(-n, 0), M - max(n, 0)
-        cols = np.arange(lo, hi)
-        out.real[cols + n, cols] = [x / den for x in re[lo:hi]]
-        out.imag[cols + n, cols] = [y / den for y in im[lo:hi]]
-    return out
-
-
 def truncate_unilateral(a, M):
-    """The M x M compression to span{E_0, ..., E_{M-1}} as floats."""
-    den, (bands,) = _bands(M, a)
-    return _dense(bands, M, den)
+    """The M x M compression to span{E_0, ..., E_{M-1}} as floats.  Each
+    table value and each corrected value is divided once, over its own
+    denominator; int / int is correctly rounded, so each entry is complex
+    of its Scalar."""
+    if M < 1:
+        raise ValueError("window must contain at least one basis vector")
+    out = np.zeros((M, M), dtype=complex)
+    for n, coeff in a.terms.items():
+        length, lo = M - abs(n), max(-n, 0)
+        if length <= 0:
+            continue
+        d, reps = coeff.den, length // coeff.period + 1
+        re, im = ([v / d for v in row] * reps for row in (coeff.re, coeff.im))
+        for k in coeff.corr:
+            if k < length:
+                re[k], im[k] = (v / d for v in coeff._at(k))
+        cols = np.arange(lo, lo + length)
+        out.real[cols + n, cols] = re[:length]
+        out.imag[cols + n, cols] = im[:length]
+    return out
 
 
 def truncate_exact(a, M):
@@ -122,7 +127,7 @@ def oracle_product_check(a, b, M):
         for p, q in zip(P.get(d, zero), split.get(d, zero)):
             exact_ok &= all(x * den == y for x, y in zip(p[lo:hi], q[lo:hi]))
 
-    fa, fb, fprod = (_dense(X, M, den) for X in (A, B, P))
+    fa, fb, fprod = (truncate_unilateral(x, M) for x in (a, b, ab))
     dev = np.abs((fa @ fb)[:cut, :cut] - fprod[:cut, :cut])
     scalefac = max(1.0, float(np.abs(fprod).max()))
     max_dev = float(dev.max()) / scalefac if dev.size else 0.0

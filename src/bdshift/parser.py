@@ -230,24 +230,18 @@ def parse(text):
 
 
 def _diag_unilateral(value, N):
-    if isinstance(value, EPSequence):
-        return algebra.diag_element(value)
-    if isinstance(value, LocallyConstantFunction):
-        return algebra.diag_element(EPSequence({}, list(value.values), N))
+    if isinstance(value, (EPSequence, LocallyConstantFunction)):
+        return algebra.diag_element(EPSequence._cast(value))
     raise UnknownName(f"cannot use {type(value).__name__} as a diagonal")
 
 
 def _diag_bilateral(value, N):
-    if isinstance(value, LocallyConstantFunction):
-        return algebra.bilateral_diag(value)
-    if isinstance(value, EPSequence):
-        if value.correction:
+    if isinstance(value, (EPSequence, LocallyConstantFunction)):
+        if value.corr:
             raise SideMismatch(
                 "sequence with c00 corrections has no bilateral diagonal"
             )
-        return algebra.bilateral_diag(
-            LocallyConstantFunction(list(value.table), N)
-        )
+        return algebra.bilateral_diag(LocallyConstantFunction._cast(value))
     raise UnknownName(f"cannot use {type(value).__name__} as a diagonal")
 
 

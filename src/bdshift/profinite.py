@@ -1,6 +1,10 @@
 """Supernatural numbers and the periodic core: eventually periodic tables
 whose period divides N, with locally constant functions on Z/NZ as the
-correction-free member.
+correction-free member.  A sequence is stored as Gaussian-integer rows
+over one denominator in one canonical form: the minimal period, den > 0
+coprime to the numerators taken together, no zero correction.  The ep_*
+operations work on the rows; Scalars appear only at the edges (the
+constructor, table, correction, value_at and the JSON).
 
 A supernatural number is a formal product of primes with exponents in
 {1, 2, ..., infinity}; only finitely many primes carry a nonzero exponent
@@ -10,12 +14,14 @@ finite_divisors); every table period is such a level.
 
 import functools
 import math
+from itertools import chain, repeat
+from math import gcd
+from operator import add, mul
 
 from .errors import PeriodNotDivisor, NotFinite
-from .scalars import Scalar, coerce_scalar
+from .scalars import Scalar, _canonical, _wire, coerce_scalar
 
 INF = math.inf
-_ZERO = Scalar(0)
 
 # caps on workspace input: a correction key (see from_json) and the bit
 # length sum(e * log2 p) of N's finite part, which as_int() forms
@@ -178,14 +184,20 @@ def finite_divisors(N, bound):
     return [j for j in range(1, bound + 1) if divides(j, N)]
 
 
+@functools.lru_cache(maxsize=256)
+def _primes(n):
+    """The primes of n; table lengths divide N, so few distinct n occur."""
+    return tuple(_factorize(n))
+
+
 def _minimal_period(values):
-    """Shortest cyclic period of a value table (a list).
+    """Shortest cyclic period of a value table (a list or tuple).
 
     The periods of a cyclic table are closed under gcd, so the minimal one
     is reached by dividing the length by its primes for as long as the
     table stays invariant under the shorter shift."""
     j = period = len(values)
-    for p in _factorize(j):
+    for p in _primes(j):
         while period % p == 0:
             e = period // p
             if values[e:] != values[:j - e]:
@@ -194,81 +206,129 @@ def _minimal_period(values):
     return values[:period]
 
 
-def _fill(seq, correction, table, N):
-    object.__setattr__(seq, "correction", correction)
-    object.__setattr__(seq, "period", len(table))
-    object.__setattr__(seq, "table", tuple(table))
-    object.__setattr__(seq, "N", N)
+def _fill(seq, den, re, im, corr, N):
+    _set_den(seq, den)
+    _set_re(seq, re)
+    _set_im(seq, im)
+    _set_corr(seq, corr)
+    _set_period(seq, len(re))
+    _set_N(seq, N)
     return seq
 
 
 class _PeriodicSequence:
     """Correction plus periodic table: a(k) = correction.get(k, 0) +
-    table[k mod j], with j dividing N.  The canonical form has the minimal
-    period and no zero correction entries.
+    table[k mod j], with j dividing N.
+
+    Stored as rows over one denominator: table[r] = (re[r] + i im[r])/den
+    and correction[k] = (a + i b)/den for corr[k] = (a, b), in canonical
+    form (see the module docstring), so == and hash compare integers.
 
     Subclasses fix the domain with two class attributes: `unilateral`
     (k >= 0 with zero-fill shifts, else all of Z) and `offset` (the affine
     weight is k + offset).  Operations build their result through the
-    classmethod _make, so they return the class of their first argument.
+    classmethods _make and _from_canonical, so they return the class of
+    their first argument.
     """
 
-    __slots__ = ("correction", "period", "table", "N")
+    __slots__ = ("den", "re", "im", "corr", "period", "N")
 
     def __init__(self, correction, table, N):
-        table = [coerce_scalar(v) for v in table]
+        table = [coerce_scalar(v)._t for v in table]
         if not table:
             raise ValueError("table must be nonempty")
         if not divides(len(table), N):
             raise PeriodNotDivisor(f"period {len(table)} does not divide N")
-        table = _minimal_period(table)
-        clean = {}
+        corr = {}
         for k, v in (correction or {}).items():
             k = int(k)
             if k < 0 and self.unilateral:
                 raise ValueError(f"correction key must be >= 0, got {k}")
-            v = coerce_scalar(v)
-            if v:
-                clean[k] = v
-        _fill(self, clean, table, N)
+            corr[k] = coerce_scalar(v)._t
+        # equal canonical triples are equal values, and over the lcm of
+        # canonical denominators the numerators are already coprime to it
+        re, im, ds = zip(*_minimal_period(table))
+        den = math.lcm(*ds, *(d for _, _, d in corr.values()))
+        if den != 1:
+            ds = [den // d for d in ds]
+            re, im = tuple(map(mul, re, ds)), tuple(map(mul, im, ds))
+        corr = {k: (a * (den // d), b * (den // d))
+                for k, (a, b, d) in corr.items() if a or b}
+        _fill(self, den, re, im, corr, N)
 
     @classmethod
-    def _make(cls, correction, table, N):
-        return cls(correction, table, N)
+    def _make(cls, den, re, im, corr, N):
+        """Raw rows over den, of a length dividing N, in canonical form: a
+        period search, zero corrections dropped, one gcd (none at den 1)."""
+        j = math.lcm(len(_minimal_period(re)), len(_minimal_period(im)))
+        re, im = re[:j], im[:j]
+        corr = {k: v for k, v in corr.items() if v[0] or v[1]}
+        if den != 1:
+            g = gcd(den, *re, *im, *chain.from_iterable(corr.values()))
+            if g != 1:
+                re, im = [a // g for a in re], [b // g for b in im]
+                den, corr = den // g, {k: (a // g, b // g)
+                                       for k, (a, b) in corr.items()}
+        return cls._from_canonical(den, tuple(re), tuple(im), corr, N)
 
     @classmethod
-    def _from_canonical(cls, correction, table, N):
-        """The constructor without checks or period search, for parts as
-        canonical as rotations, nonzero scalings and conjugates keep."""
-        return _fill(object.__new__(cls), correction, table, N)
+    def _from_canonical(cls, den, re, im, corr, N):
+        """The constructor without checks, for canonical rows."""
+        return _fill(object.__new__(cls), den, re, im, corr, N)
+
+    @classmethod
+    def _cast(cls, a):
+        """a with its rows unchanged, as a member of cls."""
+        return cls._from_canonical(a.den, a.re, a.im, a.corr, a.N)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    @property
+    def table(self):
+        return tuple(map(_canonical, self.re, self.im, repeat(self.den)))
+
+    @property
+    def correction(self):
+        d = self.den
+        return {k: _canonical(a, b, d) for k, (a, b) in self.corr.items()}
+
+    def _rows(self, den, j):
+        """(re, im, corr) over den, a multiple of self.den, with the table
+        repeated to length j, a multiple of the period."""
+        f, t = den // self.den, j // self.period
+        if f == 1:
+            return self.re * t, self.im * t, self.corr
+        return ([f * a for a in self.re] * t, [f * b for b in self.im] * t,
+                {k: (f * a, f * b) for k, (a, b) in self.corr.items()})
+
+    def _at(self, k):
+        """The numerators (re, im) of a(k) over den."""
+        r, c = k % self.period, self.corr.get(k, (0, 0))
+        return self.re[r] + c[0], self.im[r] + c[1]
+
     def value_at(self, k):
         if k < 0 and self.unilateral:
             raise ValueError("unilateral sequences are defined for k >= 0")
-        v = self.table[k % self.period]
-        c = self.correction.get(k)
-        return v if c is None else c + v
+        return _canonical(*self._at(k), self.den)
 
     def support_bound(self):
         """Smallest k0 with a(k) = table[k mod j] for all k >= k0."""
-        return max(self.correction.keys(), default=-1) + 1
+        return max(self.corr, default=-1) + 1
 
     def is_zero(self):
-        return not self.correction and all(not v for v in self.table)
+        # the zero table has period 1
+        return not (self.corr or self.re[0] or self.im[0] or self.period > 1)
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return (
-            self.correction == other.correction
-            and self.table == other.table
-        )
+        return (self.den == other.den and self.re == other.re
+                and self.im == other.im and self.corr == other.corr)
 
     def __hash__(self):
-        return hash((frozenset(self.correction.items()), self.table))
+        return hash((self.den, self.re, self.im,
+                     frozenset(self.corr.items())))
 
     def __add__(self, other):
         return ep_add(self, other)
@@ -291,12 +351,12 @@ class _PeriodicSequence:
         )
 
     def to_json(self):
+        d = self.den
         return {
-            "correction": {
-                str(k): v.to_json() for k, v in sorted(self.correction.items())
-            },
+            "correction": {str(k): _wire(a, b, d)
+                           for k, (a, b) in sorted(self.corr.items())},
             "period": self.period,
-            "table": [v.to_json() for v in self.table],
+            "table": list(map(_wire, self.re, self.im, repeat(d))),
         }
 
     @classmethod
@@ -313,6 +373,11 @@ class _PeriodicSequence:
         return cls(corr, [Scalar.from_json(v) for v in data["table"]], N)
 
 
+_set_den, _set_re, _set_im, _set_corr, _set_period, _set_N = (
+    getattr(_PeriodicSequence, name).__set__
+    for name in _PeriodicSequence.__slots__)
+
+
 class LocallyConstantFunction(_PeriodicSequence):
     """Function on Z/NZ factoring through Z/jZ for a finite divisor j of N:
     the correction-free member of the periodic core on Z.  Value at the
@@ -327,26 +392,15 @@ class LocallyConstantFunction(_PeriodicSequence):
         super().__init__({}, values, N)
 
     @classmethod
-    def _make(cls, correction, table, N):
-        if correction:
+    def _from_canonical(cls, den, re, im, corr, N):
+        if corr:
             raise ValueError("a locally constant function has no corrections")
-        return cls(table, N)
+        return super()._from_canonical(den, re, im, corr, N)
 
-    @classmethod
-    def _from_canonical(cls, correction, table, N):
-        if correction:
-            raise ValueError("a locally constant function has no corrections")
-        return super()._from_canonical(correction, table, N)
-
-    @property
-    def values(self):
-        return self.table
+    values = _PeriodicSequence.table
 
     def to_json(self):
-        return {
-            "period": self.period,
-            "values": [v.to_json() for v in self.table],
-        }
+        return {"period": self.period, "values": super().to_json()["table"]}
 
     @classmethod
     def from_json(cls, data, N):
@@ -355,10 +409,7 @@ class LocallyConstantFunction(_PeriodicSequence):
 
 def haar_integral(f):
     """Average of the value table over one period."""
-    total = Scalar(0)
-    for v in f.table:
-        total = total + v
-    return total / Scalar(f.period)
+    return _canonical(sum(f.re), sum(f.im), f.den * f.period)
 
 
 def _common_period(N, *periods):
@@ -371,43 +422,42 @@ def _common_period(N, *periods):
 
 def ep_add(a, b):
     j = _common_period(a.N, a.period, b.period)
-    table = [
-        a.table[r % a.period] + b.table[r % b.period] for r in range(j)
-    ]
-    corr = dict(a.correction)
-    for k, v in b.correction.items():
-        corr[k] = corr.get(k, _ZERO) + v
-    return type(a)._make(corr, table, a.N)
+    den = math.lcm(a.den, b.den)
+    (ar, ai, corr), (br, bi, bc) = a._rows(den, j), b._rows(den, j)
+    corr = dict(corr)
+    for k, (x, y) in bc.items():
+        c = corr.get(k, (0, 0))
+        corr[k] = (c[0] + x, c[1] + y)
+    return type(a)._make(den, list(map(add, ar, br)), list(map(add, ai, bi)),
+                         corr, a.N)
 
 
 def ep_mul(a, b):
     j = _common_period(a.N, a.period, b.period)
-    table = [
-        a.table[r % a.period] * b.table[r % b.period] for r in range(j)
-    ]
+    (ar, ai, _), (br, bi, _) = a._rows(a.den, j), b._rows(b.den, j)
+    re = [x * y - u * v for x, u, y, v in zip(ar, ai, br, bi)]
+    im = [x * v + u * y for x, u, y, v in zip(ar, ai, br, bi)]
     corr = {}
-    for k in set(a.correction) | set(b.correction):
-        corr[k] = a.value_at(k) * b.value_at(k) - table[k % j]
-    return type(a)._make(corr, table, a.N)
+    for k in a.corr.keys() | b.corr.keys():
+        (x, u), (y, v) = a._at(k), b._at(k)
+        corr[k] = (x * y - u * v - re[k % j], x * v + u * y - im[k % j])
+    return type(a)._make(a.den * b.den, re, im, corr, a.N)
 
 
 def ep_scale(a, c):
-    c = coerce_scalar(c)
-    # a nonzero factor keeps the parts canonical
-    make = type(a)._from_canonical if c else type(a)._make
-    return make(
-        {k: c * v for k, v in a.correction.items()},
-        [c * v for v in a.table],
-        a.N,
-    )
+    p, q, d = coerce_scalar(c)._t
+    return type(a)._make(
+        a.den * d,
+        [p * x - q * y for x, y in zip(a.re, a.im)],
+        [p * y + q * x for x, y in zip(a.re, a.im)],
+        {k: (p * x - q * y, p * y + q * x) for k, (x, y) in a.corr.items()},
+        a.N)
 
 
 def ep_conjugate(a):
     return type(a)._from_canonical(
-        {k: v.conjugate() for k, v in a.correction.items()},
-        [v.conjugate() for v in a.table],
-        a.N,
-    )
+        a.den, a.re, tuple(-b for b in a.im),
+        {k: (x, -y) for k, (x, y) in a.corr.items()}, a.N)
 
 
 def ep_shift(a, n):
@@ -418,15 +468,14 @@ def ep_shift(a, n):
     down (dropped below zero); for n < 0 keys move up and compensating
     entries at k = 0..(-n-1) force the value 0 there.
     """
-    j = a.period
-    table = [a.table[(r + n) % j] for r in range(j)]
-    if not a.unilateral:
-        corr = {k - n: v for k, v in a.correction.items()}
-    else:
-        corr = {k - n: v for k, v in a.correction.items() if k >= n}
-        for k in range(-n):
-            pad = -table[k % j]
-            if pad:
-                corr[k] = pad
-    # a rotation keeps the minimal period; moved keys and pads are nonzero
-    return type(a)._from_canonical(corr, table, a.N)
+    r, j = n % a.period, a.period
+    re, im = a.re[r:] + a.re[:r], a.im[r:] + a.im[:r]
+    corr = {k - n: v for k, v in a.corr.items()
+            if k >= n or not a.unilateral}
+    for k in range(-n if a.unilateral else 0):
+        if re[k % j] or im[k % j]:
+            corr[k] = (-re[k % j], -im[k % j])
+    # a rotation keeps the canonical form, and moved keys and pads are
+    # nonzero; dropped corrections may leave a common factor with den
+    make = a._make if len(corr) < len(a.corr) else a._from_canonical
+    return make(a.den, re, im, corr, a.N)

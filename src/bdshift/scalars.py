@@ -5,6 +5,9 @@ with d > 0 and gcd(a, b, d) == 1, so equal values have equal triples.
 Sums and products work on the integers and reduce by one gcd, which is
 skipped when the denominator is 1.  Magnitude comparisons go through the
 exact squared modulus, never through floating-point square roots.
+Periodic sequences are held as integer rows over one denominator
+(profinite); they build Scalars only at the edges, through _canonical,
+and write the wire form of their rows directly, through _wire.
 """
 
 from fractions import Fraction
@@ -176,9 +179,7 @@ class Scalar:
     # JSON wire format: [re_num, re_den, im_num, im_den]
 
     def to_json(self):
-        a, b, d = self._t
-        g, h = gcd(a, d), gcd(b, d)
-        return [a // g, d // g, b // h, d // h]
+        return _wire(*self._t)
 
     @classmethod
     def from_json(cls, data):
@@ -202,16 +203,10 @@ def _canonical(a, b, d):
     return s
 
 
-def _lift(values, den):
-    """The Gaussian-integer numerator rows (re, im) of the Scalars values
-    over den, a common multiple of their denominators."""
-    re, im = [], []
-    for v in values:
-        a, b, d = v._t
-        f = den // d
-        re.append(a * f)
-        im.append(b * f)
-    return re, im
+def _wire(a, b, d):
+    """The JSON wire form of (a + b*i)/d for d > 0, reduced or not."""
+    g, h = gcd(a, d), gcd(b, d)
+    return [a // g, d // g, b // h, d // h]
 
 
 ZERO = Scalar(0)

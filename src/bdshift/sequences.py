@@ -4,8 +4,9 @@ One periodic core, profinite._PeriodicSequence with the ep_* operations
 (re-exported here), serves the coefficients of both algebras.  A
 sequence is
     a(k) = correction.get(k, 0) + table[k mod j],
-a finitely supported correction plus a table whose period j divides N;
-the canonical form has the minimal period and no zero correction entries.
+a finitely supported correction plus a table whose period j divides N,
+held as integer rows over one denominator in the canonical form of
+profinite; partial sums and sup norms run on the rows.
 The classes differ only in their domain:
 
     EPSequence               k >= 0   shifts fill with zeros   weight k+1
@@ -20,6 +21,7 @@ eta(l) = C*l + ep(l) on Z.
 """
 
 from fractions import Fraction
+from itertools import accumulate, chain
 
 from .errors import PeriodNotDivisor
 from .profinite import (
@@ -30,9 +32,7 @@ from .profinite import (
     ep_scale,
     ep_shift,
 )
-from .scalars import Scalar, coerce_scalar
-
-_ZERO = Scalar(0)
+from .scalars import Scalar, _canonical, coerce_scalar
 
 
 class EPSequence(_PeriodicSequence):
@@ -64,17 +64,13 @@ def ep_zero(N):
 
 def ep_from_lcf(f):
     """Restriction of a locally constant function to k >= 0."""
-    return EPSequence({}, f.table, f.N)
+    return EPSequence._cast(f)
 
 
 def ep_supnorm_sq(a):
     """Exact sup over k of |a(k)|^2, as a Fraction."""
-    best = Fraction(0)
-    for v in a.table:
-        best = max(best, v.abs_sq())
-    for k in a.correction:
-        best = max(best, a.value_at(k).abs_sq())
-    return best
+    values = chain(zip(a.re, a.im), map(a._at, a.corr))
+    return Fraction(max(x * x + y * y for x, y in values), a.den * a.den)
 
 
 # ---------------------------------------------------------------------------
@@ -141,18 +137,13 @@ class BilateralAffineSequence(_AffineSequence):
 
 
 def _mean_and_sums(a):
-    """Mean of a's table and the running sums of its mean-zero part, which
-    are j-periodic because the mean is removed."""
-    mean = _ZERO
-    for v in a.table:
-        mean = mean + v
-    mean = mean / Scalar(a.period)
-    run = _ZERO
-    sums = []
-    for v in a.table:
-        run = run + v - mean
-        sums.append(run)
-    return mean, sums
+    """The numerators (re, im) of the mean of a's table and the rows of
+    the running sums of its mean-zero part, all over den * period; the
+    sums are periodic because the mean is removed."""
+    p = a.period
+    sr, si = sum(a.re), sum(a.im)
+    return ((sr, si), list(accumulate(p * x - sr for x in a.re)),
+            list(accumulate(p * y - si for y in a.im)))
 
 
 def partial_sums(alpha):
@@ -162,20 +153,17 @@ def partial_sums(alpha):
     sums to a periodic table; c00 corrections sum to an eventually
     constant staircase folded into the correction and the table offset.
     """
-    mean, periodic_sums = _mean_and_sums(alpha)
-    total = _ZERO
-    for v in alpha.correction.values():
-        total = total + v
-
-    table = [s + total for s in periodic_sums]
-    corr = {}
-    run = _ZERO
-    for k in range(alpha.support_bound()):
-        run = run + alpha.correction.get(k, _ZERO)
-        dev = run - total
-        if dev:
-            corr[k] = dev
-    return AffineSequence(mean, EPSequence(corr, table, alpha.N))
+    p, den = alpha.period, alpha.den
+    mean, sums_re, sums_im = _mean_and_sums(alpha)
+    # the staircase of the corrections over den, lifted to den * p
+    runs = list(accumulate(
+        (alpha.corr.get(k, (0, 0)) for k in range(alpha.support_bound())),
+        lambda s, c: (s[0] + c[0], s[1] + c[1])))
+    tr, ti = runs[-1] if runs else (0, 0)
+    corr = {k: (p * (a - tr), p * (b - ti)) for k, (a, b) in enumerate(runs)}
+    ep = EPSequence._make(den * p, [s + p * tr for s in sums_re],
+                          [s + p * ti for s in sums_im], corr, alpha.N)
+    return AffineSequence(_canonical(*mean, den * p), ep)
 
 
 def increment(beta):
@@ -194,6 +182,8 @@ def mean_decompose_mod(alpha, modulus):
         raise PeriodNotDivisor(
             f"period {alpha.period} does not divide modulus {modulus}"
         )
-    mean, _ = _mean_and_sums(alpha)
-    per = [alpha.table[r % alpha.period] - mean for r in range(modulus)]
-    return dict(alpha.correction), mean, per
+    p, D = alpha.period, alpha.den * alpha.period
+    sr, si = sum(alpha.re), sum(alpha.im)
+    per = [_canonical(p * alpha.re[r % p] - sr, p * alpha.im[r % p] - si, D)
+           for r in range(modulus)]
+    return alpha.correction, _canonical(sr, si, D), per

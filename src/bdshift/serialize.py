@@ -52,7 +52,7 @@ class Workspace:
     def from_json(cls, data):
         if not isinstance(data, dict):
             raise ValueError("a workspace must be a JSON object")
-        N = _decode("N", SupernaturalNumber.from_json, data["N"])
+        N = _decode("N", lambda: SupernaturalNumber.from_json(data["N"]))
         sequences = {
             k: _decode(f"sequence {k!r}", _sequence_from_json, v, N)
             for k, v in _section(data, "sequences")

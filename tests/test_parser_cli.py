@@ -303,6 +303,16 @@ def test_cli_rejects_malformed_n_exponents(capsys, tmp_path, case):
     assert "workspace N" in err
 
 
+def test_cli_workspace_without_n_names_it(capsys, tmp_path):
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps({"sequences": {}}), encoding="utf-8")
+    code = cli.main(["normalize", "--workspace", str(path), "U"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("workspace N is malformed: ")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_n_exponents_that_load():
     inf = float("inf")
     for factors, N in (({"2": 3}, 8), ({"3": 1, "2": 2}, 12), ({}, 1)):
@@ -376,6 +386,61 @@ def test_cli_derive_output_bytes_are_pinned(capsys, workspace):
         out = capsys.readouterr().out
         assert code == 0
         assert hashlib.md5(out.encode()).hexdigest() == md5, (side, expr)
+
+
+def _q(re, re_den, im=0, im_den=1):
+    return [re, re_den, im, im_den]
+
+
+# a workspace over N = 6 whose real and imaginary parts have different
+# denominators (1/2 + i/3), which the benchmark workspaces never have; the
+# md5 of each request's stdout was taken before coefficients were stored
+# as integer rows over one denominator
+MIXED_WORKSPACE = {
+    "N": {"factors": {"2": 1, "3": 1}},
+    "sequences": {
+        "x": {"correction": {"0": _q(1, 2, 1, 3), "4": _q(-2, 5)},
+              "period": 3,
+              "table": [_q(1, 2, 1, 3), _q(-1, 6), _q(0, 1, 2, 3)]},
+        "y": {"period": 6,
+              "values": [_q(1, 3, -1, 2), _q(3, 4), _q(0, 1),
+                         _q(0, 1, -1, 5), _q(1, 1), _q(1, 6, 1, 4)]},
+    },
+    "derivations": {"d": {"components": {
+        "0": {"linear": _q(1, 2, 1, 3),
+              "ep": {"correction": {"1": _q(0, 1, 1, 7)}, "period": 3,
+                     "table": [_q(1, 3), _q(0, 1, -1, 2), _q(1, 6)]}},
+        "1": {"ep": {"correction": {}, "period": 2,
+                     "table": [_q(0, 1, 1, 2), _q(1, 3)]}},
+    }}},
+}
+MIXED_PINNED = (
+    (["normalize", "(U + diag(x))^3"],
+     "4bab319257a32e6d733d4139f28c0d8d"),
+    (["normalize", "--side", "bilateral", "V*diag(y) + Vi^2*diag(y)"],
+     "f38b4fb5bb79e633e7ba6f345efe1505"),
+    (["mul", "diag(x)*U", "Us*diag(x) + U^2"],
+     "e09ed5b23a41e3d479277d1dbf9c9593"),
+    (["derive", "--derivation", "d", "Us^2*diag(x) + U"],
+     "fe8416fd7c919131aa0415033a451791"),
+    (["derive", "--derivation", "d", "--side", "bilateral",
+      "(V + Vi)*diag(y)"],
+     "06785f27534d5a71239e484c1e0713a6"),
+    (["toeplitz", "V^2*diag(y) + Vi*diag(y)"],
+     "0bfc035da0ce5782cfd36ce5f0e98372"),
+    (["truncate", "--m", "8", "(U + Us)*diag(x)"],
+     "67666466447ca664b002e6cc920a457e"),
+)
+
+
+def test_cli_mixed_denominator_output_bytes_are_pinned(capsys, tmp_path):
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(MIXED_WORKSPACE), encoding="utf-8")
+    for (command, *rest), md5 in MIXED_PINNED:
+        code = cli.main([command, "--workspace", str(path), *rest])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.md5(out.encode()).hexdigest() == md5, rest
 
 
 # md5 of the stdout bytes of the matrix picture over the finite benchmark
