@@ -2,7 +2,9 @@
 
 Every command prints machine-readable JSON on stdout; diagnostics go to
 stderr.  Exit codes: 0 success, 1 usage, 2 parse error, 3 math-domain
-error, 4 numeric non-convergence.  Only the float commands import numpy.
+error, 4 numeric non-convergence (only the inverse power iteration of
+parametrix raises it; normest is one direct SVD).  Only the float
+commands import numpy.
 """
 
 import argparse
@@ -321,7 +323,7 @@ def cmd_normest(args):
     _check_window(args.m)
     env = _env(args)
     a = _eval(args, env, args.expr)
-    value = numerics.norm_lower(a, args.m, cap=args.cap)
+    value = numerics.norm_lower(a, args.m)
     _emit({"M": args.m, "value": value})
 
 
@@ -329,10 +331,11 @@ def cmd_qnorm(args):
     from . import numerics
     env = _env(args)
     # the grid doubles each round; a shift past MAX_GRID's bit length
-    # already exceeds it, so no huge power is formed
-    shift = min(max(1, args.rounds) - 1, MAX_GRID.bit_length())
+    # already exceeds it, so no huge power is formed.  A round count below
+    # 1 has no last grid: quotient_norm_report refuses it
+    shift = min(args.rounds - 1, MAX_GRID.bit_length())
     _check_window(env.N.as_int() if env.N.is_finite() else 0,
-                  args.grid << shift)
+                  args.grid << shift if shift >= 0 else 0)
     b = _eval(args, env, args.expr)
     _emit(numerics.quotient_norm_report(b, env.N, args.grid,
                                         rounds=args.rounds))
@@ -410,8 +413,7 @@ def _build_parser():
     p.add_argument("--mlist", default="16,32,64")
 
     add("truncate", cmd_truncate, expr=1, side="unilateral", m=64, out=True)
-    p = add("normest", cmd_normest, expr=1, side="unilateral", m=64)
-    p.add_argument("--cap", type=int, default=10000)
+    add("normest", cmd_normest, expr=1, side="unilateral", m=64)
     p = add("qnorm", cmd_qnorm, expr=1, side="bilateral")
     p.add_argument("--grid", type=int, default=64)
     p.add_argument("--rounds", type=int, default=3)

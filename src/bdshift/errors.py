@@ -55,7 +55,8 @@ class WindowTooSmall(BDShiftError):
 
 
 class NoConvergence(BDShiftError):
-    """Iteration cap reached; carries the last iterate."""
+    """Iteration cap reached; carries the last iterate.  Only the inverse
+    power iteration of the parametrix shells raises it."""
 
     def __init__(self, message, last_value=None, iterations=None):
         super().__init__(message)

@@ -6,7 +6,7 @@ authoritative; every float appears only in bounds and reports.  One band
 reader rescales the coefficients' integer rows to one denominator; the
 exact truncation and the product oracle, which multiplies the rows of the
 factors as integers, read it.  The float truncation divides each value
-once.
+once; its norm is one direct SVD, with no iteration to settle.
 """
 
 import cmath
@@ -16,7 +16,7 @@ from collections import namedtuple
 import numpy as np
 
 from .scalars import _canonical
-from .errors import NoConvergence, NotFinite, WindowTooSmall
+from .errors import NotFinite, WindowTooSmall
 from .algebra import multiply, to_matrix_form
 
 
@@ -136,44 +136,11 @@ def oracle_product_check(a, b, M):
     return TruncationReport(M, margin, max_dev, verdict)
 
 
-# power-iteration tolerance and start-vector seed of norm_lower
-NORM_TOL = 1e-10
-NORM_SEED = 20240117
-
-
-def norm_lower(a, M, cap=10000, strict=True):
-    """Largest singular value of the M x M truncation, by power
-    iteration on the Gram matrix.  A lower bound for the operator norm,
-    monotone nondecreasing in M.
-
-    With strict=False a stalled iteration returns its last Rayleigh
-    iterate (still a lower bound) instead of raising."""
-    if cap < 1:
-        raise ValueError(f"power iteration needs a cap of at least 1, "
-                         f"got {cap}")
-    A = truncate_unilateral(a, M)
-    gram = A.conj().T @ A
-    rng = np.random.default_rng(NORM_SEED)
-    v = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(cap):
-        w = gram @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        new = float(np.real(np.vdot(v, gram @ v)))
-        if abs(new - lam) <= NORM_TOL * max(1.0, abs(new)):
-            return math.sqrt(max(new, 0.0))
-        lam = new
-    if strict:
-        raise NoConvergence(
-            "power iteration did not settle",
-            last_value=math.sqrt(max(lam, 0.0)),
-            iterations=cap,
-        )
-    return math.sqrt(max(lam, 0.0))
+def norm_lower(a, M):
+    """Largest singular value of the M x M truncation, by one LAPACK
+    SVD.  A lower bound for the operator norm, monotone nondecreasing in
+    M: each truncation is a compression of the next."""
+    return float(np.linalg.norm(truncate_unilateral(a, M), 2))
 
 
 def quotient_norm_estimate(b, N, G):
@@ -193,10 +160,13 @@ def quotient_norm_report(b, N, G, rounds=3):
         raise NotFinite("the matrix picture needs a finite N")
     if G < 1:
         raise ValueError("grid needs at least one node")
+    if rounds < 1:
+        raise ValueError(f"grid refinement needs at least one round, "
+                         f"got {rounds}")
     F = to_matrix_form(b, N)
     grids, values, best = [], [], 0.0
     g, nodes = G, range(G)
-    for _ in range(max(1, rounds)):
+    for _ in range(rounds):
         for m in nodes:
             z = cmath.exp(2j * math.pi * m / g)
             A = np.array(F.eval_at(z), dtype=complex)

@@ -346,7 +346,7 @@ def test_criterion_06_fejer_convergence(capsys):
             img = apply(DerivationSum({n: comps[n]}, N2), U)
             want = want + scale(img, Scalar(Fraction(n, M + 1)))
         residual_ok &= residual == want
-        value = norm_lower(residual, 64, strict=False)
+        value = norm_lower(residual, 64)
         values.append(value)
         bound_ok &= value <= float(Fraction(8, M + 1) * total_norm) + 1e-9
     decreasing = all(b < a for a, b in zip(values, values[1:]))

@@ -1,4 +1,5 @@
 import io
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from bdshift.scalars import Scalar, ZERO, ONE
-from bdshift.errors import NoConvergence, NotFinite, WindowTooSmall
+from bdshift.errors import NotFinite, WindowTooSmall
 from bdshift.profinite import LocallyConstantFunction, SupernaturalNumber
 from bdshift.sequences import EPSequence, ep_constant
 from bdshift.algebra import (
@@ -184,20 +185,19 @@ def test_norm_lower_monotone_and_bounded():
     # random elements: larger window never shrinks the bound
     for _ in range(10):
         y = rand_unilateral(rng, N6, [1, 2, 3], max_deg=2)
-        v1 = norm_lower(y, 8, strict=False)
-        v2 = norm_lower(y, 20, strict=False)
+        v1 = norm_lower(y, 8)
+        v2 = norm_lower(y, 20)
         assert v2 >= v1 - 1e-8
 
 
-def test_norm_lower_no_convergence():
+def test_norm_lower_matches_the_path_graph_norm():
+    # the M x M truncation of U + U* is the adjacency matrix of the path
+    # on M vertices, whose largest eigenvalue is 2 cos(pi / (M + 1)); its
+    # top eigenvalues cluster, which is where an iteration stalls
     x = u_element(N4) + ustar_element(N4)
-    with pytest.raises(NoConvergence) as info:
-        norm_lower(x, 64, cap=5)
-    err = info.value
-    assert err.iterations == 5
-    assert 0.0 < err.last_value <= 2.0 + 1e-9
-    relaxed = norm_lower(x, 64, cap=5, strict=False)
-    assert 0.0 < relaxed <= 2.0 + 1e-9
+    for M in (16, 64, 512):
+        exact = 2 * math.cos(math.pi / (M + 1))
+        assert abs(norm_lower(x, M) - exact) <= 1e-12 * exact, M
 
 
 def test_quotient_norm_frozen_values():
@@ -262,7 +262,7 @@ def test_quotient_norm_below_truncation_norm():
         # truncation norms increase to the true norm, which dominates
         up = 0.0
         for M in (64, 128, 256, 512):
-            up = norm_lower(x, M, strict=False)
+            up = norm_lower(x, M)
             if qn <= up + 1e-6:
                 break
         assert qn <= up + 1e-6

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from bdshift.scalars import Scalar, ZERO, ONE
 from bdshift.errors import (
     ExprSyntaxError,
     MathDomainError,
+    NoConvergence,
     PeriodNotDivisor,
     SideMismatch,
     UnknownName,
@@ -40,7 +42,7 @@ from bdshift.derivations import (
 )
 from bdshift.parser import eval_ast, parse, parse_gaussian
 from bdshift.serialize import Workspace, load_workspace, save_workspace
-from bdshift import cli
+from bdshift import cli, gns
 
 N2 = SupernaturalNumber.from_int(2)
 N4 = SupernaturalNumber.from_int(4)
@@ -632,7 +634,7 @@ def test_cli_normest_and_qnorm(capsys, ws_path):
     assert abs(payload["final"] - 2.0) < 1e-12
 
 
-def test_cli_exit_codes(capsys, ws_path, tmp_path):
+def test_cli_exit_codes(capsys, ws_path, tmp_path, monkeypatch):
     # usage: unknown flag
     code, _ = run_cli(capsys, "normalize", "--bogus", "U")
     assert code == 1
@@ -655,18 +657,24 @@ def test_cli_exit_codes(capsys, ws_path, tmp_path):
         "classify", "--workspace", ws_path, "--derivation", "d", "--n", "1",
     )
     assert code == 3
-    # non-convergence: dense spectrum with a tiny iteration cap; stderr
-    # reports the iteration count and the last iterate, stdout stays empty
+    # non-convergence: the inverse power iteration of the parametrix
+    # shells stalls; stderr reports the iteration count and the last
+    # iterate, stdout stays empty
+    def stalled(G):
+        raise NoConvergence("inverse power iteration did not settle",
+                            last_value=1.25, iterations=5)
+
+    monkeypatch.setattr(gns, "_min_eig_inverse_power", stalled)
     code = cli.main([
-        "normest", "--workspace", ws_path, "U + Us", "--m", "64",
-        "--cap", "5",
+        "parametrix", "--workspace", ws_path, "--derivation", "d",
+        "--n", "0", "--mlist", "8",
     ])
     out, err = capsys.readouterr()
     assert code == 4
     assert out == ""
     assert "iterations: 5," in err
     last = float(err.rsplit("last value: ", 1)[1].rstrip().rstrip(")"))
-    assert 0.0 < last <= 2.0 + 1e-9
+    assert last == 1.25
     # help exits cleanly (non-JSON output)
     code = cli.main(["--help"])
     capsys.readouterr()
@@ -736,18 +744,36 @@ def test_cli_empty_shells_and_grids_are_usage_errors(capsys, ws_path):
         assert out == "" and err
 
 
-def test_cli_normest_cap_below_one_is_a_usage_error(capsys, ws_path):
-    # a cap below one runs no iteration; it is refused, not reported as
-    # an iteration that did not settle
-    for cap in ("0", "-5"):
-        code = cli.main(["normest", "--workspace", ws_path, "U", "--m", "8",
-                         "--cap", cap])
+def test_cli_qnorm_rounds_below_one_are_usage_errors(capsys):
+    # a round count below one evaluates no grid; it is refused, not run
+    # as one round
+    ws = ["--workspace", str(WORKSPACES / "ws_n2.json")]
+    for rounds in ("0", "-4"):
+        code = cli.main(["qnorm", *ws, "V + Vi", "--grid", "8",
+                         "--rounds", rounds])
         out, err = capsys.readouterr()
-        assert code == 1, cap
-        assert out == "" and "cap of at least 1" in err
-    code, payload = run_cli(capsys, "normest", "--workspace", ws_path, "U",
-                            "--m", "8", "--cap", "1")
-    assert code == 4 and payload is None
+        assert code == 1, rounds
+        assert out == "" and "at least one round" in err
+
+
+def test_cli_normest_has_no_cap(capsys, ws_path):
+    # the norm is one direct solve, so there is no iteration cap to set
+    code = cli.main(["normest", "--workspace", ws_path, "U", "--m", "8",
+                     "--cap", "5"])
+    out, _ = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+
+
+def test_cli_normest_settles_on_a_clustered_spectrum(capsys, ws_path):
+    # the top eigenvalues of the truncated U + U* cluster; the norm is
+    # still exact: 2 cos(pi / (M + 1))
+    code, payload = run_cli(capsys, "normest", "--workspace", ws_path,
+                            "U + Us", "--m", "512")
+    exact = 2 * math.cos(math.pi / 513)
+    assert code == 0
+    assert payload["M"] == 512
+    assert abs(payload["value"] - exact) <= 1e-12 * exact
 
 
 def test_cli_free_constant_only_at_degree_zero(capsys, ws_path):
