@@ -13,7 +13,6 @@ import json
 import math
 import sys
 
-from .scalars import Scalar
 from .errors import (
     ExprSyntaxError,
     LevelMismatch,
@@ -242,14 +241,7 @@ def cmd_gns_rep(args):
     env = _env(args)
     b = _eval(args, env, args.expr)
     if args.state == "tau0":
-        vec = gns.pi0_apply(b, gns.GNSVector0({0: Scalar(1)}))
-        _emit({
-            "tau": gns.tau0(b).to_json(),
-            "vector": {
-                "coeffs": {str(l): c.to_json()
-                           for l, c in sorted(vec.coeffs.items())}
-            },
-        })
+        v, state, head = gns.GNSVector0({0: 1}), gns.tau0, {}
     else:
         level = args.level
         if level is None:
@@ -257,15 +249,9 @@ def cmd_gns_rep(args):
                 raise LevelMismatch("infinite N needs an explicit --level")
             level = env.N.as_int()
         _check_window(level)
-        vec = gns.pi_haar_apply(b, gns.chi0(level))
-        _emit({
-            "tau": gns.tau_haar(b).to_json(),
-            "level": level,
-            "vector": {
-                "coeffs": {f"{m},{x}": c.to_json()
-                           for (m, x), c in sorted(vec.coeffs.items())}
-            },
-        })
+        v, state, head = gns.chi0(level), gns.tau_haar, {"level": level}
+    vec = gns.pi_apply(b, v)
+    _emit({"tau": state(b).to_json(), **head, "vector": vec.to_json()})
 
 
 def cmd_gns_d(args):

@@ -1,18 +1,21 @@
 """GNS simulators for the two invariant states.
 
 tau_0 reads the expectation at 0 and lives on l^2(Z); tau_Haar averages
-it and lives on L^2(Z x Z/NZ).  The operator D implementing the covariant
-derivation V^n eta(L) is built from eta itself on finite windows.  A
-covariant D of degree n maps the m-block of the window (level vectors for
-Haar) only to the block m + n, so it is a single band: the direct sum of
-level x level blocks B_m, and D*D is block-diagonal.  In every regime B_m
-has the diagonal eta(x + m) + const[x]: const = [c] on tau_0, the level-1
-fiber x = 0, and const = psi - eta on the Haar fiber; in the bounded
-regime (psi - eta)(x - n) sits in the rows x - n instead, which are the
-diagonal when level | n.  The diagonals are formed on the integer rows
-of eta and psi over one denominator.  The exact build
-places the blocks of D on a window as Scalars, the dense builds fill the
-band by index arrays.  The pi-images pi(V^k g) are bands too, with the
+it and lives on L^2(Z x Z/NZ).  Both spaces hold one vector type, keyed
+by (m, x mod level), with one inner product and one pi: tau_0 is the
+level-1 fiber x = 0 and takes coefficients of any period, while the Haar
+space needs period | level at every level, 1 included.  The operator D
+implementing the covariant derivation V^n eta(L) is built from eta itself
+on finite windows.  A covariant D of degree n maps the m-block of the
+window (level vectors for Haar) only to the block m + n, so it is a
+single band: the direct sum of level x level blocks B_m, and D*D is
+block-diagonal.  In every regime B_m has the diagonal eta(x + m) +
+const[x]: const = [c] on tau_0 and const = psi - eta on the Haar fiber;
+in the bounded regime (psi - eta)(x - n) sits in the rows x - n instead,
+which are the diagonal when level | n.  The diagonals are formed on the
+integer rows of eta and psi over one denominator.  The exact build places
+the blocks of D on a window as Scalars, the dense builds fill the band by
+index arrays.  The pi-images pi(V^k g) are bands too, with the
 blocks diag_x g(x + m), so the implementation check forms [D, pi(b)]
 band by band on the interior of the window, in integer pairs over the
 common denominator of D, b and delta(b).  Compact-parametrix
@@ -47,69 +50,18 @@ def tau_haar(b):
     return haar_integral(expectation(b))
 
 
-class GNSVector0:
-    """Finite vector in l^2(Z); [I] corresponds to E_0."""
+class GNSVector:
+    """Finite vector in L^2(Z x Z/level Z), normalized counting measure on
+    x, keyed by (m, x mod level); space "tau0" is l^2(Z) as the level-1
+    fiber x = 0, with E_l = e_(l,0)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "level", "space")
 
-    def __init__(self, coeffs):
-        kept = {}
-        for l, c in coeffs.items():
-            c = as_scalar(c)
-            if c:
-                kept[int(l)] = c
-        object.__setattr__(self, "coeffs", kept)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GNSVector0 is immutable")
-
-    def coefficient(self, l):
-        return self.coeffs.get(l, ZERO)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, GNSVector0):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"GNSVector0({self.coeffs!r})"
-
-
-def inner0(u, w):
-    """<u, w>, conjugate-linear in the first slot."""
-    total = ZERO
-    for l, c in u.coeffs.items():
-        d = w.coeffs.get(l)
-        if d is not None:
-            total = total + c.conjugate() * d
-    return total
-
-
-def pi0_apply(b, v):
-    """pi_0 is the defining representation: V shifts, diagonals act by
-    their values."""
-    out = {}
-    for n, g in b.terms.items():
-        for l, c in v.coeffs.items():
-            val = g.value_at(l)
-            if val:
-                key = l + n
-                out[key] = out.get(key, ZERO) + val * c
-    return GNSVector0(out)
-
-
-class GNSVectorHaar:
-    """Finite vector in L^2(Z x Z/level Z) with normalized counting
-    measure on the second coordinate."""
-
-    __slots__ = ("coeffs", "level")
-
-    def __init__(self, coeffs, level):
-        if level < 1:
-            raise LevelMismatch("level must be a positive period")
+    def __init__(self, coeffs, level, space="haar"):
+        if space not in ("tau0", "haar"):
+            raise ValueError(f"unknown space {space!r}")
+        if level < 1 or (space == "tau0" and level != 1):
+            raise LevelMismatch(f"level {level} is not a level of {space}")
         kept = {}
         for (m, x), c in coeffs.items():
             c = as_scalar(c)
@@ -117,33 +69,46 @@ class GNSVectorHaar:
                 kept[(int(m), int(x) % level)] = c
         object.__setattr__(self, "coeffs", kept)
         object.__setattr__(self, "level", level)
+        object.__setattr__(self, "space", space)
 
     def __setattr__(self, name, value):
-        raise AttributeError("GNSVectorHaar is immutable")
+        raise AttributeError("GNSVector is immutable")
 
-    def coefficient(self, m, x):
+    def coefficient(self, m, x=0):
         return self.coeffs.get((m, x % self.level), ZERO)
 
-    def is_zero(self):
-        return not self.coeffs
-
     def __eq__(self, other):
-        if not isinstance(other, GNSVectorHaar):
+        if not isinstance(other, GNSVector):
             return NotImplemented
-        return self.level == other.level and self.coeffs == other.coeffs
+        return ((self.space, self.level, self.coeffs)
+                == (other.space, other.level, other.coeffs))
 
     def __repr__(self):
-        return f"GNSVectorHaar({self.coeffs!r}, level={self.level})"
+        return (f"GNSVector({self.coeffs!r}, level={self.level}, "
+                f"space={self.space!r})")
+
+    def to_json(self):
+        """The coefficients in key order, keyed "l" on tau_0 and "m,x" on
+        the Haar space."""
+        return {"coeffs": {
+            (str(m) if self.space == "tau0" else f"{m},{x}"): c.to_json()
+            for (m, x), c in sorted(self.coeffs.items())}}
+
+
+def GNSVector0(coeffs):
+    """The tau_0 vector sum c E_l of {l: c}."""
+    return GNSVector({(l, 0): c for l, c in coeffs.items()}, 1, "tau0")
 
 
 def chi0(level):
-    """The cyclic vector [I]: indicator of m = 0."""
-    return GNSVectorHaar({(0, x): ONE for x in range(level)}, level)
+    """The cyclic vector [I] of the Haar space: indicator of m = 0."""
+    return GNSVector({(0, x): ONE for x in range(level)}, level)
 
 
-def inner_haar(u, w):
-    if u.level != w.level:
-        raise LevelMismatch("vectors live at different levels")
+def inner(u, w):
+    """<u, w>, conjugate-linear in the first slot, weighted 1/level."""
+    if (u.space, u.level) != (w.space, w.level):
+        raise LevelMismatch("vectors live in different spaces or levels")
     total = ZERO
     for key, c in u.coeffs.items():
         d = w.coeffs.get(key)
@@ -152,10 +117,12 @@ def inner_haar(u, w):
     return total / Scalar(u.level)
 
 
-def pi_haar_apply(b, v):
-    """pi_Haar(V^n g) e_(m,x) = g(x + m) e_(m+n, x)."""
-    level = v.level
-    _check_level(b, level)
+def pi_apply(b, v):
+    """pi(V^n g) e_(m,x) = g(x + m) e_(m+n, x).  On the Haar space the
+    period of every coefficient must divide the level, level 1 included;
+    tau_0 reads g at every l, whatever its period."""
+    if v.space == "haar":
+        _check_level(b, v.level)
     out = {}
     for n, g in b.terms.items():
         for (m, x), c in v.coeffs.items():
@@ -163,7 +130,13 @@ def pi_haar_apply(b, v):
             if val:
                 key = (m + n, x)
                 out[key] = out.get(key, ZERO) + val * c
-    return GNSVectorHaar(out, level)
+    return GNSVector(out, v.level, v.space)
+
+
+# the two-space names, kept for the callers that import them
+GNSVectorHaar = GNSVector
+inner0 = inner_haar = inner
+pi0_apply = pi_haar_apply = pi_apply
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +577,8 @@ def parametrix_report(data, Ms, space="tau0"):
     exists; the verdict stays with the criterion.
     """
     Ms = list(Ms)
+    if not Ms:
+        raise ValueError("a decay profile needs at least one window")
     values = [_shell_min_sv(data, space, M) for M in Ms]
     hit, criterion = data.parametrix_predicate(space)
     return {

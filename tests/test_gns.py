@@ -40,10 +40,12 @@ from bdshift.gns import (
     check_implementation,
     chi0,
     implementation_from_bilateral,
+    inner,
     inner0,
     inner_haar,
     parametrix_report,
     pi0_apply,
+    pi_apply,
     pi_haar_apply,
     slope_corroborates,
     tau0,
@@ -130,7 +132,8 @@ def test_pi0_action():
     assert pi0_apply(v_element(N2), e0) == GNSVector0({1: ONE})
     v = GNSVector0({-2: rand_scalar(rng), 5: rand_scalar(rng)})
     w = pi0_apply(bilateral_diag(f), v)
-    for l, c in v.coeffs.items():
+    for (l, x), c in v.coeffs.items():
+        assert x == 0
         assert w.coefficient(l) == f.value_at(l) * c
     for _ in range(30):
         b = rand_bilateral(rng, N2, 2)
@@ -163,6 +166,40 @@ def test_pi_haar_action():
         pi_haar_apply(
             rand_bilateral(rng, N4, 4), GNSVectorHaar({(0, 0): ONE}, 2)
         )
+
+
+def test_one_vector_type_for_both_states():
+    # tau_0 is the level-1 fiber x = 0 of the Haar picture, recorded with
+    # its space; the two-space names are the same objects
+    assert GNSVectorHaar is gns.GNSVector
+    assert inner0 is inner_haar is gns.inner
+    assert pi0_apply is pi_haar_apply is gns.pi_apply
+    e0 = GNSVector0({0: ONE, 3: ZERO})
+    assert (e0.space, e0.level, e0.coeffs) == ("tau0", 1, {(0, 0): ONE})
+    assert e0 == gns.GNSVector({(0, 5): ONE}, 1, "tau0")
+    assert e0 != chi0(1)
+    assert inner0(e0, e0) == ONE
+    # same level, different spaces: refused, not a silent zero
+    with pytest.raises(LevelMismatch):
+        inner0(chi0(1), e0)
+    with pytest.raises(LevelMismatch):
+        inner(chi0(2), chi0(4))
+    with pytest.raises(LevelMismatch):
+        gns.GNSVector({(0, 0): ONE}, 2, "tau0")
+    with pytest.raises(LevelMismatch):
+        GNSVectorHaar({(0, 0): ONE}, 0)
+    with pytest.raises(ValueError):
+        gns.GNSVector({}, 1, "qux")
+    with pytest.raises(AttributeError):
+        e0.level = 2
+    # the period check runs on the Haar space at every level, 1 included,
+    # and never on tau_0
+    rng = random.Random(20240211)
+    b = rand_bilateral(rng, N4, 4)
+    with pytest.raises(LevelMismatch):
+        pi_apply(b, chi0(1))
+    assert inner(e0, pi_apply(b, e0)) == tau0(b)
+    assert inner(chi0(4), pi_apply(b, chi0(4))) == tau_haar(b)
 
 
 def test_build_D_tau0():
@@ -220,7 +257,7 @@ def test_tau0_inner_implementation():
     )
     comp_g = bilateral_covariant(0, eta_g, N2)
     # pi_0(g) on the window E_{-8..8}, column by column, is the D of eta = g
-    Dg = {(k + 8, l + 8): v for l in range(-8, 9) for k, v in pi0_apply(
+    Dg = {(k + 8, l + 8): v for l in range(-8, 9) for (k, _), v in pi0_apply(
         bilateral_diag(g), GNSVector0({l: ONE})).coeffs.items()}
     assert Dg == build_D_tau0_exact(implementation_from_bilateral(comp_g), 8)
     res = check_implementation(

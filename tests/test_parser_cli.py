@@ -574,6 +574,72 @@ def test_cli_gns_rep(capsys, ws_path):
     assert payload["vector"]["coeffs"] == {"2": ONE.to_json()}
 
 
+# (workspace, flags, expression, exit code, md5 of stdout) of gns-rep,
+# taken while tau_0 and the Haar space had separate vector types; the
+# tau_0 keys are "l", the Haar keys "m,x"
+GNS_REP_PINNED = (
+    ("ws_n2inf", ["--state", "tau0"],
+     "V^3*diag(y) + Vi*diag(y)*diag(y) + diag(y)", 0,
+     "41e48d331b3dab30874f6f650b32d462"),
+    ("ws_n6", ["--state", "tau0"], "(V + Vi)^2*diag(y) + V*diag(y)", 0,
+     "ad8554f10fa06c3be236710ec2568419"),
+    ("ws_n2", ["--state", "tau0"], "V*diag(y)", 0,
+     "f1ab74b5fa9515b22d6d53be90d7b9ec"),
+    ("ws_n2", ["--state", "haar"], "V*diag(y) + Vi^2*diag(y)*diag(y) + 3",
+     0, "634f35a7de4570203ddfee8968a2c3a3"),
+    ("ws_n6", ["--state", "haar"], "(V + Vi)^2*diag(y) + V*diag(y)", 0,
+     "610df69512c2c251312b35dd21908a38"),
+    ("ws_n2inf", ["--state", "haar", "--level", "4"],
+     "(V + Vi)^3 + 2*Vi + i", 0, "76b439d84e025d012bc24c3f464cfd69"),
+    ("ws_n2inf", ["--state", "haar", "--level", "8"], "V*diag(y) + Vi", 0,
+     "95c75cac01ffc68b9e3aa3dbd16828a8"),
+    ("ws_n2", ["--state", "haar", "--level", "1"], "V + 2", 0,
+     "21f270c4bce9c4471170cc9540b38a38"),
+)
+
+
+def test_cli_gns_rep_output_bytes_are_pinned(capsys):
+    for ws, flags, expr, exit_code, md5 in GNS_REP_PINNED:
+        code = cli.main(["gns-rep", "--workspace",
+                         str(WORKSPACES / f"{ws}.json"), *flags, expr])
+        out = capsys.readouterr().out
+        assert code == exit_code, (ws, flags, expr)
+        assert hashlib.md5(out.encode()).hexdigest() == md5, (ws, flags, expr)
+
+
+def test_cli_gns_rep_checks_the_period_on_every_haar_level(capsys):
+    # the Haar space needs period | level at level 1 too; tau_0 takes any
+    # period
+    ws = ["--workspace", str(WORKSPACES / "ws_n2.json")]
+    for flags in (["--level", "1"], ["--level", "3"]):
+        code = cli.main(["gns-rep", *ws, "--state", "haar", *flags,
+                         "V*diag(y)"])
+        out, err = capsys.readouterr()
+        assert code == 3, flags
+        assert out == "" and "period 2 does not divide level" in err
+    code = cli.main(["gns-rep", "--workspace",
+                     str(WORKSPACES / "ws_n2inf.json"), "--state", "haar",
+                     "--level", "4", "V*diag(y)"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "" and "period 8" in err
+    code, payload = run_cli(capsys, "gns-rep", *ws, "--state", "tau0",
+                            "V*diag(y)")
+    assert code == 0
+    assert set(payload["vector"]["coeffs"]) == {"1"}
+
+
+def test_cli_parametrix_empty_mlist_is_a_usage_error(capsys, ws_path):
+    # no window gives no decay profile, so there is no verdict to print
+    gns = ["--workspace", ws_path, "--derivation", "d", "--n", "0"]
+    for mlist in (",", "", ",,"):
+        for space in ("tau0", "haar"):
+            code = cli.main(["parametrix", *gns, "--space", space,
+                             "--mlist", mlist])
+            out, err = capsys.readouterr()
+            assert code == 1, (mlist, space)
+            assert out == "" and "at least one window" in err
+
+
 def test_cli_gns_d_and_covcheck(capsys, ws_path):
     code, payload = run_cli(
         capsys,
