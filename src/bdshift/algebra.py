@@ -20,9 +20,11 @@ integer rows are rescaled to one shared denominator and repeated to the
 lcm J of all periods; each pair adds its periodic row and its
 corrections (exact minus periodic value) to one raw row per output
 degree.  A derivation's [g, x] is one signed call, g*x + x*(-g) in the
-same integer slots, where the affine weight cancels.  Each output row
-finds its minimal period on the integers and is reduced by one gcd; no
-Scalar is formed.
+same integer slots, where the affine weight cancels; commutator [x, y]
+of two elements is the same signed call.  Each output row finds its
+minimal period on the integers and is reduced by one gcd; no Scalar is
+formed.  The order of the degrees in a term dict carries no meaning:
+the JSON lists them ascending.
 """
 
 import math
@@ -76,14 +78,14 @@ def _at_shift(rows, s):
 
 def _terms_mul(xt, yt, unilateral, commute=False):
     """Product of two term dicts (degree -> coefficient), accumulated by
-    degree in the order the pairs first reach it; unilateral selects the
-    domain k >= 0 of A(N) over Z; commute gives [x, y] = x*y + y*(-x),
-    a second pass over x's rows negated once.  A coefficient is a
-    sequence or, in one factor at most, a pair (u, v) of sequences
-    standing for W*u + v, W the affine weight (k+1 on k >= 0, l on Z),
-    which enters as a weight-1 row u and a weight-0 row v.  A product
-    comes out as a pair; a commutator cancels the periodic weight-1 row
-    and folds its corrections c into weight 0 as (k + offset)*c.
+    degree; unilateral selects the domain k >= 0 of A(N) over Z; commute
+    gives [x, y] = x*y + y*(-x), a second pass over x's rows negated once.
+    A coefficient is a sequence or, in one factor at most, a pair (u, v)
+    of sequences standing for W*u + v, W the affine weight (k+1 on
+    k >= 0, l on Z), which enters as a weight-1 row u and a weight-0 row
+    v.  A product comes out as a pair; a commutator cancels the periodic
+    weight-1 row and folds its corrections c into weight 0 as
+    (k + offset)*c.
 
     Each pair adds its periodic row a(r+sa) b(r+sb) to the rows of its
     output degree and weight, grouped by z, and its corrections (exact
@@ -251,7 +253,8 @@ class _Element:
         return name + "({" + ", ".join(parts) + "})"
 
     def to_json(self):
-        return {"terms": {str(n): a.to_json() for n, a in self.terms.items()}}
+        return {"terms": {str(n): a.to_json()
+                          for n, a in sorted(self.terms.items())}}
 
     @classmethod
     def from_json(cls, data, N):
@@ -275,7 +278,12 @@ bilateral_scale = scale
 
 
 def commutator(x, y):
-    return x * y - y * x
+    """[x, y] = x*y - y*x on either algebra, in one signed kernel pass."""
+    if type(x) is not type(y):
+        raise TypeError(f"cannot commute {type(x).__name__} "
+                        f"with {type(y).__name__}")
+    return type(x)(_terms_mul(x.terms, y.terms, x._coeff.unilateral,
+                              commute=True), x.N)
 
 
 def spectral_component(x, n):
@@ -473,8 +481,8 @@ def matrix_units(N):
 
 class LaurentFunction:
     """Finite Fourier support on the circle: f(t) = sum f_j e^{ijt}, a
-    Laurent polynomial in z = e^{it}.  The powers keep the order in which
-    they are first met, and the JSON lists them in that order."""
+    Laurent polynomial in z = e^{it}; the JSON lists the powers
+    ascending."""
 
     __slots__ = ("coeffs",)
 
@@ -550,7 +558,8 @@ class LaurentFunction:
         return f"LaurentFunction({self.coeffs!r})"
 
     def to_json(self):
-        return {"coeffs": {str(j): c.to_json() for j, c in self.coeffs.items()}}
+        return {"coeffs": {str(j): c.to_json()
+                           for j, c in sorted(self.coeffs.items())}}
 
     @classmethod
     def from_json(cls, data):
@@ -678,8 +687,7 @@ def to_matrix_form(b, N):
 
 def from_matrix_form(F, N):
     """Inverse of to_matrix_form: the power w of entry (j', j) is slot j
-    of the table of V^(j' - j + wN), the degrees in the order first
-    reached."""
+    of the table of V^(j' - j + wN)."""
     if not N.is_finite():
         raise NotFinite("matrix form needs a finite N")
     N_int = N.as_int()

@@ -2,9 +2,9 @@
 
 Every command prints machine-readable JSON on stdout; diagnostics go to
 stderr.  Exit codes: 0 success, 1 usage, 2 parse error, 3 math-domain
-error, 4 numeric non-convergence (only the inverse power iteration of
-parametrix raises it; normest is one direct SVD).  Only the float
-commands import numpy.
+error (an exact value beyond the range of a float included), 4 numeric
+non-convergence (only the inverse power iteration of parametrix raises
+it; normest is one direct SVD).  Only the float commands import numpy.
 """
 
 import argparse
@@ -238,6 +238,9 @@ def cmd_units(args):
 
 def cmd_gns_rep(args):
     from . import gns
+    # tau_0 has the one fiber x = 0: a level there would be ignored
+    if args.state == "tau0" and args.level is not None:
+        raise ValueError("--level is not used with --state tau0")
     env = _env(args)
     b = _eval(args, env, args.expr)
     if args.state == "tau0":
@@ -424,7 +427,7 @@ def main(argv=None):
         print(f"no convergence: {exc} (iterations: {exc.iterations}, "
               f"last value: {exc.last_value})", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except (MathDomainError, WindowTooSmall) as exc:
+    except (MathDomainError, WindowTooSmall, OverflowError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (OSError, ValueError, KeyError) as exc:

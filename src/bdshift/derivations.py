@@ -129,7 +129,7 @@ class DerivationSum:
                 raise ValueError("component keyed by the wrong degree")
             if not comp.is_zero():
                 kept[n] = comp
-        object.__setattr__(self, "components", dict(sorted(kept.items())))
+        object.__setattr__(self, "components", kept)
         object.__setattr__(self, "N", N)
 
     def __setattr__(self, name, value):
@@ -181,7 +181,7 @@ class DerivationSum:
                     "linear": c.beta.linear.to_json(),
                     "ep": c.beta.ep.to_json(),
                 }
-                for n, c in self.components.items()
+                for n, c in sorted(self.components.items())
             },
             "N": self.N.to_json(),
         }
@@ -235,13 +235,8 @@ def _commutator(components, x):
         ep, (a, b, d) = seq._cast(ep), linear._t
         gen[n] = (seq._from_canonical(d, (a,), (b,), {}, ep.N), ep) \
             if linear else ep
-    terms = _terms_mul(gen, x.terms, seq.unilateral, commute=True)
-    if seq.unilateral:
-        # A(N) has always listed the degrees in the set order of the key
-        # dicts of g*x and x*g, and the JSON keeps it
-        right = dict.fromkeys(m + n for m in x.terms for n in gen)
-        terms = {deg: terms[deg] for deg in set(terms) | set(right)}
-    return type(x)(terms, x.N)
+    return type(x)(_terms_mul(gen, x.terms, seq.unilateral, commute=True),
+                   x.N)
 
 
 def apply(d, a):

@@ -33,6 +33,15 @@ from .sequences import EPSequence
 from . import algebra
 
 _KEYWORDS = {"U", "Us", "V", "Vi", "id", "i", "diag", "comm", "adj"}
+# the generator atoms: node kind -> (name, side, power)
+_GENERATORS = {
+    "u": ("U", "unilateral", 1),
+    "us": ("Us", "unilateral", -1),
+    "v": ("V", "bilateral", 1),
+    "vi": ("Vi", "bilateral", -1),
+}
+_ATOMS = {name: (kind,) for kind, (name, _, _) in _GENERATORS.items()}
+_ATOMS["id"] = ("id",)
 _PUNCT = "+-*^(),/"
 
 MAX_INPUT = 1 << 20
@@ -179,16 +188,8 @@ class _Parser:
     def _named(self):
         tok = self.advance()
         name = tok.text
-        if name == "U":
-            return ("u",)
-        if name == "Us":
-            return ("us",)
-        if name == "V":
-            return ("v",)
-        if name == "Vi":
-            return ("vi",)
-        if name == "id":
-            return ("id",)
+        if name in _ATOMS:
+            return _ATOMS[name]
         if name == "i":
             return ("num", Scalar(0, 1))
         if name == "diag":
@@ -288,22 +289,11 @@ def eval_ast(node, env, side):
             else algebra.bilateral_identity(N)
 
     kind = node[0]
-    if kind == "u":
-        if not uni:
-            raise SideMismatch("U lives on the unilateral side")
-        return algebra.u_element(N)
-    if kind == "us":
-        if not uni:
-            raise SideMismatch("Us lives on the unilateral side")
-        return algebra.ustar_element(N)
-    if kind == "v":
-        if uni:
-            raise SideMismatch("V lives on the bilateral side")
-        return algebra.v_element(N)
-    if kind == "vi":
-        if uni:
-            raise SideMismatch("Vi lives on the bilateral side")
-        return algebra.v_element(N, -1)
+    if kind in _GENERATORS:
+        name, home, power = _GENERATORS[kind]
+        if side != home:
+            raise SideMismatch(f"{name} lives on the {home} side")
+        return (algebra.u_element if uni else algebra.v_element)(N, power)
     if kind == "id":
         return identity()
     if kind == "num":

@@ -29,9 +29,11 @@ from bdshift.sequences import AffineSequence, EPSequence, ep_zero
 from bdshift.algebra import (
     BilateralElement,
     UnilateralElement,
+    commutator,
     identity_element,
     p0_element,
     u_element,
+    v_element,
 )
 from bdshift.derivations import (
     DerivationSum,
@@ -336,10 +338,8 @@ def run_cli(capsys, *argv):
 
 
 # md5 of the stdout bytes of derive over the benchmark workspaces, one per
-# expression of DERIVE_PINNED; the A(N) images list their degrees in the
-# set order of the two products' degree dicts, which is not the order the
-# product reaches them (in ws_n2, 'Us^3 + U^2*diag(x)*Us' gives the terms
-# 1, 2, 3, -2, -3, -1), and the JSON keeps that order
+# expression of DERIVE_PINNED, with the degrees listed ascending (in ws_n2,
+# 'Us^3 + U^2*diag(x)*Us' gives the terms -3, -2, -1, 1, 2, 3)
 DERIVE_PINNED = (
     ("unilateral", "Us^3 + U^2*diag(x)*Us"),
     ("unilateral", "U^3*diag(y) + Us^2*diag(x)*U + id"),
@@ -349,32 +349,32 @@ DERIVE_PINNED = (
 )
 DERIVE_MD5 = {
     "ws_n2": (
-        "ef745b848ec317023001f599636aeadb",
-        "79b747bb4cd79813ac18da6a40c3ea15",
-        "09f6ae7c9dd5b653ffc4dc22ad8e6455",
-        "98846762b498836a14d6b9cb5cba10a4",
-        "22886d7f9b38540b7992751b7a71c72c",
+        "f9773cb525111ab0a90e99615a8cc387",
+        "cd284f2be4d2460f6f89ef0d6139085f",
+        "0945dde385163a0b385af7db6b0adca2",
+        "518af9c0fd1199a77ed3c465dd4143de",
+        "e80489a8a479f34edb218135f98d617c",
     ),
     "ws_n2inf": (
-        "897225bcbf81b1e1ae5dbbab7e758c61",
-        "ce959ce99862282bda7bc48443760eed",
-        "b7241b500535fe17eb5d8e92cfad037c",
-        "9830dcb3a00e7cc8817d7a298960f009",
-        "7e4faeb16a95a3a3e0766b01a12f44c4",
+        "aaf8a9f8612a03f23223965fe6aa6e40",
+        "f89865e444e8238fbf59cd78a9364871",
+        "9af3f8666a5d0815bf9831197156b59f",
+        "fe3d835be00d0240aeeed489890ef55f",
+        "db84056d720789bab92c0f60aad1da6c",
     ),
     "ws_n3": (
-        "6525ad1a37f4280f74c29549afd8145d",
-        "00d3fd41b006cbcf9540fcd24fca9ed5",
-        "0584e00b4ca453b2c41388a5c5a562af",
-        "b04c51578c2a18a7620c223e9e88c43c",
-        "844c3d6ff00494856883efe22112254e",
+        "f9d52b0f2ed84294a1a8b03e9e3a48fc",
+        "88a7dc3bbdbd1a1a3df2e683d924fc86",
+        "0ab75d41e76271e2473a6665d2a335ec",
+        "967a5ac8b28b67ab36c3e78932f17ac2",
+        "c09ce08be66b40e178d480e3b9004077",
     ),
     "ws_n6": (
-        "91e536c40217df9dcb30945346f8c6f1",
-        "f79ca9aa670f753d003217e60628050a",
-        "0e0afaae14146f40b82a6a3bf146e7fa",
-        "99f8d25ba321a2eb7508cb4fadef685b",
-        "1d9473338584149c0732298ddd97cd23",
+        "8f675568f2573c83bdc80c019de931d8",
+        "ad615b9991a3b99196b9aa49ec0b7cbb",
+        "11409036cacd049893ac4d378397a274",
+        "782b7d16edb4690fb3d87189bc68ec88",
+        "e20d24cff8fc5a29e6dfdd3e95b95654",
     ),
 }
 
@@ -397,7 +397,8 @@ def _q(re, re_den, im=0, im_den=1):
 # a workspace over N = 6 whose real and imaginary parts have different
 # denominators (1/2 + i/3), which the benchmark workspaces never have; the
 # md5 of each request's stdout was taken before coefficients were stored
-# as integer rows over one denominator
+# as integer rows over one denominator, and retaken for normalize, derive
+# and toeplitz when the JSON came to list degrees ascending
 MIXED_WORKSPACE = {
     "N": {"factors": {"2": 1, "3": 1}},
     "sequences": {
@@ -418,18 +419,18 @@ MIXED_WORKSPACE = {
 }
 MIXED_PINNED = (
     (["normalize", "(U + diag(x))^3"],
-     "4bab319257a32e6d733d4139f28c0d8d"),
+     "e9cbbd162e268d330920c82b63a46043"),
     (["normalize", "--side", "bilateral", "V*diag(y) + Vi^2*diag(y)"],
-     "f38b4fb5bb79e633e7ba6f345efe1505"),
+     "20545379e234e0e2b01ac4bdf3e294ad"),
     (["mul", "diag(x)*U", "Us*diag(x) + U^2"],
      "e09ed5b23a41e3d479277d1dbf9c9593"),
     (["derive", "--derivation", "d", "Us^2*diag(x) + U"],
-     "fe8416fd7c919131aa0415033a451791"),
+     "87a7fa5d0c75d59403777347595de362"),
     (["derive", "--derivation", "d", "--side", "bilateral",
       "(V + Vi)*diag(y)"],
-     "06785f27534d5a71239e484c1e0713a6"),
+     "ada5e3de8aad7e1a135c7fd3fd1415a8"),
     (["toeplitz", "V^2*diag(y) + Vi*diag(y)"],
-     "0bfc035da0ce5782cfd36ce5f0e98372"),
+     "4c62b0e4bf9e4ee499d047bf424afc64"),
     (["truncate", "--m", "8", "(U + Us)*diag(x)"],
      "67666466447ca664b002e6cc920a457e"),
 )
@@ -448,9 +449,8 @@ def test_cli_mixed_denominator_output_bytes_are_pinned(capsys, tmp_path):
 # md5 of the stdout bytes of the matrix picture over the finite benchmark
 # workspaces: matrix-form and qnorm on each expression of MATRIX_PINNED,
 # then extract-f and df-build; matrix-form lists the powers of each entry
-# in the order the terms reach them, not ascending (in ws_n2,
-# 'V^3 + V + diag(y)' gives entry (0, 1) the powers 2, 1), and the JSON
-# keeps that order
+# ascending (in ws_n2, 'V^3 + V + diag(y)' gives entry (0, 1) the powers
+# 1, 2)
 MATRIX_PINNED = (
     "V^3 + V + diag(y)",
     "Vi^2 + V^4*diag(y) + V",
@@ -458,21 +458,21 @@ MATRIX_PINNED = (
 )
 MATRIX_MD5 = {
     "ws_n2": (
-        "7448abd14846808f23948708c6356100", "552eb391b53c8cb653ca9e66ca577500",
+        "568b979b1968f1dcb68d31105f1fdc2c", "552eb391b53c8cb653ca9e66ca577500",
         "ac5c6fcbb37ec913f2294276668fa237", "0453007298492b9c7e2e095c487fcffa",
-        "49812541bd1af9f23dfab7e4349e7dfa", "50b0c64ad4bcf5e5032226c308bd96d0",
+        "00b95b1c29c2d9c6eb863eb45cb7e452", "50b0c64ad4bcf5e5032226c308bd96d0",
         "cafd422353f31cb29d831ee8d8faae72", "f017b8ed36f793778bb423a6e02d05d8",
     ),
     "ws_n3": (
-        "b75f4dff2bd5d53e3e94b21777f3e076", "854e2d827fde4711eecd3f7c98535fef",
-        "92807946ba0ae47d8775453925c1de77", "d3d2ebf5a945ae2da1117c63da178559",
-        "720a3af0203ee9c1b3b71fc592bca0f5", "50b0c64ad4bcf5e5032226c308bd96d0",
+        "1512937f0e52c6645942e4304827b7a4", "854e2d827fde4711eecd3f7c98535fef",
+        "1afa88269ba67b34b787499c0658e13c", "d3d2ebf5a945ae2da1117c63da178559",
+        "03fea1c1da5e3affaa3063f841c06bef", "50b0c64ad4bcf5e5032226c308bd96d0",
         "542021923eb514edd4bc82e14313609c", "d283d73c03829d2177e725fc567daf63",
     ),
     "ws_n6": (
         "977bb00cb5d3dfb406156803698dbf13", "9dde7dcfc49366ea8c02ec2ad0d06643",
         "6ff0582416135c8cef5434752ce05c45", "ca0b563cbc65ce5ecd391ad646a7b747",
-        "596f5bfe116af9101bbf6cc22648952f", "d7e1d05681bc90e73bdd9f6391a85bf8",
+        "22d612eb1a0c8b940d0e2b0bd5004a19", "d7e1d05681bc90e73bdd9f6391a85bf8",
         "1b6e5b59268e0c29181054de3fe89872", "8ff3a55b46047cdf7674941f3401bf1f",
     ),
 }
@@ -511,6 +511,75 @@ def test_cli_mul_and_comm(capsys, ws_path):
     )
     assert code == 0
     assert UnilateralElement.from_json(payload, N2) == p0_element(N2)
+
+
+def _ascending(pairs):
+    """object_pairs_hook: an object whose keys are all integers must list
+    them ascending."""
+    keys = [k for k, _ in pairs]
+    if all(k.lstrip("-").isdecimal() for k in keys):
+        assert keys == sorted(keys, key=int), keys
+    return dict(pairs)
+
+
+# (command and arguments) of every command that writes degree- or
+# power-keyed objects; mixed signs, so an order of first reaching differs
+# from the ascending one
+WIRE_ORDER_REQUESTS = (
+    ["normalize", "(U + Us)^3"],
+    ["normalize", "Us^3 + U^2*diag(x)*Us + comm(U*diag(x), Us^2)"],
+    ["normalize", "--side", "bilateral", "(V + Vi)^3*diag(y) + Vi^4"],
+    ["mul", "U*diag(x) + Us^2", "Us + U^3*diag(x)"],
+    ["mul", "--side", "bilateral", "V^2 + Vi*diag(y)", "Vi^3 + V*diag(y)"],
+    ["comm", "U^2*diag(x) + Us", "diag(x)*Us^2 + U"],
+    ["comm", "--side", "bilateral", "V^2*diag(y) + Vi", "diag(y)*Vi^2 + V"],
+    ["derive", "--derivation", "d", "Us^3 + U^2*diag(x)*Us"],
+    ["derive", "--derivation", "d", "--side", "bilateral",
+     "(V + Vi)^3*diag(y)"],
+    ["toeplitz", "(V + Vi)^3*diag(y) + Vi^2"],
+    ["defect", "(V + Vi)^2*diag(y)", "V*diag(y) + Vi^2"],
+    ["matrix-form", "V^3 + V + diag(y) + Vi^4"],
+    ["extract-f", "--derivation", "d"],
+    ["df-build", "--laurent", "f"],
+    ["fejer", "--derivation", "d", "--m", "3"],
+)
+
+
+@pytest.mark.parametrize("workspace", ["ws_n2", "ws_n3", "ws_n6", "ws_n2inf"])
+def test_cli_lists_integer_keys_ascending(capsys, workspace):
+    # the one term order of the wire format; ws_n2inf has an infinite N
+    # and no Laurent symbol, so the finite-N commands fail there
+    ws = ["--workspace", str(WORKSPACES / f"{workspace}.json")]
+    for command, *rest in WIRE_ORDER_REQUESTS:
+        code = cli.main([command, *ws, *rest])
+        out = capsys.readouterr().out
+        if workspace == "ws_n2inf" and command in (
+                "matrix-form", "extract-f", "df-build"):
+            assert code != 0 and out == "", command
+            continue
+        assert code == 0, (command, rest)
+        json.loads(out, object_pairs_hook=_ascending)
+
+
+def test_comm_command_and_comm_expression_agree(capsys):
+    ws = ["--workspace", str(WORKSPACES / "ws_n6.json")]
+    for side, a, b in (
+        ("unilateral", "U^2*diag(x) + Us", "diag(x)*Us^2 + U"),
+        ("unilateral", "(U + Us)^3", "diag(x)"),
+        ("bilateral", "V^2*diag(y) + Vi", "diag(y)*Vi^2 + V"),
+    ):
+        assert cli.main(["comm", *ws, "--side", side, a, b]) == 0
+        first = capsys.readouterr().out
+        assert cli.main(["normalize", *ws, "--side", side,
+                         f"comm({a}, {b})"]) == 0
+        assert capsys.readouterr().out == first
+
+
+def test_commutator_refuses_mixed_classes():
+    with pytest.raises(TypeError):
+        commutator(u_element(N2), v_element(N2))
+    with pytest.raises(TypeError):
+        commutator(v_element(N2), u_element(N2))
 
 
 def test_cli_derive(capsys, ws_path):
@@ -626,6 +695,17 @@ def test_cli_gns_rep_checks_the_period_on_every_haar_level(capsys):
                             "V*diag(y)")
     assert code == 0
     assert set(payload["vector"]["coeffs"]) == {"1"}
+
+
+def test_cli_gns_rep_refuses_a_level_on_tau0(capsys):
+    # tau_0 has the one fiber x = 0, so a --level would be ignored
+    ws = ["--workspace", str(WORKSPACES / "ws_n2.json")]
+    for level in ("1", "2", "4"):
+        code = cli.main(["gns-rep", *ws, "--state", "tau0", "--level", level,
+                         "V*diag(y)"])
+        out, err = capsys.readouterr()
+        assert code == 1, level
+        assert out == "" and "--level is not used with --state tau0" in err
 
 
 def test_cli_parametrix_empty_mlist_is_a_usage_error(capsys, ws_path):
@@ -745,6 +825,17 @@ def test_cli_exit_codes(capsys, ws_path, tmp_path, monkeypatch):
     code = cli.main(["--help"])
     capsys.readouterr()
     assert code == 0
+
+
+def test_cli_float_overflow_is_a_domain_error(capsys):
+    # diag(x)^1024 is exact, but its entries exceed the range of a float
+    ws = ["--workspace", str(WORKSPACES / "ws_n2.json")]
+    for command in ("truncate", "normest"):
+        code = cli.main([command, *ws, "--m", "8", "diag(x)^1024"])
+        out, err = capsys.readouterr()
+        assert code == 3, command
+        assert out == "" and "too large for a float" in err
+    assert cli.main(["normalize", *ws, "diag(x)^1024"]) == 0
 
 
 def test_cli_oversized_exponent_fails_fast(capsys):
