@@ -353,9 +353,10 @@ def _build_parser():
         elif expr == 2:
             p.add_argument("left")
             p.add_argument("right")
-        if side:
-            p.add_argument("--side", default=side,
-                           choices=("unilateral", "bilateral"))
+        if isinstance(side, tuple):  # the first algebra is the default
+            p.add_argument("--side", default=side[0], choices=side)
+        elif side:
+            p.set_defaults(side=side)
         if derivation:
             p.add_argument("--derivation", required=True)
         if n:
@@ -367,10 +368,12 @@ def _build_parser():
         p.set_defaults(handler=handler)
         return p
 
-    add("normalize", cmd_normalize, expr=1, side="unilateral")
-    add("mul", cmd_mul, expr=2, side="unilateral")
-    add("comm", cmd_comm, expr=2, side="unilateral")
-    add("derive", cmd_derive, expr=1, side="unilateral", derivation=True)
+    # four commands serve both algebras; every other one fixes its own
+    both = ("unilateral", "bilateral")
+    add("normalize", cmd_normalize, expr=1, side=both)
+    add("mul", cmd_mul, expr=2, side=both)
+    add("comm", cmd_comm, expr=2, side=both)
+    add("derive", cmd_derive, expr=1, side=both, derivation=True)
     add("fourier", cmd_fourier, derivation=True, n=True)
     add("fejer", cmd_fejer, derivation=True, m=16)
     add("classify", cmd_classify, derivation=True, n=True)

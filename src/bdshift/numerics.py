@@ -4,9 +4,9 @@ Two arithmetic paths: exact rationals certify symbolic identities on an
 interior window, floats handle norms and spectra.  The exact path is
 authoritative; every float appears only in bounds and reports.  One band
 reader rescales the coefficients' integer rows to one denominator; the
-exact truncation and the product oracle, which multiplies the rows of the
-factors as integers, read it.  The float truncation divides each value
-once; its norm is one direct SVD, with no iteration to settle.
+exact and the float truncation read it, and the product oracle multiplies
+the rows of the factors as integers and divides the same bands for its
+float check.  A float norm is one direct SVD, with no iteration to settle.
 """
 
 import cmath
@@ -47,27 +47,23 @@ def _bands(M, *elements):
     return den, out
 
 
-def truncate_unilateral(a, M):
-    """The M x M compression to span{E_0, ..., E_{M-1}} as floats.  Each
-    table value and each corrected value is divided once, over its own
-    denominator; int / int is correctly rounded, so each entry is complex
-    of its Scalar."""
-    if M < 1:
-        raise ValueError("window must contain at least one basis vector")
+def _dense(M, den, bands):
+    """The float M x M matrix of bands of _bands over den.  int / int is
+    correctly rounded, so each entry is complex of its Scalar."""
     out = np.zeros((M, M), dtype=complex)
-    for n, coeff in a.terms.items():
-        length, lo = M - abs(n), max(-n, 0)
-        if length <= 0:
-            continue
-        d, reps = coeff.den, length // coeff.period + 1
-        re, im = ([v / d for v in row] * reps for row in (coeff.re, coeff.im))
-        for k in coeff.corr:
-            if k < length:
-                re[k], im[k] = (v / d for v in coeff._at(k))
-        cols = np.arange(lo, lo + length)
-        out.real[cols + n, cols] = re[:length]
-        out.imag[cols + n, cols] = im[:length]
+    for n, (re, im) in bands.items():
+        lo, hi = max(-n, 0), M - max(n, 0)
+        cols = np.arange(lo, hi)
+        out.real[cols + n, cols] = [v / den for v in re[lo:hi]]
+        out.imag[cols + n, cols] = [v / den for v in im[lo:hi]]
     return out
+
+
+def truncate_unilateral(a, M):
+    """The M x M compression to span{E_0, ..., E_{M-1}} as floats: the
+    float view of the band reader."""
+    den, (bands,) = _bands(M, a)
+    return _dense(M, den, bands)
 
 
 def truncate_exact(a, M):
@@ -127,7 +123,7 @@ def oracle_product_check(a, b, M):
         for p, q in zip(P.get(d, zero), split.get(d, zero)):
             exact_ok &= all(x * den == y for x, y in zip(p[lo:hi], q[lo:hi]))
 
-    fa, fb, fprod = (truncate_unilateral(x, M) for x in (a, b, ab))
+    fa, fb, fprod = (_dense(M, den, X) for X in (A, B, P))
     dev = np.abs((fa @ fb)[:cut, :cut] - fprod[:cut, :cut])
     scalefac = max(1.0, float(np.abs(fprod).max()))
     max_dev = float(dev.max()) / scalefac if dev.size else 0.0

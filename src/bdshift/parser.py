@@ -15,8 +15,10 @@ Grammar (precedence ^ > * > + -, left associative sums and products):
 Negative powers are spelled Us / Vi, never "^-1"; exponents above
 MAX_EXPONENT are a math-domain error, and a digit run longer than
 MAX_DIGITS is a syntax error.  A product whose degree span
-(max - min + 1) would exceed MAX_SPAN is a math-domain error, raised
-before it is formed.
+(max - min + 1) would exceed MAX_SPAN, or whose largest |degree| would
+exceed profinite.MAX_CORRECTION_KEY, is a math-domain error, raised
+before it is formed.  diag(name) reads a workspace sequence in either
+algebra; in B(N) one with a c00 correction is a side mismatch.
 """
 
 from fractions import Fraction
@@ -28,7 +30,7 @@ from .errors import (
     SideMismatch,
     UnknownName,
 )
-from .profinite import LocallyConstantFunction
+from .profinite import MAX_CORRECTION_KEY, LocallyConstantFunction
 from .sequences import EPSequence
 from . import algebra
 
@@ -230,22 +232,6 @@ def parse(text):
 # evaluation
 
 
-def _diag_unilateral(value, N):
-    if isinstance(value, (EPSequence, LocallyConstantFunction)):
-        return algebra.diag_element(EPSequence._cast(value))
-    raise UnknownName(f"cannot use {type(value).__name__} as a diagonal")
-
-
-def _diag_bilateral(value, N):
-    if isinstance(value, (EPSequence, LocallyConstantFunction)):
-        if value.corr:
-            raise SideMismatch(
-                "sequence with c00 corrections has no bilateral diagonal"
-            )
-        return algebra.bilateral_diag(LocallyConstantFunction._cast(value))
-    raise UnknownName(f"cannot use {type(value).__name__} as a diagonal")
-
-
 def _check_exponent(k):
     if k > MAX_EXPONENT:
         raise MathDomainError(f"exponent {k} exceeds {MAX_EXPONENT}")
@@ -254,13 +240,17 @@ def _check_exponent(k):
 def check_span(factors):
     """Refuse a product of (degrees, power) factors, each the degree set
     of an element or of a derivation, whose degree span would exceed
-    MAX_SPAN."""
+    MAX_SPAN, or whose largest |degree| would exceed MAX_CORRECTION_KEY:
+    U^p (U*)^p writes p cutoff corrections."""
     if not all(degrees for degrees, _ in factors):
         return
     span = 1 + sum(k * (max(degrees) - min(degrees))
                    for degrees, k in factors)
     if span > MAX_SPAN:
         raise MathDomainError(f"degree span {span} exceeds {MAX_SPAN}")
+    top = sum(k * max(max(degrees), -min(degrees)) for degrees, k in factors)
+    if top > MAX_CORRECTION_KEY:
+        raise MathDomainError(f"degree {top} exceeds {MAX_CORRECTION_KEY}")
 
 
 def _power(base, k, one):
@@ -302,8 +292,15 @@ def eval_ast(node, env, side):
         value = env.sequences.get(node[1])
         if value is None:
             raise UnknownName(f"no sequence named {node[1]!r}")
-        return _diag_unilateral(value, N) if uni \
-            else _diag_bilateral(value, N)
+        if not isinstance(value, (EPSequence, LocallyConstantFunction)):
+            raise UnknownName(
+                f"cannot use {type(value).__name__} as a diagonal")
+        if uni:
+            return algebra.diag_element(EPSequence._cast(value))
+        if value.corr:
+            raise SideMismatch(
+                "sequence with c00 corrections has no bilateral diagonal")
+        return algebra.bilateral_diag(LocallyConstantFunction._cast(value))
     if kind == "add":
         return eval_ast(node[1], env, side) + eval_ast(node[2], env, side)
     if kind == "sub":

@@ -866,6 +866,60 @@ def test_cli_wide_products_fail_fast(capsys):
     assert max(map(int, payload["terms"])) == 129
 
 
+def test_cli_nested_powers_are_bounded_by_degree(capsys):
+    # a one-term power has span 1 whatever its degree, and U^p (U*)^p
+    # writes p cutoff corrections: the largest |degree| is bounded like a
+    # correction key
+    for expr in ("(U^1024)^128", "(U^1024)^64 * U",
+                 "(U^1024)^64 * (Us^1024)^64"):
+        start = time.perf_counter()
+        code = cli.main(["normalize", expr])
+        out, err = capsys.readouterr()
+        assert code == 3, expr
+        assert out == "" and str(MAX_CORRECTION_KEY) in err
+        assert time.perf_counter() - start < 1.0
+    code, payload = run_cli(capsys, "normalize", "(U^1024)^64")
+    assert code == 0
+    assert list(payload["terms"]) == [str(MAX_CORRECTION_KEY)]
+
+
+# the commands that serve both algebras; every other command reads its
+# operands in one algebra, A(N) for truncations and norm bounds, B(N) for
+# the Toeplitz section, the matrix picture and the GNS representations
+BOTH_ALGEBRAS = {"normalize", "mul", "comm", "derive"}
+
+
+def test_cli_side_only_on_the_two_algebra_commands():
+    top = cli._build_parser()
+    (commands,) = (a.choices for a in top._actions if a.choices)
+    with_side = {name for name, p in commands.items()
+                 if "--side" in p._option_string_actions}
+    assert with_side == BOTH_ALGEBRAS
+
+
+def test_cli_one_algebra_commands_refuse_a_side(capsys):
+    ws = ["--workspace", str(WORKSPACES / "ws_n2.json")]
+    for argv in (["truncate", "--m", "3", "Vi*diag(y)"],
+                 ["normest", "--m", "3", "U"],
+                 ["toeplitz", "V"],
+                 ["defect", "V", "Vi"],
+                 ["matrix-form", "diag(x)"],
+                 ["qnorm", "V"],
+                 ["gns-rep", "V"]):
+        for side in ("unilateral", "bilateral"):
+            code = cli.main([argv[0], *ws, "--side", side, *argv[1:]])
+            out, err = capsys.readouterr()
+            assert code == 1, (argv, side)
+            assert out == "" and "--side" in err
+    # read in their own algebra, the operands of the other one are refused
+    for argv in (["truncate", "--m", "3", "Vi*diag(y)"],
+                 ["matrix-form", "diag(x)"]):
+        code = cli.main([argv[0], *ws, *argv[1:]])
+        out, err = capsys.readouterr()
+        assert code == 3, argv
+        assert out == "" and "domain error" in err
+
+
 def test_cli_derive_checks_the_span(capsys, tmp_path):
     # a derivation with components at every degree -128..128
     beta = AffineSequence(ZERO, EPSequence({}, [ONE], N2))
