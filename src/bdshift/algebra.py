@@ -21,13 +21,18 @@ lcm J of all periods; each pair adds its periodic row and its
 corrections (exact minus periodic value) to one raw row per output
 degree.  A derivation's [g, x] is one signed call, g*x + x*(-g) in the
 same integer slots, where the affine weight cancels; commutator [x, y]
-of two elements is the same signed call.  Each output row finds its
-minimal period on the integers and is reduced by one gcd; no Scalar is
-formed.  The order of the degrees in a term dict carries no meaning:
-the JSON lists them ascending.
+of two elements is the same signed call.  On Z each position is a
+convolution in the degree, which a large bilateral product does as a few
+big-integer products instead (Kronecker substitution, same raw rows).
+Each output row finds its minimal period on the integers and is reduced
+by one gcd; no Scalar is formed.  The order of the degrees in a term
+dict carries no meaning: the JSON lists them ascending.
 """
 
 import math
+import struct
+from itertools import chain, product, repeat
+from operator import add, lshift, mul, sub
 
 from .errors import NotFinite
 from .profinite import LocallyConstantFunction, _common_period
@@ -87,29 +92,50 @@ def _terms_mul(xt, yt, unilateral, commute=False):
     weight-1 row and folds its corrections c into weight 0 as
     (k + offset)*c.
 
-    Each pair adds its periodic row a(r+sa) b(r+sb) to the rows of its
-    output degree and weight, grouped by z, and its corrections (exact
-    value minus periodic value at the moved correction keys) to theirs;
-    _sum_row then cancels each group below its z.
+    _pair_rows serves every product.  A bilateral one without
+    corrections takes _kronecker_rows, with the same raw rows over D^2,
+    when it passes the size rule: its #x*#y term pairs reach
+    KRONECKER_PAIRS*(#x + #y + J), and its slots fit a 64-bit word.
+    Below, packing costs more than the pairs; wider slots leave the
+    packed operands half empty.
     """
     if not xt or not yt:
         return {}
+    factors = _factors(xt, yt)
+    (J, xrows, yrows), nx, ny = factors[3:], len(xt), len(yt)
+    if (not unilateral and nx * ny >= KRONECKER_PAIRS * (nx + ny + J)
+            and not any(c for rows in (*xrows.values(), *yrows.values())
+                        for *_, c in rows)
+            and (nb := _slot_bytes(factors, commute)) <= 8):
+        return _made(_kronecker_rows(factors, commute, nb), factors, commute)
+    return _made(_pair_rows(factors, unilateral, commute), factors, commute)
+
+
+def _factors(xt, yt):
+    """(cls, N, D, J, xrows, yrows): by degree, each factor's rows
+    (weight, re, im, correction) over the shared denominator D, repeated
+    to the common period J; a correction value is (re, im)."""
     parts = [[
         (n, w, s) for n, c in t.items()
         for w, s in (((1, c[0]), (0, c[1])) if isinstance(c, tuple)
                      else ((0, c),))
     ] for t in (xt, yt)]
     seqs = [s for ps in parts for _, _, s in ps]
-    cls, N = type(seqs[0]), seqs[0].N
-    J = _common_period(N, *{s.period for s in seqs})
+    J = _common_period(seqs[0].N, *{s.period for s in seqs})
     D = math.lcm(*{s.den for s in seqs})
-    # degree -> rows (weight, re, im, correction) of each factor, over
-    # the denominator D and repeated to length J; a correction value is
-    # (re, im)
     xrows, yrows = {}, {}
     for rows, ps in zip((xrows, yrows), parts):
         for n, w, s in ps:
             rows.setdefault(n, []).append((w, *s._rows(D, J)))
+    return type(seqs[0]), seqs[0].N, D, J, xrows, yrows
+
+
+def _pair_rows(factors, unilateral, commute):
+    """The raw rows {degree: {weight: (rows by z, corrections)}}: each
+    pair adds its periodic row a(r+sa) b(r+sb) to the rows of its output
+    degree and weight, grouped by z, and its corrections (exact value
+    minus periodic value at the moved correction keys) to theirs."""
+    J, xrows, yrows = factors[3:]
     passes = [(xrows, yrows)]
     if commute:
         passes.append((yrows, {n: [
@@ -143,8 +169,109 @@ def _terms_mul(xt, yt, unilateral, commute=False):
                     c = corr.get(k, (0, 0))
                     corr[k] = (c[0] + x * y - u * v - pr[k % J],
                                c[1] + x * v + u * y - pi[k % J])
+    return acc
+
+
+# the size rule of _terms_mul, calibrated by a sweep (CHANGES.md)
+KRONECKER_PAIRS = 2
+
+
+def _slot_bytes(factors, commute):
+    """Bytes of a signed slot that holds any coefficient: a pair adds at
+    most 2|a||b|(1 + |n|) (n*u the weight gain), and at most min(#x, #y)
+    pairs of a pass meet in one.  Up to 8, a width that struct reads."""
+    xrows, yrows = factors[4:]
+    big = [max(1, *(max(map(abs, row)) for rows in t.values()
+                    for _, re, im, _ in rows for row in (re, im)))
+           for t in (xrows, yrows)]
+    bound = (2 + 2 * commute) * big[0] * big[1] * min(
+        len(xrows), len(yrows)) * (1 + max(map(abs, (*xrows, *yrows))))
+    nb = bound.bit_length() // 8 + 1
+    return 1 << (nb - 1).bit_length() if nb <= 8 else nb
+
+
+def _kronecker_rows(factors, commute, nb):
+    """The raw rows of a bilateral product without corrections.  Degree
+    m+n at position k sums a_m[(k+n) % J] b_n[k]; at X = 2^(8*nb), with
+    A[s] = sum_m a_m[s] X^m and B_r[k] = sum_n b_n[k] X^n over a class r
+    of n mod J, sum_r A[(k+r) % J] B_r[k] holds each degree in its slot,
+    read back on the sumset.  A left pair (u, v) gains n*u at shift n
+    (_at_shift) from the right rows packed again as n*b_n.  A commutator
+    subtracts its second pass; weight 1 is read only if it fails to
+    cancel.  nb is _slot_bytes(factors, commute)."""
+    J, xrows, yrows = factors[3:]
+    half, lo = 1 << (8 * nb - 1), min(xrows) + min(yrows)
+    size = max(xrows) + max(yrows) - lo + 1
+
+    def packs(t, wt, base, gain=False):
+        # per position, the weight-wt re and im rows of t packed; a gain
+        # multiplies degree n by n, so degree 0 drops out
+        cols = [(n, 8 * nb * (n - base), (re, im)) for n, rows in t.items()
+                for wr, re, im, _ in rows if wr == wt and (n or not gain)]
+        return cols and [[*map(sum, zip(*(map(
+            lshift, map(n.__mul__, rows[p]) if gain else rows[p],
+            repeat(sh)) for n, sh, rows in cols)))] for p in (0, 1)]
+
+    sums = [[[0] * J, [0] * J] for _ in range(2)]  # by weight: re, im
+    for left, right, op in [(xrows, yrows, add)] + [
+            (yrows, xrows, sub)] * commute:
+        # by weight: ar, ai and ar + ai, doubled so a rotation is a slice
+        lpk = [a and [row * 2 for row in (*a, [*map(add, *a)])]
+               for a in (packs(left, wt, min(left)) for wt in (0, 1))]
+        classes = {}
+        for n, rows in right.items():
+            classes.setdefault(n % J, {})[n] = rows
+        for (r, t), wb in product(classes.items(), (0, 1)):
+            b = packs(t, wb, min(right))
+            gain = b and lpk[1] and packs(t, wb, min(right), True)
+            # output weight, left pack, right pack: v*b, u*b, and u*n*b
+            for wo, a, bb in ((wb, lpk[0], b), (wb + 1, lpk[1], b),
+                              (wb, lpk[1], gain)):
+                if wo > 1 or not (a and bb):
+                    continue
+                # Gauss: (ar + i ai)(br + i bi) by three products
+                (ar, ai, ars), (br, bi) = (row[r:r + J] for row in a), bb
+                k1, acc = [*map(mul, br, ars)], sums[wo]
+                acc[0] = [*map(op, acc[0], map(
+                    sub, k1, map(mul, ai, map(add, br, bi))))]
+                acc[1] = [*map(op, acc[1], map(
+                    add, k1, map(mul, ar, map(sub, bi, br))))]
+    bias = int.from_bytes(half.to_bytes(nb, "little") * size, "little")
+    code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(nb)
+
+    def slots(v):
+        # the slots of a packed sum, each offset by half
+        buf = (v + bias).to_bytes(nb * size, "little")
+        if code:
+            return struct.unpack(f"<{size}{code}", buf)
+        return [int.from_bytes(buf[i:i + nb], "little")
+                for i in range(0, len(buf), nb)]
+
+    def unpack(wt, degrees):
+        cols = [[*map(slots, vs)] for vs in zip(*sums[wt])]
+        return {d: ({0: [([re[d - lo] - half for re, _ in cols],
+                          [im[d - lo] - half for _, im in cols])]}, {})
+                for d in degrees}
+
+    # the degrees in the order in which the pair loop meets them
+    raw = {d: {0: row} for d, row in unpack(0, dict.fromkeys(
+        chain.from_iterable(map(m.__add__, yrows) for m in xrows))).items()}
+    px, py = ([n for n, rows in t.items() if len(rows) == 2]
+              for t in (xrows, yrows))
+    if (px or py) and (not commute or any(map(any, sums[1]))):
+        for d, row in unpack(1, {*(m + n for m in px for n in yrows),
+                                 *(m + n for m in xrows for n in py)}).items():
+            raw[d][1] = row
+    return raw
+
+
+def _made(raw, factors, commute):
+    """The terms of raw rows over D^2, each summed by _sum_row; a
+    commutator checks that weight 1 cancels and folds its corrections
+    into weight 0."""
+    cls, N, D = factors[:3]
     out = {}
-    for deg, slots in acc.items():
+    for deg, slots in raw.items():
         re, im, corr = _sum_row(*slots[0])
         weight = slots.get(1) and _sum_row(*slots[1])
         if weight and commute:

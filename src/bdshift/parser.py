@@ -49,7 +49,10 @@ _PUNCT = "+-*^(),/"
 MAX_INPUT = 1 << 20
 MAX_EXPONENT = 1024
 MAX_DIGITS = 4000
-MAX_SPAN = 257  # (U+Us)^128; 0.2-0.9 s at this span on a 2-core host
+# at this span normalize '(U+Us)^128' takes 0.14-0.23 s and '(V+Vi)^128'
+# 36-47 ms in-process on a 2-core host, both on the pair loop: their
+# binomial coefficients outgrow a Kronecker slot
+MAX_SPAN = 257
 
 
 class _Token:

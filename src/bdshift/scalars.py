@@ -185,6 +185,9 @@ class Scalar:
     def from_json(cls, data):
         if not (isinstance(data, (list, tuple)) and len(data) == 4):
             raise ValueError(f"scalar JSON must be a 4-tuple, got {data!r}")
+        # Fraction(True, 1) is 1, where a float or a string raises
+        if bool in map(type, data):
+            raise TypeError(f"scalar JSON holds a boolean: {data!r}")
         return cls(Fraction(data[0], data[1]), Fraction(data[2], data[3]))
 
 

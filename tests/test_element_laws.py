@@ -19,8 +19,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from bdshift.algebra import (
+    KRONECKER_PAIRS,
     BilateralElement,
     UnilateralElement,
+    _factors,
+    _kronecker_rows,
+    _made,
+    _pair_rows,
+    _slot_bytes,
+    _sum_row,
     adjoint,
     is_compact,
     mult_defect,
@@ -336,3 +343,73 @@ def test_reassemble_inverts_classify(regime, data):
     else:
         assert reassemble(classify(comp), n, NN) == \
             DerivationSum({n: comp}, NN)
+
+
+# The two kernels of B(N), called directly on the same lifted factors:
+# periods J dividing 24, numerators up to 3, 2^20 (a full 64-bit slot) or
+# 2^200 (slots wider than a word), mixed denominators, dense and sparse
+# degree sets, and a weight pair (u, v) in either factor: u constant at
+# degree 0 cancels in a commutator, u periodic elsewhere fails to.
+N24 = SupernaturalNumber.from_int(24)
+SPARSE = [-24, -12, -7, -1, 0, 1, 5, 12, 17, 24]
+
+
+@st.composite
+def kronecker_terms(draw, J, count, bound):
+    """count terms of period dividing J, dense or from SPARSE."""
+    if draw(st.booleans()):
+        start = draw(st.integers(-6, 6))
+        degrees = range(start, start + count)
+    else:
+        degrees = draw(st.lists(st.sampled_from(SPARSE), min_size=count,
+                                max_size=count, unique=True))
+    wide = st.builds(
+        lambda a, b, d, e: Scalar(Fraction(a, d), Fraction(b, e)),
+        st.integers(-bound, bound), st.integers(-bound, bound),
+        st.sampled_from([1, 2, 3, 5, 12, 2**61 - 1]), st.sampled_from([1, 4]))
+    return {n: LocallyConstantFunction(draw(st.lists(
+        wide, min_size=p, max_size=p)), N24)
+        for n in degrees
+        for p in [draw(st.sampled_from([d for d in (1, 2, 3, 4, 6, 8)
+                                        if J % d == 0]))]}
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+@LAWS
+@given(data=st.data())
+def test_kronecker_rows_match_the_pair_loop(side, data):
+    """Both kernels give the same terms, the same raw weight-0 rows over
+    D^2 and the same degree keys in the same order, or both refuse a
+    weight that fails to cancel; below and above the size rule's count of
+    term pairs."""
+    J = data.draw(st.sampled_from([1, 2, 3, 4, 6, 8]))
+    sizes = st.integers(1, 3) if side == "below" else st.integers(9, 10)
+    bound = data.draw(st.sampled_from([3, 2**20, 2**200]))
+    xt, yt = (data.draw(kronecker_terms(J, data.draw(sizes), bound))
+              for _ in range(2))
+    assert (len(xt) * len(yt) >= KRONECKER_PAIRS * (len(xt) + len(yt) + J)) \
+        == (side == "above")
+    weight = data.draw(st.sampled_from(["none", "x0", "x", "y"]))
+    if weight != "none":
+        t = yt if weight == "y" else xt
+        n = 0 if weight == "x0" else data.draw(st.sampled_from(sorted(t)))
+        u = data.draw(kronecker_terms(J if weight != "x0" else 1, 1, bound))
+        t[n] = (next(iter(u.values())), t.get(n, next(iter(u.values()))))
+    commute = data.draw(st.booleans())
+    factors = _factors(xt, yt)
+    kernels = (lambda: _pair_rows(factors, False, commute),
+               lambda: _kronecker_rows(factors, commute,
+                                       _slot_bytes(factors, commute)))
+    results = []
+    for kernel in kernels:
+        try:
+            raw = kernel()
+            rows = {d: tuple(map(list, _sum_row(*slots[0])[:2]))
+                    for d, slots in raw.items()}
+            results.append((_made(raw, factors, commute), list(raw), rows))
+        except AssertionError as exc:
+            results.append(str(exc))
+    pair, kron = results
+    assert kron == pair
+    if weight == "x0" and commute:
+        assert not isinstance(pair, str)

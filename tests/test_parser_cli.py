@@ -252,6 +252,17 @@ MALFORMED_WORKSPACES = {
                      _set(["sequences", "g", "values", 0], [1.5, 1, 0, 1])),
     "string_scalar": ("laurent 'f'",
                       _set(["laurent", "f", "coeffs", "1"], ["1", 1, 0, 1])),
+    "bool_numerator": ("sequence 'g'",
+                       _set(["sequences", "g", "values", 0], [True, 1, 0, 1])),
+    "bool_denominator": ("laurent 'f'",
+                         _set(["laurent", "f", "coeffs", "1"],
+                              [1, 1, 0, True])),
+    "bool_correction": ("sequence 'beta'",
+                        _set(["sequences", "beta", "correction", "1"],
+                             [3, 1, False, 1])),
+    "bool_linear": ("derivation 'd'",
+                    _set(["derivations", "d", "components", "0", "linear"],
+                         [True, 1, 0, 1])),
     "table_not_a_list": ("sequence 'beta'",
                          _set(["sequences", "beta", "table"], 5)),
     "null_sequence": ("sequence 'g'", _set(["sequences", "g"], None)),
@@ -491,6 +502,43 @@ def test_cli_matrix_picture_output_bytes_are_pinned(capsys, workspace):
         out = capsys.readouterr().out
         assert code == 0
         assert hashlib.md5(out.encode()).hexdigest() == md5, argv
+
+
+# md5 of the stdout bytes of wide bilateral requests, taken before the
+# product kernel gained its Kronecker path; their products fall on both
+# sides of its size rule, and the largest pass a coefficient wider than
+# a 64-bit slot to the pair loop
+WIDE_BILATERAL = (
+    ["normalize", "(V + Vi + diag(y))^64"],
+    ["mul", "(V + Vi + diag(y))^8", "(V^2*diag(y) + Vi)^16"],
+    ["comm", "(V + Vi + diag(y))^8", "(V^2*diag(y) + Vi)^16"],
+    ["derive", "--derivation", "d", "(V + diag(y))^8"],
+    ["derive", "--derivation", "d", "(V + Vi + diag(y))^16"],
+)
+WIDE_BILATERAL_MD5 = {
+    "ws_n6": (
+        "9953f102e9759f88b761480080c74a25", "055be681e16e497f52a5fd59b0707b86",
+        "a22ceb4f36f0f09cbe42986b809bfe7e", "3f41ccba4a152fa1da270b3d9d1fc481",
+        "c54b3ae12ed73688e237a6fe54c7e771",
+    ),
+    "ws_n2inf": (
+        "106b14c34c05874ab25632bab6ca626f", "43892f75cb94d3d0e544a4c5cbae67c5",
+        "c3e6224606981748df6b994186e72fa0", "2fcd8b4a5501108369cf026c47282aa7",
+        "ea8bf9e8d10b6b7b2a174f6ccde7953f",
+    ),
+}
+
+
+@pytest.mark.parametrize("workspace", WIDE_BILATERAL_MD5)
+def test_cli_wide_bilateral_output_bytes_are_pinned(capsys, workspace):
+    ws = ["--workspace", str(WORKSPACES / f"{workspace}.json")]
+    for (command, *rest), md5 in zip(WIDE_BILATERAL,
+                                     WIDE_BILATERAL_MD5[workspace],
+                                     strict=True):
+        code = cli.main([command, *ws, "--side", "bilateral", *rest])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.md5(out.encode()).hexdigest() == md5, rest
 
 
 def test_cli_normalize(capsys, ws_path):
