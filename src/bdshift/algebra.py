@@ -95,15 +95,18 @@ def _terms_mul(xt, yt, unilateral, commute=False):
     _pair_rows serves every product.  A bilateral one without
     corrections takes _kronecker_rows, with the same raw rows over D^2,
     when it passes the size rule: its #x*#y term pairs reach
-    KRONECKER_PAIRS*(#x + #y + J), and its slots fit a 64-bit word.
-    Below, packing costs more than the pairs; wider slots leave the
-    packed operands half empty.
+    KRONECKER_PAIRS*(#x + #y + J), its degree span (the output's slots)
+    is at most KRONECKER_SPREAD*(#x + #y), and its slots fit a 64-bit
+    word.  Below, packing costs more than the pairs; sparse degrees pack
+    mostly empty slots, and wider slots half empty operands.
     """
     if not xt or not yt:
         return {}
     factors = _factors(xt, yt)
     (J, xrows, yrows), nx, ny = factors[3:], len(xt), len(yt)
     if (not unilateral and nx * ny >= KRONECKER_PAIRS * (nx + ny + J)
+            and max(xt) + max(yt) - min(xt) - min(yt) + 1
+            <= KRONECKER_SPREAD * (nx + ny)
             and not any(c for rows in (*xrows.values(), *yrows.values())
                         for *_, c in rows)
             and (nb := _slot_bytes(factors, commute)) <= 8):
@@ -172,8 +175,9 @@ def _pair_rows(factors, unilateral, commute):
     return acc
 
 
-# the size rule of _terms_mul, calibrated by a sweep (CHANGES.md)
+# the size rule of _terms_mul, calibrated by sweeps (CHANGES.md)
 KRONECKER_PAIRS = 2
+KRONECKER_SPREAD = 4
 
 
 def _slot_bytes(factors, commute):
