@@ -346,10 +346,11 @@ def test_reassemble_inverts_classify(regime, data):
 
 
 # The two kernels of B(N), called directly on the same lifted factors:
-# periods J dividing 24, numerators up to 3, 2^20 (a full 64-bit slot) or
-# 2^200 (slots wider than a word), mixed denominators, dense and sparse
-# degree sets, and a weight pair (u, v) in either factor: u constant at
-# degree 0 cancels in a commutator, u periodic elsewhere fails to.
+# periods J dividing 24, numerators up to 3, 2^20 or 2^200 over mixed
+# denominators up to 2^61 - 1 (slots of 1, 2, 4 and 8 bytes and wider
+# ones all occur), dense and sparse degree sets, and a weight pair (u, v)
+# in either factor: u constant at degree 0 cancels in a commutator, u
+# periodic elsewhere fails to.
 N24 = SupernaturalNumber.from_int(24)
 SPARSE = [-24, -12, -7, -1, 0, 1, 5, 12, 17, 24]
 
