@@ -35,7 +35,7 @@ from itertools import chain, product, repeat
 from operator import add, lshift, mul, sub
 
 from .errors import NotFinite
-from .profinite import LocallyConstantFunction, _common_period
+from .profinite import LocallyConstantFunction, _common_period, _int_key
 from .scalars import Scalar, as_scalar, coerce_scalar
 from .sequences import (
     EPSequence,
@@ -387,16 +387,6 @@ class _Element:
         return {"terms": {str(n): a.to_json()
                           for n, a in sorted(self.terms.items())}}
 
-    @classmethod
-    def from_json(cls, data, N):
-        return cls(
-            {
-                int(n): cls._coeff.from_json(a, N)
-                for n, a in data.get("terms", {}).items()
-            },
-            N,
-        )
-
 
 def scale(x, c):
     c = coerce_scalar(c)
@@ -415,12 +405,6 @@ def commutator(x, y):
                         f"with {type(y).__name__}")
     return type(x)(_terms_mul(x.terms, y.terms, x._coeff.unilateral,
                               commute=True), x.N)
-
-
-def spectral_component(x, n):
-    """The single term of degree n (zero element if absent)."""
-    a = x.terms.get(n)
-    return type(x)({} if a is None else {n: a}, x.N)
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +439,6 @@ def u_element(N, power=1):
     if power == 0:
         return identity_element(N)
     return UnilateralElement({power: ep_constant(1, N)}, N)
-
-
-def ustar_element(N):
-    return u_element(N, -1)
 
 
 def diag_element(a):
@@ -695,7 +675,8 @@ class LaurentFunction:
     @classmethod
     def from_json(cls, data):
         return cls(
-            {int(j): Scalar.from_json(c) for j, c in data["coeffs"].items()}
+            {_int_key(j): Scalar.from_json(c)
+             for j, c in data["coeffs"].items()}
         )
 
 
@@ -790,13 +771,6 @@ class MatrixTrigPoly:
             "entries": [[p.to_json()["coeffs"] for p in row]
                         for row in self.entries],
         }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["size"], [
-            [LaurentFunction.from_json({"coeffs": p}) for p in row]
-            for row in data["entries"]
-        ])
 
 
 def to_matrix_form(b, N):

@@ -1,10 +1,12 @@
 """bdshift command line: every pipeline behind one entry point.
 
-Every command prints machine-readable JSON on stdout; diagnostics go to
-stderr.  Exit codes: 0 success, 1 usage, 2 parse error, 3 math-domain
-error (an exact value beyond the range of a float included), 4 numeric
-non-convergence (only the inverse power iteration of parametrix raises
-it; normest is one direct SVD).  Only the float commands import numpy.
+Every command prints machine-readable JSON on stdout, the whole document
+or nothing; diagnostics go to stderr.  Exit codes: 0 success, 1 usage,
+2 parse error, 3 math-domain error (an exact value beyond the range of a
+float, an integer too wide to print and a table or window past its cap
+included), 4 numeric non-convergence (only the inverse power iteration
+of parametrix raises it; normest is one direct SVD).  Only the float
+commands import numpy.
 """
 
 import argparse
@@ -37,8 +39,15 @@ MAX_GRID = 4096
 
 
 def _emit(payload):
-    json.dump(payload, sys.stdout, indent=2, sort_keys=False)
-    sys.stdout.write("\n")
+    """Write the whole document or nothing: an integer past CPython's
+    digit limit for str() fails before any byte reaches stdout."""
+    try:
+        text = json.dumps(payload, indent=2)
+    except ValueError:
+        raise MathDomainError(
+            "value too wide to print: an integer has more than "
+            f"{sys.get_int_max_str_digits()} digits") from None
+    sys.stdout.write(text + "\n")
 
 
 def _env(args):
@@ -75,8 +84,9 @@ def _check_window(dim, grid=0):
 
 
 def _check_table(N):
-    """Refuse the N x N table of units or matrix-form beyond MAX_WINDOW
-    entries; an infinite N is left to the builders, which raise NotFinite."""
+    """Refuse the N x N table of units, matrix-form or qnorm beyond
+    MAX_WINDOW entries; an infinite N is left to the builders, which
+    raise NotFinite."""
     if N.is_finite():
         n = N.as_int()
         _check_window(n * n)
@@ -319,12 +329,12 @@ def cmd_normest(args):
 def cmd_qnorm(args):
     from . import numerics
     env = _env(args)
+    _check_table(env.N)
     # the grid doubles each round; a shift past MAX_GRID's bit length
     # already exceeds it, so no huge power is formed.  A round count below
     # 1 has no last grid: quotient_norm_report refuses it
     shift = min(args.rounds - 1, MAX_GRID.bit_length())
-    _check_window(env.N.as_int() if env.N.is_finite() else 0,
-                  args.grid << shift if shift >= 0 else 0)
+    _check_window(0, args.grid << shift if shift >= 0 else 0)
     b = _eval(args, env, args.expr)
     _emit(numerics.quotient_norm_report(b, env.N, args.grid,
                                         rounds=args.rounds))

@@ -11,18 +11,16 @@ the weight-1 row cancels before any Scalar is formed.
 """
 
 from fractions import Fraction
-from itertools import accumulate
 from operator import attrgetter
 
 from .scalars import Scalar, ZERO, ONE, _canonical, coerce_scalar
 from .errors import (
-    NonzeroMean,
     NotDerivation,
     NotFinite,
     RegimeMismatch,
     UnboundedCoefficient,
 )
-from .profinite import LocallyConstantFunction, haar_integral
+from .profinite import _int_key
 from .sequences import (
     AffineSequence,
     BilateralAffineSequence,
@@ -37,20 +35,7 @@ from .sequences import (
     increment,
     partial_sums,
 )
-from .algebra import (
-    BilateralElement,
-    LaurentFunction,
-    MatrixTrigPoly,
-    UnilateralElement,
-    _terms_mul,
-    multiply,
-    scale,
-    spectral_component,
-    toeplitz,
-    u_element,
-    ustar_element,
-    zero_element,
-)
+from .algebra import LaurentFunction, MatrixTrigPoly, _terms_mul
 
 
 def bounded_regime(n, N):
@@ -190,7 +175,7 @@ class DerivationSum:
     def from_json(cls, data, N):
         comps = {}
         for key, body in data["components"].items():
-            n = int(key)
+            n = _int_key(key)
             beta = AffineSequence(
                 Scalar.from_json(body.get("linear", [0, 1, 0, 1])),
                 EPSequence.from_json(body["ep"], N),
@@ -208,19 +193,6 @@ def _reweighted(d, weights):
 
 def derivation_scale(d, c):
     return _reweighted(d, dict.fromkeys(d.components, coerce_scalar(c)))
-
-
-def from_inner(x):
-    """The inner derivation [x, .] as a component sum.
-
-    Coefficients transfer verbatim: both element terms and generators
-    store the diagonal part to the left of the shift power.
-    """
-    comps = {
-        n: covariant(n, AffineSequence(ZERO, a), x.N)
-        for n, a in x.terms.items()
-    }
-    return DerivationSum(comps, x.N)
 
 
 def _commutator(components, x):
@@ -247,16 +219,6 @@ def apply(d, a):
 def fourier_component(d, n):
     """The n-th component (exact: components are the Fourier data)."""
     return d.component(n)
-
-
-def fourier_of_image(d, n, a):
-    """Degree-selection route to d_n(a): push each monomial of a
-    through d and keep the part at the shifted degree."""
-    total = zero_element(a.N)
-    for m, coeff in a.terms.items():
-        image = apply(d, UnilateralElement({m: coeff}, a.N))
-        total = total + spectral_component(image, m + n)
-    return total
 
 
 def fejer_mean(d, M):
@@ -313,16 +275,6 @@ def obstruction_gap(n, N, beta_bounded):
     return ep_supnorm_sq(g)
 
 
-def laurent_substitute(f, N):
-    """f(V^N) as a bilateral element, for finite N."""
-    N_int = N.as_int()
-    terms = {
-        j * N_int: LocallyConstantFunction([c], N)
-        for j, c in f.coeffs.items()
-    }
-    return BilateralElement(terms, N)
-
-
 def d_f_build(f, N):
     """The distinguished derivation d_f for finite N: one component at
     each n = jN with beta = (f_j / N)(k + 1)."""
@@ -337,24 +289,6 @@ def d_f_build(f, N):
             n, AffineSequence(c * inv, ep_zero(N)), N
         )
     return DerivationSum(comps, N)
-
-
-def d_f_images(f, N):
-    """Direct generator images of d_f.
-
-    d_f(U) = (1/N) T(f(V^N)) U and d_f(U*) = -(1/N) U* T(f(V^N)); with
-    the compression on these sides the images agree exactly with the
-    component sum, frequency by frequency.
-    """
-    if not N.is_finite():
-        raise NotFinite("d_f needs a finite N")
-    inv = Scalar(Fraction(1, N.as_int()))
-    t = toeplitz(laurent_substitute(f, N))
-    return {
-        "U": scale(multiply(t, u_element(N)), inv),
-        "Ustar": scale(multiply(ustar_element(N), t), -inv),
-        "a_per": zero_element(N),
-    }
 
 
 def extract_f(d, N):
@@ -450,24 +384,3 @@ def bilateral_apply(components, b):
     of B(N): [V^n eta(L), V^m g(L)] = V^{n+m} ((S_m eta) g - (S_n g) eta)."""
     return _commutator(components, b)
 
-
-def approx_c00(comp, M):
-    """Inner approximant when the increment is purely c00: truncate the
-    increment at M and re-sum."""
-    alpha = increment(comp.beta)
-    if any(alpha.re) or any(alpha.im):
-        raise RegimeMismatch("increment has a periodic part")
-    corr = {k: v for k, v in alpha.correction.items() if k <= M}
-    beta = partial_sums(EPSequence(corr, [ZERO], comp.N))
-    return DerivationSum({comp.n: covariant(comp.n, beta, comp.N)}, comp.N)
-
-
-def approx_per(f):
-    """Inner component from a mean-zero locally constant function: the
-    periodic partial sums of f."""
-    if haar_integral(f):
-        raise NonzeroMean("partial sums stay periodic only at mean zero")
-    table = EPSequence._make(f.den, list(accumulate(f.re)),
-                             list(accumulate(f.im)), {}, f.N)
-    beta = AffineSequence(ZERO, table)
-    return covariant(0, beta, f.N)

@@ -29,10 +29,6 @@ class RegimeMismatch(MathDomainError):
     """Operation called in the wrong (N, n) regime."""
 
 
-class NonzeroMean(MathDomainError):
-    """Periodic input must have zero mean."""
-
-
 class NotDerivation(MathDomainError):
     """Supplied images violate the matrix-unit derivation relations."""
 

@@ -22,8 +22,9 @@ common denominator of D, b and delta(b).  Compact-parametrix
 detection builds only the blocks I + B_m^H B_m of the shells
 M <= |m| < 2M, where divergence is visible as growth of the smallest
 eigenvalue, and steps its iteration as a vector when they are diagonal;
-the covariance check reads the residual off the band and the largest
-block norm, an |entry| when the blocks are diagonal.
+the covariance check reads the residual off the one band and the
+largest block norm, an |entry| when the blocks are diagonal, and refuses
+a D on several bands.
 """
 
 import cmath
@@ -134,7 +135,6 @@ def pi_apply(b, v):
 
 
 # the two-space names, kept for the callers that import them
-GNSVectorHaar = GNSVector
 inner0 = inner_haar = inner
 pi0_apply = pi_haar_apply = pi_apply
 
@@ -336,11 +336,11 @@ def check_covariance(D, n, M, thetas):
 
     Conjugation by Phi multiplies the band of m-difference d by
     e^{i theta d}.  The bands are read in one pass over the float halves
-    of D, the imaginary ones included.  A D on a single band is the
-    direct sum of its blocks B_m, so there the residual is
+    of D, the imaginary ones included.  A covariant D lies on a single
+    band and is the direct sum of its blocks B_m, so the residual is
     |e^{i theta d} - e^{in theta}| times max_m ||B_m||, read off the
-    largest |entry| when the blocks are diagonal; a D on several bands
-    takes one dense norm per theta.
+    largest |entry| when the blocks are diagonal.  A D on several bands
+    is refused with ValueError; the zero D gives 0.0.
     """
     if len(thetas) == 0:
         raise ValueError("theta grid needs at least one angle")
@@ -356,32 +356,26 @@ def check_covariance(D, n, M, thetas):
     bands = np.unique(mvec[rows] - mvec[cols])
     if bands.size == 0:
         return 0.0
+    if bands.size > 1:
+        raise ValueError(f"D lies on {bands.size} bands; a covariant D "
+                         "lies on one")
     # the phase of an entry is evaluated at its index difference, which
     # keeps the residual free of large-angle rounding; a covariant D
     # gives exactly 0
-    if bands.size == 1:
-        d = int(bands[0])
-        blocks = D.reshape(2 * M + 1, level, 2 * M + 1, level)
-        B = np.moveaxis(np.diagonal(blocks, -d, 0, 2), -1, 0)
-        diag = np.diagonal(B, 0, 1, 2)
-        # the norm of a diagonal block is its largest |entry|
-        top = float(np.abs(diag).max()
-                    if np.count_nonzero(B) == np.count_nonzero(diag)
-                    else np.linalg.norm(B, 2, axis=(1, 2)).max())
-        band = np.array([d], dtype=float)
-        return max(
-            (float(abs(np.exp(1j * theta * band)[0]
-                       - cmath.exp(1j * n * theta))) * top
-             for theta in thetas)
-        )
-    marr = np.asarray(mvec, dtype=float)
-    diff = marr[:, None] - marr[None, :]
-    worst = 0.0
-    for theta in thetas:
-        conj = np.exp(1j * theta * diff) * D
-        resid = conj - cmath.exp(1j * n * theta) * D
-        worst = max(worst, float(np.linalg.norm(resid, 2)))
-    return worst
+    d = int(bands[0])
+    blocks = D.reshape(2 * M + 1, level, 2 * M + 1, level)
+    B = np.moveaxis(np.diagonal(blocks, -d, 0, 2), -1, 0)
+    diag = np.diagonal(B, 0, 1, 2)
+    # the norm of a diagonal block is its largest |entry|
+    top = float(np.abs(diag).max()
+                if np.count_nonzero(B) == np.count_nonzero(diag)
+                else np.linalg.norm(B, 2, axis=(1, 2)).max())
+    band = np.array([d], dtype=float)
+    return max(
+        (float(abs(np.exp(1j * theta * band)[0]
+                   - cmath.exp(1j * n * theta))) * top
+         for theta in thetas)
+    )
 
 
 # ---------------------------------------------------------------------------

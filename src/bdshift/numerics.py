@@ -15,7 +15,6 @@ from collections import namedtuple
 
 import numpy as np
 
-from .scalars import _canonical
 from .errors import NotFinite, WindowTooSmall
 from .algebra import multiply, to_matrix_form
 
@@ -64,14 +63,6 @@ def truncate_unilateral(a, M):
     float view of the band reader."""
     den, (bands,) = _bands(M, a)
     return _dense(M, den, bands)
-
-
-def truncate_exact(a, M):
-    """The same compression with exact entries, as {(i, j): Scalar}."""
-    den, (bands,) = _bands(M, a)
-    return {(j + n, j): _canonical(re[j], im[j], den)
-            for n, (re, im) in bands.items()
-            for j in range(max(-n, 0), M - max(n, 0)) if re[j] or im[j]}
 
 
 def _sparse_mul(A, B, M):
@@ -137,12 +128,6 @@ def norm_lower(a, M):
     SVD.  A lower bound for the operator norm, monotone nondecreasing in
     M: each truncation is a compression of the next."""
     return float(np.linalg.norm(truncate_unilateral(a, M), 2))
-
-
-def quotient_norm_estimate(b, N, G):
-    """Max over a uniform G-grid on the circle of the spectral norm of
-    the matrix form; a lower bound for the quotient norm."""
-    return quotient_norm_report(b, N, G, rounds=1)["final"]
 
 
 def quotient_norm_report(b, N, G, rounds=3):

@@ -29,6 +29,16 @@ MAX_CORRECTION_KEY = 1 << 16
 MAX_N_BITS = 4096
 
 
+def _int_key(key):
+    """The integer a JSON object key spells, in its one spelling
+    str(int(key)): "01", "+1", " 1" or "1_0" would let two keys of one
+    object name the same integer, and the last would win."""
+    n = int(key)
+    if str(n) != key:
+        raise ValueError(f"key {key!r} is not an integer in canonical form")
+    return n
+
+
 def _factorize(n):
     """Prime factorization of a positive integer by trial division."""
     if n < 1:
@@ -155,7 +165,7 @@ class SupernaturalNumber:
         factors = data.get("factors", {})
         if not isinstance(factors, dict):
             raise ValueError("'factors' must be a JSON object")
-        return cls(factors)
+        return cls({_int_key(p): e for p, e in factors.items()})
 
 
 def divides(j, N):
@@ -363,7 +373,7 @@ class _PeriodicSequence:
     def from_json(cls, data, N):
         corr = {}
         for k, v in data.get("correction", {}).items():
-            k = int(k)
+            k = _int_key(k)
             # partial sums walk every position below the largest key
             if abs(k) > MAX_CORRECTION_KEY:
                 raise ValueError(

@@ -214,7 +214,6 @@ def _wire(a, b, d):
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-I = Scalar(0, 1)
 
 
 def as_scalar(x):
@@ -234,7 +233,3 @@ def coerce_scalar(x):
     if s is NotImplemented:
         raise TypeError(f"cannot use {type(x).__name__} as a scalar value")
     return s
-
-
-def scalar(re=0, im=0):
-    return Scalar(re, im)

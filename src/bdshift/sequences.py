@@ -23,7 +23,6 @@ eta(l) = C*l + ep(l) on Z.
 from fractions import Fraction
 from itertools import accumulate, chain
 
-from .errors import PeriodNotDivisor
 from .profinite import (
     _PeriodicSequence,
     ep_add,
@@ -94,9 +93,6 @@ class _AffineSequence:
         if not self.linear:
             return v
         return self.linear * Scalar(k + self._seq.offset) + v
-
-    def is_bounded(self):
-        return not self.linear
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -171,19 +167,3 @@ def increment(beta):
     ep = beta.ep
     diff = ep - ep_shift(ep, -1)
     return ep_add(type(ep)({}, [beta.linear], ep.N), diff)
-
-
-def mean_decompose_mod(alpha, modulus):
-    """Split alpha = c00 + C + (mean-zero periodic part), the periodic
-    part listed over one modulus, a multiple of alpha's period.
-
-    Returns (correction dict, C, table list of length modulus)."""
-    if modulus < 1 or modulus % alpha.period != 0:
-        raise PeriodNotDivisor(
-            f"period {alpha.period} does not divide modulus {modulus}"
-        )
-    p, D = alpha.period, alpha.den * alpha.period
-    sr, si = sum(alpha.re), sum(alpha.im)
-    per = [_canonical(p * alpha.re[r % p] - sr, p * alpha.im[r % p] - si, D)
-           for r in range(modulus)]
-    return alpha.correction, _canonical(sr, si, D), per

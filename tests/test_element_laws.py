@@ -267,14 +267,6 @@ def test_adjoint_is_an_involution_reversing_products(domain, data):
     assert adjoint(x + y) == adjoint(x) + adjoint(y)
 
 
-@pytest.mark.parametrize("domain", DOMAINS)
-@LAWS
-@given(data=st.data())
-def test_json_round_trip(domain, data):
-    x = data.draw(elements(domain))
-    assert DOMAINS[domain][0].from_json(x.to_json(), N) == x
-
-
 @LAWS
 @given(data=st.data())
 def test_quotient_is_a_star_homomorphism_killing_compacts(data):

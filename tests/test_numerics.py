@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bdshift.scalars import Scalar, ZERO, ONE
+from bdshift.scalars import Scalar, ZERO, ONE, _canonical
 from bdshift.errors import NotFinite, WindowTooSmall
 from bdshift.profinite import LocallyConstantFunction, SupernaturalNumber
 from bdshift.sequences import EPSequence, ep_constant
@@ -19,17 +19,15 @@ from bdshift.algebra import (
     multiply,
     p0_element,
     u_element,
-    ustar_element,
     v_element,
 )
 from bdshift import numerics
 from bdshift.numerics import (
+    _bands,
     nonzero_entries,
     norm_lower,
     oracle_product_check,
-    quotient_norm_estimate,
     quotient_norm_report,
-    truncate_exact,
     truncate_unilateral,
     write_matrix_csv,
 )
@@ -67,7 +65,7 @@ def test_truncation_matrices():
         want[k + 1, k] = 1.0
     assert np.array_equal(A, want)
     # adjoint truncates to the conjugate transpose
-    B = truncate_unilateral(ustar_element(N4), 4)
+    B = truncate_unilateral(u_element(N4, -1), 4)
     assert np.array_equal(B, want.conj().T)
     a = EPSequence({1: Scalar(2)}, [Scalar(0), Scalar(0, 1)], N4)
     D = truncate_unilateral(diag_element(a), 4)
@@ -117,16 +115,19 @@ def test_truncate_unilateral_matches_per_entry_reference():
 
 
 def test_truncate_exact_matches_float():
+    # each float entry is complex of the exact entry the band reader gives
     rng = random.Random(20240130)
     for _ in range(40):
         x = rand_unilateral(rng, N6, [1, 2, 3, 6])
         M = rng.choice([5, 9, 16])
-        sparse = truncate_exact(x, M)
+        den, (bands,) = _bands(M, x)
+        exact = {(j + n, j): _canonical(re[j], im[j], den)
+                 for n, (re, im) in bands.items()
+                 for j in range(max(-n, 0), M - max(n, 0))}
         dense = truncate_unilateral(x, M)
         for i in range(M):
             for j in range(M):
-                v = sparse.get((i, j), ZERO)
-                assert complex(v) == dense[i, j]
+                assert complex(exact.get((i, j), ZERO)) == dense[i, j]
 
 
 def test_oracle_product_check():
@@ -177,7 +178,7 @@ def test_norm_lower_frozen_values():
 
 def test_norm_lower_monotone_and_bounded():
     rng = random.Random(20240201)
-    x = u_element(N4) + ustar_element(N4)
+    x = u_element(N4) + u_element(N4, -1)
     vals = [norm_lower(x, M) for M in (4, 8, 16, 32)]
     for lo, hi in zip(vals, vals[1:]):
         assert hi >= lo - 1e-12
@@ -194,27 +195,30 @@ def test_norm_lower_matches_the_path_graph_norm():
     # the M x M truncation of U + U* is the adjacency matrix of the path
     # on M vertices, whose largest eigenvalue is 2 cos(pi / (M + 1)); its
     # top eigenvalues cluster, which is where an iteration stalls
-    x = u_element(N4) + ustar_element(N4)
+    x = u_element(N4) + u_element(N4, -1)
     for M in (16, 64, 512):
         exact = 2 * math.cos(math.pi / (M + 1))
         assert abs(norm_lower(x, M) - exact) <= 1e-12 * exact, M
 
 
 def test_quotient_norm_frozen_values():
+    def estimate(b, N, G):
+        return quotient_norm_report(b, N, G, rounds=1)["final"]
+
     V = v_element(N2)
-    assert abs(quotient_norm_estimate(V, N2, 8) - 1.0) < 1e-12
+    assert abs(estimate(V, N2, 8) - 1.0) < 1e-12
     x = V + v_element(N2, -1)
-    assert abs(quotient_norm_estimate(x, N2, 16) - 2.0) < 1e-12
+    assert abs(estimate(x, N2, 16) - 2.0) < 1e-12
     g = LocallyConstantFunction([Scalar(3), Scalar(-4)], N2)
-    assert abs(quotient_norm_estimate(bilateral_diag(g), N2, 4) - 4.0) < 1e-12
+    assert abs(estimate(bilateral_diag(g), N2, 4) - 4.0) < 1e-12
     with pytest.raises(NotFinite):
-        quotient_norm_estimate(
+        estimate(
             BilateralElement({1: LocallyConstantFunction([ONE], N2INF)}, N2INF),
             N2INF,
             4,
         )
     with pytest.raises(ValueError):
-        quotient_norm_estimate(V, N2, 0)
+        estimate(V, N2, 0)
 
 
 def test_quotient_norm_report_refines():
@@ -248,7 +252,8 @@ def test_quotient_norm_report_reuses_the_coarser_grid(monkeypatch):
         assert len(evals) == G << (rounds - 1)
         assert rep["grid"] == [G << r for r in range(rounds)]
         assert rep["value"] == [
-            quotient_norm_estimate(x, N3, grid) for grid in rep["grid"]]
+            quotient_norm_report(x, N3, grid, rounds=1)["final"]
+            for grid in rep["grid"]]
 
 
 def test_quotient_norm_below_truncation_norm():
@@ -258,7 +263,7 @@ def test_quotient_norm_below_truncation_norm():
 
     for _ in range(10):
         x = rand_unilateral(rng, N2, [1, 2], max_deg=2)
-        qn = quotient_norm_estimate(quotient(x), N2, 32)
+        qn = quotient_norm_report(quotient(x), N2, 32, rounds=1)["final"]
         # truncation norms increase to the true norm, which dominates
         up = 0.0
         for M in (64, 128, 256, 512):

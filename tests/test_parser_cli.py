@@ -272,6 +272,20 @@ MALFORMED_WORKSPACES = {
     "coeffs_as_list": ("laurent 'f'", _set(["laurent", "f", "coeffs"], [])),
     "sequences_as_list": ("'sequences'", _set(["sequences"], [])),
     "top_level_list": ("workspace", None),
+    # an integer key has one spelling, str(int(key)): otherwise two keys
+    # of one object name the same integer and the last one wins
+    "correction_key_twice": ("sequence 'beta'",
+                             _set(["sequences", "beta", "correction", "01"],
+                                  [7, 1, 0, 1])),
+    "n_factor_twice": ("N", _set(["N", "factors", "02"], 3)),
+    "underscore_key": ("laurent 'f'",
+                       _set(["laurent", "f", "coeffs", "1_0"], [1, 1, 0, 1])),
+    "signed_key": ("derivation 'd'",
+                   _set(["derivations", "d", "components", "+1"],
+                        {"ep": {"period": 1, "table": [[5, 1, 0, 1]]}})),
+    "padded_key": ("sequence 'beta'",
+                   _set(["sequences", "beta", "correction", " 1"],
+                        [7, 1, 0, 1])),
 }
 
 
@@ -552,13 +566,12 @@ def test_cli_normalize(capsys, ws_path):
 def test_cli_mul_and_comm(capsys, ws_path):
     code, payload = run_cli(capsys, "mul", "--workspace", ws_path, "U", "Us")
     assert code == 0
-    x = UnilateralElement.from_json(payload, N2)
-    assert x == identity_element(N2) - p0_element(N2)
+    assert payload == (identity_element(N2) - p0_element(N2)).to_json()
     code, payload = run_cli(
         capsys, "comm", "--workspace", ws_path, "Us", "U"
     )
     assert code == 0
-    assert UnilateralElement.from_json(payload, N2) == p0_element(N2)
+    assert payload == p0_element(N2).to_json()
 
 
 def _ascending(pairs):
@@ -635,11 +648,10 @@ def test_cli_derive(capsys, ws_path):
         capsys, "derive", "--workspace", ws_path, "--derivation", "d", "U"
     )
     assert code == 0
-    img = UnilateralElement.from_json(payload, N2)
     ws = make_workspace()
     from bdshift.derivations import apply
 
-    assert img == apply(ws.derivations["d"], u_element(N2))
+    assert payload == apply(ws.derivations["d"], u_element(N2)).to_json()
 
 
 def test_cli_classify_and_extract(capsys, ws_path):
@@ -664,8 +676,7 @@ def test_cli_defect(capsys, ws_path):
     )
     assert code == 0
     assert payload["compact"] is True
-    d = UnilateralElement.from_json(payload["defect"], N2)
-    assert d == p0_element(N2)
+    assert payload["defect"] == p0_element(N2).to_json()
 
 
 def test_cli_units(capsys, ws_path):
@@ -1209,7 +1220,7 @@ def test_cli_huge_finite_exponent_is_rejected(capsys, tmp_path):
         assert code == want
         assert time.perf_counter() - start < 2.0
     assert load_workspace(str(path)).N.as_int() == 2 ** MAX_N_BITS
-    # at the bound qnorm reaches its window cap instead of failing to
+    # at the bound qnorm reaches its table cap instead of failing to
     # format N
     code, _ = run_cli(capsys, "qnorm", "--workspace", str(path), "V")
     assert code == 3
@@ -1252,6 +1263,32 @@ def test_cli_oversized_windows_fail_fast(capsys, ws_path, tmp_path):
         cli._check_window(cli.MAX_WINDOW + 1)
     with pytest.raises(MathDomainError):
         cli._check_window(1, cli.MAX_GRID + 1)
+
+
+def test_cli_qnorm_table_is_capped_like_matrix_form(capsys, tmp_path):
+    # qnorm evaluates the N x N matrix form: N = 2^7 has 16384 entries,
+    # past MAX_WINDOW, while N = 2^6 has exactly 4096
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps({"N": {"factors": {"2": 7}}}))
+    start = time.perf_counter()
+    code = cli.main(["qnorm", "--workspace", str(path), "V + Vi"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "" and str(cli.MAX_WINDOW) in err
+    assert time.perf_counter() - start < 1.0
+    path.write_text(json.dumps({"N": {"factors": {"2": 6}}}))
+    code, payload = run_cli(capsys, "qnorm", "--workspace", str(path),
+                            "V + Vi", "--grid", "1", "--rounds", "1")
+    assert code == 0 and abs(payload["final"] - 2.0) < 1e-12
+
+
+def test_cli_value_too_wide_to_print_writes_nothing(capsys):
+    # 2^(2^20) has 315653 digits, past CPython's limit for str(int): the
+    # whole document or nothing reaches stdout
+    code = cli.main(["normalize", "2^1024^1024"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("domain error: value too wide to print")
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_cli_requires_command(capsys):

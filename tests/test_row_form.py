@@ -164,4 +164,3 @@ def test_products_leave_the_row_form(element, data):
     other = multiply(scale(x, c), scale(y, 1 / c))
     assert other == product and hash(other) == hash(product)
     assert other.to_json() == product.to_json()
-    assert_same(element.from_json(product.to_json(), N), product)

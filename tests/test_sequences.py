@@ -20,7 +20,6 @@ from bdshift.sequences import (
     ep_supnorm_sq,
     ep_zero,
     increment,
-    mean_decompose_mod,
     partial_sums,
 )
 
@@ -94,7 +93,7 @@ def test_affine_value():
     beta = AffineSequence(Scalar(2), ep_constant(Scalar(1), N4))
     assert beta.value_at(0) == Scalar(3)
     assert beta.value_at(4) == Scalar(11)
-    assert not beta.is_bounded()
+    assert beta.linear
 
 
 def test_increment_partial_sums_inverse():
@@ -109,18 +108,6 @@ def test_increment_partial_sums_inverse():
         for k in range(9):
             total = total + alpha.value_at(k)
             assert beta.value_at(k) == total
-
-
-def test_mean_decompose():
-    alpha = EPSequence({1: Scalar(4)}, [Scalar(1), Scalar(3)], N4)
-    corr, mean, per = mean_decompose_mod(alpha, 4)
-    assert mean == Scalar(2)
-    assert corr == {1: Scalar(4)}
-    assert per == [Scalar(-1), Scalar(1), Scalar(-1), Scalar(1)]
-    corr2, mean2, per2 = mean_decompose_mod(alpha, 2)
-    assert mean2 == mean and per2 == [Scalar(-1), Scalar(1)]
-    with pytest.raises(PeriodNotDivisor):
-        mean_decompose_mod(alpha, 3)
 
 
 def test_ep_json_round_trip():
