@@ -611,9 +611,6 @@ class LaurentFunction:
     def coefficient(self, j):
         return self.coeffs.get(j, _ZERO)
 
-    def support(self):
-        return sorted(self.coeffs)
-
     def is_zero(self):
         return not self.coeffs
 
@@ -657,13 +654,6 @@ class LaurentFunction:
     def derivative(self):
         """(1/i) d/dt: z^j goes to j z^j."""
         return LaurentFunction({j: j * c for j, c in self.coeffs.items()})
-
-    def value(self, z):
-        """Float value at complex z, summing powers in ascending order."""
-        val = 0j
-        for j, c in sorted(self.coeffs.items()):
-            val += complex(c) * z**j
-        return val
 
     def __repr__(self):
         return f"LaurentFunction({self.coeffs!r})"
@@ -756,11 +746,6 @@ class MatrixTrigPoly:
     def conjugate_transpose(self):
         return MatrixTrigPoly(self.size, [
             [p.conjugate() for p in col] for col in zip(*self.entries)])
-
-    def eval_at(self, z):
-        """Float evaluation at a complex number z (|z| = 1 intended);
-        returns a nested list of complex values."""
-        return [[p.value(z) for p in row] for row in self.entries]
 
     def __repr__(self):
         return f"MatrixTrigPoly(size={self.size})"

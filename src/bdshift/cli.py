@@ -67,13 +67,6 @@ def _derivation(args, env):
     return d
 
 
-def _laurent(args, env):
-    f = env.laurent.get(args.laurent)
-    if f is None:
-        raise UnknownName(f"no Laurent function named {args.laurent!r}")
-    return f
-
-
 def _check_window(dim, grid=0):
     """Refuse a window or a theta grid too large to build, before any
     build allocates it."""
@@ -83,13 +76,15 @@ def _check_window(dim, grid=0):
         raise MathDomainError(f"grid of {grid} points exceeds {MAX_GRID}")
 
 
-def _check_table(N):
-    """Refuse the N x N table of units, matrix-form or qnorm beyond
-    MAX_WINDOW entries; an infinite N is left to the builders, which
-    raise NotFinite."""
-    if N.is_finite():
-        n = N.as_int()
-        _check_window(n * n)
+def _check_table(N, J=None):
+    """Refuse an N x N table past MAX_WINDOW entries (units, matrix-form,
+    the qnorm grid, at level J if N is infinite), in one line that gives
+    the level's bit length; an infinite N alone is left to NotFinite."""
+    name, n = ("N", N.as_int()) if N.is_finite() else ("J", J)
+    if n is not None and n * n > MAX_WINDOW:
+        raise MathDomainError(
+            f"the {name} x {name} table exceeds {MAX_WINDOW} entries: "
+            f"{name} has {n.bit_length()} bits")
 
 
 def _component_json(comp):
@@ -100,28 +95,26 @@ def _component_json(comp):
     }
 
 
-def _implementation(args, env, M):
-    """Implementation data, checked against the window [-M, M]."""
+def _implementation(args, env, width):
+    """Implementation data, checked against width = 2M + 1 per [-M, M]."""
     from . import gns
-    d = _derivation(args, env)
-    quotient = derivations.quotient_derivation(d)
-    comp = quotient.get(args.n)
+    comp = derivations.quotient_derivation(_derivation(args, env)).get(args.n)
     if comp is None:
         comp = derivations.bilateral_zero_component(args.n, env.N)
     psi = None
-    if getattr(args, "psi", None) is not None:
+    if args.psi is not None:
         psi = env.sequences.get(args.psi)
         if not isinstance(psi, LocallyConstantFunction):
             raise UnknownName(f"no locally constant function {args.psi!r}")
-    c = None if getattr(args, "c", None) is None else parse_gaussian(args.c)
-    level = getattr(args, "level", None)
-    data = gns.implementation_from_bilateral(comp, psi=psi, c=c, level=level)
+    c = None if args.c is None else parse_gaussian(args.c)
+    data = gns.implementation_from_bilateral(comp, psi=psi, c=c,
+                                             level=args.level)
     # --c shapes only the tau_0 operator and --psi only the Haar one
     unused = {"haar": "c", "tau0": "psi"}[args.space]
-    if getattr(args, unused, None) is not None:
+    if getattr(args, unused) is not None:
         raise ValueError(f"--{unused} is not used with --space {args.space}")
     fiber = data.level if args.space == "haar" else 1
-    _check_window((2 * M + 1) * fiber, getattr(args, "grid", 0))
+    _check_window(width * fiber, getattr(args, "grid", 0))
     return data
 
 
@@ -207,7 +200,10 @@ def cmd_extract_f(args):
 
 def cmd_df_build(args):
     env = _env(args)
-    _emit(derivations.d_f_build(_laurent(args, env), env.N).to_json())
+    f = env.laurent.get(args.laurent)
+    if f is None:
+        raise UnknownName(f"no Laurent function named {args.laurent!r}")
+    _emit(derivations.d_f_build(f, env.N).to_json())
 
 
 def cmd_toeplitz(args):
@@ -270,7 +266,7 @@ def cmd_gns_rep(args):
 def cmd_gns_d(args):
     from . import gns
     env = _env(args)
-    data = _implementation(args, env, args.m)
+    data = _implementation(args, env, 2 * args.m + 1)
     D = gns.build_D(data, args.space, args.m)
     _emit(_matrix_out(D, args, {
         "space": args.space,
@@ -284,7 +280,7 @@ def cmd_gns_d(args):
 def cmd_covcheck(args):
     from . import gns
     env = _env(args)
-    data = _implementation(args, env, args.m)
+    data = _implementation(args, env, 2 * args.m + 1)
     D = gns.build_D(data, args.space, args.m)
     thetas = [2 * math.pi * k / args.grid for k in range(args.grid)]
     residual = gns.check_covariance(D, data.n, args.m, thetas)
@@ -304,7 +300,8 @@ def cmd_parametrix(args):
     _check_window(abs(args.n))
     env = _env(args)
     Ms = [int(s) for s in args.mlist.split(",") if s]
-    data = _implementation(args, env, max(Ms, default=0))
+    # every shell is built, so the windows of the list count together
+    data = _implementation(args, env, sum(2 * max(M, 0) + 1 for M in Ms))
     _emit(gns.parametrix_report(data, Ms, space=args.space))
 
 
@@ -336,6 +333,7 @@ def cmd_qnorm(args):
     shift = min(args.rounds - 1, MAX_GRID.bit_length())
     _check_window(0, args.grid << shift if shift >= 0 else 0)
     b = _eval(args, env, args.expr)
+    _check_table(env.N, numerics.symbol_period(b))
     _emit(numerics.quotient_norm_report(b, env.N, args.grid,
                                         rounds=args.rounds))
 

@@ -6,17 +6,18 @@ authoritative; every float appears only in bounds and reports.  One band
 reader rescales the coefficients' integer rows to one denominator; the
 exact and the float truncation read it, and the product oracle multiplies
 the rows of the factors as integers and divides the same bands for its
-float check.  A float norm is one direct SVD, with no iteration to settle.
+float check.  A float norm is one direct SVD, with no iteration to settle;
+in B(N) it is of the J x J symbol of the coefficients' common period J.
 """
 
-import cmath
 import math
 from collections import namedtuple
 
 import numpy as np
 
-from .errors import NotFinite, WindowTooSmall
-from .algebra import multiply, to_matrix_form
+from .errors import WindowTooSmall
+from .algebra import multiply
+from .profinite import _common_period
 
 
 def _bands(M, *elements):
@@ -130,32 +131,50 @@ def norm_lower(a, M):
     return float(np.linalg.norm(truncate_unilateral(a, M), 2))
 
 
-def quotient_norm_report(b, N, G, rounds=3):
-    """Grid-refinement log for the quotient norm estimate.
+def symbol_period(b):
+    """The common period J of b's coefficients: b lies in B(J)."""
+    return _common_period(b.N, *(f.period for f in b.terms.values()))
 
-    Node m of the grid g is node 2m of the grid 2g: its angle
-    2 pi m / g comes out bit for bit alike, as doubling is exact.  So each
-    doubled grid evaluates only its odd nodes, and its value is the max
-    of those and the value of the grid before."""
-    if not N.is_finite():
-        raise NotFinite("the matrix picture needs a finite N")
+
+def _symbol_norms(terms, J, Q, t):
+    """||S(e^(2 pi i t / Q))|| for the integers t by one batched SVD."""
+    S = np.zeros((len(t), J, J), dtype=complex)
+    for n, rows, c in terms:
+        theta = (2 * np.pi) * (t * (n % Q) % Q) / Q  # t n reduced exactly
+        S[:, rows, np.arange(J)] += np.exp(1j * theta)[:, None] * c
+    return np.linalg.norm(S, 2, axis=(1, 2))
+
+
+def quotient_norm_report(b, N, G, rounds=3):
+    """Grid-refinement log for the norm of b in B(N), from its symbol.
+
+    b lies in B(J), J its coefficients' common period, and isometrically:
+    ||b|| = max ||S(zeta)|| on the circle, S(zeta) = sum_n zeta^n C^n
+    diag(c_n) on C^J, C the cyclic shift.  Grid g samples level L = N (J
+    at an infinite N): the L x L matrix form at z = e^(2 pi i m / g) has
+    norm max ||S(zeta)|| over zeta^L = z, and diag(w^x) conjugates S(zeta)
+    to S(zeta w) for w^J = 1, so the gL / J nodes e^(2 pi i t / gL) carry
+    every value; node t of grid g is node 2t of grid 2g, bit for bit."""
     if G < 1:
         raise ValueError("grid needs at least one node")
     if rounds < 1:
         raise ValueError(f"grid refinement needs at least one round, "
                          f"got {rounds}")
-    F = to_matrix_form(b, N)
+    J = symbol_period(b)
+    L = N.as_int() if N.is_finite() else J
+    terms = [(n, (np.arange(J) + n) % J, [complex(p / f.den, q / f.den)
+              for p, q in zip(*f._rows(f.den, J)[:2])])
+             for n, f in sorted(b.terms.items())]
+    chunk = max(1, (1 << 20) // (J * J))  # at most 2^20 entries a chunk
     grids, values, best = [], [], 0.0
-    g, nodes = G, range(G)
+    g, nodes = G, np.arange(G * L // J)
     for _ in range(rounds):
-        for m in nodes:
-            z = cmath.exp(2j * math.pi * m / g)
-            A = np.array(F.eval_at(z), dtype=complex)
-            best = max(best, float(np.linalg.norm(A, 2)))
+        for t in np.array_split(nodes, -(-len(nodes) // chunk)):
+            best = max(best, float(_symbol_norms(terms, J, g * L, t).max()))
         grids.append(g)
         values.append(best)
         g *= 2
-        nodes = range(1, g, 2)
+        nodes = np.arange(1, g * L // J, 2)
     return {"grid": grids, "value": values, "final": values[-1]}
 
 

@@ -133,9 +133,6 @@ class SupernaturalNumber:
             n *= p ** e
         return n
 
-    def exponent(self, p):
-        return self.factors.get(p, 0)
-
     def __eq__(self, other):
         if not isinstance(other, SupernaturalNumber):
             return NotImplemented

@@ -333,7 +333,8 @@ def test_laurent_functions_ignore_insertion_order():
         f = LaurentFunction(dict(coeffs))
         g = LaurentFunction(dict(reversed(coeffs)))
         assert f == g and hash(f) == hash(g)
-        assert f.support() == g.support() == sorted(f.coeffs)
+        # the JSON lists the powers ascending, whatever the insertion order
+        assert list(f.to_json()["coeffs"]) == list(map(str, sorted(g.coeffs)))
     # the order the powers are first met is kept, zeros dropped
     f = LaurentFunction({2: ONE, -1: Scalar(3), 0: ZERO, 1: ONE})
     assert list(f.coeffs) == [2, -1, 1]
@@ -342,10 +343,5 @@ def test_laurent_functions_ignore_insertion_order():
 def test_matrix_form_eval():
     # V at N=2 becomes [[0, z], [1, 0]]
     F = to_matrix_form(v_element(N2), N2)
-    vals = F.eval_at(1 + 0j)
-    assert abs(vals[0][0]) < 1e-15 and abs(vals[1][1]) < 1e-15
-    assert abs(vals[1][0] - 1) < 1e-15
-    assert abs(vals[0][1] - 1) < 1e-15
-    vals = F.eval_at(-1 + 0j)
-    assert abs(vals[0][1] + 1) < 1e-15
+    assert F == MatrixTrigPoly(2, [[{}, {1: ONE}], [{0: ONE}, {}]])
 

@@ -3,7 +3,8 @@
 Each case draws a command, one of the benchmark workspaces, its flags and
 its expressions, built from the expression grammar of `bdshift.parser`.
 Exponents, degree spans and window sizes are drawn inside and just past
-their caps (`parser.MAX_EXPONENT`, `parser.MAX_SPAN`, `cli.MAX_WINDOW`).
+their caps (`parser.MAX_EXPONENT`, `parser.MAX_SPAN`, `cli.MAX_WINDOW`,
+`cli.MAX_GRID`).
 Whatever it draws, the CLI must answer with a documented exit code (0-4),
 print no traceback and answer fast; on success it prints JSON that lists
 every integer-keyed object ascending.  The generic exponents are at most
@@ -68,6 +69,13 @@ WINDOWS = st.sampled_from(["1", "8", str(cli.MAX_WINDOW + 1)])
 LEVELS = st.sampled_from(["1", "2", "6", str(cli.MAX_WINDOW),
                           str(cli.MAX_WINDOW + 1)])
 DEGREES = st.integers(-3, 3).map(str)
+# a qnorm grid and round count inside and past cli.MAX_GRID: the last grid
+# is grid * 2^(rounds - 1)
+GRIDS = st.sampled_from(["1", "8", str(cli.MAX_GRID), str(cli.MAX_GRID + 1)])
+ROUNDS = st.sampled_from(["1", "2", "13"])
+# short lists, and long ones whose summed window exceeds cli.MAX_WINDOW
+MLISTS = st.sampled_from(["8", "4,8,16", "2047", "2047,2047",
+                          ",".join(["8"] * 100), ",".join(["2047"] * 26000)])
 STATES = st.one_of(
     st.sampled_from([[], ["--state", "tau0"], ["--state", "tau0", "--level",
                                                "2"]]),
@@ -116,6 +124,11 @@ REQUESTS = st.one_of(
     _request("fejer", st.just(["--derivation", "d", "--m"]),
              st.sampled_from(["0", "3"])),
     _request("classify", st.just(["--derivation", "d", "--n"]), DEGREES),
+    _request("qnorm", st.just("--grid"), GRIDS, st.just("--rounds"), ROUNDS,
+             EXPRS["bilateral"]),
+    _request("parametrix", st.just(["--derivation", "d", "--n"]), DEGREES,
+             st.sampled_from([[], ["--space", "haar"]]), st.just("--mlist"),
+             MLISTS),
 )
 
 FUZZ = settings(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bdshift.scalars import Scalar, ZERO, ONE, _canonical
-from bdshift.errors import NotFinite, WindowTooSmall
+from bdshift.errors import WindowTooSmall
 from bdshift.profinite import LocallyConstantFunction, SupernaturalNumber
 from bdshift.sequences import EPSequence, ep_constant
 from bdshift.algebra import (
@@ -211,12 +211,12 @@ def test_quotient_norm_frozen_values():
     assert abs(estimate(x, N2, 16) - 2.0) < 1e-12
     g = LocallyConstantFunction([Scalar(3), Scalar(-4)], N2)
     assert abs(estimate(bilateral_diag(g), N2, 4) - 4.0) < 1e-12
-    with pytest.raises(NotFinite):
-        estimate(
-            BilateralElement({1: LocallyConstantFunction([ONE], N2INF)}, N2INF),
-            N2INF,
-            4,
-        )
+    # at an infinite N the grid samples the level J of the coefficients
+    assert estimate(
+        BilateralElement({1: LocallyConstantFunction([ONE], N2INF)}, N2INF),
+        N2INF,
+        4,
+    ) == 1.0
     with pytest.raises(ValueError):
         estimate(V, N2, 0)
 
@@ -231,29 +231,89 @@ def test_quotient_norm_report_refines():
 
 
 def test_quotient_norm_report_reuses_the_coarser_grid(monkeypatch):
-    from bdshift.algebra import MatrixTrigPoly
-
     N3 = SupernaturalNumber.from_int(3)
     g = LocallyConstantFunction([Scalar(1, 2), Scalar(-3), ONE], N3)
     x = (v_element(N3) * bilateral_diag(g) + v_element(N3, -2)
          + bilateral_diag(g))
     evals = []
-    eval_at = MatrixTrigPoly.eval_at
+    symbol_norms = numerics._symbol_norms
 
-    def counted(self, z):
-        evals.append(z)
-        return eval_at(self, z)
+    def counted(terms, J, Q, t):
+        evals.extend(t)
+        return symbol_norms(terms, J, Q, t)
 
-    monkeypatch.setattr(MatrixTrigPoly, "eval_at", counted)
+    monkeypatch.setattr(numerics, "_symbol_norms", counted)
     for G, rounds in ((4, 3), (5, 2), (3, 1)):
         evals.clear()
         rep = quotient_norm_report(x, N3, G, rounds=rounds)
-        # each doubling evaluates only the nodes the coarser grid lacks
+        # each doubling evaluates only the symbol nodes the coarser grid
+        # lacks; the period is J = N = 3, so grid G has G nodes
         assert len(evals) == G << (rounds - 1)
         assert rep["grid"] == [G << r for r in range(rounds)]
         assert rep["value"] == [
             quotient_norm_report(x, N3, grid, rounds=1)["final"]
             for grid in rep["grid"]]
+
+
+def _matrix_form_report(b, N, G, rounds):
+    """The report from the N x N matrix form: each grid's value is the
+    largest norm of F(e^(2 pi i m / g)) over it and the coarser grids."""
+    from bdshift.algebra import to_matrix_form
+
+    F = to_matrix_form(b, N)
+    grids, values, best = [], [], 0.0
+    for r in range(rounds):
+        g = G << r
+        for m in range(g):
+            z = np.exp(2j * np.pi * m / g)
+            A = [[sum(complex(c) * z ** w for w, c in p.coeffs.items())
+                  for p in row] for row in F.entries]
+            best = max(best, float(np.linalg.norm(np.array(A), 2)))
+        grids.append(g)
+        values.append(best)
+    return grids, values
+
+
+def _rand_bilateral(rng, N, periods, degrees):
+    return BilateralElement({
+        n: LocallyConstantFunction(
+            [rand_scalar(rng) for _ in range(rng.choice(periods))], N)
+        for n in rng.sample(degrees, rng.randint(1, 4))}, N)
+
+
+def test_quotient_norm_report_matches_the_matrix_form():
+    # the symbol of the common period J gives the norms of the N x N
+    # matrix form, node by node of every grid
+    rng = random.Random(20261019)
+    for n in (1, 2, 3, 4, 6, 8, 12):
+        N = SupernaturalNumber.from_int(n)
+        periods = [j for j in range(1, n + 1) if n % j == 0]
+        for _ in range(4):
+            b = _rand_bilateral(rng, N, periods, range(-7, 8))
+            G, rounds = rng.choice((1, 3, 4, 5)), rng.randint(1, 3)
+            rep = quotient_norm_report(b, N, G, rounds=rounds)
+            grids, values = _matrix_form_report(b, N, G, rounds)
+            assert rep["grid"] == grids and rep["final"] == rep["value"][-1]
+            for got, want in zip(rep["value"], values, strict=True):
+                assert abs(got - want) <= 1e-12 * max(want, 1.0), (n, b)
+
+
+def test_quotient_norm_report_at_infinite_n_samples_level_j():
+    # at N = 2^inf the grid is the one of N = J, the common period, for
+    # the same tables
+    rng = random.Random(20261020)
+    for _ in range(12):
+        tables = {n: [rand_scalar(rng) for _ in range(j)]
+                  for n, j in zip(rng.sample(range(-5, 6), 3),
+                                  rng.choices((1, 2, 4, 8), k=3))}
+        G, rounds = rng.choice((1, 2, 7)), rng.randint(1, 3)
+        b = BilateralElement({n: LocallyConstantFunction(t, N2INF)
+                              for n, t in tables.items()}, N2INF)
+        NJ = SupernaturalNumber.from_int(numerics.symbol_period(b))
+        bJ = BilateralElement({n: LocallyConstantFunction(t, NJ)
+                               for n, t in tables.items()}, NJ)
+        assert (quotient_norm_report(b, N2INF, G, rounds=rounds)
+                == quotient_norm_report(bJ, NJ, G, rounds=rounds))
 
 
 def test_quotient_norm_below_truncation_norm():

@@ -348,7 +348,7 @@ def test_n_exponents_that_load():
         assert SupernaturalNumber.from_json({"factors": factors}).as_int() == N
     for e in ("inf", inf):
         N = SupernaturalNumber.from_json({"factors": {"2": e}})
-        assert N == SupernaturalNumber({2: "inf"}) and N.exponent(2) == inf
+        assert N == SupernaturalNumber({2: "inf"}) and N.factors[2] == inf
     assert SupernaturalNumber.from_json({}) == SupernaturalNumber.from_int(1)
 
 
@@ -495,9 +495,9 @@ MATRIX_MD5 = {
         "542021923eb514edd4bc82e14313609c", "d283d73c03829d2177e725fc567daf63",
     ),
     "ws_n6": (
-        "977bb00cb5d3dfb406156803698dbf13", "9dde7dcfc49366ea8c02ec2ad0d06643",
+        "977bb00cb5d3dfb406156803698dbf13", "a19bd87299ab52e2d2ddb3ce71a49d42",
         "6ff0582416135c8cef5434752ce05c45", "ca0b563cbc65ce5ecd391ad646a7b747",
-        "22d612eb1a0c8b940d0e2b0bd5004a19", "d7e1d05681bc90e73bdd9f6391a85bf8",
+        "22d612eb1a0c8b940d0e2b0bd5004a19", "50b0c64ad4bcf5e5032226c308bd96d0",
         "1b6e5b59268e0c29181054de3fe89872", "8ff3a55b46047cdf7674941f3401bf1f",
     ),
 }
@@ -839,6 +839,29 @@ def test_cli_normest_and_qnorm(capsys, ws_path):
     assert abs(payload["final"] - 2.0) < 1e-12
 
 
+def test_cli_qnorm_at_infinite_n_samples_level_j(capsys, tmp_path):
+    # ws_n2inf's y has period 8: at N = 2^inf qnorm prints what it prints
+    # for the same tables at N = 8, and a period past 64 is refused
+    data = json.loads((WORKSPACES / "ws_n2inf.json").read_text())
+    data["N"] = {"factors": {"2": 3}}
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(data))
+    outs = []
+    for ws in (str(WORKSPACES / "ws_n2inf.json"), str(path)):
+        code = cli.main(["qnorm", "--workspace", ws, "V + Vi + diag(y)",
+                         "--grid", str(cli.MAX_GRID), "--rounds", "1"])
+        outs.append(capsys.readouterr().out)
+        assert code == 0
+    assert outs[0] == outs[1]
+    data = {"N": {"factors": {"2": "inf"}},
+            "sequences": {"z": {"period": 128, "values": [[1, 1, 0, 1]] * 127
+                                + [[0, 1, 0, 1]]}}}
+    path.write_text(json.dumps(data))
+    code = cli.main(["qnorm", "--workspace", str(path), "diag(z)"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "" and "J has 8 bits" in err
+
+
 def test_cli_exit_codes(capsys, ws_path, tmp_path, monkeypatch):
     # usage: unknown flag
     code, _ = run_cli(capsys, "normalize", "--bogus", "U")
@@ -1166,7 +1189,7 @@ def test_cli_large_prime_workspace_fails_fast(capsys, tmp_path):
     )
     start = time.perf_counter()
     ws = load_workspace(str(path))
-    assert ws.N.exponent(1000000000000000003) == float("inf")
+    assert ws.N.factors[1000000000000000003] == float("inf")
     assert time.perf_counter() - start < 2.0
 
 
@@ -1266,8 +1289,9 @@ def test_cli_oversized_windows_fail_fast(capsys, ws_path, tmp_path):
 
 
 def test_cli_qnorm_table_is_capped_like_matrix_form(capsys, tmp_path):
-    # qnorm evaluates the N x N matrix form: N = 2^7 has 16384 entries,
-    # past MAX_WINDOW, while N = 2^6 has exactly 4096
+    # qnorm samples its grid at level N, the size of the matrix form: the
+    # N x N table at N = 2^7 has 16384 entries, past MAX_WINDOW, while
+    # N = 2^6 has exactly 4096
     path = tmp_path / "ws.json"
     path.write_text(json.dumps({"N": {"factors": {"2": 7}}}))
     start = time.perf_counter()
@@ -1279,6 +1303,38 @@ def test_cli_qnorm_table_is_capped_like_matrix_form(capsys, tmp_path):
     code, payload = run_cli(capsys, "qnorm", "--workspace", str(path),
                             "V + Vi", "--grid", "1", "--rounds", "1")
     assert code == 0 and abs(payload["final"] - 2.0) < 1e-12
+
+
+def test_cli_table_refusal_is_one_short_line(capsys, tmp_path):
+    # at N = 2^MAX_N_BITS the table has N^2 entries, 2467 digits in full
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps({"N": {"factors": {"2": MAX_N_BITS}}}))
+    for argv in (["units"], ["matrix-form", "V"], ["qnorm", "V"]):
+        code = cli.main([argv[0], "--workspace", str(path), *argv[1:]])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == "", argv
+        assert err.count("\n") == 1 and len(err.encode()) < 200, err
+        assert str(cli.MAX_WINDOW) in err and "4097 bits" in err
+
+
+def test_cli_parametrix_caps_the_summed_window(capsys, ws_path):
+    # every shell of --mlist is built: one 2047 entry is a 4095-wide
+    # window, two exceed MAX_WINDOW together, and a long list is refused
+    # before any shell is built
+    gns = ["--workspace", ws_path, "--derivation", "d", "--n", "0"]
+    for mlist in ("2047,2047", ",".join(["2047"] * 26000),
+                  ",".join(["8"] * 300)):
+        start = time.perf_counter()
+        code, _ = run_cli(capsys, "parametrix", *gns, "--mlist", mlist)
+        assert code == 3, mlist[:20]
+        assert time.perf_counter() - start < 1.0
+    # in the Haar space each window carries level = 2 vectors per block
+    code, _ = run_cli(capsys, "parametrix", *gns, "--space", "haar",
+                      "--mlist", "512,512")
+    assert code == 3
+    code, payload = run_cli(capsys, "parametrix", *gns, "--mlist",
+                            ",".join(["8"] * 8))
+    assert code == 0 and payload["M"] == [8] * 8
 
 
 def test_cli_value_too_wide_to_print_writes_nothing(capsys):

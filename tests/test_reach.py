@@ -7,11 +7,14 @@ alone does not keep a name: code that only its own test calls is dead
 weight.  A reference is a name, an attribute or an imported name; a
 string (a hook table's "module.name") is not.  Inside the package an
 import counts only through the uses of the imported name, so an import
-left behind keeps nothing alive, and is reported on its own.
+left behind keeps nothing alive, and is reported on its own.  A method
+of a package class, other than a dunder, must be referenced as an
+attribute from the same places, outside its own body.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "bdshift").glob("*.py"))
@@ -23,6 +26,9 @@ ALLOWED = {
     # the writer of workspace files; six test fixtures write theirs with it,
     # and moving it into the tests would not shrink the code
     "serialize.save_workspace",
+    # the reference for the adjoint law of the matrix form in
+    # test_matrix_form_round_trip
+    "algebra.MatrixTrigPoly.conjugate_transpose",
 }
 
 
@@ -75,6 +81,33 @@ def unreached():
     return out
 
 
+def _attributes(node):
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute))
+
+
+def unreached_methods():
+    """module.Class.method of every method that no attribute outside its
+    own body refers to."""
+    trees = {path: _parse(path) for path in SRC + CALLERS}
+    total = sum((_attributes(tree) for tree in trees.values()), Counter())
+    out = []
+    for path in SRC:
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                    continue
+                name = node.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                if total[name] == _attributes(node)[name]:
+                    out.append(f"{path.stem}.{cls.name}.{name}")
+    return out
+
+
 def _taken_from(paths):
     """(module, name) for every name a file takes from a package module:
     by a from-import, or as an attribute of a module it imported."""
@@ -120,8 +153,13 @@ def test_every_top_level_name_is_reached():
     assert not missing, "reached by nothing: " + ", ".join(missing)
 
 
+def test_every_method_is_reached():
+    missing = [name for name in unreached_methods() if name not in ALLOWED]
+    assert not missing, "reached by nothing: " + ", ".join(missing)
+
+
 def test_the_allow_list_names_only_unreached_names():
-    assert ALLOWED <= set(unreached())
+    assert ALLOWED <= set(unreached()) | set(unreached_methods())
 
 
 def test_every_import_in_the_package_is_used():
