@@ -436,8 +436,6 @@ def identity_element(N):
 
 def u_element(N, power=1):
     """U^power for power >= 1, (U*)^(-power) for power <= -1."""
-    if power == 0:
-        return identity_element(N)
     return UnilateralElement({power: ep_constant(1, N)}, N)
 
 
@@ -528,8 +526,6 @@ def bilateral_identity(N):
 
 
 def v_element(N, power=1):
-    if power == 0:
-        return bilateral_identity(N)
     return BilateralElement(
         {power: LocallyConstantFunction([Scalar(1)], N)}, N
     )

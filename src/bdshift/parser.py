@@ -17,20 +17,24 @@ MAX_EXPONENT are a math-domain error, and a digit run longer than
 MAX_DIGITS is a syntax error.  A product whose degree span
 (max - min + 1) would exceed MAX_SPAN, or whose largest |degree| would
 exceed profinite.MAX_CORRECTION_KEY, is a math-domain error, raised
-before it is formed.  diag(name) reads a workspace sequence in either
-algebra; in B(N) one with a c00 correction is a side mismatch.
+before it is formed; so is a literal power wider than MAX_DIGITS digits
+to the MAX_EXPONENT, refused by parse from the AST.  diag(name) reads a
+workspace sequence in either algebra; in B(N) one with a c00 correction
+is a side mismatch.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
-from .scalars import Scalar, ONE
+from .scalars import Scalar
 from .errors import (
     ExprSyntaxError,
     MathDomainError,
     SideMismatch,
     UnknownName,
 )
-from .profinite import MAX_CORRECTION_KEY, LocallyConstantFunction
+from .profinite import (
+    MAX_CORRECTION_KEY, LocallyConstantFunction, SupernaturalNumber)
 from .sequences import EPSequence
 from . import algebra
 
@@ -53,6 +57,8 @@ MAX_DIGITS = 4000
 # 36-47 ms in-process on a 2-core host, both on the pair loop: their
 # binomial coefficients outgrow a Kronecker slot
 MAX_SPAN = 257
+# MAX_DIGITS digits to the MAX_EXPONENT in _literal_bits' measure, 1.4e7
+_MAX_LITERAL_BITS = MAX_EXPONENT * ((10 ** MAX_DIGITS).bit_length() + 1)
 
 
 class _Token:
@@ -228,16 +234,33 @@ def parse(text):
     tok = parser.peek()
     if tok.kind != "end":
         raise ExprSyntaxError(f"trailing input {tok.text!r}", tok.pos)
+    _literal_bits(node)
     return node
+
+
+def _literal_bits(node):
+    """A bound on the bit lengths in the value of a literal-only subtree,
+    None for any other: k(b + 1) for a k-th power, b + c + 1 for a sum or
+    a product.  A wider power than _MAX_LITERAL_BITS is refused."""
+    kind, bits = node[0], []
+    if kind == "num":
+        return max(x.bit_length() for x in node[1]._t)
+    for x in node[1:]:
+        if type(x) is tuple:
+            bits.append(_literal_bits(x))
+    if kind not in ("neg", "add", "sub", "mul", "pow") or None in bits:
+        return None
+    if kind != "pow":
+        return sum(bits) + len(bits) - 1
+    out = node[2] * (bits[0] + 1)
+    if out > _MAX_LITERAL_BITS:
+        raise MathDomainError(f"a literal power of up to {out} bits exceeds "
+                              f"{_MAX_LITERAL_BITS}")
+    return out
 
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-
-def _check_exponent(k):
-    if k > MAX_EXPONENT:
-        raise MathDomainError(f"exponent {k} exceeds {MAX_EXPONENT}")
 
 
 def check_span(factors):
@@ -259,7 +282,6 @@ def check_span(factors):
 def _power(base, k, one):
     """base^k by repeated squaring.  The arithmetic is exact, so grouping
     the factors differently cannot change the result."""
-    _check_exponent(k)
     out = one
     while k:
         if k & 1:
@@ -316,7 +338,8 @@ def eval_ast(node, env, side):
         return -eval_ast(node[1], env, side)
     if kind == "pow":
         base, k = eval_ast(node[1], env, side), node[2]
-        _check_exponent(k)
+        if k > MAX_EXPONENT:
+            raise MathDomainError(f"exponent {k} exceeds {MAX_EXPONENT}")
         check_span(((base.terms, k),))
         return _power(base, k, identity())
     if kind == "adj":
@@ -325,23 +348,10 @@ def eval_ast(node, env, side):
 
 
 def parse_gaussian(text):
-    """Exact scalar from an arithmetic expression over literals only."""
+    """Exact scalar from an arithmetic expression over literals only,
+    evaluated as a multiple of the identity of B(1)."""
     node = parse(text)
-
-    def fold(nd):
-        kind = nd[0]
-        if kind == "num":
-            return nd[1]
-        if kind == "add":
-            return fold(nd[1]) + fold(nd[2])
-        if kind == "sub":
-            return fold(nd[1]) - fold(nd[2])
-        if kind == "mul":
-            return fold(nd[1]) * fold(nd[2])
-        if kind == "neg":
-            return -fold(nd[1])
-        if kind == "pow":
-            return _power(fold(nd[1]), nd[2], ONE)
+    if _literal_bits(node) is None:
         raise ExprSyntaxError("expected a scalar expression", 0)
-
-    return fold(node)
+    b = eval_ast(node, SimpleNamespace(N=SupernaturalNumber({})), "bilateral")
+    return algebra.expectation(b).value_at(0)

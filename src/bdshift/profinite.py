@@ -4,7 +4,9 @@ correction-free member.  A sequence is stored as Gaussian-integer rows
 over one denominator in one canonical form: the minimal period, den > 0
 coprime to the numerators taken together, no zero correction.  The ep_*
 operations work on the rows; Scalars appear only at the edges (the
-constructor, table, correction, value_at and the JSON).
+constructor, table, correction, value_at).  The JSON is written from the
+rows and read onto them (scalars._wire and _triple), the readers through
+the row-building code of the constructor.
 
 A supernatural number is a formal product of primes with exponents in
 {1, 2, ..., infinity}; only finitely many primes carry a nonzero exponent
@@ -19,7 +21,7 @@ from math import gcd
 from operator import add, mul
 
 from .errors import PeriodNotDivisor, NotFinite
-from .scalars import Scalar, _canonical, _wire, coerce_scalar
+from .scalars import Scalar, _canonical, _triple, _wire, coerce_scalar
 
 INF = math.inf
 
@@ -241,17 +243,19 @@ class _PeriodicSequence:
     __slots__ = ("den", "re", "im", "corr", "period", "N")
 
     def __init__(self, correction, table, N):
-        table = [coerce_scalar(v)._t for v in table]
+        self._init({int(k): coerce_scalar(v)._t
+                    for k, v in (correction or {}).items()},
+                   [coerce_scalar(v)._t for v in table], N)
+
+    def _init(self, corr, table, N):
+        """Fill self from canonical triples, corr keyed by int: the
+        constructor's of its values, from_json's of the wire."""
         if not table:
             raise ValueError("table must be nonempty")
         if not divides(len(table), N):
             raise PeriodNotDivisor(f"period {len(table)} does not divide N")
-        corr = {}
-        for k, v in (correction or {}).items():
-            k = int(k)
-            if k < 0 and self.unilateral:
-                raise ValueError(f"correction key must be >= 0, got {k}")
-            corr[k] = coerce_scalar(v)._t
+        if self.unilateral and corr and min(corr) < 0:
+            raise ValueError(f"correction key must be >= 0, got {min(corr)}")
         # equal canonical triples are equal values, and over the lcm of
         # canonical denominators the numerators are already coprime to it
         re, im, ds = zip(*_minimal_period(table))
@@ -261,7 +265,7 @@ class _PeriodicSequence:
             re, im = tuple(map(mul, re, ds)), tuple(map(mul, im, ds))
         corr = {k: (a * (den // d), b * (den // d))
                 for k, (a, b, d) in corr.items() if a or b}
-        _fill(self, den, re, im, corr, N)
+        return _fill(self, den, re, im, corr, N)
 
     @classmethod
     def _make(cls, den, re, im, corr, N):
@@ -376,8 +380,9 @@ class _PeriodicSequence:
                 raise ValueError(
                     f"correction key {k} exceeds {MAX_CORRECTION_KEY}"
                 )
-            corr[k] = Scalar.from_json(v)
-        return cls(corr, [Scalar.from_json(v) for v in data["table"]], N)
+            corr[k] = _triple(v)
+        table = [_triple(v) for v in data["table"]]
+        return object.__new__(cls)._init(corr, table, N)
 
 
 _set_den, _set_re, _set_im, _set_corr, _set_period, _set_N = (
@@ -411,7 +416,7 @@ class LocallyConstantFunction(_PeriodicSequence):
 
     @classmethod
     def from_json(cls, data, N):
-        return cls([Scalar.from_json(v) for v in data["values"]], N)
+        return super().from_json({"table": data["values"]}, N)
 
 
 def haar_integral(f):

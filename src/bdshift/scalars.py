@@ -6,8 +6,8 @@ Sums and products work on the integers and reduce by one gcd, which is
 skipped when the denominator is 1.  Magnitude comparisons go through the
 exact squared modulus, never through floating-point square roots.
 Periodic sequences are held as integer rows over one denominator
-(profinite); they build Scalars only at the edges, through _canonical,
-and write the wire form of their rows directly, through _wire.
+(profinite); they build Scalars only at the edges (_canonical), and
+write and read the wire form of their rows directly (_wire, _triple).
 """
 
 from fractions import Fraction
@@ -183,12 +183,7 @@ class Scalar:
 
     @classmethod
     def from_json(cls, data):
-        if not (isinstance(data, (list, tuple)) and len(data) == 4):
-            raise ValueError(f"scalar JSON must be a 4-tuple, got {data!r}")
-        # Fraction(True, 1) is 1, where a float or a string raises
-        if bool in map(type, data):
-            raise TypeError(f"scalar JSON holds a boolean: {data!r}")
-        return cls(Fraction(data[0], data[1]), Fraction(data[2], data[3]))
+        return _canonical(*_triple(data))
 
 
 _new = object.__new__
@@ -204,6 +199,26 @@ def _canonical(a, b, d):
     s = _new(Scalar)
     _set(s, (a, b, d))
     return s
+
+
+def _triple(data):
+    """The canonical triple (a, b, d) of a wire 4-tuple [rn, rd, in, id],
+    by one gcd (none when both denominators are 1), which also moves a
+    negative denominator's sign onto the numerators.  ValueError for a
+    wrong shape, TypeError for a part that is not an int (a float, string,
+    boolean or null), ZeroDivisionError for a zero denominator."""
+    if not (isinstance(data, (list, tuple)) and len(data) == 4):
+        raise ValueError(f"scalar JSON must be a 4-tuple, got {data!r}")
+    rn, rd, in_, id_ = data
+    if not type(rn) is type(rd) is type(in_) is type(id_) is int:
+        raise TypeError(f"scalar JSON parts must be integers: {data!r}")
+    if rd == id_ == 1:
+        return rn, in_, 1
+    if not (rd and id_):
+        raise ZeroDivisionError(f"zero denominator in scalar JSON {data}")
+    a, b, d = (rn, in_, rd) if rd == id_ else (rn * id_, in_ * rd, rd * id_)
+    g = gcd(a, b, d) if d > 0 else -gcd(a, b, d)
+    return a // g, b // g, d // g
 
 
 def _wire(a, b, d):

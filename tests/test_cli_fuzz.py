@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bdshift import cli
 from bdshift.parser import MAX_EXPONENT, MAX_SPAN
@@ -143,9 +143,21 @@ def _ascending(pairs):
     return dict(pairs)
 
 
+# the derandomized draws reach qnorm answers only at --grid 1 and never on
+# ws_n2inf: answers at --grid 8 and at the grid cap, at finite and at
+# infinite N, are given outright
+QNORM_GRID_8 = ["qnorm", "--grid", "8", "--rounds", "2", "V + Vi + diag(y)"]
+QNORM_GRID_CAP = ["qnorm", "--grid", str(cli.MAX_GRID), "--rounds", "1",
+                  "(V + diag(y))^3 + Vi"]
+
+
 @FUZZ
 @given(request=REQUESTS,
        workspace=st.sampled_from(["ws_n2", "ws_n3", "ws_n6", "ws_n2inf"]))
+@example(request=QNORM_GRID_8, workspace="ws_n6")
+@example(request=QNORM_GRID_8, workspace="ws_n2inf")
+@example(request=QNORM_GRID_CAP, workspace="ws_n6")
+@example(request=QNORM_GRID_CAP, workspace="ws_n2inf")
 def test_generated_requests_answer_with_an_exit_code(request, workspace):
     argv = [request[0], "--workspace", str(WORKSPACES / f"{workspace}.json"),
             *request[1:]]

@@ -306,6 +306,22 @@ def test_cli_rejects_malformed_workspace_files(capsys, tmp_path, case):
     assert entry in err
 
 
+def test_cli_refuses_a_null_denominator(capsys, tmp_path):
+    # Fraction(n, None) is Fraction(n), so the Fraction-based reader took
+    # [n, null, 0, 1] for n, and [1.5, null, 0, 1] for 3/2; the wire
+    # decoder refuses a null like any part that is not an integer
+    for value in ([7, None, 0, 1], [1.5, None, 0, 1], [0, 1, 2, None]):
+        data = make_workspace().to_json()
+        _set(["sequences", "g", "values", 0], value)(data)
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code = cli.main(["normalize", "--workspace", str(path), "U"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "", value
+        assert err.startswith("workspace sequence 'g' is malformed: ")
+        assert err.count("\n") == 1
+
+
 # an exponent of N is a positive int, "inf" or math.inf, and the factors
 # an object; none of these may load as some other N
 MALFORMED_N = {
@@ -1345,6 +1361,29 @@ def test_cli_value_too_wide_to_print_writes_nothing(capsys):
     assert code == 3 and out == ""
     assert err.startswith("domain error: value too wide to print")
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_literal_power_past_one_literal_power_is_refused(capsys):
+    # 2^1024^1024^1024 is 2^(2^30): wider than MAX_DIGITS digits to the
+    # MAX_EXPONENT, so its bound from the AST refuses it before any power
+    # is formed; the parent formed it first (10 s, 443 MB)
+    start = time.perf_counter()
+    code = cli.main(["normalize", "2^1024^1024^1024"])
+    out, err = capsys.readouterr()
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("domain error: a literal power of up to ")
+    assert "Traceback" not in err and err.count("\n") == 1
+    for text in ("2^1024^1024^1024", "(2*3 - 1)^1024^1024^1024",
+                 "U + (3/4i)^1024^1024^1024", "(-2)^1024^1024^1024^0"):
+        with pytest.raises(MathDomainError):
+            parse(text)
+    with pytest.raises(MathDomainError):
+        parse_gaussian("1 + 2^1024^1024^1024")
+    # the widest literal power and 2^(2^20) stay below the bound: the
+    # second is refused only when printed
+    parse("9" * 4000 + "^1024")
+    parse("2^1024^1024")
 
 
 def test_cli_requires_command(capsys):

@@ -7,13 +7,19 @@ canonical form: (a + b*i)/d with d > 0 and gcd(a, b, d) == 1.
 
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from bdshift.algebra import LaurentFunction
+from bdshift.derivations import DerivationSum, covariant
+from bdshift.profinite import LocallyConstantFunction, SupernaturalNumber
 from bdshift.scalars import Scalar, ZERO
+from bdshift.sequences import AffineSequence, EPSequence
+from bdshift.serialize import load_workspace
 
 LAWS = settings(
     max_examples=200, deadline=None, database=None, derandomize=True
@@ -172,3 +178,143 @@ def test_rejects_other_types_and_stays_immutable():
         with pytest.raises(AttributeError):
             setattr(a, name, 1)
     assert a == Scalar(Fraction(1, 2), 3)
+
+
+# ---------------------------------------------------------------------------
+# the wire decoder: [rn, rd, in, id] straight to the canonical triple
+
+wide = st.one_of(st.integers(-30, 30), st.integers(-(2**300), 2**300))
+
+
+@st.composite
+def wire_parts(draw):
+    """A numerator and a nonzero denominator of either sign, often with a
+    common factor, the denominator sometimes 300 bits wide."""
+    den = draw(st.one_of(st.integers(1, 12), st.integers(2**299, 2**300)))
+    k = draw(st.one_of(st.just(1), st.integers(2, 36),
+                       st.integers(2**64, 2**65)))
+    sign = draw(st.sampled_from([1, -1]))
+    return draw(wide) * k * sign, den * k * sign
+
+
+@LAWS
+@given(wire_parts(), wire_parts())
+def test_wire_decoder_matches_fractions(x, y):
+    want = Scalar(Fraction(*x), Fraction(*y))
+    for data in ([*x, *y], (*x, *y)):
+        got = Scalar.from_json(data)
+        assert_canonical(got)
+        assert got == want and got._t == want._t
+
+
+def test_wire_decoder_refuses_with_the_fraction_reader_classes():
+    # each fault alone, at each position.  The reader built on
+    # Fraction(rn, rd) raised these classes, except that it took a null
+    # denominator for 1: a null is refused at every position now
+    for bad in (1.5, 2.0, float("nan"), "1", "1/2", True, False, None):
+        for position in range(4):
+            data = [3, 4, -5, 6]
+            data[position] = bad
+            with pytest.raises(TypeError):
+                Scalar.from_json(data)
+    for data in ([1, 2, 3], [1, 2, 3, 4, 5], [], "abcd", {"a": 1}, 7, None):
+        with pytest.raises(ValueError):
+            Scalar.from_json(data)
+    for data in ([1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 0, 0],
+                 [2**300, 0, 1, -1], (1, 1, 1, 0)):
+        with pytest.raises(ZeroDivisionError):
+            Scalar.from_json(data)
+
+
+N12 = SupernaturalNumber.from_int(12)
+DIVISORS = (1, 2, 3, 4, 6, 12)
+small = st.one_of(st.just(ZERO), st.builds(
+    lambda a, b, d, e: Scalar(Fraction(a, d), Fraction(b, e)),
+    st.integers(-3, 3), st.integers(-2, 2), st.sampled_from(DIVISORS),
+    st.sampled_from(DIVISORS)))
+
+
+def _wire(value, k):
+    """value as a wire 4-tuple over k times its denominators, k < 0 for
+    negative denominators."""
+    re, im = value.re, value.im
+    return [re.numerator * k, re.denominator * k,
+            im.numerator * k, im.denominator * k]
+
+
+@st.composite
+def tables(draw):
+    """A table given above its minimal period: a base repeated to a
+    length that divides 12."""
+    length = draw(st.sampled_from(DIVISORS))
+    period = draw(st.sampled_from([p for p in DIVISORS if length % p == 0]))
+    base = draw(st.lists(small, min_size=period, max_size=period))
+    return base * (length // period)
+
+
+factors = st.sampled_from([1, -1, 3, -6, 2**70])
+
+
+@pytest.mark.parametrize("cls", (EPSequence, LocallyConstantFunction),
+                         ids=lambda c: c.__name__)
+@LAWS
+@given(data=st.data())
+def test_sequences_read_their_wire_form(cls, data):
+    table, k = data.draw(tables()), data.draw(factors)
+    raw = [_wire(v, k) for v in table]
+    if cls is LocallyConstantFunction:
+        a, raw = cls(table, N12), {"values": raw}
+    else:
+        # zero corrections are written and dropped on reading
+        corr = data.draw(st.dictionaries(st.integers(0, 5), small,
+                                         max_size=3))
+        a = cls(corr, table, N12)
+        raw = {"table": raw,
+               "correction": {str(j): _wire(v, k) for j, v in corr.items()}}
+    assert cls.from_json(a.to_json(), N12) == a
+    b = cls.from_json(raw, N12)
+    assert b == a and b.to_json() == a.to_json()
+
+
+@LAWS
+@given(st.dictionaries(st.integers(-4, 4), small, max_size=4), factors)
+def test_laurent_functions_read_their_wire_form(coeffs, k):
+    f = LaurentFunction(coeffs)
+    assert LaurentFunction.from_json(f.to_json()) == f
+    raw = {"coeffs": {str(j): _wire(c, k) for j, c in coeffs.items()}}
+    assert LaurentFunction.from_json(raw) == f
+
+
+@LAWS
+@given(data=st.data())
+def test_derivation_sums_read_their_wire_form(data):
+    comps = {}
+    for n in data.draw(st.sets(st.integers(-13, 13), max_size=3)):
+        # a linear part only where covariance allows one
+        linear = data.draw(small) if n % 12 == 0 else ZERO
+        ep = EPSequence(data.draw(st.dictionaries(
+            st.integers(0, 5), small, max_size=2)), data.draw(tables()), N12)
+        comps[n] = covariant(n, AffineSequence(linear, ep), N12)
+    d = DerivationSum(comps, N12)
+    assert DerivationSum.from_json(d.to_json(), N12) == d
+    for comp in d.components.values():
+        assert AffineSequence.from_json(comp.beta.to_json(), N12) == comp.beta
+
+
+def test_loading_the_bench_workspaces_builds_no_fraction(monkeypatch):
+    # the wire decoder reads 4-tuples straight onto integer rows; the
+    # Fraction-based reader built 164 Fractions for these four files
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    paths = sorted((Path(__file__).resolve().parents[1] / "bench"
+                    / "workspaces").glob("*.json"))
+    assert len(paths) == 4
+    for path in paths:
+        load_workspace(path)
+    assert not built, len(built)

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bdshift import cli
 
@@ -93,8 +93,19 @@ def ws_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "ws.json"
 
 
+# shapes the wire decoder meets besides the drawn ones: a negative
+# denominator (normalised), a zero one (refused) and 300-digit numerators
+WIDE = 10**299 + 7
+
+
 @FUZZ
 @given(position=st.sampled_from(POSITIONS), value=VALUES)
+@example(position=("sequences", "x", "table", 1, 1), value=-3)
+@example(position=("sequences", "x", "correction", "4"),
+         value=[WIDE, -7, -WIDE, 9])
+@example(position=("derivations", "d", "components", "1", "linear", 3),
+         value=0)
+@example(position=("laurent", "f", "coeffs", "1"), value=[WIDE, 1, 0, 0])
 def test_malformed_workspaces_fail_with_an_exit_code(ws_file, position,
                                                      value):
     data = copy.deepcopy(BASE)
