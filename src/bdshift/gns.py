@@ -28,6 +28,7 @@ a D on several bands.
 """
 
 import cmath
+import functools
 import math
 from collections import namedtuple
 from itertools import repeat
@@ -491,6 +492,17 @@ def check_implementation(D, components, b, M, space="tau0", level=1):
 # parametrix detection
 
 
+@functools.lru_cache(maxsize=32)
+def _start_vector(length, seed):
+    """The unit start vector of the inverse iteration, a pure function of
+    its key; read-only, since every solve of that length shares it."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    v /= np.linalg.norm(v)
+    v.flags.writeable = False
+    return v
+
+
 def _min_eig_inverse_power(G, tol=1e-12, cap=20000, seed=20240117):
     """Smallest eigenvalue of Hermitian G >= I via power iteration on
     the inverse; G is block-diagonal, given as the (k, L, L) stack of its
@@ -504,28 +516,32 @@ def _min_eig_inverse_power(G, tol=1e-12, cap=20000, seed=20240117):
     the same inverse times v: the block product adds only exact zeros to
     those entry-wise products, so both steps give the same bits.  G >= I
     keeps its diagonal nonzero, so the blocks are diagonal exactly when
-    G has k L nonzero entries."""
+    G has k L nonzero entries.
+
+    The steps write into two preallocated vectors and spell out what the
+    plain loop v = w / np.linalg.norm(w) computes, with the same bits:
+    numpy's norm of a complex vector is sqrt(x.real . x.real + x.imag .
+    x.imag), and it divides a complex array by a real scalar as the
+    product with the reciprocal.  The start vector comes from a cache of
+    32 entries keyed by (k L, seed)."""
     Ginv = np.linalg.inv(G)
     k, L, _ = G.shape
 
     if np.count_nonzero(G) == k * L:
-        scale = np.diagonal(Ginv, axis1=1, axis2=2).reshape(-1)
-
-        def apply(u):
-            return scale * u
+        op, A = np.multiply, np.diagonal(Ginv, axis1=1, axis2=2).reshape(-1)
+        shape = (k * L,)
     else:
-        def apply(u):
-            return (Ginv @ u.reshape(k, L, 1)).reshape(-1)
+        op, A, shape = np.matmul, Ginv, (k, L, 1)
 
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(k * L) + 1j * rng.standard_normal(k * L)
-    v /= np.linalg.norm(v)
-    w = apply(v)
+    v = np.empty(k * L, dtype=complex)
+    w = np.empty_like(v)
+    vs, ws, wr, wi = v.reshape(shape), w.reshape(shape), w.real, w.imag
+    op(A, _start_vector(k * L, seed).reshape(shape), out=ws)
     lam = 0.0
     for _ in range(cap):
-        v = w / np.linalg.norm(w)
-        w = apply(v)
-        new = float(np.real(np.vdot(v, w)))
+        np.multiply(w, 1.0 / math.sqrt(wr.dot(wr) + wi.dot(wi)), out=v)
+        op(A, vs, out=ws)
+        new = float(np.vdot(v, w).real)
         if abs(new - lam) <= tol * max(1.0, abs(new)):
             return 1.0 / max(new, 1e-300)
         lam = new

@@ -14,16 +14,20 @@ Grammar (precedence ^ > * > + -, left associative sums and products):
 
 Negative powers are spelled Us / Vi, never "^-1"; exponents above
 MAX_EXPONENT are a math-domain error, and a digit run longer than
-MAX_DIGITS is a syntax error.  A product whose degree span
+MAX_DIGITS is a syntax error, and so are parentheses nested deeper than
+MAX_NESTING.  A product whose degree span
 (max - min + 1) would exceed MAX_SPAN, or whose largest |degree| would
 exceed profinite.MAX_CORRECTION_KEY, is a math-domain error, raised
 before it is formed; so is a literal power wider than MAX_DIGITS digits
-to the MAX_EXPONENT, refused by parse from the AST.  diag(name) reads a
+to the MAX_EXPONENT, refused by parse from the AST, and a power of any
+other element whose coefficients could grow as wide, refused by eval_ast
+from the base's rows.  diag(name) reads a
 workspace sequence in either algebra; in B(N) one with a c00 correction
 is a side mismatch.
 """
 
 from fractions import Fraction
+from itertools import chain
 from types import SimpleNamespace
 
 from .scalars import Scalar
@@ -49,6 +53,7 @@ _GENERATORS = {
 _ATOMS = {name: (kind,) for kind, (name, _, _) in _GENERATORS.items()}
 _ATOMS["id"] = ("id",)
 _PUNCT = "+-*^(),/"
+_CHAIN = {"add", "sub", "mul", "pow", "neg"}
 
 MAX_INPUT = 1 << 20
 MAX_EXPONENT = 1024
@@ -57,6 +62,9 @@ MAX_DIGITS = 4000
 # 36-47 ms in-process on a 2-core host, both on the pair loop: their
 # binomial coefficients outgrow a Kronecker slot
 MAX_SPAN = 257
+# each open parenthesis costs the recursive-descent parser four or five
+# Python frames, so 64 levels stay far inside the default recursion limit
+MAX_NESTING = 64
 # MAX_DIGITS digits to the MAX_EXPONENT in _literal_bits' measure, 1.4e7
 _MAX_LITERAL_BITS = MAX_EXPONENT * ((10 ** MAX_DIGITS).bit_length() + 1)
 
@@ -77,13 +85,17 @@ def _lex(text):
     if len(text) > MAX_INPUT:
         raise ExprSyntaxError("input exceeds 1 MB", 0)
     tokens = []
-    i, n = 0, len(text)
+    i, n, depth = 0, len(text), 0
     while i < n:
         ch = text[i]
         if ch.isspace():
             i += 1
             continue
         if ch in _PUNCT:
+            depth += (ch == "(") - (ch == ")")
+            if depth > MAX_NESTING:
+                raise ExprSyntaxError(
+                    f"parentheses nest deeper than {MAX_NESTING}", i)
             tokens.append(_Token(ch, ch, i))
             i += 1
             continue
@@ -165,8 +177,15 @@ class _Parser:
     def parse_atom(self):
         tok = self.peek()
         if tok.kind == "-":
-            self.advance()
-            return ("neg", self.parse_atom())
+            # a run of signs is read by a loop, not one frame per sign
+            signs = 0
+            while self.peek().kind == "-":
+                self.advance()
+                signs += 1
+            node = self.parse_atom()
+            for _ in range(signs):
+                node = ("neg", node)
+            return node
         if tok.kind == "(":
             self.advance()
             node = self.parse_expr()
@@ -242,21 +261,39 @@ def _literal_bits(node):
     """A bound on the bit lengths in the value of a literal-only subtree,
     None for any other: k(b + 1) for a k-th power, b + c + 1 for a sum or
     a product.  A wider power than _MAX_LITERAL_BITS is refused."""
-    kind, bits = node[0], []
-    if kind == "num":
-        return max(x.bit_length() for x in node[1]._t)
-    for x in node[1:]:
-        if type(x) is tuple:
-            bits.append(_literal_bits(x))
-    if kind not in ("neg", "add", "sub", "mul", "pow") or None in bits:
-        return None
-    if kind != "pow":
-        return sum(bits) + len(bits) - 1
-    out = node[2] * (bits[0] + 1)
-    if out > _MAX_LITERAL_BITS:
-        raise MathDomainError(f"a literal power of up to {out} bits exceeds "
-                              f"{_MAX_LITERAL_BITS}")
-    return out
+    links, node = _left_chain(node)
+    if node[0] == "num":
+        bits = max(x.bit_length() for x in node[1]._t)
+    else:
+        for x in node[1:]:
+            if type(x) is tuple:
+                _literal_bits(x)
+        bits = None
+    for kind, *_, arg in links:
+        if kind == "pow":
+            if bits is not None:
+                bits = arg * (bits + 1)
+                if bits > _MAX_LITERAL_BITS:
+                    raise MathDomainError(
+                        f"a literal power of up to {bits} bits exceeds "
+                        f"{_MAX_LITERAL_BITS}")
+        elif kind != "neg":
+            c = _literal_bits(arg)
+            bits = None if bits is None or c is None else bits + c + 1
+    return bits
+
+
+def _left_chain(node):
+    """The links of the chain of sums, products, powers and negations
+    nested on the left of node, innermost first, and the node they start
+    from: parse nests a long flat sum this way, so walking it by a loop
+    keeps one Python frame per link off the stack.  The last item of a
+    link is its right operand, or the exponent of a power."""
+    links = []
+    while node[0] in _CHAIN:
+        links.append(node)
+        node = node[1]
+    return links[::-1], node
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +329,20 @@ def _power(base, k, one):
     return out
 
 
+def _row_bits(x):
+    """The largest bit length of a numerator or denominator in the
+    coefficient rows of element x."""
+    return max((v.bit_length() for a in x.terms.values() for v in (
+        a.den, *a.re, *a.im, *chain.from_iterable(a.corr.values()))),
+        default=0)
+
+
 def eval_ast(node, env, side):
-    """Evaluate to a canonical element of the requested side."""
+    """Evaluate to a canonical element of the requested side.  The chain
+    nested on the left of node is walked by a loop (see _left_chain).  A
+    power is refused before it is formed when k (b + t) exceeds
+    _MAX_LITERAL_BITS, for b the widest integer in the base's rows and t
+    the bit length of its term count."""
     if side not in ("unilateral", "bilateral"):
         raise ValueError(f"unknown side {side!r}")
     uni = side == "unilateral"
@@ -303,17 +352,18 @@ def eval_ast(node, env, side):
         return algebra.identity_element(N) if uni \
             else algebra.bilateral_identity(N)
 
+    links, node = _left_chain(node)
     kind = node[0]
     if kind in _GENERATORS:
         name, home, power = _GENERATORS[kind]
         if side != home:
             raise SideMismatch(f"{name} lives on the {home} side")
-        return (algebra.u_element if uni else algebra.v_element)(N, power)
-    if kind == "id":
-        return identity()
-    if kind == "num":
-        return identity() * node[1]
-    if kind == "diag":
+        x = (algebra.u_element if uni else algebra.v_element)(N, power)
+    elif kind == "id":
+        x = identity()
+    elif kind == "num":
+        x = identity() * node[1]
+    elif kind == "diag":
         value = env.sequences.get(node[1])
         if value is None:
             raise UnknownName(f"no sequence named {node[1]!r}")
@@ -321,30 +371,41 @@ def eval_ast(node, env, side):
             raise UnknownName(
                 f"cannot use {type(value).__name__} as a diagonal")
         if uni:
-            return algebra.diag_element(EPSequence._cast(value))
-        if value.corr:
+            x = algebra.diag_element(EPSequence._cast(value))
+        elif value.corr:
             raise SideMismatch(
                 "sequence with c00 corrections has no bilateral diagonal")
-        return algebra.bilateral_diag(LocallyConstantFunction._cast(value))
-    if kind == "add":
-        return eval_ast(node[1], env, side) + eval_ast(node[2], env, side)
-    if kind == "sub":
-        return eval_ast(node[1], env, side) - eval_ast(node[2], env, side)
-    if kind in ("mul", "comm"):
+        else:
+            x = algebra.bilateral_diag(LocallyConstantFunction._cast(value))
+    elif kind == "comm":
         x, y = eval_ast(node[1], env, side), eval_ast(node[2], env, side)
         check_span(((x.terms, 1), (y.terms, 1)))
-        return x * y if kind == "mul" else algebra.commutator(x, y)
-    if kind == "neg":
-        return -eval_ast(node[1], env, side)
-    if kind == "pow":
-        base, k = eval_ast(node[1], env, side), node[2]
-        if k > MAX_EXPONENT:
-            raise MathDomainError(f"exponent {k} exceeds {MAX_EXPONENT}")
-        check_span(((base.terms, k),))
-        return _power(base, k, identity())
-    if kind == "adj":
-        return algebra.adjoint(eval_ast(node[1], env, side))
-    raise ValueError(f"unknown node {kind!r}")
+        x = algebra.commutator(x, y)
+    elif kind == "adj":
+        x = algebra.adjoint(eval_ast(node[1], env, side))
+    else:
+        raise ValueError(f"unknown node {kind!r}")
+    for kind, *_, arg in links:
+        if kind == "neg":
+            x = -x
+        elif kind == "pow":
+            if arg > MAX_EXPONENT:
+                raise MathDomainError(
+                    f"exponent {arg} exceeds {MAX_EXPONENT}")
+            check_span(((x.terms, arg),))
+            bits = arg * (_row_bits(x) + len(x.terms).bit_length())
+            if bits > _MAX_LITERAL_BITS:
+                raise MathDomainError(f"a power of up to {bits} bits "
+                                      f"exceeds {_MAX_LITERAL_BITS}")
+            x = _power(x, arg, identity())
+        else:
+            y = eval_ast(arg, env, side)
+            if kind == "mul":
+                check_span(((x.terms, 1), (y.terms, 1)))
+                x = x * y
+            else:
+                x = x + y if kind == "add" else x - y
+    return x
 
 
 def parse_gaussian(text):

@@ -102,7 +102,12 @@ def _sequence_from_json(data, N):
 
 def load_workspace(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return Workspace.from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            # the decoder takes one Python frame per nested array or object
+            raise ValueError("workspace JSON nests too deeply") from None
+    return Workspace.from_json(data)
 
 
 def save_workspace(ws, path):

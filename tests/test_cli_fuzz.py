@@ -2,9 +2,9 @@
 
 Each case draws a command, one of the benchmark workspaces, its flags and
 its expressions, built from the expression grammar of `bdshift.parser`.
-Exponents, degree spans and window sizes are drawn inside and just past
-their caps (`parser.MAX_EXPONENT`, `parser.MAX_SPAN`, `cli.MAX_WINDOW`,
-`cli.MAX_GRID`).
+Exponents, degree spans, parenthesis nesting and window sizes are drawn
+inside and just past their caps (`parser.MAX_EXPONENT`, `parser.MAX_SPAN`,
+`parser.MAX_NESTING`, `cli.MAX_WINDOW`, `cli.MAX_GRID`).
 Whatever it draws, the CLI must answer with a documented exit code (0-4),
 print no traceback and answer fast; on success it prints JSON that lists
 every integer-keyed object ascending.  The generic exponents are at most
@@ -16,6 +16,7 @@ import contextlib
 import io
 import json
 import time
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from bdshift import cli
-from bdshift.parser import MAX_EXPONENT, MAX_SPAN
+from bdshift.parser import MAX_EXPONENT, MAX_NESTING, MAX_SPAN
 
 WORKSPACES = Path(__file__).resolve().parents[1] / "bench" / "workspaces"
 HALF = (MAX_SPAN - 1) // 2
@@ -65,6 +66,23 @@ def _extend(inner):
 
 EXPRS = {side: st.recursive(_atoms(side), _extend, max_leaves=6)
          for side in GENERATORS}
+# an expression nested MAX_NESTING - 1 to MAX_NESTING + 1 brackets deep,
+# counting its own, under plain brackets, adj, negation or a commutator;
+# the depth past the cap comes first, as the derandomized draws lean to
+# the first values of a list
+OPENERS = st.sampled_from(["(", "adj(", "-(", "comm(id, "])
+
+
+def _nest(parts):
+    opener, depth, expr = parts
+    own = max(accumulate((c == "(") - (c == ")") for c in expr), default=0)
+    k = max(depth - own, 0)
+    return opener * k + expr + ")" * k
+
+
+DEPTHS = st.sampled_from([MAX_NESTING + 1, MAX_NESTING, MAX_NESTING - 1])
+NESTED = {side: st.tuples(OPENERS, DEPTHS, expr).map(_nest)
+          for side, expr in EXPRS.items()}
 WINDOWS = st.sampled_from(["1", "8", str(cli.MAX_WINDOW + 1)])
 LEVELS = st.sampled_from(["1", "2", "6", str(cli.MAX_WINDOW),
                           str(cli.MAX_WINDOW + 1)])
@@ -97,18 +115,19 @@ def _request(command, *flags):
 BOTH = ("normalize", "mul", "comm", "derive")
 
 
-def _on_a_side(command, operands, *flags):
+def _on_a_side(command, operands, *flags, exprs=EXPRS):
     """command with its flags and operands, all expressions of one side,
     drawn for either side."""
     def build(side):
         head = [command] + (["--side", side] if command in BOTH else [])
-        return st.tuples(*flags, *[EXPRS[side]] * operands).map(
+        return st.tuples(*flags, *[exprs[side]] * operands).map(
             lambda ps: head + _flat(ps))
     return st.sampled_from(sorted(GENERATORS)).flatmap(build)
 
 
 REQUESTS = st.one_of(
     _on_a_side("normalize", 1),
+    _on_a_side("normalize", 1, exprs=NESTED),
     _on_a_side("mul", 2),
     _on_a_side("comm", 2),
     _on_a_side("derive", 1, st.just(["--derivation", "d"])),
@@ -149,6 +168,13 @@ def _ascending(pairs):
 QNORM_GRID_8 = ["qnorm", "--grid", "8", "--rounds", "2", "V + Vi + diag(y)"]
 QNORM_GRID_CAP = ["qnorm", "--grid", str(cli.MAX_GRID), "--rounds", "1",
                   "(V + diag(y))^3 + Vi"]
+# the refusals of deep nesting and of a power tower over a non-literal
+# base, and left-nested chains that answer without a frame per link
+DEEP = ["normalize", "(" * 300 + "2" + ")" * 300]
+TOWERS = [["normalize", "(2*id)^1024^1024^1024"],
+          ["normalize", "diag(x)^1024^1024^1024"]]
+CHAINS = [["normalize", "+".join(["1"] * 1000)],
+          ["normalize", "2" + "^1" * 1000]]
 
 
 @FUZZ
@@ -158,6 +184,11 @@ QNORM_GRID_CAP = ["qnorm", "--grid", str(cli.MAX_GRID), "--rounds", "1",
 @example(request=QNORM_GRID_8, workspace="ws_n2inf")
 @example(request=QNORM_GRID_CAP, workspace="ws_n6")
 @example(request=QNORM_GRID_CAP, workspace="ws_n2inf")
+@example(request=DEEP, workspace="ws_n2")
+@example(request=TOWERS[0], workspace="ws_n2")
+@example(request=TOWERS[1], workspace="ws_n2")
+@example(request=CHAINS[0], workspace="ws_n2")
+@example(request=CHAINS[1], workspace="ws_n2")
 def test_generated_requests_answer_with_an_exit_code(request, workspace):
     argv = [request[0], "--workspace", str(WORKSPACES / f"{workspace}.json"),
             *request[1:]]

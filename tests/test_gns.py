@@ -764,6 +764,64 @@ def test_min_eig_inverse_power_raises_at_cap():
     assert 1.0 <= info.value.last_value <= 2.0
 
 
+def reference_min_eig_inverse_power(G, tol=1e-12, cap=20000, seed=20240117):
+    """The inverse iteration with fresh arrays at every step, a start
+    vector drawn anew, np.linalg.norm and a true division."""
+    Ginv = np.linalg.inv(G)
+    k, L, _ = G.shape
+
+    if np.count_nonzero(G) == k * L:
+        scale = np.diagonal(Ginv, axis1=1, axis2=2).reshape(-1)
+
+        def apply(u):
+            return scale * u
+    else:
+        def apply(u):
+            return (Ginv @ u.reshape(k, L, 1)).reshape(-1)
+
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(k * L) + 1j * rng.standard_normal(k * L)
+    v /= np.linalg.norm(v)
+    w = apply(v)
+    lam = 0.0
+    for _ in range(cap):
+        v = w / np.linalg.norm(w)
+        w = apply(v)
+        new = float(np.real(np.vdot(v, w)))
+        if abs(new - lam) <= tol * max(1.0, abs(new)):
+            return 1.0 / max(new, 1e-300)
+        lam = new
+    raise AssertionError("the reference iteration did not settle")
+
+
+def test_cached_start_vector_and_buffers_share_no_state(monkeypatch):
+    # the shell stacks of both step paths at two lengths each, as
+    # _shell_min_sv passes them to the solver
+    stacks = []
+    solve = gns._min_eig_inverse_power
+    monkeypatch.setattr(gns, "_min_eig_inverse_power",
+                        lambda G: stacks.append(G) or solve(G))
+    for comp, Ms in ((regime_components()["incrementN_linear"], (4, 8)),
+                     (wide_bounded_components()[0], (16, 32))):
+        data = implementation_from_bilateral(comp)
+        for M in Ms:
+            _shell_min_sv(data, "haar", M)
+    monkeypatch.undo()
+    diagonal = [np.count_nonzero(G) == G.shape[0] * G.shape[1]
+                for G in stacks]
+    assert diagonal == [True, True, False, False]
+    assert len({G.shape[0] * G.shape[1] for G in stacks}) == 4
+    want = [reference_min_eig_inverse_power(G) for G in stacks]
+    # every stack twice, alternating lengths and paths, from a cold cache
+    gns._start_vector.cache_clear()
+    assert [solve(G) for G in stacks * 2] == want * 2
+    assert gns._start_vector.cache_info().hits == len(stacks)
+    start = gns._start_vector(stacks[0].shape[0] * stacks[0].shape[1],
+                              20240117)
+    with pytest.raises(ValueError):
+        start[0] = 0
+
+
 # ---------------------------------------------------------------------------
 # integer-row builds and the scattered implementation check
 

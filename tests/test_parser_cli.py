@@ -42,7 +42,7 @@ from bdshift.derivations import (
     covariant,
     reassemble,
 )
-from bdshift.parser import eval_ast, parse, parse_gaussian
+from bdshift.parser import MAX_NESTING, eval_ast, parse, parse_gaussian
 from bdshift.serialize import Workspace, load_workspace, save_workspace
 from bdshift import cli, gns
 
@@ -320,6 +320,18 @@ def test_cli_refuses_a_null_denominator(capsys, tmp_path):
         assert code == 1 and out == "", value
         assert err.startswith("workspace sequence 'g' is malformed: ")
         assert err.count("\n") == 1
+
+
+def test_cli_refuses_a_workspace_nested_past_the_decoder(capsys, tmp_path):
+    # the JSON decoder recurses once per bracket, and its RecursionError
+    # left cli.main at the parent
+    path = tmp_path / "ws.json"
+    path.write_text('{"N": ' + "[" * 100000 + "]" * 100000 + "}",
+                    encoding="utf-8")
+    code = cli.main(["normalize", "--workspace", str(path), "U"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "workspace JSON nests too deeply\n"
 
 
 # an exponent of N is a positive int, "inf" or math.inf, and the factors
@@ -1384,6 +1396,64 @@ def test_literal_power_past_one_literal_power_is_refused(capsys):
     # second is refused only when printed
     parse("9" * 4000 + "^1024")
     parse("2^1024^1024")
+
+
+def test_powers_of_non_literals_are_bounded_before_they_are_formed(capsys):
+    # the tower over a non-literal base knows no bound from the AST; its
+    # third power is refused from the rows of the second, which the parent
+    # formed first (6.9 s, 442 MB)
+    ws = ["--workspace", str(WORKSPACES / "ws_n2.json")]
+    for argv in (["normalize", "(2*id)^1024^1024^1024"],
+                 ["normalize", *ws, "diag(x)^1024^1024^1024"]):
+        start = time.perf_counter()
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 3 and out == "", argv
+        assert err.startswith("domain error: a power of up to ")
+        assert "Traceback" not in err and err.count("\n") == 1
+    # one power lower, both answer as before: 2^(2^20) fails only to print
+    code = cli.main(["normalize", "(2*id)^1024^1024"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("domain error: value too wide to print")
+    assert cli.main(["normalize", *ws, "diag(x)^1024"]) == 0
+    out, _ = capsys.readouterr()
+    assert hashlib.md5(out.encode()).hexdigest() == \
+        "8bd596816c62afe071627b2cd693a2d5"
+
+
+def test_deep_expressions_end_in_a_documented_exit_code(capsys):
+    # each request raised RecursionError out of cli.main at the parent: a
+    # chain nested on the left now answers like its short form, and
+    # parentheses past MAX_NESTING are a parse error
+    answers = [
+        ("2" + "^1" * 1000, "2"),
+        ("+".join(["1"] * 1000), "1000"),
+        ("*".join(["U"] * 1000), "U^1000"),
+        ("1 + " + "-" * 1001 + "2", "1 - 2"),
+        ("1+(" * MAX_NESTING + "1" + ")" * MAX_NESTING,
+         str(MAX_NESTING + 1)),
+    ]
+    for text, short in answers:
+        start = time.perf_counter()
+        code = cli.main(["normalize", text])
+        out, err = capsys.readouterr()
+        assert time.perf_counter() - start < 1.0, short
+        assert code == 0 and err == "", short
+        assert cli.main(["normalize", short]) == 0
+        assert capsys.readouterr().out == out
+    for text in ("(" * 300 + "2" + ")" * 300,
+                 "(" * (MAX_NESTING + 1) + "2" + ")" * (MAX_NESTING + 1),
+                 "adj(" * 300 + "U" + ")" * 300,
+                 "comm(U, " * 300 + "U" + ")" * 300):
+        start = time.perf_counter()
+        code = cli.main(["normalize", text])
+        out, err = capsys.readouterr()
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: parentheses nest deeper than ")
+        assert err.count("\n") == 1
 
 
 def test_cli_requires_command(capsys):
