@@ -13,33 +13,32 @@ block-diagonal.  In every regime B_m has the diagonal eta(x + m) +
 const[x]: const = [c] on tau_0 and const = psi - eta on the Haar fiber;
 in the bounded regime (psi - eta)(x - n) sits in the rows x - n instead,
 which are the diagonal when level | n.  The diagonals are formed on the
-integer rows of eta and psi over one denominator.  The exact build places
-the blocks of D on a window as Scalars, the dense builds fill the band by
-index arrays.  The pi-images pi(V^k g) are bands too, with the
-blocks diag_x g(x + m), so the implementation check forms [D, pi(b)]
-band by band on the interior of the window, in integer pairs over the
-common denominator of D, b and delta(b).  Compact-parametrix
-detection builds only the blocks I + B_m^H B_m of the shells
-M <= |m| < 2M, where divergence is visible as growth of the smallest
-eigenvalue, and steps its iteration as a vector when they are diagonal;
-the covariance check reads the residual off the one band and the
-largest block norm, an |entry| when the blocks are diagonal, and refuses
-a D on several bands.
+integer rows of eta and psi over one denominator and laid on a window as
+the integer bands of numerics._bands; numerics._dense gives their float.
+The pi-images pi(V^k g) are bands too, with the blocks diag_x g(x + m),
+so the implementation check forms [D, pi(b)] band by band on the
+interior of the window, in integer pairs over the common denominator of
+D, b and delta(b).  Compact-parametrix detection builds only the blocks
+I + B_m^H B_m of the shells M <= |m| < 2M, where divergence is visible
+as growth of the smallest eigenvalue, and steps its iteration as a
+vector when they are diagonal; the covariance check reads the residual
+off the one band and the largest block norm, an |entry| when the blocks
+are diagonal, and refuses a D on several bands.
 """
 
 import cmath
 import functools
 import math
 from collections import namedtuple
-from itertools import repeat
 
 import numpy as np
 
-from .scalars import Scalar, _canonical, as_scalar, ZERO, ONE
+from .scalars import Scalar, as_scalar, ZERO, ONE
 from .errors import LevelMismatch, NoConvergence, WindowTooSmall
 from .profinite import LocallyConstantFunction, divides, haar_integral
 from .algebra import expectation
 from .derivations import bilateral_apply, bounded_regime
+from .numerics import _dense
 
 
 def tau0(b):
@@ -211,8 +210,8 @@ def implementation_from_bilateral(comp, psi=None, c=None, level=None):
 def _D_block(data, space):
     """The exact level x level block B_m of D at the column block m, which
     D maps to the row block m + n, as (level, den, diag, off): B_m has the
-    diagonal entries eta(x + m) + const[x] and the cells off, (row x,
-    col x, Scalar), which do not move with m.
+    diagonal entries eta(x + m) + const[x] and the nonzero cells off,
+    (row x, col x, re, im) of the entry (re + i im) / den, fixed in m.
 
     tau_0 is the level-1 fiber x = 0, where const = [c].  On the Haar
     fiber x in Z/level, const[x] = (psi - eta)(x) in the increment
@@ -222,9 +221,9 @@ def _D_block(data, space):
     eta = linear l + ep(l), psi and c are read as Gaussian-integer rows
     over one denominator den, and const is formed on them, so diag(ms)
     gives the diagonals of the blocks m in ms, in order, as numerator
-    lists (re, im) at a few int operations an entry: _canonical(a, b, den) is the exact entry and
-    complex(a / den, b / den) its float, which is complex of the Scalar
-    because int / int is correctly rounded.
+    lists (re, im) at a few int operations an entry.  The float of an
+    entry is complex(a / den, b / den), complex of its Scalar because
+    int / int is correctly rounded.
     """
     n, linear, ep, psi = data.n, data.eta.linear, data.eta.ep, data.psi
     c = data.c if space == "tau0" else ZERO
@@ -251,7 +250,7 @@ def _D_block(data, space):
             if k % level == x:
                 ca[x], cb[x] = a, b
             elif a or b:
-                off.append((k % level, x, _canonical(a, b, den)))
+                off.append((k % level, x, a, b))
     fiber = range(level)
 
     def diag(ms):
@@ -269,54 +268,45 @@ def _D_block(data, space):
     return level, den, diag, off
 
 
-def _band_blocks(n, M):
-    """The column blocks m in [-M, M] that a band of degree n maps into
-    the window [-M, M]."""
-    return range(max(-M, -M - n), min(M, M - n) + 1)
-
-
-def _build_D_exact(data, space, M):
-    """{(row, col): Scalar} over the basis e_(m,x), m in [-M, M], of the
-    band that maps the column block m to the row block m + n by B_m."""
+def _window_bands(data, space, M):
+    """D on the window [-M, M] as the exact bands (den, {offset: (re,
+    im)}) of numerics._bands over its (2M + 1) level columns: the blocks'
+    diagonals at the offset n level, each off cell (xi, xj) at n level +
+    xi - xj.  The band n level is there even when no block fits, so the
+    rows always record their window."""
     level, den, diag, off = _D_block(data, space)
-    n, ms = data.n, _band_blocks(data.n, M)
-    # the column blocks are consecutive, so the entries run over the
-    # columns (ms.start + M) * level, ... in order
-    out = {(j + n * level, j): v for j, v in enumerate(
-        map(_canonical, *diag(ms), repeat(den)), (ms.start + M) * level)
-        if v}
-    for m in ms:
-        row, col = (m + n + M) * level, (m + M) * level
-        for xi, xj, v in off:
-            out[row + xi, col + xj] = v
-    return out
+    # the column blocks m that the band maps into the window
+    n = data.n
+    ms = range(max(-M, -M - n), min(M, M - n) + 1)
+    size = (2 * M + 1) * level
+    bands = {n * level: ([0] * size, [0] * size)}
+    if ms:
+        re, im = bands[n * level]
+        lo, hi = (ms.start + M) * level, (ms.stop + M) * level
+        re[lo:hi], im[lo:hi] = diag(ms)
+        for xi, xj, a, b in off:
+            re, im = bands.setdefault(n * level + xi - xj,
+                                      ([0] * size, [0] * size))
+            re[lo + xj:hi:level] = [a] * len(ms)
+            im[lo + xj:hi:level] = [b] * len(ms)
+    return den, bands
 
 
 def build_D(data, space, M):
-    """D on the window [-M, M] as a dense complex matrix."""
-    level, den, diag, off = _D_block(data, space)
-    n = data.n
-    D = np.zeros(((2 * M + 1) * level,) * 2, dtype=complex)
-    ms = _band_blocks(n, M)
-    if ms:
-        re, im = diag(ms)
-        cols = np.arange((ms.start + M) * level, (ms.stop + M) * level)
-        D.real[cols + n * level, cols] = [a / den for a in re]
-        D.imag[cols + n * level, cols] = [b / den for b in im]
-        col = (np.asarray(ms) + M) * level
-        for xi, xj, v in off:
-            D[col + n * level + xi, col + xj] = complex(v)
-    return D
+    """D on the window [-M, M] as a dense complex matrix: its bands' float."""
+    den, bands = _window_bands(data, space, M)
+    level = data.level if space == "haar" else 1
+    return _dense((2 * M + 1) * level, den, bands)
 
 
 def build_D_tau0_exact(data, M):
-    """{(row, col): Scalar} over the basis E_{-M..M}."""
-    return _build_D_exact(data, "tau0", M)
+    """The exact bands of D over the basis E_{-M..M}; see _window_bands."""
+    return _window_bands(data, "tau0", M)
 
 
 def build_D_haar_exact(data, M):
-    """{(row, col): Scalar} over the basis e_(m,x), m in [-M, M]."""
-    return _build_D_exact(data, "haar", M)
+    """The exact bands of D over e_(m,x), m in [-M, M]; see _window_bands."""
+    return _window_bands(data, "haar", M)
 
 
 def build_D_tau0(data, M):
@@ -395,21 +385,22 @@ def check_implementation(D, components, b, M, space="tau0", level=1):
     """Interior max deviation of [D, pi(b)] - pi(delta(b)); exactly zero
     when D implements delta.
 
-    D is a sparse exact matrix {(row, col): Scalar} on the window basis,
-    e.g. a build_D_*_exact output or an exact pi-image.  The interior is
-    |m| <= M - margin, with the margin the band width of D plus the
-    largest degree of b.  pi(V^k g) maps e_(m,x) to g(x + m) e_(m+k,x),
-    the band of index offset s = k level with the entries g(j) at the
-    columns j, writing g(j) for g(x_j + m_j).  So a band of D of offset e,
-    entries D_e(j) = D[j + e, j], meets it in the band o = e + s of both
-    products: D pi(b) has D_e(j + s) g(j) at the column j, pi(b) D has
-    g(j + e) D_e(j).  Each output band is formed over its interior
+    D is the pair (den, {offset: (re, im)}) of build_D_*_exact, the bands
+    of numerics._bands on the window; rows of another length than
+    (2M + 1) level raise ValueError.  The interior is |m| <= M - margin,
+    with the margin the largest block distance of a nonzero entry of D
+    plus the largest degree of b.  pi(V^k g) maps e_(m,x) to g(x + m)
+    e_(m+k,x), the band of index offset s = k level with the entries g(j)
+    at the columns j, writing g(j) for g(x_j + m_j).  So a band of D of
+    offset e, entries D_e(j) = D[j + e, j], meets it in the band o = e + s
+    of both products: D pi(b) has D_e(j + s) g(j) at the column j, pi(b) D
+    has g(j + e) D_e(j).  Each output band is formed over its interior
     columns alone, from aligned slices of these rows, and pi(delta(b))
     is subtracted there; the window products have no other entries in
-    the interior.  The Scalar entries of D and the rows of b and delta(b)
-    are rescaled to their common denominator L, so the bands hold
-    integer pairs over L^2, and the largest
-    a^2 + b^2 over L^4 is rounded once, as the Scalar |entry|^2 would be.
+    the interior.  The rows of D, b and delta(b) are rescaled to their
+    common denominator L, so the bands hold integer pairs over L^2, and
+    the largest a^2 + b^2 over L^4 is rounded once, as the Scalar
+    |entry|^2 would be.
     """
     db = bilateral_apply(components, b)
     if space == "tau0":
@@ -420,23 +411,26 @@ def check_implementation(D, components, b, M, space="tau0", level=1):
     else:
         raise ValueError(f"unknown space {space!r}")
 
-    band_D = max((abs(i // level - j // level) for i, j in D), default=0)
+    den, bands = D
+    size = (2 * M + 1) * level
+    if any(len(row) != size for pair in bands.values() for row in pair):
+        raise ValueError(f"D is not on the window M={M}, level {level}")
+    # the rows D_e over L, indexed by column, of the bands with a nonzero
+    # entry; the others add nothing
+    L = math.lcm(den, *(g.den for x in (b, db) for g in x.terms.values()))
+    t = L // den
+    bands = {e: (re, im) if t == 1 else ([a * t for a in re],
+                                         [c * t for c in im])
+             for e, (re, im) in bands.items() if any(re) or any(im)}
+    band_D = max((abs((j + e) // level - j // level)
+                  for e, (re, im) in bands.items()
+                  for j, (a, c) in enumerate(zip(re, im)) if a or c),
+                 default=0)
     margin = band_D + b.max_abs_degree()
     if M <= margin:
         raise WindowTooSmall(f"window {M} is all boundary at margin {margin}")
 
-    size = (2 * M + 1) * level
     lo, hi = margin * level, size - margin * level
-    L = math.lcm(*(v._t[2] for v in D.values()), *(
-        g.den for x in (b, db) for g in x.terms.values()))
-    # the rows D_e over L, indexed by column
-    bands = {}
-    for (i, j), v in D.items():
-        a, c, d = v._t
-        row = bands.get(i - j)
-        if row is None:
-            row = bands[i - j] = [0] * size, [0] * size
-        row[0][j], row[1][j] = a * (L // d), c * (L // d)
     # g(j) over L at the window indices j - pad, ..., size + pad - 1: the
     # pi(b) D slices reach j + e outside the window where D_e(j) is 0
     pad = max(map(abs, bands), default=0)
@@ -569,8 +563,8 @@ def _shell_min_sv(data, space, M):
     fiber = np.arange(level)
     B.real[:, fiber, fiber] = np.reshape([a / den for a in re], (-1, level))
     B.imag[:, fiber, fiber] = np.reshape([b / den for b in im], (-1, level))
-    for xi, xj, v in off:
-        B[:, xi, xj] = complex(v)
+    for xi, xj, a, b in off:
+        B[:, xi, xj] = complex(a / den, b / den)
     G = np.eye(level) + B.conj().transpose(0, 2, 1) @ B
     lam = _min_eig_inverse_power(G)
     return math.sqrt(max(lam, 0.0))

@@ -22,10 +22,12 @@ from .profinite import _common_period
 
 def _bands(M, *elements):
     """The M x M compressions of elements to span{E_0, ..., E_{M-1}} as
-    bands on Gaussian-integer rows over one denominator den, as (den,
-    [{n: (re, im)}]): the entry j of the degree-n band is den coeff(k)
-    at (j + n, j), k = j - max(-n, 0), and 0 where the band leaves the
-    window."""
+    exact bands over one denominator den, as (den, [{n: (re, im)}]).
+
+    The band format, which the GNS windows share: re and im are integer
+    lists of length M indexed by the column j, and the entry at (j + n, j)
+    is (re[j] + i im[j]) / den, 0 where the band leaves the window.  Here
+    re[j] + i im[j] = den coeff(k), k = j - max(-n, 0)."""
     if M < 1:
         raise ValueError("window must contain at least one basis vector")
     den = math.lcm(*(s.den for x in elements for s in x.terms.values()))
@@ -52,7 +54,7 @@ def _dense(M, den, bands):
     correctly rounded, so each entry is complex of its Scalar."""
     out = np.zeros((M, M), dtype=complex)
     for n, (re, im) in bands.items():
-        lo, hi = max(-n, 0), M - max(n, 0)
+        lo, hi = max(-n, 0), max(M - max(n, 0), 0)
         cols = np.arange(lo, hi)
         out.real[cols + n, cols] = [v / den for v in re[lo:hi]]
         out.imag[cols + n, cols] = [v / den for v in im[lo:hi]]

@@ -4,6 +4,7 @@ in the test suite, rather than in the middle of a benchmark run."""
 
 import ast
 import importlib
+import random
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -53,3 +54,20 @@ def test_gns_windows_parametrix_cases_match_golden_bit_for_bit(monkeypatch):
         key = workloads.parametrix_key(case, space)
         assert report["min_sv"] == golden[key], key
         assert report["verdict"] == verdict, key
+
+
+def test_gns_windows_round_jobs_pass(monkeypatch):
+    # every job closure of one seeded round, as the benchmark runs them:
+    # the exact window build hands its operator to check_implementation,
+    # and a slip in that hand-over must fail here
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    tracing = importlib.import_module("tracing")
+    golden = importlib.import_module("golden").load()
+    ctx = workloads.prepare("gns_windows")
+    jobs = workloads.gns_round(random.Random(7), ctx, tracing.Counters(),
+                               golden)
+    names = {name for name, _, _ in jobs}
+    assert {"implementation_tau0", "implementation_haar"} <= names
+    for name, run, check in jobs:
+        assert check(run()), name

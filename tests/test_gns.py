@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bdshift.scalars import Scalar, ZERO, ONE
+from bdshift.scalars import Scalar, ZERO, ONE, _canonical
 from bdshift.errors import LevelMismatch, NoConvergence, WindowTooSmall
 from bdshift.profinite import (
     LocallyConstantFunction,
@@ -52,7 +52,6 @@ from bdshift.gns import (
     tau_haar,
 )
 from bdshift.gns import (
-    _build_D_exact,
     _D_block,
     _min_eig_inverse_power,
     _shell_min_sv,
@@ -95,6 +94,27 @@ def rand_eta(rng, N, per, linear_ok):
         lin,
         BilateralEPSequence({}, [rand_scalar(rng) for _ in range(per)], N),
     )
+
+
+def band_entries(D):
+    """{(row, col): Scalar} of the nonzero entries of the exact bands
+    D = (den, {offset: (re, im)})."""
+    den, bands = D
+    return {(j + e, j): _canonical(a, c, den)
+            for e, (re, im) in bands.items()
+            for j, (a, c) in enumerate(zip(re, im)) if a or c}
+
+
+def entry_bands(entries, size):
+    """The exact bands of {(row, col): Scalar} on a window of size
+    columns, over the lcm of the entries' denominators."""
+    den = math.lcm(*(v._t[2] for v in entries.values()))
+    bands = {}
+    for (i, j), v in entries.items():
+        a, c, d = v._t
+        re, im = bands.setdefault(i - j, ([0] * size, [0] * size))
+        re[j], im[j] = a * (den // d), c * (den // d)
+    return den, bands
 
 
 def periodic_eta(f):
@@ -258,9 +278,11 @@ def test_tau0_inner_implementation():
     # pi_0(g) on the window E_{-8..8}, column by column, is the D of eta = g
     Dg = {(k + 8, l + 8): v for l in range(-8, 9) for (k, _), v in pi0_apply(
         bilateral_diag(g), GNSVector0({l: ONE})).coeffs.items()}
-    assert Dg == build_D_tau0_exact(implementation_from_bilateral(comp_g), 8)
+    assert Dg == band_entries(
+        build_D_tau0_exact(implementation_from_bilateral(comp_g), 8))
     res = check_implementation(
-        Dg, {0: comp_g}, rand_bilateral(rng, N2, 2), 8, space="tau0"
+        entry_bands(Dg, 17), {0: comp_g}, rand_bilateral(rng, N2, 2), 8,
+        space="tau0"
     )
     assert res == 0.0
 
@@ -304,7 +326,7 @@ def test_haar_generator_formulas():
     data_b = implementation_from_bilateral(
         bilateral_covariant(1, periodic_eta(h), N2), psi=h
     )
-    Db = build_D_haar_exact(data_b, 4)
+    Db = band_entries(build_D_haar_exact(data_b, 4))
     # psi = h kills the commutant term: pure shifted multiplication
     for (i, j), val in Db.items():
         mi, xi = i // 2 - 4, i % 2
@@ -313,7 +335,7 @@ def test_haar_generator_formulas():
         assert val == h.value_at(xj + mj)
     etaL = BilateralAffineSequence(ONE, BilateralEPSequence({}, [ZERO], N2))
     data_d = implementation_from_bilateral(bilateral_covariant(2, etaL, N2))
-    Dd = build_D_haar_exact(data_d, 4)
+    Dd = band_entries(build_D_haar_exact(data_d, 4))
     for (i, j), val in Dd.items():
         mi, xi = i // 2 - 4, i % 2
         mj, xj = j // 2 - 4, j % 2
@@ -329,6 +351,42 @@ def test_window_guard():
     b = rand_bilateral(rng, N2, 2, 2)
     with pytest.raises(WindowTooSmall):
         check_implementation(Dx, {1: comp}, b, 2, space="tau0")
+
+
+def test_window_guard_on_haar_off_cells():
+    # bounded Haar data at level 2, n = 1: D carries off cells at the band
+    # offsets 2 +- 1, yet every entry lies one block off the diagonal, so
+    # a degree-2 b gives the margin 1 + 2 = 3
+    rng = random.Random(20240224)
+    comp = bilateral_covariant(1, periodic_eta(rand_lcf(rng, N2, 2)), N2)
+    data = implementation_from_bilateral(comp, psi=rand_lcf(rng, N2, 2))
+    b = BilateralElement({2: rand_lcf(rng, N2, 2),
+                          -1: rand_lcf(rng, N2, 2)}, N2)
+    D3 = build_D_haar_exact(data, 3)
+    assert set(D3[1]) == {1, 2, 3}
+    with pytest.raises(WindowTooSmall, match="margin 3"):
+        check_implementation(D3, {1: comp}, b, 3, space="haar", level=2)
+    assert check_implementation(build_D_haar_exact(data, 4), {1: comp}, b, 4,
+                                space="haar", level=2) == 0.0
+
+
+def test_check_implementation_refuses_a_D_off_the_window():
+    # the band rows record their window: a D built at another M, or for
+    # the other space, is refused instead of read out of place
+    rng = random.Random(20240225)
+    comp = bilateral_covariant(1, rand_eta(rng, N2, 2, False), N2)
+    data = implementation_from_bilateral(comp)
+    b = rand_bilateral(rng, N2, 2, 2)
+    D_tau0, D_haar = build_D_tau0_exact(data, 8), build_D_haar_exact(data, 8)
+    for D, M, space, level in ((D_tau0, 6, "tau0", 1),
+                               (D_tau0, 10, "tau0", 1),
+                               (D_tau0, 8, "haar", 2),
+                               (D_haar, 8, "tau0", 1)):
+        with pytest.raises(ValueError, match="not on the window"):
+            check_implementation(D, {1: comp}, b, M, space=space,
+                                 level=level)
+    assert check_implementation(D_haar, {1: comp}, b, 8, space="haar",
+                                level=2) == 0.0
 
 
 def test_parametrix_tau0():
@@ -471,10 +529,11 @@ def test_naturality_of_implementation():
         Dy = build_D_tau0_exact(
             implementation_from_bilateral(comp_b), 10
         )
-        D = dict(Dx)
-        for k, v in Dy.items():
+        D = band_entries(Dx)
+        for k, v in band_entries(Dy).items():
             D[k] = D.get(k, ZERO) + v
-        assert check_implementation(D, comps, b, 10, space="tau0") == 0.0
+        assert check_implementation(entry_bands(D, 21), comps, b, 10,
+                                    space="tau0") == 0.0
         assert not img.is_zero() or b.is_zero() or comp_a.is_zero()
 
 
@@ -615,8 +674,8 @@ def batched_shell_min_sv(data, space, M, tol=1e-12, seed=20240117):
     fiber = np.arange(level)
     B.real[:, fiber, fiber] = np.reshape([a / den for a in re], (-1, level))
     B.imag[:, fiber, fiber] = np.reshape([b / den for b in im], (-1, level))
-    for xi, xj, v in off:
-        B[:, xi, xj] = complex(v)
+    for xi, xj, a, b in off:
+        B[:, xi, xj] = complex(_canonical(a, b, den))
     G = np.eye(level) + B.conj().transpose(0, 2, 1) @ B
     Ginv = np.linalg.inv(G)
     k = len(shell)
@@ -746,9 +805,9 @@ def test_block_builds_match_the_entrywise_reference():
         for kw in variants:
             data = implementation_from_bilateral(comp, **kw)
             for M in (1, 4, 8):
-                assert build_D_tau0_exact(data, M) == \
+                assert band_entries(build_D_tau0_exact(data, M)) == \
                     reference_D_tau0_exact(data, M)
-                assert build_D_haar_exact(data, M) == \
+                assert band_entries(build_D_haar_exact(data, M)) == \
                     reference_D_haar_exact(data, M)
     assert signs == {-1, 0, 1}
 
@@ -872,7 +931,7 @@ def test_dense_build_is_the_float_of_the_exact_build():
     for data in build_cases():
         for space in ("tau0", "haar"):
             for M in (0, 1, 4, 9):
-                Dx = _build_D_exact(data, space, M)
+                Dx = band_entries(gns._window_bands(data, space, M))
                 want = np.zeros(((2 * M + 1) * (
                     data.level if space == "haar" else 1),) * 2,
                     dtype=complex)
@@ -889,9 +948,9 @@ def test_exact_builds_with_corrections_match_the_entrywise_reference():
     for data in correction_data():
         assert data.eta.ep.correction and min(data.eta.ep.correction) < 0
         for M in (1, 4, 8):
-            assert build_D_tau0_exact(data, M) == \
+            assert band_entries(build_D_tau0_exact(data, M)) == \
                 reference_D_tau0_exact(data, M)
-            assert build_D_haar_exact(data, M) == \
+            assert band_entries(build_D_haar_exact(data, M)) == \
                 reference_D_haar_exact(data, M)
 
 
@@ -970,21 +1029,23 @@ def test_check_implementation_matches_dense_products_off_zero():
     cases = []
     # a perturbed D: one interior entry moved
     comp = bilateral_covariant(0, rand_eta(rng, N2, 2, True), N2)
-    Dx = dict(build_D_tau0_exact(implementation_from_bilateral(comp), M))
+    Dx = band_entries(
+        build_D_tau0_exact(implementation_from_bilateral(comp), M))
     Dx[M, M] = Dx.get((M, M), ZERO) + Scalar(Fraction(1, 3), -1)
     cases.append((Dx, {0: comp}, 1))
     # a D of the wrong degree
     eta = rand_eta(rng, N2, 2, False)
-    D1 = build_D_tau0_exact(
-        implementation_from_bilateral(bilateral_covariant(1, eta, N2)), M)
+    D1 = band_entries(build_D_tau0_exact(
+        implementation_from_bilateral(bilateral_covariant(1, eta, N2)), M))
     cases.append((D1, {2: bilateral_covariant(2, eta, N2)}, 1))
     # the two-band sum of test_naturality_of_implementation, checked
     # against one of its components
     comp_a = bilateral_covariant(1, rand_eta(rng, N2, 2, False), N2)
     comp_b = bilateral_covariant(2, rand_eta(rng, N2, 2, True), N2)
-    D2 = dict(build_D_tau0_exact(implementation_from_bilateral(comp_a), M))
-    for k, v in build_D_tau0_exact(
-            implementation_from_bilateral(comp_b), M).items():
+    D2 = band_entries(
+        build_D_tau0_exact(implementation_from_bilateral(comp_a), M))
+    for k, v in band_entries(build_D_tau0_exact(
+            implementation_from_bilateral(comp_b), M)).items():
         D2[k] = D2.get(k, ZERO) + v
     cases.append((D2, {1: comp_a}, 1))
     cases.append((D2, {1: comp_a, 2: comp_b}, 1))
@@ -992,7 +1053,7 @@ def test_check_implementation_matches_dense_products_off_zero():
     # checked against a component with another eta
     comp_h = bilateral_covariant(1, rand_eta(rng, N2, 2, False), N2)
     data_h = implementation_from_bilateral(comp_h, psi=rand_lcf(rng, N2, 2))
-    Dh = build_D_haar_exact(data_h, M)
+    Dh = band_entries(build_D_haar_exact(data_h, M))
     other = bilateral_covariant(1, rand_eta(rng, N2, 2, False), N2)
     cases.append((Dh, {1: other}, 2))
     cases.append((Dh, {1: comp_h}, 2))
@@ -1000,7 +1061,8 @@ def test_check_implementation_matches_dense_products_off_zero():
     for D, comps, level in cases:
         b = rand_bilateral(rng, N2, 2, 2)
         space = "haar" if level > 1 else "tau0"
-        got = check_implementation(D, comps, b, M, space=space, level=level)
+        got = check_implementation(entry_bands(D, (2 * M + 1) * level),
+                                   comps, b, M, space=space, level=level)
         want = reference_implementation_deviation(D, comps, b, M, level)
         assert got == want
         nonzero += got > 0
@@ -1024,14 +1086,15 @@ def test_check_implementation_over_coprime_denominators():
     for space, level in (("tau0", 1), ("haar", 2)):
         data = implementation_from_bilateral(
             comp, psi=psi if space == "haar" else None)
-        D = _build_D_exact(data, space, M)
+        D = band_entries(gns._window_bands(data, space, M))
         i = M * level
         for moved in (ZERO, Scalar(Fraction(1, 7)),
                       Scalar(0, Fraction(1, 10**30))):
             Dx = dict(D)
             Dx[i, i + level] = Dx.get((i, i + level), ZERO) + moved
-            got = check_implementation(Dx, {0: comp}, b, M, space=space,
-                                       level=level)
+            got = check_implementation(
+                entry_bands(Dx, (2 * M + 1) * level), {0: comp}, b, M,
+                space=space, level=level)
             assert got == reference_implementation_deviation(
                 Dx, {0: comp}, b, M, level)
             assert (got > 0) == bool(moved)

@@ -826,6 +826,107 @@ def test_cli_gns_d_and_covcheck(capsys, ws_path):
     assert payload["residual"] < 1e-12
 
 
+# md5 of the stdout bytes of gns-d --m 3 and covcheck --m 5 --grid 8 over
+# the benchmark workspaces, taken while the float D had its own fill code:
+# one (gns-d, covcheck) pair per component degree of d, ascending, and
+# space, tau0 first.  The bounded Haar windows of ws_n2 n = 1, ws_n3
+# n = 1, ws_n6 n = 2 and ws_n2inf n = 1 carry off cells.
+GNS_D_DEGREES = {"ws_n2": (0, 1, 2), "ws_n3": (-3, 0, 1, 3),
+                 "ws_n6": (0, 2, 6), "ws_n2inf": (0, 1)}
+GNS_D_MD5 = {
+    "ws_n2": (
+        ("772d2e1d78f55caef65afd25b5e4f0d3",
+         "35334ec4c6c92e36d8f9210e48a36f63"),
+        ("05c1e64ce23d4a91917a2ce0169678af",
+         "31534c086b88f9dcacb1adc43722e3db"),
+        ("cbb93b0d82f50222b62c5eaf7eeffc27",
+         "500cf24ee84fa04baf07389ea27337c6"),
+        ("10aa8ed7eccba05fc7e3e6699250c903",
+         "c3554679ede6da6ed68b431353a7007f"),
+        ("8e759b84eee36e17c8cd89c324680d7d",
+         "14dbe423b1497d30dbbefb18c7ad04d8"),
+        ("c09207c5152ccecf80f90d5049524451",
+         "db02fdd6a8dbfb9e8ff6dfe76fe5dd63"),
+    ),
+    "ws_n3": (
+        ("18d1eb301e4d9014c9cbbdc5358c26fc",
+         "24fac038b00e966a187dcf65702832f6"),
+        ("fd6ec8657a04cb77d158cc19055f5a58",
+         "81cc46b6abcb43752e92aac9b9dd8c69"),
+        ("73dbf1201a1dff0cc23ce326547537bc",
+         "35334ec4c6c92e36d8f9210e48a36f63"),
+        ("fb8b928dd10dd53205c20709251b5e50",
+         "31534c086b88f9dcacb1adc43722e3db"),
+        ("f61b95e1c1e4f63f5fb55f23107977f8",
+         "500cf24ee84fa04baf07389ea27337c6"),
+        ("db82bcefd01532a58eb9fbbe155752d8",
+         "c3554679ede6da6ed68b431353a7007f"),
+        ("6facfc1cb4f705e3c09923ba39a6a581",
+         "2822b5899a44335b6cd9cf150a1a40c4"),
+        ("f6ba4555448933e69e16c501b56dff0d",
+         "e06faab2da9bc520f0e33b9a0e6fd11c"),
+    ),
+    "ws_n6": (
+        ("0563dc94ef6b177177f3573846eb873d",
+         "35334ec4c6c92e36d8f9210e48a36f63"),
+        ("c3fd6bf5a486a1133412682c75714789",
+         "31534c086b88f9dcacb1adc43722e3db"),
+        ("87b5085b8633e09fb225eb15ed0a8800",
+         "14dbe423b1497d30dbbefb18c7ad04d8"),
+        ("2cd7993f488ba73a3156970fe32d35d7",
+         "db02fdd6a8dbfb9e8ff6dfe76fe5dd63"),
+        ("26c0b2d6ef5bb6cdb4e8dcb1a3b04682",
+         "617740376b6d36430fd6a254ca797ad8"),
+        ("42e1522962ff81b661d09a8748b86bd6",
+         "ec3da76661bde3b296f8d1f04b742c7d"),
+    ),
+    "ws_n2inf": (
+        ("c476fb04b30b1143d5a2f887da70eea1",
+         "35334ec4c6c92e36d8f9210e48a36f63"),
+        ("b3457d899ed8ef7e6bba1406d90ea507",
+         "31534c086b88f9dcacb1adc43722e3db"),
+        ("9e6b30e96ff9d2bb24bffcc461e0bfcf",
+         "500cf24ee84fa04baf07389ea27337c6"),
+        ("27609b7ea8707b5f95aa96791c9c7de5",
+         "c3554679ede6da6ed68b431353a7007f"),
+    ),
+}
+# (workspace, flags, md5 of stdout) of gns-d with a free constant or a
+# free function, taken with the pins above
+GNS_D_FREE_PINNED = (
+    ("ws_n3", ["--n", "0", "--space", "tau0", "--c", "1/2+i", "--m", "3"],
+     "ab068714f662da9c117eec518a777a75"),
+    ("ws_n6", ["--n", "2", "--space", "haar", "--psi", "y", "--m", "2"],
+     "ee5c93238c4ca79b4685c2cbbd8e9510"),
+)
+
+
+def gns_d_requests(workspace):
+    """(argv, md5) of the pinned gns-d and covcheck requests on workspace."""
+    pairs = iter(GNS_D_MD5[workspace])
+    for n in GNS_D_DEGREES[workspace]:
+        for space in ("tau0", "haar"):
+            flags = ["--n", str(n), "--space", space]
+            gns_d_md5, covcheck_md5 = next(pairs)
+            yield ["gns-d", *flags, "--m", "3"], gns_d_md5
+            yield ["covcheck", *flags, "--m", "5", "--grid", "8"], covcheck_md5
+    assert next(pairs, None) is None
+    for ws, flags, md5 in GNS_D_FREE_PINNED:
+        if ws == workspace:
+            yield ["gns-d", *flags], md5
+
+
+@pytest.mark.parametrize("workspace", GNS_D_MD5)
+def test_cli_gns_d_and_covcheck_output_bytes_are_pinned(capsys, workspace):
+    path = WORKSPACES / f"{workspace}.json"
+    for (command, *flags), md5 in gns_d_requests(workspace):
+        code = cli.main([command, "--workspace", str(path),
+                         "--derivation", "d", *flags])
+        out = capsys.readouterr().out
+        assert code == 0, (command, flags)
+        assert hashlib.md5(out.encode()).hexdigest() == md5, (command, flags)
+
+
 def test_cli_parametrix(capsys, ws_path):
     code, payload = run_cli(
         capsys,
