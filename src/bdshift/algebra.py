@@ -23,10 +23,12 @@ degree.  A derivation's [g, x] is one signed call, g*x + x*(-g) in the
 same integer slots, where the affine weight cancels; commutator [x, y]
 of two elements is the same signed call.  On Z each position is a
 convolution in the degree, which a large bilateral product does as a few
-big-integer products instead (Kronecker substitution, same raw rows).
-Each output row finds its minimal period on the integers and is reduced
-by one gcd; no Scalar is formed.  The order of the degrees in a term
-dict carries no meaning: the JSON lists them ascending.
+big-integer products instead (Kronecker substitution, same raw rows).  A
+large product in A(N), indexed by column with zeros below 0, is the
+product of its quotients q(x)q(y) past a short head of columns, which is
+packed too.  Each output row finds its minimal period on the integers and
+is reduced by one gcd; no Scalar is formed.  The order of the degrees in
+a term dict carries no meaning: the JSON lists them ascending.
 """
 
 import math
@@ -92,26 +94,30 @@ def _terms_mul(xt, yt, unilateral, commute=False):
     weight-1 row and folds its corrections c into weight 0 as
     (k + offset)*c.
 
-    _pair_rows serves every product.  A bilateral one without
-    corrections takes _kronecker_rows, with the same raw rows over D^2,
-    when it passes the size rule: its #x*#y term pairs reach
-    KRONECKER_PAIRS*(#x + #y + J), its degree span (the output's slots)
-    is at most KRONECKER_SPREAD*(#x + #y), and its slots fit a 64-bit
-    word.  Below, packing costs more than the pairs; sparse degrees pack
-    mostly empty slots, and wider slots half empty operands.
+    _pair_rows serves every product below the size rule
+    (_kronecker_slots), a Kronecker path with the same raw rows over D^2
+    every product above it: _kronecker_rows on Z, _unilateral_rows on
+    A(N).  The latter indexes each coefficient by column: x~_m(t) =
+    a_m(t + min(m, 0)) is the entry (t + m, t), zero where the key is
+    negative, and (xy)~_d(c) = sum_n x~_{d-n}(c+n) y~_n(c) on every
+    column c >= 0, the zero fill doing each cutoff of _rule.  From the
+    head length C on (_head_length) every value read is periodic, so the
+    tail is q(x)q(y) from _kronecker_rows; the head c < C is exact, one
+    packed product per column and term of y, and a correction is head
+    minus tail.  The rule weighs the term pairs, the degree span, J, the
+    slot bytes with the corrections counted, and C.
     """
     if not xt or not yt:
         return {}
     factors = _factors(xt, yt)
-    (J, xrows, yrows), nx, ny = factors[3:], len(xt), len(yt)
-    if (not unilateral and nx * ny >= KRONECKER_PAIRS * (nx + ny + J)
-            and max(xt) + max(yt) - min(xt) - min(yt) + 1
-            <= KRONECKER_SPREAD * (nx + ny)
-            and not any(c for rows in (*xrows.values(), *yrows.values())
-                        for *_, c in rows)
-            and (nb := _slot_bytes(factors, commute)) <= 8):
-        return _made(_kronecker_rows(factors, commute, nb), factors, commute)
-    return _made(_pair_rows(factors, unilateral, commute), factors, commute)
+    nb = _kronecker_slots(factors, unilateral, commute)
+    if not nb:
+        raw = _pair_rows(factors, unilateral, commute)
+    elif unilateral:
+        raw = _unilateral_rows(factors, nb)
+    else:
+        raw = _kronecker_rows(factors, commute, nb)
+    return _made(raw, factors, commute)
 
 
 def _factors(xt, yt):
@@ -178,20 +184,78 @@ def _pair_rows(factors, unilateral, commute):
 # the size rule of _terms_mul, calibrated by sweeps (CHANGES.md)
 KRONECKER_PAIRS = 2
 KRONECKER_SPREAD = 4
+KRONECKER_HEAD = 4
+
+
+def _kronecker_slots(factors, unilateral, commute):
+    """The size rule: the slot bytes of a product's Kronecker path, or 0
+    for the pair loop.  Its #x*#y term pairs reach KRONECKER_PAIRS*(#x +
+    #y + J), twice that on A(N), which packs a head too; its degree span
+    (the output's slots) is at most KRONECKER_SPREAD*(#x + #y); its slots
+    fit a 64-bit word.  On Z, no corrections; on A(N), plain sequences,
+    no commutator, and C*span at most KRONECKER_HEAD*#x*#y for the head
+    of C columns.  Below, packing costs more than the pairs; sparse
+    degrees pack mostly empty slots, wider slots half empty operands, and
+    a long head more than the pairs it saves."""
+    J, xrows, yrows = factors[3:]
+    nx, ny = len(xrows), len(yrows)
+    if (nx * ny < KRONECKER_PAIRS * (1 + unilateral) * (nx + ny + J)
+            or unilateral and commute):
+        return 0
+    rows = [*xrows.values(), *yrows.values()]
+    span = max(xrows) + max(yrows) - min(xrows) - min(yrows) + 1
+    if span > KRONECKER_SPREAD * (nx + ny) or (
+            any(len(r) > 1 for r in rows)
+            or _head_length(xrows, yrows) * span > KRONECKER_HEAD * nx * ny
+            if unilateral else any(c for r in rows for *_, c in r)):
+        return 0
+    nb = _slot_bytes(factors, commute)
+    return nb if nb <= 8 else 0
 
 
 def _slot_bytes(factors, commute):
     """Bytes of a signed slot that holds any coefficient: a pair adds at
-    most 2|a||b|(1 + |n|) (n*u the weight gain), and at most min(#x, #y)
-    pairs of a pass meet in one.  Up to 8, a width that struct reads."""
+    most 2|a||b|(1 + |n|) (n*u the weight gain), |a| and |b| bounding the
+    table and correction values, and at most min(#x, #y) pairs of a pass
+    meet in one.  Up to 8, a width that struct reads."""
     xrows, yrows = factors[4:]
     big = [max(1, *(max(map(abs, row)) for rows in t.values()
                     for _, re, im, _ in rows for row in (re, im)))
+           + max(map(abs, chain.from_iterable(chain.from_iterable(
+               c.values() for rows in t.values() for *_, c in rows))),
+                 default=0)
            for t in (xrows, yrows)]
     bound = (2 + 2 * commute) * big[0] * big[1] * min(
         len(xrows), len(yrows)) * (1 + max(map(abs, (*xrows, *yrows))))
     nb = bound.bit_length() // 8 + 1
     return 1 << (nb - 1).bit_length() if nb <= 8 else nb
+
+
+def _packs(t, wt, base, nb, gain=False):
+    """Per position, the weight-wt re and im rows of the term rows t
+    packed at X = 2^(8*nb), degree n in slot n - base; a gain multiplies
+    degree n by n, so degree 0 drops out.  [] if no row has weight wt."""
+    cols = [(n, 8 * nb * (n - base), (re, im)) for n, rows in t.items()
+            for wr, re, im, _ in rows if wr == wt and (n or not gain)]
+    return cols and [[*map(sum, zip(*(map(
+        lshift, map(n.__mul__, rows[p]) if gain else rows[p],
+        repeat(sh)) for n, sh, rows in cols)))] for p in (0, 1)]
+
+
+def _slot_reader(nb, size):
+    """The reader of the size slots of a packed sum, each offset by half,
+    the signed slot's bias 2^(8*nb - 1)."""
+    half = 1 << (8 * nb - 1)
+    bias = int.from_bytes(half.to_bytes(nb, "little") * size, "little")
+    code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(nb)
+
+    def slots(v):
+        buf = (v + bias).to_bytes(nb * size, "little")
+        if code:
+            return struct.unpack(f"<{size}{code}", buf)
+        return [int.from_bytes(buf[i:i + nb], "little")
+                for i in range(0, len(buf), nb)]
+    return slots
 
 
 def _kronecker_rows(factors, commute, nb):
@@ -206,28 +270,18 @@ def _kronecker_rows(factors, commute, nb):
     J, xrows, yrows = factors[3:]
     half, lo = 1 << (8 * nb - 1), min(xrows) + min(yrows)
     size = max(xrows) + max(yrows) - lo + 1
-
-    def packs(t, wt, base, gain=False):
-        # per position, the weight-wt re and im rows of t packed; a gain
-        # multiplies degree n by n, so degree 0 drops out
-        cols = [(n, 8 * nb * (n - base), (re, im)) for n, rows in t.items()
-                for wr, re, im, _ in rows if wr == wt and (n or not gain)]
-        return cols and [[*map(sum, zip(*(map(
-            lshift, map(n.__mul__, rows[p]) if gain else rows[p],
-            repeat(sh)) for n, sh, rows in cols)))] for p in (0, 1)]
-
     sums = [[[0] * J, [0] * J] for _ in range(2)]  # by weight: re, im
     for left, right, op in [(xrows, yrows, add)] + [
             (yrows, xrows, sub)] * commute:
         # by weight: ar, ai and ar + ai, doubled so a rotation is a slice
         lpk = [a and [row * 2 for row in (*a, [*map(add, *a)])]
-               for a in (packs(left, wt, min(left)) for wt in (0, 1))]
+               for a in (_packs(left, wt, min(left), nb) for wt in (0, 1))]
         classes = {}
         for n, rows in right.items():
             classes.setdefault(n % J, {})[n] = rows
         for (r, t), wb in product(classes.items(), (0, 1)):
-            b = packs(t, wb, min(right))
-            gain = b and lpk[1] and packs(t, wb, min(right), True)
+            b = _packs(t, wb, min(right), nb)
+            gain = b and lpk[1] and _packs(t, wb, min(right), nb, True)
             # output weight, left pack, right pack: v*b, u*b, and u*n*b
             for wo, a, bb in ((wb, lpk[0], b), (wb + 1, lpk[1], b),
                               (wb, lpk[1], gain)):
@@ -240,16 +294,7 @@ def _kronecker_rows(factors, commute, nb):
                     sub, k1, map(mul, ai, map(add, br, bi))))]
                 acc[1] = [*map(op, acc[1], map(
                     add, k1, map(mul, ar, map(sub, bi, br))))]
-    bias = int.from_bytes(half.to_bytes(nb, "little") * size, "little")
-    code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(nb)
-
-    def slots(v):
-        # the slots of a packed sum, each offset by half
-        buf = (v + bias).to_bytes(nb * size, "little")
-        if code:
-            return struct.unpack(f"<{size}{code}", buf)
-        return [int.from_bytes(buf[i:i + nb], "little")
-                for i in range(0, len(buf), nb)]
+    slots = _slot_reader(nb, size)
 
     def unpack(wt, degrees):
         cols = [[*map(slots, vs)] for vs in zip(*sums[wt])]
@@ -266,6 +311,77 @@ def _kronecker_rows(factors, commute, nb):
         for d, row in unpack(1, {*(m + n for m in px for n in yrows),
                                  *(m + n for m in xrows for n in py)}).items():
             raw[d][1] = row
+    return raw
+
+
+def _head_length(xrows, yrows):
+    """The head length C of a unilateral product of plain sequences: from
+    column C on, every value _unilateral_rows reads is periodic.  Column
+    c reads b_n at key c + min(n, 0), zero below 0, and a_m at key
+    c + n + min(m, 0)."""
+    ends = [max(c, default=-1) + 1 - min(n, 0)
+            for n, [(*_, c)] in yrows.items()]
+    return max(0, *ends, *(max(c) + 1 - min(m, 0) - min(yrows)
+                           for m, [(*_, c)] in xrows.items() if c))
+
+
+def _unilateral_rows(factors, nb):
+    """The raw rows of a unilateral product of plain sequences, by column
+    (see _terms_mul).  The tail is _kronecker_rows of the rows rotated by
+    min(n, 0), as quotient() does.  The head packs X~(t) = sum_m x~_m(t)
+    X^m once per t, the quotient's pack plus the corrections; x~'s zero
+    fill meets only rows c + d < 0, outside the product, so it is never
+    read.  H(c) = sum_n X~(c+n) y~_n(c) X^n.  Degree d at column c is key
+    c + min(d, 0) of its row-left coefficient: its row is the tail
+    rotated, its correction the head minus the tail.  The degrees come
+    in the pair loop's order.  nb is _slot_bytes(factors, False)."""
+    J, xrows, yrows = factors[3:]
+    qx, qy = ({n: [(0, re[s:] + re[:s], im[s:] + im[:s], {})
+                   for _, re, im, _ in rows for s in [min(n, 0) % J]]
+               for n, rows in t.items()} for t in (xrows, yrows))
+    tail = _kronecker_rows((*factors[:3], J, qx, qy), False, nb)
+    C, mx, my = _head_length(xrows, yrows), min(xrows), min(yrows)
+    size, o, reps = max(xrows) + max(yrows) - mx - my + 1, max(-my, 0), \
+        C // J + 1
+    # X~(t) at index t + o: the quotient's pack plus the corrections, and
+    # 0 below t = 0, where only y's zero fill reads it
+    pk = _packs(qx, 0, mx, nb)
+    t = C + max(max(yrows), 0)
+    X = [[0] * o + (p * (t // J + 1))[:t] for p in pk]
+    for m, [(_, _, _, corr)] in xrows.items():
+        sh = 8 * nb * (m - mx)
+        for k, (a, b) in corr.items():
+            for p, v in zip(X, (a, b)):
+                p[k - min(m, 0) + o] += v << sh
+    # y~_n(c) over c < C, by column: zero below -min(n, 0)
+    Y = [[], []]
+    for n, [(_, re, im, corr)] in yrows.items():
+        s = max(-n, 0)
+        for col, row, p in zip(Y, (re, im), (0, 1)):
+            col.append(([0] * s + [*row] * reps)[:C])
+            for k, v in corr.items():
+                col[-1][k + s] += v[p]
+    Yr, Yi = ([*zip(*col)] for col in Y)
+    ns, shifts = [n + o for n in yrows], [8 * nb * (n - my) for n in yrows]
+    slots, head = _slot_reader(nb, size), ([], [])
+    for c in range(C):
+        ur, ui = ([*map(p.__getitem__, map(c.__add__, ns))] for p in X)
+        vr, vi = Yr[c], Yi[c]
+        head[0].append(slots(sum(map(lshift, map(
+            sub, map(mul, ur, vr), map(mul, ui, vi)), shifts))))
+        head[1].append(slots(sum(map(lshift, map(
+            add, map(mul, ur, vi), map(mul, ui, vr)), shifts))))
+    hre, him = ([*zip(*h)] for h in head)
+    half, raw = 1 << (8 * nb - 1), {}
+    for d, rows in tail.items():
+        [(pr, pi)] = rows[0][0][0]
+        s, i = max(-d, 0), d - mx - my
+        r = s % J
+        # head minus periodic value, both offset by half
+        corr = dict(zip(range(C - s), zip(*(
+            map(sub, h[i][s:], ([v + half for v in p] * reps)[s:C])
+            for h, p in ((hre, pr), (him, pi)))))) if C > s else {}
+        raw[d] = {0: ({0: [(pr[r:] + pr[:r], pi[r:] + pi[:r])]}, corr)}
     return raw
 
 

@@ -51,13 +51,18 @@ def _bands(M, *elements):
 
 def _dense(M, den, bands):
     """The float M x M matrix of bands of _bands over den.  int / int is
-    correctly rounded, so each entry is complex of its Scalar."""
+    correctly rounded, so each entry is complex of its Scalar.  Only the
+    nonzero slots are divided, as a band may be zero off a few columns
+    (the off-cell bands of the GNS windows).  Band n is a slice of stride
+    M + 1 of the flattened matrix, from the entry (lo + n, lo)."""
     out = np.zeros((M, M), dtype=complex)
-    for n, (re, im) in bands.items():
-        lo, hi = max(-n, 0), max(M - max(n, 0), 0)
-        cols = np.arange(lo, hi)
-        out.real[cols + n, cols] = [v / den for v in re[lo:hi]]
-        out.imag[cols + n, cols] = [v / den for v in im[lo:hi]]
+    flat = out.reshape(-1)
+    for n, rows in bands.items():
+        lo = max(-n, 0)
+        hi = max(M - max(n, 0), lo)
+        band = slice((lo + n) * M + lo, (hi + n) * M + hi, M + 1)
+        for part, row in zip((flat.real, flat.imag), rows):
+            part[band] = [v and v / den for v in row[lo:hi]]
     return out
 
 

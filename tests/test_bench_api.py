@@ -7,6 +7,8 @@ import importlib
 import random
 from pathlib import Path
 
+import pytest
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
@@ -69,5 +71,22 @@ def test_gns_windows_round_jobs_pass(monkeypatch):
                                golden)
     names = {name for name, _, _ in jobs}
     assert {"implementation_tau0", "implementation_haar"} <= names
+    for name, run, check in jobs:
+        assert check(run()), name
+
+
+@pytest.mark.parametrize("workload", ["unilateral_exact", "bilateral_exact"])
+def test_exact_round_jobs_pass(monkeypatch, workload):
+    # every job of one seeded round of an exact workload, as the benchmark
+    # runs them: a slip in the head of a large A(N) product, or in any
+    # other exact kernel the round reaches, must fail here
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    tracing = importlib.import_module("tracing")
+    golden = importlib.import_module("golden").load()
+    ctx = workloads.prepare(workload)
+    jobs = workloads.WORKLOADS[workload].round(7, 0, ctx, tracing.Counters(),
+                                               golden)
+    assert len(jobs) > 10
     for name, run, check in jobs:
         assert check(run()), name

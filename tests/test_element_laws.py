@@ -23,16 +23,21 @@ from bdshift.algebra import (
     BilateralElement,
     UnilateralElement,
     _factors,
+    _head_length,
     _kronecker_rows,
+    _kronecker_slots,
     _made,
     _pair_rows,
     _slot_bytes,
     _sum_row,
+    _unilateral_rows,
     adjoint,
+    commutator,
     is_compact,
     mult_defect,
     multiply,
     quotient,
+    toeplitz,
 )
 from bdshift.derivations import (
     DerivationSum,
@@ -337,72 +342,175 @@ def test_reassemble_inverts_classify(regime, data):
             DerivationSum({n: comp}, NN)
 
 
-# The two kernels of B(N), called directly on the same lifted factors:
-# periods J dividing 24, numerators up to 3, 2^20 or 2^200 over mixed
-# denominators up to 2^61 - 1 (slots of 1, 2, 4 and 8 bytes and wider
-# ones all occur), dense and sparse degree sets, and a weight pair (u, v)
-# in either factor: u constant at degree 0 cancels in a commutator, u
-# periodic elsewhere fails to.
-N24 = SupernaturalNumber.from_int(24)
-SPARSE = [-24, -12, -7, -1, 0, 1, 5, 12, 17, 24]
+# Refinement: A(N) lies in A(N') when N divides N', and every operation
+# commutes with that inclusion.  An element over N is re-read over
+# N' = N*p or over the supernatural 2^inf 3^inf, through its wire form.
+REFINEMENTS = ["N*p", "supernatural"]
 
 
 @st.composite
-def kronecker_terms(draw, J, count, bound):
-    """count terms of period dividing J, dense or from SPARSE."""
+def sequences_over(draw, NN, base):
+    """An EPSequence over NN whose period divides base."""
+    pers = st.sampled_from([d for d in (1, 2, 3, 4, 6, 12) if base % d == 0])
+    corr = draw(st.dictionaries(st.integers(0, 6), scalars, max_size=2))
+    return EPSequence(corr, draw(tables(pers)), NN)
+
+
+@st.composite
+def refinable(draw, NN, base, large):
+    """A unilateral element over NN with periods dividing base; large
+    draws 13 or 14 dense terms, above the size rule of _terms_mul."""
+    if large:
+        start, count = draw(st.integers(-7, 0)), draw(st.integers(13, 14))
+        degrees = range(start, start + count)
+    else:
+        degrees = draw(st.lists(st.integers(-3, 3), max_size=3, unique=True))
+    return UnilateralElement({n: draw(sequences_over(NN, base))
+                              for n in degrees}, NN)
+
+
+@pytest.mark.parametrize("refinement", REFINEMENTS)
+@LAWS
+@given(data=st.data())
+def test_operations_commute_with_refining_N(refinement, data):
+    """multiply, adjoint, quotient, toeplitz, commutator and apply give
+    the same wire form over N and over a multiple N' of N, and carry N'."""
+    # two primes in N, so that periods 2 and 3 meet
+    base = data.draw(st.sampled_from([12, 6]))
+    NN = SupernaturalNumber.from_int(base)
+    N2 = SupernaturalNumber.from_int(
+        base * data.draw(st.sampled_from([2, 3, 5]))) \
+        if refinement == "N*p" else SupernaturalNumber({2: "inf", 3: "inf"})
+    large = data.draw(st.booleans())
+    x, y = (data.draw(refinable(NN, base, large)) for _ in range(2))
+    comps = {}
+    for n in data.draw(st.lists(st.integers(-3, 3), max_size=3, unique=True)):
+        beta = AffineSequence(data.draw(scalars) if n == 0 else ZERO,
+                              data.draw(sequences_over(NN, base)))
+        comps[n] = covariant(n, beta, NN)
+    d = DerivationSum(comps, NN)
+
+    def reread(a):
+        return type(a)({n: type(c).from_json(c.to_json(), N2)
+                        for n, c in a.terms.items()}, N2)
+    X, Y, D2 = reread(x), reread(y), DerivationSum.from_json(d.to_json(), N2)
+    for op in (multiply, commutator):
+        assert reread(op(x, y)) == op(X, Y)
+    qx, qy = quotient(x), quotient(y)
+    for got, want in ((adjoint(X), adjoint(x)), (quotient(X), qx),
+                      (toeplitz(quotient(X)), toeplitz(qx)),
+                      (multiply(quotient(X), quotient(Y)), multiply(qx, qy)),
+                      (apply(D2, X), apply(d, x))):
+        assert got.N == N2 and got == reread(want)
+
+
+# The kernels of each domain, called directly on the same lifted factors:
+# periods J dividing 24, numerators up to 3, 2^20 or 2^200 over mixed
+# denominators up to 2^61 - 1, 12 on A(N) (slots of 1, 2, 4 and 8 bytes
+# and wider ones all occur), dense and sparse degree sets.  On B(N), a
+# weight pair (u, v) in either factor: u constant at degree 0 cancels in
+# a commutator, u periodic elsewhere fails to.  On A(N), corrections at
+# keys 0..12, and in some draws one at key 10^4, whose head is too long
+# for the size rule.
+N24 = SupernaturalNumber.from_int(24)
+SPARSE = [-24, -12, -7, -1, 0, 1, 5, 12, 17, 24]
+FAR_KEY = 10**4
+
+
+@st.composite
+def kronecker_terms(draw, J, count, bound, unilateral=False):
+    """count terms of period dividing J, dense or sparse: from SPARSE on
+    B(N), from -24..24 on A(N), where they carry corrections."""
     if draw(st.booleans()):
         start = draw(st.integers(-6, 6))
         degrees = range(start, start + count)
     else:
-        degrees = draw(st.lists(st.sampled_from(SPARSE), min_size=count,
-                                max_size=count, unique=True))
+        pool = st.integers(-24, 24) if unilateral else st.sampled_from(SPARSE)
+        degrees = draw(st.lists(pool, min_size=count, max_size=count,
+                                unique=True))
     wide = st.builds(
         lambda a, b, d, e: Scalar(Fraction(a, d), Fraction(b, e)),
         st.integers(-bound, bound), st.integers(-bound, bound),
-        st.sampled_from([1, 2, 3, 5, 12, 2**61 - 1]), st.sampled_from([1, 4]))
-    return {n: LocallyConstantFunction(draw(st.lists(
-        wide, min_size=p, max_size=p)), N24)
-        for n in degrees
-        for p in [draw(st.sampled_from([d for d in (1, 2, 3, 4, 6, 8)
-                                        if J % d == 0]))]}
+        st.sampled_from([1, 2, 3, 5, 12, *[2**61 - 1] * (not unilateral)]),
+        st.sampled_from([1, 4]))
+
+    def coefficient(p):
+        table = draw(st.lists(wide, min_size=p, max_size=p))
+        if not unilateral:
+            return LocallyConstantFunction(table, N24)
+        corr = draw(st.dictionaries(st.integers(0, 12), wide, max_size=2))
+        return EPSequence(corr, table, N24)
+    return {n: coefficient(p)
+            for n in degrees
+            for p in [draw(st.sampled_from([d for d in (1, 2, 3, 4, 6, 8)
+                                            if J % d == 0]))]}
 
 
 @pytest.mark.parametrize("side", ["below", "above"])
-@LAWS
+@settings(LAWS, max_examples=120)  # 60 a domain
 @given(data=st.data())
 def test_kronecker_rows_match_the_pair_loop(side, data):
-    """Both kernels give the same terms, the same raw weight-0 rows over
-    D^2 and the same degree keys in the same order, or both refuse a
-    weight that fails to cancel; below and above the size rule's count of
-    term pairs."""
+    """On either domain, the pair loop and the Kronecker kernel give the
+    same terms, the same raw weight-0 rows over D^2 and the same degree
+    keys in the same order, or both refuse a weight that fails to cancel;
+    below and above the size rule's count of term pairs.  On A(N) the
+    rule (_kronecker_slots) also refuses wide slots and a long head, and
+    admits every dense product above its count whose slots fit."""
+    unilateral = data.draw(st.booleans())
     J = data.draw(st.sampled_from([1, 2, 3, 4, 6, 8]))
-    sizes = st.integers(1, 3) if side == "below" else st.integers(9, 10)
+    sizes = st.integers(1, 3) if side == "below" \
+        else st.integers(13, 14) if unilateral else st.integers(9, 10)
     bound = data.draw(st.sampled_from([3, 2**20, 2**200]))
-    xt, yt = (data.draw(kronecker_terms(J, data.draw(sizes), bound))
-              for _ in range(2))
-    assert (len(xt) * len(yt) >= KRONECKER_PAIRS * (len(xt) + len(yt) + J)) \
-        == (side == "above")
-    weight = data.draw(st.sampled_from(["none", "x0", "x", "y"]))
-    if weight != "none":
-        t = yt if weight == "y" else xt
-        n = 0 if weight == "x0" else data.draw(st.sampled_from(sorted(t)))
-        u = data.draw(kronecker_terms(J if weight != "x0" else 1, 1, bound))
-        t[n] = (next(iter(u.values())), t.get(n, next(iter(u.values()))))
-    commute = data.draw(st.booleans())
-    factors = _factors(xt, yt)
-    kernels = (lambda: _pair_rows(factors, False, commute),
-               lambda: _kronecker_rows(factors, commute,
-                                       _slot_bytes(factors, commute)))
+    xt, yt = (data.draw(kronecker_terms(J, data.draw(sizes), bound,
+                                        unilateral)) for _ in range(2))
+    assert (len(xt) * len(yt) >= KRONECKER_PAIRS * (1 + unilateral) * (
+        len(xt) + len(yt) + J)) == (side == "above")
+    if unilateral:
+        far = data.draw(st.booleans()) and data.draw(st.booleans())
+        if far:
+            t = data.draw(st.sampled_from([xt, yt]))
+            n = data.draw(st.sampled_from(sorted(t)))
+            t[n] = t[n] + EPSequence({FAR_KEY: 1}, [0], N24)
+        factors = _factors(xt, yt)
+        nb, rule = _slot_bytes(factors, False), \
+            _kronecker_slots(factors, True, False)
+        # a dense product above the count is admitted unless its slots are
+        # wide or its head long; a sparse one may also fail on its head
+        dense = all(max(t) - min(t) == len(t) - 1 for t in (xt, yt))
+        admitted = side == "above" and nb <= 8 and not far
+        assert rule == (nb if admitted else 0) or not dense and not rule
+        if far:
+            # the far key is read up to 24 columns early
+            assert _head_length(*factors[4:]) > FAR_KEY - 24
+            return
+        kernels = (lambda: _pair_rows(factors, True, False),
+                   lambda: _unilateral_rows(factors, nb))
+        commute = False
+    else:
+        weight = data.draw(st.sampled_from(["none", "x0", "x", "y"]))
+        if weight != "none":
+            t = yt if weight == "y" else xt
+            n = 0 if weight == "x0" else data.draw(st.sampled_from(sorted(t)))
+            u = data.draw(kronecker_terms(J if weight != "x0" else 1, 1,
+                                          bound))
+            t[n] = (next(iter(u.values())), t.get(n, next(iter(u.values()))))
+        commute = data.draw(st.booleans())
+        factors = _factors(xt, yt)
+        kernels = (lambda: _pair_rows(factors, False, commute),
+                   lambda: _kronecker_rows(factors, commute,
+                                           _slot_bytes(factors, commute)))
     results = []
     for kernel in kernels:
         try:
             raw = kernel()
+            # _made first: _sum_row cancels below z into raw's corrections
+            terms = _made(raw, factors, commute)
             rows = {d: tuple(map(list, _sum_row(*slots[0])[:2]))
                     for d, slots in raw.items()}
-            results.append((_made(raw, factors, commute), list(raw), rows))
+            results.append((terms, list(raw), rows))
         except AssertionError as exc:
             results.append(str(exc))
     pair, kron = results
     assert kron == pair
-    if weight == "x0" and commute:
+    if not unilateral and weight == "x0" and commute:
         assert not isinstance(pair, str)
