@@ -409,13 +409,13 @@ def _made(raw, factors, commute):
 
 def _sum_row(by_z, corr):
     """The raw row (re, im, correction) of one output degree and weight:
-    its groups summed, each cancelled below its z by the corrections."""
+    its groups summed, each cancelled below its z in a copy of corr."""
     def total(rows):
         if len(rows) == 1:
             return rows[0]
         return [list(map(sum, zip(*part))) for part in zip(*rows)]
 
-    sums = {z: total(rows) for z, rows in by_z.items()}
+    sums, corr = {z: total(rows) for z, rows in by_z.items()}, dict(corr)
     re, im = total(list(sums.values()))
     for z, (zr, zi) in sums.items():
         for k in range(z):

@@ -16,19 +16,21 @@ which are the diagonal when level | n.  The diagonals are formed on the
 integer rows of eta and psi over one denominator and laid on a window as
 the integer bands of numerics._bands; numerics._dense gives their float.
 The pi-images pi(V^k g) are bands too, with the blocks diag_x g(x + m),
-so the implementation check forms [D, pi(b)] band by band on the
-interior of the window, in integer pairs over the common denominator of
-D, b and delta(b).  Compact-parametrix detection builds only the blocks
-I + B_m^H B_m of the shells M <= |m| < 2M, where divergence is visible
-as growth of the smallest eigenvalue, and steps its iteration as a
-vector when they are diagonal; the covariance check reads the residual
-off the one band and the largest block norm, an |entry| when the blocks
-are diagonal, and refuses a D on several bands.
+so the implementation check forms [D, pi(b)] band by band in integer
+pairs over the common denominator of D, b and delta(b), on the interior
+of the window or, where the bands are affine on each residue class, at
+the two ends of each class.  Compact-parametrix detection builds only
+the blocks I + B_m^H B_m of the shells M <= |m| < 2M, where divergence
+is visible as growth of the smallest eigenvalue, and steps its iteration
+on the reciprocal diagonal when they are diagonal; the covariance check
+reads the residual off the one band and the largest block norm, an
+|entry| when the blocks are diagonal, and refuses a D on several bands.
 """
 
 import cmath
 import functools
 import math
+import operator
 from collections import namedtuple
 
 import numpy as np
@@ -381,6 +383,13 @@ def _check_level(b, level):
             )
 
 
+def _affine_per_class(row, a, z, P):
+    """True when row[a:z] is affine on each residue class mod P, in one
+    C-level pass: its lag-P differences repeat with period P."""
+    d = list(map(operator.sub, row[a + P:z], row[a:z - P]))
+    return d[P:] == d[:-P]
+
+
 def check_implementation(D, components, b, M, space="tau0", level=1):
     """Interior max deviation of [D, pi(b)] - pi(delta(b)); exactly zero
     when D implements delta.
@@ -394,13 +403,19 @@ def check_implementation(D, components, b, M, space="tau0", level=1):
     at the columns j, writing g(j) for g(x_j + m_j).  So a band of D of
     offset e, entries D_e(j) = D[j + e, j], meets it in the band o = e + s
     of both products: D pi(b) has D_e(j + s) g(j) at the column j, pi(b) D
-    has g(j + e) D_e(j).  Each output band is formed over its interior
-    columns alone, from aligned slices of these rows, and pi(delta(b))
-    is subtracted there; the window products have no other entries in
-    the interior.  The rows of D, b and delta(b) are rescaled to their
-    common denominator L, so the bands hold integer pairs over L^2, and
-    the largest a^2 + b^2 over L^4 is rounded once, as the Scalar
-    |entry|^2 would be.
+    has g(j + e) D_e(j).  Each output band is formed from aligned slices of
+    these rows, less pi(delta(b)); the window products have no other
+    entries in the interior.  The rows of D, b and delta(b) are rescaled
+    to their common denominator L, and the largest a^2 + b^2 of the
+    integer pairs over L^2 is rounded once over L^4, as the Scalar
+    |entry|^2 would be.  Each g is constant on the residue classes of
+    columns mod P = level lcm(periods of b, delta(b) and each eta), where
+    a D built from eta is affine off eta's corrections.  When every D_e
+    that the band o reads is affine on each class over its columns j and
+    j + s (_affine_per_class), so is each entry of o, and the convex
+    |entry|^2 peaks at a class's first or last interior column: o is
+    formed on [j0, j0 + P) and [j1 - P, j1) alone, any other band on its
+    whole interior [j0, j1).
     """
     db = bilateral_apply(components, b)
     if space == "tau0":
@@ -422,60 +437,67 @@ def check_implementation(D, components, b, M, space="tau0", level=1):
     bands = {e: (re, im) if t == 1 else ([a * t for a in re],
                                          [c * t for c in im])
              for e, (re, im) in bands.items() if any(re) or any(im)}
-    band_D = max((abs((j + e) // level - j // level)
-                  for e, (re, im) in bands.items()
-                  for j, (a, c) in enumerate(zip(re, im)) if a or c),
-                 default=0)
+    # D_e maps the column x of a block q to the block q + (x + e) // level
+    band_D = max((abs((x + e) // level) for e, (re, im) in bands.items()
+                  for x in range(level)
+                  if any(re[x::level]) or any(im[x::level])), default=0)
     margin = band_D + b.max_abs_degree()
     if M <= margin:
         raise WindowTooSmall(f"window {M} is all boundary at margin {margin}")
 
     lo, hi = margin * level, size - margin * level
+    P = level * math.lcm(*(g.period for x in (b, db)
+                           for g in x.terms.values()),
+                         *(c.eta.ep.period for c in components.values()))
     # g(j) over L at the window indices j - pad, ..., size + pad - 1: the
     # pi(b) D slices reach j + e outside the window where D_e(j) is 0
     pad = max(map(abs, bands), default=0)
-    xm = [t // level + t % level - M for t in range(-pad, size + pad)]
 
     def rows(g):
+        # g(j) = g(j // level + j % level - M) has the period level per in j
         gr, gi, _ = g._rows(L, g.period)
-        per = g.period
-        return [gr[y % per] for y in xm], [gi[y % per] for y in xm]
+        per, reps = g.period, (size + 2 * pad) // (level * g.period) + 1
+        ys = [(t // level + t % level - M) % per
+              for t in range(-pad, level * per - pad)]
+        return [gr[y] for y in ys] * reps, [gi[y] for y in ys] * reps
 
+    def spans(o, whole=False):
+        # the interior columns j of the band o, j and j + o in [lo, hi), or
+        # the ends of its classes mod P unless a D_e it reads is not affine
+        j0, j1 = max(lo, lo - o), min(hi, hi - o)
+        if whole or o in full or j1 - j0 <= 2 * P:
+            return [(j0, j1)] * (j0 < j1)
+        return [(j0, j0 + P), (j1 - P, j1)]
+
+    full = {e + s for e in bands for s in (k * level for k in b.terms)
+            for j0, j1 in spans(e + s, True) if not all(_affine_per_class(
+                r, min(j0, j0 + s), max(j1, j1 + s), P) for r in bands[e])}
     out = {}
 
-    def add(o, re, im):
-        have = out.get(o)
-        if have is not None:
-            re = [a + c for a, c in zip(have[0], re)]
-            im = [a + c for a, c in zip(have[1], im)]
-        out[o] = re, im
-
-    def cols(o):
-        # the interior columns j of the band o: j and j + o in [lo, hi)
-        return max(lo, lo - o), min(hi, hi - o)
+    def add(key, *pair):
+        have = out.get(key)
+        out[key] = pair if have is None else [
+            list(map(operator.add, x, y)) for x, y in zip(have, pair)]
 
     for k, g in b.terms.items():
         s, (gr, gi) = k * level, rows(g)
         for e, (dr, di) in bands.items():
-            j0, j1 = cols(e + s)
-            if j0 >= j1:
-                continue
-            # D_e(j + s), g(j), g(j + e), D_e(j) at the columns j0 <= j < j1
-            rows8 = (dr[j0 + s:j1 + s], di[j0 + s:j1 + s],
-                     gr[j0 + pad:j1 + pad], gi[j0 + pad:j1 + pad],
-                     gr[j0 + e + pad:j1 + e + pad],
-                     gi[j0 + e + pad:j1 + e + pad], dr[j0:j1], di[j0:j1])
-            add(e + s,
-                [a * x - c * u - y * p + v * q
-                 for a, c, x, u, y, v, p, q in zip(*rows8)],
-                [a * u + c * x - y * q - v * p
-                 for a, c, x, u, y, v, p, q in zip(*rows8)])
+            for j0, j1 in spans(e + s):
+                # D_e(j + s), g(j), g(j + e), D_e(j) at the columns j
+                rows8 = (dr[j0 + s:j1 + s], di[j0 + s:j1 + s],
+                         gr[j0 + pad:j1 + pad], gi[j0 + pad:j1 + pad],
+                         gr[j0 + e + pad:j1 + e + pad],
+                         gi[j0 + e + pad:j1 + e + pad], dr[j0:j1], di[j0:j1])
+                add((e + s, j0),
+                    [a * x - c * u - y * p + v * q
+                     for a, c, x, u, y, v, p, q in zip(*rows8)],
+                    [a * u + c * x - y * q - v * p
+                     for a, c, x, u, y, v, p, q in zip(*rows8)])
     # pi(delta(b)) on the interior, lifted to L^2
     for k, g in db.terms.items():
         s, (gr, gi) = k * level, rows(g)
-        j0, j1 = cols(s)
-        if j0 < j1:
-            add(s, [-L * x for x in gr[j0 + pad:j1 + pad]],
+        for j0, j1 in spans(s):
+            add((s, j0), [-L * x for x in gr[j0 + pad:j1 + pad]],
                 [-L * u for u in gi[j0 + pad:j1 + pad]])
     worst = max((a * a + c * c for re, im in out.values()
                  for a, c in zip(re, im)), default=0)
@@ -506,11 +528,11 @@ def _min_eig_inverse_power(G, tol=1e-12, cap=20000, seed=20240117):
     NoConvergence when cap iterations do not settle.
 
     When the blocks are diagonal, which is every shell but the bounded
-    Haar one with off cells, G^{-1} is applied as the flat diagonal of
-    the same inverse times v: the block product adds only exact zeros to
-    those entry-wise products, so both steps give the same bits.  G >= I
-    keeps its diagonal nonzero, so the blocks are diagonal exactly when
-    G has k L nonzero entries.
+    Haar one with off cells, G^{-1} is the flat vector 1 / diagonal(G),
+    with the bits of the diagonal of np.linalg.inv(G) on every such shell
+    of the tests, and the block product would add only exact zeros to its
+    entry-wise products.  G >= I keeps its diagonal nonzero, so the blocks
+    are diagonal exactly when G has k L nonzero entries.
 
     The steps write into two preallocated vectors and spell out what the
     plain loop v = w / np.linalg.norm(w) computes, with the same bits:
@@ -518,14 +540,12 @@ def _min_eig_inverse_power(G, tol=1e-12, cap=20000, seed=20240117):
     x.imag), and it divides a complex array by a real scalar as the
     product with the reciprocal.  The start vector comes from a cache of
     32 entries keyed by (k L, seed)."""
-    Ginv = np.linalg.inv(G)
     k, L, _ = G.shape
-
     if np.count_nonzero(G) == k * L:
-        op, A = np.multiply, np.diagonal(Ginv, axis1=1, axis2=2).reshape(-1)
+        op, A = np.multiply, 1 / np.diagonal(G, axis1=1, axis2=2).reshape(-1)
         shape = (k * L,)
     else:
-        op, A, shape = np.matmul, Ginv, (k, L, 1)
+        op, A, shape = np.matmul, np.linalg.inv(G), (k, L, 1)
 
     v = np.empty(k * L, dtype=complex)
     w = np.empty_like(v)

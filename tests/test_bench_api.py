@@ -90,3 +90,47 @@ def test_exact_round_jobs_pass(monkeypatch, workload):
     assert len(jobs) > 10
     for name, run, check in jobs:
         assert check(run()), name
+
+
+def test_implementation_checks_pass_the_affinity_test(monkeypatch):
+    # check_implementation reads only the ends of each residue class when
+    # _affine_per_class passes every row it reads; on the implementation
+    # jobs of forty gns_windows rounds and on the criterion 09 draws, none
+    # may fall back to the whole interior
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    tracing = importlib.import_module("tracing")
+    golden = importlib.import_module("golden").load()
+    acc = importlib.import_module("test_acceptance")
+    G = workloads.G
+    seen, real = [], G._affine_per_class
+    monkeypatch.setattr(G, "_affine_per_class",
+                        lambda *args: seen.append(real(*args)) or seen[-1])
+    ctx = workloads.prepare("gns_windows")
+    checks = 0
+    for seed in (7, 11):
+        for i in range(20):
+            for name, run, check in workloads.WORKLOADS["gns_windows"].round(
+                    seed, i, ctx, tracing.Counters(), golden):
+                if name.startswith("implementation"):
+                    assert check(run()), name
+                    checks += 1
+    # criterion 09: its random stream up to the implementation checks, and
+    # its five regime representatives, which are the workload's cases
+    rng = random.Random(20240309)
+    for _ in range(150):
+        acc.rand_bilateral(rng, acc.N2, [1, 2], max_deg=2)
+    comps = list(ctx["cases"].values())
+    for space in ("tau0", "haar"):
+        for comp in comps:
+            divisors = [1, 2] if comp.N.is_finite() else [1, 2, 4]
+            psi = acc.rand_lcf(rng, comp.N, divisors) \
+                if space == "haar" else None
+            data = G.implementation_from_bilateral(comp, psi=psi)
+            b = acc.rand_bilateral(rng, comp.N, divisors, max_deg=2)
+            assert G.check_implementation(
+                G._window_bands(data, space, 64), {comp.n: comp}, b, 64,
+                space=space, level=data.level) == 0.0
+            checks += 1
+    assert checks == 410
+    assert len(seen) > checks and all(seen)

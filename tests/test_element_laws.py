@@ -503,7 +503,7 @@ def test_kronecker_rows_match_the_pair_loop(side, data):
     for kernel in kernels:
         try:
             raw = kernel()
-            # _made first: _sum_row cancels below z into raw's corrections
+            # the raw rows are read twice, by _made and by _sum_row
             terms = _made(raw, factors, commute)
             rows = {d: tuple(map(list, _sum_row(*slots[0])[:2]))
                     for d, slots in raw.items()}
@@ -514,3 +514,24 @@ def test_kronecker_rows_match_the_pair_loop(side, data):
     assert kron == pair
     if not unilateral and weight == "x0" and commute:
         assert not isinstance(pair, str)
+
+
+def test_summing_raw_rows_leaves_them_unchanged():
+    # U^2 i times i U*: the pair loop's one raw row cancels below z = 1
+    # with a correction at key 0; reading the rows again, as the Kronecker
+    # property test does, gives the same row and the same product
+    i = Scalar(0, 1)
+    factors = _factors({2: EPSequence({}, [i], N24)},
+                       {-1: EPSequence({}, [i], N24)})
+    raw = _pair_rows(factors, True, False)
+    [(by_z, corr)] = [slots[0] for slots in raw.values()]
+    assert set(by_z) == {1} and corr == {}
+    first = _sum_row(by_z, corr)
+    assert first == ([-1], [0], {0: (1, 0)}) and corr == {}
+    assert _sum_row(by_z, corr) == first
+    want = {1: EPSequence({0: 1}, [-1], N24)}
+    assert _made(raw, factors, False) == want
+    assert _made(raw, factors, False) == want
+    assert multiply(UnilateralElement({2: EPSequence({}, [i], N24)}, N24),
+                    UnilateralElement({-1: EPSequence({}, [i], N24)}, N24)
+                    ) == UnilateralElement(want, N24)

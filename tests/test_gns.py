@@ -976,6 +976,26 @@ def test_shell_min_sv_frozen_values():
         assert got == want, (comp.n, space)
 
 
+def test_reciprocal_diagonal_is_the_inverse_diagonal(monkeypatch):
+    # the shell iteration applies 1 / diagonal(G) to a diagonal stack in
+    # place of the diagonal of np.linalg.inv(G); both carry the same bits
+    # on every diagonal stack of build_cases, both spaces
+    stacks, real = [], gns._min_eig_inverse_power
+    monkeypatch.setattr(gns, "_min_eig_inverse_power",
+                        lambda G: stacks.append(G) or real(G))
+    for data in build_cases():
+        for space in ("tau0", "haar"):
+            for M in (2, 5, 16, 64):
+                _shell_min_sv(data, space, M)
+    diagonal = [G for G in stacks
+                if np.count_nonzero(G) == G.shape[0] * G.shape[1]]
+    assert 0 < len(diagonal) < len(stacks)
+    for G in diagonal:
+        want = np.diagonal(np.linalg.inv(G), axis1=1, axis2=2)
+        got = 1 / np.diagonal(G, axis1=1, axis2=2)
+        assert got.tobytes() == want.tobytes()
+
+
 def dense_exact(entries, size):
     A = [[ZERO] * size for _ in range(size)]
     for (i, j), v in entries.items():
