@@ -20,8 +20,11 @@ integer rows are rescaled to one shared denominator and repeated to the
 lcm J of all periods; each pair adds its periodic row and its
 corrections (exact minus periodic value) to one raw row per output
 degree.  A derivation's [g, x] is one signed call, g*x + x*(-g) in the
-same integer slots, where the affine weight cancels; commutator [x, y]
-of two elements is the same signed call.  On Z each position is a
+same integer slots, whose weight-1 products cancel and are not formed:
+only their corrections and cutoffs are, entry by entry; commutator
+[x, y] of two elements is the same signed call.  The defect
+T(b1 b2) - T(b1)T(b2) is read off the pairs that meet below 0 alone.
+On Z each position is a
 convolution in the degree, which a large bilateral product does as a few
 big-integer products instead (Kronecker substitution, same raw rows).  A
 large product in A(N), indexed by column with zeros below 0, is the
@@ -90,9 +93,10 @@ def _terms_mul(xt, yt, unilateral, commute=False):
     A coefficient is a sequence or, in one factor at most, a pair (u, v)
     of sequences standing for W*u + v, W the affine weight (k+1 on
     k >= 0, l on Z), which enters as a weight-1 row u and a weight-0 row
-    v.  A product comes out as a pair; a commutator cancels the periodic
-    weight-1 row and folds its corrections c into weight 0 as
-    (k + offset)*c.
+    v.  A product comes out as a pair; in a commutator the weight-1 rows
+    cancel but for their corrections c, folded into weight 0 as
+    (k + offset)*c: formed alone where _folds shows the cancellation,
+    checked on the summed rows (_made) where it does not.
 
     _pair_rows serves every product below the size rule
     (_kronecker_slots), a Kronecker path with the same raw rows over D^2
@@ -110,13 +114,14 @@ def _terms_mul(xt, yt, unilateral, commute=False):
     if not xt or not yt:
         return {}
     factors = _factors(xt, yt)
+    fold = commute and _folds(factors)
     nb = _kronecker_slots(factors, unilateral, commute)
     if not nb:
-        raw = _pair_rows(factors, unilateral, commute)
+        raw = _pair_rows(factors, unilateral, commute, fold)
     elif unilateral:
         raw = _unilateral_rows(factors, nb)
     else:
-        raw = _kronecker_rows(factors, commute, nb)
+        raw = _kronecker_rows(factors, commute, nb, fold)
     return _made(raw, factors, commute)
 
 
@@ -139,12 +144,25 @@ def _factors(xt, yt):
     return type(seqs[0]), seqs[0].N, D, J, xrows, yrows
 
 
-def _pair_rows(factors, unilateral, commute):
+def _folds(factors):
+    """True when each weight-1 row of a commutator cancels against the
+    other pass: a constant without corrections at a degree m with J | m,
+    as covariant validation makes a derivation's generator."""
+    J = factors[3]
+    return all(n % J == 0 and not c and len({*zip(re, im)}) == 1
+               for t in factors[4:] for n, rows in t.items()
+               for w, re, im, c in rows if w)
+
+
+def _pair_rows(factors, unilateral, commute, fold=False):
     """The raw rows {degree: {weight: (rows by z, corrections)}}: each
     pair adds its periodic row a(r+sa) b(r+sb) to the rows of its output
     degree and weight, grouped by z, and its corrections (exact value
-    minus periodic value at the moved correction keys) to theirs."""
-    J, xrows, yrows = factors[3:]
+    minus periodic value at the moved correction keys) to theirs.  With
+    fold (_folds), a weight-1 pair forms no periodic row: its corrections
+    and its cutoffs k < z, entry by entry, go to weight 0 as
+    (k + offset)*c."""
+    cls, J, xrows, yrows = factors[0], *factors[3:]
     passes = [(xrows, yrows)]
     if commute:
         passes.append((yrows, {n: [
@@ -160,6 +178,21 @@ def _pair_rows(factors, unilateral, commute):
         for wa, are, aim, ac in _at_shift(arows, sa):
             ar, ai = are[ra:] + are[:ra], aim[ra:] + aim[:ra]
             for wb, bre, bim, bc in _at_shift(brows, sb):
+                if fold and wa + wb:
+                    # the constant u meets the row o at the moved keys of
+                    # o's corrections, and as -u o_per below z
+                    (cr, ci), (ore, oim, oc, s) = ((are[0], aim[0]), (
+                        bre, bim, bc, sb)) if wa else ((bre[0], bim[0]), (
+                            are, aim, ac, sa))
+                    corr = (slots.get(0) or slots.setdefault(0, ({}, {})))[1]
+                    for k in {i - s for i in oc}.union(range(z)):
+                        if k >= 0 or not unilateral:
+                            x, y = oc[k + s] if k >= z else (
+                                -ore[(k + s) % J], -oim[(k + s) % J])
+                            w, c = k + cls.offset, corr.get(k, (0, 0))
+                            corr[k] = (c[0] + w * (cr * x - ci * y),
+                                       c[1] + w * (cr * y + ci * x))
+                    continue
                 br, bi = bre[rb:] + bre[:rb], bim[rb:] + bim[:rb]
                 pr = [x * y - u * v for x, u, y, v in zip(ar, ai, br, bi)]
                 pi = [x * v + u * y for x, u, y, v in zip(ar, ai, br, bi)]
@@ -258,15 +291,16 @@ def _slot_reader(nb, size):
     return slots
 
 
-def _kronecker_rows(factors, commute, nb):
+def _kronecker_rows(factors, commute, nb, fold=False):
     """The raw rows of a bilateral product without corrections.  Degree
     m+n at position k sums a_m[(k+n) % J] b_n[k]; at X = 2^(8*nb), with
     A[s] = sum_m a_m[s] X^m and B_r[k] = sum_n b_n[k] X^n over a class r
     of n mod J, sum_r A[(k+r) % J] B_r[k] holds each degree in its slot,
     read back on the sumset.  A left pair (u, v) gains n*u at shift n
     (_at_shift) from the right rows packed again as n*b_n.  A commutator
-    subtracts its second pass; weight 1 is read only if it fails to
-    cancel.  nb is _slot_bytes(factors, commute)."""
+    subtracts its second pass; with fold (_folds) it forms no weight-1
+    product, else weight 1 is read only if it fails to cancel.  nb is
+    _slot_bytes(factors, commute)."""
     J, xrows, yrows = factors[3:]
     half, lo = 1 << (8 * nb - 1), min(xrows) + min(yrows)
     size = max(xrows) + max(yrows) - lo + 1
@@ -279,13 +313,13 @@ def _kronecker_rows(factors, commute, nb):
         classes = {}
         for n, rows in right.items():
             classes.setdefault(n % J, {})[n] = rows
-        for (r, t), wb in product(classes.items(), (0, 1)):
+        for (r, t), wb in product(classes.items(), range(2 - fold)):
             b = _packs(t, wb, min(right), nb)
             gain = b and lpk[1] and _packs(t, wb, min(right), nb, True)
             # output weight, left pack, right pack: v*b, u*b, and u*n*b
             for wo, a, bb in ((wb, lpk[0], b), (wb + 1, lpk[1], b),
                               (wb, lpk[1], gain)):
-                if wo > 1 or not (a and bb):
+                if wo > 1 - fold or not (a and bb):
                     continue
                 # Gauss: (ar + i ai)(br + i bi) by three products
                 (ar, ai, ars), (br, bi) = (row[r:r + J] for row in a), bb
@@ -387,8 +421,8 @@ def _unilateral_rows(factors, nb):
 
 def _made(raw, factors, commute):
     """The terms of raw rows over D^2, each summed by _sum_row; a
-    commutator checks that weight 1 cancels and folds its corrections
-    into weight 0."""
+    commutator that failed _folds checks that weight 1 cancels and folds
+    its corrections into weight 0."""
     cls, N, D = factors[:3]
     out = {}
     for deg, slots in raw.items():
@@ -430,7 +464,7 @@ def _sum_row(by_z, corr):
 
 class _Element:
     """Finite normal form: degree -> nonzero coefficient.  Subclasses set
-    the coefficient class _coeff and entry."""
+    the coefficient class _coeff."""
 
     __slots__ = ("terms", "N")
 
@@ -451,6 +485,14 @@ class _Element:
 
     def coefficient(self, n):
         return self.terms.get(n)
+
+    def entry(self, i, j):
+        """Exact matrix entry (i, j): the coefficient of degree i - j at
+        j, or at i for a negative degree on A(N) (coefficient left)."""
+        a = self.terms.get(i - j)
+        if a is None:
+            return _ZERO
+        return a.value_at(i if i < j and self._coeff.unilateral else j)
 
     def degrees(self):
         return sorted(self.terms.keys())
@@ -514,13 +556,14 @@ def scale(x, c):
 bilateral_scale = scale
 
 
-def commutator(x, y):
-    """[x, y] = x*y - y*x on either algebra, in one signed kernel pass."""
+def commutator(x, y, commute=True):
+    """[x, y] = x*y - y*x on either algebra, in one signed kernel pass;
+    the product x*y without commute.  Elements of two algebras refuse."""
     if type(x) is not type(y):
-        raise TypeError(f"cannot commute {type(x).__name__} "
-                        f"with {type(y).__name__}")
+        raise TypeError(f"cannot {'commute' if commute else 'multiply'} "
+                        f"{type(x).__name__} with {type(y).__name__}")
     return type(x)(_terms_mul(x.terms, y.terms, x._coeff.unilateral,
-                              commute=True), x.N)
+                              commute), x.N)
 
 
 # ---------------------------------------------------------------------------
@@ -533,21 +576,13 @@ class UnilateralElement(_Element):
     __slots__ = ()
     _coeff = EPSequence
 
-    def entry(self, i, j):
-        """Exact matrix entry (i, j) of the represented operator."""
-        n = i - j
-        a = self.terms.get(n)
-        if a is None:
-            return _ZERO
-        return a.value_at(j if n >= 0 else i)
-
 
 def zero_element(N):
     return UnilateralElement({}, N)
 
 
 def identity_element(N):
-    return UnilateralElement({0: ep_constant(1, N)}, N)
+    return u_element(N, 0)
 
 
 def u_element(N, power=1):
@@ -567,14 +602,12 @@ def p0_element(N):
 
 def matrix_unit_compact(r, s, N):
     """U^r P_0 (U*)^s: the rank-one matrix unit E_rs, built directly."""
-    return UnilateralElement(
-        {r - s: EPSequence({min(r, s): 1}, [0], N)}, N
-    )
+    return UnilateralElement({r - s: EPSequence({min(r, s): 1}, [0], N)}, N)
 
 
 def multiply(x, y):
     """Normal form of the operator product, on either algebra."""
-    return type(x)(_terms_mul(x.terms, y.terms, x._coeff.unilateral), x.N)
+    return commutator(x, y, False)
 
 
 bilateral_multiply = multiply
@@ -623,28 +656,17 @@ class BilateralElement(_Element):
     __slots__ = ()
     _coeff = LocallyConstantFunction
 
-    def entry(self, i, j):
-        """Exact matrix entry over Z: (i, j) with i = j + degree."""
-        f = self.terms.get(i - j)
-        if f is None:
-            return _ZERO
-        return f.value_at(j)
-
 
 def bilateral_zero(N):
     return BilateralElement({}, N)
 
 
 def bilateral_identity(N):
-    return BilateralElement(
-        {0: LocallyConstantFunction([Scalar(1)], N)}, N
-    )
+    return v_element(N, 0)
 
 
 def v_element(N, power=1):
-    return BilateralElement(
-        {power: LocallyConstantFunction([Scalar(1)], N)}, N
-    )
+    return BilateralElement({power: LocallyConstantFunction([1], N)}, N)
 
 
 def bilateral_diag(f):
@@ -653,10 +675,7 @@ def bilateral_diag(f):
 
 def expectation(b):
     """The degree-0 coefficient, as a locally constant function."""
-    f = b.terms.get(0)
-    if f is None:
-        return LocallyConstantFunction([Scalar(0)], b.N)
-    return f
+    return b.terms.get(0) or LocallyConstantFunction([0], b.N)
 
 
 def toeplitz(b):
@@ -665,17 +684,29 @@ def toeplitz(b):
     T(V^n c(L)) = U^n (c restricted) for n >= 0; for n = -p < 0 the
     degree -p coefficient is k |-> c(k+p).
     """
-    terms = {}
-    for n, f in b.terms.items():
-        terms[n] = ep_from_lcf(f if n >= 0 else ep_shift(f, -n))
-    return UnilateralElement(terms, b.N)
+    return UnilateralElement({n: ep_from_lcf(f if n >= 0 else ep_shift(
+        f, -n)) for n, f in b.terms.items()}, b.N)
 
 
 def mult_defect(b1, b2):
-    """T(b1 b2) - T(b1)T(b2); always compact."""
-    return toeplitz(multiply(b1, b2)) - multiply(
-        toeplitz(b1), toeplitz(b2)
-    )
+    """T(b1 b2) - T(b1)T(b2), always compact: b1 b2 summed over l < 0,
+    where V^m f and V^n g with m >= 0 > n add f(k - s) g(k - s - n) at
+    k < s = min(m, -n) to degree m + n, on integer rows over one D."""
+    if not type(b1) is type(b2) is BilateralElement:
+        raise TypeError("the defect takes two elements of B(N)")
+    seqs = [f for b in (b1, b2) for f in b.terms.values()]
+    # the periods must divide N, as in a product
+    _common_period(b1.N, *(f.period for f in seqs))
+    D, out = math.lcm(*(f.den for f in seqs)), {}
+    for (m, f), (n, g) in product(b1.terms.items(), b2.terms.items()):
+        s, h = min(m, -n), D // f.den * (D // g.den)
+        corr = s > 0 and out.setdefault(m + n, {})
+        for k in range(s):
+            (x, u), (y, v) = f._at(k - s), g._at(k - s - n)
+            c = corr.get(k, (0, 0))
+            corr[k] = (c[0] + h * (x * y - u * v), c[1] + h * (x * v + u * y))
+    return UnilateralElement({d: EPSequence._make(D * D, [0], [0], c, b1.N)
+                              for d, c in out.items()}, b1.N)
 
 
 def residue_indicator(r, N_int, N):
@@ -689,13 +720,8 @@ def matrix_units(N):
     if not N.is_finite():
         raise NotFinite("matrix units need a finite N")
     N_int = N.as_int()
-    units = {}
-    for s in range(N_int):
-        for r in range(N_int):
-            units[(s, r)] = BilateralElement(
-                {s - r: residue_indicator(r, N_int, N)}, N
-            )
-    return units
+    return {(s, r): BilateralElement({s - r: residue_indicator(
+        r, N_int, N)}, N) for s, r in product(range(N_int), repeat=2)}
 
 
 # ---------------------------------------------------------------------------
@@ -776,10 +802,8 @@ class LaurentFunction:
 
     @classmethod
     def from_json(cls, data):
-        return cls(
-            {_int_key(j): Scalar.from_json(c)
-             for j, c in data["coeffs"].items()}
-        )
+        return cls({_int_key(j): Scalar.from_json(c)
+                    for j, c in data["coeffs"].items()})
 
 
 _ZERO_POLY = LaurentFunction({})

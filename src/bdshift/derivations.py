@@ -7,7 +7,7 @@ g_n = beta_n(K) (U*)^{-n} for n < 0.  The affine part never lies in the
 algebra itself, so a generator enters the product kernel as a pair
 (u, v) standing for W*u + v, W the affine weight.  Each commutator
 [g, x] is one signed kernel pass g*x + x*(-g) on integer rows, in which
-the weight-1 row cancels before any Scalar is formed.
+the weight-1 products cancel and are not formed.
 """
 
 from fractions import Fraction
@@ -69,11 +69,7 @@ class _CovariantData:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self._coef == other._coef
-            and self.N == other.N
-        )
+        return (self.n, self._coef, self.N) == (other.n, other._coef, other.N)
 
     def __hash__(self):
         return hash((self.n, self._coef, self.N))
@@ -197,10 +193,12 @@ def derivation_scale(d, c):
 
 def _commutator(components, x):
     """[g, x] on either algebra, g the sum of the components' generators,
-    in one signed kernel pass that cancels the weight, as the validity
-    conditions guarantee.  An affine coefficient linear*W + ep enters as
-    the pair (linear, ep) in the coefficient class of x, a bounded one as
-    ep alone."""
+    in one signed kernel pass.  An affine coefficient linear*W + ep enters
+    as the pair (linear, ep) in the coefficient class of x, a bounded one
+    as ep alone; the validity conditions put a linear part only at a
+    degree m with J | m, so its products cancel between the two passes
+    but for the corrections and cutoffs, the only ones formed
+    (algebra._folds)."""
     seq, gen = x._coeff, {}
     for n, comp in components.items():
         linear, ep = comp._coef.linear, comp._coef.ep
@@ -285,9 +283,7 @@ def d_f_build(f, N):
     comps = {}
     for j, c in f.coeffs.items():
         n = j * N_int
-        comps[n] = covariant(
-            n, AffineSequence(c * inv, ep_zero(N)), N
-        )
+        comps[n] = covariant(n, AffineSequence(c * inv, ep_zero(N)), N)
     return DerivationSum(comps, N)
 
 

@@ -32,6 +32,7 @@ import functools
 import math
 import operator
 from collections import namedtuple
+from itertools import chain, product
 
 import numpy as np
 
@@ -221,11 +222,11 @@ def _D_block(data, space):
     sit in the rows x - n, which are the diagonal when level | n.
 
     eta = linear l + ep(l), psi and c are read as Gaussian-integer rows
-    over one denominator den, and const is formed on them, so diag(ms)
-    gives the diagonals of the blocks m in ms, in order, as numerator
-    lists (re, im) at a few int operations an entry.  The float of an
-    entry is complex(a / den, b / den), complex of its Scalar because
-    int / int is correctly rounded.
+    over one denominator den, and const is formed on them, so diag(*runs)
+    gives the diagonals of the blocks m of the runs (ranges of m), in
+    order, as numerator lists (re, im) built by list repetition and a few
+    passes of map.  The float of an entry is complex(a / den, b / den),
+    complex of its Scalar because int / int is correctly rounded.
     """
     n, linear, ep, psi = data.n, data.eta.linear, data.eta.ep, data.psi
     c = data.c if space == "tau0" else ZERO
@@ -253,19 +254,24 @@ def _D_block(data, space):
                 ca[x], cb[x] = a, b
             elif a or b:
                 off.append((k % level, x, a, b))
-    fiber = range(level)
 
-    def diag(ms):
-        re = [la * (x + m) + ta[(x + m) % p] + ca[x]
-              for m in ms for x in fiber]
-        im = [lb * (x + m) + tb[(x + m) % p] + cb[x]
-              for m in ms for x in fiber]
-        if corr:
-            for i, k in enumerate(x + m for m in ms for x in fiber):
-                if k in corr:
-                    re[i] += corr[k][0]
-                    im[i] += corr[k][1]
-        return re, im
+    def diag(*runs):
+        # on a run of blocks m: lin*m, plus a pattern repeating every p
+        # blocks, plus the corrections inside the run at their keys x + m
+        out = ([], [])
+        for ms, (row, lin, t, const, part) in product(runs, zip(
+                out, (la, lb), (ta, tb), (ca, cb), (0, 1))):
+            n, at = len(ms), len(row)
+            row += ([t[(m + x) % p] + lin * x + const[x] for m in ms[:p]
+                     for x in range(level)] * (n // p + 1))[:n * level]
+            if lin:
+                ramp = range(lin * ms.start, lin * ms.stop, lin)
+                row[at:] = map(operator.add, row[at:], ramp if level == 1
+                               else chain.from_iterable(zip(*[ramp] * level)))
+            for k, x in product(corr, range(level)):
+                if k - x in ms:
+                    row[at + (k - x - ms.start) * level + x] += corr[k][part]
+        return out
 
     return level, den, diag, off
 
@@ -577,9 +583,8 @@ def _shell_min_sv(data, space, M):
     if M < 1:
         raise ValueError(f"the shell M <= |m| < 2M is empty at M={M}")
     level, den, diag, off = _D_block(data, space)
-    shell = [*range(-2 * M + 1, -M + 1), *range(M, 2 * M)]
-    re, im = diag(shell)
-    B = np.zeros((len(shell), level, level), dtype=complex)
+    re, im = diag(range(-2 * M + 1, -M + 1), range(M, 2 * M))
+    B = np.zeros((2 * M, level, level), dtype=complex)
     fiber = np.arange(level)
     B.real[:, fiber, fiber] = np.reshape([a / den for a in re], (-1, level))
     B.imag[:, fiber, fiber] = np.reshape([b / den for b in im], (-1, level))

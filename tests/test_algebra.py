@@ -35,6 +35,7 @@ from bdshift.algebra import (
     matrix_unit_compact,
     matrix_units,
     mult_defect,
+    multiply,
     p0_element,
     quotient,
     residue_indicator,
@@ -213,6 +214,20 @@ def test_mult_defect():
         d = mult_defect(b1, b2)
         assert is_compact(d)
         assert d == toeplitz(b1 * b2) - toeplitz(b1) * toeplitz(b2)
+
+
+def test_products_refuse_elements_of_two_algebras():
+    # multiply(U, V) gave U^2 in A(N), and mult_defect(U, V*) read the
+    # terms of U as those of V and gave 0
+    U, V = u_element(N2), v_element(N2)
+    for op in (multiply, commutator, lambda x, y: x * y):
+        for x, y in ((U, V), (V, U)):
+            with pytest.raises(TypeError):
+                op(x, y)
+    for x, y in ((U, v_element(N2, -1)), (V, u_element(N2, -1)),
+                 (U, u_element(N2, -1))):
+        with pytest.raises(TypeError):
+            mult_defect(x, y)
 
 
 def test_expectation():

@@ -92,6 +92,30 @@ def test_exact_round_jobs_pass(monkeypatch, workload):
         assert check(run()), name
 
 
+@pytest.mark.parametrize("workload", ["unilateral_exact", "bilateral_exact"])
+def test_exact_round_applies_fold_the_weight(monkeypatch, workload):
+    # every derivation apply of one seeded round passes the commutator
+    # kernel's guard, so none forms the weight-1 products that cancel
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    tracing = importlib.import_module("tracing")
+    golden = importlib.import_module("golden").load()
+    algebra = importlib.import_module("bdshift.algebra")
+    seen, real = [], algebra._folds
+
+    def folds(factors):
+        if any(w for t in factors[4:] for rows in t.values()
+               for w, *_ in rows):
+            seen.append(real(factors))
+        return real(factors)
+    monkeypatch.setattr(algebra, "_folds", folds)
+    ctx = workloads.prepare(workload)
+    for name, run, check in workloads.WORKLOADS[workload].round(
+            7, 0, ctx, tracing.Counters(), golden):
+        assert check(run()), name
+    assert len(seen) > 10 and all(seen), seen
+
+
 def test_implementation_checks_pass_the_affinity_test(monkeypatch):
     # check_implementation reads only the ends of each residue class when
     # _affine_per_class passes every row it reads; on the implementation

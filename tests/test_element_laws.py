@@ -103,12 +103,15 @@ def elements(draw, domain, compact=False):
 
 
 @st.composite
-def components(draw, domain):
-    """{n: covariant component} at degrees -3..3; covariance allows a
-    linear part only at n = 0."""
+def components(draw, domain, far=False):
+    """{n: covariant component} at degrees -3..3, with far also at +-N and
+    +-2N; covariance allows a linear part only at n = 0 and at those."""
     comps = {}
-    for n in draw(st.lists(st.integers(-3, 3), max_size=3, unique=True)):
-        linear = draw(scalars) if n == 0 else ZERO
+    pool = st.integers(-3, 3)
+    if far:
+        pool = pool | st.sampled_from([-24, -12, 12, 24])
+    for n in draw(st.lists(pool, max_size=3, unique=True)):
+        linear = ZERO if bounded_regime(n, N) else draw(scalars)
         if domain == "unilateral":
             beta = AffineSequence(linear, draw(coefficients(domain)))
             comps[n] = covariant(n, beta, N)
@@ -189,7 +192,11 @@ def test_derivations_obey_leibniz(domain, data):
 @LAWS
 @given(data=st.data())
 def test_derivations_are_commutators_with_the_affine_generator(domain, data):
-    comps = data.draw(components(domain))
+    """[g, a] entry by entry on the window and, for a generator with a
+    linear part at +-N or +-2N, on the first keys of every degree m + n:
+    there the weight-1 products meet the cutoffs k < min(m, -n) and the
+    moved correction keys of a, which the kernel forms alone."""
+    comps = data.draw(components(domain, far=True))
     a = data.draw(elements(domain))
     if domain == "unilateral":
         image = apply(DerivationSum(comps, N), a)
@@ -197,10 +204,13 @@ def test_derivations_are_commutators_with_the_affine_generator(domain, data):
         image = bilateral_apply(comps, a)
     g = Generator(comps, domain)
     window = DOMAINS[domain][1]
-    for i in window:
-        for j in window:
-            assert image.entry(i, j) == (naive_product_entry(g, a, i, j)
-                                         - naive_product_entry(a, g, i, j))
+    degrees = {m + n for m in comps for n in a.terms}
+    assert set(image.terms) <= degrees
+    cells = {(i, j) for i in window for j in window} | {
+        (k + max(d, 0), k - min(d, 0)) for d in degrees for k in window}
+    for i, j in cells:
+        assert image.entry(i, j) == (naive_product_entry(g, a, i, j)
+                                     - naive_product_entry(a, g, i, j))
 
 
 def _rebuilt(c):
@@ -292,6 +302,32 @@ def test_mult_defect_is_compact(data):
     defect = mult_defect(b1, b2)
     assert is_compact(defect)
     assert quotient(defect).is_zero()
+
+
+@LAWS
+@given(data=st.data())
+def test_mult_defect_is_the_toeplitz_difference(data):
+    """mult_defect forms only the pairs that meet below 0; it equals
+    T(b1 b2) - T(b1)T(b2) formed in full, for degrees of both signs, N
+    finite and 2^inf, and numerators past 2^64.  (A wrong closed form
+    made only of corrections would still be compact.)"""
+    n_, periods_ = data.draw(st.sampled_from(
+        [(N, [1, 2, 3, 4, 6, 12]), (N_INF, [1, 2, 4, 8])]))
+    bound = data.draw(st.sampled_from([3, 2**70]))
+    wide = st.builds(
+        lambda a, b, d, e: Scalar(Fraction(a, d), Fraction(b, e)),
+        st.integers(-bound, bound), st.integers(-bound, bound),
+        denominators, st.sampled_from([1, 5, 3**40]))
+
+    def element():
+        degrees = data.draw(st.lists(st.integers(-9, 9), min_size=1,
+                                     max_size=5, unique=True))
+        return BilateralElement({n: LocallyConstantFunction(data.draw(
+            st.lists(wide, min_size=p, max_size=p)), n_) for n in degrees
+            for p in [data.draw(st.sampled_from(periods_))]}, n_)
+    b1, b2 = element(), element()
+    assert mult_defect(b1, b2) == toeplitz(multiply(b1, b2)) - multiply(
+        toeplitz(b1), toeplitz(b2))
 
 
 @pytest.mark.parametrize("domain", DOMAINS)

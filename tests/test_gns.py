@@ -669,7 +669,7 @@ def batched_shell_min_sv(data, space, M, tol=1e-12, seed=20240117):
     product, whatever the block structure."""
     level, den, diag, off = _D_block(data, space)
     shell = [*range(-2 * M + 1, -M + 1), *range(M, 2 * M)]
-    re, im = diag(shell)
+    re, im = diag(range(-2 * M + 1, -M + 1), range(M, 2 * M))
     B = np.zeros((len(shell), level, level), dtype=complex)
     fiber = np.arange(level)
     B.real[:, fiber, fiber] = np.reshape([a / den for a in re], (-1, level))
