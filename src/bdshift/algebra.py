@@ -20,11 +20,10 @@ integer rows are rescaled to one shared denominator and repeated to the
 lcm J of all periods; each pair adds its periodic row and its
 corrections (exact minus periodic value) to one raw row per output
 degree.  A derivation's [g, x] is one signed call, g*x + x*(-g) in the
-same integer slots, whose weight-1 products cancel and are not formed:
-only their corrections and cutoffs are, entry by entry; commutator
-[x, y] of two elements is the same signed call.  The defect
-T(b1 b2) - T(b1)T(b2) is read off the pairs that meet below 0 alone.
-On Z each position is a
+same integer slots, where the weight-1 products cancel and only their
+corrections and cutoffs are formed; commutator [x, y] of two elements
+is the same signed call.  The defect T(b1 b2) - T(b1)T(b2) reads only
+the pairs that meet below 0.  On Z each position is a
 convolution in the degree, which a large bilateral product does as a few
 big-integer products instead (Kronecker substitution, same raw rows).  A
 large product in A(N), indexed by column with zeros below 0, is the
@@ -115,13 +114,13 @@ def _terms_mul(xt, yt, unilateral, commute=False):
         return {}
     factors = _factors(xt, yt)
     fold = commute and _folds(factors)
-    nb = _kronecker_slots(factors, unilateral, commute)
+    nb = _kronecker_slots(factors, unilateral, commute, fold)
     if not nb:
         raw = _pair_rows(factors, unilateral, commute, fold)
     elif unilateral:
         raw = _unilateral_rows(factors, nb)
     else:
-        raw = _kronecker_rows(factors, commute, nb, fold)
+        raw = _kronecker_rows(factors, commute, nb)
     return _made(raw, factors, commute)
 
 
@@ -220,16 +219,17 @@ KRONECKER_SPREAD = 4
 KRONECKER_HEAD = 4
 
 
-def _kronecker_slots(factors, unilateral, commute):
+def _kronecker_slots(factors, unilateral, commute, fold=False):
     """The size rule: the slot bytes of a product's Kronecker path, or 0
     for the pair loop.  Its #x*#y term pairs reach KRONECKER_PAIRS*(#x +
     #y + J), twice that on A(N), which packs a head too; its degree span
     (the output's slots) is at most KRONECKER_SPREAD*(#x + #y); its slots
-    fit a 64-bit word.  On Z, no corrections; on A(N), plain sequences,
-    no commutator, and C*span at most KRONECKER_HEAD*#x*#y for the head
-    of C columns.  Below, packing costs more than the pairs; sparse
-    degrees pack mostly empty slots, wider slots half empty operands, and
-    a long head more than the pairs it saves."""
+    fit a 64-bit word; a pair (u, v) only in a commutator with fold
+    (_folds).  On Z, no corrections; on A(N), no commutator, and C*span
+    at most KRONECKER_HEAD*#x*#y for the head of C columns.  Below,
+    packing costs more than the pairs; sparse degrees pack mostly empty
+    slots, wider slots half empty operands, and a long head more than the
+    pairs it saves."""
     J, xrows, yrows = factors[3:]
     nx, ny = len(xrows), len(yrows)
     if (nx * ny < KRONECKER_PAIRS * (1 + unilateral) * (nx + ny + J)
@@ -237,9 +237,9 @@ def _kronecker_slots(factors, unilateral, commute):
         return 0
     rows = [*xrows.values(), *yrows.values()]
     span = max(xrows) + max(yrows) - min(xrows) - min(yrows) + 1
-    if span > KRONECKER_SPREAD * (nx + ny) or (
-            any(len(r) > 1 for r in rows)
-            or _head_length(xrows, yrows) * span > KRONECKER_HEAD * nx * ny
+    if span > KRONECKER_SPREAD * (nx + ny) or not fold and any(
+            len(r) > 1 for r in rows) or (
+            _head_length(xrows, yrows) * span > KRONECKER_HEAD * nx * ny
             if unilateral else any(c for r in rows for *_, c in r)):
         return 0
     nb = _slot_bytes(factors, commute)
@@ -291,20 +291,20 @@ def _slot_reader(nb, size):
     return slots
 
 
-def _kronecker_rows(factors, commute, nb, fold=False):
-    """The raw rows of a bilateral product without corrections.  Degree
-    m+n at position k sums a_m[(k+n) % J] b_n[k]; at X = 2^(8*nb), with
-    A[s] = sum_m a_m[s] X^m and B_r[k] = sum_n b_n[k] X^n over a class r
-    of n mod J, sum_r A[(k+r) % J] B_r[k] holds each degree in its slot,
-    read back on the sumset.  A left pair (u, v) gains n*u at shift n
-    (_at_shift) from the right rows packed again as n*b_n.  A commutator
-    subtracts its second pass; with fold (_folds) it forms no weight-1
-    product, else weight 1 is read only if it fails to cancel.  nb is
-    _slot_bytes(factors, commute)."""
+def _kronecker_rows(factors, commute, nb):
+    """The raw weight-0 rows of a bilateral product without corrections.
+    Degree m+n at position k sums a_m[(k+n) % J] b_n[k]; at X = 2^(8*nb),
+    with A[s] = sum_m a_m[s] X^m and B_r[k] = sum_n b_n[k] X^n over a
+    class r of n mod J, sum_r A[(k+r) % J] B_r[k] holds each degree in
+    its slot, read back on the sumset.  A commutator subtracts its second
+    pass.  A pair (u, v) comes only in a commutator that folds
+    (_kronecker_slots), whose weight-1 products cancel and are not formed;
+    a left pair gains n*u at shift n (_at_shift) from the right rows
+    packed again as n*b_n.  nb is _slot_bytes(factors, commute)."""
     J, xrows, yrows = factors[3:]
     half, lo = 1 << (8 * nb - 1), min(xrows) + min(yrows)
     size = max(xrows) + max(yrows) - lo + 1
-    sums = [[[0] * J, [0] * J] for _ in range(2)]  # by weight: re, im
+    sums = [[0] * J, [0] * J]  # re, im
     for left, right, op in [(xrows, yrows, add)] + [
             (yrows, xrows, sub)] * commute:
         # by weight: ar, ai and ar + ai, doubled so a rotation is a slice
@@ -313,39 +313,27 @@ def _kronecker_rows(factors, commute, nb, fold=False):
         classes = {}
         for n, rows in right.items():
             classes.setdefault(n % J, {})[n] = rows
-        for (r, t), wb in product(classes.items(), range(2 - fold)):
-            b = _packs(t, wb, min(right), nb)
-            gain = b and lpk[1] and _packs(t, wb, min(right), nb, True)
-            # output weight, left pack, right pack: v*b, u*b, and u*n*b
-            for wo, a, bb in ((wb, lpk[0], b), (wb + 1, lpk[1], b),
-                              (wb, lpk[1], gain)):
-                if wo > 1 - fold or not (a and bb):
+        for r, t in classes.items():
+            b = _packs(t, 0, min(right), nb)
+            gain = b and lpk[1] and _packs(t, 0, min(right), nb, True)
+            # left pack, right pack: v*b and u*n*b
+            for a, bb in ((lpk[0], b), (lpk[1], gain)):
+                if not (a and bb):
                     continue
                 # Gauss: (ar + i ai)(br + i bi) by three products
                 (ar, ai, ars), (br, bi) = (row[r:r + J] for row in a), bb
-                k1, acc = [*map(mul, br, ars)], sums[wo]
-                acc[0] = [*map(op, acc[0], map(
+                k1 = [*map(mul, br, ars)]
+                sums[0] = [*map(op, sums[0], map(
                     sub, k1, map(mul, ai, map(add, br, bi))))]
-                acc[1] = [*map(op, acc[1], map(
+                sums[1] = [*map(op, sums[1], map(
                     add, k1, map(mul, ar, map(sub, bi, br))))]
     slots = _slot_reader(nb, size)
-
-    def unpack(wt, degrees):
-        cols = [[*map(slots, vs)] for vs in zip(*sums[wt])]
-        return {d: ({0: [([re[d - lo] - half for re, _ in cols],
-                          [im[d - lo] - half for _, im in cols])]}, {})
-                for d in degrees}
-
+    cols = [[*map(slots, vs)] for vs in zip(*sums)]
     # the degrees in the order in which the pair loop meets them
-    raw = {d: {0: row} for d, row in unpack(0, dict.fromkeys(
-        chain.from_iterable(map(m.__add__, yrows) for m in xrows))).items()}
-    px, py = ([n for n, rows in t.items() if len(rows) == 2]
-              for t in (xrows, yrows))
-    if (px or py) and (not commute or any(map(any, sums[1]))):
-        for d, row in unpack(1, {*(m + n for m in px for n in yrows),
-                                 *(m + n for m in xrows for n in py)}).items():
-            raw[d][1] = row
-    return raw
+    return {d: {0: ({0: [([re[d - lo] - half for re, _ in cols],
+                          [im[d - lo] - half for _, im in cols])]}, {})}
+            for d in dict.fromkeys(chain.from_iterable(
+                map(m.__add__, yrows) for m in xrows))}
 
 
 def _head_length(xrows, yrows):
@@ -556,14 +544,13 @@ def scale(x, c):
 bilateral_scale = scale
 
 
-def commutator(x, y, commute=True):
-    """[x, y] = x*y - y*x on either algebra, in one signed kernel pass;
-    the product x*y without commute.  Elements of two algebras refuse."""
+def commutator(x, y):
+    """[x, y] = x*y - y*x on either algebra, in one signed kernel pass."""
     if type(x) is not type(y):
-        raise TypeError(f"cannot {'commute' if commute else 'multiply'} "
-                        f"{type(x).__name__} with {type(y).__name__}")
+        raise TypeError(f"cannot commute {type(x).__name__} "
+                        f"with {type(y).__name__}")
     return type(x)(_terms_mul(x.terms, y.terms, x._coeff.unilateral,
-                              commute), x.N)
+                              commute=True), x.N)
 
 
 # ---------------------------------------------------------------------------
@@ -602,12 +589,17 @@ def p0_element(N):
 
 def matrix_unit_compact(r, s, N):
     """U^r P_0 (U*)^s: the rank-one matrix unit E_rs, built directly."""
-    return UnilateralElement({r - s: EPSequence({min(r, s): 1}, [0], N)}, N)
+    return UnilateralElement(
+        {r - s: EPSequence({min(r, s): 1}, [0], N)}, N
+    )
 
 
 def multiply(x, y):
     """Normal form of the operator product, on either algebra."""
-    return commutator(x, y, False)
+    if type(x) is not type(y):
+        raise TypeError(f"cannot multiply {type(x).__name__} "
+                        f"with {type(y).__name__}")
+    return type(x)(_terms_mul(x.terms, y.terms, x._coeff.unilateral), x.N)
 
 
 bilateral_multiply = multiply
@@ -666,7 +658,9 @@ def bilateral_identity(N):
 
 
 def v_element(N, power=1):
-    return BilateralElement({power: LocallyConstantFunction([1], N)}, N)
+    return BilateralElement(
+        {power: LocallyConstantFunction([Scalar(1)], N)}, N
+    )
 
 
 def bilateral_diag(f):
@@ -675,7 +669,10 @@ def bilateral_diag(f):
 
 def expectation(b):
     """The degree-0 coefficient, as a locally constant function."""
-    return b.terms.get(0) or LocallyConstantFunction([0], b.N)
+    f = b.terms.get(0)
+    if f is None:
+        return LocallyConstantFunction([Scalar(0)], b.N)
+    return f
 
 
 def toeplitz(b):
@@ -684,8 +681,10 @@ def toeplitz(b):
     T(V^n c(L)) = U^n (c restricted) for n >= 0; for n = -p < 0 the
     degree -p coefficient is k |-> c(k+p).
     """
-    return UnilateralElement({n: ep_from_lcf(f if n >= 0 else ep_shift(
-        f, -n)) for n, f in b.terms.items()}, b.N)
+    terms = {}
+    for n, f in b.terms.items():
+        terms[n] = ep_from_lcf(f if n >= 0 else ep_shift(f, -n))
+    return UnilateralElement(terms, b.N)
 
 
 def mult_defect(b1, b2):
@@ -720,8 +719,13 @@ def matrix_units(N):
     if not N.is_finite():
         raise NotFinite("matrix units need a finite N")
     N_int = N.as_int()
-    return {(s, r): BilateralElement({s - r: residue_indicator(
-        r, N_int, N)}, N) for s, r in product(range(N_int), repeat=2)}
+    units = {}
+    for s in range(N_int):
+        for r in range(N_int):
+            units[(s, r)] = BilateralElement(
+                {s - r: residue_indicator(r, N_int, N)}, N
+            )
+    return units
 
 
 # ---------------------------------------------------------------------------
@@ -802,8 +806,10 @@ class LaurentFunction:
 
     @classmethod
     def from_json(cls, data):
-        return cls({_int_key(j): Scalar.from_json(c)
-                    for j, c in data["coeffs"].items()})
+        return cls(
+            {_int_key(j): Scalar.from_json(c)
+             for j, c in data["coeffs"].items()}
+        )
 
 
 _ZERO_POLY = LaurentFunction({})

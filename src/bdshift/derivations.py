@@ -69,7 +69,11 @@ class _CovariantData:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return (self.n, self._coef, self.N) == (other.n, other._coef, other.N)
+        return (
+            self.n == other.n
+            and self._coef == other._coef
+            and self.N == other.N
+        )
 
     def __hash__(self):
         return hash((self.n, self._coef, self.N))
@@ -283,7 +287,9 @@ def d_f_build(f, N):
     comps = {}
     for j, c in f.coeffs.items():
         n = j * N_int
-        comps[n] = covariant(n, AffineSequence(c * inv, ep_zero(N)), N)
+        comps[n] = covariant(
+            n, AffineSequence(c * inv, ep_zero(N)), N
+        )
     return DerivationSum(comps, N)
 
 

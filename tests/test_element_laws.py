@@ -23,6 +23,7 @@ from bdshift.algebra import (
     BilateralElement,
     UnilateralElement,
     _factors,
+    _folds,
     _head_length,
     _kronecker_rows,
     _kronecker_slots,
@@ -488,8 +489,9 @@ def kronecker_terms(draw, J, count, bound, unilateral=False):
 def test_kronecker_rows_match_the_pair_loop(side, data):
     """On either domain, the pair loop and the Kronecker kernel give the
     same terms, the same raw weight-0 rows over D^2 and the same degree
-    keys in the same order, or both refuse a weight that fails to cancel;
-    below and above the size rule's count of term pairs.  On A(N) the
+    keys in the same order, below and above the size rule's count of term
+    pairs.  A weight pair that does not fold (_folds) is left to the pair
+    loop, which refuses a weight that fails to cancel.  On A(N) the
     rule (_kronecker_slots) also refuses wide slots and a long head, and
     admits every dense product above its count whose slots fit."""
     unilateral = data.draw(st.booleans())
@@ -532,9 +534,14 @@ def test_kronecker_rows_match_the_pair_loop(side, data):
             t[n] = (next(iter(u.values())), t.get(n, next(iter(u.values()))))
         commute = data.draw(st.booleans())
         factors = _factors(xt, yt)
-        kernels = (lambda: _pair_rows(factors, False, commute),
+        fold = commute and _folds(factors)
+        kernels = (lambda: _pair_rows(factors, False, commute, fold),
                    lambda: _kronecker_rows(factors, commute,
                                            _slot_bytes(factors, commute)))
+        if weight != "none" and not fold:
+            # the size rule sends a pair that does not fold to the pair loop
+            assert not _kronecker_slots(factors, False, commute, fold)
+            kernels = kernels[:1]
     results = []
     for kernel in kernels:
         try:
@@ -546,10 +553,32 @@ def test_kronecker_rows_match_the_pair_loop(side, data):
             results.append((terms, list(raw), rows))
         except AssertionError as exc:
             results.append(str(exc))
-    pair, kron = results
-    assert kron == pair
+    pair, *kron = results
+    assert kron in ([], [pair])
     if not unilateral and weight == "x0" and commute:
         assert not isinstance(pair, str)
+
+
+def test_size_rule_takes_a_weight_pair_only_past_the_guard():
+    # 10 x 10 dense terms with one-byte slots, a pair (u, v) at degree 0:
+    # the Kronecker path, which forms no weight-1 product, takes it only
+    # in a commutator whose u folds; a product or a periodic u keeps the
+    # pair loop
+    def lcf(*table):
+        return LocallyConstantFunction([Scalar(a) for a in table], N24)
+    xt = {n: lcf(1, -1) for n in range(-5, 5)}
+    yt = {n: lcf(2, 1) for n in range(-4, 6)}
+    for u, commute, admitted in (((1,), True, True), ((1,), False, False),
+                                 ((1, 0), True, False)):
+        xt[0] = (lcf(*u), lcf(1, 2))
+        factors = _factors(xt, yt)
+        fold = commute and _folds(factors)
+        nb = _kronecker_slots(factors, False, commute, fold)
+        assert bool(nb) == admitted
+        if admitted:
+            assert _made(_kronecker_rows(factors, commute, nb), factors,
+                         commute) == _made(_pair_rows(factors, False, commute,
+                                                      fold), factors, commute)
 
 
 def test_summing_raw_rows_leaves_them_unchanged():
