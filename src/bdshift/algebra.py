@@ -17,20 +17,21 @@ One kernel, _terms_mul, multiplies on both algebras.  The terms of
 degrees m and n give degree m+n and c(k) = [k >= z] a(k+sa) b(k+sb), the
 rule (sa, sb, z) set by m, n and the domain (_rule).  The coefficients'
 integer rows are rescaled to one shared denominator and repeated to the
-lcm J of all periods; each pair adds its periodic row and its
-corrections (exact minus periodic value) to one raw row per output
-degree.  A derivation's [g, x] is one signed call, g*x + x*(-g) in the
-same integer slots, where the weight-1 products cancel and only their
-corrections and cutoffs are formed; commutator [x, y] of two elements
-is the same signed call.  The defect T(b1 b2) - T(b1)T(b2) reads only
-the pairs that meet below 0.  On Z each position is a
-convolution in the degree, which a large bilateral product does as a few
-big-integer products instead (Kronecker substitution, same raw rows).  A
-large product in A(N), indexed by column with zeros below 0, is the
-product of its quotients q(x)q(y) past a short head of columns, which is
-packed too.  Each output row finds its minimal period on the integers and
-is reduced by one gcd; no Scalar is formed.  The order of the degrees in
-a term dict carries no meaning: the JSON lists them ascending.
+lcm J of all periods, one row per degree; each pair adds its periodic
+row and its corrections (exact minus periodic value) to one raw row per
+output degree.  A derivation's [g, x] is one signed call, g*x + x*(-g)
+in the same integer slots; the constant linear part of g rides beside
+its row, and only the corrections and cutoffs of its weight-1 products,
+which cancel, are formed.  Commutator [x, y] is the same signed call.
+The defect T(b1 b2) - T(b1)T(b2) reads only the pairs that meet below
+0.  On Z each position is a convolution in the degree, which a large
+bilateral product does as a few big-integer products instead (Kronecker
+substitution, same raw rows).  A large product in A(N), indexed by
+column with zeros below 0, is the product of its quotients q(x)q(y)
+past a short head of columns, which is packed too.  Each output row
+finds its minimal period on the integers and is reduced by one gcd; no
+Scalar is formed.  The order of the degrees in a term dict carries no
+meaning: the JSON lists them ascending.
 """
 
 import math
@@ -71,31 +72,23 @@ def _rule(m, n, unilateral):
     return (d, 0, 0) if d >= 0 else (0, -d, 0)
 
 
-def _at_shift(rows, s):
-    """The rows of q(. + s) before rotation: the weight obeys
-    W(k+s) = W(k) + s, so the weight-0 row v of a pair gains s*u."""
-    if len(rows) == 1 or not s:
-        return rows
-    (_, ur, ui, uc), (_, vr, vi, vc) = rows
-    corr = dict(vc)
-    for k, (a, b) in uc.items():
-        c = corr.get(k, (0, 0))
-        corr[k] = (c[0] + s * a, c[1] + s * b)
-    return [rows[0], (0, [s * x + y for x, y in zip(ur, vr)],
-                      [s * x + y for x, y in zip(ui, vi)], corr)]
+def _at_shift(row, s):
+    """The row of q(. + s) before rotation: the weight obeys
+    W(k+s) = W(k) + s, so a row with a linear part u gains s*u."""
+    re, im, corr, u = row
+    if not (u and s):
+        return row
+    return [s * u[0] + a for a in re], [s * u[1] + b for b in im], corr, u
 
 
 def _terms_mul(xt, yt, unilateral, commute=False):
     """Product of two term dicts (degree -> coefficient), accumulated by
     degree; unilateral selects the domain k >= 0 of A(N) over Z; commute
     gives [x, y] = x*y + y*(-x), a second pass over x's rows negated once.
-    A coefficient is a sequence or, in one factor at most, a pair (u, v)
-    of sequences standing for W*u + v, W the affine weight (k+1 on
-    k >= 0, l on Z), which enters as a weight-1 row u and a weight-0 row
-    v.  A product comes out as a pair; in a commutator the weight-1 rows
-    cancel but for their corrections c, folded into weight 0 as
-    (k + offset)*c: formed alone where _folds shows the cancellation,
-    checked on the summed rows (_made) where it does not.
+    A coefficient is a sequence or, in a commutator's x, a pair (C, v)
+    of a Scalar and a sequence standing for C*W + v, W the affine weight
+    (k+1 on k >= 0, l on Z), at a degree in J*Z (_factors); its weight-1
+    products cancel but for their corrections (_pair_rows).
 
     _pair_rows serves every product below the size rule
     (_kronecker_slots), a Kronecker path with the same raw rows over D^2
@@ -113,103 +106,89 @@ def _terms_mul(xt, yt, unilateral, commute=False):
     if not xt or not yt:
         return {}
     factors = _factors(xt, yt)
-    fold = commute and _folds(factors)
-    nb = _kronecker_slots(factors, unilateral, commute, fold)
+    nb = _kronecker_slots(factors, unilateral, commute)
     if not nb:
-        raw = _pair_rows(factors, unilateral, commute, fold)
+        raw = _pair_rows(factors, unilateral, commute)
     elif unilateral:
         raw = _unilateral_rows(factors, nb)
     else:
         raw = _kronecker_rows(factors, commute, nb)
-    return _made(raw, factors, commute)
+    cls, N, D = factors[:3]
+    return {deg: cls._make(D * D, *_sum_row(*row), N)
+            for deg, row in raw.items()}
 
 
 def _factors(xt, yt):
-    """(cls, N, D, J, xrows, yrows): by degree, each factor's rows
-    (weight, re, im, correction) over the shared denominator D, repeated
-    to the common period J; a correction value is (re, im)."""
-    parts = [[
-        (n, w, s) for n, c in t.items()
-        for w, s in (((1, c[0]), (0, c[1])) if isinstance(c, tuple)
-                     else ((0, c),))
-    ] for t in (xt, yt)]
-    seqs = [s for ps in parts for _, _, s in ps]
+    """(cls, N, D, J, xrows, yrows): by degree, each factor's row
+    (re, im, correction, u) over the shared denominator D, repeated to
+    the common period J; a correction value is (re, im), u the linear
+    part (a, b) of a pair in xt or ().  It cancels in a commutator only
+    at a degree m with J | m, as covariance gives a derivation's."""
+    lin = {n: c[0]._t for n, c in xt.items() if isinstance(c, tuple)}
+    xt = {n: c[1] if n in lin else c for n, c in xt.items()}
+    seqs = [*xt.values(), *yt.values()]
     J = _common_period(seqs[0].N, *{s.period for s in seqs})
-    D = math.lcm(*{s.den for s in seqs})
-    xrows, yrows = {}, {}
-    for rows, ps in zip((xrows, yrows), parts):
-        for n, w, s in ps:
-            rows.setdefault(n, []).append((w, *s._rows(D, J)))
-    return type(seqs[0]), seqs[0].N, D, J, xrows, yrows
+    D = math.lcm(*{s.den for s in seqs}, *{d for _, _, d in lin.values()})
+    if any(n % J for n in lin):
+        raise AssertionError("affine weight failed to cancel in a commutator")
+    lin = {n: (a * (D // d), b * (D // d)) for n, (a, b, d) in lin.items()}
+    return (type(seqs[0]), seqs[0].N, D, J, *(
+        {n: (*s._rows(D, J), u.get(n, ())) for n, s in t.items()}
+        for t, u in ((xt, lin), (yt, {}))))
 
 
-def _folds(factors):
-    """True when each weight-1 row of a commutator cancels against the
-    other pass: a constant without corrections at a degree m with J | m,
-    as covariant validation makes a derivation's generator."""
-    J = factors[3]
-    return all(n % J == 0 and not c and len({*zip(re, im)}) == 1
-               for t in factors[4:] for n, rows in t.items()
-               for w, re, im, c in rows if w)
-
-
-def _pair_rows(factors, unilateral, commute, fold=False):
-    """The raw rows {degree: {weight: (rows by z, corrections)}}: each
-    pair adds its periodic row a(r+sa) b(r+sb) to the rows of its output
-    degree and weight, grouped by z, and its corrections (exact value
-    minus periodic value at the moved correction keys) to theirs.  With
-    fold (_folds), a weight-1 pair forms no periodic row: its corrections
-    and its cutoffs k < z, entry by entry, go to weight 0 as
-    (k + offset)*c."""
+def _pair_rows(factors, unilateral, commute):
+    """The raw rows {degree: (rows by z, corrections)}: each pair adds
+    its periodic row a(r+sa) b(r+sb) to the rows of its output degree,
+    grouped by z, and its corrections (exact value minus periodic value
+    at the moved correction keys) to theirs.  A row with a linear part u
+    gains s*u at its shift s (_at_shift); its weight-1 product forms no
+    periodic row, which the other pass cancels: its corrections and its
+    cutoffs k < z, entry by entry, go in as (k + offset)*c."""
     cls, J, xrows, yrows = factors[0], *factors[3:]
     passes = [(xrows, yrows)]
     if commute:
-        passes.append((yrows, {n: [
-            (w, [-a for a in re], [-a for a in im],
-             {k: (-a, -b) for k, (a, b) in corr.items()})
-            for w, re, im, corr in rows] for n, rows in xrows.items()}))
+        passes.append((yrows, {n: (
+            [-a for a in re], [-a for a in im],
+            {k: (-a, -b) for k, (a, b) in corr.items()},
+            u and (-u[0], -u[1])) for n, (re, im, corr, u) in xrows.items()}))
     acc = {}
-    for m, arows, n, brows in [(m, a, n, b) for xs, ys in passes
-                               for m, a in xs.items() for n, b in ys.items()]:
+    for m, arow, n, brow in [(m, a, n, b) for xs, ys in passes
+                             for m, a in xs.items() for n, b in ys.items()]:
         sa, sb, z = _rule(m, n, unilateral)
-        slots = acc.get(m + n) or acc.setdefault(m + n, {})
+        by_z, corr = acc.get(m + n) or acc.setdefault(m + n, ({}, {}))
+        (are, aim, ac, au), (bre, bim, bc, bu) = \
+            _at_shift(arow, sa), _at_shift(brow, sb)
+        if au or bu:
+            # the constant u meets the row o at the moved keys of o's
+            # corrections, and as -u o_per below z
+            (cr, ci), (ore, oim, oc, s) = (au, (bre, bim, bc, sb)) if au \
+                else (bu, (are, aim, ac, sa))
+            for k in {i - s for i in oc}.union(range(z)):
+                if k >= 0 or not unilateral:
+                    x, y = (-ore[(k + s) % J], -oim[(k + s) % J]) \
+                        if 0 <= k < z else oc[k + s]
+                    w, c = k + cls.offset, corr.get(k, (0, 0))
+                    corr[k] = (c[0] + w * (cr * x - ci * y),
+                               c[1] + w * (cr * y + ci * x))
         ra, rb = sa % J, sb % J
-        for wa, are, aim, ac in _at_shift(arows, sa):
-            ar, ai = are[ra:] + are[:ra], aim[ra:] + aim[:ra]
-            for wb, bre, bim, bc in _at_shift(brows, sb):
-                if fold and wa + wb:
-                    # the constant u meets the row o at the moved keys of
-                    # o's corrections, and as -u o_per below z
-                    (cr, ci), (ore, oim, oc, s) = ((are[0], aim[0]), (
-                        bre, bim, bc, sb)) if wa else ((bre[0], bim[0]), (
-                            are, aim, ac, sa))
-                    corr = (slots.get(0) or slots.setdefault(0, ({}, {})))[1]
-                    for k in {i - s for i in oc}.union(range(z)):
-                        if k >= 0 or not unilateral:
-                            x, y = oc[k + s] if k >= z else (
-                                -ore[(k + s) % J], -oim[(k + s) % J])
-                            w, c = k + cls.offset, corr.get(k, (0, 0))
-                            corr[k] = (c[0] + w * (cr * x - ci * y),
-                                       c[1] + w * (cr * y + ci * x))
-                    continue
-                br, bi = bre[rb:] + bre[:rb], bim[rb:] + bim[:rb]
-                pr = [x * y - u * v for x, u, y, v in zip(ar, ai, br, bi)]
-                pi = [x * v + u * y for x, u, y, v in zip(ar, ai, br, bi)]
-                by_z, corr = slots.get(wa + wb) \
-                    or slots.setdefault(wa + wb, ({}, {}))
-                (by_z.get(z) or by_z.setdefault(z, [])).append((pr, pi))
-                if not (ac or bc):
-                    continue
-                for k in {i - sa for i in ac} | {i - sb for i in bc}:
-                    if k < 0 and unilateral:
-                        continue
-                    i, j = k + sa, k + sb
-                    ca, cb = ac.get(i, (0, 0)), bc.get(j, (0, 0))
-                    x, u = are[i % J] + ca[0], aim[i % J] + ca[1]
-                    y, v = bre[j % J] + cb[0], bim[j % J] + cb[1]
-                    c = corr.get(k, (0, 0))
-                    corr[k] = (c[0] + x * y - u * v - pr[k % J],
-                               c[1] + x * v + u * y - pi[k % J])
+        ar, ai = are[ra:] + are[:ra], aim[ra:] + aim[:ra]
+        br, bi = bre[rb:] + bre[:rb], bim[rb:] + bim[:rb]
+        pr = [x * y - u * v for x, u, y, v in zip(ar, ai, br, bi)]
+        pi = [x * v + u * y for x, u, y, v in zip(ar, ai, br, bi)]
+        (by_z.get(z) or by_z.setdefault(z, [])).append((pr, pi))
+        if not (ac or bc):
+            continue
+        for k in {i - sa for i in ac} | {i - sb for i in bc}:
+            if k < 0 and unilateral:
+                continue
+            i, j = k + sa, k + sb
+            ca, cb = ac.get(i, (0, 0)), bc.get(j, (0, 0))
+            x, u = are[i % J] + ca[0], aim[i % J] + ca[1]
+            y, v = bre[j % J] + cb[0], bim[j % J] + cb[1]
+            c = corr.get(k, (0, 0))
+            corr[k] = (c[0] + x * y - u * v - pr[k % J],
+                       c[1] + x * v + u * y - pi[k % J])
     return acc
 
 
@@ -219,28 +198,26 @@ KRONECKER_SPREAD = 4
 KRONECKER_HEAD = 4
 
 
-def _kronecker_slots(factors, unilateral, commute, fold=False):
+def _kronecker_slots(factors, unilateral, commute):
     """The size rule: the slot bytes of a product's Kronecker path, or 0
     for the pair loop.  Its #x*#y term pairs reach KRONECKER_PAIRS*(#x +
     #y + J), twice that on A(N), which packs a head too; its degree span
     (the output's slots) is at most KRONECKER_SPREAD*(#x + #y); its slots
-    fit a 64-bit word; a pair (u, v) only in a commutator with fold
-    (_folds).  On Z, no corrections; on A(N), no commutator, and C*span
-    at most KRONECKER_HEAD*#x*#y for the head of C columns.  Below,
-    packing costs more than the pairs; sparse degrees pack mostly empty
-    slots, wider slots half empty operands, and a long head more than the
-    pairs it saves."""
+    fit a 64-bit word.  On Z, no corrections; on A(N), no commutator,
+    and C*span at most KRONECKER_HEAD*#x*#y for the head of C columns.
+    Below, packing costs more than the pairs; sparse degrees pack mostly
+    empty slots, wider slots half empty operands, and a long head more
+    than the pairs it saves."""
     J, xrows, yrows = factors[3:]
     nx, ny = len(xrows), len(yrows)
     if (nx * ny < KRONECKER_PAIRS * (1 + unilateral) * (nx + ny + J)
             or unilateral and commute):
         return 0
-    rows = [*xrows.values(), *yrows.values()]
     span = max(xrows) + max(yrows) - min(xrows) - min(yrows) + 1
-    if span > KRONECKER_SPREAD * (nx + ny) or not fold and any(
-            len(r) > 1 for r in rows) or (
+    if span > KRONECKER_SPREAD * (nx + ny) or (
             _head_length(xrows, yrows) * span > KRONECKER_HEAD * nx * ny
-            if unilateral else any(c for r in rows for *_, c in r)):
+            if unilateral else any(r[2] for t in (xrows, yrows)
+                                   for r in t.values())):
         return 0
     nb = _slot_bytes(factors, commute)
     return nb if nb <= 8 else 0
@@ -249,14 +226,13 @@ def _kronecker_slots(factors, unilateral, commute, fold=False):
 def _slot_bytes(factors, commute):
     """Bytes of a signed slot that holds any coefficient: a pair adds at
     most 2|a||b|(1 + |n|) (n*u the weight gain), |a| and |b| bounding the
-    table and correction values, and at most min(#x, #y) pairs of a pass
-    meet in one.  Up to 8, a width that struct reads."""
+    table, linear and correction values, and at most min(#x, #y) pairs of
+    a pass meet in one.  Up to 8, a width that struct reads."""
     xrows, yrows = factors[4:]
-    big = [max(1, *(max(map(abs, row)) for rows in t.values()
-                    for _, re, im, _ in rows for row in (re, im)))
+    big = [max(1, *(max(map(abs, (*re, *im, *u)))
+                    for re, im, _, u in t.values()))
            + max(map(abs, chain.from_iterable(chain.from_iterable(
-               c.values() for rows in t.values() for *_, c in rows))),
-                 default=0)
+               r[2].values() for r in t.values()))), default=0)
            for t in (xrows, yrows)]
     bound = (2 + 2 * commute) * big[0] * big[1] * min(
         len(xrows), len(yrows)) * (1 + max(map(abs, (*xrows, *yrows))))
@@ -264,12 +240,12 @@ def _slot_bytes(factors, commute):
     return 1 << (nb - 1).bit_length() if nb <= 8 else nb
 
 
-def _packs(t, wt, base, nb, gain=False):
-    """Per position, the weight-wt re and im rows of the term rows t
-    packed at X = 2^(8*nb), degree n in slot n - base; a gain multiplies
-    degree n by n, so degree 0 drops out.  [] if no row has weight wt."""
-    cols = [(n, 8 * nb * (n - base), (re, im)) for n, rows in t.items()
-            for wr, re, im, _ in rows if wr == wt and (n or not gain)]
+def _packs(t, base, nb, gain=False):
+    """Per position, the re and im rows of the term rows t packed at
+    X = 2^(8*nb), degree n in slot n - base; a gain multiplies degree n
+    by n, so degree 0 drops out.  [] if no row is packed."""
+    cols = [(n, 8 * nb * (n - base), rows) for n, rows in t.items()
+            if n or not gain]
     return cols and [[*map(sum, zip(*(map(
         lshift, map(n.__mul__, rows[p]) if gain else rows[p],
         repeat(sh)) for n, sh, rows in cols)))] for p in (0, 1)]
@@ -292,30 +268,33 @@ def _slot_reader(nb, size):
 
 
 def _kronecker_rows(factors, commute, nb):
-    """The raw weight-0 rows of a bilateral product without corrections.
-    Degree m+n at position k sums a_m[(k+n) % J] b_n[k]; at X = 2^(8*nb),
-    with A[s] = sum_m a_m[s] X^m and B_r[k] = sum_n b_n[k] X^n over a
-    class r of n mod J, sum_r A[(k+r) % J] B_r[k] holds each degree in
-    its slot, read back on the sumset.  A commutator subtracts its second
-    pass.  A pair (u, v) comes only in a commutator that folds
-    (_kronecker_slots), whose weight-1 products cancel and are not formed;
-    a left pair gains n*u at shift n (_at_shift) from the right rows
-    packed again as n*b_n.  nb is _slot_bytes(factors, commute)."""
+    """The raw rows of a bilateral product without corrections.  Degree
+    m+n at position k sums a_m[(k+n) % J] b_n[k]; at X = 2^(8*nb), with
+    A[s] = sum_m a_m[s] X^m and B_r[k] = sum_n b_n[k] X^n over a class r
+    of n mod J, sum_r A[(k+r) % J] B_r[k] holds each degree in its slot,
+    read back on the sumset.  A commutator subtracts its second pass,
+    where the weight-1 products of x's linear parts cancel and are not
+    formed; a left linear part u, packed as a constant row, gains n*u at
+    shift n (_at_shift) from the right rows packed again as n*b_n.  nb is
+    _slot_bytes(factors, commute)."""
     J, xrows, yrows = factors[3:]
     half, lo = 1 << (8 * nb - 1), min(xrows) + min(yrows)
     size = max(xrows) + max(yrows) - lo + 1
     sums = [[0] * J, [0] * J]  # re, im
     for left, right, op in [(xrows, yrows, add)] + [
             (yrows, xrows, sub)] * commute:
-        # by weight: ar, ai and ar + ai, doubled so a rotation is a slice
+        # the rows, then the linear parts: ar, ai and ar + ai, doubled so
+        # a rotation is a slice
+        lin = {n: ([r[3][0]] * J, [r[3][1]] * J)
+               for n, r in left.items() if r[3]}
         lpk = [a and [row * 2 for row in (*a, [*map(add, *a)])]
-               for a in (_packs(left, wt, min(left), nb) for wt in (0, 1))]
+               for a in (_packs(t, min(left), nb) for t in (left, lin))]
         classes = {}
         for n, rows in right.items():
             classes.setdefault(n % J, {})[n] = rows
         for r, t in classes.items():
-            b = _packs(t, 0, min(right), nb)
-            gain = b and lpk[1] and _packs(t, 0, min(right), nb, True)
+            b = _packs(t, min(right), nb)
+            gain = lpk[1] and _packs(t, min(right), nb, True)
             # left pack, right pack: v*b and u*n*b
             for a, bb in ((lpk[0], b), (lpk[1], gain)):
                 if not (a and bb):
@@ -330,8 +309,8 @@ def _kronecker_rows(factors, commute, nb):
     slots = _slot_reader(nb, size)
     cols = [[*map(slots, vs)] for vs in zip(*sums)]
     # the degrees in the order in which the pair loop meets them
-    return {d: {0: ({0: [([re[d - lo] - half for re, _ in cols],
-                          [im[d - lo] - half for _, im in cols])]}, {})}
+    return {d: ({0: [([re[d - lo] - half for re, _ in cols],
+                      [im[d - lo] - half for _, im in cols])]}, {})
             for d in dict.fromkeys(chain.from_iterable(
                 map(m.__add__, yrows) for m in xrows))}
 
@@ -342,9 +321,9 @@ def _head_length(xrows, yrows):
     c reads b_n at key c + min(n, 0), zero below 0, and a_m at key
     c + n + min(m, 0)."""
     ends = [max(c, default=-1) + 1 - min(n, 0)
-            for n, [(*_, c)] in yrows.items()]
+            for n, (_, _, c, _) in yrows.items()]
     return max(0, *ends, *(max(c) + 1 - min(m, 0) - min(yrows)
-                           for m, [(*_, c)] in xrows.items() if c))
+                           for m, (_, _, c, _) in xrows.items() if c))
 
 
 def _unilateral_rows(factors, nb):
@@ -358,26 +337,26 @@ def _unilateral_rows(factors, nb):
     rotated, its correction the head minus the tail.  The degrees come
     in the pair loop's order.  nb is _slot_bytes(factors, False)."""
     J, xrows, yrows = factors[3:]
-    qx, qy = ({n: [(0, re[s:] + re[:s], im[s:] + im[:s], {})
-                   for _, re, im, _ in rows for s in [min(n, 0) % J]]
-               for n, rows in t.items()} for t in (xrows, yrows))
+    qx, qy = ({n: (re[s:] + re[:s], im[s:] + im[:s], {}, ())
+               for n, (re, im, _, _) in t.items() for s in [min(n, 0) % J]}
+              for t in (xrows, yrows))
     tail = _kronecker_rows((*factors[:3], J, qx, qy), False, nb)
     C, mx, my = _head_length(xrows, yrows), min(xrows), min(yrows)
     size, o, reps = max(xrows) + max(yrows) - mx - my + 1, max(-my, 0), \
         C // J + 1
     # X~(t) at index t + o: the quotient's pack plus the corrections, and
     # 0 below t = 0, where only y's zero fill reads it
-    pk = _packs(qx, 0, mx, nb)
+    pk = _packs(qx, mx, nb)
     t = C + max(max(yrows), 0)
     X = [[0] * o + (p * (t // J + 1))[:t] for p in pk]
-    for m, [(_, _, _, corr)] in xrows.items():
+    for m, (_, _, corr, _) in xrows.items():
         sh = 8 * nb * (m - mx)
         for k, (a, b) in corr.items():
             for p, v in zip(X, (a, b)):
                 p[k - min(m, 0) + o] += v << sh
     # y~_n(c) over c < C, by column: zero below -min(n, 0)
     Y = [[], []]
-    for n, [(_, re, im, corr)] in yrows.items():
+    for n, (re, im, corr, _) in yrows.items():
         s = max(-n, 0)
         for col, row, p in zip(Y, (re, im), (0, 1)):
             col.append(([0] * s + [*row] * reps)[:C])
@@ -395,43 +374,21 @@ def _unilateral_rows(factors, nb):
             add, map(mul, ur, vi), map(mul, ui, vr)), shifts))))
     hre, him = ([*zip(*h)] for h in head)
     half, raw = 1 << (8 * nb - 1), {}
-    for d, rows in tail.items():
-        [(pr, pi)] = rows[0][0][0]
+    for d, (by_z, _) in tail.items():
+        [(pr, pi)] = by_z[0]
         s, i = max(-d, 0), d - mx - my
         r = s % J
         # head minus periodic value, both offset by half
         corr = dict(zip(range(C - s), zip(*(
             map(sub, h[i][s:], ([v + half for v in p] * reps)[s:C])
             for h, p in ((hre, pr), (him, pi)))))) if C > s else {}
-        raw[d] = {0: ({0: [(pr[r:] + pr[:r], pi[r:] + pi[:r])]}, corr)}
+        raw[d] = ({0: [(pr[r:] + pr[:r], pi[r:] + pi[:r])]}, corr)
     return raw
 
 
-def _made(raw, factors, commute):
-    """The terms of raw rows over D^2, each summed by _sum_row; a
-    commutator that failed _folds checks that weight 1 cancels and folds
-    its corrections into weight 0."""
-    cls, N, D = factors[:3]
-    out = {}
-    for deg, slots in raw.items():
-        re, im, corr = _sum_row(*slots[0])
-        weight = slots.get(1) and _sum_row(*slots[1])
-        if weight and commute:
-            if any(weight[0]) or any(weight[1]):
-                raise AssertionError(
-                    "affine weight failed to cancel in a commutator")
-            for k, (a, b) in weight[2].items():
-                c, w = corr.get(k, (0, 0)), k + cls.offset
-                corr[k] = (c[0] + w * a, c[1] + w * b)
-        row = cls._make(D * D, re, im, corr, N)
-        out[deg] = (cls._make(D * D, *weight, N), row) \
-            if weight and not commute else row
-    return out
-
-
 def _sum_row(by_z, corr):
-    """The raw row (re, im, correction) of one output degree and weight:
-    its groups summed, each cancelled below its z in a copy of corr."""
+    """The row (re, im, correction) of one output degree, its raw row's
+    groups summed, each cancelled below its z in a copy of corr."""
     def total(rows):
         if len(rows) == 1:
             return rows[0]
@@ -451,8 +408,8 @@ def _sum_row(by_z, corr):
 
 
 class _Element:
-    """Finite normal form: degree -> nonzero coefficient.  Subclasses set
-    the coefficient class _coeff."""
+    """Finite normal form: degree -> nonzero coefficient, each over the
+    element's N.  Subclasses set the coefficient class _coeff."""
 
     __slots__ = ("terms", "N")
 
@@ -463,6 +420,8 @@ class _Element:
                 raise TypeError(
                     f"coefficients must be {self._coeff.__name__}"
                 )
+            if a.N is not N and a.N != N:
+                raise ValueError(f"coefficient over {a.N}, element over {N}")
             if not a.is_zero():
                 clean[int(n)] = a
         object.__setattr__(self, "terms", clean)
@@ -500,12 +459,17 @@ class _Element:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
+        if not isinstance(other, _Element):
+            return NotImplemented
+        _one_algebra(self, other, "add")
         terms = dict(self.terms)
         for n, b in other.terms.items():
             terms[n] = terms[n] + b if n in terms else b
         return type(self)(terms, self.N)
 
     def __sub__(self, other):
+        if not isinstance(other, _Element):
+            return NotImplemented
         return self + scale(other, Scalar(-1))
 
     def __neg__(self):
@@ -534,6 +498,16 @@ class _Element:
                           for n, a in sorted(self.terms.items())}}
 
 
+def _one_algebra(x, y, verb):
+    """Refuse two operands unless they are elements of one algebra over
+    one N: TypeError for two classes, ValueError for two N."""
+    if type(x) is not type(y):
+        raise TypeError(f"cannot {verb} {type(x).__name__} "
+                        f"with {type(y).__name__}")
+    if x.N is not y.N and x.N != y.N:
+        raise ValueError(f"cannot {verb} over N = {x.N} and {y.N}")
+
+
 def scale(x, c):
     c = coerce_scalar(c)
     if not c:
@@ -546,9 +520,7 @@ bilateral_scale = scale
 
 def commutator(x, y):
     """[x, y] = x*y - y*x on either algebra, in one signed kernel pass."""
-    if type(x) is not type(y):
-        raise TypeError(f"cannot commute {type(x).__name__} "
-                        f"with {type(y).__name__}")
+    _one_algebra(x, y, "commute")
     return type(x)(_terms_mul(x.terms, y.terms, x._coeff.unilateral,
                               commute=True), x.N)
 
@@ -596,9 +568,7 @@ def matrix_unit_compact(r, s, N):
 
 def multiply(x, y):
     """Normal form of the operator product, on either algebra."""
-    if type(x) is not type(y):
-        raise TypeError(f"cannot multiply {type(x).__name__} "
-                        f"with {type(y).__name__}")
+    _one_algebra(x, y, "multiply")
     return type(x)(_terms_mul(x.terms, y.terms, x._coeff.unilateral), x.N)
 
 
@@ -693,6 +663,7 @@ def mult_defect(b1, b2):
     k < s = min(m, -n) to degree m + n, on integer rows over one D."""
     if not type(b1) is type(b2) is BilateralElement:
         raise TypeError("the defect takes two elements of B(N)")
+    _one_algebra(b1, b2, "take the defect of")
     seqs = [f for b in (b1, b2) for f in b.terms.values()]
     # the periods must divide N, as in a product
     _common_period(b1.N, *(f.period for f in seqs))

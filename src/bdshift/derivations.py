@@ -5,9 +5,9 @@ pieces d_n(a) = [g_n, a], where the generator g_n carries an affine
 coefficient beta_n: g_n = U^n beta_n(K) for n >= 0 and
 g_n = beta_n(K) (U*)^{-n} for n < 0.  The affine part never lies in the
 algebra itself, so a generator enters the product kernel as a pair
-(u, v) standing for W*u + v, W the affine weight.  Each commutator
-[g, x] is one signed kernel pass g*x + x*(-g) on integer rows, in which
-the weight-1 products cancel and are not formed.
+(C, v), C the Scalar linear part, standing for C*W + v, W the affine
+weight.  Each commutator [g, x] is one signed kernel pass g*x + x*(-g)
+on integer rows, in which the weight-1 products cancel and are not formed.
 """
 
 from fractions import Fraction
@@ -198,17 +198,15 @@ def derivation_scale(d, c):
 def _commutator(components, x):
     """[g, x] on either algebra, g the sum of the components' generators,
     in one signed kernel pass.  An affine coefficient linear*W + ep enters
-    as the pair (linear, ep) in the coefficient class of x, a bounded one
-    as ep alone; the validity conditions put a linear part only at a
+    as the pair (linear, ep), ep in the coefficient class of x, a bounded
+    one as ep alone; the validity conditions put a linear part only at a
     degree m with J | m, so its products cancel between the two passes
     but for the corrections and cutoffs, the only ones formed
-    (algebra._folds)."""
+    (algebra._pair_rows)."""
     seq, gen = x._coeff, {}
     for n, comp in components.items():
-        linear, ep = comp._coef.linear, comp._coef.ep
-        ep, (a, b, d) = seq._cast(ep), linear._t
-        gen[n] = (seq._from_canonical(d, (a,), (b,), {}, ep.N), ep) \
-            if linear else ep
+        linear, ep = comp._coef.linear, seq._cast(comp._coef.ep)
+        gen[n] = (linear, ep) if linear else ep
     return type(x)(_terms_mul(gen, x.terms, seq.unilateral, commute=True),
                    x.N)
 

@@ -217,10 +217,12 @@ def test_mult_defect():
 
 
 def test_products_refuse_elements_of_two_algebras():
-    # multiply(U, V) gave U^2 in A(N), and mult_defect(U, V*) read the
-    # terms of U as those of V and gave 0
+    # multiply(U, V) gave U^2 in A(N), mult_defect(U, V*) read the terms
+    # of U as those of V and gave 0, and U + V gave 2U
     U, V = u_element(N2), v_element(N2)
-    for op in (multiply, commutator, lambda x, y: x * y):
+    add, sub = (lambda x, y: x + y), (lambda x, y: x - y)
+    ops = (multiply, commutator, lambda x, y: x * y, add, sub)
+    for op in ops:
         for x, y in ((U, V), (V, U)):
             with pytest.raises(TypeError):
                 op(x, y)
@@ -228,6 +230,32 @@ def test_products_refuse_elements_of_two_algebras():
                  (U, u_element(N2, -1))):
         with pytest.raises(TypeError):
             mult_defect(x, y)
+    # U + 1 raised AttributeError
+    for x, y in ((U, 1), (1, U), (V, ONE), (ONE, V)):
+        for op in (add, sub):
+            with pytest.raises(TypeError):
+                op(x, y)
+    # over two N: V(N2) - V(N3) gave 0, multiply(V(N2), V*(N3)) the
+    # identity of B(2) and mult_defect of the same pair P_0
+    for op in (*ops, mult_defect):
+        with pytest.raises(ValueError):
+            op(v_element(N2), v_element(N3, -1))
+    for op in ops:
+        with pytest.raises(ValueError):
+            op(u_element(N2), u_element(N2INF, -1))
+    # an equal N held in another object is the same N
+    assert U + u_element(SupernaturalNumber.from_int(2)) == U * Scalar(2)
+
+
+def test_elements_refuse_a_coefficient_over_another_N():
+    # UnilateralElement({0: a}, N2) with a period-3 a over N3 built an
+    # element of A(2) with a period-3 coefficient
+    with pytest.raises(ValueError):
+        UnilateralElement({0: EPSequence({}, [1, 2, 3], N3)}, N2)
+    with pytest.raises(ValueError):
+        BilateralElement({1: LocallyConstantFunction([1, 2], N4)}, N2)
+    a = EPSequence({}, [1, 2], SupernaturalNumber.from_int(2))
+    assert UnilateralElement({0: a}, N2).terms == {0: a}
 
 
 def test_expectation():

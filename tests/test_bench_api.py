@@ -94,26 +94,28 @@ def test_exact_round_jobs_pass(monkeypatch, workload):
 
 @pytest.mark.parametrize("workload", ["unilateral_exact", "bilateral_exact"])
 def test_exact_round_applies_fold_the_weight(monkeypatch, workload):
-    # every derivation apply of one seeded round passes the commutator
-    # kernel's guard, so none forms the weight-1 products that cancel
+    # the derivation applies of one seeded round bring linear parts into
+    # the commutator kernel, at degree 0 and at nonzero degrees in J*Z,
+    # where their weight-1 products cancel and are folded, not formed
     monkeypatch.syspath_prepend(str(BENCH))
     workloads = importlib.import_module("workloads")
     tracing = importlib.import_module("tracing")
     golden = importlib.import_module("golden").load()
     algebra = importlib.import_module("bdshift.algebra")
-    seen, real = [], algebra._folds
+    seen, real = [], algebra._factors
 
-    def folds(factors):
-        if any(w for t in factors[4:] for rows in t.values()
-               for w, *_ in rows):
-            seen.append(real(factors))
-        return real(factors)
-    monkeypatch.setattr(algebra, "_folds", folds)
+    def factors(xt, yt):
+        linear = [n for n, c in xt.items() if isinstance(c, tuple)]
+        if linear:
+            seen.append(linear)
+        return real(xt, yt)
+    monkeypatch.setattr(algebra, "_factors", factors)
     ctx = workloads.prepare(workload)
     for name, run, check in workloads.WORKLOADS[workload].round(
             7, 0, ctx, tracing.Counters(), golden):
         assert check(run()), name
-    assert len(seen) > 10 and all(seen), seen
+    degrees = {n for linear in seen for n in linear}
+    assert len(seen) > 10 and 0 in degrees and degrees - {0}, seen
 
 
 def test_implementation_checks_pass_the_affinity_test(monkeypatch):

@@ -23,11 +23,9 @@ from bdshift.algebra import (
     BilateralElement,
     UnilateralElement,
     _factors,
-    _folds,
     _head_length,
     _kronecker_rows,
     _kronecker_slots,
-    _made,
     _pair_rows,
     _slot_bytes,
     _sum_row,
@@ -444,11 +442,11 @@ def test_operations_commute_with_refining_N(refinement, data):
 # The kernels of each domain, called directly on the same lifted factors:
 # periods J dividing 24, numerators up to 3, 2^20 or 2^200 over mixed
 # denominators up to 2^61 - 1, 12 on A(N) (slots of 1, 2, 4 and 8 bytes
-# and wider ones all occur), dense and sparse degree sets.  On B(N), a
-# weight pair (u, v) in either factor: u constant at degree 0 cancels in
-# a commutator, u periodic elsewhere fails to.  On A(N), corrections at
-# keys 0..12, and in some draws one at key 10^4, whose head is too long
-# for the size rule.
+# and wider ones all occur), dense and sparse degree sets.  On B(N), in
+# a commutator, x may hold pairs (C, v) as a derivation's generator does:
+# a constant linear part C, a Scalar, at degrees in J*Z.  On A(N),
+# corrections at keys 0..12, and in some draws one at key 10^4, whose
+# head is too long for the size rule.
 N24 = SupernaturalNumber.from_int(24)
 SPARSE = [-24, -12, -7, -1, 0, 1, 5, 12, 17, 24]
 FAR_KEY = 10**4
@@ -483,16 +481,21 @@ def kronecker_terms(draw, J, count, bound, unilateral=False):
                                             if J % d == 0]))]}
 
 
+def _terms(factors, raw):
+    """The terms of raw rows over D^2, as _terms_mul makes them."""
+    cls, N, D = factors[:3]
+    return {d: cls._make(D * D, *_sum_row(*row), N) for d, row in raw.items()}
+
+
 @pytest.mark.parametrize("side", ["below", "above"])
 @settings(LAWS, max_examples=120)  # 60 a domain
 @given(data=st.data())
 def test_kronecker_rows_match_the_pair_loop(side, data):
     """On either domain, the pair loop and the Kronecker kernel give the
-    same terms, the same raw weight-0 rows over D^2 and the same degree
-    keys in the same order, below and above the size rule's count of term
-    pairs.  A weight pair that does not fold (_folds) is left to the pair
-    loop, which refuses a weight that fails to cancel.  On A(N) the
-    rule (_kronecker_slots) also refuses wide slots and a long head, and
+    same terms, the same raw rows over D^2 and the same degree keys in
+    the same order, below and above the size rule's count of term pairs,
+    a commutator whose x holds linear parts included.  On A(N) the rule
+    (_kronecker_slots) also refuses wide slots and a long head, and
     admits every dense product above its count whose slots fit."""
     unilateral = data.draw(st.booleans())
     J = data.draw(st.sampled_from([1, 2, 3, 4, 6, 8]))
@@ -523,62 +526,47 @@ def test_kronecker_rows_match_the_pair_loop(side, data):
             return
         kernels = (lambda: _pair_rows(factors, True, False),
                    lambda: _unilateral_rows(factors, nb))
-        commute = False
     else:
-        weight = data.draw(st.sampled_from(["none", "x0", "x", "y"]))
-        if weight != "none":
-            t = yt if weight == "y" else xt
-            n = 0 if weight == "x0" else data.draw(st.sampled_from(sorted(t)))
-            u = data.draw(kronecker_terms(J if weight != "x0" else 1, 1,
-                                          bound))
-            t[n] = (next(iter(u.values())), t.get(n, next(iter(u.values()))))
         commute = data.draw(st.booleans())
+        if commute and data.draw(st.booleans()):
+            pool = sorted({0, *(n for n in xt if n % J == 0)})
+            for n in data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                        max_size=3, unique=True)):
+                v = next(iter(data.draw(kronecker_terms(J, 1, bound))
+                              .values()))
+                xt[n] = (v.value_at(1), xt.get(n, v))
         factors = _factors(xt, yt)
-        fold = commute and _folds(factors)
-        kernels = (lambda: _pair_rows(factors, False, commute, fold),
+        kernels = (lambda: _pair_rows(factors, False, commute),
                    lambda: _kronecker_rows(factors, commute,
                                            _slot_bytes(factors, commute)))
-        if weight != "none" and not fold:
-            # the size rule sends a pair that does not fold to the pair loop
-            assert not _kronecker_slots(factors, False, commute, fold)
-            kernels = kernels[:1]
     results = []
     for kernel in kernels:
-        try:
-            raw = kernel()
-            # the raw rows are read twice, by _made and by _sum_row
-            terms = _made(raw, factors, commute)
-            rows = {d: tuple(map(list, _sum_row(*slots[0])[:2]))
-                    for d, slots in raw.items()}
-            results.append((terms, list(raw), rows))
-        except AssertionError as exc:
-            results.append(str(exc))
-    pair, *kron = results
-    assert kron in ([], [pair])
-    if not unilateral and weight == "x0" and commute:
-        assert not isinstance(pair, str)
+        raw = kernel()
+        # the raw rows are read twice, for the terms and on their own
+        results.append((_terms(factors, raw), list(raw),
+                        {d: tuple(map(list, _sum_row(*row)[:2]))
+                         for d, row in raw.items()}))
+    assert results[1] == results[0]
 
 
 def test_size_rule_takes_a_weight_pair_only_past_the_guard():
-    # 10 x 10 dense terms with one-byte slots, a pair (u, v) at degree 0:
-    # the Kronecker path, which forms no weight-1 product, takes it only
-    # in a commutator whose u folds; a product or a periodic u keeps the
-    # pair loop
+    # 10 x 10 dense terms with two-byte slots, a linear part at degree 0:
+    # the Kronecker path, which forms no weight-1 product, takes the
+    # commutator and gives the pair loop's terms; a linear part at a
+    # degree outside J*Z is refused before any product
     def lcf(*table):
         return LocallyConstantFunction([Scalar(a) for a in table], N24)
     xt = {n: lcf(1, -1) for n in range(-5, 5)}
     yt = {n: lcf(2, 1) for n in range(-4, 6)}
-    for u, commute, admitted in (((1,), True, True), ((1,), False, False),
-                                 ((1, 0), True, False)):
-        xt[0] = (lcf(*u), lcf(1, 2))
-        factors = _factors(xt, yt)
-        fold = commute and _folds(factors)
-        nb = _kronecker_slots(factors, False, commute, fold)
-        assert bool(nb) == admitted
-        if admitted:
-            assert _made(_kronecker_rows(factors, commute, nb), factors,
-                         commute) == _made(_pair_rows(factors, False, commute,
-                                                      fold), factors, commute)
+    xt[0] = (Scalar(1), lcf(1, 2))
+    factors = _factors(xt, yt)
+    nb = _kronecker_slots(factors, False, True)
+    assert nb == 2
+    assert _terms(factors, _kronecker_rows(factors, True, nb)) \
+        == _terms(factors, _pair_rows(factors, False, True))
+    xt[1] = (Scalar(1), lcf(1, 2))
+    with pytest.raises(AssertionError, match="affine weight failed"):
+        _factors(xt, yt)
 
 
 def test_summing_raw_rows_leaves_them_unchanged():
@@ -589,14 +577,14 @@ def test_summing_raw_rows_leaves_them_unchanged():
     factors = _factors({2: EPSequence({}, [i], N24)},
                        {-1: EPSequence({}, [i], N24)})
     raw = _pair_rows(factors, True, False)
-    [(by_z, corr)] = [slots[0] for slots in raw.values()]
+    [(by_z, corr)] = raw.values()
     assert set(by_z) == {1} and corr == {}
     first = _sum_row(by_z, corr)
     assert first == ([-1], [0], {0: (1, 0)}) and corr == {}
     assert _sum_row(by_z, corr) == first
     want = {1: EPSequence({0: 1}, [-1], N24)}
-    assert _made(raw, factors, False) == want
-    assert _made(raw, factors, False) == want
+    assert _terms(factors, raw) == want
+    assert _terms(factors, raw) == want
     assert multiply(UnilateralElement({2: EPSequence({}, [i], N24)}, N24),
                     UnilateralElement({-1: EPSequence({}, [i], N24)}, N24)
                     ) == UnilateralElement(want, N24)

@@ -42,11 +42,10 @@ shifts = st.integers(-6, 6)
 
 
 @st.composite
-def sequences(draw, domain, zero_table=False):
+def sequences(draw, domain):
     cls, lo, _ = DOMAINS[domain]
     period = draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
-    table = [ZERO] * period if zero_table else draw(
-        st.lists(scalars, min_size=period, max_size=period))
+    table = draw(st.lists(scalars, min_size=period, max_size=period))
     corr = draw(st.dictionaries(st.integers(lo, 8), scalars, max_size=4))
     return cls(corr, table, N)
 
@@ -113,46 +112,35 @@ def _entry(domain, deg, f, i, j):
 @LAWS
 @given(data=st.data())
 def test_quasi_affine_weight(domain, data):
-    """The product kernel moves the weight of a pair (u, v), standing for
-    W*u + v, on either side of a product as the entry-wise product does;
-    in a commutator a finitely supported weight-1 row folds into the
-    values as (k + offset)*c, and a periodic leftover is refused."""
-    u, v, b = (data.draw(sequences(domain)) for _ in range(3))
-    m, n = data.draw(shifts), data.draw(shifts)
+    """In a commutator, the product kernel takes a pair (C, v), standing
+    for C*W + v with a constant linear part C, at a degree m with J | m:
+    the weight-1 products cancel between the passes but for their
+    corrections and cutoffs, and the bracket is the entry-wise one.  At
+    a degree m with J not dividing m the pair is refused."""
+    v, b = (data.draw(sequences(domain)) for _ in range(2))
+    C = data.draw(scalars)
+    m, n = data.draw(st.sampled_from([0, 12, -12])), data.draw(shifts)
     window = DOMAINS[domain][2]
-
-    def values(c):
-        if isinstance(c, tuple):
-            return lambda k: _weight(domain, k) * c[0].value_at(k) \
-                + c[1].value_at(k)
-        return c.value_at
-
-    for x, y in (((u, v), b), (b, (u, v))):
-        product = _terms_mul({m: x}, {n: y}, domain == "unilateral")[m + n]
-        assert isinstance(product, tuple)
-        for j in window:
-            i = j + m + n
-            want = _entry(domain, m, values(x), i, i - m) \
-                * _entry(domain, n, values(y), i - m, j)
-            assert _entry(domain, m + n, values(product), i, j) == want
-
-    finite = (data.draw(sequences(domain, zero_table=True)), v)
     unilateral = domain == "unilateral"
-    bracket = _terms_mul({m: finite}, {n: b}, unilateral, commute=True)
-    assert not isinstance(bracket[m + n], tuple)
+
+    def values(k):
+        return _weight(domain, k) * C + v.value_at(k)
+
+    bracket = _terms_mul({m: (C, v)}, {n: b}, unilateral, commute=True)
     for j in window:
         i = j + m + n
-        want = _entry(domain, m, values(finite), i, i - m) \
-            * _entry(domain, n, values(b), i - m, j) \
-            - _entry(domain, n, values(b), i, i - n) \
-            * _entry(domain, m, values(finite), i - n, j)
+        want = _entry(domain, m, values, i, i - m) \
+            * _entry(domain, n, b.value_at, i - m, j) \
+            - _entry(domain, n, b.value_at, i, i - n) \
+            * _entry(domain, m, values, i - n, j)
         assert _entry(domain, m + n, bracket[m + n].value_at, i, j) == want
 
-    # [W*u, V]: the weight-1 row u(k+1) - u(k) keeps a periodic part
-    periodic = (type(v)({}, [1, 0], N), v)
-    one = type(v)({}, [1], N)
-    with pytest.raises(AssertionError):
-        _terms_mul({0: periodic}, {1: one}, unilateral, commute=True)
+    # [C*W, V^n b] at an odd m with b of period 2: the weight-1 products
+    # C(b(k+m) - b(k)) keep a periodic part
+    odd = data.draw(st.sampled_from([-5, -3, -1, 1, 3, 5]))
+    with pytest.raises(AssertionError, match="affine weight failed"):
+        _terms_mul({odd: (C or Scalar(1), v)}, {n: type(v)({}, [1, 0], N)},
+                   unilateral, commute=True)
 
 
 @LAWS
