@@ -40,7 +40,8 @@ from itertools import chain, product, repeat
 from operator import add, lshift, mul, sub
 
 from .errors import NotFinite
-from .profinite import LocallyConstantFunction, _common_period, _int_key
+from .profinite import (LocallyConstantFunction, _common_period, _int_key,
+                        _one_N)
 from .scalars import Scalar, as_scalar, coerce_scalar
 from .sequences import (
     EPSequence,
@@ -90,10 +91,10 @@ def _terms_mul(xt, yt, unilateral, commute=False):
     (k+1 on k >= 0, l on Z), at a degree in J*Z (_factors); its weight-1
     products cancel but for their corrections (_pair_rows).
 
-    _pair_rows serves every product below the size rule
-    (_kronecker_slots), a Kronecker path with the same raw rows over D^2
-    every product above it: _kronecker_rows on Z, _unilateral_rows on
-    A(N).  The latter indexes each coefficient by column: x~_m(t) =
+    Each path gives _make one raw row (re, im, corr) per output degree
+    over D^2: _pair_rows below the size rule (_kronecker_slots), a
+    Kronecker path above it, _kronecker_rows on Z and _unilateral_rows
+    on A(N).  The latter indexes each coefficient by column: x~_m(t) =
     a_m(t + min(m, 0)) is the entry (t + m, t), zero where the key is
     negative, and (xy)~_d(c) = sum_n x~_{d-n}(c+n) y~_n(c) on every
     column c >= 0, the zero fill doing each cutoff of _rule.  From the
@@ -114,8 +115,7 @@ def _terms_mul(xt, yt, unilateral, commute=False):
     else:
         raw = _kronecker_rows(factors, commute, nb)
     cls, N, D = factors[:3]
-    return {deg: cls._make(D * D, *_sum_row(*row), N)
-            for deg, row in raw.items()}
+    return {deg: cls._make(D * D, *row, N) for deg, row in raw.items()}
 
 
 def _factors(xt, yt):
@@ -138,13 +138,14 @@ def _factors(xt, yt):
 
 
 def _pair_rows(factors, unilateral, commute):
-    """The raw rows {degree: (rows by z, corrections)}: each pair adds
-    its periodic row a(r+sa) b(r+sb) to the rows of its output degree,
-    grouped by z, and its corrections (exact value minus periodic value
-    at the moved correction keys) to theirs.  A row with a linear part u
-    gains s*u at its shift s (_at_shift); its weight-1 product forms no
-    periodic row, which the other pass cancels: its corrections and its
-    cutoffs k < z, entry by entry, go in as (k + offset)*c."""
+    """One raw row {degree: (re, im, corrections)} per output degree:
+    each pair adds its periodic row a(r+sa) b(r+sb) to (re, im), and that
+    row negated at its cutoffs k < z and its corrections (exact minus
+    periodic value at the moved keys) to the corrections.  No cutoff
+    meets a key: z > 0 only where sa = sb = -z moves each key to k >= z.
+    A row with a linear part u gains s*u at its shift s (_at_shift); its
+    weight-1 product forms no periodic row, which the other pass cancels:
+    its corrections and cutoffs go in, entry by entry, as (k + offset)*c."""
     cls, J, xrows, yrows = factors[0], *factors[3:]
     passes = [(xrows, yrows)]
     if commute:
@@ -156,9 +157,19 @@ def _pair_rows(factors, unilateral, commute):
     for m, arow, n, brow in [(m, a, n, b) for xs, ys in passes
                              for m, a in xs.items() for n, b in ys.items()]:
         sa, sb, z = _rule(m, n, unilateral)
-        by_z, corr = acc.get(m + n) or acc.setdefault(m + n, ({}, {}))
         (are, aim, ac, au), (bre, bim, bc, bu) = \
             _at_shift(arow, sa), _at_shift(brow, sb)
+        ra, rb = sa % J, sb % J
+        ar, ai = are[ra:] + are[:ra], aim[ra:] + aim[:ra]
+        br, bi = bre[rb:] + bre[:rb], bim[rb:] + bim[:rb]
+        pr = [x * y - u * v for x, u, y, v in zip(ar, ai, br, bi)]
+        pi = [x * v + u * y for x, u, y, v in zip(ar, ai, br, bi)]
+        re, im, corr = acc.setdefault(m + n, (pr, pi, {}))
+        if re is not pr:
+            re[:], im[:] = map(add, re, pr), map(add, im, pi)
+        for k in range(z):
+            c = corr.get(k, (0, 0))
+            corr[k] = (c[0] - pr[k % J], c[1] - pi[k % J])
         if au or bu:
             # the constant u meets the row o at the moved keys of o's
             # corrections, and as -u o_per below z
@@ -171,12 +182,6 @@ def _pair_rows(factors, unilateral, commute):
                     w, c = k + cls.offset, corr.get(k, (0, 0))
                     corr[k] = (c[0] + w * (cr * x - ci * y),
                                c[1] + w * (cr * y + ci * x))
-        ra, rb = sa % J, sb % J
-        ar, ai = are[ra:] + are[:ra], aim[ra:] + aim[:ra]
-        br, bi = bre[rb:] + bre[:rb], bim[rb:] + bim[:rb]
-        pr = [x * y - u * v for x, u, y, v in zip(ar, ai, br, bi)]
-        pi = [x * v + u * y for x, u, y, v in zip(ar, ai, br, bi)]
-        (by_z.get(z) or by_z.setdefault(z, [])).append((pr, pi))
         if not (ac or bc):
             continue
         for k in {i - sa for i in ac} | {i - sb for i in bc}:
@@ -268,7 +273,7 @@ def _slot_reader(nb, size):
 
 
 def _kronecker_rows(factors, commute, nb):
-    """The raw rows of a bilateral product without corrections.  Degree
+    """One raw row (re, im, {}) per degree of a bilateral product.  Degree
     m+n at position k sums a_m[(k+n) % J] b_n[k]; at X = 2^(8*nb), with
     A[s] = sum_m a_m[s] X^m and B_r[k] = sum_n b_n[k] X^n over a class r
     of n mod J, sum_r A[(k+r) % J] B_r[k] holds each degree in its slot,
@@ -309,8 +314,8 @@ def _kronecker_rows(factors, commute, nb):
     slots = _slot_reader(nb, size)
     cols = [[*map(slots, vs)] for vs in zip(*sums)]
     # the degrees in the order in which the pair loop meets them
-    return {d: ({0: [([re[d - lo] - half for re, _ in cols],
-                      [im[d - lo] - half for _, im in cols])]}, {})
+    return {d: ([re[d - lo] - half for re, _ in cols],
+                [im[d - lo] - half for _, im in cols], {})
             for d in dict.fromkeys(chain.from_iterable(
                 map(m.__add__, yrows) for m in xrows))}
 
@@ -327,15 +332,15 @@ def _head_length(xrows, yrows):
 
 
 def _unilateral_rows(factors, nb):
-    """The raw rows of a unilateral product of plain sequences, by column
-    (see _terms_mul).  The tail is _kronecker_rows of the rows rotated by
-    min(n, 0), as quotient() does.  The head packs X~(t) = sum_m x~_m(t)
-    X^m once per t, the quotient's pack plus the corrections; x~'s zero
-    fill meets only rows c + d < 0, outside the product, so it is never
-    read.  H(c) = sum_n X~(c+n) y~_n(c) X^n.  Degree d at column c is key
-    c + min(d, 0) of its row-left coefficient: its row is the tail
-    rotated, its correction the head minus the tail.  The degrees come
-    in the pair loop's order.  nb is _slot_bytes(factors, False)."""
+    """One raw row per degree of a unilateral product of plain sequences,
+    by column (see _terms_mul).  The tail is _kronecker_rows of the rows
+    rotated by min(n, 0), as quotient() does.  The head packs X~(t) =
+    sum_m x~_m(t) X^m once per t, the quotient's pack plus the
+    corrections; x~'s zero fill meets only rows c + d < 0, outside the
+    product, never read.  H(c) = sum_n X~(c+n) y~_n(c) X^n.  Degree d at
+    column c is key c + min(d, 0) of its row-left coefficient: its
+    (re, im) is the tail rotated, its corr the head minus the tail, in
+    the pair loop's order of degrees.  nb is _slot_bytes(factors, False)."""
     J, xrows, yrows = factors[3:]
     qx, qy = ({n: (re[s:] + re[:s], im[s:] + im[:s], {}, ())
                for n, (re, im, _, _) in t.items() for s in [min(n, 0) % J]}
@@ -374,33 +379,15 @@ def _unilateral_rows(factors, nb):
             add, map(mul, ur, vi), map(mul, ui, vr)), shifts))))
     hre, him = ([*zip(*h)] for h in head)
     half, raw = 1 << (8 * nb - 1), {}
-    for d, (by_z, _) in tail.items():
-        [(pr, pi)] = by_z[0]
+    for d, (pr, pi, _) in tail.items():
         s, i = max(-d, 0), d - mx - my
         r = s % J
         # head minus periodic value, both offset by half
         corr = dict(zip(range(C - s), zip(*(
             map(sub, h[i][s:], ([v + half for v in p] * reps)[s:C])
             for h, p in ((hre, pr), (him, pi)))))) if C > s else {}
-        raw[d] = ({0: [(pr[r:] + pr[:r], pi[r:] + pi[:r])]}, corr)
+        raw[d] = (pr[r:] + pr[:r], pi[r:] + pi[:r], corr)
     return raw
-
-
-def _sum_row(by_z, corr):
-    """The row (re, im, correction) of one output degree, its raw row's
-    groups summed, each cancelled below its z in a copy of corr."""
-    def total(rows):
-        if len(rows) == 1:
-            return rows[0]
-        return [list(map(sum, zip(*part))) for part in zip(*rows)]
-
-    sums, corr = {z: total(rows) for z, rows in by_z.items()}, dict(corr)
-    re, im = total(list(sums.values()))
-    for z, (zr, zi) in sums.items():
-        for k in range(z):
-            c = corr.get(k, (0, 0))
-            corr[k] = (c[0] - zr[k % len(zr)], c[1] - zi[k % len(zi)])
-    return re, im, corr
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +440,8 @@ class _Element:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.terms == other.terms
+        return (self.N is other.N or self.N == other.N) \
+            and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -504,8 +492,7 @@ def _one_algebra(x, y, verb):
     if type(x) is not type(y):
         raise TypeError(f"cannot {verb} {type(x).__name__} "
                         f"with {type(y).__name__}")
-    if x.N is not y.N and x.N != y.N:
-        raise ValueError(f"cannot {verb} over N = {x.N} and {y.N}")
+    _one_N(x, y, verb)
 
 
 def scale(x, c):

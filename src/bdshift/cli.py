@@ -88,11 +88,7 @@ def _check_table(N, J=None):
 
 
 def _component_json(comp):
-    return {
-        "n": comp.n,
-        "linear": comp.beta.linear.to_json(),
-        "ep": comp.beta.ep.to_json(),
-    }
+    return {"n": comp.n, **comp.beta.to_json()}
 
 
 def _implementation(args, env, width):

@@ -20,7 +20,7 @@ from .errors import (
     RegimeMismatch,
     UnboundedCoefficient,
 )
-from .profinite import _int_key
+from .profinite import _int_key, _one_N
 from .sequences import (
     AffineSequence,
     BilateralAffineSequence,
@@ -161,13 +161,8 @@ class DerivationSum:
 
     def to_json(self):
         return {
-            "components": {
-                str(n): {
-                    "linear": c.beta.linear.to_json(),
-                    "ep": c.beta.ep.to_json(),
-                }
-                for n, c in sorted(self.components.items())
-            },
+            "components": {str(n): c.beta.to_json()
+                           for n, c in sorted(self.components.items())},
             "N": self.N.to_json(),
         }
 
@@ -176,11 +171,7 @@ class DerivationSum:
         comps = {}
         for key, body in data["components"].items():
             n = _int_key(key)
-            beta = AffineSequence(
-                Scalar.from_json(body.get("linear", [0, 1, 0, 1])),
-                EPSequence.from_json(body["ep"], N),
-            )
-            comps[n] = covariant(n, beta, N)
+            comps[n] = covariant(n, AffineSequence.from_json(body, N), N)
         return cls(comps, N)
 
 
@@ -205,6 +196,7 @@ def _commutator(components, x):
     (algebra._pair_rows)."""
     seq, gen = x._coeff, {}
     for n, comp in components.items():
+        _one_N(comp, x, "apply a derivation to an element")
         linear, ep = comp._coef.linear, seq._cast(comp._coef.ep)
         gen[n] = (linear, ep) if linear else ep
     return type(x)(_terms_mul(gen, x.terms, seq.unilateral, commute=True),

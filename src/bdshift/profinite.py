@@ -334,7 +334,8 @@ class _PeriodicSequence:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return (self.den == other.den and self.re == other.re
+        return ((self.N is other.N or self.N == other.N)
+                and self.den == other.den and self.re == other.re
                 and self.im == other.im and self.corr == other.corr)
 
     def __hash__(self):
@@ -432,7 +433,15 @@ def _common_period(N, *periods):
     return j
 
 
+def _one_N(x, y, verb):
+    """Refuse operands over two N (sequences, elements, or a derivation's
+    component and an element) with a ValueError that names both."""
+    if x.N is not y.N and x.N != y.N:
+        raise ValueError(f"cannot {verb} over N = {x.N} and {y.N}")
+
+
 def ep_add(a, b):
+    _one_N(a, b, "add")
     j = _common_period(a.N, a.period, b.period)
     den = math.lcm(a.den, b.den)
     (ar, ai, corr), (br, bi, bc) = a._rows(den, j), b._rows(den, j)
@@ -445,6 +454,7 @@ def ep_add(a, b):
 
 
 def ep_mul(a, b):
+    _one_N(a, b, "multiply")
     j = _common_period(a.N, a.period, b.period)
     (ar, ai, _), (br, bi, _) = a._rows(a.den, j), b._rows(b.den, j)
     re = [x * y - u * v for x, u, y, v in zip(ar, ai, br, bi)]

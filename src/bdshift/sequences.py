@@ -108,14 +108,12 @@ class _AffineSequence:
         )
 
     def to_json(self):
-        out = self.ep.to_json()
-        out["linear"] = self.linear.to_json()
-        return out
+        return {"linear": self.linear.to_json(), "ep": self.ep.to_json()}
 
     @classmethod
     def from_json(cls, data, N):
         linear = Scalar.from_json(data.get("linear", [0, 1, 0, 1]))
-        return cls(linear, cls._seq.from_json(data, N))
+        return cls(linear, cls._seq.from_json(data["ep"], N))
 
 
 class AffineSequence(_AffineSequence):

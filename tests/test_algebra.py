@@ -4,6 +4,13 @@ import pytest
 
 from bdshift.scalars import Scalar, ZERO, ONE
 from bdshift.errors import NotFinite
+from bdshift.derivations import (
+    DerivationSum,
+    apply,
+    bilateral_apply,
+    d_nk,
+    quotient_derivation,
+)
 from bdshift.profinite import (
     LocallyConstantFunction,
     SupernaturalNumber,
@@ -243,8 +250,24 @@ def test_products_refuse_elements_of_two_algebras():
     for op in ops:
         with pytest.raises(ValueError):
             op(u_element(N2), u_element(N2INF, -1))
+    # sequences over two N: 5 + 7 gave 12 over N = 2, and periods 2 and 3
+    # raised PeriodNotDivisor; a derivation over N = 2 applied to an
+    # element over N = 3 raised the element's coefficient check
+    for a, b in (([5], [7]), ([5, 1], [7, 1, 2])):
+        for op in (add, sub, lambda x, y: x * y, ep_add, ep_mul):
+            with pytest.raises(ValueError, match="over N = "):
+                op(EPSequence({}, a, N2), EPSequence({}, b, N3))
+    d = DerivationSum({2: d_nk(2, N2)}, N2)
+    for op, x in ((apply, u_element(N3)), (bilateral_apply, v_element(N3))):
+        with pytest.raises(ValueError, match="apply a derivation"):
+            op(quotient_derivation(d) if op is bilateral_apply else d, x)
+    # == compared the terms alone: a set kept one of two elements over two N
+    assert v_element(N2) != v_element(N3)
+    assert len({v_element(N2), v_element(N3)}) == 2
+    assert EPSequence({}, [5], N2) != EPSequence({}, [5], N3)
     # an equal N held in another object is the same N
     assert U + u_element(SupernaturalNumber.from_int(2)) == U * Scalar(2)
+    assert v_element(SupernaturalNumber.from_int(2)) == V
 
 
 def test_elements_refuse_a_coefficient_over_another_N():

@@ -28,7 +28,6 @@ from bdshift.algebra import (
     _kronecker_slots,
     _pair_rows,
     _slot_bytes,
-    _sum_row,
     _unilateral_rows,
     adjoint,
     commutator,
@@ -484,7 +483,7 @@ def kronecker_terms(draw, J, count, bound, unilateral=False):
 def _terms(factors, raw):
     """The terms of raw rows over D^2, as _terms_mul makes them."""
     cls, N, D = factors[:3]
-    return {d: cls._make(D * D, *_sum_row(*row), N) for d, row in raw.items()}
+    return {d: cls._make(D * D, *row, N) for d, row in raw.items()}
 
 
 @pytest.mark.parametrize("side", ["below", "above"])
@@ -544,7 +543,7 @@ def test_kronecker_rows_match_the_pair_loop(side, data):
         raw = kernel()
         # the raw rows are read twice, for the terms and on their own
         results.append((_terms(factors, raw), list(raw),
-                        {d: tuple(map(list, _sum_row(*row)[:2]))
+                        {d: tuple(map(list, row[:2]))
                          for d, row in raw.items()}))
     assert results[1] == results[0]
 
@@ -567,24 +566,3 @@ def test_size_rule_takes_a_weight_pair_only_past_the_guard():
     xt[1] = (Scalar(1), lcf(1, 2))
     with pytest.raises(AssertionError, match="affine weight failed"):
         _factors(xt, yt)
-
-
-def test_summing_raw_rows_leaves_them_unchanged():
-    # U^2 i times i U*: the pair loop's one raw row cancels below z = 1
-    # with a correction at key 0; reading the rows again, as the Kronecker
-    # property test does, gives the same row and the same product
-    i = Scalar(0, 1)
-    factors = _factors({2: EPSequence({}, [i], N24)},
-                       {-1: EPSequence({}, [i], N24)})
-    raw = _pair_rows(factors, True, False)
-    [(by_z, corr)] = raw.values()
-    assert set(by_z) == {1} and corr == {}
-    first = _sum_row(by_z, corr)
-    assert first == ([-1], [0], {0: (1, 0)}) and corr == {}
-    assert _sum_row(by_z, corr) == first
-    want = {1: EPSequence({0: 1}, [-1], N24)}
-    assert _terms(factors, raw) == want
-    assert _terms(factors, raw) == want
-    assert multiply(UnilateralElement({2: EPSequence({}, [i], N24)}, N24),
-                    UnilateralElement({-1: EPSequence({}, [i], N24)}, N24)
-                    ) == UnilateralElement(want, N24)

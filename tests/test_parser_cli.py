@@ -1038,6 +1038,28 @@ def test_cli_exit_codes(capsys, ws_path, tmp_path, monkeypatch):
     assert code == 0
 
 
+def test_cli_refusals_at_their_edge(capsys, tmp_path):
+    # span MAX_SPAN is accepted and one past it refused; each request
+    # below is refused with its documented code and one stderr line
+    code, payload = run_cli(capsys, "normalize", "(id+U)^256")
+    assert code == 0 and sorted(map(int, payload["terms"])) == [*range(257)]
+    data = json.loads((WORKSPACES / "ws_n2.json").read_text())
+    data["sequences"]["x"] = {"period": 1}
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for code, argv, message in (
+            (3, ["normalize", "(id+U)^257"], "degree span 258 exceeds 257"),
+            (2, ["normalize", "1/0"], "zero denominator"),
+            (2, ["normalize", "foo+U"], "unknown token 'foo'"),
+            (3, ["gns-rep", "--workspace", str(WORKSPACES / "ws_n2inf.json"),
+                 "--state", "haar", "V"], "needs an explicit --level"),
+            (1, ["normalize", "--workspace", str(path), "U"],
+             "needs a 'values' or 'table' key")):
+        assert cli.main(argv) == code, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and message in err
+
+
 def test_cli_float_overflow_is_a_domain_error(capsys):
     # diag(x)^1024 is exact, but its entries exceed the range of a float
     ws = ["--workspace", str(WORKSPACES / "ws_n2.json")]
