@@ -40,8 +40,7 @@ from itertools import chain, product, repeat
 from operator import add, lshift, mul, sub
 
 from .errors import NotFinite
-from .profinite import (LocallyConstantFunction, _common_period, _int_key,
-                        _one_N)
+from .profinite import LocallyConstantFunction, _int_key, _one_N
 from .scalars import Scalar, as_scalar, coerce_scalar
 from .sequences import (
     EPSequence,
@@ -127,7 +126,7 @@ def _factors(xt, yt):
     lin = {n: c[0]._t for n, c in xt.items() if isinstance(c, tuple)}
     xt = {n: c[1] if n in lin else c for n, c in xt.items()}
     seqs = [*xt.values(), *yt.values()]
-    J = _common_period(seqs[0].N, *{s.period for s in seqs})
+    J = math.lcm(*{s.period for s in seqs})
     D = math.lcm(*{s.den for s in seqs}, *{d for _, _, d in lin.values()})
     if any(n % J for n in lin):
         raise AssertionError("affine weight failed to cancel in a commutator")
@@ -232,7 +231,8 @@ def _slot_bytes(factors, commute):
     """Bytes of a signed slot that holds any coefficient: a pair adds at
     most 2|a||b|(1 + |n|) (n*u the weight gain), |a| and |b| bounding the
     table, linear and correction values, and at most min(#x, #y) pairs of
-    a pass meet in one.  Up to 8, a width that struct reads."""
+    a pass meet in one.  A power of two; _kronecker_slots takes up to 8,
+    the widths struct reads."""
     xrows, yrows = factors[4:]
     big = [max(1, *(max(map(abs, (*re, *im, *u)))
                     for re, im, _, u in t.values()))
@@ -242,7 +242,7 @@ def _slot_bytes(factors, commute):
     bound = (2 + 2 * commute) * big[0] * big[1] * min(
         len(xrows), len(yrows)) * (1 + max(map(abs, (*xrows, *yrows))))
     nb = bound.bit_length() // 8 + 1
-    return 1 << (nb - 1).bit_length() if nb <= 8 else nb
+    return 1 << (nb - 1).bit_length()
 
 
 def _packs(t, base, nb, gain=False):
@@ -258,17 +258,13 @@ def _packs(t, base, nb, gain=False):
 
 def _slot_reader(nb, size):
     """The reader of the size slots of a packed sum, each offset by half,
-    the signed slot's bias 2^(8*nb - 1)."""
+    the signed slot's bias 2^(8*nb - 1); nb is 1, 2, 4 or 8."""
     half = 1 << (8 * nb - 1)
     bias = int.from_bytes(half.to_bytes(nb, "little") * size, "little")
-    code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(nb)
+    fmt = f"<{size}" + {1: "B", 2: "H", 4: "I", 8: "Q"}[nb]
 
     def slots(v):
-        buf = (v + bias).to_bytes(nb * size, "little")
-        if code:
-            return struct.unpack(f"<{size}{code}", buf)
-        return [int.from_bytes(buf[i:i + nb], "little")
-                for i in range(0, len(buf), nb)]
+        return struct.unpack(fmt, (v + bias).to_bytes(nb * size, "little"))
     return slots
 
 
@@ -652,8 +648,6 @@ def mult_defect(b1, b2):
         raise TypeError("the defect takes two elements of B(N)")
     _one_algebra(b1, b2, "take the defect of")
     seqs = [f for b in (b1, b2) for f in b.terms.values()]
-    # the periods must divide N, as in a product
-    _common_period(b1.N, *(f.period for f in seqs))
     D, out = math.lcm(*(f.den for f in seqs)), {}
     for (m, f), (n, g) in product(b1.terms.items(), b2.terms.items()):
         s, h = min(m, -n), D // f.den * (D // g.den)
@@ -829,8 +823,7 @@ class MatrixTrigPoly:
 
     def __mul__(self, other):
         if not isinstance(other, MatrixTrigPoly):
-            c = as_scalar(other)
-            return c if c is NotImplemented else self.scale(c)
+            return NotImplemented
         if self.size != other.size:
             raise ValueError("size mismatch")
         cols = list(zip(*other.entries))
@@ -839,9 +832,6 @@ class MatrixTrigPoly:
              for col in cols]
             for row in self.entries
         ])
-
-    # a scalar factor on either side scales
-    __rmul__ = __mul__
 
     def conjugate_transpose(self):
         return MatrixTrigPoly(self.size, [

@@ -129,9 +129,6 @@ class DerivationSum:
     def degrees(self):
         return sorted(self.components)
 
-    def is_zero(self):
-        return not self.components
-
     def __eq__(self, other):
         if not isinstance(other, DerivationSum):
             return NotImplemented

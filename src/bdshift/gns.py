@@ -229,12 +229,14 @@ def _D_block(data, space):
     complex of its Scalar because int / int is correctly rounded.
     """
     n, linear, ep, psi = data.n, data.eta.linear, data.eta.ep, data.psi
+    if ep.corr:
+        raise ValueError("eta is quotient data and has no corrections")
     c = data.c if space == "tau0" else ZERO
     den = math.lcm(linear._t[2], c._t[2], ep.den, psi.den)
     (la, lb), (c0, c1) = ((a * (den // d), b * (den // d))
                           for a, b, d in (linear._t, c._t))
     p, q = ep.period, psi.period
-    ta, tb, corr = ep._rows(den, p)
+    ta, tb, _ = ep._rows(den, p)
     pa, pb, _ = psi._rows(den, q)
     if space == "tau0":
         level, ca, cb, off = 1, [c0], [c1], []
@@ -247,20 +249,18 @@ def _D_block(data, space):
         ca, cb, off = [0] * level, [0] * level, []
         for x in range(level):
             k = x - t
-            e = corr.get(k, (0, 0))
-            a = pa[k % q] - la * k - ta[k % p] - e[0]
-            b = pb[k % q] - lb * k - tb[k % p] - e[1]
+            a = pa[k % q] - la * k - ta[k % p]
+            b = pb[k % q] - lb * k - tb[k % p]
             if k % level == x:
                 ca[x], cb[x] = a, b
             elif a or b:
                 off.append((k % level, x, a, b))
 
     def diag(*runs):
-        # on a run of blocks m: lin*m, plus a pattern repeating every p
-        # blocks, plus the corrections inside the run at their keys x + m
+        # on a run of blocks m: lin*m plus a pattern repeating every p blocks
         out = ([], [])
-        for ms, (row, lin, t, const, part) in product(runs, zip(
-                out, (la, lb), (ta, tb), (ca, cb), (0, 1))):
+        for ms, (row, lin, t, const) in product(runs, zip(
+                out, (la, lb), (ta, tb), (ca, cb))):
             n, at = len(ms), len(row)
             row += ([t[(m + x) % p] + lin * x + const[x] for m in ms[:p]
                      for x in range(level)] * (n // p + 1))[:n * level]
@@ -268,9 +268,6 @@ def _D_block(data, space):
                 ramp = range(lin * ms.start, lin * ms.stop, lin)
                 row[at:] = map(operator.add, row[at:], ramp if level == 1
                                else chain.from_iterable(zip(*[ramp] * level)))
-            for k, x in product(corr, range(level)):
-                if k - x in ms:
-                    row[at + (k - x - ms.start) * level + x] += corr[k][part]
         return out
 
     return level, den, diag, off
@@ -416,7 +413,7 @@ def check_implementation(D, components, b, M, space="tau0", level=1):
     integer pairs over L^2 is rounded once over L^4, as the Scalar
     |entry|^2 would be.  Each g is constant on the residue classes of
     columns mod P = level lcm(periods of b, delta(b) and each eta), where
-    a D built from eta is affine off eta's corrections.  When every D_e
+    a D built from eta is affine.  When every D_e
     that the band o reads is affine on each class over its columns j and
     j + s (_affine_per_class), so is each entry of o, and the convex
     |entry|^2 peaks at a class's first or last interior column: o is

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import WindowTooSmall
 from .algebra import multiply
-from .profinite import _common_period
 
 
 def _bands(M, *elements):
@@ -96,9 +95,6 @@ class TruncationReport(
 
     __slots__ = ()
 
-    def to_json(self):
-        return self._asdict()
-
 
 def oracle_product_check(a, b, M):
     """Compare truncate(a b) with truncate(a) truncate(b) away from the
@@ -140,7 +136,7 @@ def norm_lower(a, M):
 
 def symbol_period(b):
     """The common period J of b's coefficients: b lies in B(J)."""
-    return _common_period(b.N, *(f.period for f in b.terms.values()))
+    return math.lcm(*(f.period for f in b.terms.values()))
 
 
 def _symbol_norms(terms, J, Q, t):

@@ -199,30 +199,21 @@ def _primes(n):
     return tuple(_factorize(n))
 
 
-def _minimal_period(values):
-    """Shortest cyclic period of a value table (a list or tuple).
+def _minimal_period(re, im):
+    """Shortest common cyclic period of two rows (lists or tuples) of one
+    length.
 
-    The periods of a cyclic table are closed under gcd, so the minimal one
-    is reached by dividing the length by its primes for as long as the
-    table stays invariant under the shorter shift."""
-    j = period = len(values)
+    The common periods of cyclic rows are closed under gcd, so the
+    minimal one is reached by dividing the length by its primes for as
+    long as both rows stay invariant under the shorter shift."""
+    j = period = len(re)
     for p in _primes(j):
         while period % p == 0:
             e = period // p
-            if values[e:] != values[:j - e]:
+            if re[e:] != re[:j - e] or im[e:] != im[:j - e]:
                 break
             period = e
-    return values[:period]
-
-
-def _fill(seq, den, re, im, corr, N):
-    _set_den(seq, den)
-    _set_re(seq, re)
-    _set_im(seq, im)
-    _set_corr(seq, corr)
-    _set_period(seq, len(re))
-    _set_N(seq, N)
-    return seq
+    return period
 
 
 class _PeriodicSequence:
@@ -242,36 +233,36 @@ class _PeriodicSequence:
 
     __slots__ = ("den", "re", "im", "corr", "period", "N")
 
-    def __init__(self, correction, table, N):
-        self._init({int(k): coerce_scalar(v)._t
-                    for k, v in (correction or {}).items()},
-                   [coerce_scalar(v)._t for v in table], N)
+    def __new__(cls, correction, table, N):
+        return cls._init({int(k): coerce_scalar(v)._t
+                          for k, v in (correction or {}).items()},
+                         [coerce_scalar(v)._t for v in table], N)
 
-    def _init(self, corr, table, N):
-        """Fill self from canonical triples, corr keyed by int: the
-        constructor's of its values, from_json's of the wire."""
+    @classmethod
+    def _init(cls, corr, table, N):
+        """The sequence of canonical triples, corr keyed by int: the
+        constructor's of its values, from_json's of the wire, rescaled
+        over the lcm of their denominators for _make."""
         if not table:
             raise ValueError("table must be nonempty")
         if not divides(len(table), N):
             raise PeriodNotDivisor(f"period {len(table)} does not divide N")
-        if self.unilateral and corr and min(corr) < 0:
+        if cls.unilateral and corr and min(corr) < 0:
             raise ValueError(f"correction key must be >= 0, got {min(corr)}")
-        # equal canonical triples are equal values, and over the lcm of
-        # canonical denominators the numerators are already coprime to it
-        re, im, ds = zip(*_minimal_period(table))
+        re, im, ds = zip(*table)
         den = math.lcm(*ds, *(d for _, _, d in corr.values()))
         if den != 1:
             ds = [den // d for d in ds]
             re, im = tuple(map(mul, re, ds)), tuple(map(mul, im, ds))
-        corr = {k: (a * (den // d), b * (den // d))
-                for k, (a, b, d) in corr.items() if a or b}
-        return _fill(self, den, re, im, corr, N)
+        return cls._make(den, re, im, {k: (a * (den // d), b * (den // d))
+                                       for k, (a, b, d) in corr.items()}, N)
 
     @classmethod
     def _make(cls, den, re, im, corr, N):
         """Raw rows over den, of a length dividing N, in canonical form: a
-        period search, zero corrections dropped, one gcd (none at den 1)."""
-        j = math.lcm(len(_minimal_period(re)), len(_minimal_period(im)))
+        period search, zero corrections dropped, one gcd (none at den 1).
+        Every sequence is built here or by _from_canonical."""
+        j = _minimal_period(re, im)
         re, im = re[:j], im[:j]
         corr = {k: v for k, v in corr.items() if v[0] or v[1]}
         if den != 1:
@@ -285,7 +276,14 @@ class _PeriodicSequence:
     @classmethod
     def _from_canonical(cls, den, re, im, corr, N):
         """The constructor without checks, for canonical rows."""
-        return _fill(object.__new__(cls), den, re, im, corr, N)
+        seq = object.__new__(cls)
+        _set_den(seq, den)
+        _set_re(seq, re)
+        _set_im(seq, im)
+        _set_corr(seq, corr)
+        _set_period(seq, len(re))
+        _set_N(seq, N)
+        return seq
 
     @classmethod
     def _cast(cls, a):
@@ -345,11 +343,6 @@ class _PeriodicSequence:
     def __add__(self, other):
         return ep_add(self, other)
 
-    def __mul__(self, other):
-        if not isinstance(other, _PeriodicSequence):
-            return NotImplemented
-        return ep_mul(self, other)
-
     def __neg__(self):
         return ep_scale(self, Scalar(-1))
 
@@ -383,7 +376,7 @@ class _PeriodicSequence:
                 )
             corr[k] = _triple(v)
         table = [_triple(v) for v in data["table"]]
-        return object.__new__(cls)._init(corr, table, N)
+        return cls._init(corr, table, N)
 
 
 _set_den, _set_re, _set_im, _set_corr, _set_period, _set_N = (
@@ -401,8 +394,8 @@ class LocallyConstantFunction(_PeriodicSequence):
     unilateral = False
     offset = 0
 
-    def __init__(self, values, N):
-        super().__init__({}, values, N)
+    def __new__(cls, values, N):
+        return super().__new__(cls, {}, values, N)
 
     @classmethod
     def _from_canonical(cls, den, re, im, corr, N):
@@ -425,14 +418,6 @@ def haar_integral(f):
     return _canonical(sum(f.re), sum(f.im), f.den * f.period)
 
 
-def _common_period(N, *periods):
-    """lcm of the periods, checked to divide N."""
-    j = math.lcm(*periods)
-    if not divides(j, N):
-        raise PeriodNotDivisor(f"lcm period {j} does not divide N")
-    return j
-
-
 def _one_N(x, y, verb):
     """Refuse operands over two N (sequences, elements, or a derivation's
     component and an element) with a ValueError that names both."""
@@ -442,7 +427,7 @@ def _one_N(x, y, verb):
 
 def ep_add(a, b):
     _one_N(a, b, "add")
-    j = _common_period(a.N, a.period, b.period)
+    j = math.lcm(a.period, b.period)
     den = math.lcm(a.den, b.den)
     (ar, ai, corr), (br, bi, bc) = a._rows(den, j), b._rows(den, j)
     corr = dict(corr)
@@ -451,19 +436,6 @@ def ep_add(a, b):
         corr[k] = (c[0] + x, c[1] + y)
     return type(a)._make(den, list(map(add, ar, br)), list(map(add, ai, bi)),
                          corr, a.N)
-
-
-def ep_mul(a, b):
-    _one_N(a, b, "multiply")
-    j = _common_period(a.N, a.period, b.period)
-    (ar, ai, _), (br, bi, _) = a._rows(a.den, j), b._rows(b.den, j)
-    re = [x * y - u * v for x, u, y, v in zip(ar, ai, br, bi)]
-    im = [x * v + u * y for x, u, y, v in zip(ar, ai, br, bi)]
-    corr = {}
-    for k in a.corr.keys() | b.corr.keys():
-        (x, u), (y, v) = a._at(k), b._at(k)
-        corr[k] = (x * y - u * v - re[k % j], x * v + u * y - im[k % j])
-    return type(a)._make(a.den * b.den, re, im, corr, a.N)
 
 
 def ep_scale(a, c):

@@ -27,7 +27,6 @@ from .profinite import (
     _PeriodicSequence,
     ep_add,
     ep_conjugate,
-    ep_mul,
     ep_scale,
     ep_shift,
 )

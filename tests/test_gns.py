@@ -245,6 +245,9 @@ def test_check_covariance():
     assert check_covariance(D1, 1, 2, GRID16) < 1e-12
     # wrong degree: covariance fails loudly
     assert check_covariance(D1, 2, 2, GRID16) > 0.5
+    # a size that is no window at M is refused
+    with pytest.raises(ValueError, match="not a window at M=3"):
+        check_covariance(D1, 1, 3, GRID16)
 
 
 def test_tau0_implementation_exact_all_regimes():
@@ -489,6 +492,11 @@ def test_implementation_data_guards():
             implementation_from_bilateral(comp, c=ONE)
         assert implementation_from_bilateral(comp, c=ZERO).c == ZERO
     assert implementation_from_bilateral(linear0, c=ONE).c == ONE
+    # eta is quotient data: a correction, formed by hand, is refused
+    for data in correction_data():
+        for build in (build_D_tau0_exact, build_D_haar_exact, build_D_tau0):
+            with pytest.raises(ValueError, match="no corrections"):
+                build(data, 2)
 
 
 def test_haar_implementation_exact_at_proper_divisor_levels():
@@ -888,7 +896,7 @@ def test_cached_start_vector_and_buffers_share_no_state(monkeypatch):
 def correction_data():
     """Implementation data whose eta carries a correction, negative keys
     included, in each regime; the quotient never builds such an eta, so
-    ImplementationData is formed directly."""
+    ImplementationData is formed directly, and the builds refuse it."""
     rng = random.Random(20240221)
 
     def eta(linear, N, per):
@@ -912,8 +920,8 @@ def correction_data():
 
 def build_cases():
     """Implementation data over every regime and variant: psi, c, a level
-    finer than the period, bounded Haar blocks with off cells (level
-    does not divide n) and etas with corrections."""
+    finer than the period and bounded Haar blocks with off cells (level
+    does not divide n)."""
     rng = random.Random(20240222)
     out = []
     for comp in (*regime_components().values(), *wide_bounded_components()):
@@ -923,7 +931,7 @@ def build_cases():
         if not comp.N.is_finite():
             variants.append({"level": 8, **variants[1]})
         out += [implementation_from_bilateral(comp, **kw) for kw in variants]
-    return out + correction_data()
+    return out
 
 
 def test_dense_build_is_the_float_of_the_exact_build():
@@ -942,16 +950,6 @@ def test_dense_build_is_the_float_of_the_exact_build():
                     level = data.level
                     off_cells += sum((i - j) % level != 0 for i, j in Dx)
     assert off_cells > 0
-
-
-def test_exact_builds_with_corrections_match_the_entrywise_reference():
-    for data in correction_data():
-        assert data.eta.ep.correction and min(data.eta.ep.correction) < 0
-        for M in (1, 4, 8):
-            assert band_entries(build_D_tau0_exact(data, M)) == \
-                reference_D_tau0_exact(data, M)
-            assert band_entries(build_D_haar_exact(data, M)) == \
-                reference_D_haar_exact(data, M)
 
 
 def test_shell_min_sv_frozen_values():

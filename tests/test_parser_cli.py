@@ -42,7 +42,8 @@ from bdshift.derivations import (
     covariant,
     reassemble,
 )
-from bdshift.parser import MAX_NESTING, eval_ast, parse, parse_gaussian
+from bdshift.parser import (MAX_DIGITS, MAX_EXPONENT, MAX_INPUT, MAX_NESTING,
+                            eval_ast, parse, parse_gaussian)
 from bdshift.serialize import Workspace, load_workspace, save_workspace
 from bdshift import cli, gns
 
@@ -486,6 +487,10 @@ MIXED_PINNED = (
      "4c62b0e4bf9e4ee499d047bf424afc64"),
     (["truncate", "--m", "8", "(U + Us)*diag(x)"],
      "67666466447ca664b002e6cc920a457e"),
+    (["fourier", "--derivation", "d", "--n", "0"],
+     "bcf5b56b86f33ce3d8b9de606cf2fe88"),
+    (["fourier", "--derivation", "d", "--n", "1"],
+     "eebc719bb76faf9bc82ac8e8c9339cbe"),
 )
 
 
@@ -1039,16 +1044,31 @@ def test_cli_exit_codes(capsys, ws_path, tmp_path, monkeypatch):
 
 
 def test_cli_refusals_at_their_edge(capsys, tmp_path):
-    # span MAX_SPAN is accepted and one past it refused; each request
-    # below is refused with its documented code and one stderr line
+    # span MAX_SPAN, exponent MAX_EXPONENT, a number of MAX_DIGITS digits
+    # and an input of MAX_INPUT characters are accepted and one past each
+    # refused; each request below is refused with its documented code and
+    # one stderr line
     code, payload = run_cli(capsys, "normalize", "(id+U)^256")
     assert code == 0 and sorted(map(int, payload["terms"])) == [*range(257)]
+    for text in (f"U^{MAX_EXPONENT}", "9" * MAX_DIGITS,
+                 "U" + " " * (MAX_INPUT - 1)):
+        assert run_cli(capsys, "normalize", text)[0] == 0
+    ws2 = str(WORKSPACES / "ws_n2.json")
     data = json.loads((WORKSPACES / "ws_n2.json").read_text())
     data["sequences"]["x"] = {"period": 1}
     path = tmp_path / "ws.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     for code, argv, message in (
             (3, ["normalize", "(id+U)^257"], "degree span 258 exceeds 257"),
+            (3, ["normalize", f"U^{MAX_EXPONENT + 1}"],
+             "exponent 1025 exceeds 1024"),
+            (2, ["normalize", "9" * (MAX_DIGITS + 1)],
+             "number exceeds 4000 digits"),
+            (2, ["normalize", "U" + " " * MAX_INPUT], "input exceeds 1 MB"),
+            (2, ["normalize", "--workspace", ws2, "diag(U)"],
+             "'U' is reserved"),
+            (2, ["classify", "--workspace", ws2, "--derivation", "nope",
+                 "--n", "0"], "no derivation named 'nope'"),
             (2, ["normalize", "1/0"], "zero denominator"),
             (2, ["normalize", "foo+U"], "unknown token 'foo'"),
             (3, ["gns-rep", "--workspace", str(WORKSPACES / "ws_n2inf.json"),
@@ -1368,7 +1388,8 @@ def test_cli_classify_on_a_huge_finite_n_is_fast(capsys, tmp_path):
 def test_cli_huge_correction_key_is_rejected(capsys, tmp_path):
     # partial sums walk every position below the largest correction key
     path = tmp_path / "ws.json"
-    for key, want in ((10**12, 1), (-(10**12), 1), (MAX_CORRECTION_KEY, 0)):
+    for key, want in ((10**12, 1), (-(10**12), 1),
+                      (MAX_CORRECTION_KEY + 1, 1), (MAX_CORRECTION_KEY, 0)):
         data = make_workspace().to_json()
         ep = data["derivations"]["d"]["components"]["0"]["ep"]
         ep["correction"] = {str(key): ONE.to_json()}

@@ -60,9 +60,10 @@ MUTANTS = [
     ("src/bdshift/algebra.py",
      "    bound = (2 + 2 * commute) * big[0]", "    bound = 2 * big[0]",
      "_slot_bytes' bound without the commutator's factor 2"),
-    ("src/bdshift/profinite.py",
-     "    j = math.lcm(*periods)", "    j = max(periods)",
-     "_common_period takes the largest period, not the lcm"),
+    ("src/bdshift/algebra.py",
+     "    J = math.lcm(*{s.period for s in seqs})",
+     "    J = max({s.period for s in seqs})",
+     "_factors takes the largest period, not the lcm"),
     ("src/bdshift/algebra.py",
      CUTOFF, CUTOFF.replace("range(z)", "range(0)"),
      "_pair_rows writes no cutoff"),
@@ -72,6 +73,27 @@ MUTANTS = [
     ("src/bdshift/algebra.py",
      CUTOFF, CUTOFF.replace("pr[k % J], c[1] - pi[", "re[k % J], c[1] - im["),
      "_pair_rows cuts off the running row, not the pair's"),
+    ("src/bdshift/profinite.py",
+     "            if re[e:] != re[:j - e] or im[e:] != im[:j - e]:",
+     "            if re[e:] != re[:j - e]:",
+     "_minimal_period reads the re row alone"),
+    ("src/bdshift/algebra.py",
+     "    if not (u and s):\n        return row",
+     "    if True:\n        return row",
+     "_at_shift returns its row unchanged"),
+    ("src/bdshift/algebra.py",
+     "            for k in {i - s for i in oc}.union(range(z)):",
+     "            for k in {i - s for i in oc}:",
+     "the linear-part fold skips the cutoff keys k < z"),
+    ("src/bdshift/algebra.py",
+     "                    corr[k] = (c[0] + w * (cr * x - ci * y),",
+     "                    corr[k + 1] = (c[0] + w * (cr * x - ci * y),",
+     "the linear-part fold stores at k + 1"),
+    ("src/bdshift/algebra.py",
+     "        lin = {n: ([r[3][0]] * J, [r[3][1]] * J)\n"
+     "               for n, r in left.items() if r[3]}",
+     "        lin = {}",
+     "_kronecker_rows packs no linear part"),
 ]
 
 
