@@ -5,6 +5,7 @@ canonical invariant states.
 
 Import names from the submodules (bdshift.algebra, bdshift.derivations,
 ...).  The package itself imports none of them, so the exact modules load
-without numpy; only bdshift.numerics and bdshift.gns need it."""
+without numpy; bdshift.numerics and bdshift.gns import it inside the
+routines that form a float, so their exact half loads without it too."""
 
 __version__ = "1.0.0"

@@ -6,7 +6,7 @@ or nothing; diagnostics go to stderr.  Exit codes: 0 success, 1 usage,
 float, an integer too wide to print and a table or window past its cap
 included), 4 numeric non-convergence (only the inverse power iteration
 of parametrix raises it; normest is one direct SVD).  Only the float
-commands import numpy.
+commands import numpy; gns-rep, which forms no float, does not.
 """
 
 import argparse

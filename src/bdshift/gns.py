@@ -34,8 +34,6 @@ import operator
 from collections import namedtuple
 from itertools import chain, product
 
-import numpy as np
-
 from .scalars import Scalar, as_scalar, ZERO, ONE
 from .errors import LevelMismatch, NoConvergence, WindowTooSmall
 from .profinite import LocallyConstantFunction, divides, haar_integral
@@ -323,6 +321,7 @@ def build_D_haar(data, M):
 
 
 def haar_mvec(M, level):
+    import numpy as np
     return np.repeat(np.arange(-M, M + 1), level)
 
 
@@ -338,6 +337,7 @@ def check_covariance(D, n, M, thetas):
     largest |entry| when the blocks are diagonal.  A D on several bands
     is refused with ValueError; the zero D gives 0.0.
     """
+    import numpy as np
     if len(thetas) == 0:
         raise ValueError("theta grid needs at least one angle")
     size = D.shape[0]
@@ -515,6 +515,7 @@ def check_implementation(D, components, b, M, space="tau0", level=1):
 def _start_vector(length, seed):
     """The unit start vector of the inverse iteration, a pure function of
     its key; read-only, since every solve of that length shares it."""
+    import numpy as np
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(length) + 1j * rng.standard_normal(length)
     v /= np.linalg.norm(v)
@@ -543,6 +544,7 @@ def _min_eig_inverse_power(G, tol=1e-12, cap=20000, seed=20240117):
     x.imag), and it divides a complex array by a real scalar as the
     product with the reciprocal.  The start vector comes from a cache of
     32 entries keyed by (k L, seed)."""
+    import numpy as np
     k, L, _ = G.shape
     if np.count_nonzero(G) == k * L:
         op, A = np.multiply, 1 / np.diagonal(G, axis1=1, axis2=2).reshape(-1)
@@ -577,6 +579,7 @@ def _shell_min_sv(data, space, M):
     shell I + D*D is the direct sum of the blocks I + B_m^H B_m, built
     from the shell blocks B_m alone.
     """
+    import numpy as np
     if M < 1:
         raise ValueError(f"the shell M <= |m| < 2M is empty at M={M}")
     level, den, diag, off = _D_block(data, space)

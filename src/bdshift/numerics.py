@@ -13,8 +13,6 @@ in B(N) it is of the J x J symbol of the coefficients' common period J.
 import math
 from collections import namedtuple
 
-import numpy as np
-
 from .errors import WindowTooSmall
 from .algebra import multiply
 
@@ -54,6 +52,7 @@ def _dense(M, den, bands):
     nonzero slots are divided, as a band may be zero off a few columns
     (the off-cell bands of the GNS windows).  Band n is a slice of stride
     M + 1 of the flattened matrix, from the entry (lo + n, lo)."""
+    import numpy as np
     out = np.zeros((M, M), dtype=complex)
     flat = out.reshape(-1)
     for n, rows in bands.items():
@@ -100,6 +99,7 @@ def oracle_product_check(a, b, M):
     """Compare truncate(a b) with truncate(a) truncate(b) away from the
     boundary.  The exact path must match identically; the float path is
     reported as a deviation."""
+    import numpy as np
     margin = a.max_abs_degree() + b.max_abs_degree()
     if M <= 2 * margin:
         raise WindowTooSmall(
@@ -131,6 +131,7 @@ def norm_lower(a, M):
     """Largest singular value of the M x M truncation, by one LAPACK
     SVD.  A lower bound for the operator norm, monotone nondecreasing in
     M: each truncation is a compression of the next."""
+    import numpy as np
     return float(np.linalg.norm(truncate_unilateral(a, M), 2))
 
 
@@ -141,6 +142,7 @@ def symbol_period(b):
 
 def _symbol_norms(terms, J, Q, t):
     """||S(e^(2 pi i t / Q))|| for the integers t by one batched SVD."""
+    import numpy as np
     S = np.zeros((len(t), J, J), dtype=complex)
     for n, rows, c in terms:
         theta = (2 * np.pi) * (t * (n % Q) % Q) / Q  # t n reduced exactly
@@ -158,6 +160,7 @@ def quotient_norm_report(b, N, G, rounds=3):
     norm max ||S(zeta)|| over zeta^L = z, and diag(w^x) conjugates S(zeta)
     to S(zeta w) for w^J = 1, so the gL / J nodes e^(2 pi i t / gL) carry
     every value; node t of grid g is node 2t of grid 2g, bit for bit."""
+    import numpy as np
     if G < 1:
         raise ValueError("grid needs at least one node")
     if rounds < 1:
@@ -184,6 +187,7 @@ def quotient_norm_report(b, N, G, rounds=3):
 def nonzero_entries(A):
     """The nonzero entries of a dense matrix as [row, col, re, im] lists,
     in row-major order."""
+    import numpy as np
     rows, cols = np.nonzero(A)
     vals = A[rows, cols]
     return [list(e) for e in zip(rows.tolist(), cols.tolist(),

@@ -19,8 +19,6 @@ def _to_fraction(x):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
 
 

@@ -454,7 +454,8 @@ FAR_KEY = 10**4
 @st.composite
 def kronecker_terms(draw, J, count, bound, unilateral=False):
     """count terms of period dividing J, dense or sparse: from SPARSE on
-    B(N), from -24..24 on A(N), where they carry corrections."""
+    B(N), from -24..24 on A(N), where they carry corrections.  On B(N)
+    the denominator 2^61 - 1 comes only with a bound above 2^20."""
     if draw(st.booleans()):
         start = draw(st.integers(-6, 6))
         degrees = range(start, start + count)
@@ -465,7 +466,8 @@ def kronecker_terms(draw, J, count, bound, unilateral=False):
     wide = st.builds(
         lambda a, b, d, e: Scalar(Fraction(a, d), Fraction(b, e)),
         st.integers(-bound, bound), st.integers(-bound, bound),
-        st.sampled_from([1, 2, 3, 5, 12, *[2**61 - 1] * (not unilateral)]),
+        st.sampled_from([1, 2, 3, 5, 12,
+                         *[2**61 - 1] * (bound > 2**20 and not unilateral)]),
         st.sampled_from([1, 4]))
 
     def coefficient(p):
@@ -501,7 +503,12 @@ def test_kronecker_rows_match_the_pair_loop(side, data):
     J = data.draw(st.sampled_from([1, 2, 3, 4, 6, 8]))
     sizes = st.integers(1, 3) if side == "below" \
         else st.integers(13, 14) if unilateral else st.integers(9, 10)
-    bound = data.draw(st.sampled_from([3, 2**20, 2**200]))
+    # on B(N) the widest bound, whose slots seldom fit 8 bytes and then
+    # only reach the rule's refusal, is drawn once in five; in this order
+    # the derandomized draws compare the kernels on 81 B(N) calls below
+    # the rule and 62 above it
+    bound = data.draw(st.sampled_from([3, 2**20, 2**200] if unilateral
+                                      else [2**20, 2**200, 3, 2**20, 3]))
     xt, yt = (data.draw(kronecker_terms(J, data.draw(sizes), bound,
                                         unilateral)) for _ in range(2))
     assert (len(xt) * len(yt) >= KRONECKER_PAIRS * (1 + unilateral) * (

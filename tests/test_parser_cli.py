@@ -1606,8 +1606,9 @@ def test_cli_requires_command(capsys):
 
 
 def test_exact_modules_import_without_numpy(ws_path):
-    # only numerics and gns need numpy; neither the package nor the exact
-    # commands of the CLI import them
+    # numpy loads in the routines that form a float; the package, the
+    # exact half of gns and numerics and the exact commands of the CLI,
+    # gns-rep included, never import it
     code = (
         "import sys\n"
         "import bdshift.algebra, bdshift.derivations, bdshift.parser\n"
@@ -1618,6 +1619,39 @@ def test_exact_modules_import_without_numpy(ws_path):
         "assert cli.main(['classify', '--workspace', ws, '--derivation',\n"
         "                 'd', '--n', '0']) == 0\n"
         "assert 'numpy' not in sys.modules, sorted(sys.modules)\n"
+        "from bdshift import gns, numerics\n"
+        "from bdshift.scalars import ONE, ZERO\n"
+        "from bdshift.profinite import LocallyConstantFunction as LCF\n"
+        "from bdshift.profinite import SupernaturalNumber\n"
+        "from bdshift.sequences import BilateralAffineSequence as BAS\n"
+        "from bdshift.sequences import BilateralEPSequence as BEP\n"
+        "from bdshift.algebra import (bilateral_diag, bilateral_multiply,\n"
+        "                             u_element, v_element)\n"
+        "from bdshift.derivations import bilateral_covariant\n"
+        "N2 = SupernaturalNumber.from_int(2)\n"
+        "comp = bilateral_covariant(2, BAS(ONE, BEP({}, [ONE, ZERO], N2)),\n"
+        "                           N2)\n"
+        "data = gns.implementation_from_bilateral(comp)\n"
+        "b = bilateral_multiply(v_element(N2),\n"
+        "                       bilateral_diag(LCF([ONE, 2 * ONE], N2)))\n"
+        "for v, tau in ((gns.GNSVector0({0: 1}), gns.tau0),\n"
+        "               (gns.chi0(2), gns.tau_haar)):\n"
+        "    assert gns.inner(v, gns.pi_apply(b, v)) == tau(b)\n"
+        "D = gns.build_D_tau0_exact(data, 4)\n"
+        "assert gns.check_implementation(D, {2: comp}, b, 4) == 0.0\n"
+        "D = gns.build_D_haar_exact(data, 4)\n"
+        "assert gns.check_implementation(D, {2: comp}, b, 4, space='haar',\n"
+        "                                level=2) == 0.0\n"
+        "den, (bands,) = numerics._bands(3, u_element(N2))\n"
+        "assert (den, bands) == (1, {1: ([1, 1, 0], [0, 0, 0])}), bands\n"
+        "for state in ('tau0', 'haar'):\n"
+        "    assert cli.main(['gns-rep', '--workspace', ws, '--state',\n"
+        "                     state, 'V + diag(g)']) == 0\n"
+        "assert 'numpy' not in sys.modules, sorted(sys.modules)\n"
+        "report = gns.parametrix_report(data, [4, 16])\n"
+        "assert 'numpy' in sys.modules\n"
+        "assert [v.hex() for v in report['min_sv']] == [\n"
+        "    '0x1.94c583ada5f96p+1', '0x1.e110c3922d11dp+3'], report\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)

@@ -115,7 +115,7 @@ def test_equal_values_hash_equal(x, y):
         Scalar.from_json(a.to_json()),
         (a + S(y)) - S(y),
         a * Scalar(1) + ZERO,
-        Scalar(str(x[0]), str(x[1])),
+        Scalar(Fraction(str(x[0])), Fraction(str(x[1]))),
     ]
     for b in built:
         assert_canonical(b)
@@ -162,6 +162,8 @@ def test_mixing_with_int_and_fraction(x, c):
 def test_rejects_other_types_and_stays_immutable():
     with pytest.raises(TypeError):
         Scalar(0.5)
+    with pytest.raises(TypeError):
+        Scalar("1/2")
     with pytest.raises(TypeError):
         Scalar(1, 2j)
     with pytest.raises(TypeError):

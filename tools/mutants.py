@@ -94,6 +94,14 @@ MUTANTS = [
      "               for n, r in left.items() if r[3]}",
      "        lin = {}",
      "_kronecker_rows packs no linear part"),
+    ("src/bdshift/gns.py",
+     "from itertools import chain, product\n",
+     "from itertools import chain, product\nimport numpy as np\n",
+     "gns imports numpy at module level"),
+    ("src/bdshift/numerics.py",
+     "from collections import namedtuple\n",
+     "from collections import namedtuple\nimport numpy as np\n",
+     "numerics imports numpy at module level"),
 ]
 
 
