@@ -1,19 +1,22 @@
 """bdshift command line: every pipeline behind one entry point.
 
-Every command prints machine-readable JSON on stdout, the whole document
-or nothing; diagnostics go to stderr.  Exit codes: 0 success, 1 usage,
-2 parse error, 3 math-domain error (an exact value beyond the range of a
-float, an integer too wide to print and a table or window past its cap
-included), 4 numeric non-convergence (only the inverse power iteration
-of parametrix raises it; normest is one direct SVD).  Only the float
-commands import numpy; gns-rep, which forms no float, does not.
+Every command prints the bytes of json.dumps(payload, indent=2) on
+stdout, written in one pass, the whole document or nothing; diagnostics
+go to stderr.  A command's own parser reads its arguments, so a usage
+error names it ("bdshift truncate: error: ...").  Exit codes: 0 success,
+1 usage, 2 parse error, 3 math-domain error (an exact value beyond the
+range of a float, an integer too wide to print and a table or window
+past its cap included), 4 numeric non-convergence (only the inverse
+power iteration of parametrix raises it; normest is one direct SVD).
+Only the float commands import numpy; gns-rep, which forms no float,
+does not.
 """
 
 import argparse
 import functools
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (
     ExprSyntaxError,
@@ -38,11 +41,38 @@ MAX_WINDOW = 4096
 MAX_GRID = 4096
 
 
+def _json(v, nl="\n"):
+    """json.dumps(v, indent=2), the same bytes, in one recursive pass over
+    str, int, float, True, False, None, list, tuple and dict; _quote
+    refuses a key that is no str, int.__repr__ an int past the digit
+    limit (ValueError)."""
+    if isinstance(v, str):
+        return _quote(v)
+    inner = nl + "  "
+    if isinstance(v, (list, tuple)):  # most items are the ints of a scalar
+        return ("[" + inner + ("," + inner).join([
+            int.__repr__(x) if type(x) is int else _json(x, inner)
+            for x in v]) + nl + "]") if v else "[]"
+    if isinstance(v, dict):
+        return ("{" + inner + ("," + inner).join([
+            _quote(k) + ": " + _json(x, inner) for k, x in v.items()])
+            + nl + "}") if v else "{}"
+    if v is None or v is True or v is False:
+        return "null" if v is None else "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        return ("NaN" if v != v else "Infinity" if v == math.inf
+                else "-Infinity" if v == -math.inf else float.__repr__(v))
+    raise TypeError(f"Object of type {type(v).__name__} "
+                    "is not JSON serializable")
+
+
 def _emit(payload):
     """Write the whole document or nothing: an integer past CPython's
     digit limit for str() fails before any byte reaches stdout."""
     try:
-        text = json.dumps(payload, indent=2)
+        text = _json(payload)
     except ValueError:
         raise MathDomainError(
             "value too wide to print: an integer has more than "
@@ -340,8 +370,8 @@ def cmd_qnorm(args):
 
 @functools.cache
 def _build_parser():
-    """The parser of every command, built once per process; parse_args
-    leaves it unchanged and every default is immutable."""
+    """The top-level parser and each command's own by name, built once per
+    process; parse_args leaves them unchanged, every default immutable."""
     top = argparse.ArgumentParser(
         prog="bdshift",
         description="exact shift-algebra computations and reports",
@@ -413,13 +443,16 @@ def _build_parser():
     p = add("qnorm", cmd_qnorm, expr=1, side="bilateral")
     p.add_argument("--grid", type=int, default=64)
     p.add_argument("--rounds", type=int, default=3)
-    return top
+    return top, sub.choices
 
 
 def main(argv=None):
-    top = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    top, commands = _build_parser()
+    # the top level answers help, no command and an unknown command
+    own = commands.get(argv[0]) if argv else None
     try:
-        args = top.parse_args(argv)
+        args = own.parse_args(argv[1:]) if own else top.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else 0
     try:

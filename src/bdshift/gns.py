@@ -349,16 +349,16 @@ def check_covariance(D, n, M, thetas):
     # half of the complex entry t >> 1
     flat = np.ascontiguousarray(D, dtype=complex).view(np.float64)
     rows, cols = np.divmod(np.flatnonzero(flat != 0) >> 1, size)
-    bands = np.unique(mvec[rows] - mvec[cols])
-    if bands.size == 0:
+    diffs = mvec[rows] - mvec[cols]
+    if diffs.size == 0:
         return 0.0
-    if bands.size > 1:
-        raise ValueError(f"D lies on {bands.size} bands; a covariant D "
-                         "lies on one")
+    d = int(diffs[0])
+    if (diffs != d).any():
+        raise ValueError(f"D lies on {len(set(diffs.tolist()))} bands; a "
+                         "covariant D lies on one")
     # the phase of an entry is evaluated at its index difference, which
     # keeps the residual free of large-angle rounding; a covariant D
     # gives exactly 0
-    d = int(bands[0])
     blocks = D.reshape(2 * M + 1, level, 2 * M + 1, level)
     B = np.moveaxis(np.diagonal(blocks, -d, 0, 2), -1, 0)
     diag = np.diagonal(B, 0, 1, 2)

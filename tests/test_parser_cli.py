@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import math
@@ -1143,8 +1144,7 @@ BOTH_ALGEBRAS = {"normalize", "mul", "comm", "derive"}
 
 
 def test_cli_side_only_on_the_two_algebra_commands():
-    top = cli._build_parser()
-    (commands,) = (a.choices for a in top._actions if a.choices)
+    _, commands = cli._build_parser()
     with_side = {name for name, p in commands.items()
                  if "--side" in p._option_string_actions}
     assert with_side == BOTH_ALGEBRAS
@@ -1605,6 +1605,97 @@ def test_cli_requires_command(capsys):
     assert code == 1
 
 
+# one argv of each class, the exit code it has always had, and the md5 of
+# its stdout where that is a document; "{ws}" is ws_n2.json
+PARSER_PARITY = [pytest.param(*case, id=name) for name, *case in [
+    ("request", ["normalize", "--workspace", "{ws}", "U*Us"], 0,
+     "0399667b007e8fab5a2807ff8cc4928b"),
+    ("command-help", ["normalize", "-h"], 0, None),
+    ("missing-positional", ["normalize"], 1, ""),
+    ("bad-int", ["fourier", "--derivation", "d", "--n", "x"], 1, ""),
+    ("bad-choice", ["normalize", "--side", "middle", "U"], 1, ""),
+    ("unknown-flag", ["normalize", "--bogus", "U"], 1, ""),
+    ("extra-positional", ["normalize", "U", "V"], 1, ""),
+    ("no-argv", [], 1, ""),
+    ("help", ["-h"], 0, None),
+    ("unknown-command", ["bogus"], 1, ""),
+    ("option-first", ["--workspace", "{ws}", "normalize", "U"], 1, ""),
+]]
+
+
+@pytest.mark.parametrize("argv, code, md5", PARSER_PARITY)
+def test_cli_command_parser_matches_the_top_level_parse(capsys, argv, code,
+                                                        md5):
+    # main hands the arguments after a command name to that command's own
+    # parser; the top-level parse of the whole argv is the reference
+    argv = [str(WORKSPACES / "ws_n2.json") if a == "{ws}" else a
+            for a in argv]
+    top, _ = cli._build_parser()
+    with pytest.raises(SystemExit) if code or md5 is None else \
+            contextlib.nullcontext():
+        top.parse_args(argv)
+    want_out, want_err = capsys.readouterr()
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    if md5 is None:  # help goes to stdout, as the top level prints it
+        assert out == want_out and out.startswith("usage: bdshift ")
+    elif md5:
+        assert hashlib.md5(out.encode()).hexdigest() == md5
+    else:
+        assert out == ""
+    if "unrecognized arguments" in want_err:
+        # the one difference: the command's parser names the command
+        assert err.splitlines()[-1] == want_err.splitlines()[-1].replace(
+            "bdshift:", f"bdshift {argv[0]}:")
+        assert err.splitlines()[-1].startswith(f"bdshift {argv[0]}: error:")
+    else:
+        assert err == want_err
+
+
+def test_json_writer_is_json_dumps_byte_for_byte():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+    import numpy as np
+
+    text = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'
+                                             "\xe9\u2028\uffff\U0001f600"),
+                             st.characters()))
+    leaves = st.one_of(
+        text, st.none(), st.booleans(),
+        st.integers(), st.integers(-2 ** 200, -2 ** 64),
+        st.integers(2 ** 64, 2 ** 200),
+        st.floats(), st.floats().map(np.float64),
+        st.sampled_from([-0.0, 1e16, 5e-324, math.nan, math.inf, -math.inf]),
+    )
+    trees = st.recursive(
+        leaves, lambda kids: st.one_of(
+            st.lists(kids), st.lists(kids).map(tuple),
+            st.dictionaries(text, kids)),
+        max_leaves=20)
+
+    @settings(max_examples=200, deadline=None, database=None,
+              derandomize=True)
+    @given(trees)
+    def same_bytes(value):
+        assert cli._json(value) == json.dumps(value, indent=2)
+
+    same_bytes()
+    # what json.dumps refuses is refused alike; keys are str in every
+    # payload, so a key of any other type is refused too
+    for value in (set(), np.int64(1), [1, {"a": set()}]):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            cli._json(value)
+    with pytest.raises(TypeError):
+        cli._json({1: 2})
+    wide = 10 ** 4300
+    with pytest.raises(ValueError):
+        json.dumps([wide])
+    with pytest.raises(ValueError):
+        cli._json({"v": [wide]})
+
+
 def test_exact_modules_import_without_numpy(ws_path):
     # numpy loads in the routines that form a float; the package, the
     # exact half of gns and numerics and the exact commands of the CLI,
@@ -1661,3 +1752,33 @@ def test_exact_modules_import_without_numpy(ws_path):
     )
     assert proc.returncode == 0, proc.stderr
 
+
+
+def test_covariance_check_does_not_load_numpy_ma(ws_path):
+    # the band test of check_covariance compares every block difference
+    # with the first; np.unique, which loads numpy.ma, is not called
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from bdshift import cli, gns\n"
+        f"ws = {ws_path!r}\n"
+        "for space in ('tau0', 'haar'):\n"
+        "    assert cli.main(['covcheck', '--workspace', ws, '--derivation',\n"
+        "                     'd', '--n', '1', '--m', '4', '--space',\n"
+        "                     space]) == 0\n"
+        "two_bands = np.eye(3, dtype=complex) + np.eye(3, k=1)\n"
+        "try:\n"
+        "    gns.check_covariance(two_bands, 0, 1, [0.0, 1.0])\n"
+        "except ValueError as exc:\n"
+        "    assert 'lies on 2 bands' in str(exc), exc\n"
+        "else:\n"
+        "    raise AssertionError('a D on two bands was measured')\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

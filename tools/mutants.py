@@ -102,6 +102,18 @@ MUTANTS = [
      "from collections import namedtuple\n",
      "from collections import namedtuple\nimport numpy as np\n",
      "numerics imports numpy at module level"),
+    ("src/bdshift/cli.py",
+     '_quote(k) + ": " + _json(', '_quote(k) + ":" + _json(',
+     "the writer's key separator is ':', without the space"),
+    ("src/bdshift/cli.py",
+     'return ("NaN" if v != v', 'return ("nan" if v != v',
+     "the writer spells NaN as nan"),
+    ("src/bdshift/cli.py",
+     "own.parse_args(argv[1:])", "own.parse_args(argv[2:])",
+     "main parses argv[2:] after a command name"),
+    ("src/bdshift/gns.py",
+     "    if (diffs != d).any():", "    if False:",
+     "check_covariance accepts a D that lies on two bands"),
 ]
 
 
