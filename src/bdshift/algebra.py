@@ -28,14 +28,15 @@ The defect T(b1 b2) - T(b1)T(b2) reads only the pairs that meet below
 bilateral product does as a few big-integer products instead (Kronecker
 substitution, same raw rows).  A large product in A(N), indexed by
 column with zeros below 0, is the product of its quotients q(x)q(y)
-past a short head of columns, which is packed too.  Each output row
-finds its minimal period on the integers and is reduced by one gcd; no
-Scalar is formed.  The order of the degrees in a term dict carries no
-meaning: the JSON lists them ascending.
+plus a corner that only the corrections and y's zero fill make, packed
+too.  Each output row finds its minimal period on the integers and is
+reduced by one gcd; no Scalar is formed.  The order of the degrees in
+a term dict carries no meaning: the JSON lists them ascending.
 """
 
 import math
 import struct
+from bisect import bisect_left
 from itertools import chain, product, repeat
 from operator import add, lshift, mul, sub
 
@@ -96,12 +97,12 @@ def _terms_mul(xt, yt, unilateral, commute=False):
     on A(N).  The latter indexes each coefficient by column: x~_m(t) =
     a_m(t + min(m, 0)) is the entry (t + m, t), zero where the key is
     negative, and (xy)~_d(c) = sum_n x~_{d-n}(c+n) y~_n(c) on every
-    column c >= 0, the zero fill doing each cutoff of _rule.  From the
-    head length C on (_head_length) every value read is periodic, so the
-    tail is q(x)q(y) from _kronecker_rows; the head c < C is exact, one
-    packed product per column and term of y, and a correction is head
-    minus tail.  The rule weighs the term pairs, the degree span, J, the
-    slot bytes with the corrections counted, and C.
+    column c >= 0, the zero fill doing each cutoff of _rule.  Its
+    periodic part, the tail, is q(x)q(y) from _kronecker_rows; the
+    corrections come from the factors' corrections and y's zero fill
+    alone, packed by y's columns and x's rows.  The rule weighs the term
+    pairs, the degree span, J, the slot bytes with the corrections
+    counted, and the products of that corner.
     """
     if not xt or not yt:
         return {}
@@ -199,29 +200,29 @@ def _pair_rows(factors, unilateral, commute):
 # the size rule of _terms_mul, calibrated by sweeps (CHANGES.md)
 KRONECKER_PAIRS = 2
 KRONECKER_SPREAD = 4
-KRONECKER_HEAD = 4
+KRONECKER_CORNER = 2
 
 
 def _kronecker_slots(factors, unilateral, commute):
     """The size rule: the slot bytes of a product's Kronecker path, or 0
     for the pair loop.  Its #x*#y term pairs reach KRONECKER_PAIRS*(#x +
-    #y + J), twice that on A(N), which packs a head too; its degree span
-    (the output's slots) is at most KRONECKER_SPREAD*(#x + #y); its slots
-    fit a 64-bit word.  On Z, no corrections; on A(N), no commutator,
-    and C*span at most KRONECKER_HEAD*#x*#y for the head of C columns.
-    Below, packing costs more than the pairs; sparse degrees pack mostly
-    empty slots, wider slots half empty operands, and a long head more
-    than the pairs it saves."""
+    #y + J); its degree span (the output's slots) is at most
+    KRONECKER_SPREAD*(#x + #y); its slots fit a 64-bit word.  On Z, no
+    corrections; on A(N), no commutator, and at most KRONECKER_CORNER*
+    #x*#y products for the corner (_unilateral_rows): y's zero fill
+    sum(-n, n < 0) and the corrections of both factors.  Below, packing
+    costs more than the pairs; sparse degrees pack mostly empty slots,
+    wider slots half empty operands, and a deep zero fill more than the
+    pairs it saves."""
     J, xrows, yrows = factors[3:]
     nx, ny = len(xrows), len(yrows)
-    if (nx * ny < KRONECKER_PAIRS * (1 + unilateral) * (nx + ny + J)
-            or unilateral and commute):
+    if nx * ny < KRONECKER_PAIRS * (nx + ny + J) or unilateral and commute:
         return 0
     span = max(xrows) + max(yrows) - min(xrows) - min(yrows) + 1
+    corr = [len(r[2]) for t in (xrows, yrows) for r in t.values()]
     if span > KRONECKER_SPREAD * (nx + ny) or (
-            _head_length(xrows, yrows) * span > KRONECKER_HEAD * nx * ny
-            if unilateral else any(r[2] for t in (xrows, yrows)
-                                   for r in t.values())):
+            sum(corr) - sum(n for n in yrows if n < 0)
+            > KRONECKER_CORNER * nx * ny if unilateral else any(corr)):
         return 0
     nb = _slot_bytes(factors, commute)
     return nb if nb <= 8 else 0
@@ -256,12 +257,17 @@ def _packs(t, base, nb, gain=False):
         repeat(sh)) for n, sh, rows in cols)))] for p in (0, 1)]
 
 
-def _slot_reader(nb, size):
+def _slot_reader(nb, size, signed=False):
     """The reader of the size slots of a packed sum, each offset by half,
-    the signed slot's bias 2^(8*nb - 1); nb is 1, 2, 4 or 8."""
+    the signed slot's bias 2^(8*nb - 1), or signed, the bias flipped off
+    again in the top bit of each slot; nb is 1, 2, 4 or 8."""
     half = 1 << (8 * nb - 1)
     bias = int.from_bytes(half.to_bytes(nb, "little") * size, "little")
     fmt = f"<{size}" + {1: "B", 2: "H", 4: "I", 8: "Q"}[nb]
+    if signed:
+        fmt = fmt.lower()
+        return lambda v: struct.unpack(fmt, ((v + bias) ^ bias).to_bytes(
+            nb * size, "little"))
 
     def slots(v):
         return struct.unpack(fmt, (v + bias).to_bytes(nb * size, "little"))
@@ -316,73 +322,82 @@ def _kronecker_rows(factors, commute, nb):
                 map(m.__add__, yrows) for m in xrows))}
 
 
-def _head_length(xrows, yrows):
-    """The head length C of a unilateral product of plain sequences: from
-    column C on, every value _unilateral_rows reads is periodic.  Column
-    c reads b_n at key c + min(n, 0), zero below 0, and a_m at key
-    c + n + min(m, 0)."""
-    ends = [max(c, default=-1) + 1 - min(n, 0)
-            for n, (_, _, c, _) in yrows.items()]
-    return max(0, *ends, *(max(c) + 1 - min(m, 0) - min(yrows)
-                           for m, (_, _, c, _) in xrows.items() if c))
-
-
 def _unilateral_rows(factors, nb):
     """One raw row per degree of a unilateral product of plain sequences,
     by column (see _terms_mul).  The tail is _kronecker_rows of the rows
-    rotated by min(n, 0), as quotient() does.  The head packs X~(t) =
-    sum_m x~_m(t) X^m once per t, the quotient's pack plus the
-    corrections; x~'s zero fill meets only rows c + d < 0, outside the
-    product, never read.  H(c) = sum_n X~(c+n) y~_n(c) X^n.  Degree d at
-    column c is key c + min(d, 0) of its row-left coefficient: its
-    (re, im) is the tail rotated, its corr the head minus the tail, in
-    the pair loop's order of degrees.  nb is _slot_bytes(factors, False)."""
+    rotated by min(n, 0), as quotient() does, from P(t) = sum_m q_m(t)
+    X^m and q_n(c), the quotients' values.  With y~ = q + dy, dy_n the
+    zero fill -q_n(c) on c < -n and y's corrections, and X~ = P + E,
+    E(t) x's corrections packed by degree at column t = key - min(m, 0),
+    the corrections are
+        D(c) = sum_n [X~(c+n) dy_n(c) + E(c+n) q_n(c)] X^n:
+    x~'s zero fill, left out of X~, meets only rows c + d < 0, outside
+    the product, so D is head minus tail on every row read.  The first
+    sum is packed by the columns of dy.  The second is one product per
+    correction of x, with q's row t packed over n, summed by the row
+    t + m it lands on, whose slot d is column t + m - d.  A slot sums at
+    most min(#x, #y) products of two values that _slot_bytes bounds, as
+    a full product's does.  Degree d at column c >= max(-d, 0) is key
+    c + min(d, 0) of its row-left coefficient: its (re, im) is the tail
+    rotated, its corr both sums read there, in the pair loop's order of
+    degrees.  nb is _slot_bytes(factors, False)."""
     J, xrows, yrows = factors[3:]
     qx, qy = ({n: (re[s:] + re[:s], im[s:] + im[:s], {}, ())
                for n, (re, im, _, _) in t.items() for s in [min(n, 0) % J]}
               for t in (xrows, yrows))
     tail = _kronecker_rows((*factors[:3], J, qx, qy), False, nb)
-    C, mx, my = _head_length(xrows, yrows), min(xrows), min(yrows)
-    size, o, reps = max(xrows) + max(yrows) - mx - my + 1, max(-my, 0), \
-        C // J + 1
-    # X~(t) at index t + o: the quotient's pack plus the corrections, and
-    # 0 below t = 0, where only y's zero fill reads it
-    pk = _packs(qx, mx, nb)
-    t = C + max(max(yrows), 0)
-    X = [[0] * o + (p * (t // J + 1))[:t] for p in pk]
+    mx, my, ys = min(xrows), min(yrows), sorted(yrows)
+    size, (pr, pi) = max(xrows) + max(yrows) - mx - my + 1, _packs(qx, mx, nb)
+    # q's row t packed over n, by t mod J (slot n holds q_n(t - n)); x's
+    # corrections give E by column t and E q by row t + m
+    qr, qi = _packs({n: (re[-n % J:] + re[:-n % J], im[-n % J:] + im[:-n % J])
+                     for n, (re, im, _, _) in qy.items()}, my, nb)
+    er, ei, gr, gi = {}, {}, {}, {}
     for m, (_, _, corr, _) in xrows.items():
         sh = 8 * nb * (m - mx)
         for k, (a, b) in corr.items():
-            for p, v in zip(X, (a, b)):
-                p[k - min(m, 0) + o] += v << sh
-    # y~_n(c) over c < C, by column: zero below -min(n, 0)
-    Y = [[], []]
-    for n, (re, im, corr, _) in yrows.items():
-        s = max(-n, 0)
-        for col, row, p in zip(Y, (re, im), (0, 1)):
-            col.append(([0] * s + [*row] * reps)[:C])
-            for k, v in corr.items():
-                col[-1][k + s] += v[p]
-    Yr, Yi = ([*zip(*col)] for col in Y)
-    ns, shifts = [n + o for n in yrows], [8 * nb * (n - my) for n in yrows]
-    slots, head = _slot_reader(nb, size), ([], [])
-    for c in range(C):
-        ur, ui = ([*map(p.__getitem__, map(c.__add__, ns))] for p in X)
-        vr, vi = Yr[c], Yi[c]
-        head[0].append(slots(sum(map(lshift, map(
-            sub, map(mul, ur, vr), map(mul, ui, vi)), shifts))))
-        head[1].append(slots(sum(map(lshift, map(
-            add, map(mul, ur, vi), map(mul, ui, vr)), shifts))))
-    hre, him = ([*zip(*h)] for h in head)
-    half, raw = 1 << (8 * nb - 1), {}
-    for d, (pr, pi, _) in tail.items():
+            t, r = k - min(m, 0), k + max(m, 0)
+            er[t], ei[t] = er.get(t, 0) + (a << sh), ei.get(t, 0) + (b << sh)
+            u, v = qr[t % J], qi[t % J]
+            gr[r] = gr.get(r, 0) + ((a * u - b * v) << sh)
+            gi[r] = gi.get(r, 0) + ((a * v + b * u) << sh)
+    # y's zero fill, on the columns c < -n, meets X~(c+n) = P(c+n)
+    S, shifts = max(-my, 0), [8 * nb * (n - my) for n in ys]
+    dr, di, ur, ui = [0] * S, [0] * S, *(
+        [p[t % J] for t in range(my, 0)] for p in (pr, pi))
+    for n, sh in zip(ys[:bisect_left(ys, 0)], shifts):
+        a, b, (vr, vi) = ur[n - my:], ui[n - my:], (
+            (q * (-n // J + 1))[:-n] for q in qy[n][:2])
+        dr[:-n] = map(sub, dr[:-n], map(lshift, map(
+            sub, map(mul, a, vr), map(mul, b, vi)), repeat(sh)))
+        di[:-n] = map(sub, di[:-n], map(lshift, map(
+            add, map(mul, a, vi), map(mul, b, vr)), repeat(sh)))
+    dr, di = dict(enumerate(dr)), dict(enumerate(di))
+    # y's corrections, at column c = key - min(n, 0), meet X~(c+n)
+    for n, sh in zip(ys, shifts):
+        for k, (a, b) in yrows[n][2].items():
+            t = k + max(n, 0)
+            u, v = pr[t % J] + er.get(t, 0), pi[t % J] + ei.get(t, 0)
+            dr[t - n] = dr.get(t - n, 0) + ((u * a - v * b) << sh)
+            di[t - n] = di.get(t - n, 0) + ((u * b + v * a) << sh)
+    slots, cols, rows = _slot_reader(nb, size, True), sorted(dr), sorted(gr)
+    # by slot (degree), a tuple over the columns, or over the rows
+    hre, him, gre, gim = [
+        [*zip(*map(slots, map(h.__getitem__, keys)))] or [()] * size
+        for h, keys in ((dr, cols), (di, cols), (gr, rows), (gi, rows))]
+    raw = {}
+    for d, (tr, ti, _) in tail.items():
         s, i = max(-d, 0), d - mx - my
-        r = s % J
-        # head minus periodic value, both offset by half
-        corr = dict(zip(range(C - s), zip(*(
-            map(sub, h[i][s:], ([v + half for v in p] * reps)[s:C])
-            for h, p in ((hre, pr), (him, pi)))))) if C > s else {}
-        raw[d] = (pr[r:] + pr[:r], pi[r:] + pi[:r], corr)
+        j, r, o = bisect_left(cols, s), s % J, max(d, 0)
+        corr = dict(zip(map(sub, cols[j:], repeat(s)),
+                        zip(hre[i][j:], him[i][j:])))
+        j = bisect_left(rows, d)
+        for k, u, v in zip(map(sub, rows[j:], repeat(o)), gre[i][j:],
+                           gim[i][j:]):
+            if u or v:
+                c = corr.get(k, (0, 0))
+                corr[k] = (c[0] + u, c[1] + v)
+        raw[d] = (tr[r:] + tr[:r], ti[r:] + ti[:r], corr)
     return raw
 
 

@@ -11,6 +11,8 @@ imaginary parts carry different denominators, so the kernel's shared
 denominator of a product is rarely 1.
 """
 
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,7 +25,6 @@ from bdshift.algebra import (
     BilateralElement,
     UnilateralElement,
     _factors,
-    _head_length,
     _kronecker_rows,
     _kronecker_slots,
     _pair_rows,
@@ -445,7 +446,7 @@ def test_operations_commute_with_refining_N(refinement, data):
 # degree sets.  On B(N), in a commutator, x may hold pairs (C, v) as a
 # derivation's generator does: a constant linear part C, a Scalar, at
 # degrees in J*Z.  On A(N), corrections at keys 0..12, and in some draws
-# one at key 10^4, whose head is too long for the size rule.
+# one at key 10^4, a corner column or row of its own.
 N24 = SupernaturalNumber.from_int(24)
 SPARSE = [-24, -12, -7, -1, 0, 1, 5, 12, 17, 24]
 FAR_KEY = 10**4
@@ -497,21 +498,21 @@ def test_kronecker_rows_match_the_pair_loop(side, data):
     the same order, below and above the size rule's count of term pairs,
     a commutator whose x holds linear parts included, wherever the slots
     fit 8 bytes; the rule (_kronecker_slots) refuses wider ones.  On
-    A(N) it also refuses a long head, and admits every dense product
-    above its count whose slots fit."""
+    A(N) it admits every dense product above its count whose slots fit,
+    one with a correction at key 10^4 included."""
     unilateral = data.draw(st.booleans())
     J = data.draw(st.sampled_from([1, 2, 3, 4, 6, 8]))
     sizes = st.integers(1, 3) if side == "below" \
         else st.integers(13, 14) if unilateral else st.integers(9, 10)
-    # on B(N) the widest bound, whose slots seldom fit 8 bytes and then
-    # only reach the rule's refusal, is drawn once in five; in this order
-    # the derandomized draws compare the kernels on 81 B(N) calls below
-    # the rule and 62 above it
-    bound = data.draw(st.sampled_from([3, 2**20, 2**200] if unilateral
+    # the widest bound, whose slots seldom fit 8 bytes and then only
+    # reach the rule's refusal, is drawn once in four on A(N) and once in
+    # five on B(N), so that most draws compare the kernels (CHANGES.md
+    # counts them)
+    bound = data.draw(st.sampled_from([3, 2**20, 2**200, 3] if unilateral
                                       else [2**20, 2**200, 3, 2**20, 3]))
     xt, yt = (data.draw(kronecker_terms(J, data.draw(sizes), bound,
                                         unilateral)) for _ in range(2))
-    assert (len(xt) * len(yt) >= KRONECKER_PAIRS * (1 + unilateral) * (
+    assert (len(xt) * len(yt) >= KRONECKER_PAIRS * (
         len(xt) + len(yt) + J)) == (side == "above")
     commute = False
     if unilateral:
@@ -524,14 +525,10 @@ def test_kronecker_rows_match_the_pair_loop(side, data):
         nb, rule = _slot_bytes(factors, False), \
             _kronecker_slots(factors, True, False)
         # a dense product above the count is admitted unless its slots are
-        # wide or its head long; a sparse one may also fail on its head
+        # wide; a sparse one may also fail on its spread
         dense = all(max(t) - min(t) == len(t) - 1 for t in (xt, yt))
-        admitted = side == "above" and nb <= 8 and not far
+        admitted = side == "above" and nb <= 8
         assert rule == (nb if admitted else 0) or not dense and not rule
-        if far:
-            # the far key is read up to 24 columns early
-            assert _head_length(*factors[4:]) > FAR_KEY - 24
-            return
         kernels = (lambda: _pair_rows(factors, True, False),
                    lambda: _unilateral_rows(factors, nb))
     else:
@@ -559,6 +556,79 @@ def test_kronecker_rows_match_the_pair_loop(side, data):
                         {d: tuple(map(list, row[:2]))
                          for d, row in raw.items()}))
     assert results[1] == results[0]
+
+
+@pytest.mark.parametrize("corner", ["x", "y", "negative y"])
+@settings(LAWS, max_examples=20)
+@given(data=st.data())
+def test_unilateral_corner_from_one_side_matches_the_pair_loop(corner,
+                                                                data):
+    """Above the count, the corner of an A(N) product made by x's
+    corrections alone, by y's alone, or with a y of negative degrees
+    only, the longest zero fill, is the pair loop's."""
+    J = data.draw(st.sampled_from([1, 2, 3, 4, 6, 8]))
+    xt, yt = (data.draw(kronecker_terms(J, data.draw(st.integers(13, 14)),
+                                        3, True)) for _ in range(2))
+    if corner == "negative y":
+        yt = {n - max(yt) - 1: c for n, c in yt.items()}
+    else:
+        plain = yt if corner == "x" else xt
+        for n, c in plain.items():
+            plain[n] = EPSequence({}, c.table, N24)
+    factors = _factors(xt, yt)
+    raw, pair = _unilateral_rows(factors, _slot_bytes(factors, False)), \
+        _pair_rows(factors, True, False)
+    assert (_terms(factors, raw), list(raw)) \
+        == (_terms(factors, pair), list(pair))
+
+
+def test_bench_dense_product_takes_the_kronecker_path():
+    """The benchmark's densest A(N) product, 33 x 33 terms at degrees
+    -16..16 over N = 4, period-4 tables and two corrections at keys 0..5
+    in each coefficient, takes the Kronecker path and gives the pair
+    loop's terms.  So does the same product with a correction at key
+    10^4 on either side, a corner row or column of its own: the kernel's
+    peak memory stays below twice the plain product's, where a dense
+    corner of 10^4 columns would take some hundred times more."""
+    rng, N4 = random.Random(7), SupernaturalNumber.from_int(4)
+
+    def scalar():
+        return Scalar(rng.randint(-3, 3), rng.randint(-2, 2))
+    xt, yt = ({n: EPSequence({rng.randint(0, 5): scalar() for _ in "ab"},
+                             [scalar() for _ in range(4)], N4)
+               for n in range(-16, 17)} for _ in "xy")
+    peaks = []
+    for far in (None, xt, yt):
+        x, y = dict(xt), dict(yt)
+        if far is not None:
+            t = x if far is xt else y
+            t[0] = t[0] + EPSequence({FAR_KEY: Scalar(1, 1)}, [0], N4)
+        factors = _factors(x, y)
+        nb = _kronecker_slots(factors, True, False)
+        assert nb
+        tracemalloc.start()
+        raw = _unilateral_rows(factors, nb)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert _terms(factors, raw) \
+            == _terms(factors, _pair_rows(factors, True, False))
+    assert max(peaks[1:]) < 2 * peaks[0]
+
+
+def test_size_rule_refuses_a_deep_zero_fill():
+    # 10 x 10 terms, J = 1, y at degrees -40..-31: the zero fill's 355
+    # products pass KRONECKER_CORNER * #x * #y = 200, so the pair loop
+    # takes the product; at -10..-1 (55 products) the corner is admitted;
+    # both kernels agree either way
+    def element(degrees):
+        return {n: EPSequence({0: Scalar(n)}, [Scalar(1, n % 3)], N24)
+                for n in degrees}
+    for low, admitted in ((-40, False), (-10, True)):
+        factors = _factors(element(range(10)), element(range(low, low + 10)))
+        nb = _slot_bytes(factors, False)
+        assert bool(_kronecker_slots(factors, True, False)) is admitted
+        assert _terms(factors, _unilateral_rows(factors, nb)) \
+            == _terms(factors, _pair_rows(factors, True, False))
 
 
 def test_size_rule_takes_a_weight_pair_only_past_the_guard():

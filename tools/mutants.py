@@ -114,6 +114,18 @@ MUTANTS = [
     ("src/bdshift/gns.py",
      "    if (diffs != d).any():", "    if False:",
      "check_covariance accepts a D that lies on two bands"),
+    ("src/bdshift/algebra.py",
+     "            u, v = qr[t % J], qi[t % J]\n",
+     "            u, v = 0, 0\n",
+     "_unilateral_rows drops the E q(y) term"),
+    ("src/bdshift/algebra.py",
+     "    for n, sh in zip(ys[:bisect_left(ys, 0)], shifts):",
+     "    for n, sh in zip(ys[:0], shifts):",
+     "_unilateral_rows drops y's zero fill from dy"),
+    ("src/bdshift/algebra.py",
+     "            t, r = k - min(m, 0), k + max(m, 0)",
+     "            t, r = k + min(m, 0), k + max(m, 0)",
+     "_unilateral_rows puts x's correction at column key + min(m, 0)"),
 ]
 
 

@@ -1,20 +1,28 @@
 """Which lines of src/bdshift only the unit tests run, and which nothing runs.
 
-Two line traces, each in a fresh interpreter.  The reach trace runs the
+Two opcode traces, each in a fresh interpreter.  The reach trace runs the
 acceptance tests and three seeded rounds (seed 7) of every benchmark
 workload, with the bench modules imported and nothing written under
 bench/.  The Tier-1 trace runs the whole suite.  A line of
-src/bdshift/*.py that only the Tier-1 trace executes is code that no
+src/bdshift/*.py is run when each of its points is: the first
+instruction of the line in each basic block that runs without an
+exception, so a branch that shares its line with a reached one counts
+on its own.  A line that only the Tier-1 trace runs is code that no
 command, workload or acceptance criterion needs; a line that neither
-executes is reached by nothing.  Both lists are printed by function, less
+runs is reached by nothing.  Both lists are printed by function, less
 the lines that ALLOWED keeps, each for its reason.
 
-    python3 tools/reach_lines.py      # both traces, about five minutes
+    python3 tools/reach_lines.py      # both traces, about seven minutes
 
 It is not part of Tier-1: it runs the suite once more under a tracer.
+The opcode trace slows the suite about sixfold, so the fail-fast tests
+of tests/test_parser_cli.py that time a request against a budget of a
+second or two fail at their first timed request, and pytest exits 1;
+their later requests go untraced.
 """
 
 import ast
+import dis
 import json
 import os
 import subprocess
@@ -28,12 +36,15 @@ SEED, ROUNDS = 7, 3
 
 # kept although only tests run them: (module.qualname, a fragment of the
 # line or "" for the whole function) -> reason.  Every refusal (a raise
-# statement or an exception handler), every dunder and every name on
-# tests/test_reach.py's ALLOWED list is kept without an entry.
+# statement, the test of an if whose body raises, or an exception
+# handler), every dunder and every name on tests/test_reach.py's ALLOWED
+# list is kept without an entry.
 _ACCESSOR = "an accessor the tests read through; in the tests it would " \
     "be no shorter"
 _GRAMMAR = "the expression grammar: numbers, i, unary minus, comm() and " \
     "adj(), which no benchmark request writes, and parse_gaussian (--c)"
+_WRITER = "the JSON writer's spellings that no report of the benchmark's " \
+    "requests holds: NaN, +-Infinity, null, true, false and []"
 ALLOWED = {
     ("algebra._Element.degrees", ""): _ACCESSOR,
     ("algebra.LaurentFunction.coefficient", ""): _ACCESSOR,
@@ -50,7 +61,19 @@ ALLOWED = {
     ("scalars.as_scalar", "NotImplemented"):
         "the arithmetic dunders' answer to a foreign operand",
     ("algebra._kronecker_slots", "return 0"):
-        "the size rule refusing a sparse or long-headed product",
+        "the size rule refusing a sparse product",
+    ("algebra._kronecker_slots", "sum(corr) - sum("):
+        "the size rule refusing a deep zero fill",
+    ("algebra._kronecker_slots", "else 0"):
+        "the size rule refusing slots wider than 8 bytes",
+    ("algebra._unilateral_rows", "or [()] * size"):
+        "an A(N) corner with no column or no row: a factor without "
+        "corrections, which every dense benchmark product has",
+    ("cli.main", "sys.argv[1:]"):
+        "the console entry point, which the traces run only as a subprocess",
+    **{("cli._json", fragment): _WRITER for fragment in (
+        'else "[]"', '"null" if v is None', '"NaN" if v != v',
+        '"-Infinity" if v')},
     ("numerics._bands", "continue"): "a band wholly outside the window",
     ("gns.check_covariance", "return 0.0"): "the zero D",
     ("gns.check_implementation", ""):
@@ -73,18 +96,26 @@ ALLOWED = {
 }
 
 
+def _key(code):
+    return f"{code.co_firstlineno}:{code.co_qualname}"
+
+
 def _trace(mode, out):
-    """Run one trace in this interpreter and write its lines to out."""
+    """Run one trace in this interpreter and write the instruction
+    offsets it ran, by file and code object, to out."""
     sys.dont_write_bytecode = True
     src, hits = str(SRC), set()
 
     def local(frame, event, arg):
-        if event == "line":
-            hits.add((frame.f_code.co_filename, frame.f_lineno))
+        if event == "opcode":
+            hits.add((frame.f_code, frame.f_lasti))
         return local
 
     def start(frame, event, arg):
-        return local if frame.f_code.co_filename.startswith(src) else None
+        if not frame.f_code.co_filename.startswith(src):
+            return None
+        frame.f_trace_opcodes = True
+        return local
 
     sys.settrace(start)
     import pytest
@@ -106,26 +137,53 @@ def _trace(mode, out):
                                               tracing.Counters(), ref):
                     failed += check(run()) is not True
     sys.settrace(None)
-    lines = {}
-    for f, n in hits:
-        lines.setdefault(Path(f).name, []).append(n)
+    ran = {}
+    for c, i in hits:
+        ran.setdefault(Path(c.co_filename).name, {}).setdefault(
+            _key(c), []).append(i)
     Path(out).write_text(json.dumps(
-        {"pytest": int(code), "failed_jobs": failed, "lines": lines}))
+        {"pytest": int(code), "failed_jobs": failed, "ran": ran}))
 
 
-def _executable(code):
-    """The line numbers of code and of every code object nested in it."""
-    out = {n for _, _, n in code.co_lines() if n is not None}
+_STOPS = {"JUMP_FORWARD", "JUMP_BACKWARD", "JUMP_BACKWARD_NO_INTERRUPT",
+          "RETURN_VALUE", "RETURN_CONST", "RAISE_VARARGS", "RERAISE"}
+
+
+def _points(code):
+    """(key, offset, line) of every point of code and of each code object
+    nested in it: the instructions reached from the entry by jumps and
+    fall-through, not by an exception, that start a block or a line.  The
+    entry follows the first RESUME; no RESUME raises an opcode event."""
+    ins = list(dis.get_instructions(code))
+    at = {i.offset: k for k, i in enumerate(ins)}
+    entry = next(k for k, i in enumerate(ins) if i.opname == "RESUME") + 1
+    seen, todo = set(), [entry]
+    while todo:
+        k = todo.pop()
+        if k in seen or k >= len(ins):
+            continue
+        seen.add(k)
+        if ins[k].opcode in dis.hasjrel or ins[k].opcode in dis.hasjabs:
+            todo.append(at[ins[k].argval])
+        if ins[k].opname not in _STOPS:
+            todo.append(k + 1)
+    out = [(_key(code), ins[k].offset, ins[k].positions.lineno)
+           for k in sorted(seen)
+           if ins[k].positions.lineno and ins[k].opname != "RESUME" and (
+               k == entry or ins[k].is_jump_target
+               or ins[k - 1].opcode in dis.hasjrel + dis.hasjabs
+               or ins[k - 1].positions.lineno != ins[k].positions.lineno)]
     for c in code.co_consts:
-        if hasattr(c, "co_lines"):
-            out |= _executable(c)
+        if hasattr(c, "co_code"):
+            out += _points(c)
     return out
 
 
 def _scopes(tree):
     """(first, last, qualname, is_dunder) of every def and class, and the
-    line ranges of the refusals: raise statements, exception handlers and
-    the script entry under `if __name__ == "__main__"`."""
+    line ranges of the refusals: raise statements, exception handlers, the
+    test of an if whose body starts with a raise, and the script entry
+    under `if __name__ == "__main__"`."""
     scopes, raises = [], []
 
     def walk(node, prefix):
@@ -142,6 +200,9 @@ def _scopes(tree):
                         isinstance(child, ast.If)
                         and "__main__" in ast.unparse(child.test)):
                     raises.append((child.lineno, child.end_lineno))
+                elif isinstance(child, ast.If) \
+                        and isinstance(child.body[0], ast.Raise):
+                    raises.append((child.lineno, child.test.end_lineno))
                 walk(child, prefix)
     walk(tree, "")
     return scopes, raises
@@ -156,19 +217,25 @@ def _kept():
 def report(hits):
     """The unkept lines that only Tier-1 runs and that nothing runs, as
     {title: [(module.qualname, lineno, text)]}, and the kept count."""
-    reach, tier1 = ({f: set(n) for f, n in h["lines"].items()}
-                    for h in hits)
+    reach, tier1 = ({f: {(k, i) for k, offs in byc.items() for i in offs}
+                     for f, byc in h["ran"].items()} for h in hits)
     names, kept = _kept(), 0
     out = {"only Tier-1 runs": [], "nothing runs": []}
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         lines = text.splitlines()
-        exe = _executable(compile(text, str(path), "exec"))
         scopes, raises = _scopes(ast.parse(text))
         ran = reach.get(path.name, set())
         tested = tier1.get(path.name, set())
-        for n in sorted(n for n in exe - ran if n > 0):
-            title = "only Tier-1 runs" if n in tested else "nothing runs"
+        # by line, its points that the reach trace misses: whether the
+        # Tier-1 trace runs each of them
+        missed = {}
+        for key, i, n in _points(compile(text, str(path), "exec")):
+            if (key, i) not in ran:
+                missed.setdefault(n, []).append((key, i) in tested)
+        for n in sorted(missed):
+            title = "only Tier-1 runs" if all(missed[n]) \
+                else "nothing runs"
             inner = [s for s in scopes if s[0] <= n <= s[1]]
             qual = f"{path.stem}." + (inner[-1][2] if inner else "<module>")
             line = lines[n - 1].strip()
