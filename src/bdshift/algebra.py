@@ -257,21 +257,15 @@ def _packs(t, base, nb, gain=False):
         repeat(sh)) for n, sh, rows in cols)))] for p in (0, 1)]
 
 
-def _slot_reader(nb, size, signed=False):
-    """The reader of the size slots of a packed sum, each offset by half,
-    the signed slot's bias 2^(8*nb - 1), or signed, the bias flipped off
-    again in the top bit of each slot; nb is 1, 2, 4 or 8."""
+def _slot_reader(nb, size):
+    """The reader of the size signed slots of a packed sum: the bias
+    2^(8*nb - 1) added to each slot and flipped off again in its top bit
+    leaves the slot's two's complement; nb is 1, 2, 4 or 8."""
     half = 1 << (8 * nb - 1)
     bias = int.from_bytes(half.to_bytes(nb, "little") * size, "little")
-    fmt = f"<{size}" + {1: "B", 2: "H", 4: "I", 8: "Q"}[nb]
-    if signed:
-        fmt = fmt.lower()
-        return lambda v: struct.unpack(fmt, ((v + bias) ^ bias).to_bytes(
-            nb * size, "little"))
-
-    def slots(v):
-        return struct.unpack(fmt, (v + bias).to_bytes(nb * size, "little"))
-    return slots
+    fmt = f"<{size}" + {1: "b", 2: "h", 4: "i", 8: "q"}[nb]
+    return lambda v: struct.unpack(fmt, ((v + bias) ^ bias).to_bytes(
+        nb * size, "little"))
 
 
 def _kronecker_rows(factors, commute, nb):
@@ -285,7 +279,7 @@ def _kronecker_rows(factors, commute, nb):
     shift n (_at_shift) from the right rows packed again as n*b_n.  nb is
     _slot_bytes(factors, commute)."""
     J, xrows, yrows = factors[3:]
-    half, lo = 1 << (8 * nb - 1), min(xrows) + min(yrows)
+    lo = min(xrows) + min(yrows)
     size = max(xrows) + max(yrows) - lo + 1
     sums = [[0] * J, [0] * J]  # re, im
     for left, right, op in [(xrows, yrows, add)] + [
@@ -316,8 +310,8 @@ def _kronecker_rows(factors, commute, nb):
     slots = _slot_reader(nb, size)
     cols = [[*map(slots, vs)] for vs in zip(*sums)]
     # the degrees in the order in which the pair loop meets them
-    return {d: ([re[d - lo] - half for re, _ in cols],
-                [im[d - lo] - half for _, im in cols], {})
+    return {d: ([re[d - lo] for re, _ in cols],
+                [im[d - lo] for _, im in cols], {})
             for d in dict.fromkeys(chain.from_iterable(
                 map(m.__add__, yrows) for m in xrows))}
 
@@ -380,7 +374,7 @@ def _unilateral_rows(factors, nb):
             u, v = pr[t % J] + er.get(t, 0), pi[t % J] + ei.get(t, 0)
             dr[t - n] = dr.get(t - n, 0) + ((u * a - v * b) << sh)
             di[t - n] = di.get(t - n, 0) + ((u * b + v * a) << sh)
-    slots, cols, rows = _slot_reader(nb, size, True), sorted(dr), sorted(gr)
+    slots, cols, rows = _slot_reader(nb, size), sorted(dr), sorted(gr)
     # by slot (degree), a tuple over the columns, or over the rows
     hre, him, gre, gim = [
         [*zip(*map(slots, map(h.__getitem__, keys)))] or [()] * size

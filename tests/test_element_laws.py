@@ -499,7 +499,9 @@ def test_kronecker_rows_match_the_pair_loop(side, data):
     a commutator whose x holds linear parts included, wherever the slots
     fit 8 bytes; the rule (_kronecker_slots) refuses wider ones.  On
     A(N) it admits every dense product above its count whose slots fit,
-    one with a correction at key 10^4 included."""
+    one with a correction at key 10^4 included; the corner is drawn from
+    both factors' corrections, from x's alone, from y's alone, or with
+    a y of negative degrees only, the longest zero fill."""
     unilateral = data.draw(st.booleans())
     J = data.draw(st.sampled_from([1, 2, 3, 4, 6, 8]))
     sizes = st.integers(1, 3) if side == "below" \
@@ -516,6 +518,13 @@ def test_kronecker_rows_match_the_pair_loop(side, data):
         len(xt) + len(yt) + J)) == (side == "above")
     commute = False
     if unilateral:
+        corner = data.draw(st.sampled_from(["both", "x", "y", "negative y"]))
+        if corner == "negative y":
+            yt = {n - max(yt) - 1: c for n, c in yt.items()}
+        elif corner != "both":
+            plain = yt if corner == "x" else xt
+            for n, c in plain.items():
+                plain[n] = EPSequence({}, c.table, N24)
         far = data.draw(st.booleans()) and data.draw(st.booleans())
         if far:
             t = data.draw(st.sampled_from([xt, yt]))
@@ -556,30 +565,6 @@ def test_kronecker_rows_match_the_pair_loop(side, data):
                         {d: tuple(map(list, row[:2]))
                          for d, row in raw.items()}))
     assert results[1] == results[0]
-
-
-@pytest.mark.parametrize("corner", ["x", "y", "negative y"])
-@settings(LAWS, max_examples=20)
-@given(data=st.data())
-def test_unilateral_corner_from_one_side_matches_the_pair_loop(corner,
-                                                                data):
-    """Above the count, the corner of an A(N) product made by x's
-    corrections alone, by y's alone, or with a y of negative degrees
-    only, the longest zero fill, is the pair loop's."""
-    J = data.draw(st.sampled_from([1, 2, 3, 4, 6, 8]))
-    xt, yt = (data.draw(kronecker_terms(J, data.draw(st.integers(13, 14)),
-                                        3, True)) for _ in range(2))
-    if corner == "negative y":
-        yt = {n - max(yt) - 1: c for n, c in yt.items()}
-    else:
-        plain = yt if corner == "x" else xt
-        for n, c in plain.items():
-            plain[n] = EPSequence({}, c.table, N24)
-    factors = _factors(xt, yt)
-    raw, pair = _unilateral_rows(factors, _slot_bytes(factors, False)), \
-        _pair_rows(factors, True, False)
-    assert (_terms(factors, raw), list(raw)) \
-        == (_terms(factors, pair), list(pair))
 
 
 def test_bench_dense_product_takes_the_kronecker_path():

@@ -12,13 +12,16 @@ command, workload or acceptance criterion needs; a line that neither
 runs is reached by nothing.  Both lists are printed by function, less
 the lines that ALLOWED keeps, each for its reason.
 
-    python3 tools/reach_lines.py      # both traces, about seven minutes
+    python3 tools/reach_lines.py      # both traces, about three minutes
 
-It is not part of Tier-1: it runs the suite once more under a tracer.
-The opcode trace slows the suite about sixfold, so the fail-fast tests
-of tests/test_parser_cli.py that time a request against a budget of a
-second or two fail at their first timed request, and pytest exits 1;
-their later requests go untraced.
+It needs Python 3.11 or later, and it is not part of Tier-1: it runs the
+suite once more under a tracer.  A code object traces opcodes only while
+a line of several points in it has not run, plain lines otherwise, and
+nothing once all its points have run; the suite still runs about four
+times slower, so two fail-fast tests of tests/test_parser_cli.py that
+time a request against a budget of a second or two fail at their first
+timed request, and pytest exits 1.  Their later requests go untraced,
+so the report is then marked INCOMPLETE and the tool exits 1.
 """
 
 import ast
@@ -29,6 +32,10 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+if sys.version_info < (3, 11):
+    sys.exit("tools/reach_lines.py needs Python 3.11 or later: it reads "
+             "co_qualname, instruction positions and the RESUME opcode")
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "bdshift"
@@ -102,27 +109,48 @@ def _key(code):
 
 def _trace(mode, out):
     """Run one trace in this interpreter and write the instruction
-    offsets it ran, by file and code object, to out."""
+    offsets of the points it ran, by file and code object, to out.  A
+    point alone on its line runs when its line does; only a code object
+    with a line of several points, not all run yet, traces opcodes, and
+    one whose points have all run is not traced again."""
     sys.dont_write_bytecode = True
-    src, hits = str(SRC), set()
+    # hits holds (id(code), offset) per opcode, (id(code), -line) per line
+    src, seen, hits = str(SRC), {}, set()
 
     def local(frame, event, arg):
         if event == "opcode":
-            hits.add((frame.f_code, frame.f_lasti))
+            hits.add((id(frame.f_code), frame.f_lasti))
+        elif event == "line":
+            hits.add((id(frame.f_code), -frame.f_lineno))
         return local
 
+    def left(c, points):
+        return [(i, n, shared) for i, n, shared in points
+                if (c, i if shared else -n) not in hits]
+
     def start(frame, event, arg):
-        if not frame.f_code.co_filename.startswith(src):
+        code = frame.f_code
+        if not code.co_filename.startswith(src):
             return None
-        frame.f_trace_opcodes = True
+        c, entry = id(code), seen.get(id(code))
+        if entry is None:
+            points = _own_points(code)
+            lines = [n for _, n in points]
+            points = [(i, n, lines.count(n) > 1) for i, n in points]
+            entry = (code, points, points)
+        todo = left(c, entry[2])
+        seen[c] = (code, entry[1], todo)
+        if not todo:
+            return None
+        frame.f_trace_opcodes = any(shared for *_, shared in todo)
         return local
 
     sys.settrace(start)
     import pytest
     tests = [str(ROOT / "tests")] if mode == "tier1" \
         else [str(ROOT / "tests" / "test_acceptance.py")]
-    code = pytest.main(["-q", "-p", "no:cacheprovider",
-                        "--continue-on-collection-errors", *tests])
+    status = pytest.main(["-q", "-p", "no:cacheprovider",
+                          "--continue-on-collection-errors", *tests])
     failed = 0
     if mode == "reach":
         sys.path.insert(0, str(ROOT / "bench"))
@@ -138,19 +166,20 @@ def _trace(mode, out):
                     failed += check(run()) is not True
     sys.settrace(None)
     ran = {}
-    for c, i in hits:
-        ran.setdefault(Path(c.co_filename).name, {}).setdefault(
-            _key(c), []).append(i)
+    for c, (code, points, _) in seen.items():
+        missed = {i for i, _, _ in left(c, points)}
+        ran.setdefault(Path(code.co_filename).name, {}).setdefault(
+            _key(code), []).extend(i for i, _, _ in points if i not in missed)
     Path(out).write_text(json.dumps(
-        {"pytest": int(code), "failed_jobs": failed, "ran": ran}))
+        {"pytest": int(status), "failed_jobs": failed, "ran": ran}))
 
 
 _STOPS = {"JUMP_FORWARD", "JUMP_BACKWARD", "JUMP_BACKWARD_NO_INTERRUPT",
           "RETURN_VALUE", "RETURN_CONST", "RAISE_VARARGS", "RERAISE"}
 
 
-def _points(code):
-    """(key, offset, line) of every point of code and of each code object
+def _own_points(code):
+    """(offset, line) of every point of code, not of the code objects
     nested in it: the instructions reached from the entry by jumps and
     fall-through, not by an exception, that start a block or a line.  The
     entry follows the first RESUME; no RESUME raises an opcode event."""
@@ -167,12 +196,17 @@ def _points(code):
             todo.append(at[ins[k].argval])
         if ins[k].opname not in _STOPS:
             todo.append(k + 1)
-    out = [(_key(code), ins[k].offset, ins[k].positions.lineno)
-           for k in sorted(seen)
-           if ins[k].positions.lineno and ins[k].opname != "RESUME" and (
-               k == entry or ins[k].is_jump_target
-               or ins[k - 1].opcode in dis.hasjrel + dis.hasjabs
-               or ins[k - 1].positions.lineno != ins[k].positions.lineno)]
+    return [(ins[k].offset, ins[k].positions.lineno) for k in sorted(seen)
+            if ins[k].positions.lineno and ins[k].opname != "RESUME" and (
+                k == entry or ins[k].is_jump_target
+                or ins[k - 1].opcode in dis.hasjrel + dis.hasjabs
+                or ins[k - 1].positions.lineno != ins[k].positions.lineno)]
+
+
+def _points(code):
+    """(key, offset, line) of every point of code and of each code object
+    nested in it."""
+    out = [(_key(code), i, n) for i, n in _own_points(code)]
     for c in code.co_consts:
         if hasattr(c, "co_code"):
             out += _points(c)
@@ -251,7 +285,7 @@ def report(hits):
 
 
 def main():
-    hits = []
+    hits, incomplete = [], []
     with tempfile.TemporaryDirectory(prefix="reach-") as tmp:
         for mode in ("reach", "tier1"):
             out = Path(tmp, mode + ".json")
@@ -265,6 +299,12 @@ def main():
             tail = proc.stdout.strip().splitlines()[-1:]
             print(f"{mode} trace: pytest exit {hits[-1]['pytest']}, "
                   f"{hits[-1]['failed_jobs']} failed jobs; {tail}")
+            if hits[-1]["pytest"] or hits[-1]["failed_jobs"]:
+                incomplete.append(mode)
+    if incomplete:
+        print(f"INCOMPLETE: the {' and '.join(incomplete)} trace failed, "
+              "so a line that only a failed test or job reaches may be "
+              "listed under 'nothing runs'")
     found, kept = report(hits)
     for title, rows in found.items():
         print(f"\n## {title}: {len(rows)} lines")
@@ -275,6 +315,8 @@ def main():
                 last = qual
             print(f"  {n:4d}  {line}")
     print(f"\n{kept} lines kept by the allow-list")
+    if incomplete:
+        sys.exit("INCOMPLETE report")
 
 
 if __name__ == "__main__":
