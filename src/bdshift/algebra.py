@@ -15,7 +15,7 @@ produces the chi_{>=p} cutoff.
 
 One kernel, _terms_mul, multiplies on both algebras.  The terms of
 degrees m and n give degree m+n and c(k) = [k >= z] a(k+sa) b(k+sb), the
-rule (sa, sb, z) set by m, n and the domain (_rule).  The coefficients'
+rule (sa, sb, z) is (n, 0, 0) on Z, _rule on A(N).  The coefficients'
 integer rows are rescaled to one shared denominator and repeated to the
 lcm J of all periods, one row per degree; each pair adds its periodic
 row and its corrections (exact minus periodic value) to one raw row per
@@ -30,8 +30,11 @@ substitution, same raw rows).  A large product in A(N), indexed by
 column with zeros below 0, is the product of its quotients q(x)q(y)
 plus a corner that only the corrections and y's zero fill make, packed
 too.  Each output row finds its minimal period on the integers and is
-reduced by one gcd; no Scalar is formed.  The order of the degrees in
-a term dict carries no meaning: the JSON lists them ascending.
+reduced by one gcd; no Scalar is formed.  Its terms, and those of +,
+scale, adjoint, quotient, toeplitz and matrix_units, which _make or
+_from_canonical built over the element's N, skip the constructor's
+checks (_Element._trusted).  The order of the degrees in a term dict
+carries no meaning: the JSON lists them ascending.
 """
 
 import math
@@ -59,10 +62,10 @@ _ZERO = Scalar(0)
 # the product kernel of both algebras
 
 
-def _rule(m, n, unilateral):
-    """(sa, sb, z) with V^m a . V^n b = V^{m+n} c and
-    c(k) = [k >= z] a(k+sa) b(k+sb); on k >= 0 both arguments are >= 0."""
-    if not unilateral or (m >= 0 and n >= 0):
+def _rule(m, n):
+    """(sa, sb, z) with V^m a . V^n b = V^{m+n} c and c(k) = [k >= z]
+    a(k+sa) b(k+sb) on A(N), both arguments >= 0 on k >= 0."""
+    if m >= 0 and n >= 0:
         return n, 0, 0
     if m >= 0:
         # U^m (ab)(K) (U*)^-n keeps U^s (ab)(K) (U*)^s, s = min(m, -n),
@@ -77,8 +80,6 @@ def _at_shift(row, s):
     """The row of q(. + s) before rotation: the weight obeys
     W(k+s) = W(k) + s, so a row with a linear part u gains s*u."""
     re, im, corr, u = row
-    if not (u and s):
-        return row
     return [s * u[0] + a for a in re], [s * u[1] + b for b in im], corr, u
 
 
@@ -124,17 +125,19 @@ def _factors(xt, yt):
     the common period J; a correction value is (re, im), u the linear
     part (a, b) of a pair in xt or ().  It cancels in a commutator only
     at a degree m with J | m, as covariance gives a derivation's."""
-    lin = {n: c[0]._t for n, c in xt.items() if isinstance(c, tuple)}
-    xt = {n: c[1] if n in lin else c for n, c in xt.items()}
-    seqs = [*xt.values(), *yt.values()]
-    J = math.lcm(*{s.period for s in seqs})
-    D = math.lcm(*{s.den for s in seqs}, *{d for _, _, d in lin.values()})
+    lin = {n: c[0]._t for n, c in xt.items() if type(c) is tuple}
+    xs = {n: c[1] if n in lin else c for n, c in xt.items()} if lin else xt
+    J = D = 1
+    for s in chain(xs.values(), yt.values()):
+        J, D = math.lcm(J, s.period), math.lcm(D, s.den)
+    if lin:
+        D = math.lcm(D, *(d for _, _, d in lin.values()))
+        lin = {n: (a * (D // d), b * (D // d)) for n, (a, b, d) in lin.items()}
     if any(n % J for n in lin):
         raise AssertionError("affine weight failed to cancel in a commutator")
-    lin = {n: (a * (D // d), b * (D // d)) for n, (a, b, d) in lin.items()}
-    return (type(seqs[0]), seqs[0].N, D, J, *(
-        {n: (*s._rows(D, J), u.get(n, ())) for n, s in t.items()}
-        for t, u in ((xt, lin), (yt, {}))))
+    return (type(s), s.N, D, J,
+            {n: (*s._rows(D, J), lin.get(n, ())) for n, s in xs.items()},
+            {n: (*s._rows(D, J), ()) for n, s in yt.items()})
 
 
 def _pair_rows(factors, unilateral, commute):
@@ -156,17 +159,21 @@ def _pair_rows(factors, unilateral, commute):
     acc = {}
     for m, arow, n, brow in [(m, a, n, b) for xs, ys in passes
                              for m, a in xs.items() for n, b in ys.items()]:
-        sa, sb, z = _rule(m, n, unilateral)
-        (are, aim, ac, au), (bre, bim, bc, bu) = \
-            _at_shift(arow, sa), _at_shift(brow, sb)
+        sa, sb, z = _rule(m, n) if unilateral else (n, 0, 0)
+        are, aim, ac, au = _at_shift(arow, sa) if sa and arow[3] else arow
+        bre, bim, bc, bu = _at_shift(brow, sb) if sb and brow[3] else brow
         ra, rb = sa % J, sb % J
-        ar, ai = are[ra:] + are[:ra], aim[ra:] + aim[:ra]
-        br, bi = bre[rb:] + bre[:rb], bim[rb:] + bim[:rb]
+        ar, ai = (are[ra:] + are[:ra], aim[ra:] + aim[:ra]) if ra \
+            else (are, aim)
+        br, bi = (bre[rb:] + bre[:rb], bim[rb:] + bim[:rb]) if rb \
+            else (bre, bim)
         pr = [x * y - u * v for x, u, y, v in zip(ar, ai, br, bi)]
         pi = [x * v + u * y for x, u, y, v in zip(ar, ai, br, bi)]
         re, im, corr = acc.setdefault(m + n, (pr, pi, {}))
         if re is not pr:
             re[:], im[:] = map(add, re, pr), map(add, im, pi)
+        if not (z or ac or bc):  # no cutoff or correction, as on B(N)
+            continue
         for k in range(z):
             c = corr.get(k, (0, 0))
             corr[k] = (c[0] - pr[k % J], c[1] - pi[k % J])
@@ -182,8 +189,6 @@ def _pair_rows(factors, unilateral, commute):
                     w, c = k + cls.offset, corr.get(k, (0, 0))
                     corr[k] = (c[0] + w * (cr * x - ci * y),
                                c[1] + w * (cr * y + ci * x))
-        if not (ac or bc):
-            continue
         for k in {i - sa for i in ac} | {i - sb for i in bc}:
             if k < 0 and unilateral:
                 continue
@@ -401,7 +406,8 @@ def _unilateral_rows(factors, nb):
 
 class _Element:
     """Finite normal form: degree -> nonzero coefficient, each over the
-    element's N.  Subclasses set the coefficient class _coeff."""
+    element's N.  Subclasses set the coefficient class _coeff.  _trusted
+    skips the constructor's class and N checks (module docstring)."""
 
     __slots__ = ("terms", "N")
 
@@ -409,15 +415,22 @@ class _Element:
         clean = {}
         for n, a in terms.items():
             if not isinstance(a, self._coeff):
-                raise TypeError(
-                    f"coefficients must be {self._coeff.__name__}"
-                )
+                raise TypeError(f"coefficients must be {self._coeff.__name__}")
             if a.N is not N and a.N != N:
                 raise ValueError(f"coefficient over {a.N}, element over {N}")
             if not a.is_zero():
                 clean[int(n)] = a
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "N", N)
+
+    @classmethod
+    def _trusted(cls, terms, N):
+        """The element of terms, zero coefficients dropped, unchecked."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "terms",
+                           {n: a for n, a in terms.items() if not a.is_zero()})
+        object.__setattr__(x, "N", N)
+        return x
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -458,7 +471,7 @@ class _Element:
         terms = dict(self.terms)
         for n, b in other.terms.items():
             terms[n] = terms[n] + b if n in terms else b
-        return type(self)(terms, self.N)
+        return type(self)._trusted(terms, self.N)
 
     def __sub__(self, other):
         if not isinstance(other, _Element):
@@ -502,9 +515,8 @@ def _one_algebra(x, y, verb):
 
 def scale(x, c):
     c = coerce_scalar(c)
-    if not c:
-        return type(x)({}, x.N)
-    return type(x)({n: ep_scale(a, c) for n, a in x.terms.items()}, x.N)
+    return type(x)._trusted(
+        {n: ep_scale(a, c) for n, a in x.terms.items()} if c else {}, x.N)
 
 
 bilateral_scale = scale
@@ -513,8 +525,8 @@ bilateral_scale = scale
 def commutator(x, y):
     """[x, y] = x*y - y*x on either algebra, in one signed kernel pass."""
     _one_algebra(x, y, "commute")
-    return type(x)(_terms_mul(x.terms, y.terms, x._coeff.unilateral,
-                              commute=True), x.N)
+    return type(x)._trusted(_terms_mul(x.terms, y.terms, x._coeff.unilateral,
+                                       commute=True), x.N)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +573,8 @@ def matrix_unit_compact(r, s, N):
 def multiply(x, y):
     """Normal form of the operator product, on either algebra."""
     _one_algebra(x, y, "multiply")
-    return type(x)(_terms_mul(x.terms, y.terms, x._coeff.unilateral), x.N)
+    return type(x)._trusted(_terms_mul(x.terms, y.terms, x._coeff.unilateral),
+                            x.N)
 
 
 bilateral_multiply = multiply
@@ -575,7 +588,7 @@ def adjoint(x):
     if not x._coeff.unilateral:
         # (V^n f)* = f* V^{-n} = V^{-n} f*(. - n)
         terms = {m: ep_shift(a, m) for m, a in terms.items()}
-    return type(x)(terms, x.N)
+    return type(x)._trusted(terms, x.N)
 
 
 bilateral_adjoint = adjoint
@@ -597,7 +610,7 @@ def quotient(x):
     for n, a in x.terms.items():
         f = LocallyConstantFunction._make(a.den, a.re, a.im, {}, x.N)
         terms[n] = ep_shift(f, n) if n < 0 else f
-    return BilateralElement(terms, x.N)
+    return BilateralElement._trusted(terms, x.N)
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +659,7 @@ def toeplitz(b):
     terms = {}
     for n, f in b.terms.items():
         terms[n] = ep_from_lcf(f if n >= 0 else ep_shift(f, -n))
-    return UnilateralElement(terms, b.N)
+    return UnilateralElement._trusted(terms, b.N)
 
 
 def mult_defect(b1, b2):
@@ -670,9 +683,10 @@ def mult_defect(b1, b2):
 
 
 def residue_indicator(r, N_int, N):
-    """The locally constant indicator of the class l = r mod N_int."""
-    return LocallyConstantFunction(
-        [int(k == r % N_int) for k in range(N_int)], N)
+    """The locally constant indicator of the class l = r mod N_int, N_int
+    a level of N: its row over den 1 is canonical, of period N_int."""
+    row = tuple(int(k == r % N_int) for k in range(N_int))
+    return LocallyConstantFunction._from_canonical(1, row, (0,) * N_int, {}, N)
 
 
 def matrix_units(N):
@@ -680,13 +694,9 @@ def matrix_units(N):
     if not N.is_finite():
         raise NotFinite("matrix units need a finite N")
     N_int = N.as_int()
-    units = {}
-    for s in range(N_int):
-        for r in range(N_int):
-            units[(s, r)] = BilateralElement(
-                {s - r: residue_indicator(r, N_int, N)}, N
-            )
-    return units
+    e = [residue_indicator(r, N_int, N) for r in range(N_int)]
+    return {(s, r): BilateralElement._trusted({s - r: e[r]}, N)
+            for s in range(N_int) for r in range(N_int)}
 
 
 # ---------------------------------------------------------------------------

@@ -196,8 +196,8 @@ def _commutator(components, x):
         _one_N(comp, x, "apply a derivation to an element")
         linear, ep = comp._coef.linear, seq._cast(comp._coef.ep)
         gen[n] = (linear, ep) if linear else ep
-    return type(x)(_terms_mul(gen, x.terms, seq.unilateral, commute=True),
-                   x.N)
+    return type(x)._trusted(
+        _terms_mul(gen, x.terms, seq.unilateral, commute=True), x.N)
 
 
 def apply(d, a):

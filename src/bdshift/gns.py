@@ -2,9 +2,10 @@
 
 tau_0 reads the expectation at 0 and lives on l^2(Z); tau_Haar averages
 it and lives on L^2(Z x Z/NZ).  Both spaces hold one vector type, keyed
-by (m, x mod level), with one inner product and one pi: tau_0 is the
-level-1 fiber x = 0 and takes coefficients of any period, while the Haar
-space needs period | level at every level, 1 included.  The operator D
+by (m, x mod level), with one inner product and one pi, both summed on
+integer numerators over one denominator: tau_0 is the level-1 fiber
+x = 0 and takes coefficients of any period, while the Haar space needs
+period | level at every level, 1 included.  The operator D
 implementing the covariant derivation V^n eta(L) is built from eta itself
 on finite windows.  A covariant D of degree n maps the m-block of the
 window (level vectors for Haar) only to the block m + n, so it is a
@@ -34,7 +35,7 @@ import operator
 from collections import namedtuple
 from itertools import chain, product
 
-from .scalars import Scalar, as_scalar, ZERO, ONE
+from .scalars import _canonical, as_scalar, ZERO, ONE
 from .errors import LevelMismatch, NoConvergence, WindowTooSmall
 from .profinite import LocallyConstantFunction, divides, haar_integral
 from .algebra import expectation
@@ -111,12 +112,13 @@ def inner(u, w):
     """<u, w>, conjugate-linear in the first slot, weighted 1/level."""
     if (u.space, u.level) != (w.space, w.level):
         raise LevelMismatch("vectors live in different spaces or levels")
-    total = ZERO
-    for key, c in u.coeffs.items():
-        d = w.coeffs.get(key)
-        if d is not None:
-            total = total + c.conjugate() * d
-    return total / Scalar(u.level)
+    du, dw = (math.lcm(*(c._t[2] for c in v.coeffs.values())) for v in (u, w))
+    re = im = 0
+    for key in u.coeffs.keys() & w.coeffs.keys():
+        (p, q, e), (r, t, f) = u.coeffs[key]._t, w.coeffs[key]._t
+        h = du // e * (dw // f)
+        re, im = re + h * (p * r + q * t), im + h * (p * t - q * r)
+    return _canonical(re, im, du * dw * u.level)
 
 
 def pi_apply(b, v):
@@ -125,14 +127,16 @@ def pi_apply(b, v):
     tau_0 reads g at every l, whatever its period."""
     if v.space == "haar":
         _check_level(b, v.level)
+    dg = math.lcm(*(g.den for g in b.terms.values()))
+    dv = math.lcm(*(c._t[2] for c in v.coeffs.values()))
     out = {}
     for n, g in b.terms.items():
         for (m, x), c in v.coeffs.items():
-            val = g.value_at(x + m)
-            if val:
-                key = (m + n, x)
-                out[key] = out.get(key, ZERO) + val * c
-    return GNSVector(out, v.level, v.space)
+            (s, t), (p, q, d) = g._at(x + m), c._t
+            h, (re, im) = dg // g.den * (dv // d), out.get((m + n, x), (0, 0))
+            out[m + n, x] = re + h * (s * p - t * q), im + h * (s * q + t * p)
+    return GNSVector({k: _canonical(re, im, dg * dv)
+                      for k, (re, im) in out.items()}, v.level, v.space)
 
 
 # the two-space names, kept for the callers that import them

@@ -121,7 +121,7 @@ def oracle_product_check(a, b, M):
     fa, fb, fprod = (_dense(M, den, X) for X in (A, B, P))
     dev = np.abs((fa @ fb)[:cut, :cut] - fprod[:cut, :cut])
     scalefac = max(1.0, float(np.abs(fprod).max()))
-    max_dev = float(dev.max()) / scalefac if dev.size else 0.0
+    max_dev = float(dev.max()) / scalefac
 
     verdict = "exact" if exact_ok and max_dev <= 1e-12 else "mismatch"
     return TruncationReport(M, margin, max_dev, verdict)

@@ -262,8 +262,9 @@ class _PeriodicSequence:
         """Raw rows over den, of a length dividing N, in canonical form: a
         period search, zero corrections dropped, one gcd (none at den 1).
         Every sequence is built here or by _from_canonical."""
-        j = _minimal_period(re, im)
-        re, im = re[:j], im[:j]
+        if len(re) > 1:
+            j = _minimal_period(re, im)
+            re, im = re[:j], im[:j]
         corr = {k: v for k, v in corr.items() if v[0] or v[1]}
         if den != 1:
             g = gcd(den, *re, *im, *chain.from_iterable(corr.values()))

@@ -13,6 +13,7 @@ denominator of a product is rarely 1.
 
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -489,10 +490,21 @@ def _terms(factors, raw):
     return {d: cls._make(D * D, *row, N) for d, row in raw.items()}
 
 
+# the fewest comparisons each side of the size rule makes on each path,
+# domain and kind of product: the derandomized draws change with any edit
+# of the test's body, so a path that an edit stops reaching fails here
+KRONECKER_FLOORS = {
+    "below": {("pair", "A(N)", "product"): 20,
+              ("pair", "B(N)", "product"): 10,
+              ("pair", "B(N)", "commutator"): 10},
+    "above": {("packed", "A(N)", "product"): 20,
+              ("packed", "B(N)", "product"): 8,
+              ("packed", "B(N)", "commutator"): 8},
+}
+
+
 @pytest.mark.parametrize("side", ["below", "above"])
-@settings(LAWS, max_examples=120)  # 60 a domain
-@given(data=st.data())
-def test_kronecker_rows_match_the_pair_loop(side, data):
+def test_kronecker_rows_match_the_pair_loop(side):
     """On either domain, the pair loop and the Kronecker kernel give the
     same terms, the same raw rows over D^2 and the same degree keys in
     the same order, below and above the size rule's count of term pairs,
@@ -501,70 +513,85 @@ def test_kronecker_rows_match_the_pair_loop(side, data):
     A(N) it admits every dense product above its count whose slots fit,
     one with a correction at key 10^4 included; the corner is drawn from
     both factors' corrections, from x's alone, from y's alone, or with
-    a y of negative degrees only, the longest zero fill."""
-    unilateral = data.draw(st.booleans())
-    J = data.draw(st.sampled_from([1, 2, 3, 4, 6, 8]))
-    sizes = st.integers(1, 3) if side == "below" \
-        else st.integers(13, 14) if unilateral else st.integers(9, 10)
-    # the widest bound, whose slots seldom fit 8 bytes and then only
-    # reach the rule's refusal, is drawn once in four on A(N) and once in
-    # five on B(N), so that most draws compare the kernels (CHANGES.md
-    # counts them)
-    bound = data.draw(st.sampled_from([3, 2**20, 2**200, 3] if unilateral
-                                      else [2**20, 2**200, 3, 2**20, 3]))
-    xt, yt = (data.draw(kronecker_terms(J, data.draw(sizes), bound,
-                                        unilateral)) for _ in range(2))
-    assert (len(xt) * len(yt) >= KRONECKER_PAIRS * (
-        len(xt) + len(yt) + J)) == (side == "above")
-    commute = False
-    if unilateral:
-        corner = data.draw(st.sampled_from(["both", "x", "y", "negative y"]))
-        if corner == "negative y":
-            yt = {n - max(yt) - 1: c for n, c in yt.items()}
-        elif corner != "both":
-            plain = yt if corner == "x" else xt
-            for n, c in plain.items():
-                plain[n] = EPSequence({}, c.table, N24)
-        far = data.draw(st.booleans()) and data.draw(st.booleans())
-        if far:
-            t = data.draw(st.sampled_from([xt, yt]))
-            n = data.draw(st.sampled_from(sorted(t)))
-            t[n] = t[n] + EPSequence({FAR_KEY: 1}, [0], N24)
-        factors = _factors(xt, yt)
-        nb, rule = _slot_bytes(factors, False), \
-            _kronecker_slots(factors, True, False)
-        # a dense product above the count is admitted unless its slots are
-        # wide; a sparse one may also fail on its spread
-        dense = all(max(t) - min(t) == len(t) - 1 for t in (xt, yt))
-        admitted = side == "above" and nb <= 8
-        assert rule == (nb if admitted else 0) or not dense and not rule
-        kernels = (lambda: _pair_rows(factors, True, False),
-                   lambda: _unilateral_rows(factors, nb))
-    else:
-        commute = data.draw(st.booleans())
-        if commute and data.draw(st.booleans()):
-            pool = sorted({0, *(n for n in xt if n % J == 0)})
-            for n in data.draw(st.lists(st.sampled_from(pool), min_size=1,
-                                        max_size=3, unique=True)):
-                v = next(iter(data.draw(kronecker_terms(J, 1, bound))
-                              .values()))
-                xt[n] = (v.value_at(1), xt.get(n, v))
-        factors = _factors(xt, yt)
-        nb = _slot_bytes(factors, commute)
-        kernels = (lambda: _pair_rows(factors, False, commute),
-                   lambda: _kronecker_rows(factors, commute, nb))
-    if nb > 8:
-        # the pair loop's alone: no reader takes a slot this wide
-        assert not _kronecker_slots(factors, unilateral, commute)
-        return
-    results = []
-    for kernel in kernels:
-        raw = kernel()
-        # the raw rows are read twice, for the terms and on their own
-        results.append((_terms(factors, raw), list(raw),
-                        {d: tuple(map(list, row[:2]))
-                         for d, row in raw.items()}))
-    assert results[1] == results[0]
+    a y of negative degrees only, the longest zero fill.  The compared
+    draws are counted by the path the rule takes, the domain and the
+    kind of product, against KRONECKER_FLOORS."""
+    seen = Counter()
+
+    @settings(LAWS, max_examples=120)  # 60 a domain
+    @given(data=st.data())
+    def check(data):
+        unilateral = data.draw(st.booleans())
+        J = data.draw(st.sampled_from([1, 2, 3, 4, 6, 8]))
+        sizes = st.integers(1, 3) if side == "below" \
+            else st.integers(13, 14) if unilateral else st.integers(9, 10)
+        # the widest bound, whose slots seldom fit 8 bytes and then only
+        # reach the rule's refusal, is drawn once in four on A(N) and once
+        # in five on B(N), so that most draws compare the kernels
+        bound = data.draw(st.sampled_from([3, 2**20, 2**200, 3] if unilateral
+                                          else [2**20, 2**200, 3, 2**20, 3]))
+        xt, yt = (data.draw(kronecker_terms(J, data.draw(sizes), bound,
+                                            unilateral)) for _ in range(2))
+        assert (len(xt) * len(yt) >= KRONECKER_PAIRS * (
+            len(xt) + len(yt) + J)) == (side == "above")
+        commute = False
+        if unilateral:
+            corner = data.draw(st.sampled_from(
+                ["both", "x", "y", "negative y"]))
+            if corner == "negative y":
+                yt = {n - max(yt) - 1: c for n, c in yt.items()}
+            elif corner != "both":
+                plain = yt if corner == "x" else xt
+                for n, c in plain.items():
+                    plain[n] = EPSequence({}, c.table, N24)
+            far = data.draw(st.booleans()) and data.draw(st.booleans())
+            if far:
+                t = data.draw(st.sampled_from([xt, yt]))
+                n = data.draw(st.sampled_from(sorted(t)))
+                t[n] = t[n] + EPSequence({FAR_KEY: 1}, [0], N24)
+            factors = _factors(xt, yt)
+            nb, rule = _slot_bytes(factors, False), \
+                _kronecker_slots(factors, True, False)
+            # a dense product above the count is admitted unless its slots are
+            # wide; a sparse one may also fail on its spread
+            dense = all(max(t) - min(t) == len(t) - 1 for t in (xt, yt))
+            admitted = side == "above" and nb <= 8
+            assert rule == (nb if admitted else 0) or not dense and not rule
+            kernels = (lambda: _pair_rows(factors, True, False),
+                       lambda: _unilateral_rows(factors, nb))
+        else:
+            commute = data.draw(st.sampled_from([False, True, True]))
+            if commute and data.draw(st.booleans()):
+                pool = sorted({0, *(n for n in xt if n % J == 0)})
+                for n in data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                            max_size=3, unique=True)):
+                    v = next(iter(data.draw(kronecker_terms(J, 1, bound))
+                                  .values()))
+                    xt[n] = (v.value_at(1), xt.get(n, v))
+            factors = _factors(xt, yt)
+            nb = _slot_bytes(factors, commute)
+            kernels = (lambda: _pair_rows(factors, False, commute),
+                       lambda: _kronecker_rows(factors, commute, nb))
+        if nb > 8:
+            # the pair loop's alone: no reader takes a slot this wide
+            assert not _kronecker_slots(factors, unilateral, commute)
+            return
+        results = []
+        for kernel in kernels:
+            raw = kernel()
+            # the raw rows are read twice, for the terms and on their own
+            results.append((_terms(factors, raw), list(raw),
+                            {d: tuple(map(list, row[:2]))
+                             for d, row in raw.items()}))
+        assert results[1] == results[0]
+        path = "packed" if _kronecker_slots(factors, unilateral, commute) \
+            else "pair"
+        seen[path, "A(N)" if unilateral else "B(N)",
+             "commutator" if commute else "product"] += 1
+
+    check()
+    assert all(seen[cell] >= floor
+               for cell, floor in KRONECKER_FLOORS[side].items()), seen
 
 
 def test_bench_dense_product_takes_the_kronecker_path():

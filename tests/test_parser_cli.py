@@ -1339,6 +1339,22 @@ def test_cli_overlong_digit_run_is_a_parse_error(capsys):
         parse("2 * " + "3" * 5000)
 
 
+def test_names_may_hold_underscores(capsys, tmp_path):
+    # the lexer reads '_' as a letter of a name, first or later: diag()
+    # finds the workspace sequences _a and b_c, and an unknown _x is a
+    # parse error (exit 2) that names it
+    path = tmp_path / "ws.json"
+    seqs = {"_a": EPSequence({}, [Scalar(1), Scalar(2)], N2),
+            "b_c": EPSequence({}, [Scalar(3)], N2)}
+    save_workspace(Workspace(N2, sequences=seqs), str(path))
+    for name, seq in seqs.items():
+        code, out = run_cli(capsys, "normalize", "--workspace", str(path),
+                            f"diag({name})")
+        assert code == 0 and out == {"terms": {"0": seq.to_json()}}
+    code = cli.main(["normalize", "--workspace", str(path), "_x"])
+    assert code == 2 and "unknown token '_x'" in capsys.readouterr().err
+
+
 def test_non_decimal_digits_are_rejected():
     # superscripts count as digits for str.isdigit but not for int()
     with pytest.raises(ExprSyntaxError):

@@ -61,8 +61,8 @@ MUTANTS = [
      "    bound = (2 + 2 * commute) * big[0]", "    bound = 2 * big[0]",
      "_slot_bytes' bound without the commutator's factor 2"),
     ("src/bdshift/algebra.py",
-     "    J = math.lcm(*{s.period for s in seqs})",
-     "    J = max({s.period for s in seqs})",
+     "        J, D = math.lcm(J, s.period), math.lcm(D, s.den)",
+     "        J, D = max(J, s.period), math.lcm(D, s.den)",
      "_factors takes the largest period, not the lcm"),
     ("src/bdshift/algebra.py",
      CUTOFF, CUTOFF.replace("range(z)", "range(0)"),
@@ -78,8 +78,8 @@ MUTANTS = [
      "            if re[e:] != re[:j - e]:",
      "_minimal_period reads the re row alone"),
     ("src/bdshift/algebra.py",
-     "    if not (u and s):\n        return row",
-     "    if True:\n        return row",
+     "    return [s * u[0] + a for a in re], [s * u[1] + b for b in im], "
+     "corr, u", "    return row",
      "_at_shift returns its row unchanged"),
     ("src/bdshift/algebra.py",
      "            for k in {i - s for i in oc}.union(range(z)):",
@@ -126,6 +126,30 @@ MUTANTS = [
      "            t, r = k - min(m, 0), k + max(m, 0)",
      "            t, r = k + min(m, 0), k + max(m, 0)",
      "_unilateral_rows puts x's correction at column key + min(m, 0)"),
+    ("src/bdshift/algebra.py",
+     "{n: a for n, a in terms.items() if not a.is_zero()}", "dict(terms)",
+     "_trusted keeps zero coefficients"),
+    ("src/bdshift/gns.py",
+     "h, (re, im) = dg // g.den * (dv // d), ",
+     "h, (re, im) = dg // g.den, ",
+     "pi_apply drops the vector's rescale to the common denominator"),
+    ("src/bdshift/gns.py",
+     "        h = du // e * (dw // f)", "        h = du // e",
+     "inner drops w's rescale to the common denominator"),
+    ("src/bdshift/algebra.py",
+     "        if not (z or ac or bc):", "        if not (ac or bc):",
+     "_pair_rows skips the cutoffs of a pair with no corrections"),
+    ("src/bdshift/profinite.py",
+     "        if len(re) > 1:", "        if len(re) > 2:",
+     "_make skips the period search on rows of length 2"),
+    ("src/bdshift/algebra.py",
+     "tuple(int(k == r % N_int) for k",
+     "tuple(int(k == (r + 1) % N_int) for k",
+     "residue_indicator marks the class r + 1"),
+    ("src/bdshift/algebra.py",
+     "aim[ra:] + aim[:ra]) if ra \\\n",
+     "aim[ra:] + aim[:ra]) if ra > 1 \\\n",
+     "_pair_rows leaves a row at shift 1 unrotated"),
 ]
 
 
@@ -134,10 +158,10 @@ def _git(*args):
                           capture_output=True).stdout
 
 
-def _tree(dest):
-    """The tracked files as they stand, extracted into dest."""
-    rev = _git("stash", "create").strip() or b"HEAD"
-    archive = _git("archive", rev.decode())
+def _tree(dest, rev=None):
+    """The tracked files at rev, or as they stand, extracted into dest."""
+    rev = rev or _git("stash", "create").strip().decode() or "HEAD"
+    archive = _git("archive", rev)
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest)
 
