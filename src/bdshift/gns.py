@@ -3,7 +3,8 @@
 tau_0 reads the expectation at 0 and lives on l^2(Z); tau_Haar averages
 it and lives on L^2(Z x Z/NZ).  Both spaces hold one vector type, keyed
 by (m, x mod level), with one inner product and one pi, both summed on
-integer numerators over one denominator: tau_0 is the level-1 fiber
+integer numerators over one denominator (pi's canonical result skips the
+vector constructor's checks): tau_0 is the level-1 fiber
 x = 0 and takes coefficients of any period, while the Haar space needs
 period | level at every level, 1 included.  The operator D
 implementing the covariant derivation V^n eta(L) is built from eta itself
@@ -74,6 +75,15 @@ class GNSVector:
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "space", space)
 
+    @classmethod
+    def _trusted(cls, coeffs, level, space):
+        """The vector of canonical keys and nonzero Scalars, unchecked."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "coeffs", coeffs)
+        object.__setattr__(v, "level", level)
+        object.__setattr__(v, "space", space)
+        return v
+
     def __setattr__(self, name, value):
         raise AttributeError("GNSVector is immutable")
 
@@ -135,8 +145,9 @@ def pi_apply(b, v):
             (s, t), (p, q, d) = g._at(x + m), c._t
             h, (re, im) = dg // g.den * (dv // d), out.get((m + n, x), (0, 0))
             out[m + n, x] = re + h * (s * p - t * q), im + h * (s * q + t * p)
-    return GNSVector({k: _canonical(re, im, dg * dv)
-                      for k, (re, im) in out.items()}, v.level, v.space)
+    return GNSVector._trusted({k: _canonical(re, im, dg * dv)
+                               for k, (re, im) in out.items() if re or im},
+                              v.level, v.space)
 
 
 # the two-space names, kept for the callers that import them

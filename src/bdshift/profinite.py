@@ -26,7 +26,7 @@ from .scalars import Scalar, _canonical, _triple, _wire, coerce_scalar
 INF = math.inf
 
 # caps on workspace input: a correction key (see from_json) and the bit
-# length sum(e * log2 p) of N's finite part, which as_int() forms
+# length sum(e * log2 p) of N's finite part, whose value N forms
 MAX_CORRECTION_KEY = 1 << 16
 MAX_N_BITS = 4096
 
@@ -91,17 +91,17 @@ def _is_prime(n):
 class SupernaturalNumber:
     """Formal product of primes with exponents in {1, 2, ...} or infinity."""
 
-    __slots__ = ("factors", "_hash")
+    __slots__ = ("factors", "_hash", "_int")
 
     def __init__(self, factors=None):
-        clean = {}
-        bits = 0.0
+        # value is N as an integer, 0 once an infinite exponent is seen
+        clean, bits, value = {}, 0.0, 1
         for p, e in (factors or {}).items():
             p = int(p)
             if not _is_prime(p):
                 raise ValueError(f"{p} is not prime")
             if e == INF or e == "inf":
-                clean[p] = INF
+                clean[p], value = INF, 0
             else:
                 # a bool, a float or a numeric string is no exponent
                 if type(e) is not int or e < 1:
@@ -111,11 +111,13 @@ class SupernaturalNumber:
                 bits += min(e, MAX_N_BITS + 1) * math.log2(p)
                 if bits > MAX_N_BITS:
                     raise ValueError(f"N exceeds {MAX_N_BITS} bits")
-                clean[p] = e
+                clean[p], value = e, value * p ** e
         factors = dict(sorted(clean.items()))
         object.__setattr__(self, "factors", factors)
-        # divides() memoises on N, so the hash is taken once
+        # divides() memoises on N, so the hash is taken once; _int is the
+        # value of a finite N and None for an infinite one
         object.__setattr__(self, "_hash", hash(tuple(factors.items())))
+        object.__setattr__(self, "_int", value or None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SupernaturalNumber is immutable")
@@ -125,15 +127,12 @@ class SupernaturalNumber:
         return cls(_factorize(n)) if n > 1 else cls({})
 
     def is_finite(self):
-        return all(e != INF for e in self.factors.values())
+        return self._int is not None
 
     def as_int(self):
-        if not self.is_finite():
+        if self._int is None:
             raise NotFinite("infinite supernatural number has no integer value")
-        n = 1
-        for p, e in self.factors.items():
-            n *= p ** e
-        return n
+        return self._int
 
     def __eq__(self, other):
         if not isinstance(other, SupernaturalNumber):
@@ -171,7 +170,8 @@ def divides(j, N):
     """True iff every prime power in j is bounded by N's exponent."""
     if j < 1:
         raise ValueError(f"expected a positive integer, got {j}")
-    return _divides(j, N)
+    # a finite N divides as an integer, an infinite one by its primes
+    return N._int % j == 0 if N._int else _divides(j, N)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -247,15 +247,20 @@ class _PeriodicSequence:
             raise ValueError("table must be nonempty")
         if not divides(len(table), N):
             raise PeriodNotDivisor(f"period {len(table)} does not divide N")
-        if cls.unilateral and corr and min(corr) < 0:
-            raise ValueError(f"correction key must be >= 0, got {min(corr)}")
         re, im, ds = zip(*table)
-        den = math.lcm(*ds, *(d for _, _, d in corr.values()))
+        if corr:
+            if cls.unilateral and min(corr) < 0:
+                raise ValueError(
+                    f"correction key must be >= 0, got {min(corr)}")
+            den = math.lcm(*ds, *(d for _, _, d in corr.values()))
+            corr = {k: (a * (den // d), b * (den // d))
+                    for k, (a, b, d) in corr.items()}
+        else:
+            den = math.lcm(*ds)
         if den != 1:
             ds = [den // d for d in ds]
             re, im = tuple(map(mul, re, ds)), tuple(map(mul, im, ds))
-        return cls._make(den, re, im, {k: (a * (den // d), b * (den // d))
-                                       for k, (a, b, d) in corr.items()}, N)
+        return cls._make(den, re, im, corr, N)
 
     @classmethod
     def _make(cls, den, re, im, corr, N):
@@ -265,7 +270,8 @@ class _PeriodicSequence:
         if len(re) > 1:
             j = _minimal_period(re, im)
             re, im = re[:j], im[:j]
-        corr = {k: v for k, v in corr.items() if v[0] or v[1]}
+        if corr:
+            corr = {k: v for k, v in corr.items() if v[0] or v[1]}
         if den != 1:
             g = gcd(den, *re, *im, *chain.from_iterable(corr.values()))
             if g != 1:
@@ -376,13 +382,13 @@ class _PeriodicSequence:
                     f"correction key {k} exceeds {MAX_CORRECTION_KEY}"
                 )
             corr[k] = _triple(v)
-        table = [_triple(v) for v in data["table"]]
-        return cls._init(corr, table, N)
+        return cls._init(corr, list(map(_triple, data["table"])), N)
 
 
 _set_den, _set_re, _set_im, _set_corr, _set_period, _set_N = (
     getattr(_PeriodicSequence, name).__set__
     for name in _PeriodicSequence.__slots__)
+_build = _PeriodicSequence._from_canonical.__func__
 
 
 class LocallyConstantFunction(_PeriodicSequence):
@@ -402,7 +408,7 @@ class LocallyConstantFunction(_PeriodicSequence):
     def _from_canonical(cls, den, re, im, corr, N):
         if corr:
             raise ValueError("a locally constant function has no corrections")
-        return super()._from_canonical(den, re, im, corr, N)
+        return _build(cls, den, re, im, corr, N)
 
     values = _PeriodicSequence.table
 

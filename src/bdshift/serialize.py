@@ -101,12 +101,19 @@ def _sequence_from_json(data, N):
 
 
 def load_workspace(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:
-            # the decoder takes one Python frame per nested array or object
-            raise ValueError("workspace JSON nests too deeply") from None
+    """The workspace in the file at path.  The bytes are read unbuffered
+    and decoded in one call, not through a text-mode file's incremental
+    decoder, and the newlines that text mode translates are translated
+    the same way, so a JSON error reports the same position."""
+    with open(path, "rb", buffering=0) as fh:
+        text = fh.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        # the decoder takes one Python frame per nested array or object
+        raise ValueError("workspace JSON nests too deeply") from None
     return Workspace.from_json(data)
 
 

@@ -1100,21 +1100,45 @@ def test_cli_oversized_exponent_fails_fast(capsys):
         assert time.perf_counter() - start < 2.0
 
 
-def test_cli_wide_products_fail_fast(capsys):
-    # the work of a product grows with the degree spans of its factors
-    for argv in (["normalize", "(U + Us)^1024"],
+# The requests of the two timed tests below, which tools/reach_lines.py
+# also runs, untimed, under its tracer: the wide products each refused
+# (exit 3), then the widest product accepted.
+WIDE_PRODUCTS = (["normalize", "(U + Us)^1024"],
                  ["normalize", "((U + Us)^32)^32"],
                  ["normalize", "(U + Us)^128 * (U + Us)"],
                  ["mul", "(U + Us)^128", "U + Us"],
                  ["comm", "(U + Us)^128", "U + Us"],
                  ["normalize", "comm((U + Us)^128, U + Us)"],
                  ["defect", "(V + Vi)^128", "V + Vi"],
-                 ["normalize", "--side", "bilateral", "(V + Vi)^129"]):
+                 ["normalize", "--side", "bilateral", "(V + Vi)^129"])
+WIDE_PRODUCT_ACCEPTED = ["normalize", "(U + Us)^128 * U"]
+
+
+def wide_derivation_requests(path):
+    """Write a workspace to path whose derivation d has a component at
+    every degree -128..128; return the derive requests over it, those
+    refused on their span (exit 3) and those accepted."""
+    beta = AffineSequence(ZERO, EPSequence({}, [ONE], N2))
+    d = DerivationSum(
+        {n: covariant(n, beta, N2) for n in range(-128, 129)}, N2
+    )
+    save_workspace(Workspace(N2, derivations={"d": d}), str(path))
+    derive = ["derive", "--workspace", str(path), "--derivation", "d"]
+    bilateral = [*derive, "--side", "bilateral"]
+    # span 1 + 256 + 0 = MAX_SPAN for the accepted ones
+    return ([[*derive, "(U + Us)^128"], [*derive, "U + Us"],
+             [*bilateral, "(V + Vi)^128"], [*bilateral, "V + Vi"]],
+            [[*derive, "U"], [*bilateral, "V"]])
+
+
+def test_cli_wide_products_fail_fast(capsys):
+    # the work of a product grows with the degree spans of its factors
+    for argv in WIDE_PRODUCTS:
         start = time.perf_counter()
         code, _ = run_cli(capsys, *argv)
         assert code == 3, argv
         assert time.perf_counter() - start < 2.0
-    code, payload = run_cli(capsys, "normalize", "(U + Us)^128 * U")
+    code, payload = run_cli(capsys, *WIDE_PRODUCT_ACCEPTED)
     assert code == 0
     assert min(map(int, payload["terms"])) == -127
     assert max(map(int, payload["terms"])) == 129
@@ -1174,23 +1198,13 @@ def test_cli_one_algebra_commands_refuse_a_side(capsys):
 
 
 def test_cli_derive_checks_the_span(capsys, tmp_path):
-    # a derivation with components at every degree -128..128
-    beta = AffineSequence(ZERO, EPSequence({}, [ONE], N2))
-    d = DerivationSum(
-        {n: covariant(n, beta, N2) for n in range(-128, 129)}, N2
-    )
-    path = tmp_path / "wide.json"
-    save_workspace(Workspace(N2, derivations={"d": d}), str(path))
-    derive = ["derive", "--workspace", str(path), "--derivation", "d"]
-    bilateral = [*derive, "--side", "bilateral"]
-    for argv in ([*derive, "(U + Us)^128"], [*derive, "U + Us"],
-                 [*bilateral, "(V + Vi)^128"], [*bilateral, "V + Vi"]):
+    refused, accepted = wide_derivation_requests(tmp_path / "wide.json")
+    for argv in refused:
         start = time.perf_counter()
         code, _ = run_cli(capsys, *argv)
         assert code == 3, argv
         assert time.perf_counter() - start < 2.0
-    # span 1 + 256 + 0 = MAX_SPAN
-    for argv in ([*derive, "U"], [*bilateral, "V"]):
+    for argv in accepted:
         code, _ = run_cli(capsys, *argv)
         assert code == 0, argv
 

@@ -150,6 +150,26 @@ MUTANTS = [
      "aim[ra:] + aim[:ra]) if ra \\\n",
      "aim[ra:] + aim[:ra]) if ra > 1 \\\n",
      "_pair_rows leaves a row at shift 1 unrotated"),
+    ("src/bdshift/serialize.py",
+     '.replace("\\r\\n", "\\n").replace("\\r", "\\n")',
+     '.replace("\\r\\n", "\\n")',
+     "load_workspace leaves a lone carriage return untranslated"),
+    ("src/bdshift/profinite.py",
+     "    return N._int % j == 0 if N._int else _divides(j, N)",
+     "    return j % N._int == 0 if N._int else _divides(j, N)",
+     "divides at a finite N tests j against N the wrong way round"),
+    ("src/bdshift/profinite.py",
+     "                clean[p], value = INF, 0",
+     "                clean[p], value = INF, value",
+     "an infinite exponent leaves N a finite value"),
+    ("src/bdshift/gns.py",
+     "for k, (re, im) in out.items() if re or im},",
+     "for k, (re, im) in out.items()},",
+     "pi_apply keeps the entries that cancel to zero"),
+    ("src/bdshift/profinite.py",
+     "        if corr:\n            corr = {k: v for k, v in corr.items()",
+     "        if not corr:\n            corr = {k: v for k, v in corr.items()",
+     "_make filters only an empty correction"),
 ]
 
 
