@@ -183,14 +183,14 @@ def _pair_rows(factors, unilateral, commute):
             (cr, ci), (ore, oim, oc, s) = (au, (bre, bim, bc, sb)) if au \
                 else (bu, (are, aim, ac, sa))
             for k in {i - s for i in oc}.union(range(z)):
-                if k >= 0 or not unilateral:
+                if k >= 0:
                     x, y = (-ore[(k + s) % J], -oim[(k + s) % J]) \
-                        if 0 <= k < z else oc[k + s]
+                        if k < z else oc[k + s]
                     w, c = k + cls.offset, corr.get(k, (0, 0))
                     corr[k] = (c[0] + w * (cr * x - ci * y),
                                c[1] + w * (cr * y + ci * x))
         for k in {i - sa for i in ac} | {i - sb for i in bc}:
-            if k < 0 and unilateral:
+            if k < 0:
                 continue
             i, j = k + sa, k + sb
             ca, cb = ac.get(i, (0, 0)), bc.get(j, (0, 0))
@@ -212,22 +212,21 @@ def _kronecker_slots(factors, unilateral, commute):
     """The size rule: the slot bytes of a product's Kronecker path, or 0
     for the pair loop.  Its #x*#y term pairs reach KRONECKER_PAIRS*(#x +
     #y + J); its degree span (the output's slots) is at most
-    KRONECKER_SPREAD*(#x + #y); its slots fit a 64-bit word.  On Z, no
-    corrections; on A(N), no commutator, and at most KRONECKER_CORNER*
-    #x*#y products for the corner (_unilateral_rows): y's zero fill
-    sum(-n, n < 0) and the corrections of both factors.  Below, packing
-    costs more than the pairs; sparse degrees pack mostly empty slots,
-    wider slots half empty operands, and a deep zero fill more than the
-    pairs it saves."""
+    KRONECKER_SPREAD*(#x + #y); its slots fit a 64-bit word.  On A(N)
+    (rows on Z have no corrections), no commutator, and at most
+    KRONECKER_CORNER*#x*#y products for the corner (_unilateral_rows):
+    y's zero fill sum(-n, n < 0) and the corrections of both factors.
+    Below, packing costs more than the pairs; sparse degrees pack mostly
+    empty slots, wider slots half empty operands, and a deep zero fill
+    more than the pairs it saves."""
     J, xrows, yrows = factors[3:]
     nx, ny = len(xrows), len(yrows)
     if nx * ny < KRONECKER_PAIRS * (nx + ny + J) or unilateral and commute:
         return 0
     span = max(xrows) + max(yrows) - min(xrows) - min(yrows) + 1
-    corr = [len(r[2]) for t in (xrows, yrows) for r in t.values()]
-    if span > KRONECKER_SPREAD * (nx + ny) or (
-            sum(corr) - sum(n for n in yrows if n < 0)
-            > KRONECKER_CORNER * nx * ny if unilateral else any(corr)):
+    if span > KRONECKER_SPREAD * (nx + ny) or unilateral and (
+            sum(len(r[2]) for t in (xrows, yrows) for r in t.values())
+            - sum(n for n in yrows if n < 0) > KRONECKER_CORNER * nx * ny):
         return 0
     nb = _slot_bytes(factors, commute)
     return nb if nb <= 8 else 0

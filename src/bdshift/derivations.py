@@ -20,11 +20,9 @@ from .errors import (
     RegimeMismatch,
     UnboundedCoefficient,
 )
-from .profinite import _int_key, _one_N
+from .profinite import LocallyConstantFunction, _int_key, _one_N
 from .sequences import (
     AffineSequence,
-    BilateralAffineSequence,
-    BilateralEPSequence,
     EPSequence,
     _mean_and_sums,
     ep_constant,
@@ -326,15 +324,15 @@ def inner_part_H(images, N_int):
 
 class BilateralCovariantData(_CovariantData):
     """A covariant component on the quotient: degree n, coefficient eta
-    with eta(l) = C l + periodic."""
+    with eta(l) = C l + periodic, on Z: never over an EPSequence."""
 
     __slots__ = ()
     _field = "eta"
     eta = property(attrgetter("_coef"))
 
     def __init__(self, n, eta, N):
-        if eta.ep.corr:
-            raise ValueError("quotient coefficients have no corrections")
+        if eta.ep.unilateral:
+            raise ValueError("eta lives on Z and has no corrections")
         super().__init__(n, eta, N)
 
 
@@ -343,7 +341,7 @@ def bilateral_covariant(n, eta, N):
 
 
 def bilateral_zero_component(n, N):
-    eta = BilateralAffineSequence(ZERO, BilateralEPSequence({}, [ZERO], N))
+    eta = AffineSequence(ZERO, LocallyConstantFunction([ZERO], N))
     return BilateralCovariantData(n, eta, N)
 
 
@@ -358,8 +356,8 @@ def quotient_derivation(d):
     out = {}
     for n, comp in d.components.items():
         ep = comp.beta.ep
-        ep = BilateralEPSequence._make(ep.den, ep.re, ep.im, {}, d.N)
-        eta = BilateralAffineSequence(
+        ep = LocallyConstantFunction._make(ep.den, ep.re, ep.im, {}, d.N)
+        eta = AffineSequence(
             comp.beta.linear, ep_shift(ep, n) if n < 0 else ep
         )
         data = bilateral_covariant(n, eta, d.N)

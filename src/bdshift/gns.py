@@ -242,8 +242,6 @@ def _D_block(data, space):
     complex of its Scalar because int / int is correctly rounded.
     """
     n, linear, ep, psi = data.n, data.eta.linear, data.eta.ep, data.psi
-    if ep.corr:
-        raise ValueError("eta is quotient data and has no corrections")
     c = data.c if space == "tau0" else ZERO
     den = math.lcm(linear._t[2], c._t[2], ep.den, psi.den)
     (la, lb), (c0, c1) = ((a * (den // d), b * (den // d))

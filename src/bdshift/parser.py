@@ -18,7 +18,7 @@ MAX_DIGITS is a syntax error, and so are parentheses nested deeper than
 MAX_NESTING.  A product whose degree span
 (max - min + 1) would exceed MAX_SPAN, or whose largest |degree| would
 exceed profinite.MAX_CORRECTION_KEY, is a math-domain error, raised
-before it is formed; so is a literal power wider than MAX_DIGITS digits
+before it is formed; so are literals wider in all than MAX_DIGITS digits
 to the MAX_EXPONENT, refused by parse from the AST, and a power of any
 other element whose coefficients could grow as wide, refused by eval_ast
 from the base's rows.  diag(name) reads a
@@ -257,29 +257,37 @@ def parse(text):
     return node
 
 
-def _literal_bits(node):
+def _literal_bits(node, spent=None):
     """A bound on the bit lengths in the value of a literal-only subtree,
     None for any other: k(b + 1) for a k-th power, b + c + 1 for a sum or
-    a product.  A wider power than _MAX_LITERAL_BITS is refused."""
+    a product.  spent[0] adds up these bounds over the literal-only
+    subtrees of one expression, which is refused at the first link where
+    that sum, or one power alone, passes _MAX_LITERAL_BITS."""
+    spent = spent or [0]
     links, node = _left_chain(node)
     if node[0] == "num":
         bits = max(x.bit_length() for x in node[1]._t)
+        spent[0] += bits
     else:
         for x in node[1:]:
             if type(x) is tuple:
-                _literal_bits(x)
+                _literal_bits(x, spent)
         bits = None
     for kind, *_, arg in links:
-        if kind == "pow":
-            if bits is not None:
-                bits = arg * (bits + 1)
-                if bits > _MAX_LITERAL_BITS:
-                    raise MathDomainError(
-                        f"a literal power of up to {bits} bits exceeds "
-                        f"{_MAX_LITERAL_BITS}")
-        elif kind != "neg":
-            c = _literal_bits(arg)
+        if kind == "pow" and bits is not None:
+            spent[0] += max(arg * (bits + 1) - bits, 0)
+            bits = arg * (bits + 1)
+            if bits > _MAX_LITERAL_BITS:
+                raise MathDomainError(
+                    f"a literal power of up to {bits} bits exceeds "
+                    f"{_MAX_LITERAL_BITS}")
+        elif kind in ("add", "sub", "mul"):
+            c = _literal_bits(arg, spent)
             bits = None if bits is None or c is None else bits + c + 1
+            spent[0] += bits is not None
+        if spent[0] > _MAX_LITERAL_BITS:
+            raise MathDomainError(f"literals of up to {spent[0]} bits in "
+                                  f"all exceed {_MAX_LITERAL_BITS}")
     return bits
 
 

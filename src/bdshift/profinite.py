@@ -51,7 +51,7 @@ def _factorize(n):
         while n % d == 0:
             factors[d] = factors.get(d, 0) + 1
             n //= d
-        d += 1 if d == 2 else 2
+        d += 1
     if n > 1:
         factors[n] = factors.get(n, 0) + 1
     return factors
@@ -91,7 +91,7 @@ def _is_prime(n):
 class SupernaturalNumber:
     """Formal product of primes with exponents in {1, 2, ...} or infinity."""
 
-    __slots__ = ("factors", "_hash", "_int")
+    __slots__ = ("factors", "_int")
 
     def __init__(self, factors=None):
         # value is N as an integer, 0 once an infinite exponent is seen
@@ -114,9 +114,7 @@ class SupernaturalNumber:
                 clean[p], value = e, value * p ** e
         factors = dict(sorted(clean.items()))
         object.__setattr__(self, "factors", factors)
-        # divides() memoises on N, so the hash is taken once; _int is the
-        # value of a finite N and None for an infinite one
-        object.__setattr__(self, "_hash", hash(tuple(factors.items())))
+        # _int is the value of a finite N and None for an infinite one
         object.__setattr__(self, "_int", value or None)
 
     def __setattr__(self, name, value):
@@ -140,7 +138,7 @@ class SupernaturalNumber:
         return self.factors == other.factors
 
     def __hash__(self):
-        return self._hash
+        return hash(tuple(self.factors.items()))
 
     def __repr__(self):
         if not self.factors:
@@ -171,11 +169,8 @@ def divides(j, N):
     if j < 1:
         raise ValueError(f"expected a positive integer, got {j}")
     # a finite N divides as an integer, an infinite one by its primes
-    return N._int % j == 0 if N._int else _divides(j, N)
-
-
-@functools.lru_cache(maxsize=4096)
-def _divides(j, N):
+    if N._int:
+        return N._int % j == 0
     # strip each prime of N from j as often as N allows; j divides N iff
     # nothing is left, so j is never factorized
     for p, e in N.factors.items():
@@ -249,7 +244,7 @@ class _PeriodicSequence:
             raise PeriodNotDivisor(f"period {len(table)} does not divide N")
         re, im, ds = zip(*table)
         if corr:
-            if cls.unilateral and min(corr) < 0:
+            if min(corr) < 0:
                 raise ValueError(
                     f"correction key must be >= 0, got {min(corr)}")
             den = math.lcm(*ds, *(d for _, _, d in corr.values()))
@@ -471,8 +466,7 @@ def ep_shift(a, n):
     """
     r, j = n % a.period, a.period
     re, im = a.re[r:] + a.re[:r], a.im[r:] + a.im[:r]
-    corr = {k - n: v for k, v in a.corr.items()
-            if k >= n or not a.unilateral}
+    corr = {k - n: v for k, v in a.corr.items() if k >= n}
     for k in range(-n if a.unilateral else 0):
         if re[k % j] or im[k % j]:
             corr[k] = (-re[k % j], -im[k % j])

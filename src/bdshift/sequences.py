@@ -7,23 +7,24 @@ sequence is
 a finitely supported correction plus a table whose period j divides N,
 held as integer rows over one denominator in the canonical form of
 profinite; partial sums and sup norms run on the rows.
-The classes differ only in their domain:
+The two classes differ only in their domain:
 
     EPSequence               k >= 0   shifts fill with zeros   weight k+1
-    BilateralEPSequence      all of Z shifts translate         weight l
-    LocallyConstantFunction  all of Z, no correction (profinite)
+    LocallyConstantFunction  all of Z shifts translate         weight l
 
 Coefficients of A(N) are EPSequences; those of the quotient B(N) are
-LocallyConstantFunctions.  The ep_* operations serve every domain and
-return the class of their first argument.  An affine sequence adds a
-linear coefficient times the weight: beta(k) = C*(k+1) + ep(k) on k >= 0,
-eta(l) = C*l + ep(l) on Z.
+LocallyConstantFunctions, which carry no correction: the quotient by the
+compacts removes every c00 part.  The ep_* operations serve both domains
+and return the class of their first argument.  An affine sequence adds a
+linear coefficient times the weight of its sequence's domain:
+beta(k) = C*(k+1) + ep(k) on k >= 0, eta(l) = C*l + ep(l) on Z.
 """
 
 from fractions import Fraction
 from itertools import accumulate, chain
 
 from .profinite import (
+    LocallyConstantFunction,
     _PeriodicSequence,
     ep_add,
     ep_conjugate,
@@ -42,14 +43,12 @@ class EPSequence(_PeriodicSequence):
     offset = 1
 
 
-class BilateralEPSequence(_PeriodicSequence):
-    """Eventually periodic sequence on all of Z; correction keys may be
-    negative.  Diagonal coefficients of the quotient algebra are
-    correction-free."""
-
-    __slots__ = ()
-    unilateral = False
-    offset = 0
+def BilateralEPSequence(correction, table, N):
+    """The sequence on Z with the call of EPSequence: a locally constant
+    function, so the correction must be empty."""
+    if correction:
+        raise ValueError("a sequence on Z has no corrections")
+    return LocallyConstantFunction(table, N)
 
 
 def ep_constant(c, N):
@@ -75,8 +74,9 @@ def ep_supnorm_sq(a):
 # affine sequences
 
 
-class _AffineSequence:
-    """linear*(k + offset) + ep(k), the offset of the domain class _seq."""
+class AffineSequence:
+    """linear*(k + offset) + ep(k), offset that of ep's domain: beta(k) =
+    linear*(k+1) + ep(k) on k >= 0, eta(l) = linear*l + ep(l) on Z."""
 
     __slots__ = ("linear", "ep")
 
@@ -91,7 +91,7 @@ class _AffineSequence:
         v = self.ep.value_at(k)
         if not self.linear:
             return v
-        return self.linear * Scalar(k + self._seq.offset) + v
+        return self.linear * Scalar(k + self.ep.offset) + v
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -102,31 +102,19 @@ class _AffineSequence:
         return hash((self.linear, self.ep))
 
     def __repr__(self):
-        return (
-            f"{type(self).__name__}(linear={self.linear}, ep={self.ep!r})"
-        )
+        return f"{type(self).__name__}(linear={self.linear}, ep={self.ep!r})"
 
     def to_json(self):
         return {"linear": self.linear.to_json(), "ep": self.ep.to_json()}
 
     @classmethod
     def from_json(cls, data, N):
+        """The coefficient of a workspace derivation, on k >= 0."""
         linear = Scalar.from_json(data.get("linear", [0, 1, 0, 1]))
-        return cls(linear, cls._seq.from_json(data["ep"], N))
+        return cls(linear, EPSequence.from_json(data["ep"], N))
 
 
-class AffineSequence(_AffineSequence):
-    """beta(k) = linear*(k+1) + ep(k) on k >= 0."""
-
-    __slots__ = ()
-    _seq = EPSequence
-
-
-class BilateralAffineSequence(_AffineSequence):
-    """eta(l) = linear*l + ep(l) on all of Z."""
-
-    __slots__ = ()
-    _seq = BilateralEPSequence
+BilateralAffineSequence = AffineSequence
 
 
 def _mean_and_sums(a):
@@ -163,4 +151,5 @@ def increment(beta):
     """alpha(k) = beta(k) - beta(k-1), with beta(-1) = 0 on k >= 0."""
     ep = beta.ep
     diff = ep - ep_shift(ep, -1)
-    return ep_add(type(ep)({}, [beta.linear], ep.N), diff)
+    a, b, d = beta.linear._t
+    return ep_add(type(ep)._make(d, [a], [b], {}, ep.N), diff)

@@ -15,7 +15,12 @@ from bdshift.profinite import (
     SupernaturalNumber,
     ep_shift,
 )
-from bdshift.sequences import BilateralAffineSequence, BilateralEPSequence
+from bdshift.sequences import (
+    AffineSequence,
+    BilateralAffineSequence,
+    BilateralEPSequence,
+    EPSequence,
+)
 from bdshift.algebra import (
     BilateralElement,
     bilateral_adjoint,
@@ -30,7 +35,6 @@ from bdshift import gns
 from bdshift.gns import (
     GNSVector,
     GNSVector0,
-    ImplementationData,
     build_D,
     build_D_haar,
     build_D_haar_exact,
@@ -492,11 +496,15 @@ def test_implementation_data_guards():
             implementation_from_bilateral(comp, c=ONE)
         assert implementation_from_bilateral(comp, c=ZERO).c == ZERO
     assert implementation_from_bilateral(linear0, c=ONE).c == ONE
-    # eta is quotient data: a correction, formed by hand, is refused
-    for data in correction_data():
-        for build in (build_D_tau0_exact, build_D_haar_exact, build_D_tau0):
-            with pytest.raises(ValueError, match="no corrections"):
-                build(data, 2)
+    # eta is quotient data: a correction is refused before any
+    # implementation data can carry it to a build
+    for n, N, eta in correction_components():
+        with pytest.raises(ValueError, match="no corrections"):
+            bilateral_covariant(n, eta, N)
+    # and so is one over k >= 0 without a correction: its weight is k + 1
+    with pytest.raises(ValueError, match="lives on Z"):
+        bilateral_covariant(
+            1, AffineSequence(ZERO, EPSequence({}, [ONE, ZERO], N2)), N2)
 
 
 def test_haar_implementation_exact_at_proper_divisor_levels():
@@ -893,29 +901,20 @@ def test_cached_start_vector_and_buffers_share_no_state(monkeypatch):
 # integer-row builds and the scattered implementation check
 
 
-def correction_data():
-    """Implementation data whose eta carries a correction, negative keys
-    included, in each regime; the quotient never builds such an eta, so
-    ImplementationData is formed directly, and the builds refuse it."""
+def correction_components():
+    """(n, N, eta) with an eta over an EPSequence that carries a
+    correction, in each regime; the quotient never builds such an eta,
+    and a quotient component refuses it."""
     rng = random.Random(20240221)
 
     def eta(linear, N, per):
-        corr = {-3: rand_scalar(rng), 0: Scalar(Fraction(5, 7)),
-                4: rand_scalar(rng) or ONE}
-        return BilateralAffineSequence(linear, BilateralEPSequence(
+        corr = {0: Scalar(Fraction(5, 7)), 4: rand_scalar(rng) or ONE}
+        return AffineSequence(linear, EPSequence(
             corr, [rand_scalar(rng) for _ in range(per)], N))
 
-    return [
-        ImplementationData(1, N2, eta(ZERO, N2, 2), rand_lcf(rng, N2, 2),
-                           ZERO, 2),
-        ImplementationData(-2, NINF, eta(ZERO, NINF, 2),
-                           rand_lcf(rng, NINF, 2), ZERO, 4),
-        ImplementationData(2, N2, eta(Scalar(Fraction(2, 3), 1), N2, 2),
-                           rand_lcf(rng, N2, 2), ZERO, 2),
-        ImplementationData(0, NINF, eta(Scalar(Fraction(1, 2)), NINF, 4),
-                           rand_lcf(rng, NINF, 4), Scalar(Fraction(-1, 3), 2),
-                           4),
-    ]
+    return [(1, N2, eta(ZERO, N2, 2)), (-2, NINF, eta(ZERO, NINF, 2)),
+            (2, N2, eta(Scalar(Fraction(2, 3), 1), N2, 2)),
+            (0, NINF, eta(Scalar(Fraction(1, 2)), NINF, 4))]
 
 
 def build_cases():

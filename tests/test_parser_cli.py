@@ -1560,6 +1560,18 @@ def test_literal_power_past_one_literal_power_is_refused(capsys):
     assert code == 3 and out == ""
     assert err.startswith("domain error: a literal power of up to ")
     assert "Traceback" not in err and err.count("\n") == 1
+    # a sum or a product of literal powers, each within the bound, is
+    # refused from the AST as well, and so are two that a non-literal
+    # keeps apart: the bound holds for all the literals of one expression
+    X = "9" * 4000 + "^1024"
+    for text in (f"{X}*{X}", f"{X}+{X}", f"{X} + U + {X}", f"{X} - {X}"):
+        start = time.perf_counter()
+        code = cli.main(["normalize", text])
+        out, err = capsys.readouterr()
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err.startswith("domain error: literals of up to ")
+        assert "Traceback" not in err and err.count("\n") == 1
     for text in ("2^1024^1024^1024", "(2*3 - 1)^1024^1024^1024",
                  "U + (3/4i)^1024^1024^1024", "(-2)^1024^1024^1024^0"):
         with pytest.raises(MathDomainError):

@@ -27,7 +27,6 @@ from bdshift.algebra import (
 from bdshift.profinite import LocallyConstantFunction, SupernaturalNumber
 from bdshift.scalars import Scalar
 from bdshift.sequences import (
-    BilateralEPSequence,
     EPSequence,
     ep_add,
     ep_conjugate,
@@ -48,7 +47,7 @@ scalars = st.builds(
 )
 nonzero = scalars.filter(bool)
 periods = st.sampled_from([1, 2, 3, 4, 6, 12])
-CLASSES = (EPSequence, BilateralEPSequence, LocallyConstantFunction)
+CLASSES = (EPSequence, LocallyConstantFunction)
 
 
 @st.composite
@@ -57,8 +56,7 @@ def sequences(draw, cls):
     table = draw(st.lists(scalars, min_size=period, max_size=period))
     if cls is LocallyConstantFunction:
         return cls(table, N)
-    lo = 0 if cls is EPSequence else -4
-    corr = draw(st.dictionaries(st.integers(lo, 6), scalars, max_size=3))
+    corr = draw(st.dictionaries(st.integers(0, 6), scalars, max_size=3))
     return cls(corr, table, N)
 
 

@@ -1,7 +1,8 @@
 """Algebraic laws of the periodic sequence core, on both domains.
 
 A unilateral sequence lives on k >= 0 and shifts with zero fill; a
-bilateral one lives on Z and shifts by translation.  Every operation must
+bilateral one, a locally constant function, lives on Z, carries no
+correction and shifts by translation.  Every operation must
 agree pointwise with value_at on a window of each domain.
 """
 
@@ -11,10 +12,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from bdshift.algebra import UnilateralElement, _terms_mul
-from bdshift.profinite import SupernaturalNumber
+from bdshift.profinite import LocallyConstantFunction, SupernaturalNumber
 from bdshift.scalars import Scalar, ZERO
 from bdshift.sequences import (
-    BilateralEPSequence,
     EPSequence,
     ep_add,
     ep_conjugate,
@@ -26,10 +26,11 @@ from bdshift.sequences import (
 
 N = SupernaturalNumber.from_int(12)
 
-# class, lowest correction key drawn, window of positions checked
+# class, lowest correction key drawn (None: no correction), window of
+# positions checked
 DOMAINS = {
     "unilateral": (EPSequence, 0, range(0, 30)),
-    "bilateral": (BilateralEPSequence, -8, range(-20, 21)),
+    "bilateral": (LocallyConstantFunction, None, range(-20, 21)),
 }
 
 LAWS = settings(
@@ -45,6 +46,8 @@ def sequences(draw, domain):
     cls, lo, _ = DOMAINS[domain]
     period = draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
     table = draw(st.lists(scalars, min_size=period, max_size=period))
+    if lo is None:
+        return cls(table, N)
     corr = draw(st.dictionaries(st.integers(lo, 8), scalars, max_size=4))
     return cls(corr, table, N)
 
@@ -133,19 +136,21 @@ def test_quasi_affine_weight(domain, data):
             * _entry(domain, m, values, i - n, j)
         assert _entry(domain, m + n, bracket[m + n].value_at, i, j) == want
 
-    # [C*W, V^n b] at an odd m with b of period 2: the weight-1 products
-    # C(b(k+m) - b(k)) keep a periodic part
+    # [C*W, V^n p] at an odd m with p the parity, of period 2: the
+    # weight-1 products C(p(k+m) - p(k)) keep a periodic part
     odd = data.draw(st.sampled_from([-5, -3, -1, 1, 3, 5]))
+    parity = EPSequence({}, [1, 0], N) if unilateral \
+        else LocallyConstantFunction([1, 0], N)
     with pytest.raises(AssertionError, match="affine weight failed"):
-        _terms_mul({odd: (C or Scalar(1), v)}, {n: type(v)({}, [1, 0], N)},
-                   unilateral, commute=True)
+        _terms_mul({odd: (C or Scalar(1), v)}, {n: parity}, unilateral,
+                   commute=True)
 
 
 @LAWS
 @given(data=st.data())
 def test_domains_never_mix(data):
     a = data.draw(sequences("unilateral"))
-    b = BilateralEPSequence(a.correction, a.table, N)
+    b = LocallyConstantFunction(a.table, N)
     assert a != b and b != a
     with pytest.raises(TypeError):
         UnilateralElement({0: b}, N)

@@ -120,12 +120,26 @@ def test_ep_json_round_trip():
 
 
 def rand_bep(rng, N, per):
-    corr = {
-        rng.randint(-6, 6): Scalar(rng.randint(-4, 4))
-        for _ in range(rng.randint(0, 3))
-    }
     table = [Scalar(rng.randint(-4, 4)) for _ in range(per)]
-    return BilateralEPSequence(corr, table, N)
+    return BilateralEPSequence({}, table, N)
+
+
+def test_bilateral_factory_and_affine_weight():
+    # the sequence on Z with EPSequence's call is the locally constant
+    # function itself; a correction on Z is refused, not dropped
+    table = [Scalar(1), Scalar(-2, 1), Scalar(Fraction(1, 3))]
+    f = BilateralEPSequence({}, table, N6)
+    assert type(f) is LocallyConstantFunction
+    assert f == LocallyConstantFunction(table, N6)
+    for corr in ({0: ONE}, {-2: Scalar(3)}):
+        with pytest.raises(ValueError, match="no corrections"):
+            BilateralEPSequence(corr, table, N6)
+    # one affine class, weighted by its sequence's domain: l on Z
+    assert BilateralAffineSequence is AffineSequence
+    C = Scalar(Fraction(-3, 2), 1)
+    eta = AffineSequence(C, f)
+    for l in range(-7, 8):
+        assert eta.value_at(l) == C * Scalar(l) + f.value_at(l)
 
 
 def test_bilateral_values_and_ops():

@@ -155,8 +155,7 @@ MUTANTS = [
      '.replace("\\r\\n", "\\n")',
      "load_workspace leaves a lone carriage return untranslated"),
     ("src/bdshift/profinite.py",
-     "    return N._int % j == 0 if N._int else _divides(j, N)",
-     "    return j % N._int == 0 if N._int else _divides(j, N)",
+     "        return N._int % j == 0", "        return j % N._int == 0",
      "divides at a finite N tests j against N the wrong way round"),
     ("src/bdshift/profinite.py",
      "                clean[p], value = INF, 0",
@@ -170,6 +169,18 @@ MUTANTS = [
      "        if corr:\n            corr = {k: v for k, v in corr.items()",
      "        if not corr:\n            corr = {k: v for k, v in corr.items()",
      "_make filters only an empty correction"),
+    ("src/bdshift/sequences.py",
+     "    if correction:\n        raise ValueError(",
+     "    if False:\n        raise ValueError(",
+     "the BilateralEPSequence factory drops a correction silently"),
+    ("src/bdshift/algebra.py",
+     "            if k < 0:\n                continue",
+     "            if False:\n                continue",
+     "_pair_rows keeps a correction key k < 0 on A(N)"),
+    ("src/bdshift/parser.py",
+     "        if spent[0] > _MAX_LITERAL_BITS:",
+     "        if False:",
+     "the literal bound is checked only at powers, each on its own"),
 ]
 
 

@@ -51,8 +51,9 @@ SEED, ROUNDS = 7, 3
 # list is kept without an entry.
 _ACCESSOR = "an accessor the tests read through; in the tests it would " \
     "be no shorter"
-_GRAMMAR = "the expression grammar: numbers, i, unary minus, comm() and " \
-    "adj(), which no benchmark request writes, and parse_gaussian (--c)"
+_GRAMMAR = "the expression grammar: numbers, i, unary minus, " \
+    "subtraction, names with '_', comm() and adj(), which no benchmark " \
+    "request writes, and parse_gaussian (--c)"
 _WRITER = "the JSON writer's spellings that no report of the benchmark's " \
     "requests holds: NaN, +-Infinity, null, true, false and []"
 ALLOWED = {
@@ -62,7 +63,7 @@ ALLOWED = {
     ("algebra.MatrixTrigPoly.is_zero", ""): _ACCESSOR,
     ("gns.GNSVector.coefficient", ""): _ACCESSOR,
     ("scalars.Scalar.im", ""): _ACCESSOR,
-    ("sequences._AffineSequence.value_at", ""): _ACCESSOR,
+    ("sequences.AffineSequence.value_at", ""): _ACCESSOR,
     ("algebra.LaurentFunction.conjugate", ""):
         "the entries of MatrixTrigPoly.conjugate_transpose",
     ("serialize.Workspace.to_json", ""):
@@ -72,7 +73,7 @@ ALLOWED = {
         "the arithmetic dunders' answer to a foreign operand",
     ("algebra._kronecker_slots", "return 0"):
         "the size rule refusing a sparse product",
-    ("algebra._kronecker_slots", "sum(corr) - sum("):
+    ("algebra._kronecker_slots", "> KRONECKER_CORNER"):
         "the size rule refusing a deep zero fill",
     ("algebra._kronecker_slots", "else 0"):
         "the size rule refusing slots wider than 8 bytes",
@@ -81,6 +82,32 @@ ALLOWED = {
         "corrections, which every dense benchmark product has",
     ("cli.main", "sys.argv[1:]"):
         "the console entry point, which the traces run only as a subprocess",
+    ("cli.main", "if argv else None"): "an empty argv: help from the top",
+    ("cli.main", "else top.parse_args"):
+        "an argv without a known command: help or a usage error",
+    ("cli.cmd_qnorm", "if shift >= 0 else 0"):
+        "a round count below 1, which quotient_norm_report then refuses",
+    ("algebra._pair_rows", "else oc[k + s]"):
+        "a linear part meeting a correction of the other factor past the "
+        "cutoffs: apply of an unbounded derivation to such an element, "
+        "which no benchmark job forms",
+    ("gns.implementation_from_bilateral", "else as_scalar(c)"):
+        "a free constant given, as gns-d and covcheck take it from --c",
+    ("gns._D_block", "elif a or b:"):
+        "an off cell with a zero real part, where the test reads the "
+        "imaginary part",
+    ("numerics.oracle_product_check", 'else "mismatch"'):
+        "the verdict of a product check that fails",
+    ("numerics.quotient_norm_report", "else J"):
+        "qnorm at an infinite N, which no benchmark request asks",
+    ("scalars._triple", "if rd == id_ else"):
+        "a wire scalar with two denominators, which only a hand-written "
+        "workspace holds: the writer spells one",
+    ("scalars._triple", "if d > 0 else"):
+        "a wire scalar with a negative denominator, which only a "
+        "hand-written workspace holds",
+    ("serialize.load_workspace", '.replace("\\r", "\\n")'):
+        "a workspace with carriage returns, which the writer never makes",
     **{("cli._json", fragment): _WRITER for fragment in (
         'else "[]"', '"null" if v is None', '"NaN" if v != v',
         '"-Infinity" if v')},
@@ -103,6 +130,9 @@ ALLOWED = {
     **{(f"parser.{name}", ""): _GRAMMAR for name in (
         "_Parser.parse_atom", "_Parser._number", "_Parser._named",
         "_literal_bits", "eval_ast", "parse_gaussian")},
+    ("parser._Parser.parse_expr", 'else "sub"'): _GRAMMAR,
+    **{("parser._lex", fragment): _GRAMMAR for fragment in (
+        'ch == "_"', 'text[j] == "_"')},
 }
 
 
