@@ -19,12 +19,12 @@ rule (sa, sb, z) is (n, 0, 0) on Z, _rule on A(N).  The coefficients'
 integer rows are rescaled to one shared denominator and repeated to the
 lcm J of all periods, one row per degree; each pair adds its periodic
 row and its corrections (exact minus periodic value) to one raw row per
-output degree.  A derivation's [g, x] is one signed call, g*x + x*(-g)
-in the same integer slots; the constant linear part of g rides beside
-its row, and only the corrections and cutoffs of its weight-1 products,
-which cancel, are formed.  Commutator [x, y] is the same signed call.
-The defect T(b1 b2) - T(b1)T(b2) reads only the pairs that meet below
-0.  On Z each position is a convolution in the degree, which a large
+output degree.  A commutator, [x, y] or a derivation's [g, x], visits
+each pair once for both signed products, one product where covariance
+makes a rotation trivial; g's linear part rides beside its row, and its
+weight-1 products, which cancel, form only their corrections.  The
+defect T(b1 b2) - T(b1)T(b2) reads only the pairs that meet below 0.
+On Z each position is a convolution in the degree, which a large
 bilateral product does as a few big-integer products instead (Kronecker
 substitution, same raw rows).  A large product in A(N), indexed by
 column with zeros below 0, is the product of its quotients q(x)q(y)
@@ -77,8 +77,7 @@ def _rule(m, n):
 
 
 def _at_shift(row, s):
-    """The row of q(. + s) before rotation: the weight obeys
-    W(k+s) = W(k) + s, so a row with a linear part u gains s*u."""
+    """The row of q(. + s) before rotation: W(k+s) = W(k) + s gains s*u."""
     re, im, corr, u = row
     return [s * u[0] + a for a in re], [s * u[1] + b for b in im], corr, u
 
@@ -86,7 +85,7 @@ def _at_shift(row, s):
 def _terms_mul(xt, yt, unilateral, commute=False):
     """Product of two term dicts (degree -> coefficient), accumulated by
     degree; unilateral selects the domain k >= 0 of A(N) over Z; commute
-    gives [x, y] = x*y + y*(-x), a second pass over x's rows negated once.
+    gives [x, y] = x*y - y*x, both signed products of a term pair at once.
     A coefficient is a sequence or, in a commutator's x, a pair (C, v)
     of a Scalar and a sequence standing for C*W + v, W the affine weight
     (k+1 on k >= 0, l on Z), at a degree in J*Z (_factors); its weight-1
@@ -140,65 +139,84 @@ def _factors(xt, yt):
             {n: (*s._rows(D, J), ()) for n, s in yt.items()})
 
 
+def _turn(q, r):
+    """The (re, im) of the row of q rotated by r = s % J: q(k + s) at k."""
+    return (q[0][r:] + q[0][:r], q[1][r:] + q[1][:r]) if r else q[:2]
+
+
 def _pair_rows(factors, unilateral, commute):
-    """One raw row {degree: (re, im, corrections)} per output degree:
-    each pair adds its periodic row a(r+sa) b(r+sb) to (re, im), and that
-    row negated at its cutoffs k < z and its corrections (exact minus
-    periodic value at the moved keys) to the corrections.  No cutoff
-    meets a key: z > 0 only where sa = sb = -z moves each key to k >= z.
-    A row with a linear part u gains s*u at its shift s (_at_shift); its
-    weight-1 product forms no periodic row, which the other pass cancels:
-    its corrections and cutoffs go in, entry by entry, as (k + offset)*c."""
+    """One raw row {degree: (re, im, corrections)} per output degree, one
+    visit per term pair: V^m a . V^n b adds a(r+sa) b(r+sb), and in a
+    commutator -(V^n b . V^m a) of rule (tb, ta, tz) too, in one product
+    where a factor's rotations agree: (a(.+sa) - a(.+ta) + (sa - ta)u) b
+    at J | m, u a's linear part, a (b(.+sb) - b(.+tb)) at J | n.  Each
+    product adds, signed, its periodic row negated at its cutoffs k < z
+    (sa = sb = -z moves all keys past them) and its corrections: ca b at
+    a's moved keys, b exact, a_per cb at b's; weight-1 products only as
+    (k + offset)*c at both.  Each m + n is a key, in the pairs' order."""
     cls, J, xrows, yrows = factors[0], *factors[3:]
-    passes = [(xrows, yrows)]
-    if commute:
-        passes.append((yrows, {n: (
-            [-a for a in re], [-a for a in im],
-            {k: (-a, -b) for k, (a, b) in corr.items()},
-            u and (-u[0], -u[1])) for n, (re, im, corr, u) in xrows.items()}))
     acc = {}
-    for m, arow, n, brow in [(m, a, n, b) for xs, ys in passes
-                             for m, a in xs.items() for n, b in ys.items()]:
+    for (m, arow), (n, brow) in product(xrows.items(), yrows.items()):
         sa, sb, z = _rule(m, n) if unilateral else (n, 0, 0)
-        are, aim, ac, au = _at_shift(arow, sa) if sa and arow[3] else arow
-        bre, bim, bc, bu = _at_shift(brow, sb) if sb and brow[3] else brow
+        (are, aim, ac, u), (bre, bim, bc, _) = arow, brow
         ra, rb = sa % J, sb % J
         ar, ai = (are[ra:] + are[:ra], aim[ra:] + aim[:ra]) if ra \
             else (are, aim)
         br, bi = (bre[rb:] + bre[:rb], bim[rb:] + bim[:rb]) if rb \
             else (bre, bim)
+        if commute:
+            tb, ta, tz = _rule(n, m) if unilateral else (m, 0, 0)
+            if m % J == 0:
+                (cr, ci), (g, h) = _turn(arow, ta % J), u or (0, 0)
+                ar = [x - y + (sa - ta) * g for x, y in zip(ar, cr)]
+                ai = [x - y + (sa - ta) * h for x, y in zip(ai, ci)]
+            elif n % J == 0:
+                cr, ci = _turn(brow, tb % J)
+                br, bi = [*map(sub, br, cr)], [*map(sub, bi, ci)]
         pr = [x * y - u * v for x, u, y, v in zip(ar, ai, br, bi)]
         pi = [x * v + u * y for x, u, y, v in zip(ar, ai, br, bi)]
+        if commute and m % J and n % J:  # neither: both products
+            c, d = _turn(brow, tb % J), _turn(arow, ta % J)
+            pr = [t - x * y + u * v for t, x, u, y, v in zip(pr, *c, *d)]
+            pi = [t - x * v - u * y for t, x, u, y, v in zip(pi, *c, *d)]
         re, im, corr = acc.setdefault(m + n, (pr, pi, {}))
         if re is not pr:
             re[:], im[:] = map(add, re, pr), map(add, im, pi)
-        if not (z or ac or bc):  # no cutoff or correction, as on B(N)
+        if not (z or ac or bc or commute and tz):  # as on B(N)
             continue
-        for k in range(z):
-            c = corr.get(k, (0, 0))
-            corr[k] = (c[0] - pr[k % J], c[1] - pi[k % J])
-        if au or bu:
-            # the constant u meets the row o at the moved keys of o's
-            # corrections, and as -u o_per below z
-            (cr, ci), (ore, oim, oc, s) = (au, (bre, bim, bc, sb)) if au \
-                else (bu, (are, aim, ac, sa))
-            for k in {i - s for i in oc}.union(range(z)):
+        for sign, sa, sb, z, arow, brow in [(1, sa, sb, z, arow, brow)] + (
+                [(-1, tb, ta, tz, brow, arow)] if commute else []):
+            are, aim, ac, au = _at_shift(arow, sa) if sa and arow[3] else arow
+            bre, bim, bc, bu = _at_shift(brow, sb) if sb and brow[3] else brow
+            for k in range(z):
+                i, c = (k + sa) % J, corr.get(k, (0, 0))
+                corr[k] = (c[0] - sign * (are[i] * bre[i] - aim[i] * bim[i]),
+                           c[1] - sign * (are[i] * bim[i] + aim[i] * bre[i]))
+            if au or bu:
+                # the constant u meets the row o at the moved keys of o's
+                # corrections, and as -u o_per below z
+                (cr, ci), (ore, oim, oc, s) = (au, (bre, bim, bc, sb)) if au \
+                    else (bu, (are, aim, ac, sa))
+                for k in {i - s for i in oc}.union(range(z)):
+                    if k >= 0:
+                        x, y = (-ore[(k + s) % J], -oim[(k + s) % J]) \
+                            if k < z else oc[k + s]
+                        w, c = sign * (k + cls.offset), corr.get(k, (0, 0))
+                        corr[k] = (c[0] + w * (cr * x - ci * y),
+                                   c[1] + w * (cr * y + ci * x))
+            for i, (p, q) in ac.items():
+                k, j = i - sa, i - sa + sb
                 if k >= 0:
-                    x, y = (-ore[(k + s) % J], -oim[(k + s) % J]) \
-                        if k < z else oc[k + s]
-                    w, c = k + cls.offset, corr.get(k, (0, 0))
-                    corr[k] = (c[0] + w * (cr * x - ci * y),
-                               c[1] + w * (cr * y + ci * x))
-        for k in {i - sa for i in ac} | {i - sb for i in bc}:
-            if k < 0:
-                continue
-            i, j = k + sa, k + sb
-            ca, cb = ac.get(i, (0, 0)), bc.get(j, (0, 0))
-            x, u = are[i % J] + ca[0], aim[i % J] + ca[1]
-            y, v = bre[j % J] + cb[0], bim[j % J] + cb[1]
-            c = corr.get(k, (0, 0))
-            corr[k] = (c[0] + x * y - u * v - pr[k % J],
-                       c[1] + x * v + u * y - pi[k % J])
+                    (e, f), c = bc.get(j, (0, 0)), corr.get(k, (0, 0))
+                    y, v = bre[j % J] + e, bim[j % J] + f
+                    corr[k] = (c[0] + sign * (p * y - q * v),
+                               c[1] + sign * (p * v + q * y))
+            for j, (e, f) in bc.items():
+                k, i = j - sb, (j - sb + sa) % J
+                if k >= 0:
+                    x, u, c = are[i], aim[i], corr.get(k, (0, 0))
+                    corr[k] = (c[0] + sign * (x * e - u * f),
+                               c[1] + sign * (x * f + u * e))
     return acc
 
 

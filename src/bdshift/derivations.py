@@ -6,8 +6,8 @@ coefficient beta_n: g_n = U^n beta_n(K) for n >= 0 and
 g_n = beta_n(K) (U*)^{-n} for n < 0.  The affine part never lies in the
 algebra itself, so a generator enters the product kernel as a pair
 (C, v), C the Scalar linear part, standing for C*W + v, W the affine
-weight.  Each commutator [g, x] is one signed kernel pass g*x + x*(-g)
-on integer rows, in which the weight-1 products cancel and are not formed.
+weight.  [g, x] is one signed visit per term pair on integer rows, in
+which the weight-1 products cancel and are not formed.
 """
 
 from fractions import Fraction
@@ -181,18 +181,20 @@ def derivation_scale(d, c):
     return _reweighted(d, dict.fromkeys(d.components, coerce_scalar(c)))
 
 
-def _commutator(components, x):
-    """[g, x] on either algebra, g the sum of the components' generators,
-    in one signed kernel pass.  An affine coefficient linear*W + ep enters
-    as the pair (linear, ep), ep in the coefficient class of x, a bounded
-    one as ep alone; the validity conditions put a linear part only at a
-    degree m with J | m, so its products cancel between the two passes
-    but for the corrections and cutoffs, the only ones formed
-    (algebra._pair_rows)."""
-    seq, gen = x._coeff, {}
+def _commutator(components, x, seq, algebra):
+    """[g, x], g the sum of the components' generators, for x and the
+    components' coefficients over seq, the sequence class of the algebra
+    named (a ValueError otherwise).  An affine coefficient linear*W + ep
+    enters as the pair (linear, ep), a bounded one as ep alone; a linear
+    part sits only at a degree m with J | m, so its products cancel but
+    for the corrections and cutoffs, the only ones formed (_pair_rows)."""
+    if getattr(x, "_coeff", None) is not seq or any(
+            type(c._coef.ep) is not seq for c in components.values()):
+        raise ValueError(f"a derivation of {algebra} acts on {algebra} alone")
+    gen = {}
     for n, comp in components.items():
         _one_N(comp, x, "apply a derivation to an element")
-        linear, ep = comp._coef.linear, seq._cast(comp._coef.ep)
+        linear, ep = comp._coef.linear, comp._coef.ep
         gen[n] = (linear, ep) if linear else ep
     return type(x)._trusted(
         _terms_mul(gen, x.terms, seq.unilateral, commute=True), x.N)
@@ -200,7 +202,7 @@ def _commutator(components, x):
 
 def apply(d, a):
     """d(a) on A(N), computed exactly."""
-    return _commutator(d.components, a)
+    return _commutator(d.components, a, EPSequence, "A(N)")
 
 
 def fourier_component(d, n):
@@ -369,5 +371,5 @@ def quotient_derivation(d):
 def bilateral_apply(components, b):
     """Apply quotient components {n: BilateralCovariantData} to an element
     of B(N): [V^n eta(L), V^m g(L)] = V^{n+m} ((S_m eta) g - (S_n g) eta)."""
-    return _commutator(components, b)
+    return _commutator(components, b, LocallyConstantFunction, "B(N)")
 

@@ -9,12 +9,16 @@ Whatever it draws, the CLI must answer with a documented exit code (0-4),
 print no traceback and answer fast; on success it prints JSON that lists
 every integer-keyed object ascending.  The generic exponents are at most
 3, and the cap values sit only on single generators and diagonals, so no
-case forms a wide product or a large window.
+case forms a wide product or a large window.  Two relations of the
+commutator kernel hold on every answer: `comm a b` prints the bytes of
+`normalize '(a)*(b) - (b)*(a)'`, and a derivation's image on B(N) is the
+quotient of its image on A(N).
 """
 
 import contextlib
 import io
 import json
+import re
 import time
 from itertools import accumulate
 from pathlib import Path
@@ -24,8 +28,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from bdshift import cli
-from bdshift.parser import MAX_EXPONENT, MAX_NESTING, MAX_SPAN
+from bdshift import algebra, cli, derivations
+from bdshift.parser import MAX_EXPONENT, MAX_NESTING, MAX_SPAN, eval_ast, parse
+from bdshift.serialize import load_workspace
 
 WORKSPACES = Path(__file__).resolve().parents[1] / "bench" / "workspaces"
 HALF = (MAX_SPAN - 1) // 2
@@ -190,15 +195,52 @@ CHAINS = [["normalize", "+".join(["1"] * 1000)],
 @example(request=CHAINS[0], workspace="ws_n2")
 @example(request=CHAINS[1], workspace="ws_n2")
 def test_generated_requests_answer_with_an_exit_code(request, workspace):
-    argv = [request[0], "--workspace", str(WORKSPACES / f"{workspace}.json"),
-            *request[1:]]
-    out, err = io.StringIO(), io.StringIO()
+    path = str(WORKSPACES / f"{workspace}.json")
+    argv = [request[0], "--workspace", path, *request[1:]]
     start = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+    code, out, err = _cli(argv)
     assert time.perf_counter() - start < 3.0, argv
     assert code in (0, 1, 2, 3, 4), argv
-    assert "Traceback" not in err.getvalue()
-    assert (code == 0) == bool(out.getvalue()), argv
+    assert "Traceback" not in err
+    assert (code == 0) == bool(out), argv
     if code == 0:
-        json.loads(out.getvalue(), object_pairs_hook=_ascending)
+        json.loads(out, object_pairs_hook=_ascending)
+        _commutator_relations(request, path, out)
+
+
+def _cli(argv):
+    """cli.main in-process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+PREIMAGES = {"V": "U", "Vi": "Us"}
+
+
+def _commutator_relations(request, path, out):
+    """The relations of an answered comm or derive request.  comm a b
+    prints what normalize prints for (a)*(b) - (b)*(a).  derive reads its
+    expression on A(N) as x, V and Vi as U and Us (their preimages under
+    the quotient map): a request on A(N) printed apply(d, x), one on B(N)
+    its quotient, and bilateral_apply(quotient_derivation(d),
+    quotient(x)) is that quotient, compared in-process."""
+    command, (*flags, expr) = request[0], request[1:]
+    if command == "comm":
+        *flags, a = flags
+        assert _cli(["normalize", "--workspace", path, *flags,
+                     f"({a})*({expr}) - ({expr})*({a})"])[:2] == (0, out), \
+            request
+    elif command == "derive":
+        ws, side = load_workspace(path), flags[1]
+        preimage = re.sub(r"\bVi?\b", lambda v: PREIMAGES[v[0]], expr)
+        x = eval_ast(parse(preimage), ws, "unilateral")
+        d = ws.derivations["d"]
+        image = derivations.apply(d, x)
+        quotient = algebra.quotient(image)
+        printed = image if side == "unilateral" else quotient
+        assert json.loads(out) == json.loads(json.dumps(printed.to_json())), \
+            request
+        assert derivations.bilateral_apply(derivations.quotient_derivation(
+            d), algebra.quotient(x)) == quotient, request

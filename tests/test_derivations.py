@@ -448,6 +448,28 @@ def test_quotient_naturality():
         assert lhs == rhs
 
 
+def test_each_apply_refuses_the_other_algebra():
+    """apply takes an element of A(N) alone and bilateral_apply one of
+    B(N), each with components of its own algebra: with N = 2, one
+    component at n = -1 with beta = [1, 0] and b = V, apply(d, b) once
+    answered {0: [-1, 1]}, without the rotation by -n that
+    quotient_derivation gives the table."""
+    beta = AffineSequence(ZERO, EPSequence({}, [ONE, ZERO], N2))
+    d = DerivationSum({-1: covariant(-1, beta, N2)}, N2)
+    comps, b = quotient_derivation(d), v_element(N2)
+    with pytest.raises(ValueError, match=r"acts on A\(N\) alone"):
+        apply(d, b)
+    with pytest.raises(ValueError, match=r"acts on B\(N\) alone"):
+        bilateral_apply(comps, u_element(N2))
+    # nor do a derivation's components of A(N) act on B(N): the cast of
+    # beta gave the same unrotated answer
+    with pytest.raises(ValueError, match=r"acts on B\(N\) alone"):
+        bilateral_apply(d.components, b)
+    assert bilateral_apply(comps, b).to_json() == {"terms": {"0": {
+        "period": 2, "values": [[1, 1, 0, 1], [-1, 1, 0, 1]]}}}
+    assert quotient(apply(d, u_element(N2))) == bilateral_apply(comps, b)
+
+
 def test_derivation_json_round_trip():
     rng = random.Random(20240129)
     for _ in range(30):

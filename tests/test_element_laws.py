@@ -11,6 +11,7 @@ imaginary parts carry different denominators, so the kernel's shared
 denominator of a product is rarely 1.
 """
 
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -661,3 +662,106 @@ def test_size_rule_takes_a_weight_pair_only_past_the_guard():
     xt[1] = (Scalar(1), lcf(1, 2))
     with pytest.raises(AssertionError, match="affine weight failed"):
         _factors(xt, yt)
+
+
+# Fixed cases, one per cell of KRONECKER_FLOORS and one per residue case
+# of a commutator's visit, drawn from seeded streams: Hypothesis mixes the
+# literals of the loaded modules into its draws, so the derandomized
+# floors above can move with an unrelated edit, while these cannot.
+
+
+def _fixed_terms(rng, degrees, unilateral, linear=()):
+    """Terms of period-4 tables over N24 at degrees, on A(N) with up to
+    two corrections at keys 0..12 at an even degree and none at an odd
+    one, and a pair (C, v) at the degrees in linear."""
+    def scalar():
+        return Scalar(rng.randint(-3, 3), rng.randint(-2, 2))
+
+    def coefficient(n):
+        table = [scalar() for _ in range(4)]
+        if not unilateral:
+            return LocallyConstantFunction(table, N24)
+        return EPSequence({rng.randint(0, 12): scalar()
+                           for _ in "ab"[:2 - n % 2 * 2]}, table, N24)
+    return {n: (scalar(), coefficient(n)) if n in linear else coefficient(n)
+            for n in degrees}
+
+
+# (domain, kind) -> (x's degrees, y's degrees, x's degrees with a linear
+# part), below and above the size rule; below, the odd degrees of A(N)
+# meet their cutoffs without a correction, and degree 0 of the B(N)
+# commutator has one pair, whose row is zero
+FIXED_SHAPES = {
+    "below": {("A(N)", "product"): (range(-1, 4), range(-3, 1), ()),
+              ("B(N)", "product"): (range(-1, 2), range(0, 2), ()),
+              ("B(N)", "commutator"): (range(0, 3), range(0, 2), (0,))},
+    "above": {("A(N)", "product"): (range(-7, 7), range(-6, 8), ()),
+              ("B(N)", "product"): (range(-5, 5), range(-4, 6), ()),
+              ("B(N)", "commutator"): (range(-5, 5), range(-4, 6),
+                                       (-4, 0, 4))},
+}
+
+
+@pytest.mark.parametrize("side, path, domain, kind", [
+    (side, path, domain, kind) for side, cells in KRONECKER_FLOORS.items()
+    for path, domain, kind in cells])
+def test_each_cell_of_the_size_rule_on_fixed_factors(side, path, domain,
+                                                     kind):
+    """Each cell of KRONECKER_FLOORS on one seeded case: the rule takes
+    the cell's path, and the pair loop and the Kronecker kernel give the
+    same terms, degree keys in the same order and periodic rows."""
+    rng, unilateral = random.Random(f"{side} {domain} {kind}"), \
+        domain == "A(N)"
+    xs, ys, linear = FIXED_SHAPES[side][domain, kind]
+    xt = _fixed_terms(rng, xs, unilateral, linear)
+    yt = _fixed_terms(rng, ys, unilateral)
+    commute = kind == "commutator"
+    factors = _factors(xt, yt)
+    nb = _slot_bytes(factors, commute)
+    assert (path == "packed") == bool(
+        _kronecker_slots(factors, unilateral, commute))
+    other = _unilateral_rows(factors, nb) if unilateral \
+        else _kronecker_rows(factors, commute, nb)
+    raw = _pair_rows(factors, unilateral, commute)
+    assert _terms(factors, other) == _terms(factors, raw)
+    assert list(other) == list(raw)
+    assert all(other[d][:2] == (re, im) for d, (re, im, _) in raw.items())
+
+
+# residue case -> (g's degrees, a's degrees): J = 4 with every table of
+# period 4, and a linear part on g at each degree in 24Z (N = 24)
+RESIDUES = {"J | m": ((-24, 0, 24), (-8, -3, 1, 6)),
+            "J | n only": ((-3, 1, 5), (-8, 0, 4)),
+            "neither": ((-3, 1, 5), (-5, -2, 3, 6))}
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("case", RESIDUES)
+def test_commutator_residue_cases_on_fixed_factors(case, domain):
+    """[g, a] entry by entry for a seeded g and a whose every term pair
+    (m, n) falls in one residue case of the commutator's visit: J | m,
+    where g may hold a linear part, J | n alone, or neither.  On A(N)
+    each coefficient has corrections at keys 0..12, past the cutoffs
+    k < min(m, -n) of several pairs, and the cells reach every degree's
+    first 24 keys."""
+    rng, unilateral = random.Random(f"{case} {domain}"), \
+        domain == "unilateral"
+    gs, ns = RESIDUES[case]
+    cls = DOMAINS[domain][0]
+    a = cls(_fixed_terms(rng, ns, unilateral), N24)
+    comps = {}
+    for m, c in _fixed_terms(rng, gs, unilateral, gs).items():
+        linear, ep = c if m % 24 == 0 else (ZERO, c[1])
+        comps[m] = (covariant if unilateral else bilateral_covariant)(
+            m, AffineSequence(linear, ep), N24)
+    assert math.lcm(*(c.period for c in a.terms.values()),
+                    *(c._coef.ep.period for c in comps.values())) == 4
+    image = apply(DerivationSum(comps, N24), a) if unilateral \
+        else bilateral_apply(comps, a)
+    g = Generator(comps, domain)
+    keys = range(0, 24) if unilateral else range(-12, 12)
+    for d in {m + n for m in gs for n in ns}:
+        for k in keys:
+            i, j = k + max(d, 0), k - min(d, 0)
+            assert image.entry(i, j) == (naive_product_entry(g, a, i, j)
+                                         - naive_product_entry(a, g, i, j))

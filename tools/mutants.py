@@ -27,9 +27,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 CUTOFF = """\
-        for k in range(z):
-            c = corr.get(k, (0, 0))
-            corr[k] = (c[0] - pr[k % J], c[1] - pi[k % J])
+            for k in range(z):
+                i, c = (k + sa) % J, corr.get(k, (0, 0))
+                corr[k] = (c[0] - sign * (are[i] * bre[i] - aim[i] * bim[i]),
+                           c[1] - sign * (are[i] * bim[i] + aim[i] * bre[i]))
+"""
+# the one-product branches of a commutator's visit
+ONE_PRODUCT = """\
+            if m % J == 0:
+                (cr, ci), (g, h) = _turn(arow, ta % J), u or (0, 0)
+                ar = [x - y + (sa - ta) * g for x, y in zip(ar, cr)]
+                ai = [x - y + (sa - ta) * h for x, y in zip(ai, ci)]
 """
 
 MUTANTS = [
@@ -71,8 +79,10 @@ MUTANTS = [
      CUTOFF, CUTOFF.replace("range(z)", "range(z - 1)"),
      "_pair_rows writes one cutoff too few"),
     ("src/bdshift/algebra.py",
-     CUTOFF, CUTOFF.replace("pr[k % J], c[1] - pi[", "re[k % J], c[1] - im["),
-     "_pair_rows cuts off the running row, not the pair's"),
+     CUTOFF, CUTOFF.replace(
+         "sign * (are[i] * bre[i] - aim[i] * bim[i])", "pr[k % J]").replace(
+         "sign * (are[i] * bim[i] + aim[i] * bre[i])", "pi[k % J]"),
+     "_pair_rows cuts a commutator's product off the joint row, not its own"),
     ("src/bdshift/profinite.py",
      "            if re[e:] != re[:j - e] or im[e:] != im[:j - e]:",
      "            if re[e:] != re[:j - e]:",
@@ -137,7 +147,8 @@ MUTANTS = [
      "        h = du // e * (dw // f)", "        h = du // e",
      "inner drops w's rescale to the common denominator"),
     ("src/bdshift/algebra.py",
-     "        if not (z or ac or bc):", "        if not (ac or bc):",
+     "        if not (z or ac or bc or commute and tz):",
+     "        if not (ac or bc or commute and tz):",
      "_pair_rows skips the cutoffs of a pair with no corrections"),
     ("src/bdshift/profinite.py",
      "        if len(re) > 1:", "        if len(re) > 2:",
@@ -174,13 +185,27 @@ MUTANTS = [
      "    if False:\n        raise ValueError(",
      "the BilateralEPSequence factory drops a correction silently"),
     ("src/bdshift/algebra.py",
-     "            if k < 0:\n                continue",
-     "            if False:\n                continue",
+     "                k, j = i - sa, i - sa + sb\n                if k >= 0:",
+     "                k, j = i - sa, i - sa + sb\n                if True:",
      "_pair_rows keeps a correction key k < 0 on A(N)"),
     ("src/bdshift/parser.py",
      "        if spent[0] > _MAX_LITERAL_BITS:",
      "        if False:",
      "the literal bound is checked only at powers, each on its own"),
+    ("src/bdshift/algebra.py",
+     ONE_PRODUCT, ONE_PRODUCT.replace("if m % J == 0", "if n % J == 0"),
+     "a commutator's one product at J | m taken at J | n"),
+    ("src/bdshift/algebra.py",
+     ONE_PRODUCT, ONE_PRODUCT.replace(" + (sa - ta) * g", "").replace(
+         " + (sa - ta) * h", ""),
+     "the one product at J | m drops the linear part's gain (sa - ta)u"),
+    ("src/bdshift/algebra.py",
+     "        re, im, corr = acc.setdefault(m + n, (pr, pi, {}))\n",
+     "        if m + n not in acc and not (any(pr) or any(pi) or z or ac or bc\n"
+     "                                     or commute and tz):\n"
+     "            continue\n"
+     "        re, im, corr = acc.setdefault(m + n, (pr, pi, {}))\n",
+     "_pair_rows drops the degree key of a pair whose row is zero"),
 ]
 
 
