@@ -2,8 +2,10 @@
 
 Every command prints the bytes of json.dumps(payload, indent=2) on
 stdout, written in one pass, the whole document or nothing; diagnostics
-go to stderr.  A command's own parser reads its arguments, so a usage
-error names it ("bdshift truncate: error: ...").  Exit codes: 0 success,
+go to stderr.  One pass over the command's flags (_read) reads an argv of
+exact flags, values and positionals; the command's own argparse parser
+reads any other, and writes help and every usage error, which names the
+command ("bdshift truncate: error: ...").  Exit codes: 0 success,
 1 usage, 2 parse error, 3 math-domain error (an exact value beyond the
 range of a float, an integer too wide to print and a table or window
 past its cap included), 4 numeric non-convergence (only the inverse
@@ -121,9 +123,13 @@ def _component_json(comp):
     return {"n": comp.n, **comp.beta.to_json()}
 
 
-def _implementation(args, env, width):
-    """Implementation data, checked against width = 2M + 1 per [-M, M]."""
+def _implementation(args, width):
+    """Implementation data, checked against width = 2M + 1 per [-M, M]; a
+    negative M, whose window is empty, is refused before the load."""
     from . import gns
+    if width < 0:
+        raise ValueError(f"--m {args.m}: the window [-M, M] is empty")
+    env = _env(args)
     comp = derivations.quotient_derivation(_derivation(args, env)).get(args.n)
     if comp is None:
         comp = derivations.bilateral_zero_component(args.n, env.N)
@@ -291,8 +297,7 @@ def cmd_gns_rep(args):
 
 def cmd_gns_d(args):
     from . import gns
-    env = _env(args)
-    data = _implementation(args, env, 2 * args.m + 1)
+    data = _implementation(args, 2 * args.m + 1)
     D = gns.build_D(data, args.space, args.m)
     _emit(_matrix_out(D, args, {
         "space": args.space,
@@ -305,8 +310,7 @@ def cmd_gns_d(args):
 
 def cmd_covcheck(args):
     from . import gns
-    env = _env(args)
-    data = _implementation(args, env, 2 * args.m + 1)
+    data = _implementation(args, 2 * args.m + 1)
     D = gns.build_D(data, args.space, args.m)
     thetas = [2 * math.pi * k / args.grid for k in range(args.grid)]
     residual = gns.check_covariance(D, data.n, args.m, thetas)
@@ -324,10 +328,9 @@ def cmd_parametrix(args):
     # |n| is untrusted input, bounded like a window size; the shell build
     # itself does not grow with it
     _check_window(abs(args.n))
-    env = _env(args)
     Ms = [int(s) for s in args.mlist.split(",") if s]
     # every shell is built, so the windows of the list count together
-    data = _implementation(args, env, sum(2 * max(M, 0) + 1 for M in Ms))
+    data = _implementation(args, sum(2 * max(M, 0) + 1 for M in Ms))
     _emit(gns.parametrix_report(data, Ms, space=args.space))
 
 
@@ -446,13 +449,59 @@ def _build_parser():
     return top, sub.choices
 
 
+@functools.cache
+def _flags(own):
+    """own's one-value options by option string, its positionals, required
+    options and options that type a str default, and an empty argv's dict."""
+    acts = [a for a in own._actions if isinstance(a, argparse._StoreAction)]
+    start = {a.dest: a.default for a in own._actions
+             if a.default is not argparse.SUPPRESS}
+    start.update((k, v) for k, v in own._defaults.items() if k not in start)
+    return ({s: a for a in acts for s in a.option_strings},
+            [a for a in acts if not a.option_strings],
+            [a for a in acts if a.required and a.option_strings],
+            [a for a in acts if a.type and isinstance(a.default, str)], start)
+
+
+def _read(own, argv):
+    """own.parse_args(argv) in one pass over exact flags, each with one
+    value, and positionals; None, for argparse to parse, on help, an
+    unknown, abbreviated or '=' flag, '--', a value starting with '-' but
+    an ASCII negative integer, a failed type or choice, a missing required
+    flag or a wrong number of positionals."""
+    opts, pos, need, typed, start = _flags(own)
+    pairs, rest, it = [], [], iter(argv)
+    for tok in it:
+        if tok in opts:  # a flag last in argv takes "-", which defers
+            pairs.append((opts[tok], next(it, "-")))
+        else:
+            rest.append(tok)
+    seen, ns = {a for a, _ in pairs}, dict(start)
+    if len(rest) != len(pos) or any(a not in seen for a in need):
+        return None
+    pairs += zip(pos, rest)
+    pairs += [(a, a.default) for a in typed if a not in seen]
+    try:
+        for a, v in pairs:
+            if v[:1] == "-" and not (v[1:].isascii() and v[1:].isdigit()):
+                return None
+            ns[a.dest] = v = a.type(v) if a.type else v
+            if a.choices is not None and v not in a.choices:
+                return None
+    except (TypeError, ValueError):
+        return None
+    return argparse.Namespace(**ns)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     top, commands = _build_parser()
     # the top level answers help, no command and an unknown command
     own = commands.get(argv[0]) if argv else None
+    args = _read(own, argv[1:]) if own else None
     try:
-        args = own.parse_args(argv[1:]) if own else top.parse_args(argv)
+        if args is None:
+            args = own.parse_args(argv[1:]) if own else top.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else 0
     try:

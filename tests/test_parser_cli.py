@@ -1215,11 +1215,15 @@ def test_cli_empty_shells_and_grids_are_usage_errors(capsys, ws_path):
                  ["parametrix", *gns, "--mlist", "4,-2"],
                  ["parametrix", *gns, "--mlist", "-4", "--space", "haar"],
                  ["covcheck", *gns, "--grid", "0"],
-                 ["covcheck", *gns, "--grid", "-3", "--space", "haar"]):
+                 ["covcheck", *gns, "--grid", "-3", "--space", "haar"],
+                 ["gns-d", *gns, "--m", "-1"],
+                 ["covcheck", *gns, "--m", "-3"]):
         code = cli.main(argv)
         out, err = capsys.readouterr()
         assert code == 1, argv
         assert out == "" and err
+        # a negative M is refused in one line before any build, not by numpy
+        assert "negative dimensions" not in err and err.count("\n") == 1
 
 
 def test_cli_qnorm_rounds_below_one_are_usage_errors(capsys):

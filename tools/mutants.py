@@ -206,6 +206,24 @@ MUTANTS = [
      "            continue\n"
      "        re, im, corr = acc.setdefault(m + n, (pr, pi, {}))\n",
      "_pair_rows drops the degree key of a pair whose row is zero"),
+    ("src/bdshift/cli.py",
+     "            if a.choices is not None and v not in a.choices:\n"
+     "                return None\n", "",
+     "_read takes a value outside choices"),
+    ("src/bdshift/cli.py",
+     'if v[:1] == "-" and not (v[1:].isascii()',
+     'if v[:1] == "-" and False and not (v[1:].isascii()',
+     "_read takes a value starting with '-'"),
+    ("src/bdshift/cli.py",
+     "    start.update((k, v) for k, v in own._defaults.items() "
+     "if k not in start)\n", "",
+     "_read drops set_defaults"),
+    ("src/bdshift/cli.py",
+     "    pairs += [(a, a.default) for a in typed if a not in seen]\n", "",
+     "_read leaves a str default untyped"),
+    ("src/bdshift/cli.py",
+     "len(rest) != len(pos) or ", "",
+     "_read takes any number of positionals"),
 ]
 
 

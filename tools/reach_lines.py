@@ -56,6 +56,11 @@ _GRAMMAR = "the expression grammar: numbers, i, unary minus, " \
     "request writes, and parse_gaussian (--c)"
 _WRITER = "the JSON writer's spellings that no report of the benchmark's " \
     "requests holds: NaN, +-Infinity, null, true, false and []"
+_DEFER = "the one-pass argv reader handing argparse what it would " \
+    "refuse or does not read: help, a usage error or an unusual spelling, " \
+    "which no benchmark request writes"
+_TYPED = "an option whose type converts a str default, as argparse " \
+    "does; no command declares one, the reader's agreement test does"
 ALLOWED = {
     ("algebra._Element.degrees", ""): _ACCESSOR,
     ("algebra.LaurentFunction.coefficient", ""): _ACCESSOR,
@@ -85,6 +90,12 @@ ALLOWED = {
     ("cli.main", "if argv else None"): "an empty argv: help from the top",
     ("cli.main", "else top.parse_args"):
         "an argv without a known command: help or a usage error",
+    ("cli.main", "if own else None"):
+        "an argv without a known command: help or a usage error",
+    **{("cli._read", fragment): _DEFER for fragment in (
+        "return None", 'if v[:1] == "-"')},
+    ("cli._read", "for a in typed if a not in seen"): _TYPED,
+    ("cli._flags", "isinstance(a.default, str)"): _TYPED,
     ("cli.cmd_qnorm", "if shift >= 0 else 0"):
         "a round count below 1, which quotient_norm_report then refuses",
     ("algebra._pair_rows", "else oc[k + s]"):
